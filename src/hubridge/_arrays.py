@@ -1,4 +1,4 @@
-"""Shared array utilities: validation, immutability, pairwise distances."""
+"""Shared array utilities: validation, immutability, pairwise distances, top-k."""
 
 from __future__ import annotations
 
@@ -38,21 +38,69 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
+def index_vector(a, n: int, name: str = "indices") -> np.ndarray:
+    """Coerce to an int64 vector of distinct positions in [0, n).
+
+    The error names the first offending position, so a negative index never
+    wraps around to the end of the array.
+    """
+    out = as_int_vector(a, name)
+    bad = np.flatnonzero((out < 0) | (out >= n))
+    if bad.size:
+        p = int(bad[0])
+        raise ValueError(f"{name}[{p}] = {int(out[p])} is out of range [0, {n})")
+    repeat = np.ones(out.size, dtype=bool)
+    repeat[np.unique(out, return_index=True)[1]] = False
+    if repeat.any():
+        p = int(np.argmax(repeat))
+        raise ValueError(f"{name}[{p}] = {int(out[p])} repeats an earlier entry")
+    return out
+
+
+def sq_norms(points: np.ndarray) -> np.ndarray:
+    """Squared Euclidean norm of each row."""
+    return np.einsum("ij,ij->i", points, points)
+
+
+def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray,
+                      points_sq_norms: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between each query row and each point row.
 
     Uses the expanded form ||q||^2 - 2 q.p + ||p||^2 (one GEMM), clipped at
     zero to absorb rounding. Identical input rows produce identical output
     values, so index-based tie-breaking downstream stays deterministic.
+    ``points_sq_norms`` is ``sq_norms(points)``, computed once by callers
+    that query the same points repeatedly.
     """
-    qq = np.einsum("ij,ij->i", queries, queries)
-    pp = np.einsum("ij,ij->i", points, points)
+    qq = sq_norms(queries)
+    pp = sq_norms(points) if points_sq_norms is None else points_sq_norms
     d2 = queries @ points.T
     d2 *= -2.0
     d2 += qq[:, None]
     d2 += pp[None, :]
     np.maximum(d2, 0.0, out=d2)
     return d2
+
+
+def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
+    """Column indices of each row's k smallest entries, ordered by (value, index).
+
+    The result is a stable full sort of each row cut to k columns, computed
+    without sorting whole rows: a partition finds each row's k-th smallest
+    value, every entry at or below it stays a candidate (so a tie straddling
+    the k-th place still resolves toward the lower index), and only those
+    candidates are sorted. ``values`` must not contain NaN; +inf is allowed.
+    """
+    n = values.shape[1]
+    if not 1 <= k <= n:
+        raise ValueError(f"k must be in [1, {n}], got {k}")
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1].copy()
+    keep = values <= kth[:, None]
+    rows, cols = np.nonzero(keep)
+    order = np.lexsort((cols, values[keep], rows))
+    per_row = np.count_nonzero(keep, axis=1)
+    starts = np.cumsum(per_row) - per_row
+    return cols[order[starts[:, None] + np.arange(k)]]
 
 
 def query_chunks(n_queries: int, n_points: int, cell_budget: int = 4_000_000):

@@ -19,8 +19,9 @@ import numpy as np
 
 from .datamodel import (Dataset, Split, column_mean_sd, dataset_from_arrays,
                         fit_pca, apply_pca, load_dataset, split as make_split, subset)
-from .hubness import DEFAULT_HUBNESS_K, nk_counts, skewness
-from .knn import Dissimilarity, build_knn_model, knn_from_transform, evaluate
+from .hubness import DEFAULT_HUBNESS_K, skewness
+from .knn import (Dissimilarity, build_knn_model, knn_from_transform, majority_vote,
+                  neighbor_index_matrix)
 from .modelselect import CvConfig, grid_search
 from .targets import select_targets, indicator_matrix
 from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS,
@@ -258,8 +259,12 @@ def _run_method(pre: Dataset, sp: Split, method: str,
         if method == MOVE_LABELED:
             gap = solver_disagreement(train_ds.features.T, jj, cv.best_lambda)
 
-    accuracy = evaluate(km, x_test, y_test)
-    counts = nk_counts(km, x_test, config.hubness_k)
+    # One lookup serves both scores: rows are sorted by (dissimilarity, index),
+    # so each prefix is exactly the smaller-k neighbor matrix.
+    idx = neighbor_index_matrix(km, x_test, max(cv.best_k, config.hubness_k))
+    preds = majority_vote(km.labels[idx[:, :cv.best_k]], pre.class_count)
+    accuracy = float(np.mean(preds == y_test))
+    counts = np.bincount(idx[:, :config.hubness_k].ravel(), minlength=km.n)
     return MethodSplitResult(method=method, split_seed=sp.seed, accuracy=accuracy,
                              n10_skewness=skewness(counts),
                              training_seconds=training_seconds,

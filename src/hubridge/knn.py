@@ -7,18 +7,21 @@ Supported dissimilarity kinds, all compared as squared norms internally:
 * ``transformed-query``      ||W x - z||^2   (query mapped at lookup time)
 * ``both-sides``             ||L x - L z||^2 (hook for external Mahalanobis maps)
 
-Search is brute force with full sorting; ties break toward the lower
-labeled index. Majority votes tie-break toward the label of the nearest
-neighbor within the tied label set, which degrades to the 1-NN rule.
+Search is brute force: every dissimilarity is computed, then each row's k
+smallest are picked by partial selection (``_arrays.smallest_k``) rather than
+a full sort. Ties break toward the lower labeled index, exactly as a stable
+full sort would order them. Majority votes tie-break toward the label of the
+nearest neighbor within the tied label set, which degrades to the 1-NN rule.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import as_matrix, as_int_vector, as_vector, frozen, pairwise_sq_dists, query_chunks
+from ._arrays import (as_matrix, as_int_vector, as_vector, frozen, pairwise_sq_dists,
+                      query_chunks, smallest_k, sq_norms)
 from .transform import TransformModel, MOVE_LABELED, MOVE_QUERY
 
 EUCLIDEAN = "euclidean"
@@ -83,12 +86,17 @@ class Dissimilarity:
 
 @dataclass(frozen=True)
 class KnnModel:
-    """Labeled points ready for lookup (already mapped for the labeled side)."""
+    """Labeled points ready for lookup (already mapped for the labeled side).
+
+    ``labeled_sq_norms`` holds each labeled point's squared norm, computed
+    once here so lookups do not recompute it per batch.
+    """
 
     labeled_points: np.ndarray
     labels: np.ndarray
     k: int
     dissimilarity: Dissimilarity
+    labeled_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.labeled_points.ndim != 2:
@@ -99,6 +107,7 @@ class KnnModel:
             raise ValueError(f"k must be in [1, {self.labeled_points.shape[0]}], got {self.k}")
         frozen(self.labeled_points)
         frozen(self.labels)
+        object.__setattr__(self, "labeled_sq_norms", frozen(sq_norms(self.labeled_points)))
 
     @property
     def n(self) -> int:
@@ -142,23 +151,30 @@ def _query_matrix(model: KnnModel, queries) -> np.ndarray:
 
 
 def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.ndarray:
-    """(n_queries, k) labeled indices, each row sorted by dissimilarity then index."""
+    """(n_queries, k) labeled indices, each row sorted by dissimilarity then index.
+
+    Each row holds the k smallest dissimilarities found by partial selection;
+    the order is the one a stable full sort gives, so among equal
+    dissimilarities the lower labeled index comes first (and is kept when the
+    tie straddles the k-th place). A prefix of ``j <= k`` columns is therefore
+    exactly the ``j``-nearest-neighbor matrix.
+    """
     k = model.k if k is None else int(k)
     if not 1 <= k <= model.n:
         raise ValueError(f"k must be in [1, {model.n}], got {k}")
     q = _query_matrix(model, queries)
     out = np.empty((q.shape[0], k), dtype=np.int64)
     for lo, hi in query_chunks(q.shape[0], model.n):
-        d2 = pairwise_sq_dists(q[lo:hi], model.labeled_points)
-        out[lo:hi] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+        d2 = pairwise_sq_dists(q[lo:hi], model.labeled_points, model.labeled_sq_norms)
+        out[lo:hi] = smallest_k(d2, k)
     return out
 
 
 def neighbors(model: KnnModel, query) -> list[tuple[int, float]]:
     """The model's k nearest labeled objects for one query, with dissimilarity values."""
     q = _query_matrix(model, np.atleast_2d(as_vector(query, "query")))
-    d2 = pairwise_sq_dists(q, model.labeled_points)[0]
-    idx = np.argsort(d2, kind="stable")[: model.k]
+    d2 = pairwise_sq_dists(q, model.labeled_points, model.labeled_sq_norms)[0]
+    idx = smallest_k(d2[None, :], model.k)[0]
     vals = d2[idx] if model.dissimilarity.squared else np.sqrt(d2[idx])
     return [(int(i), float(v)) for i, v in zip(idx, vals)]
 

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from ._arrays import as_int_vector, pairwise_sq_dists
+from ._arrays import index_vector, pairwise_sq_dists, smallest_k
 from .datamodel import Dataset
 
 
@@ -65,10 +65,11 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> TargetAssignment:
     Classes with fewer than ``k_targets + 1`` training members contribute
     all available same-class objects instead of failing; classes with a
     single training member are rejected (no same-class target exists).
+    ``train`` must list distinct row positions of ``dataset``.
     """
     if k_targets < 0:
         raise ValueError("k_targets must be non-negative")
-    tr = as_int_vector(train, "train")
+    tr = index_vector(train, dataset.n, "train")
     feats = dataset.features[tr]
     labs = dataset.labels[tr]
     m = tr.size
@@ -82,12 +83,12 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> TargetAssignment:
             raise TargetSelectionError(
                 f"training class {dataset.label_names[int(c)]!r} has a single member; "
                 "cannot select same-class targets")
-        d2 = pairwise_sq_dists(feats[members], feats[members])
+        member_feats = feats[members]
+        d2 = pairwise_sq_dists(member_feats, member_feats)
         np.fill_diagonal(d2, np.inf)
-        order = np.argsort(d2, axis=1, kind="stable")
-        take = min(k_targets, members.size - 1)
-        for row, i in enumerate(members):
-            targets[int(i)] = tuple(int(members[j]) for j in order[row, :take])
+        chosen = members[smallest_k(d2, min(k_targets, members.size - 1))]
+        for i, row in zip(members.tolist(), chosen.tolist()):
+            targets[i] = tuple(row)
     return TargetAssignment(tuple(targets), k_targets)
 
 

@@ -49,6 +49,28 @@ class TestNeighbors:
             neighbors(model, [1.0, 2.0])
 
 
+class TestTies:
+    def test_tie_group_straddling_kth_place(self):
+        # distances from the origin: [1, 0, 1, 1, 0, 1]; k=3 keeps the lowest tied 1
+        pts = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
+        model = build_knn_model(pts, [0] * 6, 3, Dissimilarity.euclidean())
+        assert neighbors(model, [0.0, 0.0]) == [(1, 0.0), (4, 0.0), (0, 1.0)]
+        np.testing.assert_array_equal(neighbor_index_matrix(model, [[0.0, 0.0]]),
+                                      [[1, 4, 0]])
+
+    def test_duplicated_binary_rows_match_oracle(self, rng):
+        # 0/1 coordinates plus duplicated rows: most rows tie at the k-th place
+        pts = rng.integers(0, 2, size=(30, 5)).astype(float)
+        pts = np.vstack([pts, pts[:10]])
+        labels = rng.integers(0, 3, 40)
+        queries = rng.integers(0, 2, size=(12, 5)).astype(float)
+        for k in (1, 3, 7, 40):
+            model = build_knn_model(pts, labels, k, Dissimilarity.euclidean())
+            want = [oracle_knn_indices(q, pts, k) for q in queries]
+            np.testing.assert_array_equal(neighbor_index_matrix(model, queries), want)
+            assert [[i for i, _ in neighbors(model, q)] for q in queries] == want
+
+
 class TestDissimilarityKinds:
     def test_identity_w_equals_euclidean(self, rng):
         pts = rng.normal(size=(30, 4))

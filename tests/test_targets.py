@@ -76,6 +76,31 @@ class TestSelectTargets:
         ta = select_targets(ds, np.arange(3), 1)
         assert ta.targets_of[0] == (1,)
 
+    def test_tie_group_straddling_kth_place(self):
+        # points 1..4 are all at distance 1 from point 0; k=2 keeps 1 and 2
+        feats = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]
+        ds = dataset_from_arrays(feats, [0] * 5)
+        assert select_targets(ds, np.arange(5), 2).targets_of[0] == (1, 2)
+
+    def test_duplicated_binary_rows_match_brute_force(self, rng):
+        feats = rng.integers(0, 2, size=(24, 4)).astype(float)
+        feats = np.vstack([feats, feats[:8]])
+        labels = np.tile([0, 1], 16)
+        ds = dataset_from_arrays(feats, labels)
+        for k in (1, 2, 5):
+            ta = select_targets(ds, np.arange(32), k)
+            assert list(ta.targets_of) == brute_force_targets(feats, labels, k)
+
+    @pytest.mark.parametrize("train, message", [
+        ([0, -1, 2], r"train\[1\] = -1 is out of range \[0, 4\)"),
+        ([0, 1, 4], r"train\[2\] = 4 is out of range \[0, 4\)"),
+        ([3, 1, 3], r"train\[2\] = 3 repeats an earlier entry"),
+    ])
+    def test_bad_train_indices_rejected(self, train, message):
+        ds = dataset_from_arrays([[0.0], [1.0], [2.0], [3.0]], [0, 0, 0, 0])
+        with pytest.raises(ValueError, match=message):
+            select_targets(ds, train, 1)
+
     def test_train_local_indexing(self, rng):
         # selecting on a sub-list yields positions within that list
         feats = rng.normal(size=(6, 2))
