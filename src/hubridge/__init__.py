@@ -8,24 +8,22 @@ spatial-centrality bias, and an experiment harness.
 """
 
 from .datamodel import (Dataset, DatasetFormatError, PcaModel, PreprocessError,
-                        Split, apply_pca, bundled_dataset_path, center,
-                        dataset_from_arrays, fit_pca, load_dataset, split,
-                        subset, zscore)
+                        Preprocessor, Split, apply_pca, bundled_dataset_path,
+                        dataset_from_arrays, fit_pca, load_dataset, split, subset)
 from .targets import TargetAssignment, TargetSelectionError, indicator_matrix, select_targets
 from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER,
                         SingularSystemError, TransformModel, fit_move_labeled,
-                        fit_move_query, regression_objective, solver_disagreement,
-                        transform_points)
+                        fit_move_query, fit_transform, regression_objective,
+                        solver_disagreement, transform_points)
 from .knn import (Dissimilarity, KnnModel, build_knn_model, classify,
                   classify_batch, evaluate, knn_from_transform, neighbors,
                   neighbor_index_matrix)
-from .hubness import (HubnessRow, NkStats, ZeroVarianceError, compute_nk_stats,
-                      hubness_report, nk_counts, skewness)
+from .hubness import HubnessRow, ZeroVarianceError, hubness_report, nk_counts, skewness
 from .theory import (CentralityExperiment, CentralityResult, PairConstructionError,
                      hub_tendency_demo, simulate_delta, squared_norm_std,
                      theoretical_delta)
 from .modelselect import CvCell, CvConfig, CvResult, FoldError, grid_search, make_folds
 from .experiment import (ExperimentConfig, ExperimentReport, MethodAggregate,
-                         MethodSplitResult, preprocess, run_experiment)
+                         MethodSplitResult, ModelArtifact, preprocess, run_experiment)
 
 __version__ = "0.1.0"

@@ -1,8 +1,10 @@
 """Command-line harness.
 
 Subcommands:
-  fit         train a transform on a feature file and write it as JSON
-  predict     classify a query file against a training file with a saved model
+  fit         train a transform on a feature file and write it, with the
+              fitted preprocessing and the label names, as one JSON model file
+  predict     classify a query file against the training file with a saved
+              model; the preprocessing comes from the model file
   hubness     skewness report for one random split, per dissimilarity
   cv          grid search over lambda and k on a feature file
   centrality  spatial-centrality simulation (single cell or sweep table)
@@ -19,15 +21,15 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment
-from .datamodel import FORMATS, load_dataset, split as make_split
-from .experiment import (EUCLIDEAN_METHOD, METHODS, ExperimentConfig,
+from .datamodel import (FORMATS, Dataset, Preprocessor, load_dataset,
+                        split as make_split)
+from .experiment import (EUCLIDEAN_METHOD, METHODS, ExperimentConfig, ModelArtifact,
                          fit_timed, preprocess, run_experiment)
 from .hubness import hubness_report, report_csv
 from .knn import Dissimilarity, build_knn_model, classify_batch, knn_from_transform
 from .modelselect import CvConfig, grid_search
 from .theory import CentralityExperiment, simulate_delta
-from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS,
-                        TransformModel, solver_disagreement)
+from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, solver_disagreement
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -59,7 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "with hubness diagnostics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("fit", help="train a transform and save it as JSON")
+    p = sub.add_parser("fit", help="train a transform and save it with its "
+                       "preprocessing as one JSON model file")
     _add_dataset_args(p)
     _add_preproc_args(p)
     p.add_argument("--method", default=MOVE_LABELED, choices=(MOVE_LABELED, MOVE_QUERY))
@@ -68,9 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default=SOLVER_PAPER, choices=SOLVERS)
     p.add_argument("--out", required=True, help="path for the model JSON")
 
-    p = sub.add_parser("predict", help="classify a query file with a saved model")
+    p = sub.add_parser("predict", help="classify a query file with a saved model "
+                       "(its preprocessing is read from the model file)")
     _add_dataset_args(p)
-    _add_preproc_args(p)
     p.add_argument("--model", required=True, help="model JSON written by `fit`")
     p.add_argument("--queries", required=True, help="query feature file (same format)")
     p.add_argument("--k", type=int, default=1)
@@ -130,11 +133,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_fit(args) -> int:
     ds = load_dataset(args.dataset, args.format)
-    pre = preprocess(ds, None, center=args.center, zscore=args.zscore,
-                     pca_dim=args.pca_dim)
+    prep = Preprocessor.fit(ds.features, center=args.center, zscore=args.zscore,
+                            pca_dim=args.pca_dim)
+    pre = Dataset(prep.apply(ds.features), ds.labels, ds.class_count, ds.name,
+                  ds.label_names)
     tm, jj, seconds = fit_timed(pre, args.method, args.lam, args.k_targets,
                                 args.solver)
-    tm.save(args.out)
+    ModelArtifact(prep, tm, ds.label_names).save(args.out)
     summary = {"direction": tm.direction, "lambda": tm.lam, "solver": tm.solver,
                "d": tm.d, "n": pre.n, "training_seconds": seconds,
                "model_path": str(args.out)}
@@ -145,25 +150,17 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    art = ModelArtifact.load(args.model)
     train = load_dataset(args.dataset, args.format)
-    queries = load_dataset(args.queries, args.format)
-    if queries.d != train.d:
+    if train.label_names != art.label_names:
         raise ValueError(
-            f"query dimension {queries.d} does not match training dimension {train.d}")
-    tm = TransformModel.load(args.model)
+            f"training file label names {list(train.label_names)} differ from the "
+            f"model's label_names {list(art.label_names)}")
+    queries = load_dataset(args.queries, args.format)
+    x_train = art.preprocessor.apply(train.features, "training features")
+    x_queries = art.preprocessor.apply(queries.features, "query features")
 
-    # Rebuild the exact preprocessing `fit` used, fitted on the training file
-    # only and applied to both files.
-    from .datamodel import dataset_from_arrays
-    both = dataset_from_arrays(
-        np.vstack([train.features, queries.features]),
-        np.concatenate([train.labels, np.zeros(queries.n, dtype=np.int64)]),
-        name=train.name)
-    pre = preprocess(both, np.arange(train.n), center=args.center,
-                     zscore=args.zscore, pca_dim=args.pca_dim)
-    x_train, x_queries = pre.features[: train.n], pre.features[train.n:]
-
-    km = knn_from_transform(tm, x_train, train.labels, args.k)
+    km = knn_from_transform(art.transform, x_train, train.labels, args.k)
     preds = classify_batch(km, x_queries)
 
     # Map query label tokens through the training file's token order.
@@ -183,7 +180,7 @@ def _cmd_predict(args) -> int:
     else:
         print(csv_text, end="")
     summary = {"accuracy": float(np.mean(preds == truth)), "k": args.k,
-               "dissimilarity": tm.direction, "n_queries": queries.n}
+               "dissimilarity": art.transform.direction, "n_queries": queries.n}
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 

@@ -9,7 +9,6 @@ dataset for reporting.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -214,14 +213,6 @@ def bundled_dataset_path(name: str) -> Path:
 # Preprocessing
 # ---------------------------------------------------------------------------
 
-def center(dataset: Dataset) -> tuple[Dataset, np.ndarray]:
-    """Subtract the per-column mean; returns the centered dataset and the mean."""
-    mean = dataset.features.mean(axis=0)
-    out = dataset.features - mean
-    return (Dataset(out, dataset.labels.copy(), dataset.class_count,
-                    dataset.name, dataset.label_names), mean)
-
-
 def column_mean_sd(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and sample standard deviation; rejects constant columns."""
     mean = features.mean(axis=0)
@@ -233,14 +224,6 @@ def column_mean_sd(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise PreprocessError(
             f"column {int(bad[0])} is constant; z-score is undefined")
     return mean, sd
-
-
-def zscore(dataset: Dataset) -> Dataset:
-    """Standardize each column to mean 0 and sample standard deviation 1."""
-    mean, sd = column_mean_sd(dataset.features)
-    out = (dataset.features - mean) / sd
-    return Dataset(out, dataset.labels.copy(), dataset.class_count,
-                   dataset.name, dataset.label_names)
 
 
 @dataclass(frozen=True)
@@ -268,25 +251,19 @@ class PcaModel:
         return cls(as_vector(doc["mean"], "mean"),
                    as_matrix(doc["components"], "components"), int(doc["r"]))
 
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()))
 
-    @classmethod
-    def load(cls, path) -> "PcaModel":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
-
-
-def fit_pca(dataset: Dataset, r: int) -> PcaModel:
-    """Fit principal components via thin SVD of the centered feature matrix.
+def fit_pca(features, r: int) -> PcaModel:
+    """Fit principal components via thin SVD of the centered (n, d) feature matrix.
 
     Components are ordered by non-increasing explained variance; the sign of
     each component is fixed so its largest-magnitude entry is positive.
     """
-    n, d = dataset.features.shape
+    x = as_matrix(features, "features")
+    n, d = x.shape
     if not 1 <= r <= min(n, d):
         raise ValueError(f"r must be in [1, min(n, d)] = [1, {min(n, d)}], got {r}")
-    mean = dataset.features.mean(axis=0)
-    _, _, vt = np.linalg.svd(dataset.features - mean, full_matrices=False)
+    mean = x.mean(axis=0)
+    _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
     components = vt[:r].T.copy()
     anchor = np.abs(components).argmax(axis=0)
     signs = np.sign(components[anchor, np.arange(r)])
@@ -304,45 +281,100 @@ def apply_pca(model: PcaModel, points) -> np.ndarray:
     return (p - model.mean) @ model.components
 
 
+@dataclass(frozen=True)
+class Preprocessor:
+    """Fitted feature preprocessing: z-score, then center, then PCA.
+
+    Each step is optional. ``zscore_mean``/``zscore_sd`` standardize the
+    columns, ``center_mean`` is then subtracted, and ``pca`` projects last.
+    ``d_in`` is the feature dimension the statistics were fitted on; applying
+    the preprocessor to any other dimension is an error.
+    """
+
+    d_in: int
+    zscore_mean: np.ndarray | None = None
+    zscore_sd: np.ndarray | None = None
+    center_mean: np.ndarray | None = None
+    pca: PcaModel | None = None
+
+    def __post_init__(self):
+        if (self.zscore_mean is None) != (self.zscore_sd is None):
+            raise ValueError("zscore_mean and zscore_sd must be given together")
+        for name in ("zscore_mean", "zscore_sd", "center_mean"):
+            v = getattr(self, name)
+            if v is not None:
+                if v.shape != (self.d_in,):
+                    raise ValueError(f"{name} must have length d_in = {self.d_in}")
+                frozen(v)
+        if self.pca is not None and self.pca.mean.shape[0] != self.d_in:
+            raise ValueError(f"pca must take d_in = {self.d_in} inputs")
+
+    @property
+    def d_out(self) -> int:
+        return self.d_in if self.pca is None else self.pca.r
+
+    @classmethod
+    def fit(cls, features, *, center: bool = True, zscore: bool = False,
+            pca_dim: int | None = None) -> "Preprocessor":
+        """Fit every enabled step on ``features``, each on the previous step's output."""
+        x = as_matrix(features, "features")
+        zscore_mean = zscore_sd = center_mean = pca = None
+        if zscore:
+            zscore_mean, zscore_sd = column_mean_sd(x)
+            x = (x - zscore_mean) / zscore_sd
+        if center:
+            center_mean = x.mean(axis=0)
+            if pca_dim is not None:
+                x = x - center_mean
+        if pca_dim is not None:
+            pca = fit_pca(x, pca_dim)
+        return cls(x.shape[1], zscore_mean, zscore_sd, center_mean, pca)
+
+    def apply(self, features, name: str = "features") -> np.ndarray:
+        """The fitted steps applied to an (n, d_in) matrix, as a C-contiguous matrix."""
+        x = as_matrix(features, name)
+        if x.shape[1] != self.d_in:
+            raise ValueError(
+                f"{name} have dimension {x.shape[1]}; the preprocessor's d_in is {self.d_in}")
+        if self.zscore_mean is not None:
+            x = (x - self.zscore_mean) / self.zscore_sd
+        if self.center_mean is not None:
+            x = x - self.center_mean
+        if self.pca is not None:
+            x = apply_pca(self.pca, x)
+        return x
+
+    def to_json_dict(self) -> dict:
+        doc = {name: None if getattr(self, name) is None else getattr(self, name).tolist()
+               for name in ("zscore_mean", "zscore_sd", "center_mean")}
+        doc["pca"] = None if self.pca is None else self.pca.to_json_dict()
+        return {"d_in": self.d_in, **doc}
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "Preprocessor":
+        vectors = [None if doc[name] is None else as_vector(doc[name], name)
+                   for name in ("zscore_mean", "zscore_sd", "center_mean")]
+        pca = None if doc["pca"] is None else PcaModel.from_json_dict(doc["pca"])
+        return cls(int(doc["d_in"]), *vectors, pca)
+
+
 # ---------------------------------------------------------------------------
 # Splitting
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train/test index partition with its generating parameters."""
+    """Disjoint train/test index partition with the seed that generated it."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
     seed: int
-    train_fraction: float
 
     def __post_init__(self):
         if np.intersect1d(self.train_indices, self.test_indices).size:
             raise ValueError("train and test indices overlap")
         frozen(self.train_indices)
         frozen(self.test_indices)
-
-    def to_json_dict(self) -> dict:
-        return {"version": 1, "seed": self.seed,
-                "train_fraction": self.train_fraction,
-                "train_indices": self.train_indices.tolist(),
-                "test_indices": self.test_indices.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Split":
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported Split version {doc.get('version')!r}")
-        return cls(as_int_vector(doc["train_indices"], "train_indices"),
-                   as_int_vector(doc["test_indices"], "test_indices"),
-                   int(doc["seed"]), float(doc["train_fraction"]))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()))
-
-    @classmethod
-    def load(cls, path) -> "Split":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def _allocate_train_counts(class_sizes: np.ndarray, fraction: float, total: int) -> np.ndarray:
@@ -406,4 +438,4 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> Split:
     mask = np.ones(n, dtype=bool)
     mask[train] = False
     test = np.flatnonzero(mask)
-    return Split(train, test, int(seed), float(train_fraction))
+    return Split(train, test, int(seed))

@@ -17,15 +17,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .datamodel import (Dataset, Split, column_mean_sd, dataset_from_arrays,
-                        fit_pca, apply_pca, load_dataset, split as make_split, subset)
+from .datamodel import (Dataset, Preprocessor, Split, load_dataset,
+                        split as make_split, subset)
 from .hubness import DEFAULT_HUBNESS_K, skewness
 from .knn import (Dissimilarity, build_knn_model, knn_from_transform, majority_vote,
                   neighbor_index_matrix)
 from .modelselect import CvConfig, grid_search
 from .targets import select_targets, indicator_matrix
 from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS,
-                        fit_move_labeled, fit_move_query, solver_disagreement)
+                        TransformModel, fit_transform, solver_disagreement)
 
 EUCLIDEAN_METHOD = "euclidean"
 METHODS = (EUCLIDEAN_METHOD, MOVE_LABELED, MOVE_QUERY)
@@ -196,24 +196,13 @@ def preprocess(dataset: Dataset, train_rows=None, *, center: bool = True,
                zscore: bool = False, pca_dim: int | None = None) -> Dataset:
     """Train-fitted preprocessing applied to every row of the dataset.
 
-    Statistics (means, scales, principal components) come from
-    ``train_rows`` only; ``None`` fits on all rows. Order: z-score, center,
-    PCA.
+    A ``Preprocessor`` is fitted on ``train_rows`` only (``None`` fits on all
+    rows) and applied to every row. Order: z-score, center, PCA.
     """
     rows = np.arange(dataset.n) if train_rows is None else np.asarray(train_rows)
-    feats = dataset.features
-    if zscore:
-        mean, sd = column_mean_sd(feats[rows])
-        feats = (feats - mean) / sd
-    if center:
-        feats = feats - feats[rows].mean(axis=0)
-    if pca_dim is not None:
-        train_ds = dataset_from_arrays(feats[rows], dataset.labels[rows],
-                                       name=dataset.name,
-                                       label_names=dataset.label_names)
-        pca = fit_pca(train_ds, pca_dim)
-        feats = apply_pca(pca, feats)
-    return Dataset(np.ascontiguousarray(feats), dataset.labels.copy(),
+    prep = Preprocessor.fit(dataset.features[rows], center=center, zscore=zscore,
+                            pca_dim=pca_dim)
+    return Dataset(prep.apply(dataset.features), dataset.labels.copy(),
                    dataset.class_count, dataset.name, dataset.label_names)
 
 
@@ -224,13 +213,53 @@ def fit_timed(train_ds: Dataset, method: str, lam: float, k_targets: int,
     t0 = time.perf_counter()
     assignment = select_targets(train_ds, local, k_targets)
     jj = indicator_matrix(assignment, train_ds.n)
-    x = train_ds.features.T
-    if method == MOVE_LABELED:
-        tm = fit_move_labeled(x, jj, lam, solver)
-    else:
-        tm = fit_move_query(x, jj, lam)
+    tm = fit_transform(train_ds.features.T, jj, lam, method, solver)
     elapsed = time.perf_counter() - t0
     return tm, jj, elapsed
+
+
+@dataclass(frozen=True)
+class ModelArtifact:
+    """Everything ``predict`` needs from ``fit``: preprocessing, transform, labels.
+
+    The transform was learned in the preprocessed space, so queries must go
+    through the same fitted ``preprocessor`` before lookup. ``label_names``
+    are the training file's label tokens in class-id order.
+    """
+
+    preprocessor: Preprocessor
+    transform: TransformModel
+    label_names: tuple[str, ...]
+
+    def __post_init__(self):
+        if self.transform.d != self.preprocessor.d_out:
+            raise ValueError(
+                f"transform is {self.transform.d}-dimensional, preprocessing "
+                f"outputs {self.preprocessor.d_out} dimensions")
+
+    def to_json_dict(self) -> dict:
+        return {"version": 2, "label_names": list(self.label_names),
+                "preprocessor": self.preprocessor.to_json_dict(),
+                "transform": self.transform.to_json_dict()}
+
+    @classmethod
+    def from_json_dict(cls, doc: dict) -> "ModelArtifact":
+        if doc.get("version") != 2:
+            raise ValueError(f"model file version {doc.get('version')!r} is not 2, the "
+                             "first with a preprocessing record; refit it with `hubridge fit`")
+        try:
+            return cls(Preprocessor.from_json_dict(doc["preprocessor"]),
+                       TransformModel.from_json_dict(doc["transform"]),
+                       tuple(str(t) for t in doc["label_names"]))
+        except KeyError as e:
+            raise ValueError(f"model file lacks field {e.args[0]!r}") from None
+
+    def save(self, path) -> None:
+        Path(path).write_text(json.dumps(self.to_json_dict()))
+
+    @classmethod
+    def load(cls, path) -> "ModelArtifact":
+        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def _run_method(pre: Dataset, sp: Split, method: str,

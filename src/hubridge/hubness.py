@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_matrix, frozen
+from ._arrays import as_matrix
 from .datamodel import Dataset, Split
 from .knn import KnnModel, neighbor_index_matrix
 
@@ -23,23 +23,6 @@ DEFAULT_HUBNESS_K = 10
 
 class ZeroVarianceError(ValueError):
     """All counts are equal; skewness is undefined."""
-
-
-@dataclass(frozen=True)
-class NkStats:
-    """k-occurrence counts over a query set, with their empirical moments."""
-
-    counts: np.ndarray
-    k: int
-    n_queries: int
-    skewness: float
-    mean: float
-    variance: float
-
-    def __post_init__(self):
-        frozen(self.counts)
-        if int(self.counts.sum()) != self.k * self.n_queries:
-            raise ValueError("counts must sum to k * n_queries")
 
 
 def nk_counts(model: KnnModel, queries, k: int) -> np.ndarray:
@@ -61,15 +44,6 @@ def skewness(counts) -> float:
     if var == 0.0:
         raise ZeroVarianceError("all counts are equal; skewness is undefined")
     return float(np.mean(dev ** 3) / var ** 1.5)
-
-
-def compute_nk_stats(model: KnnModel, queries, k: int) -> NkStats:
-    """nk_counts plus the derived moments, as one immutable record."""
-    counts = nk_counts(model, queries, k)
-    dev = counts - counts.mean()
-    return NkStats(counts=counts, k=int(k), n_queries=int(np.asarray(queries).shape[0]),
-                   skewness=skewness(counts), mean=float(counts.mean()),
-                   variance=float(np.mean(dev ** 2)))
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,6 @@
 """Exact k-nearest-neighbor classification under pluggable dissimilarities.
 
-Supported dissimilarity kinds, all compared as squared norms internally:
+Supported dissimilarity kinds, all compared and reported as squared norms:
 
 * ``euclidean``              ||x - z||^2
 * ``transformed-labeled``    ||x - W z||^2   (labeled side mapped once, at build)
@@ -33,15 +33,10 @@ KINDS = (EUCLIDEAN, TRANSFORMED_LABELED, TRANSFORMED_QUERY, BOTH_SIDES)
 
 @dataclass(frozen=True)
 class Dissimilarity:
-    """A dissimilarity kind plus its matrix, if the kind uses one.
-
-    ``squared`` controls reported values only; neighbor order is identical
-    either way.
-    """
+    """A dissimilarity kind plus its matrix, if the kind uses one."""
 
     kind: str
     matrix: np.ndarray | None = None
-    squared: bool = True
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -58,20 +53,20 @@ class Dissimilarity:
             frozen(m)
 
     @classmethod
-    def euclidean(cls, squared: bool = True) -> "Dissimilarity":
-        return cls(EUCLIDEAN, None, squared)
+    def euclidean(cls) -> "Dissimilarity":
+        return cls(EUCLIDEAN)
 
     @classmethod
-    def transformed_labeled(cls, w, squared: bool = True) -> "Dissimilarity":
-        return cls(TRANSFORMED_LABELED, as_matrix(w, "W"), squared)
+    def transformed_labeled(cls, w) -> "Dissimilarity":
+        return cls(TRANSFORMED_LABELED, as_matrix(w, "W"))
 
     @classmethod
-    def transformed_query(cls, w, squared: bool = True) -> "Dissimilarity":
-        return cls(TRANSFORMED_QUERY, as_matrix(w, "W"), squared)
+    def transformed_query(cls, w) -> "Dissimilarity":
+        return cls(TRANSFORMED_QUERY, as_matrix(w, "W"))
 
     @classmethod
-    def both_sides(cls, l, squared: bool = True) -> "Dissimilarity":
-        return cls(BOTH_SIDES, as_matrix(l, "L"), squared)
+    def both_sides(cls, l) -> "Dissimilarity":
+        return cls(BOTH_SIDES, as_matrix(l, "L"))
 
     def map_labeled(self, points: np.ndarray) -> np.ndarray:
         if self.kind in (TRANSFORMED_LABELED, BOTH_SIDES):
@@ -129,13 +124,12 @@ def build_knn_model(labeled_points, labels, k: int, dissimilarity: Dissimilarity
     return KnnModel(dissimilarity.map_labeled(pts), y, int(k), dissimilarity)
 
 
-def knn_from_transform(model: TransformModel, labeled_points, labels, k: int,
-                       squared: bool = True) -> KnnModel:
+def knn_from_transform(model: TransformModel, labeled_points, labels, k: int) -> KnnModel:
     """Bridge a fitted TransformModel to a ready-to-query KnnModel."""
     if model.direction == MOVE_LABELED:
-        dis = Dissimilarity.transformed_labeled(model.w, squared)
+        dis = Dissimilarity.transformed_labeled(model.w)
     elif model.direction == MOVE_QUERY:
-        dis = Dissimilarity.transformed_query(model.w, squared)
+        dis = Dissimilarity.transformed_query(model.w)
     else:  # unreachable given TransformModel validation
         raise ValueError(f"unknown direction {model.direction!r}")
     return build_knn_model(labeled_points, labels, k, dis)
@@ -171,12 +165,11 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
 
 
 def neighbors(model: KnnModel, query) -> list[tuple[int, float]]:
-    """The model's k nearest labeled objects for one query, with dissimilarity values."""
+    """The model's k nearest labeled objects for one query, with squared dissimilarities."""
     q = _query_matrix(model, np.atleast_2d(as_vector(query, "query")))
     d2 = pairwise_sq_dists(q, model.labeled_points, model.labeled_sq_norms)[0]
     idx = smallest_k(d2[None, :], model.k)[0]
-    vals = d2[idx] if model.dissimilarity.squared else np.sqrt(d2[idx])
-    return [(int(i), float(v)) for i, v in zip(idx, vals)]
+    return [(int(i), float(d2[i])) for i in idx]
 
 
 def majority_vote(neighbor_labels: np.ndarray, n_classes: int) -> np.ndarray:

@@ -9,9 +9,7 @@ smaller k (prefer the more regularized, simpler model).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -19,8 +17,7 @@ from ._arrays import as_int_vector
 from .datamodel import Dataset
 from .knn import Dissimilarity, build_knn_model, knn_from_transform, majority_vote, neighbor_index_matrix
 from .targets import select_targets, indicator_matrix
-from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS,
-                        fit_move_labeled, fit_move_query)
+from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, fit_transform
 
 
 class FoldError(ValueError):
@@ -84,9 +81,6 @@ class CvResult:
         return {"version": 1, "best_lambda": self.best_lambda, "best_k": self.best_k,
                 "table": [c.to_json_dict() for c in self.table],
                 "folds": [list(f) for f in self.folds]}
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()))
 
 
 def make_folds(indices, labels, n_folds: int, seed: int) -> list[np.ndarray]:
@@ -154,10 +148,7 @@ def grid_search(dataset: Dataset, train_indices, config: CvConfig) -> CvResult:
         assignment = select_targets(dataset, fit_idx, config.k_targets)
         jj = indicator_matrix(assignment, fit_idx.size)
         for li, lam in enumerate(config.lambda_grid):
-            if config.direction == MOVE_LABELED:
-                tm = fit_move_labeled(x_fit.T, jj, lam, config.solver)
-            else:
-                tm = fit_move_query(x_fit.T, jj, lam)
+            tm = fit_transform(x_fit.T, jj, lam, config.direction, config.solver)
             km = knn_from_transform(tm, x_fit, y_fit, max_k)
             nbr = y_fit[neighbor_index_matrix(km, x_val, max_k)]
             acc[li, :, f] = _accuracy_rows(nbr, y_val, config.k_grid, n_classes)

@@ -9,9 +9,7 @@ the transform solvers.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -41,22 +39,6 @@ class TargetAssignment:
         for i, t in enumerate(self.targets_of):
             if i in t:
                 raise ValueError(f"object {i} lists itself as a target")
-
-    def to_json_dict(self) -> dict:
-        return {"k_targets": self.k_targets,
-                "targets": [list(t) for t in self.targets_of]}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TargetAssignment":
-        return cls(tuple(tuple(int(j) for j in t) for t in doc["targets"]),
-                   int(doc["k_targets"]))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()))
-
-    @classmethod
-    def load(cls, path) -> "TargetAssignment":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def select_targets(dataset: Dataset, train, k_targets: int) -> TargetAssignment:

@@ -15,9 +15,7 @@ penalty and reduce to a single symmetric positive-definite solve:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.linalg
@@ -74,13 +72,6 @@ class TransformModel:
             raise ValueError(f"unsupported TransformModel version {doc.get('version')!r}")
         return cls(as_matrix(doc["W"], "W"), doc["direction"],
                    float(doc["lambda"]), doc["solver"])
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()))
-
-    @classmethod
-    def load(cls, path) -> "TransformModel":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
 def _check_inputs(x: np.ndarray, j, lam: float) -> sp.csr_matrix:
@@ -142,6 +133,15 @@ def fit_move_query(x, j, lam: float) -> TransformModel:
     gram = (xm * r[None, :]) @ xm.T
     w = _solve_against_gram(gram, b, lam)
     return TransformModel(w, MOVE_QUERY, float(lam), SOLVER_EXACT)
+
+
+def fit_transform(x, j, lam: float, direction: str, solver: str) -> TransformModel:
+    """Fit W in either direction; move-query always uses its exact minimizer."""
+    if direction == MOVE_LABELED:
+        return fit_move_labeled(x, j, lam, solver)
+    if direction == MOVE_QUERY:
+        return fit_move_query(x, j, lam)
+    raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
 def transform_points(model: TransformModel, points) -> np.ndarray:

@@ -5,9 +5,8 @@ import pytest
 
 from hubridge.cli import main
 from hubridge.datamodel import dataset_from_arrays, load_dataset
-from hubridge.experiment import preprocess
+from hubridge.experiment import ModelArtifact, fit_timed, preprocess
 from hubridge.knn import classify_batch, knn_from_transform
-from hubridge.transform import TransformModel
 
 from _helpers import gaussian_mixture, write_dense_csv
 
@@ -20,6 +19,43 @@ def train_and_queries(tmp_path):
     write_dense_csv(train_p, x[:90], y[:90])
     write_dense_csv(query_p, x[90:], y[90:])
     return train_p, query_p
+
+
+@pytest.fixture
+def scaled_train_and_queries(tmp_path):
+    # columns on very different scales, so z-scoring changes the neighbors
+    x, y = gaussian_mixture(120, 6, 3, sep=2.0, seed=3)
+    x = x * np.array([1.0, 30.0, 0.03, 1.0, 300.0, 0.3])
+    train_p = tmp_path / "train.csv"
+    query_p = tmp_path / "queries.csv"
+    write_dense_csv(train_p, x[:90], y[:90])
+    write_dense_csv(query_p, x[90:], y[90:])
+    return train_p, query_p
+
+
+def in_process_predictions(train_p, query_p, k, **prep_flags):
+    """fit + predict without the CLI: preprocessing fitted on the training file only."""
+    train = load_dataset(train_p, "dense-csv")
+    queries = load_dataset(query_p, "dense-csv")
+    tm, _, _ = fit_timed(preprocess(train, None, **prep_flags), "move-labeled",
+                         0.1, 1, "paper")
+    both = dataset_from_arrays(
+        np.vstack([train.features, queries.features]),
+        np.concatenate([train.labels, np.zeros(queries.n, dtype=np.int64)]))
+    pre = preprocess(both, np.arange(train.n), **prep_flags)
+    km = knn_from_transform(tm, pre.features[: train.n], train.labels, k)
+    return [train.label_names[p] for p in classify_batch(km, pre.features[train.n:])]
+
+
+def written_ids(ds):
+    """The integer ids ``write_dense_csv`` wrote as label tokens ``c<id>``."""
+    return np.array([int(ds.label_names[c][1:]) for c in ds.labels])
+
+
+def predicted_labels(path):
+    lines = path.read_text().strip().split("\n")
+    assert lines[0] == "query_index,predicted_label,true_label"
+    return [line.split(",")[1] for line in lines[1:]]
 
 
 class TestFitPredict:
@@ -39,22 +75,19 @@ class TestFitPredict:
         assert rc == 0
         summary = json.loads(capsys.readouterr().out)
 
-        # in-process pipeline with the same preprocessing (center only)
+        # in-process pipeline with the same preprocessing (center only) and
+        # the transform read back from the model file
         train = load_dataset(train_p, "dense-csv")
         queries = load_dataset(query_p, "dense-csv")
         both = dataset_from_arrays(
             np.vstack([train.features, queries.features]),
             np.concatenate([train.labels, np.zeros(queries.n, dtype=np.int64)]))
         pre = preprocess(both, np.arange(train.n), center=True)
-        tm = TransformModel.load(model_p)
+        tm = ModelArtifact.load(model_p).transform
         km = knn_from_transform(tm, pre.features[: train.n], train.labels, 3)
         preds = classify_batch(km, pre.features[train.n:])
 
-        lines = out_p.read_text().strip().split("\n")
-        assert lines[0] == "query_index,predicted_label,true_label"
-        got = [line.split(",")[1] for line in lines[1:]]
-        want = [train.label_names[p] for p in preds]
-        assert got == want
+        assert predicted_labels(out_p) == [train.label_names[p] for p in preds]
 
         truth_ids = np.array([
             {t: i for i, t in enumerate(train.label_names)}[queries.label_names[y]]
@@ -68,8 +101,84 @@ class TestFitPredict:
         assert main(["fit", "--dataset", str(train_p), "--method", "move-query",
                      "--lambda", "0.5", "--out", str(model_p)]) == 0
         doc = json.loads(model_p.read_text())
-        assert doc["version"] == 1 and doc["direction"] == "move-query"
-        assert doc["d"] == 6 and len(doc["W"]) == 6
+        assert set(doc) == {"version", "label_names", "preprocessor", "transform"}
+        assert doc["version"] == 2
+        assert doc["label_names"] == list(load_dataset(train_p, "dense-csv").label_names)
+        assert doc["preprocessor"]["d_in"] == 6
+        assert len(doc["preprocessor"]["center_mean"]) == 6
+        assert doc["preprocessor"]["zscore_mean"] is None and doc["preprocessor"]["pca"] is None
+        assert doc["transform"]["direction"] == "move-query"
+        assert doc["transform"]["d"] == 6 and len(doc["transform"]["W"]) == 6
+
+    @pytest.mark.parametrize("flags, prep_flags", [
+        ([], {}),
+        (["--zscore"], {"zscore": True}),
+        (["--pca-dim", "3"], {"pca_dim": 3}),
+    ])
+    def test_predict_takes_preprocessing_from_model(self, scaled_train_and_queries,
+                                                    tmp_path, capsys, flags, prep_flags):
+        train_p, query_p = scaled_train_and_queries
+        model_p = tmp_path / "model.json"
+        assert main(["fit", "--dataset", str(train_p), "--lambda", "0.1",
+                     "--out", str(model_p), *flags]) == 0
+        out_p = tmp_path / "pred.csv"
+        # no preprocessing flags: the model file carries them
+        rc = main(["predict", "--dataset", str(train_p), "--queries", str(query_p),
+                   "--model", str(model_p), "--k", "3", "--out", str(out_p)])
+        assert rc == 0
+        assert predicted_labels(out_p) == in_process_predictions(
+            train_p, query_p, 3, **prep_flags)
+
+
+class TestPredictRejects:
+    """A model/data mismatch exits 1 with the offending field named, never predicts."""
+
+    @pytest.fixture
+    def model_p(self, train_and_queries, tmp_path, capsys):
+        train_p, _ = train_and_queries
+        p = tmp_path / "model.json"
+        assert main(["fit", "--dataset", str(train_p), "--out", str(p)]) == 0
+        capsys.readouterr()
+        return p
+
+    def predict(self, train_p, query_p, model_p, capsys):
+        rc = main(["predict", "--dataset", str(train_p), "--queries", str(query_p),
+                   "--model", str(model_p)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        return captured.err
+
+    def test_training_dimension(self, train_and_queries, model_p, tmp_path, capsys):
+        train_p, query_p = train_and_queries
+        train = load_dataset(train_p, "dense-csv")
+        narrow_p = tmp_path / "narrow.csv"
+        write_dense_csv(narrow_p, train.features[:, :5], written_ids(train))
+        err = self.predict(narrow_p, query_p, model_p, capsys)
+        assert "training features have dimension 5" in err and "d_in is 6" in err
+
+    def test_query_dimension(self, train_and_queries, model_p, tmp_path, capsys):
+        train_p, query_p = train_and_queries
+        queries = load_dataset(query_p, "dense-csv")
+        wide_p = tmp_path / "wide.csv"
+        write_dense_csv(wide_p, np.hstack([queries.features, queries.features[:, :1]]),
+                        written_ids(queries))
+        err = self.predict(train_p, wide_p, model_p, capsys)
+        assert "query features have dimension 7" in err and "d_in is 6" in err
+
+    def test_training_label_names(self, train_and_queries, model_p, tmp_path, capsys):
+        train_p, query_p = train_and_queries
+        train = load_dataset(train_p, "dense-csv")
+        relabeled_p = tmp_path / "relabeled.csv"
+        write_dense_csv(relabeled_p, train.features, written_ids(train) + 3)
+        err = self.predict(relabeled_p, query_p, model_p, capsys)
+        assert "label_names" in err and "'c3'" in err
+
+    def test_version_1_model(self, train_and_queries, model_p, tmp_path, capsys):
+        train_p, query_p = train_and_queries
+        v1_p = tmp_path / "v1.json"
+        v1_p.write_text(json.dumps(json.loads(model_p.read_text())["transform"]))
+        err = self.predict(train_p, query_p, v1_p, capsys)
+        assert "version 1" in err and "refit" in err
 
 
 class TestErrors:

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hubridge.datamodel import (Dataset, DatasetFormatError, PcaModel,
-                                PreprocessError, Split, apply_pca,
-                                bundled_dataset_path, center,
-                                dataset_from_arrays, fit_pca, load_dataset,
-                                split, subset, zscore)
+                                PreprocessError, Preprocessor, apply_pca,
+                                bundled_dataset_path, dataset_from_arrays,
+                                fit_pca, load_dataset, split, subset)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -108,63 +107,64 @@ class TestDatasetInvariants:
 
 class TestCenter:
     def test_two_point_symmetry(self):
-        ds = dataset_from_arrays([[1.0], [3.0]], [0, 0])
-        out, mean = center(ds)
-        np.testing.assert_allclose(out.features, [[-1.0], [1.0]])
-        np.testing.assert_allclose(mean, [2.0])
+        prep = Preprocessor.fit([[1.0], [3.0]])
+        np.testing.assert_allclose(prep.apply([[1.0], [3.0]]), [[-1.0], [1.0]])
+        np.testing.assert_allclose(prep.center_mean, [2.0])
 
     def test_mean_reproduces_original(self, rng):
-        ds = dataset_from_arrays(rng.normal(5.0, 2.0, (20, 6)), [0] * 20)
-        out, mean = center(ds)
-        np.testing.assert_allclose(out.features + mean, ds.features, rtol=0, atol=1e-12)
+        x = rng.normal(5.0, 2.0, (20, 6))
+        prep = Preprocessor.fit(x)
+        np.testing.assert_allclose(prep.apply(x) + prep.center_mean, x, rtol=0, atol=1e-12)
 
     def test_column_means_vanish(self, rng):
         # oracle: direct column-mean computation
         x = rng.normal(3.0, 4.0, (20, 6))
-        out, _ = center(dataset_from_arrays(x, [0] * 20))
+        out = Preprocessor.fit(x).apply(x)
         scale = np.abs(x).max()
-        assert np.abs(out.features.mean(axis=0)).max() < 1e-10 * scale
+        assert np.abs(out.mean(axis=0)).max() < 1e-10 * scale
 
     def test_idempotent(self, rng):
-        ds = dataset_from_arrays(rng.normal(0.0, 1.0, (15, 3)), [0] * 15)
-        once, _ = center(ds)
-        twice, mean2 = center(once)
-        np.testing.assert_allclose(twice.features, once.features, atol=1e-10)
-        assert np.abs(mean2).max() < 1e-10
+        x = rng.normal(0.0, 1.0, (15, 3))
+        once = Preprocessor.fit(x).apply(x)
+        again = Preprocessor.fit(once)
+        np.testing.assert_allclose(again.apply(once), once, atol=1e-10)
+        assert np.abs(again.center_mean).max() < 1e-10
+
+
+def fit_zscore(x):
+    return Preprocessor.fit(x, center=False, zscore=True)
 
 
 class TestZscore:
     def test_two_values(self):
-        ds = dataset_from_arrays([[0.0], [2.0]], [0, 0])
-        out = zscore(ds)
+        out = fit_zscore([[0.0], [2.0]]).apply([[0.0], [2.0]])
         s = np.std([0.0, 2.0], ddof=1)
-        np.testing.assert_allclose(out.features, [[-1.0 / s], [1.0 / s]])
-        assert np.isclose(out.features.std(ddof=1), 1.0)
+        np.testing.assert_allclose(out, [[-1.0 / s], [1.0 / s]])
+        assert np.isclose(out.std(ddof=1), 1.0)
 
     def test_wine_shaped(self, rng):
         x = rng.normal(2.0, 3.0, (178, 13))
-        out = zscore(dataset_from_arrays(x, [0] * 178))
-        np.testing.assert_allclose(out.features.std(axis=0, ddof=1), 1.0, atol=1e-8)
+        out = fit_zscore(x).apply(x)
+        np.testing.assert_allclose(out.std(axis=0, ddof=1), 1.0, atol=1e-8)
 
     def test_moments(self, rng):
         # oracle: direct moment computation
         x = rng.normal(-1.0, 7.0, (30, 4))
-        out = zscore(dataset_from_arrays(x, [0] * 30))
-        np.testing.assert_allclose(out.features.mean(axis=0), 0.0, atol=1e-8)
-        np.testing.assert_allclose(out.features.std(axis=0, ddof=1), 1.0, atol=1e-8)
+        out = fit_zscore(x).apply(x)
+        np.testing.assert_allclose(out.mean(axis=0), 0.0, atol=1e-8)
+        np.testing.assert_allclose(out.std(axis=0, ddof=1), 1.0, atol=1e-8)
 
     def test_affine_invariance(self, rng):
         x = rng.normal(0.0, 1.0, (25, 3))
         a = np.array([2.0, 0.5, 7.0])
         b = np.array([-3.0, 10.0, 0.25])
-        z1 = zscore(dataset_from_arrays(x, [0] * 25)).features
-        z2 = zscore(dataset_from_arrays(x * a + b, [0] * 25)).features
+        z1 = fit_zscore(x).apply(x)
+        z2 = fit_zscore(x * a + b).apply(x * a + b)
         np.testing.assert_allclose(z1, z2, atol=1e-8)
 
     def test_constant_column_named(self):
-        ds = dataset_from_arrays([[1.0, 5.0], [2.0, 5.0]], [0, 0])
         with pytest.raises(PreprocessError, match="column 1"):
-            zscore(ds)
+            fit_zscore([[1.0, 5.0], [2.0, 5.0]])
 
 
 class TestPca:
@@ -173,7 +173,7 @@ class TestPca:
         coords = rng.normal(size=(40, 2))
         x = coords @ basis.T + rng.normal(size=5)  # rank-2 + offset
         ds = dataset_from_arrays(x, [0] * 40)
-        model = fit_pca(ds, 2)
+        model = fit_pca(ds.features, 2)
         proj = apply_pca(model, x)
         recon = proj @ model.components.T + model.mean
         assert np.abs(recon - x).max() < 1e-8
@@ -183,7 +183,7 @@ class TestPca:
         cov = np.array([[1.0, 0.99], [0.99, 1.0]])
         x = rng.multivariate_normal([0, 0], cov, size=400)
         ds = dataset_from_arrays(x, [0] * 400)
-        model = fit_pca(ds, 1)
+        model = fit_pca(ds.features, 1)
         evals, evecs = np.linalg.eigh(np.cov(x.T))
         principal = evecs[:, np.argmax(evals)]
         cosine = abs(float(model.components[:, 0] @ principal))
@@ -192,19 +192,19 @@ class TestPca:
     def test_document_shaped(self, rng):
         x = rng.normal(size=(320, 29992))
         ds = dataset_from_arrays(x, [0] * 320)
-        model = fit_pca(ds, 300)
+        model = fit_pca(ds.features, 300)
         assert apply_pca(model, x[:3]).shape == (3, 300)
 
     def test_orthonormal_components(self, rng):
         ds = dataset_from_arrays(rng.normal(size=(30, 8)), [0] * 30)
-        model = fit_pca(ds, 5)
+        model = fit_pca(ds.features, 5)
         gram = model.components.T @ model.components
         np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
 
     def test_explained_variance_non_increasing(self, rng):
         x = rng.normal(size=(50, 6)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.1])
         ds = dataset_from_arrays(x, [0] * 50)
-        model = fit_pca(ds, 6)
+        model = fit_pca(ds.features, 6)
         proj = apply_pca(model, x)
         variances = proj.var(axis=0)
         assert (np.diff(variances) <= 1e-12).all()
@@ -212,13 +212,13 @@ class TestPca:
 
     def test_sign_convention(self, rng):
         ds = dataset_from_arrays(rng.normal(size=(30, 4)), [0] * 30)
-        model = fit_pca(ds, 4)
+        model = fit_pca(ds.features, 4)
         anchors = np.abs(model.components).argmax(axis=0)
         assert (model.components[anchors, np.arange(4)] > 0).all()
 
     def test_apply_mean_is_zero(self, rng):
         ds = dataset_from_arrays(rng.normal(size=(10, 3)), [0] * 10)
-        model = fit_pca(ds, 2)
+        model = fit_pca(ds.features, 2)
         np.testing.assert_allclose(apply_pca(model, model.mean[None, :]), 0.0, atol=1e-12)
 
     def test_apply_identity_components(self):
@@ -228,7 +228,7 @@ class TestPca:
 
     def test_apply_matches_explicit_dot(self, rng):
         ds = dataset_from_arrays(rng.normal(size=(12, 5)), [0] * 12)
-        model = fit_pca(ds, 3)
+        model = fit_pca(ds.features, 3)
         p = rng.normal(size=5)
         # oracle: explicit dot products
         want = np.array([(p - model.mean) @ model.components[:, c] for c in range(3)])
@@ -237,17 +237,15 @@ class TestPca:
     def test_r_too_large(self, rng):
         ds = dataset_from_arrays(rng.normal(size=(4, 6)), [0] * 4)
         with pytest.raises(ValueError, match="r must be"):
-            fit_pca(ds, 5)
+            fit_pca(ds.features, 5)
 
-    def test_json_round_trip(self, tmp_path, rng):
-        ds = dataset_from_arrays(rng.normal(size=(10, 4)), [0] * 10)
-        model = fit_pca(ds, 2)
-        path = tmp_path / "pca.json"
-        model.save(path)
-        loaded = PcaModel.load(path)
+    def test_json_round_trip(self, rng):
+        model = fit_pca(rng.normal(size=(10, 4)), 2)
+        doc = json.loads(json.dumps(model.to_json_dict()))
+        loaded = PcaModel.from_json_dict(doc)
         np.testing.assert_array_equal(loaded.components, model.components)
         np.testing.assert_array_equal(loaded.mean, model.mean)
-        assert json.loads(path.read_text())["version"] == 1
+        assert doc["version"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +313,3 @@ class TestSplit:
         ds = dataset_from_arrays([[0.0], [1.0], [2.0]], [0, 0, 1])
         with pytest.raises(ValueError, match="need >= 2"):
             split(ds, 0.7, seed=0)
-
-    def test_json_round_trip(self, tmp_path):
-        ds = two_class_dataset(10)
-        sp = split(ds, 0.7, seed=3)
-        path = tmp_path / "split.json"
-        sp.save(path)
-        loaded = Split.load(path)
-        np.testing.assert_array_equal(loaded.train_indices, sp.train_indices)
-        assert loaded.seed == 3 and loaded.train_fraction == 0.7

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from hubridge.datamodel import dataset_from_arrays, split
-from hubridge.experiment import (ExperimentConfig, TIMING_FIELDS, preprocess,
-                                 run_experiment)
+from hubridge.datamodel import (Preprocessor, column_mean_sd, dataset_from_arrays,
+                                apply_pca, fit_pca, split)
+from hubridge.experiment import (ExperimentConfig, ModelArtifact, TIMING_FIELDS,
+                                 fit_timed, preprocess, run_experiment)
 
 from _helpers import gaussian_mixture, write_dense_csv
 
@@ -58,6 +59,72 @@ class TestPreprocess:
         ds = dataset_from_arrays(feats, np.tile([0, 1], 15))
         pre = preprocess(ds, None, center=True)
         np.testing.assert_allclose(pre.features.mean(axis=0), 0.0, atol=1e-12)
+
+
+    @pytest.mark.parametrize("center", [False, True])
+    @pytest.mark.parametrize("zscore", [False, True])
+    @pytest.mark.parametrize("pca_dim", [None, 3])
+    @pytest.mark.parametrize("train_rows", [None, "split"])
+    def test_bit_identical_to_all_rows_reference(self, rng, center, zscore, pca_dim,
+                                                 train_rows):
+        # reference: each step computed on every row, statistics read from the
+        # training rows of the previous step's output
+        ds = dataset_from_arrays(rng.normal(2.0, 3.0, size=(40, 7)) * rng.uniform(0.1, 50, 7),
+                                 np.tile([0, 1], 20))
+        rows = (np.arange(ds.n) if train_rows is None
+                else split(ds, 0.6, seed=4).train_indices)
+        want = ds.features
+        if zscore:
+            mean, sd = column_mean_sd(want[rows])
+            want = (want - mean) / sd
+        if center:
+            want = want - want[rows].mean(axis=0)
+        if pca_dim is not None:
+            want = apply_pca(fit_pca(want[rows], pca_dim), want)
+        got = preprocess(ds, None if train_rows is None else rows, center=center,
+                         zscore=zscore, pca_dim=pca_dim)
+        assert np.array_equal(got.features, want)
+        assert np.array_equal(got.labels, ds.labels)
+
+
+class TestModelArtifact:
+    def fitted(self, rng, pca_dim=3):
+        x = rng.normal(1.0, 4.0, size=(30, 6)) * np.array([1.0, 10.0, 0.1, 1.0, 5.0, 2.0])
+        ds = dataset_from_arrays(x, np.tile([0, 1, 2], 10), label_names=("a", "b", "c"))
+        prep = Preprocessor.fit(ds.features, zscore=True, pca_dim=pca_dim)
+        pre = dataset_from_arrays(prep.apply(ds.features), ds.labels,
+                                  label_names=ds.label_names)
+        tm, _, _ = fit_timed(pre, "move-labeled", 0.3, 1, "exact")
+        return ModelArtifact(prep, tm, ds.label_names)
+
+    def test_exact_json_round_trip(self, rng, tmp_path):
+        art = self.fitted(rng)
+        path = tmp_path / "model.json"
+        art.save(path)
+        got = ModelArtifact.load(path)
+        assert json.loads(path.read_text())["version"] == 2
+        assert np.array_equal(got.transform.w, art.transform.w)
+        assert (got.transform.direction, got.transform.lam, got.transform.solver) == (
+            "move-labeled", 0.3, "exact")
+        a, b = got.preprocessor, art.preprocessor
+        assert a.d_in == b.d_in == 6 and got.label_names == ("a", "b", "c")
+        for name in ("zscore_mean", "zscore_sd", "center_mean"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert np.array_equal(a.pca.components, b.pca.components)
+        assert np.array_equal(a.pca.mean, b.pca.mean)
+
+    def test_transform_must_fit_preprocessed_dimension(self, rng):
+        art = self.fitted(rng)
+        with pytest.raises(ValueError, match="transform is 3-dimensional, "
+                                             "preprocessing outputs 6"):
+            ModelArtifact(self.fitted(rng, pca_dim=None).preprocessor, art.transform,
+                          art.label_names)
+
+    def test_missing_field_named(self, rng):
+        doc = self.fitted(rng).to_json_dict()
+        del doc["preprocessor"]["center_mean"]
+        with pytest.raises(ValueError, match="lacks field 'center_mean'"):
+            ModelArtifact.from_json_dict(doc)
 
 
 class TestRunExperiment:

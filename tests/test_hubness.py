@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hubridge.datamodel import dataset_from_arrays, split
-from hubridge.hubness import (ZeroVarianceError, compute_nk_stats,
-                              hubness_report, nk_counts, report_csv, skewness)
+from hubridge.hubness import (ZeroVarianceError, hubness_report, nk_counts,
+                              report_csv, skewness)
 from hubridge.knn import Dissimilarity, build_knn_model
 
 from _helpers import exact_skewness, oracle_knn_indices
@@ -84,16 +84,6 @@ class TestSkewness:
     def test_too_short(self):
         with pytest.raises(ValueError, match="length >= 2"):
             skewness([5])
-
-
-class TestNkStats:
-    def test_moment_invariants(self, rng):
-        pts = rng.normal(size=(40, 6))
-        queries = rng.normal(size=(30, 6))
-        stats = compute_nk_stats(euclid_model(pts), queries, 5)
-        assert stats.counts.sum() == 5 * 30
-        assert np.isclose(stats.mean, 5 * 30 / 40)
-        assert np.isfinite(stats.skewness)
 
 
 class TestHubnessReport:

@@ -22,11 +22,6 @@ class TestNeighbors:
                                 Dissimilarity.euclidean())
         assert neighbors(model, [4.0]) == [(0, 16.0), (1, 36.0)]
 
-    def test_sqrt_values_when_not_squared(self):
-        model = build_knn_model([[0.0], [10.0]], [0, 1], 2,
-                                Dissimilarity.euclidean(squared=False))
-        assert neighbors(model, [4.0]) == [(0, 4.0), (1, 6.0)]
-
     def test_matches_full_sort_oracle(self, rng):
         pts = rng.normal(size=(100, 8))
         labels = rng.integers(0, 3, 100)
@@ -114,15 +109,6 @@ class TestDissimilarityKinds:
                 float(((q - mapped[i]) ** 2).sum()), i))[:7]
             got = [i for i, _ in neighbors(model, q)]
             assert got == on_the_fly
-
-    def test_squared_flag_preserves_order(self, rng):
-        pts = rng.normal(size=(25, 3))
-        labels = rng.integers(0, 2, 25)
-        q = rng.normal(size=(6, 3))
-        sq = build_knn_model(pts, labels, 6, Dissimilarity.euclidean(squared=True))
-        raw = build_knn_model(pts, labels, 6, Dissimilarity.euclidean(squared=False))
-        np.testing.assert_array_equal(neighbor_index_matrix(sq, q, 6),
-                                      neighbor_index_matrix(raw, q, 6))
 
     def test_euclidean_takes_no_matrix(self):
         with pytest.raises(ValueError, match="no matrix"):

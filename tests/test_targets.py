@@ -188,15 +188,3 @@ class TestIndicatorMatrix:
     def test_self_target_rejected(self):
         with pytest.raises(ValueError, match="itself"):
             TargetAssignment(((0,),), 1)
-
-
-class TestSerialization:
-    def test_json_round_trip(self, tmp_path):
-        ta = TargetAssignment(((1,), (0,), (0,)), 1)
-        path = tmp_path / "targets.json"
-        ta.save(path)
-        loaded = TargetAssignment.load(path)
-        assert loaded == ta
-        import json
-        doc = json.loads(path.read_text())
-        assert doc == {"k_targets": 1, "targets": [[1], [0], [0]]}
