@@ -22,14 +22,14 @@ import numpy as np
 
 from . import experiment
 from .datamodel import (FORMATS, Dataset, Preprocessor, load_dataset,
-                        split as make_split)
+                        split as make_split, subset)
 from .experiment import (EUCLIDEAN_METHOD, METHODS, ExperimentConfig, ModelArtifact,
-                         fit_timed, preprocess, run_experiment)
+                         fit_method, preprocess, run_experiment)
 from .hubness import hubness_report, report_csv
-from .knn import Dissimilarity, build_knn_model, classify_batch, knn_from_transform
+from .knn import classify_batch, knn_from_transform
 from .modelselect import CvConfig, grid_search
 from .theory import CentralityExperiment, simulate_delta
-from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, solver_disagreement
+from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -137,14 +137,14 @@ def _cmd_fit(args) -> int:
                             pca_dim=args.pca_dim)
     pre = Dataset(prep.apply(ds.features), ds.labels, ds.class_count, ds.name,
                   ds.label_names)
-    tm, jj, seconds = fit_timed(pre, args.method, args.lam, args.k_targets,
-                                args.solver)
+    tm, seconds, gap = fit_method(pre, args.method, args.lam, args.k_targets,
+                                  args.solver)
     ModelArtifact(prep, tm, ds.label_names).save(args.out)
     summary = {"direction": tm.direction, "lambda": tm.lam, "solver": tm.solver,
                "d": tm.d, "n": pre.n, "training_seconds": seconds,
                "model_path": str(args.out)}
-    if args.method == MOVE_LABELED:
-        summary["solver_gap"] = solver_disagreement(pre.features.T, jj, args.lam)
+    if gap is not None:
+        summary["solver_gap"] = gap
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -190,22 +190,12 @@ def _cmd_hubness(args) -> int:
     sp = make_split(ds, args.train_fraction, args.seed)
     pre = preprocess(ds, sp.train_indices, center=args.center,
                      zscore=args.zscore, pca_dim=args.pca_dim)
-    x_train = pre.features[sp.train_indices]
-    y_train = pre.labels[sp.train_indices]
-
+    train_ds = subset(pre, sp.train_indices)
     models = []
-    needs_fit = [m for m in args.methods if m != EUCLIDEAN_METHOD]
     for method in args.methods:
-        if method == EUCLIDEAN_METHOD:
-            models.append((method, build_knn_model(
-                x_train, y_train, 1, Dissimilarity.euclidean())))
-    if needs_fit:
-        from .datamodel import subset
-        train_ds = subset(pre, sp.train_indices)
-        for method in needs_fit:
-            tm, _, _ = fit_timed(train_ds, method, args.lam, args.k_targets,
-                                 args.solver)
-            models.append((method, knn_from_transform(tm, x_train, y_train, 1)))
+        tm, _, _ = fit_method(train_ds, method, args.lam, args.k_targets, args.solver)
+        models.append((method, knn_from_transform(tm, train_ds.features,
+                                                  train_ds.labels, 1)))
 
     rows = hubness_report(pre, sp, models, k=args.k)
     csv_text = report_csv(rows)

@@ -20,11 +20,10 @@ import numpy as np
 from .datamodel import (Dataset, Preprocessor, Split, load_dataset,
                         split as make_split, subset)
 from .hubness import DEFAULT_HUBNESS_K, skewness
-from .knn import (Dissimilarity, build_knn_model, knn_from_transform, majority_vote,
-                  neighbor_index_matrix)
+from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
 from .modelselect import CvConfig, grid_search
 from .targets import select_targets, indicator_matrix
-from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS,
+from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER,
                         TransformModel, fit_transform, solver_disagreement)
 
 EUCLIDEAN_METHOD = "euclidean"
@@ -32,6 +31,27 @@ METHODS = (EUCLIDEAN_METHOD, MOVE_LABELED, MOVE_QUERY)
 
 DEFAULT_LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 DEFAULT_K_GRID = (1, 3, 5, 7, 9)
+
+
+def _json(*kinds, item=None):
+    """Parser requiring a value of one of ``kinds``; a list's entries go through ``item``."""
+    def parse(value):
+        if not isinstance(value, kinds):
+            raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, "
+                            f"got {value!r}")
+        return value if item is None else tuple(map(item, value))
+    return parse
+
+
+# parser per config JSON key; "dataset" and "format" fill the fields
+# ``dataset_path`` and ``fmt``
+_CONFIG_PARSERS = {
+    "dataset": _json(str), "format": _json(str), "center": _json(bool),
+    "zscore": _json(bool), "pca_dim": _json(int, type(None)), "methods": _json(list, item=str),
+    "n_splits": int, "train_fraction": float, "seeds": _json(list, item=int),
+    "lambda_grid": _json(list, item=float), "k_grid": _json(list, item=int), "cv_folds": int,
+    "k_targets": int, "solver": _json(str), "hubness_k": int,
+    "out_dir": _json(str, type(None))}
 
 
 @dataclass(frozen=True)
@@ -65,8 +85,9 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown method(s) {sorted(unknown)}; expected {METHODS}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}")
+        # the grids, fold count, k_targets and solver fail here, not mid-run
+        CvConfig(self.lambda_grid, self.k_grid, n_folds=self.cv_folds, seed=0,
+                 direction=None, k_targets=self.k_targets, solver=self.solver)
 
     def to_json_dict(self) -> dict:
         return {"version": 1, "dataset": self.dataset_path, "format": self.fmt,
@@ -79,31 +100,32 @@ class ExperimentConfig:
                 "out_dir": self.out_dir}
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ExperimentConfig":
+    def from_json_dict(cls, doc) -> "ExperimentConfig":
+        """Parse a config document; a bad key or value raises a ValueError naming the key."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
         if doc.get("version") != 1:
             raise ValueError(f"unsupported config version {doc.get('version')!r}")
-        return cls(dataset_path=doc["dataset"], fmt=doc.get("format", "dense-csv"),
-                   center=bool(doc.get("center", True)),
-                   zscore=bool(doc.get("zscore", False)),
-                   pca_dim=doc.get("pca_dim"),
-                   methods=tuple(doc.get("methods", METHODS)),
-                   n_splits=int(doc.get("n_splits", 4)),
-                   train_fraction=float(doc.get("train_fraction", 0.7)),
-                   seeds=tuple(int(s) for s in doc["seeds"]),
-                   lambda_grid=tuple(float(v) for v in doc.get("lambda_grid", DEFAULT_LAMBDA_GRID)),
-                   k_grid=tuple(int(v) for v in doc.get("k_grid", DEFAULT_K_GRID)),
-                   cv_folds=int(doc.get("cv_folds", 5)),
-                   k_targets=int(doc.get("k_targets", 1)),
-                   solver=doc.get("solver", SOLVER_PAPER),
-                   hubness_k=int(doc.get("hubness_k", DEFAULT_HUBNESS_K)),
-                   out_dir=doc.get("out_dir"))
+        for key in doc:
+            if key not in _CONFIG_PARSERS and key != "version":
+                raise ValueError(f"unknown config key {key!r}")
+        for key in ("dataset", "seeds"):
+            if key not in doc:
+                raise ValueError(f"config lacks required key {key!r}")
+        kwargs = {}
+        for key, parse in _CONFIG_PARSERS.items():
+            if key in doc:
+                try:
+                    value = parse(doc[key])
+                except (TypeError, ValueError) as e:
+                    raise ValueError(f"config key {key!r}: {e}") from None
+                kwargs[{"dataset": "dataset_path", "format": "fmt"}.get(key, key)] = value
+        kwargs.setdefault("n_splits", len(kwargs["seeds"]))
+        return cls(**kwargs)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
         return cls.from_json_dict(json.loads(Path(path).read_text()))
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))
 
 
 @dataclass(frozen=True)
@@ -218,6 +240,15 @@ def fit_timed(train_ds: Dataset, method: str, lam: float, k_targets: int,
     return tm, jj, elapsed
 
 
+def fit_method(train: Dataset, method: str, lam: float, k_targets: int, solver: str):
+    """(transform, training seconds, solver gap) for ``method``; Euclidean is (None, 0.0, None)."""
+    if method == EUCLIDEAN_METHOD:
+        return None, 0.0, None
+    tm, jj, seconds = fit_timed(train, method, lam, k_targets, solver)
+    gap = solver_disagreement(train.features.T, jj, lam) if method == MOVE_LABELED else None
+    return tm, seconds, gap
+
+
 @dataclass(frozen=True)
 class ModelArtifact:
     """Everything ``predict`` needs from ``fit``: preprocessing, transform, labels.
@@ -276,17 +307,9 @@ def _run_method(pre: Dataset, sp: Split, method: str,
                               direction=direction, k_targets=config.k_targets,
                               solver=config.solver))
 
-    gap = None
-    if method == EUCLIDEAN_METHOD:
-        training_seconds = 0.0
-        km = build_knn_model(train_ds.features, train_ds.labels, cv.best_k,
-                             Dissimilarity.euclidean())
-    else:
-        tm, jj, training_seconds = fit_timed(train_ds, method, cv.best_lambda,
-                                             config.k_targets, config.solver)
-        km = knn_from_transform(tm, train_ds.features, train_ds.labels, cv.best_k)
-        if method == MOVE_LABELED:
-            gap = solver_disagreement(train_ds.features.T, jj, cv.best_lambda)
+    tm, training_seconds, gap = fit_method(train_ds, method, cv.best_lambda,
+                                           config.k_targets, config.solver)
+    km = knn_from_transform(tm, train_ds.features, train_ds.labels, cv.best_k)
 
     # One lookup serves both scores: rows are sorted by (dissimilarity, index),
     # so each prefix is exactly the smaller-k neighbor matrix.

@@ -1,11 +1,10 @@
 """Exact k-nearest-neighbor classification under pluggable dissimilarities.
 
-Supported dissimilarity kinds, all compared and reported as squared norms:
-
-* ``euclidean``              ||x - z||^2
-* ``transformed-labeled``    ||x - W z||^2   (labeled side mapped once, at build)
-* ``transformed-query``      ||W x - z||^2   (query mapped at lookup time)
-* ``both-sides``             ||L x - L z||^2 (hook for external Mahalanobis maps)
+A ``Dissimilarity`` holds two optional square maps, ``labeled_map`` L and
+``query_map`` Q, and compares ||Q x - L z||^2 for a query x and a labeled z;
+a None map is the identity. ``euclidean`` has neither map, ``transformed_labeled``
+sets L = W (mapped once, at build), ``transformed_query`` sets Q = W (mapped at
+lookup time) and ``both_sides`` sets L = Q (a hook for external Mahalanobis maps).
 
 Search is brute force: every dissimilarity is computed, then each row's k
 smallest are picked by partial selection (``_arrays.smallest_k``) rather than
@@ -22,61 +21,51 @@ import numpy as np
 
 from ._arrays import (as_matrix, as_int_vector, as_vector, frozen, pairwise_sq_dists,
                       query_chunks, smallest_k, sq_norms)
-from .transform import TransformModel, MOVE_LABELED, MOVE_QUERY
-
-EUCLIDEAN = "euclidean"
-TRANSFORMED_LABELED = "transformed-labeled"
-TRANSFORMED_QUERY = "transformed-query"
-BOTH_SIDES = "both-sides"
-KINDS = (EUCLIDEAN, TRANSFORMED_LABELED, TRANSFORMED_QUERY, BOTH_SIDES)
+from .transform import TransformModel, MOVE_LABELED
 
 
 @dataclass(frozen=True)
 class Dissimilarity:
-    """A dissimilarity kind plus its matrix, if the kind uses one."""
+    """||Q x - L z||^2 with L = ``labeled_map`` and Q = ``query_map``; None is the identity."""
 
-    kind: str
-    matrix: np.ndarray | None = None
+    labeled_map: np.ndarray | None = None
+    query_map: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}")
-        if self.kind == EUCLIDEAN:
-            if self.matrix is not None:
-                raise ValueError("euclidean dissimilarity takes no matrix")
-        else:
-            m = self.matrix
-            if m is None or m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{self.kind} requires a square matrix")
-            if not np.isfinite(m).all():
-                raise ValueError("dissimilarity matrix contains non-finite entries")
-            frozen(m)
+        for name in ("labeled_map", "query_map"):
+            m = getattr(self, name)
+            if m is None:
+                continue
+            m = as_matrix(m, name)
+            if m.shape[0] != m.shape[1]:
+                raise ValueError(f"{name} must be square, got shape {m.shape}")
+            object.__setattr__(self, name, frozen(m))
+        if (self.labeled_map is not None and self.query_map is not None
+                and self.labeled_map.shape != self.query_map.shape):
+            raise ValueError(f"labeled_map is {self.labeled_map.shape[0]}-dimensional, "
+                             f"query_map is {self.query_map.shape[0]}-dimensional")
 
     @classmethod
     def euclidean(cls) -> "Dissimilarity":
-        return cls(EUCLIDEAN)
+        return cls()
 
     @classmethod
     def transformed_labeled(cls, w) -> "Dissimilarity":
-        return cls(TRANSFORMED_LABELED, as_matrix(w, "W"))
+        return cls(labeled_map=w)
 
     @classmethod
     def transformed_query(cls, w) -> "Dissimilarity":
-        return cls(TRANSFORMED_QUERY, as_matrix(w, "W"))
+        return cls(query_map=w)
 
     @classmethod
     def both_sides(cls, l) -> "Dissimilarity":
-        return cls(BOTH_SIDES, as_matrix(l, "L"))
+        return cls(l, l)
 
     def map_labeled(self, points: np.ndarray) -> np.ndarray:
-        if self.kind in (TRANSFORMED_LABELED, BOTH_SIDES):
-            return points @ self.matrix.T
-        return points
+        return points if self.labeled_map is None else points @ self.labeled_map.T
 
     def map_query(self, points: np.ndarray) -> np.ndarray:
-        if self.kind in (TRANSFORMED_QUERY, BOTH_SIDES):
-            return points @ self.matrix.T
-        return points
+        return points if self.query_map is None else points @ self.query_map.T
 
 
 @dataclass(frozen=True)
@@ -114,33 +103,33 @@ class KnnModel:
 
 
 def build_knn_model(labeled_points, labels, k: int, dissimilarity: Dissimilarity) -> KnnModel:
-    """Construct a KnnModel, applying the labeled-side transformation once."""
+    """Construct a KnnModel, applying the labeled-side map once."""
     pts = as_matrix(labeled_points, "labeled_points")
     y = as_int_vector(labels, "labels")
-    if dissimilarity.kind != EUCLIDEAN and dissimilarity.matrix.shape[0] != pts.shape[1]:
-        raise ValueError(
-            f"dissimilarity matrix is {dissimilarity.matrix.shape[0]}-dimensional, "
-            f"points are {pts.shape[1]}-dimensional")
+    for name in ("labeled_map", "query_map"):
+        m = getattr(dissimilarity, name)
+        if m is not None and m.shape[0] != pts.shape[1]:
+            raise ValueError(f"{name} is {m.shape[0]}-dimensional, "
+                             f"points are {pts.shape[1]}-dimensional")
     return KnnModel(dissimilarity.map_labeled(pts), y, int(k), dissimilarity)
 
 
-def knn_from_transform(model: TransformModel, labeled_points, labels, k: int) -> KnnModel:
-    """Bridge a fitted TransformModel to a ready-to-query KnnModel."""
-    if model.direction == MOVE_LABELED:
+def knn_from_transform(model: TransformModel | None, labeled_points, labels,
+                       k: int) -> KnnModel:
+    """Bridge a fitted TransformModel (None: plain Euclidean) to a KnnModel."""
+    if model is None:
+        dis = Dissimilarity.euclidean()
+    elif model.direction == MOVE_LABELED:
         dis = Dissimilarity.transformed_labeled(model.w)
-    elif model.direction == MOVE_QUERY:
+    else:
         dis = Dissimilarity.transformed_query(model.w)
-    else:  # unreachable given TransformModel validation
-        raise ValueError(f"unknown direction {model.direction!r}")
     return build_knn_model(labeled_points, labels, k, dis)
 
 
 def _query_matrix(model: KnnModel, queries) -> np.ndarray:
     q = as_matrix(queries, "queries")
-    want = model.dissimilarity.matrix.shape[0] if model.dissimilarity.kind in (
-        TRANSFORMED_QUERY, BOTH_SIDES) else model.d
-    if q.shape[1] != want:
-        raise ValueError(f"queries have dimension {q.shape[1]}, model expects {want}")
+    if q.shape[1] != model.d:
+        raise ValueError(f"queries have dimension {q.shape[1]}, model expects {model.d}")
     return model.dissimilarity.map_query(q)
 
 

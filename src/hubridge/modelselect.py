@@ -1,10 +1,12 @@
 """Cross-validated grid search over the ridge weight and the classification k.
 
-Every fold refits the whole training pipeline on its own training side:
-per-fold centering, target selection, and the transform. Validation points
-never influence the fit they are scored against. The winning cell is the
-highest mean validation accuracy, ties broken toward larger lambda and then
-smaller k (prefer the more regularized, simpler model).
+Each fold refits centering, target selection and the transform on its fold
+fit rows only. Preprocessing done before the search is not refitted: with
+z-scoring or PCA, the column statistics and the PCA basis are fitted once
+per split, on all of that split's training rows, fold-validation rows
+included. The winning cell is the highest mean validation accuracy, ties
+broken toward larger lambda and then smaller k (prefer the more regularized,
+simpler model).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from ._arrays import as_int_vector
 from .datamodel import Dataset
-from .knn import Dissimilarity, build_knn_model, knn_from_transform, majority_vote, neighbor_index_matrix
+from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
 from .targets import select_targets, indicator_matrix
 from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, fit_transform
 
@@ -37,12 +39,13 @@ class CvConfig:
     solver: str = SOLVER_PAPER
 
     def __post_init__(self):
-        if not self.lambda_grid or not self.k_grid:
-            raise ValueError("grids must be non-empty")
+        for name in ("lambda_grid", "k_grid"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must be non-empty")
         if any(l < 0 for l in self.lambda_grid):
-            raise ValueError("lambda values must be non-negative")
+            raise ValueError(f"lambda_grid values must be non-negative, got {self.lambda_grid}")
         if any(k < 1 for k in self.k_grid):
-            raise ValueError("k values must be positive")
+            raise ValueError(f"k_grid values must be positive, got {self.k_grid}")
         if self.n_folds < 2:
             raise ValueError("n_folds must be >= 2")
         if self.direction not in (None, MOVE_LABELED, MOVE_QUERY):
@@ -138,11 +141,10 @@ def grid_search(dataset: Dataset, train_indices, config: CvConfig) -> CvResult:
         x_fit = x_fit - mu
         x_val = x_val - mu
 
-        if config.direction is None:
-            model = build_knn_model(x_fit, y_fit, max_k, Dissimilarity.euclidean())
+        if config.direction is None:  # lambda is inert: one row serves every lambda
+            model = knn_from_transform(None, x_fit, y_fit, max_k)
             nbr = y_fit[neighbor_index_matrix(model, x_val, max_k)]
-            row = _accuracy_rows(nbr, y_val, config.k_grid, n_classes)
-            acc[:, :, f] = row[None, :]
+            acc[:, :, f] = _accuracy_rows(nbr, y_val, config.k_grid, n_classes)[None, :]
             continue
 
         assignment = select_targets(dataset, fit_idx, config.k_targets)

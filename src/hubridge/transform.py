@@ -1,16 +1,17 @@
 """Closed-form ridge solvers for the labeled-object and query transformations.
 
 Both directions minimize a sum of squared pair residuals plus a Frobenius
-penalty and reduce to a single symmetric positive-definite solve:
+penalty, and both run one ridge body: for a 0/1 indicator J (row i marks the
+targets of object i) it solves W (X diag(c) X^T + lam I) = X J X^T by one
+Cholesky factorization, where no weights c means X X^T.
 
-* move-labeled: pull each target z toward its owner x_i by learning W in
-  the dissimilarity ||x - W z||. Solver ``paper`` uses the Gram matrix
-  X X^T; solver ``exact`` uses X diag(c) X^T where c_j counts how many
-  times object j serves as a target. The two coincide exactly when every
-  object is a target exactly once.
-* move-query: map queries toward fixed labeled objects, ||W x - z||. This
-  is the same regression with inputs and responses exchanged; it is solved
-  exactly (the effective multiplicities are the target-list sizes).
+* move-labeled: ||x - W z|| pulls each target z toward its owner x_i; the
+  body runs on J. Solver ``paper`` uses no weights, ``exact`` the column
+  sums of J (target multiplicities); they coincide exactly when every object
+  is a target exactly once.
+* move-query: ||W x - z|| maps queries toward fixed labeled objects. It is
+  the same regression with owner and target exchanged: the ``exact`` body
+  on J^T, weighted by the column sums of J^T.
 """
 
 from __future__ import annotations
@@ -86,12 +87,16 @@ def _check_inputs(x: np.ndarray, j, lam: float) -> sp.csr_matrix:
     return jj
 
 
-def _solve_against_gram(gram: np.ndarray, b: np.ndarray, lam: float) -> np.ndarray:
-    """Solve W (gram + lam I) = b via Cholesky on the symmetric system."""
-    g = gram.copy()
-    g[np.diag_indices_from(g)] += lam
+def _ridge(xm: np.ndarray, j: sp.spmatrix, lam: float, weighted: bool) -> np.ndarray:
+    """Solve W (X diag(c) X^T + lam I) = X J X^T, c the column sums of J if weighted."""
+    b = xm @ (j @ xm.T)
+    if weighted:
+        gram = (xm * np.asarray(j.sum(axis=0)).ravel()[None, :]) @ xm.T
+    else:
+        gram = xm @ xm.T
+    gram[np.diag_indices_from(gram)] += lam
     try:
-        cf = scipy.linalg.cho_factor(g, lower=False, check_finite=False)
+        cf = scipy.linalg.cho_factor(gram, lower=False, check_finite=False)
     except np.linalg.LinAlgError as e:
         raise SingularSystemError(
             "Gram matrix plus lambda*I is numerically singular; "
@@ -113,25 +118,14 @@ def fit_move_labeled(x, j, lam: float, solver: str = SOLVER_PAPER) -> TransformM
     if solver not in SOLVERS:
         raise ValueError(f"solver must be one of {SOLVERS}")
     xm = as_matrix(x, "x")
-    jj = _check_inputs(xm, j, lam)
-    b = xm @ (jj @ xm.T)
-    if solver == SOLVER_PAPER:
-        gram = xm @ xm.T
-    else:
-        c = np.asarray(jj.sum(axis=0)).ravel()
-        gram = (xm * c[None, :]) @ xm.T
-    w = _solve_against_gram(gram, b, lam)
+    w = _ridge(xm, _check_inputs(xm, j, lam), lam, solver == SOLVER_EXACT)
     return TransformModel(w, MOVE_LABELED, float(lam), solver)
 
 
 def fit_move_query(x, j, lam: float) -> TransformModel:
     """Fit W for the move-query dissimilarity ||W query - labeled|| (exact minimizer)."""
     xm = as_matrix(x, "x")
-    jj = _check_inputs(xm, j, lam)
-    b = xm @ (jj.T @ xm.T)
-    r = np.asarray(jj.sum(axis=1)).ravel()
-    gram = (xm * r[None, :]) @ xm.T
-    w = _solve_against_gram(gram, b, lam)
+    w = _ridge(xm, _check_inputs(xm, j, lam).T, lam, True)
     return TransformModel(w, MOVE_QUERY, float(lam), SOLVER_EXACT)
 
 

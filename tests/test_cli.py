@@ -217,6 +217,16 @@ class TestHubnessCommand:
         assert {r["method"] for r in doc} == {"euclidean", "move-labeled", "move-query"}
 
 
+    def test_rows_follow_methods_order(self, train_and_queries, capsys):
+        train_p, _ = train_and_queries
+        order = ["move-query", "euclidean", "move-labeled"]
+        rc = main(["hubness", "--dataset", str(train_p), "--seed", "0",
+                   "--methods", ",".join(order)])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.split(",")[0] for line in lines[1:]] == order
+
+
 class TestCvCommand:
     def test_json_output(self, train_and_queries, tmp_path, capsys):
         train_p, _ = train_and_queries
@@ -266,6 +276,14 @@ class TestBenchCommand:
             assert {"method", "split_seed", "accuracy", "n10_skewness",
                     "training_seconds", "lambda", "k", "solver_gap"} == set(row)
         assert (tmp_path / "out" / "report.txt").read_text().startswith("method")
+
+    def test_misspelt_key_exits_1(self, tmp_path, capsys):
+        cfg_p = tmp_path / "exp.json"
+        cfg_p.write_text(json.dumps({"version": 1, "dataset": "x.csv", "seeds": [1],
+                                     "lamda_grid": [0.1]}))
+        assert main(["bench", "--config", str(cfg_p)]) == 1
+        captured = capsys.readouterr()
+        assert "unknown config key 'lamda_grid'" in captured.err and captured.out == ""
 
     def test_override_splits_and_seed(self, tmp_path, capsys):
         x, y = gaussian_mixture(100, 5, 2, sep=2.0, seed=6)

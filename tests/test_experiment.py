@@ -185,9 +185,29 @@ class TestRunExperiment:
     def test_config_json_round_trip(self, mixture_csv, tmp_path):
         cfg = small_config(mixture_csv, zscore=True, pca_dim=5)
         path = tmp_path / "config.json"
-        cfg.save(path)
+        path.write_text(json.dumps(cfg.to_json_dict()))
         loaded = ExperimentConfig.load(path)
         assert loaded == cfg
+
+    def test_partial_report_kept_when_a_method_fails(self, tmp_path):
+        # an all-zero column makes X X^T exactly singular: move-labeled at
+        # lambda 0 fails on the first split, after Euclidean has finished
+        x, y = gaussian_mixture(60, 4, 2, sep=2.0, seed=1)
+        x[:, 2] = 0.0
+        p = tmp_path / "zero_col.csv"
+        write_dense_csv(p, x, y)
+        out = tmp_path / "out"
+        cfg = ExperimentConfig(dataset_path=str(p), center=False,
+                               methods=("euclidean", "move-labeled"), n_splits=2,
+                               seeds=(1, 2), lambda_grid=(0.0,), k_grid=(1,),
+                               cv_folds=3, out_dir=str(out))
+        with pytest.raises(RuntimeError, match="'move-labeled' failed on split seed 1"):
+            run_experiment(cfg)
+        doc = json.loads((out / "partial" / "report.json").read_text())
+        assert [(r["method"], r["split_seed"]) for r in doc["rows"]] == [("euclidean", 1)]
+        assert [a["method"] for a in doc["aggregates"]] == ["euclidean"]
+        assert (out / "partial" / "report.txt").read_text().startswith("method")
+        assert not (out / "report.json").exists()
 
     def test_seed_count_must_match_splits(self, mixture_csv):
         with pytest.raises(ValueError, match="one seed per split"):
@@ -196,3 +216,61 @@ class TestRunExperiment:
     def test_unknown_method_rejected(self, mixture_csv):
         with pytest.raises(ValueError, match="unknown method"):
             small_config(mixture_csv, methods=("lmnn",))
+
+
+class TestConfigFile:
+    """Every config-file defect is a ValueError naming the key, raised at load."""
+
+    @pytest.fixture
+    def doc(self, mixture_csv):
+        return {"version": 1, "dataset": str(mixture_csv), "seeds": [1, 2],
+                "n_splits": 2, "lambda_grid": [0.1], "k_grid": [1, 3], "cv_folds": 3}
+
+    def test_unknown_key(self, doc):
+        doc["lamda_grid"] = [1.0]
+        with pytest.raises(ValueError, match="unknown config key 'lamda_grid'"):
+            ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["center", "zscore"])
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_flags_must_be_booleans(self, doc, key, value):
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"config key '{key}': expected bool"):
+            ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["dataset", "seeds"])
+    def test_missing_required_key(self, doc, key):
+        del doc[key]
+        with pytest.raises(ValueError, match=f"lacks required key '{key}'"):
+            ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "config", None])
+    def test_document_not_an_object(self, doc):
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["lambda_grid", "k_grid", "seeds", "methods"])
+    @pytest.mark.parametrize("value", [5, "0.1"])
+    def test_non_list_grid(self, doc, key, value):
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"config key '{key}': expected list"):
+            ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, value", [("dataset", None), ("format", 1),
+                                            ("pca_dim", "3"), ("solver", ["exact"]),
+                                            ("out_dir", 5)])
+    def test_wrongly_typed_value(self, doc, key, value):
+        doc[key] = value
+        with pytest.raises(ValueError, match=f"config key '{key}': expected"):
+            ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key", ["lambda_grid", "k_grid"])
+    def test_empty_grid_rejected_at_load(self, doc, key):
+        doc[key] = []
+        with pytest.raises(ValueError, match=f"{key} must be non-empty"):
+            ExperimentConfig.from_json_dict(doc)
+
+    def test_n_splits_follows_seeds(self, doc):
+        del doc["n_splits"]
+        cfg = ExperimentConfig.from_json_dict(doc)
+        assert cfg.n_splits == 2 and cfg.seeds == (1, 2)

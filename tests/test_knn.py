@@ -4,7 +4,8 @@ import pytest
 from hubridge.knn import (Dissimilarity, build_knn_model, classify,
                           classify_batch, evaluate, knn_from_transform,
                           neighbor_index_matrix, neighbors)
-from hubridge.transform import (MOVE_LABELED, SOLVER_PAPER, TransformModel)
+from hubridge.transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER,
+                                TransformModel)
 
 from _helpers import oracle_classify, oracle_knn_indices
 
@@ -110,13 +111,37 @@ class TestDissimilarityKinds:
             got = [i for i, _ in neighbors(model, q)]
             assert got == on_the_fly
 
-    def test_euclidean_takes_no_matrix(self):
-        with pytest.raises(ValueError, match="no matrix"):
-            Dissimilarity("euclidean", np.eye(2))
-
     def test_matrix_required(self):
-        with pytest.raises(ValueError, match="square matrix"):
-            Dissimilarity("transformed-labeled", None)
+        for maps in ({"labeled_map": np.ones(3)}, {"query_map": [1.0, 2.0]}):
+            with pytest.raises(ValueError, match="must be 2-dimensional"):
+                Dissimilarity(**maps)
+
+
+class TestTwoMapValidation:
+    @pytest.mark.parametrize("side", ["labeled_map", "query_map"])
+    def test_non_square_map(self, side):
+        with pytest.raises(ValueError, match=f"{side} must be square"):
+            Dissimilarity(**{side: np.ones((2, 3))})
+
+    def test_maps_of_different_sizes(self):
+        with pytest.raises(ValueError, match="labeled_map is 2-dimensional, "
+                                             "query_map is 3-dimensional"):
+            Dissimilarity(labeled_map=np.eye(2), query_map=np.eye(3))
+
+    @pytest.mark.parametrize("side", ["labeled_map", "query_map"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entries(self, side, bad):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match=f"{side} contains non-finite"):
+            Dissimilarity(**{side: m})
+
+    @pytest.mark.parametrize("side", ["labeled_map", "query_map"])
+    def test_map_size_checked_against_points(self, rng, side):
+        with pytest.raises(ValueError, match=f"{side} is 3-dimensional, "
+                                             "points are 4-dimensional"):
+            build_knn_model(rng.normal(size=(6, 4)), [0] * 6, 1,
+                            Dissimilarity(**{side: np.eye(3)}))
 
 
 class TestClassify:
@@ -201,7 +226,27 @@ class TestModelConstruction:
     def test_from_transform_directions(self, rng):
         pts = rng.normal(size=(8, 3))
         w = rng.normal(size=(3, 3))
-        tm = TransformModel(w, MOVE_LABELED, 0.1, SOLVER_PAPER)
-        model = knn_from_transform(tm, pts, np.zeros(8, dtype=int), 2)
-        assert model.dissimilarity.kind == "transformed-labeled"
+        labels = np.zeros(8, dtype=int)
+        model = knn_from_transform(TransformModel(w, MOVE_LABELED, 0.1, SOLVER_PAPER),
+                                   pts, labels, 2)
+        assert np.array_equal(model.dissimilarity.labeled_map, w)
+        assert model.dissimilarity.query_map is None
         np.testing.assert_allclose(model.labeled_points, pts @ w.T)
+        model = knn_from_transform(TransformModel(w, MOVE_QUERY, 0.1, SOLVER_EXACT),
+                                   pts, labels, 2)
+        assert model.dissimilarity.labeled_map is None
+        assert np.array_equal(model.dissimilarity.query_map, w)
+        assert np.array_equal(model.labeled_points, pts)
+
+    def test_from_no_transform_is_euclidean(self, rng):
+        pts = rng.normal(size=(40, 5))
+        labels = rng.integers(0, 3, 40)
+        queries = rng.normal(size=(12, 5))
+        model = knn_from_transform(None, pts, labels, 4)
+        assert model.dissimilarity == Dissimilarity.euclidean()
+        want = build_knn_model(pts, labels, 4, Dissimilarity.euclidean())
+        np.testing.assert_array_equal(neighbor_index_matrix(model, queries),
+                                      neighbor_index_matrix(want, queries))
+        np.testing.assert_array_equal(
+            neighbor_index_matrix(model, queries),
+            [oracle_knn_indices(q, pts, 4) for q in queries])

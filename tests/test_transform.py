@@ -180,6 +180,21 @@ class TestErrors:
             fit_transform(x, j, 0.1, "euclidean", SOLVER_PAPER)
 
 
+class TestOneRidgeBody:
+    """move-query is the exact move-labeled regression on J^T, bit for bit."""
+
+    @pytest.mark.parametrize("k_targets", [1, 2, 3])
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 7.0])
+    def test_move_query_is_exact_move_labeled_on_transpose(self, rng, k_targets, lam):
+        for _ in range(20):
+            d = int(rng.integers(2, 7))
+            n = int(rng.integers(4 * d, 8 * d))
+            x, j = random_problem(rng, d=d, n=n, k_targets=k_targets,
+                                  n_classes=int(rng.integers(1, 4)))
+            assert np.array_equal(fit_move_query(x, j, lam).w,
+                                  fit_move_labeled(x, j.T, lam, SOLVER_EXACT).w)
+
+
 class TestSolverGap:
     def test_zero_when_each_object_is_target_once(self, rng):
         # a permutation-structured J has unit column sums
