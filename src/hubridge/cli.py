@@ -24,10 +24,10 @@ from . import experiment
 from .datamodel import (FORMATS, Dataset, Preprocessor, load_dataset,
                         split as make_split, subset)
 from .experiment import (EUCLIDEAN_METHOD, METHODS, ExperimentConfig, ModelArtifact,
-                         fit_method, preprocess, run_experiment)
+                         cv_config, fit_method, preprocess, run_experiment)
 from .hubness import hubness_report, report_csv
 from .knn import classify_batch, knn_from_transform
-from .modelselect import CvConfig, grid_search
+from .modelselect import grid_search
 from .theory import CentralityExperiment, simulate_delta
 from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS
 
@@ -212,11 +212,8 @@ def _cmd_cv(args) -> int:
     ds = load_dataset(args.dataset, args.format)
     pre = preprocess(ds, None, center=args.center, zscore=args.zscore,
                      pca_dim=args.pca_dim)
-    direction = None if args.direction == EUCLIDEAN_METHOD else args.direction
-    lam_grid = (0.0,) if direction is None else args.lambda_grid
-    cfg = CvConfig(lambda_grid=lam_grid, k_grid=args.k_grid, n_folds=args.folds,
-                   seed=args.seed, direction=direction, k_targets=args.k_targets,
-                   solver=args.solver)
+    cfg = cv_config(args.direction, args.lambda_grid, args.k_grid, args.folds,
+                    args.seed, args.k_targets, args.solver)
     result = grid_search(pre, np.arange(pre.n), cfg)
     text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
     if args.out:

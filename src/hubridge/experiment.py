@@ -85,7 +85,10 @@ class ExperimentConfig:
         unknown = set(self.methods) - set(METHODS)
         if unknown:
             raise ValueError(f"unknown method(s) {sorted(unknown)}; expected {METHODS}")
-        # the grids, fold count, k_targets and solver fail here, not mid-run
+        if self.cv_folds < 2:
+            raise ValueError("cv_folds must be >= 2")
+        # the user's grids, k_targets and solver fail here, not mid-run, even
+        # when Euclidean alone (whose search ignores lambda_grid) is asked for
         CvConfig(self.lambda_grid, self.k_grid, n_folds=self.cv_folds, seed=0,
                  direction=None, k_targets=self.k_targets, solver=self.solver)
 
@@ -240,6 +243,14 @@ def fit_timed(train_ds: Dataset, method: str, lam: float, k_targets: int,
     return tm, jj, elapsed
 
 
+def cv_config(method: str, lambda_grid, k_grid, n_folds: int, seed: int,
+              k_targets: int = 1, solver: str = SOLVER_PAPER) -> CvConfig:
+    """The grid search for ``method``; Euclidean has no lambda, so it searches k at lambda 0."""
+    if method == EUCLIDEAN_METHOD:
+        return CvConfig((0.0,), k_grid, n_folds, seed, None, k_targets, solver)
+    return CvConfig(lambda_grid, k_grid, n_folds, seed, method, k_targets, solver)
+
+
 def fit_method(train: Dataset, method: str, lam: float, k_targets: int, solver: str):
     """(transform, training seconds, solver gap) for ``method``; Euclidean is (None, 0.0, None)."""
     if method == EUCLIDEAN_METHOD:
@@ -299,13 +310,9 @@ def _run_method(pre: Dataset, sp: Split, method: str,
     y_test = pre.labels[sp.test_indices]
     train_ds = subset(pre, sp.train_indices)
 
-    lam_grid = (0.0,) if method == EUCLIDEAN_METHOD else config.lambda_grid
-    direction = None if method == EUCLIDEAN_METHOD else method
     cv = grid_search(pre, sp.train_indices,
-                     CvConfig(lambda_grid=lam_grid, k_grid=config.k_grid,
-                              n_folds=config.cv_folds, seed=sp.seed,
-                              direction=direction, k_targets=config.k_targets,
-                              solver=config.solver))
+                     cv_config(method, config.lambda_grid, config.k_grid, config.cv_folds,
+                               sp.seed, config.k_targets, config.solver))
 
     tm, training_seconds, gap = fit_method(train_ds, method, cv.best_lambda,
                                            config.k_targets, config.solver)

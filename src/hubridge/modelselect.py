@@ -1,12 +1,15 @@
 """Cross-validated grid search over the ridge weight and the classification k.
 
 Each fold refits centering, target selection and the transform on its fold
-fit rows only. Preprocessing done before the search is not refitted: with
-z-scoring or PCA, the column statistics and the PCA basis are fitted once
-per split, on all of that split's training rows, fold-validation rows
-included. The winning cell is the highest mean validation accuracy, ties
-broken toward larger lambda and then smaller k (prefer the more regularized,
-simpler model).
+fit rows only. One ``fit_path`` call per fold gives the transform for every
+lambda of the grid from one eigendecomposition of that fold's Gram matrix
+(see ``transform``); a grid lambda at which G + lambda I is numerically
+singular raises ``SingularSystemError``. Preprocessing done before the
+search is not refitted: with z-scoring or PCA, the column statistics and
+the PCA basis are fitted once per split, on all of that split's training
+rows, fold-validation rows included. The winning cell is the highest mean
+validation accuracy, ties broken toward larger lambda and then smaller k
+(prefer the more regularized, simpler model).
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from ._arrays import as_int_vector
 from .datamodel import Dataset
 from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
 from .targets import select_targets, indicator_matrix
-from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, fit_transform
+from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, fit_path
 
 
 class FoldError(ValueError):
@@ -149,8 +152,8 @@ def grid_search(dataset: Dataset, train_indices, config: CvConfig) -> CvResult:
 
         assignment = select_targets(dataset, fit_idx, config.k_targets)
         jj = indicator_matrix(assignment, fit_idx.size)
-        for li, lam in enumerate(config.lambda_grid):
-            tm = fit_transform(x_fit.T, jj, lam, config.direction, config.solver)
+        path = fit_path(x_fit.T, jj, config.lambda_grid, config.direction, config.solver)
+        for li, tm in enumerate(path):
             km = knn_from_transform(tm, x_fit, y_fit, max_k)
             nbr = y_fit[neighbor_index_matrix(km, x_val, max_k)]
             acc[li, :, f] = _accuracy_rows(nbr, y_val, config.k_grid, n_classes)

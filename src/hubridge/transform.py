@@ -2,8 +2,12 @@
 
 Both directions minimize a sum of squared pair residuals plus a Frobenius
 penalty, and both run one ridge body: for a 0/1 indicator J (row i marks the
-targets of object i) it solves W (X diag(c) X^T + lam I) = X J X^T by one
-Cholesky factorization, where no weights c means X X^T.
+targets of object i) it solves W (G + lam I) = B with G = X diag(c) X^T (no
+weights c: X X^T) and B = X J X^T. Neither G nor B depends on lam, so the
+body factors G = V diag(e) V^T once with ``np.linalg.eigh`` and gives every
+lam of a grid as W(lam) = (B V) diag(1 / (e + lam)) V^T, the ridge-path
+identity; a single fit is a grid of one. G + lam I counts as singular when
+min(e) + lam <= d * eps * (max(e) + lam), numpy's ``matrix_rank`` tolerance.
 
 * move-labeled: ||x - W z|| pulls each target z toward its owner x_i; the
   body runs on J. Solver ``paper`` uses no weights, ``exact`` the column
@@ -19,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 from ._arrays import as_matrix, frozen
@@ -34,7 +37,10 @@ SOLVERS = (SOLVER_PAPER, SOLVER_EXACT)
 
 
 class SingularSystemError(ValueError):
-    """The regularized Gram matrix is numerically singular (needs lambda > 0)."""
+    """G + lambda I is numerically singular: min(e) + lambda <= d eps (max(e) + lambda).
+
+    e are the eigenvalues of the Gram matrix G; a larger lambda is needed.
+    """
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,8 @@ class TransformModel:
                    float(doc["lambda"]), doc["solver"])
 
 
-def _check_inputs(x: np.ndarray, j, lam: float) -> sp.csr_matrix:
-    if lam < 0:
+def _check_inputs(x: np.ndarray, j, lambdas) -> sp.csr_matrix:
+    if any(lam < 0 for lam in lambdas):
         raise ValueError("lambda must be non-negative")
     n = x.shape[1]
     jj = sp.csr_matrix(j)
@@ -87,21 +93,50 @@ def _check_inputs(x: np.ndarray, j, lam: float) -> sp.csr_matrix:
     return jj
 
 
-def _ridge(xm: np.ndarray, j: sp.spmatrix, lam: float, weighted: bool) -> np.ndarray:
-    """Solve W (X diag(c) X^T + lam I) = X J X^T, c the column sums of J if weighted."""
+def _ridge_path(xm: np.ndarray, j: sp.spmatrix, lambdas,
+                weighted: bool) -> list[np.ndarray]:
+    """W (X diag(c) X^T + lam I) = X J X^T for each lam, c the column sums of J if weighted."""
     b = xm @ (j @ xm.T)
     if weighted:
         gram = (xm * np.asarray(j.sum(axis=0)).ravel()[None, :]) @ xm.T
     else:
         gram = xm @ xm.T
-    gram[np.diag_indices_from(gram)] += lam
-    try:
-        cf = scipy.linalg.cho_factor(gram, lower=False, check_finite=False)
-    except np.linalg.LinAlgError as e:
-        raise SingularSystemError(
-            "Gram matrix plus lambda*I is numerically singular; "
-            "use lambda > 0") from e
-    return scipy.linalg.cho_solve(cf, b.T, check_finite=False).T
+    evals, v = np.linalg.eigh(gram)  # ascending
+    bv = b @ v
+    tol = gram.shape[0] * np.finfo(gram.dtype).eps
+    out = []
+    for lam in lambdas:
+        low, high = evals[0] + lam, evals[-1] + lam
+        if low <= tol * high:
+            ratio = low / high if high > 0 else float("nan")
+            raise SingularSystemError(
+                f"Gram matrix plus lambda*I is numerically singular at lambda={lam!r}: "
+                f"(min eigenvalue + lambda) / (max eigenvalue + lambda) = {ratio:.3g} "
+                f"<= d*eps = {tol:.3g}; use a larger lambda")
+        out.append((bv / (evals + lam)) @ v.T)
+    return out
+
+
+def fit_path(x, j, lambdas, direction: str,
+             solver: str = SOLVER_PAPER) -> list[TransformModel]:
+    """Fit W for every lambda of a grid from one eigendecomposition of the Gram matrix.
+
+    W for each lambda is bit-identical to a single-lambda fit. move-query
+    always uses its exact minimizer, whatever ``solver`` says.
+    """
+    if direction == MOVE_LABELED:
+        if solver not in SOLVERS:
+            raise ValueError(f"solver must be one of {SOLVERS}")
+        transpose, weighted = False, solver == SOLVER_EXACT
+    elif direction == MOVE_QUERY:
+        transpose, weighted, solver = True, True, SOLVER_EXACT
+    else:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+    xm = as_matrix(x, "x")
+    jj = _check_inputs(xm, j, lambdas)
+    ws = _ridge_path(xm, jj.T if transpose else jj, lambdas, weighted)
+    return [TransformModel(w, direction, float(lam), solver)
+            for w, lam in zip(ws, lambdas)]
 
 
 def fit_move_labeled(x, j, lam: float, solver: str = SOLVER_PAPER) -> TransformModel:
@@ -115,18 +150,12 @@ def fit_move_labeled(x, j, lam: float, solver: str = SOLVER_PAPER) -> TransformM
     solver : ``paper`` for the plain-Gram closed form, ``exact`` for the
         target-multiplicity-weighted true minimizer.
     """
-    if solver not in SOLVERS:
-        raise ValueError(f"solver must be one of {SOLVERS}")
-    xm = as_matrix(x, "x")
-    w = _ridge(xm, _check_inputs(xm, j, lam), lam, solver == SOLVER_EXACT)
-    return TransformModel(w, MOVE_LABELED, float(lam), solver)
+    return fit_path(x, j, (lam,), MOVE_LABELED, solver)[0]
 
 
 def fit_move_query(x, j, lam: float) -> TransformModel:
     """Fit W for the move-query dissimilarity ||W query - labeled|| (exact minimizer)."""
-    xm = as_matrix(x, "x")
-    w = _ridge(xm, _check_inputs(xm, j, lam).T, lam, True)
-    return TransformModel(w, MOVE_QUERY, float(lam), SOLVER_EXACT)
+    return fit_path(x, j, (lam,), MOVE_QUERY)[0]
 
 
 def fit_transform(x, j, lam: float, direction: str, solver: str) -> TransformModel:
@@ -149,7 +178,7 @@ def transform_points(model: TransformModel, points) -> np.ndarray:
 def regression_objective(x, j, w: np.ndarray, lam: float, direction: str) -> float:
     """Value of the fitted objective: sum of squared pair residuals + lam ||W||_F^2."""
     xm = as_matrix(x, "x")
-    jj = _check_inputs(xm, j, lam)
+    jj = _check_inputs(xm, j, (lam,))
     rows, cols = jj.nonzero()
     if direction == MOVE_LABELED:
         resid = xm[:, rows] - w @ xm[:, cols]

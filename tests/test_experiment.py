@@ -6,7 +6,7 @@ import pytest
 from hubridge.datamodel import (Preprocessor, column_mean_sd, dataset_from_arrays,
                                 apply_pca, fit_pca, split)
 from hubridge.experiment import (ExperimentConfig, ModelArtifact, TIMING_FIELDS,
-                                 fit_timed, preprocess, run_experiment)
+                                 cv_config, fit_timed, preprocess, run_experiment)
 
 from _helpers import gaussian_mixture, write_dense_csv
 
@@ -270,7 +270,33 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"{key} must be non-empty"):
             ExperimentConfig.from_json_dict(doc)
 
+    @pytest.mark.parametrize("value", [1, 0])
+    def test_cv_folds_below_two_named(self, doc, value):
+        doc["cv_folds"] = value
+        with pytest.raises(ValueError, match="cv_folds must be >= 2"):
+            ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("grid", [[], [-1.0]])
+    def test_lambda_grid_checked_for_euclidean_alone(self, doc, grid):
+        doc["methods"] = ["euclidean"]
+        doc["lambda_grid"] = grid
+        with pytest.raises(ValueError, match="lambda_grid"):
+            ExperimentConfig.from_json_dict(doc)
+
     def test_n_splits_follows_seeds(self, doc):
         del doc["n_splits"]
         cfg = ExperimentConfig.from_json_dict(doc)
         assert cfg.n_splits == 2 and cfg.seeds == (1, 2)
+
+
+class TestCvConfig:
+    def test_euclidean_searches_k_at_lambda_zero(self):
+        cfg = cv_config("euclidean", (0.1, 1.0), (1, 3), 4, 7, 2, "exact")
+        assert (cfg.lambda_grid, cfg.direction) == ((0.0,), None)
+        assert (cfg.k_grid, cfg.n_folds, cfg.seed, cfg.k_targets, cfg.solver) == (
+            (1, 3), 4, 7, 2, "exact")
+
+    @pytest.mark.parametrize("method", ["move-labeled", "move-query"])
+    def test_fitted_methods_search_the_lambda_grid(self, method):
+        cfg = cv_config(method, (0.1, 1.0), (1, 3), 4, 7)
+        assert (cfg.lambda_grid, cfg.direction) == ((0.1, 1.0), method)

@@ -5,11 +5,12 @@ from hubridge.datamodel import dataset_from_arrays
 from hubridge.targets import indicator_matrix, select_targets
 from hubridge.transform import (SOLVER_EXACT, SOLVER_PAPER, MOVE_LABELED,
                                 MOVE_QUERY, SingularSystemError, TransformModel,
-                                fit_move_labeled, fit_move_query, fit_transform,
-                                regression_objective, solver_disagreement,
-                                transform_points)
+                                fit_move_labeled, fit_move_query, fit_path,
+                                fit_transform, regression_objective,
+                                solver_disagreement, transform_points)
 
 from _helpers import gd_minimize, pairs_from_indicator
+from test_acceptance import random_ridge_problem
 
 
 def random_problem(rng, d=5, n=12, k_targets=1, n_classes=2):
@@ -193,6 +194,82 @@ class TestOneRidgeBody:
                                   n_classes=int(rng.integers(1, 4)))
             assert np.array_equal(fit_move_query(x, j, lam).w,
                                   fit_move_labeled(x, j.T, lam, SOLVER_EXACT).w)
+
+
+def _solve_reference(x, j, lam, direction, solver):
+    """W from the written normal equations by a generic dense solve."""
+    jd = j.toarray()
+    if direction == MOVE_QUERY:  # sum ||W x_i - x_j||^2: weights are J's row sums
+        gram, b = (x * jd.sum(axis=1)) @ x.T, x @ jd.T @ x.T
+    elif solver == SOLVER_EXACT:  # sum ||x_i - W x_j||^2: weights are J's column sums
+        gram, b = (x * jd.sum(axis=0)) @ x.T, x @ jd @ x.T
+    else:
+        gram, b = x @ x.T, x @ jd @ x.T
+    system = gram + lam * np.eye(x.shape[0])
+    return np.linalg.solve(system.T, b.T).T, system
+
+
+CASES = [(MOVE_LABELED, SOLVER_PAPER), (MOVE_LABELED, SOLVER_EXACT),
+         (MOVE_QUERY, SOLVER_EXACT)]
+
+
+class TestRidgePath:
+    """One eigendecomposition serves the whole lambda grid."""
+
+    @pytest.mark.parametrize("direction, solver", CASES)
+    def test_grid_is_bit_identical_to_single_fits(self, rng, direction, solver):
+        grid = (0.0, 1e-3, 0.1, 1.0, 10.0, 1e4)
+        for _ in range(10):
+            x, j = random_problem(rng, d=int(rng.integers(2, 9)), n=60,
+                                  k_targets=int(rng.integers(1, 4)))
+            path = fit_path(x, j, grid, direction, solver)
+            assert [tm.lam for tm in path] == list(grid)
+            for tm in path:
+                single = fit_transform(x, j, tm.lam, direction, solver)
+                assert (tm.direction, tm.solver) == (single.direction, single.solver)
+                assert np.array_equal(tm.w, single.w)
+
+    @pytest.mark.parametrize("direction, solver", CASES)
+    def test_matches_dense_solve_on_criterion_1_problems(self, direction, solver):
+        # criterion 1's generator and seed; 1e-10 relative error is the gate
+        # for replacing the Cholesky solve (it agreed to ~1e-14)
+        rng = np.random.default_rng(1001)
+        worst = 0.0
+        for trial in range(50):
+            x, j = random_ridge_problem(rng, k_targets=1 + trial % 2)
+            for tm in fit_path(x, j, (0.0, 0.1, 10.0), direction, solver):
+                want, system = _solve_reference(x, j, tm.lam, direction, solver)
+                assert np.linalg.matrix_rank(system) == x.shape[0]
+                worst = max(worst, np.linalg.norm(tm.w - want) / np.linalg.norm(want))
+        assert worst < 1e-10
+
+    @pytest.mark.parametrize("direction, solver", CASES)
+    def test_rank_deficient_gram(self, rng, direction, solver):
+        # 12 objects in 20 dimensions: rank 12 at most, singular at lambda 0
+        x, j = random_problem(rng, d=20, n=12, k_targets=2)
+        named = r"at lambda=0\.0: .* = -?[0-9.e+-]+ <= d\*eps"  # lambda and the ratio
+        with pytest.raises(SingularSystemError, match=named):
+            fit_path(x, j, (1.0, 0.0), direction, solver)
+        tm, = fit_path(x, j, (1e-6,), direction, solver)
+        want, _ = _solve_reference(x, j, 1e-6, direction, solver)
+        assert np.linalg.norm(tm.w - want) / np.linalg.norm(want) < 1e-6
+
+    def test_exactly_singular_weighted_gram_is_refused(self):
+        # only 3 of 40 objects are ever a target, so X diag(c) X^T has rank 3
+        # < d = 5; a Cholesky factorization of it succeeded on 6 of these seeds
+        for seed in range(50):
+            x = np.random.default_rng(seed).normal(size=(5, 40))
+            j = np.zeros((40, 40))
+            j[np.arange(3, 40), np.arange(3, 40) % 3] = 1
+            j[0, 1] = j[1, 2] = j[2, 0] = 1
+            with pytest.raises(SingularSystemError, match="lambda=0.0"):
+                fit_move_labeled(x, j, 0.0, SOLVER_EXACT)
+            assert np.isfinite(fit_move_labeled(x, j, 0.0, SOLVER_PAPER).w).all()
+
+    def test_grid_rejects_a_negative_lambda(self, rng):
+        x, j = random_problem(rng)
+        with pytest.raises(ValueError, match="non-negative"):
+            fit_path(x, j, (0.1, -1.0), MOVE_LABELED)
 
 
 class TestSolverGap:
