@@ -11,9 +11,9 @@ from .datamodel import (Dataset, DatasetFormatError, PcaModel, PreprocessError,
                         Preprocessor, Split, apply_pca, bundled_dataset_path,
                         dataset_from_arrays, fit_pca, load_dataset, split, subset)
 from .targets import TargetAssignment, TargetSelectionError, indicator_matrix, select_targets
-from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER,
+from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER, RidgeSystem,
                         SingularSystemError, TransformModel, fit_move_labeled,
-                        fit_move_query, fit_path, fit_transform, regression_objective,
+                        fit_move_query, fit_transform, regression_objective,
                         solver_disagreement, transform_points)
 from .knn import (Dissimilarity, KnnModel, build_knn_model, classify,
                   classify_batch, evaluate, knn_from_transform, neighbors,
@@ -22,7 +22,8 @@ from .hubness import HubnessRow, ZeroVarianceError, hubness_report, nk_counts, s
 from .theory import (CentralityExperiment, CentralityResult, PairConstructionError,
                      hub_tendency_demo, simulate_delta, squared_norm_std,
                      theoretical_delta)
-from .modelselect import CvCell, CvConfig, CvResult, FoldError, grid_search, make_folds
+from .modelselect import (CvCell, CvConfig, CvPass, CvResult, FoldError, grid_search,
+                          make_folds)
 from .experiment import (ExperimentConfig, ExperimentReport, MethodAggregate,
                          MethodSplitResult, ModelArtifact, preprocess, run_experiment)
 

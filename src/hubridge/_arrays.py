@@ -89,17 +89,21 @@ def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
     without sorting whole rows: a partition finds each row's k-th smallest
     value, every entry at or below it stays a candidate (so a tie straddling
     the k-th place still resolves toward the lower index), and only those
-    candidates are sorted. ``values`` must not contain NaN; +inf is allowed.
+    candidates are sorted. Candidates are found as flat row-major indices
+    (``flatnonzero`` and ``ravel`` both read in logical C order, whatever the
+    memory layout) and split into (row, column) by ``divmod``; a stable sort
+    by (row, value) then keeps equal values in column order, and each row's
+    candidates start where its row number first appears. ``values`` must not
+    contain NaN; +inf is allowed.
     """
-    n = values.shape[1]
+    m, n = values.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
-    kth = np.partition(values, k - 1, axis=1)[:, k - 1].copy()
-    keep = values <= kth[:, None]
-    rows, cols = np.nonzero(keep)
-    order = np.lexsort((cols, values[keep], rows))
-    per_row = np.count_nonzero(keep, axis=1)
-    starts = np.cumsum(per_row) - per_row
+    kth = np.partition(values, k - 1, axis=1)[:, k - 1]
+    flat = np.flatnonzero(values <= kth[:, None])
+    rows, cols = np.divmod(flat, n)
+    order = np.lexsort((values.ravel()[flat], rows))
+    starts = np.searchsorted(rows, np.arange(m))
     return cols[order[starts[:, None] + np.arange(k)]]
 
 

@@ -24,7 +24,7 @@ from . import experiment
 from .datamodel import (FORMATS, Dataset, Preprocessor, load_dataset,
                         split as make_split, subset)
 from .experiment import (EUCLIDEAN_METHOD, METHODS, ExperimentConfig, ModelArtifact,
-                         cv_config, fit_method, preprocess, run_experiment)
+                         cv_config, fit_method, preprocess, run_experiment, solver_gap)
 from .hubness import hubness_report, report_csv
 from .knn import classify_batch, knn_from_transform
 from .modelselect import grid_search
@@ -137,8 +137,9 @@ def _cmd_fit(args) -> int:
                             pca_dim=args.pca_dim)
     pre = Dataset(prep.apply(ds.features), ds.labels, ds.class_count, ds.name,
                   ds.label_names)
-    tm, seconds, gap = fit_method(pre, args.method, args.lam, args.k_targets,
-                                  args.solver)
+    tm, jj, seconds = fit_method(pre, args.method, args.lam, args.k_targets,
+                                 args.solver)
+    gap = solver_gap(pre, tm, jj)
     ModelArtifact(prep, tm, ds.label_names).save(args.out)
     summary = {"direction": tm.direction, "lambda": tm.lam, "solver": tm.solver,
                "d": tm.d, "n": pre.n, "training_seconds": seconds,
@@ -214,7 +215,7 @@ def _cmd_cv(args) -> int:
                      pca_dim=args.pca_dim)
     cfg = cv_config(args.direction, args.lambda_grid, args.k_grid, args.folds,
                     args.seed, args.k_targets, args.solver)
-    result = grid_search(pre, np.arange(pre.n), cfg)
+    result = grid_search(pre, np.arange(pre.n), [cfg]).result(0)
     text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text)

@@ -21,7 +21,7 @@ from .datamodel import (Dataset, Preprocessor, Split, load_dataset,
                         split as make_split, subset)
 from .hubness import DEFAULT_HUBNESS_K, skewness
 from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
-from .modelselect import CvConfig, grid_search
+from .modelselect import CvConfig, CvResult, grid_search
 from .targets import select_targets, indicator_matrix
 from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER,
                         TransformModel, fit_transform, solver_disagreement)
@@ -252,12 +252,17 @@ def cv_config(method: str, lambda_grid, k_grid, n_folds: int, seed: int,
 
 
 def fit_method(train: Dataset, method: str, lam: float, k_targets: int, solver: str):
-    """(transform, training seconds, solver gap) for ``method``; Euclidean is (None, 0.0, None)."""
+    """(transform, indicator J, training seconds) for ``method``; Euclidean is (None, None, 0.0)."""
     if method == EUCLIDEAN_METHOD:
-        return None, 0.0, None
-    tm, jj, seconds = fit_timed(train, method, lam, k_targets, solver)
-    gap = solver_disagreement(train.features.T, jj, lam) if method == MOVE_LABELED else None
-    return tm, seconds, gap
+        return None, None, 0.0
+    return fit_timed(train, method, lam, k_targets, solver)
+
+
+def solver_gap(train: Dataset, tm: TransformModel | None, jj) -> float | None:
+    """The paper-vs-exact gap of a move-labeled fit on ``train``; None for other methods."""
+    if tm is None or tm.direction != MOVE_LABELED:
+        return None
+    return solver_disagreement(train.features.T, jj, tm)
 
 
 @dataclass(frozen=True)
@@ -304,18 +309,15 @@ class ModelArtifact:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
-def _run_method(pre: Dataset, sp: Split, method: str,
+def _run_method(pre: Dataset, sp: Split, method: str, cv: CvResult,
                 config: ExperimentConfig) -> MethodSplitResult:
     x_test = pre.features[sp.test_indices]
     y_test = pre.labels[sp.test_indices]
     train_ds = subset(pre, sp.train_indices)
 
-    cv = grid_search(pre, sp.train_indices,
-                     cv_config(method, config.lambda_grid, config.k_grid, config.cv_folds,
-                               sp.seed, config.k_targets, config.solver))
-
-    tm, training_seconds, gap = fit_method(train_ds, method, cv.best_lambda,
-                                           config.k_targets, config.solver)
+    tm, jj, training_seconds = fit_method(train_ds, method, cv.best_lambda,
+                                          config.k_targets, config.solver)
+    gap = solver_gap(train_ds, tm, jj)
     km = knn_from_transform(tm, train_ds.features, train_ds.labels, cv.best_k)
 
     # One lookup serves both scores: rows are sorted by (dissimilarity, index),
@@ -360,9 +362,13 @@ def run_experiment(config: ExperimentConfig,
             sp = make_split(dataset, config.train_fraction, seed)
             pre = preprocess(dataset, sp.train_indices, center=config.center,
                              zscore=config.zscore, pca_dim=config.pca_dim)
-            for method in config.methods:
+            cv = grid_search(pre, sp.train_indices, [
+                cv_config(method, config.lambda_grid, config.k_grid, config.cv_folds,
+                          sp.seed, config.k_targets, config.solver)
+                for method in config.methods])
+            for i, method in enumerate(config.methods):
                 try:
-                    rows.append(_run_method(pre, sp, method, config))
+                    rows.append(_run_method(pre, sp, method, cv.result(i), config))
                 except Exception as e:
                     raise RuntimeError(
                         f"method {method!r} failed on split seed {seed}: {e}") from e

@@ -1,15 +1,21 @@
 """Cross-validated grid search over the ridge weight and the classification k.
 
+One ``grid_search`` call serves every method's config from one fold plan:
+folds, fold centering, target selection and J are made once, and a fold's
+``RidgeSystem`` factors each distinct Gram matrix once. With one target per
+object every row of J sums to 1, so move-query's Gram is the paper solver's
+X X^T: one eigendecomposition per fold serves both over the whole lambda
+grid. A lambda at which G + lambda I is numerically singular raises
+``SingularSystemError``. Each config's outcome, result or error, is the one
+a pass serving it alone gives.
+
 Each fold refits centering, target selection and the transform on its fold
-fit rows only. One ``fit_path`` call per fold gives the transform for every
-lambda of the grid from one eigendecomposition of that fold's Gram matrix
-(see ``transform``); a grid lambda at which G + lambda I is numerically
-singular raises ``SingularSystemError``. Preprocessing done before the
-search is not refitted: with z-scoring or PCA, the column statistics and
-the PCA basis are fitted once per split, on all of that split's training
-rows, fold-validation rows included. The winning cell is the highest mean
-validation accuracy, ties broken toward larger lambda and then smaller k
-(prefer the more regularized, simpler model).
+fit rows only. Preprocessing done before the search is not refitted: with
+z-scoring or PCA, the column statistics and the PCA basis are fitted once
+per split, on all of that split's training rows, fold-validation rows
+included. The winning cell is the highest mean validation accuracy, ties
+broken toward larger lambda and then smaller k (prefer the more
+regularized, simpler model).
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from ._arrays import as_int_vector
 from .datamodel import Dataset
 from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
 from .targets import select_targets, indicator_matrix
-from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, fit_path
+from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, RidgeSystem
 
 
 class FoldError(ValueError):
@@ -121,43 +127,46 @@ def _accuracy_rows(neighbor_labels: np.ndarray, truth: np.ndarray,
     return out
 
 
-def grid_search(dataset: Dataset, train_indices, config: CvConfig) -> CvResult:
-    """Cross-validate (lambda, k) on the given training rows of `dataset`."""
-    tr = as_int_vector(train_indices, "train_indices")
-    labs = dataset.labels[tr]
-    folds = make_folds(tr, labs, config.n_folds, config.seed)
-    n_lam, n_k = len(config.lambda_grid), len(config.k_grid)
+@dataclass(frozen=True)
+class CvPass:
+    """One fold plan's outcome per config: its ``CvResult``, or the error its search raised."""
+
+    outcomes: tuple[CvResult | Exception, ...]
+    folds: tuple[tuple[int, ...], ...]
+
+    @property
+    def table(self) -> tuple[CvCell, ...]:
+        """Every cell the pass scored, config by config."""
+        return tuple(c for o in self.outcomes if isinstance(o, CvResult) for c in o.table)
+
+    def result(self, i: int) -> CvResult:
+        """Config ``i``'s result; raises the error its search raised."""
+        outcome = self.outcomes[i]
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+
+def _score_fold(config: CvConfig, system: RidgeSystem | None, x_fit, y_fit,
+                x_val, y_val, n_classes: int) -> np.ndarray:
+    """(lambda, k) validation accuracy of one config on one fold.
+
+    Euclidean gives one row, which serves every lambda: lambda is inert there.
+    """
     max_k = max(config.k_grid)
-    n_classes = dataset.class_count
-    acc = np.zeros((n_lam, n_k, config.n_folds))
+    if max_k > y_fit.size:
+        raise ValueError(f"k={max_k} exceeds the fold training size {y_fit.size}")
+    path = ([None] if config.direction is None else
+            system.path(config.lambda_grid, config.direction, config.solver))
+    rows = []
+    for tm in path:
+        km = knn_from_transform(tm, x_fit, y_fit, max_k)
+        nbr = y_fit[neighbor_index_matrix(km, x_val, max_k)]
+        rows.append(_accuracy_rows(nbr, y_val, config.k_grid, n_classes))
+    return np.array(rows)
 
-    for f, val_idx in enumerate(folds):
-        fit_idx = np.sort(np.concatenate([folds[g] for g in range(config.n_folds) if g != f]))
-        if max_k > fit_idx.size:
-            raise ValueError(
-                f"k={max_k} exceeds the fold training size {fit_idx.size}")
-        x_fit = dataset.features[fit_idx]
-        y_fit = dataset.labels[fit_idx]
-        x_val = dataset.features[val_idx]
-        y_val = dataset.labels[val_idx]
-        mu = x_fit.mean(axis=0)
-        x_fit = x_fit - mu
-        x_val = x_val - mu
 
-        if config.direction is None:  # lambda is inert: one row serves every lambda
-            model = knn_from_transform(None, x_fit, y_fit, max_k)
-            nbr = y_fit[neighbor_index_matrix(model, x_val, max_k)]
-            acc[:, :, f] = _accuracy_rows(nbr, y_val, config.k_grid, n_classes)[None, :]
-            continue
-
-        assignment = select_targets(dataset, fit_idx, config.k_targets)
-        jj = indicator_matrix(assignment, fit_idx.size)
-        path = fit_path(x_fit.T, jj, config.lambda_grid, config.direction, config.solver)
-        for li, tm in enumerate(path):
-            km = knn_from_transform(tm, x_fit, y_fit, max_k)
-            nbr = y_fit[neighbor_index_matrix(km, x_val, max_k)]
-            acc[li, :, f] = _accuracy_rows(nbr, y_val, config.k_grid, n_classes)
-
+def _cv_result(config: CvConfig, acc: np.ndarray, folds) -> CvResult:
     mean_acc = acc.mean(axis=2)
     std_acc = acc.std(axis=2, ddof=1)
     table = tuple(
@@ -167,5 +176,59 @@ def grid_search(dataset: Dataset, train_indices, config: CvConfig) -> CvResult:
         for li, lam in enumerate(config.lambda_grid)
         for ki, k in enumerate(config.k_grid))
     best = max(table, key=lambda c: (c.mean_accuracy, c.lam, -c.k))
-    return CvResult(best_lambda=best.lam, best_k=best.k, table=table,
-                    folds=tuple(tuple(int(i) for i in f) for f in folds))
+    return CvResult(best_lambda=best.lam, best_k=best.k, table=table, folds=folds)
+
+
+def grid_search(dataset: Dataset, train_indices, configs) -> CvPass:
+    """Cross-validate (lambda, k) for each config on the given training rows of `dataset`.
+
+    The configs share one fold plan, so they must agree on ``n_folds``,
+    ``seed`` and ``k_targets``.
+    """
+    configs = tuple(configs)
+    if not configs:
+        raise ValueError("configs must be non-empty")
+    plans = {(c.n_folds, c.seed, c.k_targets) for c in configs}
+    if len(plans) > 1:
+        raise ValueError("configs must share n_folds, seed and k_targets, got "
+                         f"{sorted(plans)}")
+    n_folds, seed, k_targets = plans.pop()
+    tr = as_int_vector(train_indices, "train_indices")
+    try:
+        folds = make_folds(tr, dataset.labels[tr], n_folds, seed)
+    except FoldError as e:
+        return CvPass(tuple(e for _ in configs), ())
+    acc = [np.zeros((len(c.lambda_grid), len(c.k_grid), n_folds)) for c in configs]
+    errors: list[Exception | None] = [None] * len(configs)
+
+    for f, val_idx in enumerate(folds):
+        fit_idx = np.sort(np.concatenate([folds[g] for g in range(n_folds) if g != f]))
+        x_fit = dataset.features[fit_idx]
+        y_fit = dataset.labels[fit_idx]
+        x_val = dataset.features[val_idx]
+        y_val = dataset.labels[val_idx]
+        mu = x_fit.mean(axis=0)
+        x_fit = x_fit - mu
+        x_val = x_val - mu
+
+        fitted = [i for i, c in enumerate(configs)
+                  if c.direction is not None and errors[i] is None]
+        system = None
+        if fitted:
+            try:
+                assignment = select_targets(dataset, fit_idx, k_targets)
+                system = RidgeSystem(x_fit.T, indicator_matrix(assignment, fit_idx.size))
+            except Exception as e:  # every fitted config needs these targets
+                for i in fitted:
+                    errors[i] = e
+        for i, config in enumerate(configs):
+            if errors[i] is None:
+                try:
+                    acc[i][:, :, f] = _score_fold(config, system, x_fit, y_fit,
+                                                  x_val, y_val, dataset.class_count)
+                except Exception as e:  # ends this config's search only
+                    errors[i] = e
+
+    folds_t = tuple(tuple(int(i) for i in f) for f in folds)
+    return CvPass(tuple(e if e is not None else _cv_result(c, a, folds_t)
+                        for c, a, e in zip(configs, acc, errors)), folds_t)

@@ -8,6 +8,8 @@ body factors G = V diag(e) V^T once with ``np.linalg.eigh`` and gives every
 lam of a grid as W(lam) = (B V) diag(1 / (e + lam)) V^T, the ridge-path
 identity; a single fit is a grid of one. G + lam I counts as singular when
 min(e) + lam <= d * eps * (max(e) + lam), numpy's ``matrix_rank`` tolerance.
+Weights that are all 1 give G = X X^T, formed as with no weights, so fits
+that share a Gram can share its eigendecomposition (``RidgeSystem``).
 
 * move-labeled: ||x - W z|| pulls each target z toward its owner x_i; the
   body runs on J. Solver ``paper`` uses no weights, ``exact`` the column
@@ -15,7 +17,8 @@ min(e) + lam <= d * eps * (max(e) + lam), numpy's ``matrix_rank`` tolerance.
   is a target exactly once.
 * move-query: ||W x - z|| maps queries toward fixed labeled objects. It is
   the same regression with owner and target exchanged: the ``exact`` body
-  on J^T, weighted by the column sums of J^T.
+  on J^T, whose B is the transpose of J's, weighted by the column sums of
+  J^T (the row sums of J, all 1 with one target per object).
 """
 
 from __future__ import annotations
@@ -81,9 +84,12 @@ class TransformModel:
                    float(doc["lambda"]), doc["solver"])
 
 
-def _check_inputs(x: np.ndarray, j, lambdas) -> sp.csr_matrix:
+def _check_lambdas(lambdas) -> None:
     if any(lam < 0 for lam in lambdas):
         raise ValueError("lambda must be non-negative")
+
+
+def _indicator(x: np.ndarray, j) -> sp.csr_matrix:
     n = x.shape[1]
     jj = sp.csr_matrix(j)
     if jj.shape != (n, n):
@@ -93,50 +99,61 @@ def _check_inputs(x: np.ndarray, j, lambdas) -> sp.csr_matrix:
     return jj
 
 
-def _ridge_path(xm: np.ndarray, j: sp.spmatrix, lambdas,
-                weighted: bool) -> list[np.ndarray]:
-    """W (X diag(c) X^T + lam I) = X J X^T for each lam, c the column sums of J if weighted."""
-    b = xm @ (j @ xm.T)
-    if weighted:
-        gram = (xm * np.asarray(j.sum(axis=0)).ravel()[None, :]) @ xm.T
-    else:
-        gram = xm @ xm.T
-    evals, v = np.linalg.eigh(gram)  # ascending
-    bv = b @ v
-    tol = gram.shape[0] * np.finfo(gram.dtype).eps
-    out = []
-    for lam in lambdas:
-        low, high = evals[0] + lam, evals[-1] + lam
-        if low <= tol * high:
-            ratio = low / high if high > 0 else float("nan")
-            raise SingularSystemError(
-                f"Gram matrix plus lambda*I is numerically singular at lambda={lam!r}: "
-                f"(min eigenvalue + lambda) / (max eigenvalue + lambda) = {ratio:.3g} "
-                f"<= d*eps = {tol:.3g}; use a larger lambda")
-        out.append((bv / (evals + lam)) @ v.T)
-    return out
+class RidgeSystem:
+    """The ridge fits of one (X, J) pair, each distinct Gram matrix factored once.
 
-
-def fit_path(x, j, lambdas, direction: str,
-             solver: str = SOLVER_PAPER) -> list[TransformModel]:
-    """Fit W for every lambda of a grid from one eigendecomposition of the Gram matrix.
-
-    W for each lambda is bit-identical to a single-lambda fit. move-query
-    always uses its exact minimizer, whatever ``solver`` says.
+    Each fit forms its own B: move-query's W stays bit-identical to the
+    exact move-labeled fit on J^T, which B^T from J's product would not be.
     """
-    if direction == MOVE_LABELED:
-        if solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}")
-        transpose, weighted = False, solver == SOLVER_EXACT
-    elif direction == MOVE_QUERY:
-        transpose, weighted, solver = True, True, SOLVER_EXACT
-    else:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-    xm = as_matrix(x, "x")
-    jj = _check_inputs(xm, j, lambdas)
-    ws = _ridge_path(xm, jj.T if transpose else jj, lambdas, weighted)
-    return [TransformModel(w, direction, float(lam), solver)
-            for w, lam in zip(ws, lambdas)]
+
+    def __init__(self, x, j):
+        self.x = as_matrix(x, "x")
+        self.j = _indicator(self.x, j)
+        self._factors = {}  # Gram weights (None: all 1) -> (ascending eigenvalues, V)
+
+    def _weights(self, direction: str, solver: str) -> np.ndarray | None:
+        if direction == MOVE_LABELED and solver == SOLVER_PAPER:
+            return None
+        # exact move-labeled: column sums of J; move-query: column sums of J^T
+        c = np.asarray(self.j.sum(axis=0 if direction == MOVE_LABELED else 1)).ravel()
+        return None if np.all(c == 1) else c
+
+    def path(self, lambdas, direction: str, solver: str = SOLVER_PAPER) -> list[TransformModel]:
+        """W (X diag(c) X^T + lam I) = X J X^T for each lam of a grid (J^T for move-query).
+
+        W for each lambda is bit-identical to a single-lambda fit. move-query
+        always uses its exact minimizer, whatever ``solver`` says.
+        """
+        if direction == MOVE_LABELED:
+            if solver not in SOLVERS:
+                raise ValueError(f"solver must be one of {SOLVERS}")
+        elif direction == MOVE_QUERY:
+            solver = SOLVER_EXACT
+        else:
+            raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
+        _check_lambdas(lambdas)
+        xm = self.x
+        c = self._weights(direction, solver)
+        key = None if c is None else c.tobytes()
+        if key not in self._factors:
+            gram = xm @ xm.T if c is None else (xm * c[None, :]) @ xm.T
+            self._factors[key] = np.linalg.eigh(gram)
+        evals, v = self._factors[key]
+        j = self.j.T if direction == MOVE_QUERY else self.j
+        bv = (xm @ (j @ xm.T)) @ v
+        tol = v.shape[0] * np.finfo(v.dtype).eps
+        out = []
+        for lam in lambdas:
+            low, high = evals[0] + lam, evals[-1] + lam
+            if low <= tol * high:
+                ratio = low / high if high > 0 else float("nan")
+                raise SingularSystemError(
+                    f"Gram matrix plus lambda*I is numerically singular at lambda={lam!r}: "
+                    f"(min eigenvalue + lambda) / (max eigenvalue + lambda) = {ratio:.3g} "
+                    f"<= d*eps = {tol:.3g}; use a larger lambda")
+            out.append(TransformModel((bv / (evals + lam)) @ v.T, direction,
+                                      float(lam), solver))
+        return out
 
 
 def fit_move_labeled(x, j, lam: float, solver: str = SOLVER_PAPER) -> TransformModel:
@@ -150,12 +167,12 @@ def fit_move_labeled(x, j, lam: float, solver: str = SOLVER_PAPER) -> TransformM
     solver : ``paper`` for the plain-Gram closed form, ``exact`` for the
         target-multiplicity-weighted true minimizer.
     """
-    return fit_path(x, j, (lam,), MOVE_LABELED, solver)[0]
+    return RidgeSystem(x, j).path((lam,), MOVE_LABELED, solver)[0]
 
 
 def fit_move_query(x, j, lam: float) -> TransformModel:
     """Fit W for the move-query dissimilarity ||W query - labeled|| (exact minimizer)."""
-    return fit_path(x, j, (lam,), MOVE_QUERY)[0]
+    return RidgeSystem(x, j).path((lam,), MOVE_QUERY)[0]
 
 
 def fit_transform(x, j, lam: float, direction: str, solver: str) -> TransformModel:
@@ -177,9 +194,9 @@ def transform_points(model: TransformModel, points) -> np.ndarray:
 
 def regression_objective(x, j, w: np.ndarray, lam: float, direction: str) -> float:
     """Value of the fitted objective: sum of squared pair residuals + lam ||W||_F^2."""
+    _check_lambdas((lam,))
     xm = as_matrix(x, "x")
-    jj = _check_inputs(xm, j, (lam,))
-    rows, cols = jj.nonzero()
+    rows, cols = _indicator(xm, j).nonzero()
     if direction == MOVE_LABELED:
         resid = xm[:, rows] - w @ xm[:, cols]
     elif direction == MOVE_QUERY:
@@ -189,13 +206,19 @@ def regression_objective(x, j, w: np.ndarray, lam: float, direction: str) -> flo
     return float((resid ** 2).sum() + lam * (w ** 2).sum())
 
 
-def solver_disagreement(x, j, lam: float) -> float:
+def solver_disagreement(x, j, model: TransformModel) -> float:
     """Relative Frobenius gap between the paper closed form and the exact minimizer.
 
-    Zero exactly when every object serves as a target exactly once.
+    ``model`` is a move-labeled fit on (x, j) by either solver; only the
+    other solver's W is fitted here, so B = X J X^T is formed once. Zero
+    exactly when every object serves as a target exactly once: both
+    solvers then solve the same system.
     """
-    w_paper = fit_move_labeled(x, j, lam, SOLVER_PAPER).w
-    w_exact = fit_move_labeled(x, j, lam, SOLVER_EXACT).w
+    if model.direction != MOVE_LABELED:
+        raise ValueError(f"solver gap needs a {MOVE_LABELED} model, got {model.direction!r}")
+    other = SOLVER_EXACT if model.solver == SOLVER_PAPER else SOLVER_PAPER
+    w_other = fit_move_labeled(x, j, model.lam, other).w
+    w_paper, w_exact = (model.w, w_other) if other == SOLVER_EXACT else (w_other, model.w)
     denom = np.linalg.norm(w_exact)
     if denom == 0:
         return float(np.linalg.norm(w_paper - w_exact))

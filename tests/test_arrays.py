@@ -16,7 +16,8 @@ def full_sort_oracle(values: np.ndarray, k: int) -> np.ndarray:
 
 @st.composite
 def blocks(draw):
-    """(values, k): tie-heavy integer rows, optionally offset by 1e6, with +inf."""
+    """(values, k): tie-heavy integer rows, optionally offset by 1e6, with +inf,
+    in one of several memory layouts."""
     m = draw(st.integers(min_value=0, max_value=6))
     n = draw(st.integers(min_value=1, max_value=12))
     k = draw(st.integers(min_value=1, max_value=n))
@@ -25,7 +26,25 @@ def blocks(draw):
                       st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
     cells = draw(st.lists(entry, min_size=m * n, max_size=m * n))
     offset = draw(st.sampled_from([0.0, 1e6]))
-    return np.array(cells, dtype=np.float64).reshape(m, n) + offset, k
+    values = np.array(cells, dtype=np.float64).reshape(m, n) + offset
+    return draw(st.sampled_from(LAYOUTS))(values), k
+
+
+def strided(values: np.ndarray) -> np.ndarray:
+    """Every other column of a wider array, the gaps filled with smaller values."""
+    wide = np.full((values.shape[0], 2 * values.shape[1]), -np.inf)
+    wide[:, ::2] = values
+    return wide[:, ::2]
+
+
+# views holding the same logical values in other memory layouts: the top-k
+# reads flat row-major indices, so each must give the C-ordered result
+LAYOUTS = (
+    lambda v: v,
+    lambda v: np.ascontiguousarray(v.T).T,  # transposed view, Fortran order
+    strided,
+    lambda v: np.ascontiguousarray(v[::-1, ::-1])[::-1, ::-1],  # negative strides
+)
 
 
 class TestSmallestK:
@@ -34,6 +53,7 @@ class TestSmallestK:
     def test_matches_full_sort_oracle(self, block):
         values, k = block
         got = smallest_k(values, k)
+        values = np.ascontiguousarray(values)
         assert got.shape == (values.shape[0], k)
         np.testing.assert_array_equal(got, full_sort_oracle(values, k))
 

@@ -217,6 +217,17 @@ class TestHubnessCommand:
         assert {r["method"] for r in doc} == {"euclidean", "move-labeled", "move-query"}
 
 
+    def test_solver_gap_not_computed(self, train_and_queries, monkeypatch, capsys):
+        # the hubness report has no solver_gap column, so no extra fit for it
+        import hubridge.experiment
+
+        def refuse(*args):
+            raise AssertionError("solver gap computed for hubness")
+
+        monkeypatch.setattr(hubridge.experiment, "solver_disagreement", refuse)
+        train_p, _ = train_and_queries
+        assert main(["hubness", "--dataset", str(train_p), "--seed", "0"]) == 0
+
     def test_rows_follow_methods_order(self, train_and_queries, capsys):
         train_p, _ = train_and_queries
         order = ["move-query", "euclidean", "move-labeled"]

@@ -171,6 +171,44 @@ class TestRunExperiment:
 
         assert json.dumps(strip(a), sort_keys=True) == json.dumps(strip(b), sort_keys=True)
 
+    def test_work_counts(self, mixture_csv, monkeypatch):
+        # one target selection per CV fold and split, shared by the fitted
+        # methods, plus one per fitted method and split for the final fit;
+        # with one target per object, paper move-labeled and move-query read
+        # one eigendecomposition per fold
+        import hubridge.experiment
+        import hubridge.modelselect
+
+        calls = {"select": 0, "eigh": 0, "cv_eigh": 0}
+        select, eigh = hubridge.modelselect.select_targets, np.linalg.eigh
+        grid_search = hubridge.experiment.grid_search
+
+        def counting_select(*args):
+            calls["select"] += 1
+            return select(*args)
+
+        def counting_eigh(*args):
+            calls["eigh"] += 1
+            return eigh(*args)
+
+        def counting_search(*args):
+            before = calls["eigh"]
+            out = grid_search(*args)
+            calls["cv_eigh"] += calls["eigh"] - before
+            return out
+
+        for module in (hubridge.modelselect, hubridge.experiment):
+            monkeypatch.setattr(module, "select_targets", counting_select)
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(hubridge.experiment, "grid_search", counting_search)
+        splits, folds, fitted = 2, 3, 2
+        rep = run_experiment(small_config(mixture_csv, cv_folds=folds))
+        assert len(rep.rows) == 3 * splits
+        assert calls["select"] == folds * splits + fitted * splits
+        assert calls["cv_eigh"] == folds * splits
+        # the final fits, plus one for move-labeled's solver gap
+        assert calls["eigh"] - calls["cv_eigh"] == fitted * splits + splits
+
     def test_failure_carries_context(self, tmp_path):
         # a class with 2 members lands a singleton in some CV fold
         x, y = gaussian_mixture(21, 4, 3, sep=2.0, seed=0)

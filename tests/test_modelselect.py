@@ -1,7 +1,10 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 from hubridge.datamodel import dataset_from_arrays
+from hubridge.experiment import METHODS, cv_config
 from hubridge.modelselect import CvConfig, FoldError, grid_search, make_folds
 
 from _helpers import gaussian_mixture
@@ -60,7 +63,7 @@ class TestGridSearch:
         ds = self.separable_dataset()
         cfg = CvConfig(lambda_grid=(0.5,), k_grid=(3,), n_folds=5, seed=0,
                        direction="move-labeled")
-        res = grid_search(ds, np.arange(ds.n), cfg)
+        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
         assert res.best_lambda == 0.5 and res.best_k == 3
         assert len(res.table) == 1
         assert 0.0 <= res.table[0].mean_accuracy <= 1.0
@@ -74,7 +77,7 @@ class TestGridSearch:
         ds = dataset_from_arrays(x, y)
         cfg = CvConfig(lambda_grid=(0.1, 1e12), k_grid=(1,), n_folds=5, seed=0,
                        direction="move-labeled")
-        res = grid_search(ds, np.arange(ds.n), cfg)
+        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
         assert res.best_lambda == 0.1
         by_lam = {c.lam: c.mean_accuracy for c in res.table}
         assert by_lam[0.1] > by_lam[1e12]
@@ -83,15 +86,15 @@ class TestGridSearch:
         ds = self.separable_dataset()
         cfg = CvConfig(lambda_grid=(0.1, 1.0), k_grid=(1, 3), n_folds=5, seed=3,
                        direction="move-labeled")
-        a = grid_search(ds, np.arange(ds.n), cfg)
-        b = grid_search(ds, np.arange(ds.n), cfg)
+        a = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
+        b = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
         assert a == b
 
     def test_argmax_consistency(self):
         ds = self.separable_dataset(seed=4)
         cfg = CvConfig(lambda_grid=(0.01, 1.0), k_grid=(1, 5), n_folds=4, seed=2,
                        direction="move-query")
-        res = grid_search(ds, np.arange(ds.n), cfg)
+        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
         best_mean = max(c.mean_accuracy for c in res.table)
         winner = [c for c in res.table
                   if c.lam == res.best_lambda and c.k == res.best_k][0]
@@ -103,7 +106,7 @@ class TestGridSearch:
         ds = self.separable_dataset(seed=5)
         cfg = CvConfig(lambda_grid=(0.1, 10.0), k_grid=(1, 3), n_folds=5, seed=1,
                        direction=None)
-        res = grid_search(ds, np.arange(ds.n), cfg)
+        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
         assert res.best_lambda == 10.0
         by_k = {}
         for c in res.table:
@@ -116,7 +119,7 @@ class TestGridSearch:
         ds = self.separable_dataset(seed=6)
         cfg = CvConfig(lambda_grid=(0.0,), k_grid=(1, 3, 5), n_folds=5, seed=0,
                        direction=None)
-        res = grid_search(ds, np.arange(ds.n), cfg)
+        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
         assert res.best_lambda == 0.0
         assert res.best_k in (1, 3, 5)
 
@@ -125,7 +128,7 @@ class TestGridSearch:
         train = np.arange(0, 80)
         cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=4, seed=9,
                        direction="move-labeled")
-        res = grid_search(ds, train, cfg)
+        res = grid_search(ds, train, [cfg]).result(0)
         merged = np.sort(np.concatenate([np.array(f) for f in res.folds]))
         np.testing.assert_array_equal(merged, train)
 
@@ -136,7 +139,7 @@ class TestGridSearch:
         ds = self.separable_dataset(seed=8)
         cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=5, seed=3,
                        direction="move-labeled")
-        res = grid_search(ds, np.arange(ds.n), cfg)
+        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
         seen = set()
         for f in res.folds:
             assert not (seen & set(f))
@@ -150,7 +153,50 @@ class TestGridSearch:
         ds = self.separable_dataset(seed=9)
         cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=3, seed=0,
                        direction=None)
-        res = grid_search(ds, np.arange(ds.n), cfg)
+        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
         doc = res.to_json_dict()
         assert doc["version"] == 1
         assert {"lambda", "k", "mean_accuracy", "std_accuracy"} == set(doc["table"][0])
+
+
+class TestSharedPass:
+    """Every method's outcome is the one a pass serving that method alone gives."""
+
+    @staticmethod
+    def configs(methods, k_targets, solver):
+        return [cv_config(m, (0.0, 0.03, 1.0), (1, 3, 5), 3, 4, k_targets, solver)
+                for m in methods]
+
+    @pytest.mark.parametrize("k_targets, solver", [(1, "paper"), (2, "exact")])
+    @pytest.mark.parametrize("methods", [order for r in (2, 3)
+                                         for order in permutations(METHODS, r)])
+    def test_result_does_not_depend_on_the_other_methods(self, methods, k_targets, solver):
+        # overlapping classes, so any change of W moves validation accuracy;
+        # with two targets every Gram differs and none may be shared
+        x, y = gaussian_mixture(120, 6, 3, sep=0.8, seed=11)
+        ds = dataset_from_arrays(x, y)
+        train = np.arange(ds.n)
+        together = grid_search(ds, train, self.configs(methods, k_targets, solver))
+        for i, method in enumerate(methods):
+            alone = grid_search(ds, train, self.configs([method], k_targets, solver))
+            assert together.result(i) == alone.result(0), method
+
+    def test_a_failing_method_leaves_the_others_running(self):
+        # an all-zero column makes X X^T singular at lambda 0: the fitted
+        # methods fail, Euclidean (which has no lambda) still gets its result
+        x, y = gaussian_mixture(60, 4, 2, sep=2.0, seed=1)
+        x[:, 2] = 0.0
+        ds = dataset_from_arrays(x, y)
+        cfgs = [cv_config(m, (0.0,), (1,), 3, 0) for m in METHODS]
+        cv = grid_search(ds, np.arange(ds.n), cfgs)
+        assert cv.result(0) == grid_search(ds, np.arange(ds.n), cfgs[:1]).result(0)
+        for i in (1, 2):
+            with pytest.raises(ValueError, match="singular at lambda=0.0"):
+                cv.result(i)
+
+    def test_configs_must_share_the_fold_plan(self):
+        ds = dataset_from_arrays(*gaussian_mixture(30, 3, 2, sep=2.0, seed=0))
+        a = CvConfig((0.1,), (1,), n_folds=3, seed=0, direction=None)
+        b = CvConfig((0.1,), (1,), n_folds=3, seed=1, direction="move-labeled")
+        with pytest.raises(ValueError, match="share n_folds, seed and k_targets"):
+            grid_search(ds, np.arange(ds.n), [a, b])

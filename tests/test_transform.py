@@ -4,8 +4,8 @@ import pytest
 from hubridge.datamodel import dataset_from_arrays
 from hubridge.targets import indicator_matrix, select_targets
 from hubridge.transform import (SOLVER_EXACT, SOLVER_PAPER, MOVE_LABELED,
-                                MOVE_QUERY, SingularSystemError, TransformModel,
-                                fit_move_labeled, fit_move_query, fit_path,
+                                MOVE_QUERY, RidgeSystem, SingularSystemError,
+                                TransformModel, fit_move_labeled, fit_move_query,
                                 fit_transform, regression_objective,
                                 solver_disagreement, transform_points)
 
@@ -222,7 +222,7 @@ class TestRidgePath:
         for _ in range(10):
             x, j = random_problem(rng, d=int(rng.integers(2, 9)), n=60,
                                   k_targets=int(rng.integers(1, 4)))
-            path = fit_path(x, j, grid, direction, solver)
+            path = RidgeSystem(x, j).path(grid, direction, solver)
             assert [tm.lam for tm in path] == list(grid)
             for tm in path:
                 single = fit_transform(x, j, tm.lam, direction, solver)
@@ -237,7 +237,7 @@ class TestRidgePath:
         worst = 0.0
         for trial in range(50):
             x, j = random_ridge_problem(rng, k_targets=1 + trial % 2)
-            for tm in fit_path(x, j, (0.0, 0.1, 10.0), direction, solver):
+            for tm in RidgeSystem(x, j).path((0.0, 0.1, 10.0), direction, solver):
                 want, system = _solve_reference(x, j, tm.lam, direction, solver)
                 assert np.linalg.matrix_rank(system) == x.shape[0]
                 worst = max(worst, np.linalg.norm(tm.w - want) / np.linalg.norm(want))
@@ -249,8 +249,8 @@ class TestRidgePath:
         x, j = random_problem(rng, d=20, n=12, k_targets=2)
         named = r"at lambda=0\.0: .* = -?[0-9.e+-]+ <= d\*eps"  # lambda and the ratio
         with pytest.raises(SingularSystemError, match=named):
-            fit_path(x, j, (1.0, 0.0), direction, solver)
-        tm, = fit_path(x, j, (1e-6,), direction, solver)
+            RidgeSystem(x, j).path((1.0, 0.0), direction, solver)
+        tm, = RidgeSystem(x, j).path((1e-6,), direction, solver)
         want, _ = _solve_reference(x, j, 1e-6, direction, solver)
         assert np.linalg.norm(tm.w - want) / np.linalg.norm(want) < 1e-6
 
@@ -269,7 +269,7 @@ class TestRidgePath:
     def test_grid_rejects_a_negative_lambda(self, rng):
         x, j = random_problem(rng)
         with pytest.raises(ValueError, match="non-negative"):
-            fit_path(x, j, (0.1, -1.0), MOVE_LABELED)
+            RidgeSystem(x, j).path((0.1, -1.0), MOVE_LABELED)
 
 
 class TestSolverGap:
@@ -279,14 +279,14 @@ class TestSolverGap:
         j = np.zeros((6, 6))
         for i in range(6):
             j[i, (i + 1) % 6] = 1
-        assert solver_disagreement(x, j, 0.1) < 1e-12
+        assert solver_disagreement(x, j, fit_move_labeled(x, j, 0.1)) == 0.0
 
     def test_positive_when_multiplicities_vary(self, rng):
         x = rng.normal(size=(4, 6))
         j = np.zeros((6, 6))
         j[1, 0] = j[2, 0] = j[3, 0] = 1  # object 0 is a triple target
         j[0, 1] = j[4, 5] = j[5, 4] = 1
-        assert solver_disagreement(x, j, 0.1) > 1e-6
+        assert solver_disagreement(x, j, fit_move_labeled(x, j, 0.1)) > 1e-6
 
 
 class TestSerialization:
