@@ -136,7 +136,8 @@ class CvPass:
 
     @property
     def table(self) -> tuple[CvCell, ...]:
-        """Every cell the pass scored, config by config."""
+        """Every cell the pass scored, config by config: its whole grid, as
+        ``CvResult.table`` is one config's."""
         return tuple(c for o in self.outcomes if isinstance(o, CvResult) for c in o.table)
 
     def result(self, i: int) -> CvResult:
