@@ -13,8 +13,7 @@ from .datamodel import (Dataset, DatasetFormatError, PcaModel, PreprocessError,
 from .targets import TargetAssignment, TargetSelectionError, indicator_matrix, select_targets
 from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER, RidgeSystem,
                         SingularSystemError, TransformModel, fit_move_labeled,
-                        fit_move_query, fit_transform, regression_objective,
-                        solver_disagreement, transform_points)
+                        fit_move_query, fit_transform, solver_disagreement)
 from .knn import (Dissimilarity, KnnModel, build_knn_model, classify,
                   classify_batch, evaluate, knn_from_transform, neighbors,
                   neighbor_index_matrix)

@@ -4,12 +4,24 @@ Feature files come in two shapes: ``dense-csv`` (one object per line,
 ``v1,v2,...,vd,label``) and ``sparse-pairs`` (``label idx:val idx:val ...``
 with 1-based indices, densified on load). Labels are remapped to contiguous
 integer ids in first-appearance order; the original tokens are kept on the
-dataset for reporting.
+dataset for reporting. A dense-csv label may not be empty, and a
+sparse-pairs label may not contain ``:`` (such a line starts with a pair and
+has no label).
+
+Files are parsed in blocks of a few thousand tokens. Each block's numbers go
+through Python ``float`` (``int`` for indices) in one ``np.fromiter`` call
+and get one vectorized finiteness check; sparse-pairs indices are checked
+(1-based, none twice in a row) once for the whole file. Blocks rather than
+the whole file, because a whole file's token strings take several times the
+memory of the matrix they fill. A file the block-wise parse rejects is parsed
+again by the per-row parsers, whose ``DatasetFormatError`` names the first
+bad row and column in file order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -127,6 +139,9 @@ def _parse_dense_csv(lines: list[tuple[int, str]]):
         elif len(fields) != width:
             raise DatasetFormatError(
                 f"row {lineno}: expected {width} fields, got {len(fields)}")
+        label = fields[-1].strip()
+        if not label:
+            raise DatasetFormatError(f"row {lineno}: empty label")
         values = []
         for col, tok in enumerate(fields[:-1], start=1):
             try:
@@ -136,7 +151,7 @@ def _parse_dense_csv(lines: list[tuple[int, str]]):
                     f"row {lineno}, column {col}: cannot parse {tok.strip()!r} as a number") from None
             values.append(_finite_or_raise(v, lineno, col))
         rows.append(values)
-        tokens.append(fields[-1].strip())
+        tokens.append(label)
     return np.array(rows, dtype=np.float64), tokens
 
 
@@ -145,6 +160,8 @@ def _parse_sparse_pairs(lines: list[tuple[int, str]]):
     d = 0
     for lineno, line in lines:
         fields = line.split()
+        if ":" in fields[0]:
+            raise DatasetFormatError(f"row {lineno}: missing label before 'idx:val' pairs")
         tokens.append(fields[0])
         row = {}
         for col, tok in enumerate(fields[1:], start=1):
@@ -176,21 +193,91 @@ def _parse_sparse_pairs(lines: list[tuple[int, str]]):
     return features, tokens
 
 
+# Tokens a block-wise parse holds at once (13 rows of 300 values): the peak of
+# a load is the feature matrix, the lines and one block's token strings.
+_BLOCK_TOKENS = 1 << 12
+
+
+def _row_blocks(lines: list[tuple[int, str]], tokens_per_row: int):
+    """(first row, row texts) of consecutive blocks of about _BLOCK_TOKENS tokens."""
+    step = max(1, _BLOCK_TOKENS // tokens_per_row)
+    for start in range(0, len(lines), step):
+        yield start, [line for _, line in lines[start:start + step]]
+
+
+def _dense_csv_blocks(lines: list[tuple[int, str]]):
+    """``_parse_dense_csv``'s result, parsed block-wise; None where it would raise."""
+    d = lines[0][1].count(",")
+    if d < 1:
+        return None
+    features = np.empty((len(lines), d))
+    tokens = []
+    for start, block in _row_blocks(lines, d + 1):
+        rows = [line.split(",") for line in block]
+        labels = [fields.pop().strip() for fields in rows]
+        if any(len(fields) != d for fields in rows) or "" in labels:
+            return None
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(rows)), np.float64,
+                                 len(rows) * d)
+        except ValueError:
+            return None
+        if not np.isfinite(values).all():
+            return None
+        features[start:start + len(rows)] = values.reshape(len(rows), d)
+        tokens += labels
+    return features, tokens
+
+
+def _sparse_pairs_blocks(lines: list[tuple[int, str]]):
+    """``_parse_sparse_pairs``'s result, parsed block-wise; None where it would raise."""
+    rows, idx, vals, tokens = [], [], [], []
+    for start, block in _row_blocks(lines, len(lines[0][1].split())):
+        fields = [line.split() for line in block]
+        labels = [f.pop(0) for f in fields]
+        pairs = list(chain.from_iterable(fields))
+        parts = ":".join(pairs).split(":")
+        # one ':' in every pair: at least one in each, and as many in all as there are pairs
+        if (any(":" in label for label in labels) or len(parts) != 2 * len(pairs)
+                or not all(":" in pair for pair in pairs)):
+            return None
+        try:
+            idx.append(np.fromiter(map(int, parts[0::2]), np.int64, len(pairs)))
+            vals.append(np.fromiter(map(float, parts[1::2]), np.float64, len(pairs)))
+        except (ValueError, OverflowError):
+            return None
+        rows.append(np.repeat(np.arange(start, start + len(fields)), list(map(len, fields))))
+        tokens += labels
+    rows, idx, vals = (np.concatenate(a) for a in (rows, idx, vals))
+    if not idx.size or idx.min() < 1 or not np.isfinite(vals).all():
+        return None
+    d = idx.max()
+    # row * d + idx - 1 is one-to-one on (row, idx); int64 wrap-around could
+    # only fake a duplicate, which sends the file to the per-row parser
+    flat = np.sort(rows * d + (idx - 1))
+    if (flat[1:] == flat[:-1]).any():
+        return None
+    features = np.zeros((len(lines), int(d)))
+    features[rows, idx - 1] = vals
+    return features, tokens
+
+
 def load_dataset(path, fmt: str) -> Dataset:
     """Load a feature file; labels are remapped to dense ids in first-appearance order."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     path = Path(path)
-    text = path.read_text()
-    lines = [(i, ln.strip()) for i, ln in enumerate(text.splitlines(), start=1)]
+    # the text is dropped once split, so the parse does not hold the file twice
+    lines = [(i, ln.strip()) for i, ln in enumerate(path.read_text().splitlines(), start=1)]
     lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise DatasetFormatError(f"{path}: file contains no data rows")
 
+    # the per-row parsers run only on files the block-wise parse rejects, to name the row
     if fmt == DENSE_CSV:
-        features, tokens = _parse_dense_csv(lines)
+        features, tokens = _dense_csv_blocks(lines) or _parse_dense_csv(lines)
     else:
-        features, tokens = _parse_sparse_pairs(lines)
+        features, tokens = _sparse_pairs_blocks(lines) or _parse_sparse_pairs(lines)
 
     id_of: dict[str, int] = {}
     labels = np.empty(len(tokens), dtype=np.int64)

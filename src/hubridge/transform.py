@@ -184,28 +184,6 @@ def fit_transform(x, j, lam: float, direction: str, solver: str) -> TransformMod
     raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
 
 
-def transform_points(model: TransformModel, points) -> np.ndarray:
-    """Map each row x through the model: x -> W x."""
-    p = as_matrix(points, "points")
-    if p.shape[1] != model.d:
-        raise ValueError(f"points have dimension {p.shape[1]}, W expects {model.d}")
-    return p @ model.w.T
-
-
-def regression_objective(x, j, w: np.ndarray, lam: float, direction: str) -> float:
-    """Value of the fitted objective: sum of squared pair residuals + lam ||W||_F^2."""
-    _check_lambdas((lam,))
-    xm = as_matrix(x, "x")
-    rows, cols = _indicator(xm, j).nonzero()
-    if direction == MOVE_LABELED:
-        resid = xm[:, rows] - w @ xm[:, cols]
-    elif direction == MOVE_QUERY:
-        resid = w @ xm[:, rows] - xm[:, cols]
-    else:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
-    return float((resid ** 2).sum() + lam * (w ** 2).sum())
-
-
 def solver_disagreement(x, j, model: TransformModel) -> float:
     """Relative Frobenius gap between the paper closed form and the exact minimizer.
 

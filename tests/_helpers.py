@@ -104,6 +104,27 @@ def pairs_from_indicator(j) -> list[tuple[int, int]]:
     return list(zip(rows.tolist(), cols.tolist()))
 
 
+def regression_objective(x, j, w: np.ndarray, lam: float, direction: str) -> float:
+    """Value of the fitted objective: sum of squared pair residuals + lam ||W||_F^2."""
+    x = np.asarray(x, dtype=np.float64)
+    rows, cols = (list(p) for p in zip(*pairs_from_indicator(j)))
+    if direction == "move-labeled":
+        resid = x[:, rows] - w @ x[:, cols]
+    elif direction == "move-query":
+        resid = w @ x[:, rows] - x[:, cols]
+    else:
+        raise ValueError(direction)
+    return float((resid ** 2).sum() + lam * (w ** 2).sum())
+
+
+def transform_points(model, points) -> np.ndarray:
+    """Map each row x through the model's W: x -> W x."""
+    p = np.asarray(points, dtype=np.float64)
+    if p.shape[1] != model.d:
+        raise ValueError(f"points have dimension {p.shape[1]}, W expects {model.d}")
+    return p @ model.w.T
+
+
 # ---------------------------------------------------------------------------
 # Exact-arithmetic skewness oracle
 # ---------------------------------------------------------------------------

@@ -1,19 +1,42 @@
 import json
+import tracemalloc
+from contextlib import contextmanager, nullcontext
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from hubridge import datamodel
 from hubridge.datamodel import (Dataset, DatasetFormatError, PcaModel,
                                 PreprocessError, Preprocessor, apply_pca,
                                 bundled_dataset_path, dataset_from_arrays,
                                 fit_pca, load_dataset, split, subset)
+
+from _helpers import write_dense_csv
 
 
 def write(tmp_path, text, name="data.csv"):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+@contextmanager
+def per_row_parse():
+    """Make load_dataset skip the block-wise parse and run the per-row parsers."""
+    with mock.patch.object(datamodel, "_dense_csv_blocks", lambda lines: None), \
+            mock.patch.object(datamodel, "_sparse_pairs_blocks", lambda lines: None):
+        yield
+
+
+def load_outcome(path, fmt):
+    """Everything load_dataset returns, as bytes, or the type and message it raised."""
+    try:
+        ds = load_dataset(path, fmt)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return ds.features.shape, ds.features.tobytes(), ds.labels.tobytes(), ds.label_names
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +107,111 @@ class TestLoadSparse:
     def test_duplicate_index_rejected(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="duplicate index"):
             load_dataset(write(tmp_path, "a 2:1.0 2:3.0\n"), "sparse-pairs")
+
+
+@pytest.mark.parametrize("per_row", [False, True], ids=["blocks", "per-row"])
+class TestLabelRules:
+    def test_empty_dense_label_named(self, tmp_path, per_row):
+        path = write(tmp_path, "1,2,a\n3,4,\n")
+        with per_row_parse() if per_row else nullcontext():
+            with pytest.raises(DatasetFormatError, match="row 2: empty label"):
+                load_dataset(path, "dense-csv")
+
+    def test_sparse_line_without_label_named(self, tmp_path, per_row):
+        path = write(tmp_path, "a 1:1 2:3\n1:2 2:5\n", "data.txt")
+        with per_row_parse() if per_row else nullcontext():
+            with pytest.raises(DatasetFormatError,
+                               match="row 2: missing label before 'idx:val' pairs"):
+                load_dataset(path, "sparse-pairs")
+
+
+# Python float and int accept some of these spellings and reject others; the
+# block-wise parse must draw the same line as the per-row parser on each.
+good_numbers = st.one_of(st.sampled_from(["1_000", "+2", "-0.0", " 1.5 "]),
+                         st.floats(-1e3, 1e3).map(repr), st.integers(-9, 9).map(str))
+bad_numbers = st.sampled_from(["1e400", "nan", "inf", "Infinity", "0x1p3", "", "x"])
+good_indices = st.sampled_from(["1", "2", "3", "4", "5", "6", "1_0", "+1"])
+bad_pairs = st.sampled_from(["0:1", "-1:1", ":1", "1:", "1:2:3", "4", "1:nan", "2:1e400"])
+
+
+def rarely(draw, good, bad, clean):
+    """A draw from ``good``; in a file that is not ``clean``, from ``bad`` one time in eight."""
+    return draw(good) if clean or draw(st.integers(1, 8)) != 5 else draw(bad)
+
+
+@st.composite
+def dense_csv_texts(draw):
+    width, clean = draw(st.integers(1, 3)), draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        count = rarely(draw, st.just(width), st.sampled_from([0, width - 1, width + 1]), clean)
+        values = [rarely(draw, good_numbers, bad_numbers, clean) for _ in range(count)]
+        label = rarely(draw, st.sampled_from(["a", " b ", "b", "1:2"]), st.just(""), clean)
+        lines.append(",".join(values + [label]))
+        if draw(st.integers(1, 8)) == 5:
+            lines.append(draw(st.sampled_from(["", "# comment"])))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def sparse_pairs_texts(draw):
+    value = good_numbers.filter(lambda t: t == t.strip())
+    lines, clean = [], draw(st.booleans())
+    for _ in range(draw(st.integers(1, 6))):
+        label = rarely(draw, st.sampled_from(["a", "b", "c"]), st.sampled_from(["1:2", "x:"]),
+                       clean)
+        indices = draw(st.lists(good_indices, max_size=3, unique=True))
+        pairs = [rarely(draw, value.map(lambda v: f"{i}:{v}"), bad_pairs, clean)
+                 for i in indices]
+        lines.append(" ".join([label] + pairs))
+    return "\n".join(lines) + "\n"
+
+
+class TestBlockParse:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(dense_csv_texts().map(lambda t: (t, "dense-csv")),
+                     sparse_pairs_texts().map(lambda t: (t, "sparse-pairs"))),
+           st.integers(1, 8))
+    @example(("a 4 1:2:3\n", "sparse-pairs"), 8)  # pairs whose ':' count only in total
+    @example(("1,a\n2,b\n", "dense-csv"), 1)  # one row per block
+    @example(("a 1:1\nb 2:1\n", "sparse-pairs"), 1)
+    def test_agrees_with_per_row_parser(self, tmp_path_factory, file, block_tokens):
+        text, fmt = file
+        path = write(tmp_path_factory.getbasetemp(), text, "agree.txt")
+        with mock.patch.object(datamodel, "_BLOCK_TOKENS", block_tokens):
+            fast = load_outcome(path, fmt)
+        with per_row_parse():
+            slow = load_outcome(path, fmt)
+        assert fast == slow
+
+    def test_valid_files_take_the_block_path(self, tmp_path, rng):
+        dense = tmp_path / "data.csv"
+        write_dense_csv(dense, rng.normal(size=(50, 2)), np.arange(50) % 3)
+        sparse = write(tmp_path, "a 1:1.5 3:2.5\nb 2:-1.0\n\nc\n", "data.txt")
+        with per_row_parse():
+            want = [load_outcome(dense, "dense-csv"), load_outcome(sparse, "sparse-pairs")]
+        refuse = mock.Mock(side_effect=AssertionError("per-row parser ran"))
+        with mock.patch.object(datamodel, "_parse_dense_csv", refuse), \
+                mock.patch.object(datamodel, "_parse_sparse_pairs", refuse), \
+                mock.patch.object(datamodel, "_BLOCK_TOKENS", 16):
+            got = [load_outcome(dense, "dense-csv"), load_outcome(sparse, "sparse-pairs")]
+        assert got == want and want[0][0] == (50, 2) and want[1][0] == (3, 3)
+
+    def test_peak_memory_within_per_row_parser(self, tmp_path, rng):
+        path = tmp_path / "wide.csv"
+        write_dense_csv(path, rng.normal(size=(2000, 100)), np.arange(2000) % 5)
+
+        def peak():
+            tracemalloc.start()
+            try:
+                load_dataset(path, "dense-csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with per_row_parse():
+            per_row = peak()
+        assert peak() <= per_row
 
 
 class TestDatasetInvariants:

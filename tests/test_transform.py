@@ -6,10 +6,10 @@ from hubridge.targets import indicator_matrix, select_targets
 from hubridge.transform import (SOLVER_EXACT, SOLVER_PAPER, MOVE_LABELED,
                                 MOVE_QUERY, RidgeSystem, SingularSystemError,
                                 TransformModel, fit_move_labeled, fit_move_query,
-                                fit_transform, regression_objective,
-                                solver_disagreement, transform_points)
+                                fit_transform, solver_disagreement)
 
-from _helpers import gd_minimize, pairs_from_indicator
+from _helpers import (gd_minimize, pairs_from_indicator, regression_objective,
+                      transform_points)
 from test_acceptance import random_ridge_problem
 
 
