@@ -63,18 +63,20 @@ def sq_norms(points: np.ndarray) -> np.ndarray:
 
 
 def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray,
-                      points_sq_norms: np.ndarray | None = None) -> np.ndarray:
+                      points_sq_norms: np.ndarray | None = None,
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between each query row and each point row.
 
     Uses the expanded form ||q||^2 - 2 q.p + ||p||^2 (one GEMM), clipped at
     zero to absorb rounding. Identical input rows produce identical output
     values, so index-based tie-breaking downstream stays deterministic.
     ``points_sq_norms`` is ``sq_norms(points)``, computed once by callers
-    that query the same points repeatedly.
+    that query the same points repeatedly. ``out``, if given, receives the
+    result (a reused buffer saves page faults on large blocks).
     """
     qq = sq_norms(queries)
     pp = sq_norms(points) if points_sq_norms is None else points_sq_norms
-    d2 = queries @ points.T
+    d2 = np.matmul(queries, points.T, out=out)
     d2 *= -2.0
     d2 += qq[:, None]
     d2 += pp[None, :]
@@ -93,12 +95,15 @@ def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
     (``flatnonzero`` and ``ravel`` both read in logical C order, whatever the
     memory layout) and split into (row, column) by ``divmod``; a stable sort
     by (row, value) then keeps equal values in column order, and each row's
-    candidates start where its row number first appears. ``values`` must not
+    candidates start where its row number first appears. At k = 1 this is
+    ``argmin``, which returns the first minimum. ``values`` must not
     contain NaN; +inf is allowed.
     """
     m, n = values.shape
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
+    if k == 1:
+        return values.argmin(axis=1)[:, None]
     kth = np.partition(values, k - 1, axis=1)[:, k - 1]
     flat = np.flatnonzero(values <= kth[:, None])
     rows, cols = np.divmod(flat, n)

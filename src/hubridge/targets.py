@@ -52,23 +52,25 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> TargetAssignment:
     if k_targets < 0:
         raise ValueError("k_targets must be non-negative")
     tr = index_vector(train, dataset.n, "train")
-    feats = dataset.features[tr]
     labs = dataset.labels[tr]
     m = tr.size
     targets: list[tuple[int, ...]] = [()] * m
     if k_targets == 0:
         return TargetAssignment(tuple(targets), 0)
 
-    for c in np.unique(labs):
+    classes, sizes = np.unique(labs, return_counts=True)
+    buf = np.empty(int(sizes.max(initial=0)) ** 2)  # one distance block for every class
+    for c, size in zip(classes, sizes.tolist()):
         members = np.flatnonzero(labs == c)
-        if members.size < 2:
+        if size < 2:
             raise TargetSelectionError(
                 f"training class {dataset.label_names[int(c)]!r} has a single member; "
                 "cannot select same-class targets")
-        member_feats = feats[members]
-        d2 = pairwise_sq_dists(member_feats, member_feats)
+        member_feats = dataset.features[tr[members]]
+        d2 = pairwise_sq_dists(member_feats, member_feats,
+                               out=buf[:size * size].reshape(size, size))
         np.fill_diagonal(d2, np.inf)
-        chosen = members[smallest_k(d2, min(k_targets, members.size - 1))]
+        chosen = members[smallest_k(d2, min(k_targets, size - 1))]
         for i, row in zip(members.tolist(), chosen.tolist()):
             targets[i] = tuple(row)
     return TargetAssignment(tuple(targets), k_targets)

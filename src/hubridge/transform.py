@@ -11,6 +11,11 @@ min(e) + lam <= d * eps * (max(e) + lam), numpy's ``matrix_rank`` tolerance.
 Weights that are all 1 give G = X X^T, formed as with no weights, so fits
 that share a Gram can share its eigendecomposition (``RidgeSystem``).
 
+X is (d, n) at the API, one column per object. ``RidgeSystem`` holds it as
+its (n, d) rows R = X^T (taken without a copy when x is ``rows.T``, as the
+callers pass it) and forms G = R^T R and B = R^T (J R), so the sparse
+product reads C-ordered rows and no (d, n) copy is made.
+
 * move-labeled: ||x - W z|| pulls each target z toward its owner x_i; the
   body runs on J. Solver ``paper`` uses no weights, ``exact`` the column
   sums of J (target multiplicities); they coincide exactly when every object
@@ -89,13 +94,19 @@ def _check_lambdas(lambdas) -> None:
         raise ValueError("lambda must be non-negative")
 
 
-def _indicator(x: np.ndarray, j) -> sp.csr_matrix:
-    n = x.shape[1]
+def _indicator(n: int, j) -> sp.csr_matrix:
     jj = sp.csr_matrix(j)
     if jj.shape != (n, n):
         raise ValueError(f"indicator matrix must be {n}x{n}, got {jj.shape}")
-    if jj.nnz and (jj.data.min() < 0 or jj.data.max() > 1):
-        raise ValueError("indicator matrix entries must be 0 or 1")
+    if not jj.has_canonical_format:  # repeated (row, col) entries add up
+        jj = jj.copy()
+        jj.sum_duplicates()
+    bad = np.flatnonzero((jj.data != 0) & (jj.data != 1))  # NaN is neither
+    if bad.size:
+        p = int(bad[0])
+        row = int(np.searchsorted(jj.indptr, p, side="right")) - 1
+        raise ValueError(f"indicator matrix entry ({row}, {int(jj.indices[p])}) = "
+                         f"{float(jj.data[p])!r}; entries must be 0 or 1")
     return jj
 
 
@@ -107,8 +118,8 @@ class RidgeSystem:
     """
 
     def __init__(self, x, j):
-        self.x = as_matrix(x, "x")
-        self.j = _indicator(self.x, j)
+        self.rows = as_matrix(np.transpose(x), "x")  # X^T: no copy when x is rows.T
+        self.j = _indicator(self.rows.shape[0], j)
         self._factors = {}  # Gram weights (None: all 1) -> (ascending eigenvalues, V)
 
     def _weights(self, direction: str, solver: str) -> np.ndarray | None:
@@ -132,15 +143,15 @@ class RidgeSystem:
         else:
             raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
         _check_lambdas(lambdas)
-        xm = self.x
+        rows = self.rows
         c = self._weights(direction, solver)
         key = None if c is None else c.tobytes()
         if key not in self._factors:
-            gram = xm @ xm.T if c is None else (xm * c[None, :]) @ xm.T
+            gram = rows.T @ rows if c is None else (rows * c[:, None]).T @ rows
             self._factors[key] = np.linalg.eigh(gram)
         evals, v = self._factors[key]
         j = self.j.T if direction == MOVE_QUERY else self.j
-        bv = (xm @ (j @ xm.T)) @ v
+        bv = (rows.T @ (j @ rows)) @ v
         tol = v.shape[0] * np.finfo(v.dtype).eps
         out = []
         for lam in lambdas:

@@ -57,6 +57,30 @@ class TestSmallestK:
         assert got.shape == (values.shape[0], k)
         np.testing.assert_array_equal(got, full_sort_oracle(values, k))
 
+    @given(blocks())
+    @settings(max_examples=200, deadline=None)
+    def test_first_minimum_matches_full_sort_oracle(self, block):
+        values, _ = block
+        np.testing.assert_array_equal(smallest_k(values, 1),
+                                      full_sort_oracle(np.ascontiguousarray(values), 1))
+
+    @pytest.mark.parametrize("values", [
+        np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]),  # -0.0 == 0.0: lower index
+        np.array([[np.inf, np.inf, np.inf], [np.inf, 2.0, 2.0]]),
+        np.zeros((0, 4)),
+    ], ids=["signed-zeros", "all-inf-row", "no-rows"])
+    def test_first_minimum_edge_cases(self, values):
+        got = smallest_k(values, 1)
+        assert got.shape == (values.shape[0], 1)
+        np.testing.assert_array_equal(got, full_sort_oracle(values, 1))
+
+    def test_first_minimum_takes_no_partition(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("k = 1 must not partition")
+
+        monkeypatch.setattr(np, "partition", refuse)
+        np.testing.assert_array_equal(smallest_k(np.array([[3.0, 1.0, 1.0, 0.5]]), 1), [[3]])
+
     def test_tie_straddling_kth_place_keeps_lower_indices(self):
         values = np.array([[2.0, 1.0, 0.0, 1.0, 1.0, 1.0]])
         np.testing.assert_array_equal(smallest_k(values, 3), [[2, 1, 3]])
@@ -79,3 +103,9 @@ class TestPairwiseSqDists:
         np.testing.assert_array_equal(pairwise_sq_dists(q, p, sq_norms(p)),
                                       pairwise_sq_dists(q, p))
 
+    def test_out_buffer_bit_identical(self, rng):
+        p = rng.normal(size=(40, 30))
+        buf = np.empty(50 * 50)
+        got = pairwise_sq_dists(p, p, out=buf[:40 * 40].reshape(40, 40))
+        assert np.shares_memory(got, buf)
+        assert got.tobytes() == pairwise_sq_dists(p, p).tobytes()

@@ -11,7 +11,11 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import hubridge  # noqa: F401  (loads every hubridge module the tracer scans)
+from hubridge.datamodel import dataset_from_arrays
+from hubridge.experiment import fit_timed
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -47,3 +51,18 @@ def test_every_traced_binding_resolves_and_is_restored():
             assert vars(holder)[key] is not original, f"{holder.__name__}.{key} not wrapped"
     for holder, key, original, _ in bindings:
         assert vars(holder)[key] is original, f"{holder.__name__}.{key} not restored"
+
+
+def test_fit_timed_counts_one_selection_and_one_fit():
+    # the benchmark's per-layer counts read fit_timed's (d, n) argument; a
+    # change that passed rows instead would move transform.gram_gflop
+    rng = np.random.default_rng(0)
+    n, d = 60, 7
+    ds = dataset_from_arrays(rng.normal(size=(n, d)), np.arange(n) % 3)
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        fit_timed(ds, "move-labeled", 0.1, 1, "paper")
+    metrics = tracer.layer_metrics()
+    assert metrics["transform.fit_calls"] == 1
+    assert metrics["targets.select_calls"] == 1
+    assert metrics["transform.gram_gflop"] == 4.0 * d * d * n / 1e9

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hubridge.datamodel import dataset_from_arrays
 from hubridge.targets import indicator_matrix, select_targets
@@ -170,6 +173,25 @@ class TestErrors:
         with pytest.raises(ValueError, match="0 or 1"):
             fit_move_labeled(x, np.full((4, 4), 2.0), 0.1)
 
+    def test_fractional_entries_name_the_first_one(self, rng):
+        x = rng.normal(size=(3, 4))
+        with pytest.raises(ValueError, match=r"entry \(0, 0\) = 0\.5; entries must be 0 or 1"):
+            fit_move_labeled(x, np.full((4, 4), 0.5), 0.1)
+
+    def test_nan_entry_is_not_an_indicator(self, rng):
+        x = rng.normal(size=(3, 4))
+        j = np.eye(4)[[1, 0, 3, 2]]
+        j[2, 1] = np.nan
+        with pytest.raises(ValueError, match=r"entry \(2, 1\) = nan; entries must be 0 or 1"):
+            fit_move_labeled(x, j, 0.1)
+
+    def test_repeated_entries_add_up(self, rng):
+        x = rng.normal(size=(3, 4))
+        # (data, indices, indptr) keeps the repeated (3, 2); it counts twice in J X^T
+        j = sp.csr_matrix((np.ones(5), [1, 0, 3, 2, 2], [0, 1, 2, 3, 5]), shape=(4, 4))
+        with pytest.raises(ValueError, match=r"entry \(3, 2\) = 2\.0"):
+            fit_move_labeled(x, j, 0.1)
+
 
     def test_fit_transform_dispatch(self, rng):
         x, j = random_problem(rng, d=3, n=8)
@@ -270,6 +292,36 @@ class TestRidgePath:
         x, j = random_problem(rng)
         with pytest.raises(ValueError, match="non-negative"):
             RidgeSystem(x, j).path((0.1, -1.0), MOVE_LABELED)
+
+
+class TestRowLayout:
+    """RidgeSystem keeps X as its (n, d) rows; the (d, n) argument's layout does not matter."""
+
+    @pytest.mark.parametrize("direction, solver", CASES)
+    def test_w_is_bit_identical_for_either_layout(self, rng, direction, solver):
+        for _ in range(5):
+            x, j = random_problem(rng, d=int(rng.integers(2, 30)), n=200,
+                                  k_targets=int(rng.integers(1, 4)))
+            rows = np.ascontiguousarray(x.T)
+            grid = (0.0, 0.1, 10.0)
+            by_columns = RidgeSystem(x, j).path(grid, direction, solver)
+            by_rows = RidgeSystem(rows.T, j).path(grid, direction, solver)
+            assert [a.w.tobytes() for a in by_columns] == [b.w.tobytes() for b in by_rows]
+
+    @pytest.mark.parametrize("direction, solver", CASES)
+    def test_transposed_rows_are_not_copied(self, rng, direction, solver):
+        n, d = 20_000, 20
+        rows = rng.normal(size=(n, d))
+        j = sp.csr_matrix((np.ones(n), (np.arange(n), rng.integers(0, n, size=n))),
+                          shape=(n, n))
+        tracemalloc.start()
+        try:
+            RidgeSystem(rows.T, j).path((0.1,), direction, solver)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # J X^T is one n x d block; a copy of X would be a second
+        assert peak < 2 * n * d * 8
 
 
 class TestSolverGap:
