@@ -14,13 +14,11 @@ from .targets import TargetAssignment, TargetSelectionError, indicator_matrix, s
 from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER, RidgeSystem,
                         SingularSystemError, TransformModel, fit_move_labeled,
                         fit_move_query, fit_transform, solver_disagreement)
-from .knn import (Dissimilarity, KnnModel, build_knn_model, classify,
-                  classify_batch, evaluate, knn_from_transform, neighbors,
-                  neighbor_index_matrix)
+from .knn import (Dissimilarity, KnnModel, build_knn_model, classify_batch, evaluate,
+                  knn_from_transform, neighbor_index_matrix)
 from .hubness import HubnessRow, ZeroVarianceError, hubness_report, nk_counts, skewness
 from .theory import (CentralityExperiment, CentralityResult, PairConstructionError,
-                     hub_tendency_demo, simulate_delta, squared_norm_std,
-                     theoretical_delta)
+                     simulate_delta, squared_norm_std, theoretical_delta)
 from .modelselect import (CvCell, CvConfig, CvPass, CvResult, FoldError, grid_search,
                           make_folds)
 from .experiment import (ExperimentConfig, ExperimentReport, MethodAggregate,

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import as_matrix, as_vector, as_int_vector, frozen
+from ._arrays import as_matrix, as_vector, as_int_vector, frozen, index_vector
 
 DENSE_CSV = "dense-csv"
 SPARSE_PAIRS = "sparse-pairs"
@@ -109,7 +109,7 @@ def dataset_from_arrays(features, labels, name: str = "",
 
 def subset(dataset: Dataset, indices) -> Dataset:
     """Row subset as a new Dataset. Every class must survive the selection."""
-    idx = as_int_vector(indices, "indices")
+    idx = index_vector(indices, dataset.n, "indices")
     f = np.array(dataset.features[idx], copy=True)
     y = np.array(dataset.labels[idx], copy=True)
     return Dataset(f, y, dataset.class_count, dataset.name, dataset.label_names)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._arrays import index_vector
 from .datamodel import (Dataset, Preprocessor, Split, load_dataset,
                         split as make_split, subset)
 from .hubness import DEFAULT_HUBNESS_K, skewness
@@ -34,24 +35,30 @@ DEFAULT_K_GRID = (1, 3, 5, 7, 9)
 
 
 def _json(*kinds, item=None):
-    """Parser requiring a value of one of ``kinds``; a list's entries go through ``item``."""
+    """Parser requiring one of ``kinds`` (bool only if listed); list entries go through ``item``."""
     def parse(value):
-        if not isinstance(value, kinds):
+        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
             raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, "
                             f"got {value!r}")
         return value if item is None else tuple(map(item, value))
     return parse
 
 
-# parser per config JSON key; "dataset" and "format" fill the fields
-# ``dataset_path`` and ``fmt``
+def _number(value) -> float:
+    """A JSON number, not a bool, as a float."""
+    return float(_json(int, float)(value))
+
+
+# parser per config JSON key, in the file's key order
 _CONFIG_PARSERS = {
     "dataset": _json(str), "format": _json(str), "center": _json(bool),
     "zscore": _json(bool), "pca_dim": _json(int, type(None)), "methods": _json(list, item=str),
-    "n_splits": int, "train_fraction": float, "seeds": _json(list, item=int),
-    "lambda_grid": _json(list, item=float), "k_grid": _json(list, item=int), "cv_folds": int,
-    "k_targets": int, "solver": _json(str), "hubness_k": int,
-    "out_dir": _json(str, type(None))}
+    "n_splits": _json(int), "train_fraction": _number, "seeds": _json(list, item=_json(int)),
+    "lambda_grid": _json(list, item=_number), "k_grid": _json(list, item=_json(int)),
+    "cv_folds": _json(int), "k_targets": _json(int), "solver": _json(str),
+    "hubness_k": _json(int), "out_dir": _json(str, type(None))}
+# the config keys whose ExperimentConfig field has another name
+_CONFIG_FIELDS = {"dataset": "dataset_path", "format": "fmt"}
 
 
 @dataclass(frozen=True)
@@ -87,20 +94,18 @@ class ExperimentConfig:
             raise ValueError(f"unknown method(s) {sorted(unknown)}; expected {METHODS}")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
+        if self.hubness_k < 1:
+            raise ValueError("hubness_k must be >= 1")
+        if not 0.0 < self.train_fraction < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         # the user's grids, k_targets and solver fail here, not mid-run, even
         # when Euclidean alone (whose search ignores lambda_grid) is asked for
         CvConfig(self.lambda_grid, self.k_grid, n_folds=self.cv_folds, seed=0,
                  direction=None, k_targets=self.k_targets, solver=self.solver)
 
     def to_json_dict(self) -> dict:
-        return {"version": 1, "dataset": self.dataset_path, "format": self.fmt,
-                "center": self.center, "zscore": self.zscore, "pca_dim": self.pca_dim,
-                "methods": list(self.methods), "n_splits": self.n_splits,
-                "train_fraction": self.train_fraction, "seeds": list(self.seeds),
-                "lambda_grid": list(self.lambda_grid), "k_grid": list(self.k_grid),
-                "cv_folds": self.cv_folds, "k_targets": self.k_targets,
-                "solver": self.solver, "hubness_k": self.hubness_k,
-                "out_dir": self.out_dir}
+        doc = {key: getattr(self, _CONFIG_FIELDS.get(key, key)) for key in _CONFIG_PARSERS}
+        return {"version": 1, **{k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}}
 
     @classmethod
     def from_json_dict(cls, doc) -> "ExperimentConfig":
@@ -122,7 +127,7 @@ class ExperimentConfig:
                     value = parse(doc[key])
                 except (TypeError, ValueError) as e:
                     raise ValueError(f"config key {key!r}: {e}") from None
-                kwargs[{"dataset": "dataset_path", "format": "fmt"}.get(key, key)] = value
+                kwargs[_CONFIG_FIELDS.get(key, key)] = value
         kwargs.setdefault("n_splits", len(kwargs["seeds"]))
         return cls(**kwargs)
 
@@ -224,7 +229,8 @@ def preprocess(dataset: Dataset, train_rows=None, *, center: bool = True,
     A ``Preprocessor`` is fitted on ``train_rows`` only (``None`` fits on all
     rows) and applied to every row. Order: z-score, center, PCA.
     """
-    rows = np.arange(dataset.n) if train_rows is None else np.asarray(train_rows)
+    rows = (np.arange(dataset.n) if train_rows is None
+            else index_vector(train_rows, dataset.n, "train_rows"))
     prep = Preprocessor.fit(dataset.features[rows], center=center, zscore=zscore,
                             pca_dim=pca_dim)
     return Dataset(prep.apply(dataset.features), dataset.labels.copy(),
@@ -234,6 +240,8 @@ def preprocess(dataset: Dataset, train_rows=None, *, center: bool = True,
 def fit_timed(train_ds: Dataset, method: str, lam: float, k_targets: int,
               solver: str):
     """Select targets and fit the transform, timing exactly that region."""
+    if k_targets < 1:
+        raise ValueError("k_targets must be >= 1")
     local = np.arange(train_ds.n)
     t0 = time.perf_counter()
     assignment = select_targets(train_ds, local, k_targets)

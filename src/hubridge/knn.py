@@ -1,16 +1,14 @@
-"""Exact k-nearest-neighbor classification under pluggable dissimilarities.
+"""Exact batch k-nearest-neighbor classification under pluggable dissimilarities.
 
 A ``Dissimilarity`` holds two optional square maps, ``labeled_map`` L and
 ``query_map`` Q, and compares ||Q x - L z||^2 for a query x and a labeled z;
-a None map is the identity. ``euclidean`` has neither map, ``transformed_labeled``
-sets L = W (mapped once, at build), ``transformed_query`` sets Q = W (mapped at
-lookup time) and ``both_sides`` sets L = Q (a hook for external Mahalanobis maps).
-
-Search is brute force: every dissimilarity is computed, then each row's k
-smallest are picked by partial selection (``_arrays.smallest_k``) rather than
-a full sort. Ties break toward the lower labeled index, exactly as a stable
-full sort would order them. Majority votes tie-break toward the label of the
-nearest neighbor within the tied label set, which degrades to the 1-NN rule.
+a None map is the identity. A model maps its labeled points through L once;
+each lookup maps its query batch through Q, computes every dissimilarity and
+picks each row's k smallest by partial selection (``_arrays.smallest_k``)
+rather than a full sort. Ties break toward the lower labeled index, exactly as
+a stable full sort would order them. Majority votes tie-break toward the
+label of the nearest neighbor within the tied label set, which degrades to
+the 1-NN rule.
 """
 
 from __future__ import annotations
@@ -19,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import (as_matrix, as_int_vector, as_vector, frozen, pairwise_sq_dists,
-                      query_chunks, smallest_k, sq_norms)
+from ._arrays import (as_matrix, as_int_vector, frozen, pairwise_sq_dists, query_chunks,
+                      smallest_k, sq_norms)
 from .transform import TransformModel, MOVE_LABELED
 
 
@@ -48,18 +46,6 @@ class Dissimilarity:
     @classmethod
     def euclidean(cls) -> "Dissimilarity":
         return cls()
-
-    @classmethod
-    def transformed_labeled(cls, w) -> "Dissimilarity":
-        return cls(labeled_map=w)
-
-    @classmethod
-    def transformed_query(cls, w) -> "Dissimilarity":
-        return cls(query_map=w)
-
-    @classmethod
-    def both_sides(cls, l) -> "Dissimilarity":
-        return cls(l, l)
 
     def map_labeled(self, points: np.ndarray) -> np.ndarray:
         return points if self.labeled_map is None else points @ self.labeled_map.T
@@ -89,6 +75,9 @@ class KnnModel:
             raise ValueError("labels length must match labeled point count")
         if not 1 <= self.k <= self.labeled_points.shape[0]:
             raise ValueError(f"k must be in [1, {self.labeled_points.shape[0]}], got {self.k}")
+        if (self.labels < 0).any():  # a vote would wrap a negative class id around
+            p = int(np.argmax(self.labels < 0))
+            raise ValueError(f"labels[{p}] = {int(self.labels[p])} is negative")
         frozen(self.labeled_points)
         frozen(self.labels)
         object.__setattr__(self, "labeled_sq_norms", frozen(sq_norms(self.labeled_points)))
@@ -118,19 +107,12 @@ def knn_from_transform(model: TransformModel | None, labeled_points, labels,
                        k: int) -> KnnModel:
     """Bridge a fitted TransformModel (None: plain Euclidean) to a KnnModel."""
     if model is None:
-        dis = Dissimilarity.euclidean()
+        dis = Dissimilarity()
     elif model.direction == MOVE_LABELED:
-        dis = Dissimilarity.transformed_labeled(model.w)
+        dis = Dissimilarity(labeled_map=model.w)
     else:
-        dis = Dissimilarity.transformed_query(model.w)
+        dis = Dissimilarity(query_map=model.w)
     return build_knn_model(labeled_points, labels, k, dis)
-
-
-def _query_matrix(model: KnnModel, queries) -> np.ndarray:
-    q = as_matrix(queries, "queries")
-    if q.shape[1] != model.d:
-        raise ValueError(f"queries have dimension {q.shape[1]}, model expects {model.d}")
-    return model.dissimilarity.map_query(q)
 
 
 def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.ndarray:
@@ -145,20 +127,15 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
     k = model.k if k is None else int(k)
     if not 1 <= k <= model.n:
         raise ValueError(f"k must be in [1, {model.n}], got {k}")
-    q = _query_matrix(model, queries)
+    q = as_matrix(queries, "queries")
+    if q.shape[1] != model.d:
+        raise ValueError(f"queries have dimension {q.shape[1]}, model expects {model.d}")
+    q = model.dissimilarity.map_query(q)
     out = np.empty((q.shape[0], k), dtype=np.int64)
     for lo, hi in query_chunks(q.shape[0], model.n):
         d2 = pairwise_sq_dists(q[lo:hi], model.labeled_points, model.labeled_sq_norms)
         out[lo:hi] = smallest_k(d2, k)
     return out
-
-
-def neighbors(model: KnnModel, query) -> list[tuple[int, float]]:
-    """The model's k nearest labeled objects for one query, with squared dissimilarities."""
-    q = _query_matrix(model, np.atleast_2d(as_vector(query, "query")))
-    d2 = pairwise_sq_dists(q, model.labeled_points, model.labeled_sq_norms)[0]
-    idx = smallest_k(d2[None, :], model.k)[0]
-    return [(int(i), float(d2[i])) for i in idx]
 
 
 def majority_vote(neighbor_labels: np.ndarray, n_classes: int) -> np.ndarray:
@@ -182,11 +159,6 @@ def classify_batch(model: KnnModel, queries) -> np.ndarray:
     idx = neighbor_index_matrix(model, queries)
     n_classes = int(model.labels.max()) + 1
     return majority_vote(model.labels[idx], n_classes)
-
-
-def classify(model: KnnModel, query) -> int:
-    """Predicted class id for a single query vector."""
-    return int(classify_batch(model, np.atleast_2d(as_vector(query, "query")))[0])
 
 
 def evaluate(model: KnnModel, queries, true_labels) -> float:

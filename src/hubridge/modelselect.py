@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_int_vector
+from ._arrays import as_int_vector, index_vector
 from .datamodel import Dataset
 from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
 from .targets import select_targets, indicator_matrix
@@ -194,7 +194,7 @@ def grid_search(dataset: Dataset, train_indices, configs) -> CvPass:
         raise ValueError("configs must share n_folds, seed and k_targets, got "
                          f"{sorted(plans)}")
     n_folds, seed, k_targets = plans.pop()
-    tr = as_int_vector(train_indices, "train_indices")
+    tr = index_vector(train_indices, dataset.n, "train_indices")
     try:
         folds = make_folds(tr, dataset.labels[tr], n_folds, seed)
     except FoldError as e:

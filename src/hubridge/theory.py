@@ -15,10 +15,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.stats
-
-from .hubness import nk_counts
-from .knn import Dissimilarity, build_knn_model
 
 _DRAW_CHUNK = 16384
 
@@ -31,9 +27,9 @@ class PairConstructionError(ValueError):
 class CentralityExperiment:
     """Configuration for one simulated pair-of-points experiment.
 
-    ``gamma`` is the squared-norm gap in units of sigma. Queries default to
-    N(0, I); ``query_std`` rescales them and ``query_shift`` moves their
-    mean along the z2 - z1 direction (breaking the zero-mean assumption).
+    ``gamma`` is the squared-norm gap in units of sigma. Queries are drawn
+    from N(0, I); ``query_shift`` moves their mean along the z2 - z1
+    direction (breaking the zero-mean assumption).
     """
 
     d: int
@@ -41,7 +37,6 @@ class CentralityExperiment:
     gamma: float
     n_queries: int
     seed: int
-    query_std: float = 1.0
     query_shift: float = 0.0
 
     def __post_init__(self):
@@ -51,8 +46,6 @@ class CentralityExperiment:
             raise ValueError("s must be positive")
         if self.n_queries < 1:
             raise ValueError("n_queries must be >= 1")
-        if self.query_std <= 0:
-            raise ValueError("query_std must be positive")
 
 
 @dataclass(frozen=True)
@@ -111,7 +104,7 @@ def simulate_delta(exp: CentralityExperiment) -> CentralityResult:
     remaining = exp.n_queries
     while remaining > 0:
         m = min(_DRAW_CHUNK, remaining)
-        x = rng.normal(0.0, exp.query_std, size=(m, exp.d)) + shift
+        x = rng.normal(0.0, 1.0, size=(m, exp.d)) + shift
         diffs = ((x - z2) ** 2).sum(axis=1) - ((x - z1) ** 2).sum(axis=1)
         total += float(diffs.sum())
         total_sq += float((diffs ** 2).sum())
@@ -128,25 +121,3 @@ def simulate_delta(exp: CentralityExperiment) -> CentralityResult:
                             delta_theory=theoretical_delta(exp.d, exp.s, exp.gamma),
                             std_error=std_error)
 
-
-def hub_tendency_demo(d: int, s_data: float, n_data: int, n_queries: int,
-                      seed: int) -> float:
-    """Rank correlation between closeness-to-origin and 10-occurrence counts.
-
-    Samples data from N(0, s_data^2 I) and queries from N(0, I); positive
-    values mean central points hog the neighbor lists, which is the
-    expected regime once d is large.
-    """
-    if n_data < 20:
-        raise ValueError("n_data must be >= 20")
-    rng = np.random.default_rng(seed)
-    data = rng.normal(0.0, s_data, size=(n_data, d))
-    queries = rng.normal(0.0, 1.0, size=(n_queries, d))
-    model = build_knn_model(data, np.zeros(n_data, dtype=np.int64), k=1,
-                            dissimilarity=Dissimilarity.euclidean())
-    counts = nk_counts(model, queries, k=min(10, n_data))
-    closeness = -np.linalg.norm(data, axis=1)
-    if np.ptp(counts) == 0 or np.ptp(closeness) == 0:
-        return 0.0
-    rho = scipy.stats.spearmanr(closeness, counts).statistic
-    return float(rho)

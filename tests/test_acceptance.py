@@ -16,7 +16,7 @@ from hubridge.datamodel import bundled_dataset_path, dataset_from_arrays
 from hubridge.experiment import (ExperimentConfig, TIMING_FIELDS, fit_timed,
                                  run_experiment)
 from hubridge.hubness import ZeroVarianceError, skewness
-from hubridge.knn import (Dissimilarity, build_knn_model, classify, neighbors)
+from hubridge.knn import Dissimilarity, build_knn_model, classify_batch, neighbor_index_matrix
 from hubridge.targets import indicator_matrix, select_targets
 from hubridge.theory import CentralityExperiment, simulate_delta
 from hubridge.transform import (SOLVER_EXACT, SOLVER_PAPER, fit_move_labeled)
@@ -105,10 +105,10 @@ class TestCriterion3KnnOracle:
         rng = np.random.default_rng(1003)
         kinds = ["euclidean", "transformed-labeled", "transformed-query",
                  "both-sides"]
-        builders = {"euclidean": lambda w: Dissimilarity.euclidean(),
-                    "transformed-labeled": Dissimilarity.transformed_labeled,
-                    "transformed-query": Dissimilarity.transformed_query,
-                    "both-sides": Dissimilarity.both_sides}
+        builders = {"euclidean": lambda w: Dissimilarity(),
+                    "transformed-labeled": lambda w: Dissimilarity(labeled_map=w),
+                    "transformed-query": lambda w: Dissimilarity(query_map=w),
+                    "both-sides": lambda w: Dissimilarity(w, w)}
         mismatches = 0
         for trial in range(30):
             n = int(rng.integers(20, 501))
@@ -123,13 +123,13 @@ class TestCriterion3KnnOracle:
             model = build_knn_model(pts, labels, k, builders[kind](w))
             queries = rng.normal(size=(5, d))
             queries[0] = pts[0]  # query tied with its duplicates
-            for q in queries:
-                got_idx = [i for i, _ in neighbors(model, q)]
-                matrix = None if kind == "euclidean" else w
-                if got_idx != oracle_knn_indices(q, pts, k, kind, matrix):
+            matrix = None if kind == "euclidean" else w
+            got_idx = neighbor_index_matrix(model, queries)
+            got_labels = classify_batch(model, queries)
+            for q, idx, label in zip(queries, got_idx, got_labels):
+                if idx.tolist() != oracle_knn_indices(q, pts, k, kind, matrix):
                     mismatches += 1
-                if classify(model, q) != oracle_classify(q, pts, labels, k,
-                                                         kind, matrix):
+                if label != oracle_classify(q, pts, labels, k, kind, matrix):
                     mismatches += 1
         _report(3, "k-NN matches the brute-force oracle exactly",
                 mismatches == 0, f"{mismatches} mismatches over 30 datasets")

@@ -193,6 +193,15 @@ class TestErrors:
         assert exc.value.code != 0
         assert "usage" in capsys.readouterr().err
 
+    def test_zero_k_targets_exits_1(self, train_and_queries, tmp_path, capsys):
+        # zero targets per object would fit and save W = 0
+        model_p = tmp_path / "m.json"
+        rc = main(["fit", "--dataset", str(train_and_queries[0]), "--k-targets", "0",
+                   "--out", str(model_p)])
+        assert rc == 1
+        assert "k_targets" in capsys.readouterr().err
+        assert not model_p.exists()
+
     def test_domain_error_is_diagnosed(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("1,2,a\n1,2,3,a\n")

@@ -228,6 +228,17 @@ class TestDatasetInvariants:
         sub = subset(ds, [0, 1])
         assert sub.n == 2 and sub.class_count == 2
 
+    @pytest.mark.parametrize("rows, message", [
+        ([-1, 0, 1], r"indices\[0\] = -1 is out of range \[0, 4\)"),
+        ([0, 1, 4], r"indices\[2\] = 4 is out of range \[0, 4\)"),
+        ([0, 1, 0], r"indices\[2\] = 0 repeats an earlier entry"),
+    ], ids=["negative", "out-of-range", "repeated"])
+    def test_subset_rejects_bad_rows(self, rows, message):
+        # a negative row would wrap around to the end of the dataset
+        ds = dataset_from_arrays([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
+        with pytest.raises(ValueError, match=message):
+            subset(ds, rows)
+
 
 # ---------------------------------------------------------------------------
 # Preprocessing

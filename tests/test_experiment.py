@@ -87,6 +87,18 @@ class TestPreprocess:
         assert np.array_equal(got.labels, ds.labels)
 
 
+    @pytest.mark.parametrize("rows, message", [
+        ([-1, 0, 1, 2], r"train_rows\[0\] = -1 is out of range \[0, 6\)"),
+        ([0, 1, 6], r"train_rows\[2\] = 6 is out of range \[0, 6\)"),
+        ([0, 1, 2, 1], r"train_rows\[3\] = 1 repeats an earlier entry"),
+    ], ids=["negative", "out-of-range", "repeated"])
+    def test_bad_train_rows_rejected(self, rng, rows, message):
+        # a negative row would fit the statistics on the end of the dataset
+        ds = dataset_from_arrays(rng.normal(size=(6, 3)), [0, 1, 2] * 2)
+        with pytest.raises(ValueError, match=message):
+            preprocess(ds, rows)
+
+
 class TestModelArtifact:
     def fitted(self, rng, pca_dim=3):
         x = rng.normal(1.0, 4.0, size=(30, 6)) * np.array([1.0, 10.0, 0.1, 1.0, 5.0, 2.0])
@@ -296,7 +308,11 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("key, value", [("dataset", None), ("format", 1),
                                             ("pca_dim", "3"), ("solver", ["exact"]),
-                                            ("out_dir", 5)])
+                                            ("out_dir", 5), ("cv_folds", 2.9),
+                                            ("hubness_k", "10"), ("n_splits", True),
+                                            ("train_fraction", True), ("k_targets", False),
+                                            ("pca_dim", True), ("seeds", [1.5, 2]),
+                                            ("k_grid", [True]), ("lambda_grid", ["0.1"])])
     def test_wrongly_typed_value(self, doc, key, value):
         doc[key] = value
         with pytest.raises(ValueError, match=f"config key '{key}': expected"):
@@ -312,6 +328,18 @@ class TestConfigFile:
     def test_cv_folds_below_two_named(self, doc, value):
         doc["cv_folds"] = value
         with pytest.raises(ValueError, match="cv_folds must be >= 2"):
+            ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("hubness_k", 0, "hubness_k must be >= 1"),
+        ("train_fraction", 0.0, r"train_fraction must be in \(0, 1\), got 0.0"),
+        ("train_fraction", 1, r"train_fraction must be in \(0, 1\), got 1.0"),
+        ("train_fraction", 1.5, r"train_fraction must be in \(0, 1\), got 1.5"),
+    ], ids=["hubness_k-0", "train_fraction-0.0", "train_fraction-1", "train_fraction-1.5"])
+    def test_out_of_range_value_rejected_at_load(self, doc, key, value, message):
+        # hubness_k = 0 used to fail only after the whole cross-validation
+        doc[key] = value
+        with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_json_dict(doc)
 
     @pytest.mark.parametrize("grid", [[], [-1.0]])

@@ -97,7 +97,7 @@ class TestHubnessReport:
         models = [
             ("euclidean", euclid_model(x_train, y_train)),
             ("identity-w", build_knn_model(
-                x_train, y_train, 1, Dissimilarity.transformed_labeled(np.eye(5)))),
+                x_train, y_train, 1, Dissimilarity(labeled_map=np.eye(5)))),
         ]
         rows = hubness_report(ds, sp, models, k=10)
         assert len(rows) == 2

@@ -1,13 +1,25 @@
 import numpy as np
 import pytest
 
-from hubridge.knn import (Dissimilarity, build_knn_model, classify,
-                          classify_batch, evaluate, knn_from_transform,
-                          neighbor_index_matrix, neighbors)
+from hubridge.knn import (Dissimilarity, build_knn_model, classify_batch, evaluate,
+                          knn_from_transform, neighbor_index_matrix)
 from hubridge.transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER,
                                 TransformModel)
 
 from _helpers import oracle_classify, oracle_knn_indices
+
+
+# the two-map form of each transformed kind ``_helpers.oracle_dissimilarity_row`` knows
+def transformed_labeled(w):
+    return Dissimilarity(labeled_map=w)
+
+
+def transformed_query(w):
+    return Dissimilarity(query_map=w)
+
+
+def both_sides(w):
+    return Dissimilarity(w, w)
 
 
 class TestNeighbors:
@@ -15,34 +27,26 @@ class TestNeighbors:
         pts = rng.normal(size=(10, 3))
         model = build_knn_model(pts, np.zeros(10, dtype=int), 1,
                                 Dissimilarity.euclidean())
-        got = neighbors(model, pts[4])
-        assert got[0] == (4, 0.0)
-
-    def test_hand_arithmetic(self):
-        model = build_knn_model([[0.0], [10.0]], [0, 1], 2,
-                                Dissimilarity.euclidean())
-        assert neighbors(model, [4.0]) == [(0, 16.0), (1, 36.0)]
+        assert neighbor_index_matrix(model, pts[4:5])[0, 0] == 4
 
     def test_matches_full_sort_oracle(self, rng):
         pts = rng.normal(size=(100, 8))
         labels = rng.integers(0, 3, 100)
         model = build_knn_model(pts, labels, 5, Dissimilarity.euclidean())
-        for _ in range(10):
-            q = rng.normal(size=8)
-            got = [i for i, _ in neighbors(model, q)]
-            assert got == oracle_knn_indices(q, pts, 5)
+        queries = rng.normal(size=(10, 8))
+        np.testing.assert_array_equal(neighbor_index_matrix(model, queries),
+                                      [oracle_knn_indices(q, pts, 5) for q in queries])
 
     def test_tie_broken_by_lower_index(self):
         pts = [[1.0, 0.0], [0.0, 1.0], [2.0, 2.0]]
         model = build_knn_model(pts, [0, 1, 2], 2, Dissimilarity.euclidean())
-        got = neighbors(model, [0.0, 0.0])
-        assert [i for i, _ in got] == [0, 1]
+        np.testing.assert_array_equal(neighbor_index_matrix(model, [[0.0, 0.0]]), [[0, 1]])
 
     def test_dimension_mismatch(self, rng):
         model = build_knn_model(rng.normal(size=(5, 3)), [0] * 5, 1,
                                 Dissimilarity.euclidean())
         with pytest.raises(ValueError, match="dimension"):
-            neighbors(model, [1.0, 2.0])
+            neighbor_index_matrix(model, [[1.0, 2.0]])
 
 
 class TestTies:
@@ -50,7 +54,6 @@ class TestTies:
         # distances from the origin: [1, 0, 1, 1, 0, 1]; k=3 keeps the lowest tied 1
         pts = [[1.0, 0.0], [0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0]]
         model = build_knn_model(pts, [0] * 6, 3, Dissimilarity.euclidean())
-        assert neighbors(model, [0.0, 0.0]) == [(1, 0.0), (4, 0.0), (0, 1.0)]
         np.testing.assert_array_equal(neighbor_index_matrix(model, [[0.0, 0.0]]),
                                       [[1, 4, 0]])
 
@@ -64,7 +67,6 @@ class TestTies:
             model = build_knn_model(pts, labels, k, Dissimilarity.euclidean())
             want = [oracle_knn_indices(q, pts, k) for q in queries]
             np.testing.assert_array_equal(neighbor_index_matrix(model, queries), want)
-            assert [[i for i, _ in neighbors(model, q)] for q in queries] == want
 
 
 class TestDissimilarityKinds:
@@ -74,42 +76,39 @@ class TestDissimilarityKinds:
         queries = rng.normal(size=(12, 4))
         eu = build_knn_model(pts, labels, 5, Dissimilarity.euclidean())
         tl = build_knn_model(pts, labels, 5,
-                             Dissimilarity.transformed_labeled(np.eye(4)))
+                             Dissimilarity(labeled_map=np.eye(4)))
         np.testing.assert_array_equal(neighbor_index_matrix(eu, queries, 5),
                                       neighbor_index_matrix(tl, queries, 5))
         np.testing.assert_array_equal(classify_batch(eu, queries),
                                       classify_batch(tl, queries))
 
     @pytest.mark.parametrize("kind,builder", [
-        ("transformed-labeled", Dissimilarity.transformed_labeled),
-        ("transformed-query", Dissimilarity.transformed_query),
-        ("both-sides", Dissimilarity.both_sides),
+        ("transformed-labeled", transformed_labeled),
+        ("transformed-query", transformed_query),
+        ("both-sides", both_sides),
     ])
     def test_kinds_match_oracle(self, rng, kind, builder):
         pts = rng.normal(size=(40, 5))
         labels = rng.integers(0, 3, 40)
         w = rng.normal(size=(5, 5))
         model = build_knn_model(pts, labels, 4, builder(w))
-        for _ in range(8):
-            q = rng.normal(size=5)
-            got = [i for i, _ in neighbors(model, q)]
-            assert got == oracle_knn_indices(q, pts, 4, kind, w)
-            assert classify(model, q) == oracle_classify(q, pts, labels, 4, kind, w)
+        queries = rng.normal(size=(8, 5))
+        want_idx = [oracle_knn_indices(q, pts, 4, kind, w) for q in queries]
+        want_labels = [oracle_classify(q, pts, labels, 4, kind, w) for q in queries]
+        np.testing.assert_array_equal(neighbor_index_matrix(model, queries), want_idx)
+        np.testing.assert_array_equal(classify_batch(model, queries), want_labels)
 
     def test_pretransformed_equals_on_the_fly(self, rng):
         # the two readings of the test-phase rule give identical neighbors
         pts = rng.normal(size=(50, 6))
         labels = rng.integers(0, 4, 50)
         w = rng.normal(size=(6, 6))
-        model = build_knn_model(pts, labels, 7,
-                                Dissimilarity.transformed_labeled(w))
+        model = build_knn_model(pts, labels, 7, Dissimilarity(labeled_map=w))
         mapped = pts @ w.T
-        for _ in range(10):
-            q = rng.normal(size=6)
-            on_the_fly = sorted(range(50), key=lambda i: (
-                float(((q - mapped[i]) ** 2).sum()), i))[:7]
-            got = [i for i, _ in neighbors(model, q)]
-            assert got == on_the_fly
+        queries = rng.normal(size=(10, 6))
+        on_the_fly = [sorted(range(50), key=lambda i: (float(((q - mapped[i]) ** 2).sum()), i))[:7]
+                      for q in queries]
+        np.testing.assert_array_equal(neighbor_index_matrix(model, queries), on_the_fly)
 
     def test_matrix_required(self):
         for maps in ({"labeled_map": np.ones(3)}, {"query_map": [1.0, 2.0]}):
@@ -149,21 +148,20 @@ class TestClassify:
         pts = rng.normal(size=(20, 3))
         labels = rng.integers(0, 4, 20)
         model = build_knn_model(pts, labels, 1, Dissimilarity.euclidean())
-        for _ in range(10):
-            q = rng.normal(size=3)
-            assert classify(model, q) == labels[neighbors(model, q)[0][0]]
+        queries = rng.normal(size=(10, 3))
+        np.testing.assert_array_equal(classify_batch(model, queries),
+                                      labels[neighbor_index_matrix(model, queries)[:, 0]])
 
     def test_strict_majority(self):
         pts = [[0.0], [1.0], [2.0]]
         model = build_knn_model(pts, [0, 0, 1], 3, Dissimilarity.euclidean())
-        assert classify(model, [0.5]) == 0
+        np.testing.assert_array_equal(classify_batch(model, [[0.5]]), [0])
 
     def test_vote_tie_goes_to_nearest(self):
         # labels [A, B] at equal count: nearest neighbor's label wins
         pts = [[1.0], [2.0], [10.0], [11.0]]
         model = build_knn_model(pts, [0, 0, 1, 1], 4, Dissimilarity.euclidean())
-        assert classify(model, [0.0]) == 0
-        assert classify(model, [12.0]) == 1
+        np.testing.assert_array_equal(classify_batch(model, [[0.0], [12.0]]), [0, 1])
 
     def test_matches_vote_oracle(self, rng):
         pts = rng.normal(size=(200, 2))
@@ -216,11 +214,16 @@ class TestModelConstruction:
         with pytest.raises(ValueError, match="k must be"):
             build_knn_model(pts, [0] * 5, 6, Dissimilarity.euclidean())
 
+    def test_negative_label_rejected(self, rng):
+        # a negative class id would wrap in the vote and be predicted
+        with pytest.raises(ValueError, match=r"labels\[2\] = -1 is negative"):
+            build_knn_model(rng.normal(size=(4, 2)), [0, 1, -1, -2], 3,
+                            Dissimilarity.euclidean())
+
     def test_labeled_points_pretransformed(self, rng):
         pts = rng.normal(size=(8, 3))
         w = rng.normal(size=(3, 3))
-        model = build_knn_model(pts, [0] * 8, 2,
-                                Dissimilarity.transformed_labeled(w))
+        model = build_knn_model(pts, [0] * 8, 2, Dissimilarity(labeled_map=w))
         np.testing.assert_allclose(model.labeled_points, pts @ w.T)
 
     def test_from_transform_directions(self, rng):

@@ -194,6 +194,19 @@ class TestSharedPass:
             with pytest.raises(ValueError, match="singular at lambda=0.0"):
                 cv.result(i)
 
+    @pytest.mark.parametrize("change, message", [
+        ((0, -1), r"train_indices\[0\] = -1 is out of range \[0, 30\)"),
+        ((29, 30), r"train_indices\[29\] = 30 is out of range \[0, 30\)"),
+        ((29, 0), r"train_indices\[29\] = 0 repeats an earlier entry"),
+    ], ids=["negative", "out-of-range", "repeated"])
+    def test_bad_train_indices_rejected(self, change, message):
+        # a Euclidean-only pass never selects targets, whose check would catch them
+        ds = dataset_from_arrays(*gaussian_mixture(30, 3, 2, sep=2.0, seed=0))
+        train = np.arange(30)
+        train[change[0]] = change[1]
+        with pytest.raises(ValueError, match=message):
+            grid_search(ds, train, [cv_config("euclidean", (0.0,), (1,), 3, 0)])
+
     def test_configs_must_share_the_fold_plan(self):
         ds = dataset_from_arrays(*gaussian_mixture(30, 3, 2, sep=2.0, seed=0))
         a = CvConfig((0.1,), (1,), n_folds=3, seed=0, direction=None)

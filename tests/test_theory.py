@@ -2,11 +2,35 @@ import math
 
 import numpy as np
 import pytest
+import scipy.stats
 
+from hubridge.hubness import nk_counts
+from hubridge.knn import Dissimilarity, build_knn_model
 from hubridge.theory import (CentralityExperiment, CentralityResult,
-                             PairConstructionError, hub_tendency_demo,
-                             simulate_delta, squared_norm_std,
+                             PairConstructionError, simulate_delta, squared_norm_std,
                              theoretical_delta)
+
+
+def hub_tendency_demo(d: int, s_data: float, n_data: int, n_queries: int,
+                      seed: int) -> float:
+    """Rank correlation between closeness-to-origin and 10-occurrence counts.
+
+    Samples data from N(0, s_data^2 I) and queries from N(0, I); positive
+    values mean central points hog the neighbor lists, which is the
+    expected regime once d is large.
+    """
+    if n_data < 20:
+        raise ValueError("n_data must be >= 20")
+    rng = np.random.default_rng(seed)
+    data = rng.normal(0.0, s_data, size=(n_data, d))
+    queries = rng.normal(0.0, 1.0, size=(n_queries, d))
+    model = build_knn_model(data, np.zeros(n_data, dtype=np.int64), k=1,
+                            dissimilarity=Dissimilarity())
+    counts = nk_counts(model, queries, k=min(10, n_data))
+    closeness = -np.linalg.norm(data, axis=1)
+    if np.ptp(counts) == 0 or np.ptp(closeness) == 0:
+        return 0.0
+    return float(scipy.stats.spearmanr(closeness, counts).statistic)
 
 
 class TestTheoreticalDelta:
@@ -109,6 +133,8 @@ class TestSimulateDelta:
 
 
 class TestHubTendency:
+    """The paper's hubness premise: central points gather neighbors once d is large."""
+
     def test_high_dimension_strong_positive(self):
         rho = hub_tendency_demo(d=300, s_data=1.0, n_data=500,
                                 n_queries=2000, seed=0)

@@ -1,12 +1,15 @@
-"""The benchmark's tracer must find every function it names in hubridge.
+"""The benchmark must find every hubridge name it traces or calls.
 
-``perfbench/spans.py`` wraps each binding listed in ``LAYERS``; renaming or
-moving a traced function would otherwise surface only in the benchmark's own
-test suite. This test imports that module as it is and checks that every
+``perfbench/spans.py`` wraps each binding listed in ``LAYERS``, and
+``perfbench/workloads.py`` calls hubridge through module attributes; renaming
+or deleting one of those names would otherwise surface only when the
+benchmark runs. These tests import the tracer as it is and check that every
 listed name resolves to a binding, is wrapped while the tracer is installed,
-and is restored on exit.
+and is restored on exit, and they scan the workloads' source for every
+``module.attr...`` chain rooted at a hubridge import.
 """
 
+import ast
 import importlib.util
 import sys
 from pathlib import Path
@@ -18,6 +21,7 @@ from hubridge.datamodel import dataset_from_arrays
 from hubridge.experiment import fit_timed
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+WORKLOADS_PATH = SPANS_PATH.with_name("workloads.py")
 
 
 def load_spans():
@@ -66,3 +70,38 @@ def test_fit_timed_counts_one_selection_and_one_fit():
     assert metrics["transform.fit_calls"] == 1
     assert metrics["targets.select_calls"] == 1
     assert metrics["transform.gram_gflop"] == 4.0 * d * d * n / 1e9
+
+
+def hubridge_chains(tree: ast.Module) -> set[tuple[str, ...]]:
+    """Every outermost attribute chain rooted at a name imported by ``from hubridge import``."""
+    roots = {a.asname or a.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module == "hubridge"
+             for a in node.names}
+    inner = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    chains = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute) or id(node) in inner:
+            continue
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in roots:
+            chains.add((node.id, *reversed(parts)))
+    return chains
+
+
+def test_every_workload_call_resolves():
+    tree = ast.parse(WORKLOADS_PATH.read_text())
+    chains = hubridge_chains(tree)
+    assert {c[0] for c in chains} == {"datamodel", "experiment", "knn"}
+    for chain in sorted(chains):
+        holder = hubridge
+        for part in chain:
+            assert hasattr(holder, part), f"hubridge.{'.'.join(chain)} does not exist"
+            holder = getattr(holder, part)
+    for node in ast.walk(tree):  # names imported directly from a hubridge module
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("hubridge."):
+            module = importlib.import_module(node.module)
+            for a in node.names:
+                assert hasattr(module, a.name), f"{node.module}.{a.name} does not exist"
