@@ -9,7 +9,7 @@ from hubridge.transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_P
 from _helpers import oracle_classify, oracle_knn_indices
 
 
-# the two-map form of each transformed kind ``_helpers.oracle_dissimilarity_row`` knows
+# the Dissimilarity for each transformed kind of ``_helpers.oracle_dissimilarity_row``
 def transformed_labeled(w):
     return Dissimilarity(labeled_map=w)
 
