@@ -10,7 +10,7 @@ spatial-centrality bias, and an experiment harness.
 from .datamodel import (Dataset, DatasetFormatError, PcaModel, PreprocessError,
                         Preprocessor, Split, apply_pca, bundled_dataset_path,
                         dataset_from_arrays, fit_pca, load_dataset, split, subset)
-from .targets import TargetAssignment, TargetSelectionError, indicator_matrix, select_targets
+from .targets import TargetSelectionError, indicator_matrix, select_targets
 from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER, RidgeSystem,
                         SingularSystemError, TransformModel, fit_move_labeled,
                         fit_move_query, fit_transform, solver_disagreement)

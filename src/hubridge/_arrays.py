@@ -38,17 +38,18 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def index_vector(a, n: int, name: str = "indices") -> np.ndarray:
-    """Coerce to an int64 vector of distinct positions in [0, n).
+def index_vector(a, n: int | None, name: str = "indices") -> np.ndarray:
+    """Coerce to an int64 vector of distinct positions in [0, n) (n None: no upper bound).
 
     The error names the first offending position, so a negative index never
     wraps around to the end of the array.
     """
     out = as_int_vector(a, name)
-    bad = np.flatnonzero((out < 0) | (out >= n))
+    high = np.inf if n is None else n
+    bad = np.flatnonzero((out < 0) | (out >= high))
     if bad.size:
         p = int(bad[0])
-        raise ValueError(f"{name}[{p}] = {int(out[p])} is out of range [0, {n})")
+        raise ValueError(f"{name}[{p}] = {int(out[p])} is out of range [0, {high})")
     repeat = np.ones(out.size, dtype=bool)
     repeat[np.unique(out, return_index=True)[1]] = False
     if repeat.any():

@@ -23,11 +23,11 @@ import numpy as np
 from . import experiment
 from .datamodel import (FORMATS, Dataset, Preprocessor, load_dataset,
                         split as make_split, subset)
-from .experiment import (EUCLIDEAN_METHOD, METHODS, ExperimentConfig, ModelArtifact,
-                         cv_config, fit_method, preprocess, run_experiment, solver_gap)
+from .experiment import (ExperimentConfig, ModelArtifact, fit_method, preprocess,
+                         run_experiment, solver_gap)
 from .hubness import hubness_report, report_csv
 from .knn import classify_batch, knn_from_transform
-from .modelselect import grid_search
+from .modelselect import METHODS, CvConfig, grid_search
 from .theory import CentralityExperiment, simulate_delta
 from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS
 
@@ -96,8 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cv", help="cross-validated grid search over lambda and k")
     _add_dataset_args(p)
     _add_preproc_args(p)
-    p.add_argument("--direction", default=MOVE_LABELED,
-                   choices=(EUCLIDEAN_METHOD, MOVE_LABELED, MOVE_QUERY))
+    p.add_argument("--direction", default=MOVE_LABELED, choices=METHODS)
     p.add_argument("--lambda-grid", type=_float_list,
                    default=experiment.DEFAULT_LAMBDA_GRID)
     p.add_argument("--k-grid", type=_int_list, default=experiment.DEFAULT_K_GRID)
@@ -213,9 +212,9 @@ def _cmd_cv(args) -> int:
     ds = load_dataset(args.dataset, args.format)
     pre = preprocess(ds, None, center=args.center, zscore=args.zscore,
                      pca_dim=args.pca_dim)
-    cfg = cv_config(args.direction, args.lambda_grid, args.k_grid, args.folds,
-                    args.seed, args.k_targets, args.solver)
-    result = grid_search(pre, np.arange(pre.n), [cfg]).result(0)
+    cfg = CvConfig(args.lambda_grid, args.k_grid, args.folds, args.seed, args.k_targets,
+                   args.solver)
+    result = grid_search(pre, np.arange(pre.n), cfg, [args.direction]).result(0)
     text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text)

@@ -509,6 +509,8 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> Split:
             f"class {dataset.label_names[c]!r} has {int(sizes[c])} member(s); need >= 2")
     n = dataset.n
     total = int(round(train_fraction * n))
+    if total == n:
+        raise ValueError(f"train_fraction {train_fraction} leaves no test rows out of {n}")
     if total < dataset.class_count:
         raise ValueError(
             f"train partition of size {total} cannot contain all "

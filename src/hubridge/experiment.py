@@ -22,13 +22,10 @@ from .datamodel import (Dataset, Preprocessor, Split, load_dataset,
                         split as make_split, subset)
 from .hubness import DEFAULT_HUBNESS_K, skewness
 from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
-from .modelselect import CvConfig, CvResult, grid_search
-from .targets import select_targets, indicator_matrix
-from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER,
-                        TransformModel, fit_transform, solver_disagreement)
-
-EUCLIDEAN_METHOD = "euclidean"
-METHODS = (EUCLIDEAN_METHOD, MOVE_LABELED, MOVE_QUERY)
+from .modelselect import EUCLIDEAN_METHOD, METHODS, CvConfig, CvResult, grid_search
+from .targets import select_targets
+from .transform import (MOVE_LABELED, SOLVER_PAPER, TransformModel, fit_transform,
+                        solver_disagreement)
 
 DEFAULT_LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 DEFAULT_K_GRID = (1, 3, 5, 7, 9)
@@ -89,9 +86,12 @@ class ExperimentConfig:
             raise ValueError("seeds must provide one seed per split")
         if not self.methods:
             raise ValueError("at least one method is required")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise ValueError(f"unknown method(s) {sorted(unknown)}; expected {METHODS}")
+        for i, method in enumerate(self.methods):
+            if method not in METHODS:
+                raise ValueError(f"methods[{i}] = {method!r} is an unknown method; "
+                                 f"expected one of {METHODS}")
+            if method in self.methods[:i]:
+                raise ValueError(f"methods[{i}] = {method!r} repeats an earlier method")
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
         if self.hubness_k < 1:
@@ -100,8 +100,7 @@ class ExperimentConfig:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         # the user's grids, k_targets and solver fail here, not mid-run, even
         # when Euclidean alone (whose search ignores lambda_grid) is asked for
-        CvConfig(self.lambda_grid, self.k_grid, n_folds=self.cv_folds, seed=0,
-                 direction=None, k_targets=self.k_targets, solver=self.solver)
+        CvConfig(self.lambda_grid, self.k_grid, self.cv_folds, 0, self.k_targets, self.solver)
 
     def to_json_dict(self) -> dict:
         doc = {key: getattr(self, _CONFIG_FIELDS.get(key, key)) for key in _CONFIG_PARSERS}
@@ -244,19 +243,10 @@ def fit_timed(train_ds: Dataset, method: str, lam: float, k_targets: int,
         raise ValueError("k_targets must be >= 1")
     local = np.arange(train_ds.n)
     t0 = time.perf_counter()
-    assignment = select_targets(train_ds, local, k_targets)
-    jj = indicator_matrix(assignment, train_ds.n)
+    jj = select_targets(train_ds, local, k_targets)
     tm = fit_transform(train_ds.features.T, jj, lam, method, solver)
     elapsed = time.perf_counter() - t0
     return tm, jj, elapsed
-
-
-def cv_config(method: str, lambda_grid, k_grid, n_folds: int, seed: int,
-              k_targets: int = 1, solver: str = SOLVER_PAPER) -> CvConfig:
-    """The grid search for ``method``; Euclidean has no lambda, so it searches k at lambda 0."""
-    if method == EUCLIDEAN_METHOD:
-        return CvConfig((0.0,), k_grid, n_folds, seed, None, k_targets, solver)
-    return CvConfig(lambda_grid, k_grid, n_folds, seed, method, k_targets, solver)
 
 
 def fit_method(train: Dataset, method: str, lam: float, k_targets: int, solver: str):
@@ -370,10 +360,9 @@ def run_experiment(config: ExperimentConfig,
             sp = make_split(dataset, config.train_fraction, seed)
             pre = preprocess(dataset, sp.train_indices, center=config.center,
                              zscore=config.zscore, pca_dim=config.pca_dim)
-            cv = grid_search(pre, sp.train_indices, [
-                cv_config(method, config.lambda_grid, config.k_grid, config.cv_folds,
-                          sp.seed, config.k_targets, config.solver)
-                for method in config.methods])
+            plan = CvConfig(config.lambda_grid, config.k_grid, config.cv_folds, sp.seed,
+                            config.k_targets, config.solver)
+            cv = grid_search(pre, sp.train_indices, plan, config.methods)
             for i, method in enumerate(config.methods):
                 try:
                     rows.append(_run_method(pre, sp, method, cv.result(i), config))

@@ -1,12 +1,13 @@
 """Cross-validated grid search over the ridge weight and the classification k.
 
-One ``grid_search`` call serves every method's config from one fold plan:
-folds, fold centering, target selection and J are made once, and a fold's
+One ``grid_search`` call serves every method from one fold plan: folds,
+fold centering and the target indicator J are made once, and a fold's
 ``RidgeSystem`` factors each distinct Gram matrix once. With one target per
 object every row of J sums to 1, so move-query's Gram is the paper solver's
 X X^T: one eigendecomposition per fold serves both over the whole lambda
-grid. A lambda at which G + lambda I is numerically singular raises
-``SingularSystemError``. Each config's outcome, result or error, is the one
+grid. Euclidean has no lambda, so it searches k at lambda 0.0 alone. A
+lambda at which G + lambda I is numerically singular raises
+``SingularSystemError``. Each method's outcome, result or error, is the one
 a pass serving it alone gives.
 
 Each fold refits centering, target selection and the transform on its fold
@@ -27,8 +28,11 @@ import numpy as np
 from ._arrays import as_int_vector, index_vector
 from .datamodel import Dataset
 from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
-from .targets import select_targets, indicator_matrix
+from .targets import select_targets
 from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, RidgeSystem
+
+EUCLIDEAN_METHOD = "euclidean"
+METHODS = (EUCLIDEAN_METHOD, MOVE_LABELED, MOVE_QUERY)
 
 
 class FoldError(ValueError):
@@ -37,13 +41,12 @@ class FoldError(ValueError):
 
 @dataclass(frozen=True)
 class CvConfig:
-    """Grid-search configuration. ``direction`` None means plain Euclidean k-NN."""
+    """What every method of one grid-search pass shares: grids, fold plan, targets, solver."""
 
     lambda_grid: tuple[float, ...]
     k_grid: tuple[int, ...]
     n_folds: int
     seed: int
-    direction: str | None
     k_targets: int = 1
     solver: str = SOLVER_PAPER
 
@@ -57,8 +60,6 @@ class CvConfig:
             raise ValueError(f"k_grid values must be positive, got {self.k_grid}")
         if self.n_folds < 2:
             raise ValueError("n_folds must be >= 2")
-        if self.direction not in (None, MOVE_LABELED, MOVE_QUERY):
-            raise ValueError(f"direction must be None, {MOVE_LABELED!r} or {MOVE_QUERY!r}")
         if self.k_targets < 1:
             raise ValueError("k_targets must be >= 1")
         if self.solver not in SOLVERS:
@@ -96,8 +97,12 @@ class CvResult:
 
 
 def make_folds(indices, labels, n_folds: int, seed: int) -> list[np.ndarray]:
-    """Stratified folds over `indices`; per-class counts differ by at most 1."""
-    idx = as_int_vector(indices, "indices")
+    """Stratified folds over `indices`; per-class counts differ by at most 1.
+
+    `indices` must be distinct and non-negative: a row in two folds would sit
+    on both the fit and the validation side.
+    """
+    idx = index_vector(indices, None, "indices")
     labs = as_int_vector(labels, "labels")
     if labs.shape != idx.shape:
         raise ValueError("labels must align with indices")
@@ -129,36 +134,33 @@ def _accuracy_rows(neighbor_labels: np.ndarray, truth: np.ndarray,
 
 @dataclass(frozen=True)
 class CvPass:
-    """One fold plan's outcome per config: its ``CvResult``, or the error its search raised."""
+    """One fold plan's outcome per method: its ``CvResult``, or the error its search raised."""
 
     outcomes: tuple[CvResult | Exception, ...]
     folds: tuple[tuple[int, ...], ...]
 
     @property
     def table(self) -> tuple[CvCell, ...]:
-        """Every cell the pass scored, config by config: its whole grid, as
-        ``CvResult.table`` is one config's."""
+        """Every cell the pass scored, method by method: its whole grid, as
+        ``CvResult.table`` is one method's."""
         return tuple(c for o in self.outcomes if isinstance(o, CvResult) for c in o.table)
 
     def result(self, i: int) -> CvResult:
-        """Config ``i``'s result; raises the error its search raised."""
+        """Method ``i``'s result; raises the error its search raised."""
         outcome = self.outcomes[i]
         if isinstance(outcome, Exception):
             raise outcome
         return outcome
 
 
-def _score_fold(config: CvConfig, system: RidgeSystem | None, x_fit, y_fit,
+def _score_fold(config: CvConfig, method: str, system: RidgeSystem | None, x_fit, y_fit,
                 x_val, y_val, n_classes: int) -> np.ndarray:
-    """(lambda, k) validation accuracy of one config on one fold.
-
-    Euclidean gives one row, which serves every lambda: lambda is inert there.
-    """
+    """(lambda, k) validation accuracy of one method on one fold; Euclidean gives one row."""
     max_k = max(config.k_grid)
     if max_k > y_fit.size:
         raise ValueError(f"k={max_k} exceeds the fold training size {y_fit.size}")
-    path = ([None] if config.direction is None else
-            system.path(config.lambda_grid, config.direction, config.solver))
+    path = ([None] if method == EUCLIDEAN_METHOD else
+            system.path(config.lambda_grid, method, config.solver))
     rows = []
     for tm in path:
         km = knn_from_transform(tm, x_fit, y_fit, max_k)
@@ -167,43 +169,38 @@ def _score_fold(config: CvConfig, system: RidgeSystem | None, x_fit, y_fit,
     return np.array(rows)
 
 
-def _cv_result(config: CvConfig, acc: np.ndarray, folds) -> CvResult:
+def _cv_result(lambda_grid, k_grid, acc: np.ndarray, folds) -> CvResult:
     mean_acc = acc.mean(axis=2)
     std_acc = acc.std(axis=2, ddof=1)
     table = tuple(
         CvCell(lam=float(lam), k=int(k),
                mean_accuracy=float(mean_acc[li, ki]),
                std_accuracy=float(std_acc[li, ki]))
-        for li, lam in enumerate(config.lambda_grid)
-        for ki, k in enumerate(config.k_grid))
+        for li, lam in enumerate(lambda_grid)
+        for ki, k in enumerate(k_grid))
     best = max(table, key=lambda c: (c.mean_accuracy, c.lam, -c.k))
     return CvResult(best_lambda=best.lam, best_k=best.k, table=table, folds=folds)
 
 
-def grid_search(dataset: Dataset, train_indices, configs) -> CvPass:
-    """Cross-validate (lambda, k) for each config on the given training rows of `dataset`.
-
-    The configs share one fold plan, so they must agree on ``n_folds``,
-    ``seed`` and ``k_targets``.
-    """
-    configs = tuple(configs)
-    if not configs:
-        raise ValueError("configs must be non-empty")
-    plans = {(c.n_folds, c.seed, c.k_targets) for c in configs}
-    if len(plans) > 1:
-        raise ValueError("configs must share n_folds, seed and k_targets, got "
-                         f"{sorted(plans)}")
-    n_folds, seed, k_targets = plans.pop()
+def grid_search(dataset: Dataset, train_indices, config: CvConfig, methods) -> CvPass:
+    """Cross-validate (lambda, k) for each of ``methods`` on the given rows of `dataset`."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError("methods must be non-empty")
+    for i, method in enumerate(methods):
+        if method not in METHODS:
+            raise ValueError(f"methods[{i}] = {method!r} is not one of {METHODS}")
+    lambda_grids = [(0.0,) if m == EUCLIDEAN_METHOD else config.lambda_grid for m in methods]
     tr = index_vector(train_indices, dataset.n, "train_indices")
     try:
-        folds = make_folds(tr, dataset.labels[tr], n_folds, seed)
+        folds = make_folds(tr, dataset.labels[tr], config.n_folds, config.seed)
     except FoldError as e:
-        return CvPass(tuple(e for _ in configs), ())
-    acc = [np.zeros((len(c.lambda_grid), len(c.k_grid), n_folds)) for c in configs]
-    errors: list[Exception | None] = [None] * len(configs)
+        return CvPass(tuple(e for _ in methods), ())
+    acc = [np.zeros((len(g), len(config.k_grid), config.n_folds)) for g in lambda_grids]
+    errors: list[Exception | None] = [None] * len(methods)
 
     for f, val_idx in enumerate(folds):
-        fit_idx = np.sort(np.concatenate([folds[g] for g in range(n_folds) if g != f]))
+        fit_idx = np.sort(np.concatenate([folds[g] for g in range(config.n_folds) if g != f]))
         x_fit = dataset.features[fit_idx]
         y_fit = dataset.labels[fit_idx]
         x_val = dataset.features[val_idx]
@@ -212,24 +209,23 @@ def grid_search(dataset: Dataset, train_indices, configs) -> CvPass:
         x_fit = x_fit - mu
         x_val = x_val - mu
 
-        fitted = [i for i, c in enumerate(configs)
-                  if c.direction is not None and errors[i] is None]
+        fitted = [i for i, m in enumerate(methods)
+                  if m != EUCLIDEAN_METHOD and errors[i] is None]
         system = None
         if fitted:
             try:
-                assignment = select_targets(dataset, fit_idx, k_targets)
-                system = RidgeSystem(x_fit.T, indicator_matrix(assignment, fit_idx.size))
-            except Exception as e:  # every fitted config needs these targets
+                system = RidgeSystem(x_fit.T, select_targets(dataset, fit_idx, config.k_targets))
+            except Exception as e:  # every fitted method needs these targets
                 for i in fitted:
                     errors[i] = e
-        for i, config in enumerate(configs):
+        for i, method in enumerate(methods):
             if errors[i] is None:
                 try:
-                    acc[i][:, :, f] = _score_fold(config, system, x_fit, y_fit,
+                    acc[i][:, :, f] = _score_fold(config, method, system, x_fit, y_fit,
                                                   x_val, y_val, dataset.class_count)
-                except Exception as e:  # ends this config's search only
+                except Exception as e:  # ends this method's search only
                     errors[i] = e
 
     folds_t = tuple(tuple(int(i) for i in f) for f in folds)
-    return CvPass(tuple(e if e is not None else _cv_result(c, a, folds_t)
-                        for c, a, e in zip(configs, acc, errors)), folds_t)
+    return CvPass(tuple(e if e is not None else _cv_result(g, config.k_grid, a, folds_t)
+                        for g, a, e in zip(lambda_grids, acc, errors)), folds_t)

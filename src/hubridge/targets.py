@@ -1,20 +1,19 @@
 """Per-object regression targets: same-class nearest neighbors in the training set.
 
 Targets are selected with the plain Euclidean metric on the features as
-given (before any learned transformation). All indices in a
-TargetAssignment are positions within the training list that produced it,
-so they align directly with the columns of the feature matrix handed to
-the transform solvers.
+given (before any learned transformation). They come out as the 0/1
+indicator J, J[i, j] = 1 iff training object j is a target of object i, whose
+rows and columns are positions within the training list that produced it, so
+they align directly with the columns of the feature matrix handed to the
+transform solvers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.sparse as sp
 
-from ._arrays import index_vector, pairwise_sq_dists, smallest_k
+from ._arrays import as_int_vector, index_vector, pairwise_sq_dists, smallest_k
 from .datamodel import Dataset
 
 
@@ -22,42 +21,22 @@ class TargetSelectionError(ValueError):
     """Target selection is impossible (e.g. a training class is a singleton)."""
 
 
-@dataclass(frozen=True)
-class TargetAssignment:
-    """Ordered target lists, one per training object.
+def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
+    """J marking each training object's k nearest same-class training objects.
 
-    targets_of[i] holds train-local indices sorted by non-decreasing
-    Euclidean distance to object i; ties broken by lower index.
-    """
-
-    targets_of: tuple[tuple[int, ...], ...]
-    k_targets: int
-
-    def __post_init__(self):
-        if self.k_targets < 0:
-            raise ValueError("k_targets must be non-negative")
-        for i, t in enumerate(self.targets_of):
-            if i in t:
-                raise ValueError(f"object {i} lists itself as a target")
-
-
-def select_targets(dataset: Dataset, train, k_targets: int) -> TargetAssignment:
-    """Pick each training object's k nearest same-class training objects.
-
-    Classes with fewer than ``k_targets + 1`` training members contribute
-    all available same-class objects instead of failing; classes with a
-    single training member are rejected (no same-class target exists).
-    ``train`` must list distinct row positions of ``dataset``.
+    Distance ties are broken toward the lower index. Classes with fewer than
+    ``k_targets + 1`` training members contribute all available same-class
+    objects instead of failing; classes with a single training member are
+    rejected (no same-class target exists). ``train`` must list distinct row
+    positions of ``dataset``.
     """
     if k_targets < 0:
         raise ValueError("k_targets must be non-negative")
     tr = index_vector(train, dataset.n, "train")
-    labs = dataset.labels[tr]
-    m = tr.size
-    targets: list[tuple[int, ...]] = [()] * m
     if k_targets == 0:
-        return TargetAssignment(tuple(targets), 0)
-
+        return indicator_matrix([], [], tr.size)
+    labs = dataset.labels[tr]
+    owners, targets = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     classes, sizes = np.unique(labs, return_counts=True)
     buf = np.empty(int(sizes.max(initial=0)) ** 2)  # one distance block for every class
     for c, size in zip(classes, sizes.tolist()):
@@ -71,21 +50,35 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> TargetAssignment:
                                out=buf[:size * size].reshape(size, size))
         np.fill_diagonal(d2, np.inf)
         chosen = members[smallest_k(d2, min(k_targets, size - 1))]
-        for i, row in zip(members.tolist(), chosen.tolist()):
-            targets[i] = tuple(row)
-    return TargetAssignment(tuple(targets), k_targets)
+        owners.append(np.repeat(members, chosen.shape[1]))
+        targets.append(chosen.ravel())
+    return indicator_matrix(np.concatenate(owners), np.concatenate(targets), tr.size)
 
 
-def indicator_matrix(assignment: TargetAssignment, n: int) -> sp.csr_matrix:
-    """Sparse 0/1 matrix J with J[i, j] = 1 iff j is a target of i."""
-    rows, cols = [], []
-    if len(assignment.targets_of) > n:
-        raise ValueError(f"assignment covers {len(assignment.targets_of)} objects, n={n}")
-    for i, t in enumerate(assignment.targets_of):
-        for j in t:
-            if not 0 <= j < n:
-                raise ValueError(f"target index {j} out of range [0, {n})")
-            rows.append(i)
-            cols.append(j)
-    data = np.ones(len(rows), dtype=np.float64)
-    return sp.csr_matrix((data, (rows, cols)), shape=(n, n))
+def indicator_matrix(owners, targets, n: int) -> sp.csr_matrix:
+    """Canonical n x n 0/1 CSR matrix J with J[owners[p], targets[p]] = 1 for each pair p.
+
+    The error names the first bad pair: an index outside [0, n), an object
+    that targets itself, or a pair listed twice.
+    """
+    own = as_int_vector(owners, "owners")
+    tgt = as_int_vector(targets, "targets")
+    if own.shape != tgt.shape:
+        raise ValueError(f"owners has {own.size} entries, targets {tgt.size}")
+    for name, v in (("owners", own), ("targets", tgt)):
+        bad = np.flatnonzero((v < 0) | (v >= n))
+        if bad.size:
+            p = int(bad[0])
+            raise ValueError(f"{name}[{p}] = {int(v[p])} is out of range [0, {n})")
+    bad = np.flatnonzero(own == tgt)
+    if bad.size:
+        p = int(bad[0])
+        raise ValueError(f"pair {p}: object {int(own[p])} lists itself as a target")
+    order = np.lexsort((tgt, own))
+    repeat = (np.diff(own[order]) == 0) & (np.diff(tgt[order]) == 0)
+    if repeat.any():
+        p = int(order[1:][repeat].min())
+        raise ValueError(f"pair {p} ({int(own[p])}, {int(tgt[p])}) repeats an earlier pair")
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(own, minlength=n), out=indptr[1:])
+    return sp.csr_matrix((np.ones(own.size), tgt[order], indptr), shape=(n, n))

@@ -17,7 +17,7 @@ from hubridge.experiment import (ExperimentConfig, TIMING_FIELDS, fit_timed,
                                  run_experiment)
 from hubridge.hubness import ZeroVarianceError, skewness
 from hubridge.knn import Dissimilarity, build_knn_model, classify_batch, neighbor_index_matrix
-from hubridge.targets import indicator_matrix, select_targets
+from hubridge.targets import select_targets
 from hubridge.theory import CentralityExperiment, simulate_delta
 from hubridge.transform import (SOLVER_EXACT, SOLVER_PAPER, fit_move_labeled)
 
@@ -39,8 +39,7 @@ def random_ridge_problem(rng, k_targets):
     feats = rng.normal(size=(n, d))
     labels = (np.arange(n) % 3).astype(np.int64)
     ds = dataset_from_arrays(feats, labels)
-    ta = select_targets(ds, np.arange(n), k_targets)
-    jj = indicator_matrix(ta, n)
+    jj = select_targets(ds, np.arange(n), k_targets)
     return feats.T.copy(), jj
 
 

@@ -448,6 +448,12 @@ class TestSplit:
         with pytest.raises(ValueError, match="train_fraction"):
             split(ds, 1.0, seed=0)
 
+    def test_empty_test_partition_rejected(self):
+        # 0.99 * 40 rounds to 40: every row would train and none would test
+        ds = two_class_dataset(20)
+        with pytest.raises(ValueError, match="train_fraction 0.99 leaves no test rows out of 40"):
+            split(ds, 0.99, seed=0)
+
     def test_small_class_rejected(self):
         ds = dataset_from_arrays([[0.0], [1.0], [2.0]], [0, 0, 1])
         with pytest.raises(ValueError, match="need >= 2"):

@@ -6,7 +6,8 @@ import pytest
 from hubridge.datamodel import (Preprocessor, column_mean_sd, dataset_from_arrays,
                                 apply_pca, fit_pca, split)
 from hubridge.experiment import (ExperimentConfig, ModelArtifact, TIMING_FIELDS,
-                                 cv_config, fit_timed, preprocess, run_experiment)
+                                 fit_timed, preprocess, run_experiment)
+from hubridge.modelselect import CvConfig, grid_search
 
 from _helpers import gaussian_mixture, write_dense_csv
 
@@ -349,6 +350,12 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="lambda_grid"):
             ExperimentConfig.from_json_dict(doc)
 
+    def test_repeated_method_named(self, doc):
+        # each copy's aggregate row would average the rows of both
+        doc["methods"] = ["euclidean", "euclidean"]
+        with pytest.raises(ValueError, match=r"methods\[1\] = 'euclidean' repeats"):
+            ExperimentConfig.from_json_dict(doc)
+
     def test_n_splits_follows_seeds(self, doc):
         del doc["n_splits"]
         cfg = ExperimentConfig.from_json_dict(doc)
@@ -356,13 +363,19 @@ class TestConfigFile:
 
 
 class TestCvConfig:
+    """One CvConfig serves every method; grid_search gives each its lambda axis."""
+
+    @staticmethod
+    def cells(method, config):
+        ds = dataset_from_arrays(*gaussian_mixture(60, 4, 2, sep=2.0, seed=0))
+        res = grid_search(ds, np.arange(ds.n), config, [method]).result(0)
+        return [(c.lam, c.k) for c in res.table]
+
     def test_euclidean_searches_k_at_lambda_zero(self):
-        cfg = cv_config("euclidean", (0.1, 1.0), (1, 3), 4, 7, 2, "exact")
-        assert (cfg.lambda_grid, cfg.direction) == ((0.0,), None)
-        assert (cfg.k_grid, cfg.n_folds, cfg.seed, cfg.k_targets, cfg.solver) == (
-            (1, 3), 4, 7, 2, "exact")
+        cfg = CvConfig((0.1, 1.0), (1, 3), 4, 7, 2, "exact")
+        assert self.cells("euclidean", cfg) == [(0.0, 1), (0.0, 3)]
 
     @pytest.mark.parametrize("method", ["move-labeled", "move-query"])
     def test_fitted_methods_search_the_lambda_grid(self, method):
-        cfg = cv_config(method, (0.1, 1.0), (1, 3), 4, 7)
-        assert (cfg.lambda_grid, cfg.direction) == ((0.1, 1.0), method)
+        cfg = CvConfig((0.1, 1.0), (1, 3), 4, 7)
+        assert self.cells(method, cfg) == [(0.1, 1), (0.1, 3), (1.0, 1), (1.0, 3)]

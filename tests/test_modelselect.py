@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from hubridge.datamodel import dataset_from_arrays
-from hubridge.experiment import METHODS, cv_config
-from hubridge.modelselect import CvConfig, FoldError, grid_search, make_folds
+from hubridge.modelselect import METHODS, CvConfig, FoldError, grid_search, make_folds
 
 from _helpers import gaussian_mixture
 
@@ -46,6 +45,15 @@ class TestMakeFolds:
         with pytest.raises(FoldError, match="class 1"):
             make_folds(np.arange(6), np.array([0, 0, 0, 0, 0, 1]), 3, seed=0)
 
+    @pytest.mark.parametrize("indices, labels, message", [
+        ([-1, 0, 1, 2], [0, 0, 1, 1], r"indices\[0\] = -1 is out of range"),
+        ([1, 1, 2, 2], [0, 0, 1, 1], r"indices\[1\] = 1 repeats an earlier entry"),
+    ], ids=["negative", "repeated"])
+    def test_bad_indices_rejected(self, indices, labels, message):
+        # a repeated row would sit on the fit side and the validation side at once
+        with pytest.raises(ValueError, match=message):
+            make_folds(indices, labels, 2, 0)
+
     def test_non_contiguous_indices(self):
         indices = np.array([3, 7, 11, 20, 21, 30])
         labels = np.array([0, 1, 0, 1, 0, 1])
@@ -61,9 +69,8 @@ class TestGridSearch:
 
     def test_singleton_grids(self):
         ds = self.separable_dataset()
-        cfg = CvConfig(lambda_grid=(0.5,), k_grid=(3,), n_folds=5, seed=0,
-                       direction="move-labeled")
-        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
+        cfg = CvConfig(lambda_grid=(0.5,), k_grid=(3,), n_folds=5, seed=0)
+        res = grid_search(ds, np.arange(ds.n), cfg, ["move-labeled"]).result(0)
         assert res.best_lambda == 0.5 and res.best_k == 3
         assert len(res.table) == 1
         assert 0.0 <= res.table[0].mean_accuracy <= 1.0
@@ -75,60 +82,49 @@ class TestGridSearch:
         # candidate (oracle: evaluate both directly)
         x, y = gaussian_mixture(120, 6, 3, sep=1.5, seed=0)
         ds = dataset_from_arrays(x, y)
-        cfg = CvConfig(lambda_grid=(0.1, 1e12), k_grid=(1,), n_folds=5, seed=0,
-                       direction="move-labeled")
-        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
+        cfg = CvConfig(lambda_grid=(0.1, 1e12), k_grid=(1,), n_folds=5, seed=0)
+        res = grid_search(ds, np.arange(ds.n), cfg, ["move-labeled"]).result(0)
         assert res.best_lambda == 0.1
         by_lam = {c.lam: c.mean_accuracy for c in res.table}
         assert by_lam[0.1] > by_lam[1e12]
 
     def test_deterministic(self):
         ds = self.separable_dataset()
-        cfg = CvConfig(lambda_grid=(0.1, 1.0), k_grid=(1, 3), n_folds=5, seed=3,
-                       direction="move-labeled")
-        a = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
-        b = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
+        cfg = CvConfig(lambda_grid=(0.1, 1.0), k_grid=(1, 3), n_folds=5, seed=3)
+        a = grid_search(ds, np.arange(ds.n), cfg, ["move-labeled"]).result(0)
+        b = grid_search(ds, np.arange(ds.n), cfg, ["move-labeled"]).result(0)
         assert a == b
 
     def test_argmax_consistency(self):
         ds = self.separable_dataset(seed=4)
-        cfg = CvConfig(lambda_grid=(0.01, 1.0), k_grid=(1, 5), n_folds=4, seed=2,
-                       direction="move-query")
-        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
+        cfg = CvConfig(lambda_grid=(0.01, 1.0), k_grid=(1, 5), n_folds=4, seed=2)
+        res = grid_search(ds, np.arange(ds.n), cfg, ["move-query"]).result(0)
         best_mean = max(c.mean_accuracy for c in res.table)
         winner = [c for c in res.table
                   if c.lam == res.best_lambda and c.k == res.best_k][0]
         assert winner.mean_accuracy == best_mean
 
     def test_tie_rule_prefers_larger_lambda_then_smaller_k(self):
-        # with direction None the lambda axis is inert: every row ties, so
-        # the winner must be the largest lambda with the smallest good k
+        # well-separated classes: every cell scores 1.0, so the winner must
+        # be the largest lambda with the smallest k
         ds = self.separable_dataset(seed=5)
-        cfg = CvConfig(lambda_grid=(0.1, 10.0), k_grid=(1, 3), n_folds=5, seed=1,
-                       direction=None)
-        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
-        assert res.best_lambda == 10.0
-        by_k = {}
-        for c in res.table:
-            by_k.setdefault(c.k, c.mean_accuracy)
-        ks_at_best = [k for k, acc in by_k.items()
-                      if acc == max(by_k.values())]
-        assert res.best_k == min(ks_at_best)
+        cfg = CvConfig(lambda_grid=(0.1, 10.0), k_grid=(1, 3), n_folds=5, seed=1)
+        res = grid_search(ds, np.arange(ds.n), cfg, ["move-labeled"]).result(0)
+        assert [c.mean_accuracy for c in res.table] == [1.0] * 4
+        assert (res.best_lambda, res.best_k) == (10.0, 1)
 
     def test_euclidean_reduces_to_k_selection(self):
         ds = self.separable_dataset(seed=6)
-        cfg = CvConfig(lambda_grid=(0.0,), k_grid=(1, 3, 5), n_folds=5, seed=0,
-                       direction=None)
-        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
+        cfg = CvConfig(lambda_grid=(0.1, 10.0), k_grid=(1, 3, 5), n_folds=5, seed=0)
+        res = grid_search(ds, np.arange(ds.n), cfg, ["euclidean"]).result(0)
         assert res.best_lambda == 0.0
         assert res.best_k in (1, 3, 5)
 
     def test_folds_partition_training_indices(self):
         ds = self.separable_dataset(seed=7)
         train = np.arange(0, 80)
-        cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=4, seed=9,
-                       direction="move-labeled")
-        res = grid_search(ds, train, [cfg]).result(0)
+        cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=4, seed=9)
+        res = grid_search(ds, train, cfg, ["move-labeled"]).result(0)
         merged = np.sort(np.concatenate([np.array(f) for f in res.folds]))
         np.testing.assert_array_equal(merged, train)
 
@@ -137,9 +133,8 @@ class TestGridSearch:
         # rows must not change the folds' training composition it scored on;
         # here we simply check folds are disjoint so no point scores itself
         ds = self.separable_dataset(seed=8)
-        cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=5, seed=3,
-                       direction="move-labeled")
-        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
+        cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=5, seed=3)
+        res = grid_search(ds, np.arange(ds.n), cfg, ["move-labeled"]).result(0)
         seen = set()
         for f in res.folds:
             assert not (seen & set(f))
@@ -147,13 +142,18 @@ class TestGridSearch:
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
-            CvConfig(lambda_grid=(), k_grid=(1,), n_folds=2, seed=0, direction=None)
+            CvConfig(lambda_grid=(), k_grid=(1,), n_folds=2, seed=0)
+
+    def test_unknown_method_rejected(self):
+        ds = self.separable_dataset(seed=9)
+        cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=3, seed=0)
+        with pytest.raises(ValueError, match=r"methods\[1\] = 'move-both' is not one of"):
+            grid_search(ds, np.arange(ds.n), cfg, ["euclidean", "move-both"])
 
     def test_json_round_trip_schema(self):
         ds = self.separable_dataset(seed=9)
-        cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=3, seed=0,
-                       direction=None)
-        res = grid_search(ds, np.arange(ds.n), [cfg]).result(0)
+        cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=3, seed=0)
+        res = grid_search(ds, np.arange(ds.n), cfg, ["euclidean"]).result(0)
         doc = res.to_json_dict()
         assert doc["version"] == 1
         assert {"lambda", "k", "mean_accuracy", "std_accuracy"} == set(doc["table"][0])
@@ -161,11 +161,6 @@ class TestGridSearch:
 
 class TestSharedPass:
     """Every method's outcome is the one a pass serving that method alone gives."""
-
-    @staticmethod
-    def configs(methods, k_targets, solver):
-        return [cv_config(m, (0.0, 0.03, 1.0), (1, 3, 5), 3, 4, k_targets, solver)
-                for m in methods]
 
     @pytest.mark.parametrize("k_targets, solver", [(1, "paper"), (2, "exact")])
     @pytest.mark.parametrize("methods", [order for r in (2, 3)
@@ -176,9 +171,10 @@ class TestSharedPass:
         x, y = gaussian_mixture(120, 6, 3, sep=0.8, seed=11)
         ds = dataset_from_arrays(x, y)
         train = np.arange(ds.n)
-        together = grid_search(ds, train, self.configs(methods, k_targets, solver))
+        cfg = CvConfig((0.0, 0.03, 1.0), (1, 3, 5), 3, 4, k_targets, solver)
+        together = grid_search(ds, train, cfg, methods)
         for i, method in enumerate(methods):
-            alone = grid_search(ds, train, self.configs([method], k_targets, solver))
+            alone = grid_search(ds, train, cfg, [method])
             assert together.result(i) == alone.result(0), method
 
     def test_a_failing_method_leaves_the_others_running(self):
@@ -187,9 +183,9 @@ class TestSharedPass:
         x, y = gaussian_mixture(60, 4, 2, sep=2.0, seed=1)
         x[:, 2] = 0.0
         ds = dataset_from_arrays(x, y)
-        cfgs = [cv_config(m, (0.0,), (1,), 3, 0) for m in METHODS]
-        cv = grid_search(ds, np.arange(ds.n), cfgs)
-        assert cv.result(0) == grid_search(ds, np.arange(ds.n), cfgs[:1]).result(0)
+        cfg = CvConfig((0.0,), (1,), 3, 0)
+        cv = grid_search(ds, np.arange(ds.n), cfg, METHODS)
+        assert cv.result(0) == grid_search(ds, np.arange(ds.n), cfg, METHODS[:1]).result(0)
         for i in (1, 2):
             with pytest.raises(ValueError, match="singular at lambda=0.0"):
                 cv.result(i)
@@ -205,11 +201,4 @@ class TestSharedPass:
         train = np.arange(30)
         train[change[0]] = change[1]
         with pytest.raises(ValueError, match=message):
-            grid_search(ds, train, [cv_config("euclidean", (0.0,), (1,), 3, 0)])
-
-    def test_configs_must_share_the_fold_plan(self):
-        ds = dataset_from_arrays(*gaussian_mixture(30, 3, 2, sep=2.0, seed=0))
-        a = CvConfig((0.1,), (1,), n_folds=3, seed=0, direction=None)
-        b = CvConfig((0.1,), (1,), n_folds=3, seed=1, direction="move-labeled")
-        with pytest.raises(ValueError, match="share n_folds, seed and k_targets"):
-            grid_search(ds, np.arange(ds.n), [a, b])
+            grid_search(ds, train, CvConfig((0.0,), (1,), 3, 0), ["euclidean"])

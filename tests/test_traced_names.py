@@ -69,6 +69,9 @@ def test_fit_timed_counts_one_selection_and_one_fit():
     metrics = tracer.layer_metrics()
     assert metrics["transform.fit_calls"] == 1
     assert metrics["targets.select_calls"] == 1
+    # select_targets builds J through indicator_matrix, so its span is timed
+    assert tracer.calls("targets.indicator") == 1
+    assert tracer.calls("targets.indicator", "targets.select") == 1
     assert metrics["transform.gram_gflop"] == 4.0 * d * d * n / 1e9
 
 

@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from hubridge.datamodel import dataset_from_arrays
-from hubridge.targets import indicator_matrix, select_targets
+from hubridge.targets import select_targets
 from hubridge.transform import (SOLVER_EXACT, SOLVER_PAPER, MOVE_LABELED,
                                 MOVE_QUERY, RidgeSystem, SingularSystemError,
                                 TransformModel, fit_move_labeled, fit_move_query,
@@ -20,8 +20,7 @@ def random_problem(rng, d=5, n=12, k_targets=1, n_classes=2):
     feats = rng.normal(size=(n, d))
     labels = np.arange(n) % n_classes
     ds = dataset_from_arrays(feats, labels)
-    ta = select_targets(ds, np.arange(n), k_targets)
-    jj = indicator_matrix(ta, n)
+    jj = select_targets(ds, np.arange(n), k_targets)
     return feats.T.copy(), jj  # (d, n) columns are objects
 
 
@@ -110,8 +109,7 @@ class TestOracles:
         feats = rng.normal(size=(n, d))
         labels = np.arange(n) % 2
         ds = dataset_from_arrays(feats, labels)
-        ta = select_targets(ds, np.arange(n), 1)
-        jj = indicator_matrix(ta, n)
+        jj = select_targets(ds, np.arange(n), 1)
         tm = fit_move_labeled(feats.T, jj, 0.5)
         rows, cols = jj.nonzero()
         mapped_targets = transform_points(tm, feats[cols])
