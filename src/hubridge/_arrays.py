@@ -5,12 +5,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def as_matrix(a, name: str = "array") -> np.ndarray:
-    """Coerce to a C-contiguous float64 2-D array, rejecting non-finite values."""
+def as_matrix(a, name: str = "array", finite: bool = True) -> np.ndarray:
+    """Coerce to a C-contiguous float64 2-D array, rejecting non-finite values.
+
+    ``finite=False`` skips the finiteness scan, for a caller whose result is
+    checked where it lands (``KnnModel`` checks its own points).
+    """
     out = np.ascontiguousarray(a, dtype=np.float64)
     if out.ndim != 2:
         raise ValueError(f"{name} must be 2-dimensional, got ndim={out.ndim}")
-    if not np.isfinite(out).all():
+    if finite and not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite values")
     return out
 
@@ -70,7 +74,10 @@ def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray,
 
     Uses the expanded form ||q||^2 - 2 q.p + ||p||^2 (one GEMM), clipped at
     zero to absorb rounding. Identical input rows produce identical output
-    values, so index-based tie-breaking downstream stays deterministic.
+    values, so index-based tie-breaking downstream stays deterministic. The
+    block follows its operands' dtype: float32 queries, points and norms give
+    a float32 block (one float32 GEMM), with the same clipping and the same
+    identical-rows property.
     ``points_sq_norms`` is ``sq_norms(points)``, computed once by callers
     that query the same points repeatedly. ``out``, if given, receives the
     result (a reused buffer saves page faults on large blocks).

@@ -27,7 +27,7 @@ from .experiment import (ExperimentConfig, ModelArtifact, fit_method, preprocess
                          run_experiment, solver_gap)
 from .hubness import hubness_report, report_csv
 from .knn import classify_batch, knn_from_transform
-from .modelselect import METHODS, CvConfig, grid_search
+from .modelselect import METHODS, CvConfig, check_methods, grid_search
 from .theory import CentralityExperiment, simulate_delta
 from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS
 
@@ -186,13 +186,14 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_hubness(args) -> int:
+    methods = check_methods(args.methods, "--methods")  # before any loading or fitting
     ds = load_dataset(args.dataset, args.format)
     sp = make_split(ds, args.train_fraction, args.seed)
     pre = preprocess(ds, sp.train_indices, center=args.center,
                      zscore=args.zscore, pca_dim=args.pca_dim)
     train_ds = subset(pre, sp.train_indices)
     models = []
-    for method in args.methods:
+    for method in methods:
         tm, _, _ = fit_method(train_ds, method, args.lam, args.k_targets, args.solver)
         models.append((method, knn_from_transform(tm, train_ds.features,
                                                   train_ds.labels, 1)))

@@ -22,7 +22,8 @@ from .datamodel import (Dataset, Preprocessor, Split, load_dataset,
                         split as make_split, subset)
 from .hubness import DEFAULT_HUBNESS_K, skewness
 from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
-from .modelselect import EUCLIDEAN_METHOD, METHODS, CvConfig, CvResult, grid_search
+from .modelselect import (EUCLIDEAN_METHOD, METHODS, CvConfig, CvResult, check_methods,
+                          grid_search)
 from .targets import select_targets
 from .transform import (MOVE_LABELED, SOLVER_PAPER, TransformModel, fit_transform,
                         solver_disagreement)
@@ -84,14 +85,7 @@ class ExperimentConfig:
             raise ValueError("n_splits must be >= 1")
         if len(self.seeds) != self.n_splits:
             raise ValueError("seeds must provide one seed per split")
-        if not self.methods:
-            raise ValueError("at least one method is required")
-        for i, method in enumerate(self.methods):
-            if method not in METHODS:
-                raise ValueError(f"methods[{i}] = {method!r} is an unknown method; "
-                                 f"expected one of {METHODS}")
-            if method in self.methods[:i]:
-                raise ValueError(f"methods[{i}] = {method!r} repeats an earlier method")
+        check_methods(self.methods)
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
         if self.hubness_k < 1:

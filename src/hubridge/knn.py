@@ -3,12 +3,48 @@
 A ``Dissimilarity`` holds two optional square maps, ``labeled_map`` L and
 ``query_map`` Q, and compares ||Q x - L z||^2 for a query x and a labeled z;
 a None map is the identity. A model maps its labeled points through L once;
-each lookup maps its query batch through Q, computes every dissimilarity and
-picks each row's k smallest by partial selection (``_arrays.smallest_k``)
-rather than a full sort. Ties break toward the lower labeled index, exactly as
-a stable full sort would order them. Majority votes tie-break toward the
-label of the nearest neighbor within the tied label set, which degrades to
-the 1-NN rule.
+each lookup maps its query batch through Q and returns, per query, the k
+labeled indices a full sort by (direct-difference float64 value, index)
+gives: among equal dissimilarities the lower labeled index comes first.
+Majority votes tie-break toward the label of the nearest neighbor within the
+tied label set, which degrades to the 1-NN rule.
+
+The lookup is certified rather than computed in full precision. Per chunk
+of queries it
+
+1. forms every approximate squared distance with one float32 GEMM
+   (``_arrays.pairwise_sq_dists``) on operands centered on the labeled mean
+   mu, where expansion cancels least;
+2. bounds, per query row, how far any approximate value can lie from the
+   direct-difference float64 value: E = c (||a||^2 + max_p ||b_p||^2) plus an
+   underflow term, where a and b_p are the float32 centered operands and
+
+       c = [2 gamma_{d+2}(u32) + 5 u32 + 2 gamma_{d+2}(u64)] * (1 + O(gamma_d)),
+       gamma_n(u) = n u / (1 - n u)     (Higham, Accuracy and Stability of
+                                         Numerical Algorithms, section 3.1),
+
+   covering the GEMM expansion, the rounding of x - mu to float32 and the
+   rounding of the float64 oracle itself (``_error_bound``);
+3. keeps the band of entries at most (k-th smallest approximate value) + 2E.
+   At least k entries have an approximate value no greater than the k-th
+   one, so the true k-th value is at most that plus E, and any entry whose
+   true value reaches it lies within the band: the band holds every true
+   neighbour;
+4. sorts the band by (approximate value, index) and cuts it into clusters
+   wherever consecutive values differ by more than 2E. Across a cut the
+   true order is the approximate one; within a cluster it may not be, so
+   only clusters of two or more entries that start among the first k
+   places are re-ranked, by (exact value, index), where the exact value
+   is the oracle's arithmetic: a float64 difference, its square and
+   ``np.sum`` over the row.
+
+Two observable properties of the input send a chunk to the float64 stage
+instead, which certifies the very same way (step 2 with u64 and no input
+rounding): centered squared norms outside float32's safe range (step 1
+would overflow; so does a dimension with (d + 2) u32 >= 1/2, where the bound
+is void), and a float32 band holding more than k + n/16 entries per row on
+average (float32 cannot separate this chunk; the float64 band is narrower
+unless the ties are real, and then it is re-ranked exactly all the same).
 """
 
 from __future__ import annotations
@@ -17,8 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import (as_matrix, as_int_vector, frozen, pairwise_sq_dists, query_chunks,
-                      smallest_k, sq_norms)
+from ._arrays import as_matrix, as_int_vector, frozen, pairwise_sq_dists, query_chunks, sq_norms
 from .transform import TransformModel, MOVE_LABELED
 
 
@@ -58,29 +93,43 @@ class Dissimilarity:
 class KnnModel:
     """Labeled points ready for lookup (already mapped for the labeled side).
 
-    ``labeled_sq_norms`` holds each labeled point's squared norm, computed
-    once here so lookups do not recompute it per batch.
+    The float32 stage's operands are computed once here so lookups do not
+    recompute them per batch: ``labeled_mean`` (mu), ``centered32`` (the
+    float32 copy of ``labeled_points - mu``) and ``centered32_sq_norms`` (its
+    squared norms, +inf where they overflow float32).
     """
 
     labeled_points: np.ndarray
     labels: np.ndarray
     k: int
     dissimilarity: Dissimilarity
-    labeled_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    labeled_mean: np.ndarray = field(init=False, repr=False, compare=False)
+    centered32: np.ndarray = field(init=False, repr=False, compare=False)
+    centered32_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.labeled_points.ndim != 2:
+        pts = self.labeled_points
+        if pts.ndim != 2:
             raise ValueError("labeled_points must be a matrix")
-        if self.labels.shape != (self.labeled_points.shape[0],):
+        if not np.isfinite(pts).all():  # a NaN would drop out of every band
+            raise ValueError("labeled_points contains non-finite values")
+        if self.labels.shape != (pts.shape[0],):
             raise ValueError("labels length must match labeled point count")
-        if not 1 <= self.k <= self.labeled_points.shape[0]:
-            raise ValueError(f"k must be in [1, {self.labeled_points.shape[0]}], got {self.k}")
+        if not 1 <= self.k <= pts.shape[0]:
+            raise ValueError(f"k must be in [1, {pts.shape[0]}], got {self.k}")
         if (self.labels < 0).any():  # a vote would wrap a negative class id around
             p = int(np.argmax(self.labels < 0))
             raise ValueError(f"labels[{p}] = {int(self.labels[p])} is negative")
-        frozen(self.labeled_points)
+        frozen(pts)
         frozen(self.labels)
-        object.__setattr__(self, "labeled_sq_norms", frozen(sq_norms(self.labeled_points)))
+        mean = pts.mean(axis=0)
+        centered = np.empty(pts.shape, dtype=np.float32)
+        with np.errstate(over="ignore"):  # an overflow shows as +inf norms
+            np.subtract(pts, mean, out=centered, casting="same_kind")
+            centered_sq = sq_norms(centered)
+        for name, value in (("labeled_mean", mean), ("centered32", centered),
+                            ("centered32_sq_norms", centered_sq)):
+            object.__setattr__(self, name, frozen(value))
 
     @property
     def n(self) -> int:
@@ -93,7 +142,7 @@ class KnnModel:
 
 def build_knn_model(labeled_points, labels, k: int, dissimilarity: Dissimilarity) -> KnnModel:
     """Construct a KnnModel, applying the labeled-side map once."""
-    pts = as_matrix(labeled_points, "labeled_points")
+    pts = as_matrix(labeled_points, "labeled_points", finite=False)  # KnnModel checks
     y = as_int_vector(labels, "labels")
     for name in ("labeled_map", "query_map"):
         m = getattr(dissimilarity, name)
@@ -118,11 +167,18 @@ def knn_from_transform(model: TransformModel | None, labeled_points, labels,
 def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.ndarray:
     """(n_queries, k) labeled indices, each row sorted by dissimilarity then index.
 
-    Each row holds the k smallest dissimilarities found by partial selection;
-    the order is the one a stable full sort gives, so among equal
-    dissimilarities the lower labeled index comes first (and is kept when the
-    tie straddles the k-th place). A prefix of ``j <= k`` columns is therefore
-    exactly the ``j``-nearest-neighbor matrix.
+    Each row is exactly the first k of a full sort by (direct-difference
+    float64 dissimilarity, index), so among equal dissimilarities the lower
+    labeled index comes first (and is kept when the tie straddles the k-th
+    place), and a prefix of ``j <= k`` columns is the ``j``-nearest-neighbor
+    matrix. It is computed without that sort: a float32 GEMM on centered
+    operands, a per-row a-priori error bound E, the band of entries within
+    the k-th approximate value + 2E (proven to hold every true neighbour),
+    and a direct-difference re-rank of only those band entries that lie
+    within 2E of a neighbour in approximate order. A chunk whose centered
+    norms are not safely inside float32 range, or whose band exceeds
+    k + n/16 entries per row on average, is certified the same way from a
+    float64 GEMM instead. The module docstring states the bound.
     """
     k = model.k if k is None else int(k)
     if not 1 <= k <= model.n:
@@ -133,8 +189,108 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
     q = model.dissimilarity.map_query(q)
     out = np.empty((q.shape[0], k), dtype=np.int64)
     for lo, hi in query_chunks(q.shape[0], model.n):
-        d2 = pairwise_sq_dists(q[lo:hi], model.labeled_points, model.labeled_sq_norms)
-        out[lo:hi] = smallest_k(d2, k)
+        out[lo:hi] = _nearest(model, q[lo:hi], k)
+    return out
+
+
+_U32 = float(np.finfo(np.float32).eps) / 2  # unit roundoff
+_U64 = float(np.finfo(np.float64).eps) / 2
+_F32_SAFE = float(np.finfo(np.float32).max) / 8  # every float32 intermediate stays below 4 S
+_BAND_SLACK = 16  # float32 band cap: k + n / _BAND_SLACK entries per row on average
+_GATHER_CELLS = 1 << 20  # float64 cells gathered at once by the exact re-rank
+
+
+def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
+    """The certified k nearest labeled indices of one chunk of mapped queries."""
+    d = model.d
+    centered = np.empty(q.shape, dtype=np.float32)
+    with np.errstate(over="ignore"):  # an overflow shows as +inf norms
+        np.subtract(q, model.labeled_mean, out=centered, casting="same_kind")
+        q_sq = sq_norms(centered)
+    p_max = float(model.centered32_sq_norms.max())
+    if float(q_sq.max()) + p_max < _F32_SAFE and (d + 2) * _U32 < 0.5:
+        approx = pairwise_sq_dists(centered, model.centered32, model.centered32_sq_norms)
+        err = _error_bound(q_sq, p_max, d, np.float32)
+        band = _band(approx, err, k, q.shape[0] * (k + model.n // _BAND_SLACK))
+        if band is not None:
+            return _rank(model, q, err, k, *band)
+    p_sq = sq_norms(model.labeled_points)
+    approx = pairwise_sq_dists(q, model.labeled_points, p_sq)
+    err = _error_bound(sq_norms(q), float(p_sq.max()), d, np.float64)
+    return _rank(model, q, err, k, *_band(approx, err, k, None))
+
+
+def _error_bound(q_sq: np.ndarray, p_max: float, d: int, dtype) -> np.ndarray:
+    """Per-row bound on |approximate - direct-difference float64| squared distance.
+
+    ``q_sq`` and ``p_max`` are the computed squared norms of the GEMM's
+    query rows and the largest of its point rows, in ``dtype``. For float32
+    operands the inputs were rounded from float64 on the way in.
+    """
+    u = float(np.finfo(dtype).eps) / 2
+    tiny = float(np.finfo(dtype).tiny)  # flushed or gradual underflow costs at most this
+
+    def gamma(n, unit):
+        return n * unit / (1 - n * unit)
+
+    g = gamma(d, u)
+    s = (q_sq.astype(np.float64) + p_max) / (1 - g)  # >= the exact norms' sum S
+    coef = 2 * gamma(d + 2, u) * (1 + g) * (1 + u)  # ||a||^2 - 2 a.b + ||b||^2 in dtype
+    coef += 2 * gamma(d + 2, _U64) * (1 + 5 * u)  # the oracle's: gamma_{d+2}(u64) D, D <= 2 S
+    if dtype == np.float32:
+        coef += 5 * u  # rounding x - mu to float32: (2u' + u'^2) 2 / (1 - u')^2, u' ~ u
+    err = coef * s + (9 * d + 3 + 6 * np.sqrt(d * s)) * tiny
+    return err * (1 + 16 * _U64)  # the float64 arithmetic forming and applying E
+
+
+def _band(approx: np.ndarray, err: np.ndarray, k: int, cap: int | None):
+    """(rows, cols, approximate values) of every entry within its row's k-th value
+    + 2E, sorted by (row, value, column); None if there are more than ``cap``."""
+    n = approx.shape[1]
+    kth = approx.min(axis=1) if k == 1 else np.partition(approx, k - 1, axis=1)[:, k - 1]
+    inf = approx.dtype.type(np.inf)
+    limit = np.nextafter((kth + 2.0 * err).astype(approx.dtype), inf)  # rounded up
+    inside = approx <= limit[:, None]
+    if cap is not None and np.count_nonzero(inside) > cap:
+        return None
+    flat = np.flatnonzero(inside)
+    rows, cols = np.divmod(flat, n)
+    values = approx.ravel()[flat].astype(np.float64)
+    order = np.lexsort((values, rows))  # stable: equal values stay in column order
+    return rows[order], cols[order], values[order]
+
+
+def _rank(model: KnnModel, q: np.ndarray, err: np.ndarray, k: int, rows: np.ndarray,
+          cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """First k band entries per row, ambiguous clusters re-ranked by exact values."""
+    m = q.shape[0]
+    starts = np.searchsorted(rows, np.arange(m))
+    # entry i joins entry i - 1's cluster unless its value is provably larger
+    joined = np.zeros(rows.size, dtype=bool)
+    joined[1:] = ((rows[1:] == rows[:-1]) &
+                  (values[1:] <= np.nextafter(values[:-1] + 2.0 * err[rows[1:]], np.inf)))
+    cluster = np.cumsum(~joined) - 1
+    first = np.flatnonzero(~joined)  # each cluster's first entry
+    size = np.diff(np.append(first, rows.size))
+    place = first - starts[rows[first]]  # its place within its row
+    ambiguous = ((size > 1) & (place < k))[cluster]
+    if ambiguous.any():
+        at = np.flatnonzero(ambiguous)
+        exact = _direct_sq_dists(q, model.labeled_points, rows[at], cols[at])
+        cols[at] = cols[at][np.lexsort((cols[at], exact, cluster[at]))]
+    return cols[starts[:, None] + np.arange(k)]
+
+
+def _direct_sq_dists(q: np.ndarray, points: np.ndarray, rows: np.ndarray,
+                     cols: np.ndarray) -> np.ndarray:
+    """||q[rows[i]] - points[cols[i]]||^2 by direct differences, summed per row
+    as ``np.sum`` sums a vector (the oracles' arithmetic)."""
+    out = np.empty(rows.size)
+    step = max(1, _GATHER_CELLS // max(1, q.shape[1]))
+    for lo in range(0, rows.size, step):
+        diff = q[rows[lo:lo + step]] - points[cols[lo:lo + step]]
+        diff *= diff
+        out[lo:lo + step] = diff.sum(axis=1)
     return out
 
 

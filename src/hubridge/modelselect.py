@@ -35,6 +35,20 @@ EUCLIDEAN_METHOD = "euclidean"
 METHODS = (EUCLIDEAN_METHOD, MOVE_LABELED, MOVE_QUERY)
 
 
+def check_methods(methods, name: str = "methods") -> tuple[str, ...]:
+    """``methods`` as a tuple of known, distinct method names; an error names ``name[i]``."""
+    methods = tuple(methods)
+    if not methods:
+        raise ValueError("at least one method is required")
+    for i, method in enumerate(methods):
+        if method not in METHODS:
+            raise ValueError(f"{name}[{i}] = {method!r} is an unknown method; "
+                             f"expected one of {METHODS}")
+        if method in methods[:i]:
+            raise ValueError(f"{name}[{i}] = {method!r} repeats an earlier method")
+    return methods
+
+
 class FoldError(ValueError):
     """Folds cannot be formed (class smaller than the fold count)."""
 

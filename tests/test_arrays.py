@@ -109,3 +109,15 @@ class TestPairwiseSqDists:
         got = pairwise_sq_dists(p, p, out=buf[:40 * 40].reshape(40, 40))
         assert np.shares_memory(got, buf)
         assert got.tobytes() == pairwise_sq_dists(p, p).tobytes()
+
+    def test_float32_operands_give_float32_block(self, rng):
+        q = rng.normal(size=(7, 5)) + 1e3
+        p = np.vstack([q[:3], rng.normal(size=(8, 5)) + 1e3, q[:3]])
+        q32, p32 = q.astype(np.float32), p.astype(np.float32)
+        got = pairwise_sq_dists(q32, p32, sq_norms(p32))
+        assert got.dtype == np.float32
+        assert got.min() >= 0.0  # cancellation at 1e3 goes negative before the clip
+        np.testing.assert_array_equal(got[:, :3], got[:, -3:])  # identical rows
+        np.testing.assert_array_equal(got, pairwise_sq_dists(q32, p32))
+        # float32's spacing at the squared norms (~5e6) is 0.5
+        np.testing.assert_allclose(got, pairwise_sq_dists(q, p), atol=4.0)

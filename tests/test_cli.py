@@ -1,10 +1,11 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from hubridge.cli import main
-from hubridge.datamodel import dataset_from_arrays, load_dataset
+from hubridge.datamodel import bundled_dataset_path, dataset_from_arrays, load_dataset
 from hubridge.experiment import ModelArtifact, fit_timed, preprocess
 from hubridge.knn import classify_batch, knn_from_transform
 
@@ -245,6 +246,24 @@ class TestHubnessCommand:
         assert rc == 0
         lines = capsys.readouterr().out.strip().split("\n")
         assert [line.split(",")[0] for line in lines[1:]] == order
+
+    @pytest.mark.parametrize("methods,message", [
+        ("euclidean,bogus", r"--methods\[1\] = 'bogus' is an unknown method"),
+        ("euclidean,euclidean", r"--methods\[1\] = 'euclidean' repeats an earlier method"),
+    ])
+    def test_methods_checked_before_loading(self, monkeypatch, capsys, methods, message):
+        import hubridge.cli
+
+        def refuse(*args):
+            raise AssertionError("dataset loaded before --methods was checked")
+
+        monkeypatch.setattr(hubridge.cli, "load_dataset", refuse)
+        rc = main(["hubness", "--dataset", str(bundled_dataset_path("iris")),
+                   "--methods", methods])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert re.search(message, captured.err)
+        assert captured.out == ""
 
 
 class TestCvCommand:

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from hubridge.knn import (Dissimilarity, build_knn_model, classify_batch, evaluate,
+from hubridge import knn
+from hubridge._arrays import sq_norms
+from hubridge.knn import (Dissimilarity, KnnModel, build_knn_model, classify_batch, evaluate,
                           knn_from_transform, neighbor_index_matrix)
 from hubridge.transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER,
                                 TransformModel)
 
-from _helpers import oracle_classify, oracle_knn_indices
+from _helpers import oracle_classify, oracle_knn_indices, oracle_sq_dist
 
 
 # the Dissimilarity for each transformed kind of ``_helpers.oracle_dissimilarity_row``
@@ -67,6 +70,103 @@ class TestTies:
             model = build_knn_model(pts, labels, k, Dissimilarity.euclidean())
             want = [oracle_knn_indices(q, pts, k) for q in queries]
             np.testing.assert_array_equal(neighbor_index_matrix(model, queries), want)
+
+
+@st.composite
+def lookups(draw):
+    """(model, queries): offsets up to 1e6, rows drawn with repeats from a small
+    pool of 0/1, small-integer or continuous rows, k from 1 to n, and no map,
+    the identity or a random map on either side."""
+    d = draw(st.integers(min_value=1, max_value=6))
+    n = draw(st.integers(min_value=1, max_value=30))
+    m = draw(st.integers(min_value=1, max_value=6))
+    entry = draw(st.sampled_from([
+        st.integers(min_value=0, max_value=1).map(float),
+        st.integers(min_value=-3, max_value=3).map(float),
+        st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
+    ]))
+    size = draw(st.integers(min_value=1, max_value=n + m))
+    pool = np.array(draw(st.lists(entry, min_size=size * d, max_size=size * d)))
+    picks = draw(st.lists(st.integers(min_value=0, max_value=size - 1),
+                          min_size=n + m, max_size=n + m))
+    offset = draw(st.one_of(st.sampled_from([0.0, 1e3, 1e6]),
+                            st.floats(min_value=-1e6, max_value=1e6)))
+    rows = pool.reshape(size, d)[picks] + offset
+    w = np.array(draw(st.lists(st.floats(min_value=-2.0, max_value=2.0),
+                               min_size=d * d, max_size=d * d))).reshape(d, d)
+    dis = draw(st.sampled_from([Dissimilarity(), Dissimilarity(labeled_map=np.eye(d)),
+                                Dissimilarity(labeled_map=w), Dissimilarity(query_map=w)]))
+    k = draw(st.integers(min_value=1, max_value=n))
+    return build_knn_model(rows[:n], np.zeros(n, dtype=np.int64), k, dis), rows[n:]
+
+
+def stage_dtypes(monkeypatch) -> list:
+    """Record the operand dtype of every distance block a lookup forms."""
+    seen = []
+    real = knn.pairwise_sq_dists
+
+    def spy(queries, *args, **kwargs):
+        seen.append(queries.dtype)
+        return real(queries, *args, **kwargs)
+
+    monkeypatch.setattr(knn, "pairwise_sq_dists", spy)
+    return seen
+
+
+class TestCertifiedStage:
+    @given(lookups())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_full_sort_oracle(self, lookup):
+        # the oracle reads the coordinates the lookup compares (queries through
+        # Q, labeled points through L): a map's own rounding is not the stage's
+        model, queries = lookup
+        mapped = model.dissimilarity.map_query(queries)
+        want = [oracle_knn_indices(q, model.labeled_points, model.k) for q in mapped]
+        np.testing.assert_array_equal(neighbor_index_matrix(model, queries), want)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
+    @pytest.mark.parametrize("d", [1, 30, 300])
+    def test_error_bound_holds(self, rng, offset, d):
+        pts = rng.normal(size=(300, d)) * rng.uniform(0.5, 2.0, size=d) + offset
+        queries = np.vstack([rng.normal(size=(20, d)) + offset, pts[:5]])
+        model = build_knn_model(pts, np.zeros(300, dtype=np.int64), 1, Dissimilarity())
+        centered = (queries - model.labeled_mean).astype(np.float32)
+        q_sq = sq_norms(centered)
+        approx = knn.pairwise_sq_dists(centered, model.centered32, model.centered32_sq_norms)
+        err = knn._error_bound(q_sq, float(model.centered32_sq_norms.max()), d, np.float32)
+        exact = np.array([[oracle_sq_dist(q, p) for p in pts] for q in queries])
+        assert (np.abs(approx - exact) <= err[:, None]).all()
+
+    def test_float32_stage_serves_ordinary_data(self, rng, monkeypatch):
+        pts = rng.normal(size=(200, 8)) + 1e3
+        queries = rng.normal(size=(10, 8)) + 1e3
+        model = build_knn_model(pts, np.zeros(200, dtype=np.int64), 5, Dissimilarity())
+        seen = stage_dtypes(monkeypatch)
+        got = neighbor_index_matrix(model, queries)
+        assert seen == [np.float32]
+        np.testing.assert_array_equal(got, [oracle_knn_indices(q, pts, 5) for q in queries])
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_identical_rows_fall_back_to_float64(self, rng, monkeypatch, k):
+        # every entry of every row is in the band (n of them), past the cap
+        pts = np.tile(rng.normal(size=8) + 1e3, (50, 1))
+        model = build_knn_model(pts, np.zeros(50, dtype=np.int64), k, Dissimilarity())
+        seen = stage_dtypes(monkeypatch)
+        got = neighbor_index_matrix(model, rng.normal(size=(4, 8)) + 1e3)
+        assert seen == [np.float32, np.float64]
+        np.testing.assert_array_equal(got, np.tile(np.arange(k), (4, 1)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("side", ["labeled", "queries"])
+    def test_float32_overflow_falls_back_to_float64(self, rng, monkeypatch, side):
+        # squared norms around 1e42 are past float32's range (~3.4e38)
+        pts = rng.normal(size=(40, 5)) * (1e21 if side == "labeled" else 1.0)
+        queries = rng.normal(size=(6, 5)) * 1e21
+        model = build_knn_model(pts, np.zeros(40, dtype=np.int64), 4, Dissimilarity())
+        seen = stage_dtypes(monkeypatch)
+        got = neighbor_index_matrix(model, queries)
+        assert seen == [np.float64]
+        np.testing.assert_array_equal(got, [oracle_knn_indices(q, pts, 4) for q in queries])
 
 
 class TestDissimilarityKinds:
@@ -219,6 +319,22 @@ class TestModelConstruction:
         with pytest.raises(ValueError, match=r"labels\[2\] = -1 is negative"):
             build_knn_model(rng.normal(size=(4, 2)), [0, 1, -1, -2], 3,
                             Dissimilarity.euclidean())
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_labeled_points(self, rng, bad):
+        pts = rng.normal(size=(6, 3))
+        pts[4, 1] = bad
+        for build in (lambda: KnnModel(pts, np.zeros(6, dtype=np.int64), 1, Dissimilarity()),
+                      lambda: build_knn_model(pts, [0] * 6, 1, Dissimilarity())):
+            with pytest.raises(ValueError, match="labeled_points contains non-finite"):
+                build()
+
+    def test_labeled_map_overflow_rejected(self):
+        # finite inputs whose mapped points are not (numpy's overflow warning aside)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="labeled_points contains non-finite"):
+                build_knn_model(np.full((3, 2), 1e300), [0] * 3, 1,
+                                Dissimilarity(labeled_map=1e300 * np.eye(2)))
 
     def test_labeled_points_pretransformed(self, rng):
         pts = rng.normal(size=(8, 3))
