@@ -96,28 +96,46 @@ def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
     """Column indices of each row's k smallest entries, ordered by (value, index).
 
     The result is a stable full sort of each row cut to k columns, computed
-    without sorting whole rows: a partition finds each row's k-th smallest
-    value, every entry at or below it stays a candidate (so a tie straddling
-    the k-th place still resolves toward the lower index), and only those
-    candidates are sorted. Candidates are found as flat row-major indices
-    (``flatnonzero`` and ``ravel`` both read in logical C order, whatever the
-    memory layout) and split into (row, column) by ``divmod``; a stable sort
-    by (row, value) then keeps equal values in column order, and each row's
-    candidates start where its row number first appears. At k = 1 this is
-    ``argmin``, which returns the first minimum. ``values`` must not
-    contain NaN; +inf is allowed.
+    without sorting whole rows: ``smallest_k_band`` keeps every entry at or
+    below each row's k-th smallest value (so a tie straddling the k-th place
+    still resolves toward the lower index) in (row, value, index) order, and
+    each row's first k are read from where the row starts. At k = 1 this is
+    ``argmin``, which returns the first minimum. ``values`` must not contain
+    NaN; +inf is allowed.
     """
-    m, n = values.shape
+    n = values.shape[1]
     if not 1 <= k <= n:
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if k == 1:
         return values.argmin(axis=1)[:, None]
-    kth = np.partition(values, k - 1, axis=1)[:, k - 1]
+    _, cols, _, starts = smallest_k_band(values, k)
+    return cols[starts[:, None] + np.arange(k)]
+
+
+def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray | None = None):
+    """Every entry at most its row's k-th smallest value plus ``slack[row]``.
+
+    Returns (rows, cols, values, starts): the entries' row and column
+    indices and values, sorted by (row, value, column), and the position
+    where each row's entries start (each row has at least k). The bound per
+    row is the k-th value itself when ``slack`` is None, else the k-th value
+    plus the slack rounded up to ``values``' dtype. Only the candidates are
+    sorted, never whole rows: a partition finds each row's k-th value, the
+    candidates are found as flat row-major indices (``flatnonzero`` and
+    ``ravel`` both read in logical C order, whatever the memory layout) and
+    split into (row, column) by ``divmod``, and a stable sort by (row, value)
+    keeps equal values in column order. ``values`` must not contain NaN.
+    """
+    m, n = values.shape
+    kth = values.min(axis=1) if k == 1 else np.partition(values, k - 1, axis=1)[:, k - 1]
+    if slack is not None:
+        kth = np.nextafter((kth + slack).astype(values.dtype), values.dtype.type(np.inf))
     flat = np.flatnonzero(values <= kth[:, None])
     rows, cols = np.divmod(flat, n)
-    order = np.lexsort((values.ravel()[flat], rows))
-    starts = np.searchsorted(rows, np.arange(m))
-    return cols[order[starts[:, None] + np.arange(k)]]
+    kept = values.ravel()[flat]
+    order = np.lexsort((kept, rows))
+    rows = rows[order]
+    return rows, cols[order], kept[order], np.searchsorted(rows, np.arange(m))
 
 
 def query_chunks(n_queries: int, n_points: int, cell_budget: int = 4_000_000):

@@ -25,11 +25,11 @@ of queries it
 
    covering the GEMM expansion, the rounding of x - mu to float32 and the
    rounding of the float64 oracle itself (``_error_bound``);
-3. keeps the band of entries at most (k-th smallest approximate value) + 2E.
-   At least k entries have an approximate value no greater than the k-th
-   one, so the true k-th value is at most that plus E, and any entry whose
-   true value reaches it lies within the band: the band holds every true
-   neighbour;
+3. keeps the band of entries at most (k-th smallest approximate value) + 2E
+   (``_arrays.smallest_k_band``). At least k entries have an approximate
+   value no greater than the k-th one, so the true k-th value is at most
+   that plus E, and any entry whose true value reaches it lies within the
+   band: the band holds every true neighbour;
 4. sorts the band by (approximate value, index) and cuts it into clusters
    wherever consecutive values differ by more than 2E. Across a cut the
    true order is the approximate one; within a cluster it may not be, so
@@ -38,13 +38,14 @@ of queries it
    is the oracle's arithmetic: a float64 difference, its square and
    ``np.sum`` over the row.
 
-Two observable properties of the input send a chunk to the float64 stage
-instead, which certifies the very same way (step 2 with u64 and no input
-rounding): centered squared norms outside float32's safe range (step 1
-would overflow; so does a dimension with (d + 2) u32 >= 1/2, where the bound
-is void), and a float32 band holding more than k + n/16 entries per row on
-average (float32 cannot separate this chunk; the float64 band is narrower
-unless the ties are real, and then it is re-ranked exactly all the same).
+A chunk whose centered squared norms are not safely inside float32 range
+(step 1 would overflow; so does a dimension with (d + 2) u32 >= 1/2, where
+the bound is void) is certified the very same way from a float64 GEMM on
+float64 operands centered on mu (step 2 with u64), formed per chunk since
+only such inputs need them. Where those norms are not safely inside
+float64 range either, the lookup raises ValueError: the squared distances
+themselves may overflow, and no order of them is defined. Real ties are
+never a fallback: their cluster is re-ranked exactly like any other.
 """
 
 from __future__ import annotations
@@ -53,7 +54,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._arrays import as_matrix, as_int_vector, frozen, pairwise_sq_dists, query_chunks, sq_norms
+from ._arrays import (as_matrix, as_int_vector, frozen, pairwise_sq_dists, query_chunks,
+                      smallest_k_band, sq_norms)
 from .transform import TransformModel, MOVE_LABELED
 
 
@@ -95,8 +97,9 @@ class KnnModel:
 
     The float32 stage's operands are computed once here so lookups do not
     recompute them per batch: ``labeled_mean`` (mu), ``centered32`` (the
-    float32 copy of ``labeled_points - mu``) and ``centered32_sq_norms`` (its
-    squared norms, +inf where they overflow float32).
+    float32 copy of ``labeled_points - mu``), ``centered32_sq_norms`` (its
+    squared norms, +inf where they overflow float32) and
+    ``centered32_sq_max`` (their largest).
     """
 
     labeled_points: np.ndarray
@@ -106,6 +109,7 @@ class KnnModel:
     labeled_mean: np.ndarray = field(init=False, repr=False, compare=False)
     centered32: np.ndarray = field(init=False, repr=False, compare=False)
     centered32_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
+    centered32_sq_max: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = self.labeled_points
@@ -130,6 +134,7 @@ class KnnModel:
         for name, value in (("labeled_mean", mean), ("centered32", centered),
                             ("centered32_sq_norms", centered_sq)):
             object.__setattr__(self, name, frozen(value))
+        object.__setattr__(self, "centered32_sq_max", float(centered_sq.max()))
 
     @property
     def n(self) -> int:
@@ -176,9 +181,9 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
     the k-th approximate value + 2E (proven to hold every true neighbour),
     and a direct-difference re-rank of only those band entries that lie
     within 2E of a neighbour in approximate order. A chunk whose centered
-    norms are not safely inside float32 range, or whose band exceeds
-    k + n/16 entries per row on average, is certified the same way from a
-    float64 GEMM instead. The module docstring states the bound.
+    norms are not safely inside float32 range is certified the same way
+    from a float64 GEMM instead, and one past float64's range raises
+    ValueError. The module docstring states the bound.
     """
     k = model.k if k is None else int(k)
     if not 1 <= k <= model.n:
@@ -196,7 +201,7 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
 _U32 = float(np.finfo(np.float32).eps) / 2  # unit roundoff
 _U64 = float(np.finfo(np.float64).eps) / 2
 _F32_SAFE = float(np.finfo(np.float32).max) / 8  # every float32 intermediate stays below 4 S
-_BAND_SLACK = 16  # float32 band cap: k + n / _BAND_SLACK entries per row on average
+_F64_SAFE = float(np.finfo(np.float64).max) / 8
 _GATHER_CELLS = 1 << 20  # float64 cells gathered at once by the exact re-rank
 
 
@@ -207,25 +212,30 @@ def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflow shows as +inf norms
         np.subtract(q, model.labeled_mean, out=centered, casting="same_kind")
         q_sq = sq_norms(centered)
-    p_max = float(model.centered32_sq_norms.max())
+    p_max = model.centered32_sq_max
     if float(q_sq.max()) + p_max < _F32_SAFE and (d + 2) * _U32 < 0.5:
         approx = pairwise_sq_dists(centered, model.centered32, model.centered32_sq_norms)
         err = _error_bound(q_sq, p_max, d, np.float32)
-        band = _band(approx, err, k, q.shape[0] * (k + model.n // _BAND_SLACK))
-        if band is not None:
-            return _rank(model, q, err, k, *band)
-    p_sq = sq_norms(model.labeled_points)
-    approx = pairwise_sq_dists(q, model.labeled_points, p_sq)
-    err = _error_bound(sq_norms(q), float(p_sq.max()), d, np.float64)
-    return _rank(model, q, err, k, *_band(approx, err, k, None))
+    else:  # past float32's range: the same centered operands in float64, formed per chunk
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            points = model.labeled_points - model.labeled_mean
+            centered = q - model.labeled_mean
+            p_sq, q_sq = sq_norms(points), sq_norms(centered)
+            p_max = float(p_sq.max())
+            if not float(q_sq.max()) + p_max < _F64_SAFE:
+                raise ValueError("squared distances overflow float64: queries and labeled "
+                                 "points (after their maps) lie too far apart")
+        approx = pairwise_sq_dists(centered, points, p_sq)
+        err = _error_bound(q_sq, p_max, d, np.float64)
+    return _rank(model, q, err, k, *smallest_k_band(approx, k, 2.0 * err))
 
 
 def _error_bound(q_sq: np.ndarray, p_max: float, d: int, dtype) -> np.ndarray:
     """Per-row bound on |approximate - direct-difference float64| squared distance.
 
     ``q_sq`` and ``p_max`` are the computed squared norms of the GEMM's
-    query rows and the largest of its point rows, in ``dtype``. For float32
-    operands the inputs were rounded from float64 on the way in.
+    query rows and the largest of its point rows, in ``dtype``; both were
+    rounded from float64 differences with the labeled mean on the way in.
     """
     u = float(np.finfo(dtype).eps) / 2
     tiny = float(np.finfo(dtype).tiny)  # flushed or gradual underflow costs at most this
@@ -237,34 +247,14 @@ def _error_bound(q_sq: np.ndarray, p_max: float, d: int, dtype) -> np.ndarray:
     s = (q_sq.astype(np.float64) + p_max) / (1 - g)  # >= the exact norms' sum S
     coef = 2 * gamma(d + 2, u) * (1 + g) * (1 + u)  # ||a||^2 - 2 a.b + ||b||^2 in dtype
     coef += 2 * gamma(d + 2, _U64) * (1 + 5 * u)  # the oracle's: gamma_{d+2}(u64) D, D <= 2 S
-    if dtype == np.float32:
-        coef += 5 * u  # rounding x - mu to float32: (2u' + u'^2) 2 / (1 - u')^2, u' ~ u
+    coef += 5 * u  # rounding x - mu to dtype: (2u' + u'^2) 2 / (1 - u')^2, u' ~ u
     err = coef * s + (9 * d + 3 + 6 * np.sqrt(d * s)) * tiny
     return err * (1 + 16 * _U64)  # the float64 arithmetic forming and applying E
 
 
-def _band(approx: np.ndarray, err: np.ndarray, k: int, cap: int | None):
-    """(rows, cols, approximate values) of every entry within its row's k-th value
-    + 2E, sorted by (row, value, column); None if there are more than ``cap``."""
-    n = approx.shape[1]
-    kth = approx.min(axis=1) if k == 1 else np.partition(approx, k - 1, axis=1)[:, k - 1]
-    inf = approx.dtype.type(np.inf)
-    limit = np.nextafter((kth + 2.0 * err).astype(approx.dtype), inf)  # rounded up
-    inside = approx <= limit[:, None]
-    if cap is not None and np.count_nonzero(inside) > cap:
-        return None
-    flat = np.flatnonzero(inside)
-    rows, cols = np.divmod(flat, n)
-    values = approx.ravel()[flat].astype(np.float64)
-    order = np.lexsort((values, rows))  # stable: equal values stay in column order
-    return rows[order], cols[order], values[order]
-
-
 def _rank(model: KnnModel, q: np.ndarray, err: np.ndarray, k: int, rows: np.ndarray,
-          cols: np.ndarray, values: np.ndarray) -> np.ndarray:
+          cols: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """First k band entries per row, ambiguous clusters re-ranked by exact values."""
-    m = q.shape[0]
-    starts = np.searchsorted(rows, np.arange(m))
     # entry i joins entry i - 1's cluster unless its value is provably larger
     joined = np.zeros(rows.size, dtype=bool)
     joined[1:] = ((rows[1:] == rows[:-1]) &

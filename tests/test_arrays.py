@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hubridge._arrays import pairwise_sq_dists, smallest_k, sq_norms
+from hubridge._arrays import pairwise_sq_dists, smallest_k, smallest_k_band, sq_norms
 
 
 def full_sort_oracle(values: np.ndarray, k: int) -> np.ndarray:
@@ -94,6 +94,17 @@ class TestSmallestK:
     def test_k_out_of_range(self, k):
         with pytest.raises(ValueError, match="k must be"):
             smallest_k(np.zeros((2, 5)), k)
+
+    def test_band_slack_widens_each_row_by_its_own_amount(self):
+        values = np.array([[3.0, 0.0, 1.0, 1.5, 0.5], [2.0, 2.0, 0.0, 9.0, 4.0]],
+                          dtype=np.float32)
+        rows, cols, kept, starts = smallest_k_band(values, 2, np.array([1.0, 2.0]))
+        # row 0: 2nd value 0.5, bound 1.5; row 1: 2nd value 2.0, bound 4.0
+        np.testing.assert_array_equal(rows, [0, 0, 0, 0, 1, 1, 1, 1])
+        np.testing.assert_array_equal(cols, [1, 4, 2, 3, 2, 0, 1, 4])
+        np.testing.assert_array_equal(kept, [0.0, 0.5, 1.0, 1.5, 0.0, 2.0, 2.0, 4.0])
+        assert kept.dtype == np.float32
+        np.testing.assert_array_equal(starts, [0, 4])
 
 
 class TestPairwiseSqDists:

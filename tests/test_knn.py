@@ -124,16 +124,19 @@ class TestCertifiedStage:
         want = [oracle_knn_indices(q, model.labeled_points, model.k) for q in mapped]
         np.testing.assert_array_equal(neighbor_index_matrix(model, queries), want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     @pytest.mark.parametrize("d", [1, 30, 300])
-    def test_error_bound_holds(self, rng, offset, d):
+    def test_error_bound_holds(self, rng, offset, d, dtype):
         pts = rng.normal(size=(300, d)) * rng.uniform(0.5, 2.0, size=d) + offset
         queries = np.vstack([rng.normal(size=(20, d)) + offset, pts[:5]])
         model = build_knn_model(pts, np.zeros(300, dtype=np.int64), 1, Dissimilarity())
-        centered = (queries - model.labeled_mean).astype(np.float32)
-        q_sq = sq_norms(centered)
-        approx = knn.pairwise_sq_dists(centered, model.centered32, model.centered32_sq_norms)
-        err = knn._error_bound(q_sq, float(model.centered32_sq_norms.max()), d, np.float32)
+        centered = (queries - model.labeled_mean).astype(dtype)
+        points = (pts - model.labeled_mean).astype(dtype)
+        if dtype == np.float32:
+            np.testing.assert_array_equal(points, model.centered32)
+        approx = knn.pairwise_sq_dists(centered, points)
+        err = knn._error_bound(sq_norms(centered), float(sq_norms(points).max()), d, dtype)
         exact = np.array([[oracle_sq_dist(q, p) for p in pts] for q in queries])
         assert (np.abs(approx - exact) <= err[:, None]).all()
 
@@ -147,13 +150,14 @@ class TestCertifiedStage:
         np.testing.assert_array_equal(got, [oracle_knn_indices(q, pts, 5) for q in queries])
 
     @pytest.mark.parametrize("k", [1, 3])
-    def test_identical_rows_fall_back_to_float64(self, rng, monkeypatch, k):
-        # every entry of every row is in the band (n of them), past the cap
+    def test_identical_rows_are_one_exact_cluster(self, rng, monkeypatch, k):
+        # every entry of every row is in the band (n of them): real ties stay
+        # on the float32 stage and resolve toward the lower index
         pts = np.tile(rng.normal(size=8) + 1e3, (50, 1))
         model = build_knn_model(pts, np.zeros(50, dtype=np.int64), k, Dissimilarity())
         seen = stage_dtypes(monkeypatch)
         got = neighbor_index_matrix(model, rng.normal(size=(4, 8)) + 1e3)
-        assert seen == [np.float32, np.float64]
+        assert seen == [np.float32]
         np.testing.assert_array_equal(got, np.tile(np.arange(k), (4, 1)))
 
     @pytest.mark.filterwarnings("error")
@@ -167,6 +171,26 @@ class TestCertifiedStage:
         got = neighbor_index_matrix(model, queries)
         assert seen == [np.float64]
         np.testing.assert_array_equal(got, [oracle_knn_indices(q, pts, 4) for q in queries])
+
+    @pytest.mark.filterwarnings("error")
+    def test_float64_stage_is_centered(self, rng, monkeypatch):
+        # raw squared norms (~3e320) overflow float64, centered ones (~3e300)
+        # only float32
+        pts = rng.normal(size=(30, 3)) * 1e150 + 1e160
+        queries = np.vstack([rng.normal(size=(5, 3)) * 1e150 + 1e160, pts[:2]])
+        model = build_knn_model(pts, np.zeros(30, dtype=np.int64), 3, Dissimilarity())
+        seen = stage_dtypes(monkeypatch)
+        got = neighbor_index_matrix(model, queries)
+        assert seen == [np.float64]
+        np.testing.assert_array_equal(got, [oracle_knn_indices(q, pts, 3) for q in queries])
+
+    @pytest.mark.filterwarnings("error")
+    def test_float64_overflow_rejected(self):
+        # centered squared norms near 1e320: the distances themselves overflow
+        model = build_knn_model([[1e160, 0.0], [-1e160, 1.0], [0.0, 3.0]], [0, 0, 0], 2,
+                                Dissimilarity())
+        with pytest.raises(ValueError, match="squared distances overflow float64"):
+            neighbor_index_matrix(model, [[0.6e160, 2.9]])
 
 
 class TestDissimilarityKinds:
