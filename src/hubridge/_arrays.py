@@ -67,29 +67,46 @@ def sq_norms(points: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", points, points)
 
 
-def pairwise_sq_dists(queries: np.ndarray, points: np.ndarray,
-                      points_sq_norms: np.ndarray | None = None,
+def sq_dist_operand(points: np.ndarray, shift: np.ndarray | None = None,
+                    dtype=np.float64) -> np.ndarray:
+    """The point side [p | ||p||^2 | 1] of ``pairwise_sq_dists``, p = points - shift.
+
+    Built in place in one (n, d + 2) array of ``dtype``: ``points - shift``
+    is rounded once into the first d columns and its squared norms are
+    taken there. Callers that query the same points repeatedly build it
+    once.
+    """
+    n, d = points.shape
+    operand = np.empty((n, d + 2), dtype=dtype)
+    body = operand[:, :d]
+    np.subtract(points, 0.0 if shift is None else shift, out=body, casting="same_kind")
+    operand[:, d] = sq_norms(body)
+    operand[:, d + 1] = 1.0
+    return operand
+
+
+def pairwise_sq_dists(queries: np.ndarray, operand: np.ndarray,
                       out: np.ndarray | None = None) -> np.ndarray:
     """Squared Euclidean distances between each query row and each point row.
 
-    Uses the expanded form ||q||^2 - 2 q.p + ||p||^2 (one GEMM), clipped at
-    zero to absorb rounding. Identical input rows produce identical output
-    values, so index-based tie-breaking downstream stays deterministic. The
-    block follows its operands' dtype: float32 queries, points and norms give
-    a float32 block (one float32 GEMM), with the same clipping and the same
-    identical-rows property.
-    ``points_sq_norms`` is ``sq_norms(points)``, computed once by callers
-    that query the same points repeatedly. ``out``, if given, receives the
-    result (a reused buffer saves page faults on large blocks).
+    ``operand`` is ``sq_dist_operand(points)``. The block is one GEMM on
+    augmented operands, [-2 q | 1 | ||q||^2] . [p | ||p||^2 | 1]^T, which
+    sums the expanded form ||q||^2 - 2 q.p + ||p||^2 with no elementwise
+    pass (the -2 rides on the query side, where the copy is made anyway;
+    scaling by it is exact). Nothing is clipped: where the expansion
+    cancels, an entry can fall slightly below zero. Identical point rows
+    give identical values in every row, so index-based tie-breaking
+    downstream stays deterministic. The block has the operand's dtype (a
+    float32 operand gives one float32 GEMM); the queries are rounded to it.
+    ``out``, if given, receives the result (a reused buffer saves page
+    faults on large blocks).
     """
-    qq = sq_norms(queries)
-    pp = sq_norms(points) if points_sq_norms is None else points_sq_norms
-    d2 = np.matmul(queries, points.T, out=out)
-    d2 *= -2.0
-    d2 += qq[:, None]
-    d2 += pp[None, :]
-    np.maximum(d2, 0.0, out=d2)
-    return d2
+    m, d = queries.shape
+    augmented = np.empty((m, d + 2), dtype=operand.dtype)
+    np.multiply(queries, -2.0, out=augmented[:, :d], casting="same_kind")
+    augmented[:, d] = 1.0
+    augmented[:, d + 1] = sq_norms(queries)
+    return np.matmul(augmented, operand.T, out=out)
 
 
 def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
@@ -97,11 +114,11 @@ def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
 
     The result is a stable full sort of each row cut to k columns, computed
     without sorting whole rows: ``smallest_k_band`` keeps every entry at or
-    below each row's k-th smallest value (so a tie straddling the k-th place
-    still resolves toward the lower index) in (row, value, index) order, and
-    each row's first k are read from where the row starts. At k = 1 this is
-    ``argmin``, which returns the first minimum. ``values`` must not contain
-    NaN; +inf is allowed.
+    below a bound no smaller than each row's k-th smallest value (so a tie
+    straddling the k-th place still resolves toward the lower index) in
+    (row, value, index) order, and each row's first k are read from where
+    the row starts. At k = 1 this is ``argmin``, which returns the first
+    minimum. ``values`` must not contain NaN; +inf is allowed.
     """
     n = values.shape[1]
     if not 1 <= k <= n:
@@ -112,25 +129,40 @@ def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
     return cols[starts[:, None] + np.arange(k)]
 
 
+_GROUP = 8  # columns per strided group bounding the k-th value
+
+
 def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray | None = None):
-    """Every entry at most its row's k-th smallest value plus ``slack[row]``.
+    """Every entry at most a bound T >= its row's k-th smallest value, plus ``slack[row]``.
 
     Returns (rows, cols, values, starts): the entries' row and column
     indices and values, sorted by (row, value, column), and the position
-    where each row's entries start (each row has at least k). The bound per
-    row is the k-th value itself when ``slack`` is None, else the k-th value
-    plus the slack rounded up to ``values``' dtype. Only the candidates are
-    sorted, never whole rows: a partition finds each row's k-th value, the
-    candidates are found as flat row-major indices (``flatnonzero`` and
-    ``ravel`` both read in logical C order, whatever the memory layout) and
-    split into (row, column) by ``divmod``, and a stable sort by (row, value)
-    keeps equal values in column order. ``values`` must not contain NaN.
+    where each row's entries start (each row has at least k, and its first
+    k are the row's k smallest by (value, column)). At k = 1, T is the row
+    minimum. For k > 1 the block is never partitioned whole: column j falls
+    in strided group j mod g, g = max(k, n // 8) (the last n mod g columns
+    in none), one ``np.minimum.reduce`` takes the g group minima, and T is
+    the k-th smallest of them. Those are k entries in distinct columns, so
+    T is at least the k-th value; a group holds s = n // g entries, so T is
+    at most the (s (k - 1) + 1)-th. With ``slack``, the bound is T plus the
+    slack rounded up to ``values``' dtype. Only the band is sorted: its
+    entries are found as flat row-major indices (``flatnonzero`` and
+    ``ravel`` both read in logical C order, whatever the memory layout),
+    split into (row, column) by ``divmod``, and a stable sort by (row,
+    value) keeps equal values in column order. ``values`` must not contain
+    NaN.
     """
     m, n = values.shape
-    kth = values.min(axis=1) if k == 1 else np.partition(values, k - 1, axis=1)[:, k - 1]
+    if k == 1:
+        bound = values.min(axis=1)
+    else:
+        g = max(k, n // _GROUP)
+        s = n // g
+        group_min = np.minimum.reduce(values[:, :s * g].reshape(m, s, g), axis=1)
+        bound = np.partition(group_min, k - 1, axis=1)[:, k - 1]
     if slack is not None:
-        kth = np.nextafter((kth + slack).astype(values.dtype), values.dtype.type(np.inf))
-    flat = np.flatnonzero(values <= kth[:, None])
+        bound = np.nextafter((bound + slack).astype(values.dtype), values.dtype.type(np.inf))
+    flat = np.flatnonzero(values <= bound[:, None])
     rows, cols = np.divmod(flat, n)
     kept = values.ravel()[flat]
     order = np.lexsort((kept, rows))

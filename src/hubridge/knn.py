@@ -13,23 +13,32 @@ The lookup is certified rather than computed in full precision. Per chunk
 of queries it
 
 1. forms every approximate squared distance with one float32 GEMM
-   (``_arrays.pairwise_sq_dists``) on operands centered on the labeled mean
-   mu, where expansion cancels least;
+   (``_arrays.pairwise_sq_dists``) on augmented operands
+   [-2 a | 1 | ||a||^2] . [b_p | ||b_p||^2 | 1]^T, where a = x - mu and
+   b_p = z_p - mu are centered on the labeled mean mu, where expansion
+   cancels least; the point side is built once per model, and no
+   elementwise pass follows the GEMM;
 2. bounds, per query row, how far any approximate value can lie from the
    direct-difference float64 value: E = c (||a||^2 + max_p ||b_p||^2) plus an
    underflow term, where a and b_p are the float32 centered operands and
 
-       c = [2 gamma_{d+2}(u32) + 5 u32 + 2 gamma_{d+2}(u64)] * (1 + O(gamma_d)),
+       c = [(2 + gamma_d(u32)) gamma_{d+2}(u32) + gamma_d(u32) + 5 u32
+            + 2 gamma_{d+2}(u64)] * (1 + O(gamma_d)),
        gamma_n(u) = n u / (1 - n u)     (Higham, Accuracy and Stability of
-                                         Numerical Algorithms, section 3.1),
+                                         Numerical Algorithms, section 3.1).
 
-   covering the GEMM expansion, the rounding of x - mu to float32 and the
+   The GEMM sums d + 2 products whose absolute values add up to at most
+   2 + gamma_d times the norms' sum (the two stored norms were each rounded
+   once, by at most gamma_d of themselves, which is the lone gamma_d term);
+   5 u32 covers the rounding of x - mu to float32 and the last term the
    rounding of the float64 oracle itself (``_error_bound``);
-3. keeps the band of entries at most (k-th smallest approximate value) + 2E
+3. keeps the band of entries at most T + 2E, where T is at least the k-th
+   smallest approximate value: the row minimum at k = 1, else the k-th
+   smallest of the minima of strided column groups
    (``_arrays.smallest_k_band``). At least k entries have an approximate
-   value no greater than the k-th one, so the true k-th value is at most
-   that plus E, and any entry whose true value reaches it lies within the
-   band: the band holds every true neighbour;
+   value no greater than T, so the true k-th value is at most T + E, and
+   any entry whose true value reaches it lies within the band: the band
+   holds every true neighbour;
 4. sorts the band by (approximate value, index) and cuts it into clusters
    wherever consecutive values differ by more than 2E. Across a cut the
    true order is the approximate one; within a cluster it may not be, so
@@ -41,8 +50,8 @@ of queries it
 A chunk whose centered squared norms are not safely inside float32 range
 (step 1 would overflow; so does a dimension with (d + 2) u32 >= 1/2, where
 the bound is void) is certified the very same way from a float64 GEMM on
-float64 operands centered on mu (step 2 with u64), formed per chunk since
-only such inputs need them. Where those norms are not safely inside
+the same augmented operands in float64 (step 2 with u64), formed per chunk
+since only such inputs need them. Where those norms are not safely inside
 float64 range either, the lookup raises ValueError: the squared distances
 themselves may overflow, and no order of them is defined. Real ties are
 never a fallback: their cluster is re-ranked exactly like any other.
@@ -55,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._arrays import (as_matrix, as_int_vector, frozen, pairwise_sq_dists, query_chunks,
-                      smallest_k_band, sq_norms)
+                      smallest_k_band, sq_dist_operand, sq_norms)
 from .transform import TransformModel, MOVE_LABELED
 
 
@@ -95,11 +104,11 @@ class Dissimilarity:
 class KnnModel:
     """Labeled points ready for lookup (already mapped for the labeled side).
 
-    The float32 stage's operands are computed once here so lookups do not
-    recompute them per batch: ``labeled_mean`` (mu), ``centered32`` (the
-    float32 copy of ``labeled_points - mu``), ``centered32_sq_norms`` (its
-    squared norms, +inf where they overflow float32) and
-    ``centered32_sq_max`` (their largest).
+    The float32 stage's point operand is built once here so lookups do not
+    rebuild it per batch: ``labeled_mean`` (mu), ``operand32``
+    (``sq_dist_operand`` of ``labeled_points - mu`` in float32: the centered
+    points, then their squared norms, +inf where they overflow float32) and
+    ``sq_norm_max32`` (the largest of those norms).
     """
 
     labeled_points: np.ndarray
@@ -107,9 +116,8 @@ class KnnModel:
     k: int
     dissimilarity: Dissimilarity
     labeled_mean: np.ndarray = field(init=False, repr=False, compare=False)
-    centered32: np.ndarray = field(init=False, repr=False, compare=False)
-    centered32_sq_norms: np.ndarray = field(init=False, repr=False, compare=False)
-    centered32_sq_max: float = field(init=False, repr=False, compare=False)
+    operand32: np.ndarray = field(init=False, repr=False, compare=False)
+    sq_norm_max32: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = self.labeled_points
@@ -127,14 +135,11 @@ class KnnModel:
         frozen(pts)
         frozen(self.labels)
         mean = pts.mean(axis=0)
-        centered = np.empty(pts.shape, dtype=np.float32)
         with np.errstate(over="ignore"):  # an overflow shows as +inf norms
-            np.subtract(pts, mean, out=centered, casting="same_kind")
-            centered_sq = sq_norms(centered)
-        for name, value in (("labeled_mean", mean), ("centered32", centered),
-                            ("centered32_sq_norms", centered_sq)):
-            object.__setattr__(self, name, frozen(value))
-        object.__setattr__(self, "centered32_sq_max", float(centered_sq.max()))
+            operand = sq_dist_operand(pts, mean, np.float32)
+        object.__setattr__(self, "labeled_mean", frozen(mean))
+        object.__setattr__(self, "operand32", frozen(operand))
+        object.__setattr__(self, "sq_norm_max32", float(operand[:, self.d].max()))
 
     @property
     def n(self) -> int:
@@ -176,14 +181,15 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
     float64 dissimilarity, index), so among equal dissimilarities the lower
     labeled index comes first (and is kept when the tie straddles the k-th
     place), and a prefix of ``j <= k`` columns is the ``j``-nearest-neighbor
-    matrix. It is computed without that sort: a float32 GEMM on centered
-    operands, a per-row a-priori error bound E, the band of entries within
-    the k-th approximate value + 2E (proven to hold every true neighbour),
-    and a direct-difference re-rank of only those band entries that lie
-    within 2E of a neighbour in approximate order. A chunk whose centered
-    norms are not safely inside float32 range is certified the same way
-    from a float64 GEMM instead, and one past float64's range raises
-    ValueError. The module docstring states the bound.
+    matrix. It is computed without that sort: one float32 GEMM on augmented
+    centered operands, a per-row a-priori error bound E, the band of entries
+    within T + 2E for a T no smaller than the k-th approximate value
+    (proven to hold every true neighbour), and a direct-difference re-rank
+    of only those band entries that lie within 2E of a neighbour in
+    approximate order. A chunk whose centered norms are not safely inside
+    float32 range is certified the same way from a float64 GEMM instead,
+    and one past float64's range raises ValueError. The module docstring
+    states the bound.
     """
     k = model.k if k is None else int(k)
     if not 1 <= k <= model.n:
@@ -212,20 +218,20 @@ def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
     with np.errstate(over="ignore"):  # an overflow shows as +inf norms
         np.subtract(q, model.labeled_mean, out=centered, casting="same_kind")
         q_sq = sq_norms(centered)
-    p_max = model.centered32_sq_max
+    p_max = model.sq_norm_max32
     if float(q_sq.max()) + p_max < _F32_SAFE and (d + 2) * _U32 < 0.5:
-        approx = pairwise_sq_dists(centered, model.centered32, model.centered32_sq_norms)
+        approx = pairwise_sq_dists(centered, model.operand32)
         err = _error_bound(q_sq, p_max, d, np.float32)
-    else:  # past float32's range: the same centered operands in float64, formed per chunk
+    else:  # past float32's range: the same augmented operands in float64, formed per chunk
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            points = model.labeled_points - model.labeled_mean
+            operand = sq_dist_operand(model.labeled_points, model.labeled_mean)
             centered = q - model.labeled_mean
-            p_sq, q_sq = sq_norms(points), sq_norms(centered)
-            p_max = float(p_sq.max())
+            q_sq = sq_norms(centered)
+            p_max = float(operand[:, d].max())
             if not float(q_sq.max()) + p_max < _F64_SAFE:
                 raise ValueError("squared distances overflow float64: queries and labeled "
                                  "points (after their maps) lie too far apart")
-        approx = pairwise_sq_dists(centered, points, p_sq)
+        approx = pairwise_sq_dists(centered, operand)
         err = _error_bound(q_sq, p_max, d, np.float64)
     return _rank(model, q, err, k, *smallest_k_band(approx, k, 2.0 * err))
 
@@ -245,7 +251,7 @@ def _error_bound(q_sq: np.ndarray, p_max: float, d: int, dtype) -> np.ndarray:
 
     g = gamma(d, u)
     s = (q_sq.astype(np.float64) + p_max) / (1 - g)  # >= the exact norms' sum S
-    coef = 2 * gamma(d + 2, u) * (1 + g) * (1 + u)  # ||a||^2 - 2 a.b + ||b||^2 in dtype
+    coef = (2 + g) * gamma(d + 2, u) + g  # the augmented GEMM and its two stored norms
     coef += 2 * gamma(d + 2, _U64) * (1 + 5 * u)  # the oracle's: gamma_{d+2}(u64) D, D <= 2 S
     coef += 5 * u  # rounding x - mu to dtype: (2u' + u'^2) 2 / (1 - u')^2, u' ~ u
     err = coef * s + (9 * d + 3 + 6 * np.sqrt(d * s)) * tiny

@@ -198,12 +198,7 @@ def _cv_result(lambda_grid, k_grid, acc: np.ndarray, folds) -> CvResult:
 
 def grid_search(dataset: Dataset, train_indices, config: CvConfig, methods) -> CvPass:
     """Cross-validate (lambda, k) for each of ``methods`` on the given rows of `dataset`."""
-    methods = tuple(methods)
-    if not methods:
-        raise ValueError("methods must be non-empty")
-    for i, method in enumerate(methods):
-        if method not in METHODS:
-            raise ValueError(f"methods[{i}] = {method!r} is not one of {METHODS}")
+    methods = check_methods(methods)
     lambda_grids = [(0.0,) if m == EUCLIDEAN_METHOD else config.lambda_grid for m in methods]
     tr = index_vector(train_indices, dataset.n, "train_indices")
     try:

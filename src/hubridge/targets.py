@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._arrays import as_int_vector, index_vector, pairwise_sq_dists, smallest_k
+from ._arrays import as_int_vector, index_vector, pairwise_sq_dists, smallest_k, sq_dist_operand
 from .datamodel import Dataset
 
 
@@ -46,7 +46,7 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
                 f"training class {dataset.label_names[int(c)]!r} has a single member; "
                 "cannot select same-class targets")
         member_feats = dataset.features[tr[members]]
-        d2 = pairwise_sq_dists(member_feats, member_feats,
+        d2 = pairwise_sq_dists(member_feats, sq_dist_operand(member_feats),
                                out=buf[:size * size].reshape(size, size))
         np.fill_diagonal(d2, np.inf)
         chosen = members[smallest_k(d2, min(k_targets, size - 1))]

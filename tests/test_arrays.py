@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hubridge._arrays import pairwise_sq_dists, smallest_k, smallest_k_band, sq_norms
+from hubridge._arrays import pairwise_sq_dists, smallest_k, smallest_k_band, sq_dist_operand
 
 
 def full_sort_oracle(values: np.ndarray, k: int) -> np.ndarray:
@@ -90,6 +90,38 @@ class TestSmallestK:
         np.testing.assert_array_equal(
             smallest_k(values, 10), np.argsort(values, axis=1, kind="stable")[:, :10])
 
+    @pytest.mark.parametrize("wide", [False, True], ids=["n-below-8k", "n-above-8k"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_group_bound_matches_stable_argsort(self, wide, data):
+        # below 8k the k-th value is bounded from k groups, above it from n // 8;
+        # small integers make most rows tie at the k-th place
+        k = data.draw(st.integers(min_value=1, max_value=10))
+        n = data.draw(st.integers(min_value=8 * k, max_value=40 * k) if wide
+                      else st.integers(min_value=k, max_value=8 * k - 1))
+        m = data.draw(st.integers(min_value=0, max_value=5))
+        high = data.draw(st.integers(min_value=1, max_value=6))
+        seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
+        values = np.random.default_rng(seed).integers(0, high, size=(m, n)).astype(np.float64)
+        np.testing.assert_array_equal(
+            smallest_k(values, k), np.argsort(values, axis=1, kind="stable")[:, :k])
+
+    @pytest.mark.parametrize("n", [80, 85], ids=["grouped", "tail-columns-in-no-group"])
+    def test_k_nearest_in_one_group_loosen_the_bound_only(self, n):
+        # g = 10 groups of columns j mod 10: the three smallest entries all sit
+        # in group 0, so the 3rd-smallest group minimum is far above the 3rd
+        # value; at n = 85 columns 80-84 belong to no group and hold ties
+        k = 3
+        values = np.tile(np.arange(n, dtype=np.float64) + 100.0, (2, 1))
+        values[0, [0, 10, 20]] = [3.0, 1.0, 2.0]
+        values[1, [30, 0, 70]] = 5.0
+        if n == 85:
+            values[1, [84, 81]] = 5.0
+        rows, _, _, starts = smallest_k_band(values, k)
+        assert np.diff(np.append(starts, rows.size)).min() > k  # the bound is loose
+        np.testing.assert_array_equal(smallest_k(values, k), full_sort_oracle(values, k))
+        np.testing.assert_array_equal(smallest_k(values, k)[0], [10, 20, 0])
+
     @pytest.mark.parametrize("k", [0, 6])
     def test_k_out_of_range(self, k):
         with pytest.raises(ValueError, match="k must be"):
@@ -108,27 +140,42 @@ class TestSmallestK:
 
 
 class TestPairwiseSqDists:
-    def test_precomputed_norms_bit_identical(self, rng):
+    def test_operand_layout(self):
+        p = np.array([[1.0, 2.0], [-3.0, 0.5]])
+        np.testing.assert_array_equal(sq_dist_operand(p),
+                                      [[1.0, 2.0, 5.0, 1.0], [-3.0, 0.5, 9.25, 1.0]])
+        shifted = sq_dist_operand(p, np.array([1.0, 0.5]), np.float32)
+        assert shifted.dtype == np.float32
+        np.testing.assert_array_equal(shifted, [[0.0, 1.5, 2.25, 1.0], [-4.0, 0.0, 16.0, 1.0]])
+
+    def test_prebuilt_operand_bit_identical(self, rng):
         q = rng.normal(size=(7, 5))
         p = rng.normal(size=(11, 5)) + 1e3
-        np.testing.assert_array_equal(pairwise_sq_dists(q, p, sq_norms(p)),
-                                      pairwise_sq_dists(q, p))
+        operand = sq_dist_operand(p)
+        first = pairwise_sq_dists(q, operand)
+        assert pairwise_sq_dists(q, operand).tobytes() == first.tobytes()  # reused
+        assert pairwise_sq_dists(q, sq_dist_operand(p)).tobytes() == first.tobytes()  # fresh
 
     def test_out_buffer_bit_identical(self, rng):
         p = rng.normal(size=(40, 30))
         buf = np.empty(50 * 50)
-        got = pairwise_sq_dists(p, p, out=buf[:40 * 40].reshape(40, 40))
+        got = pairwise_sq_dists(p, sq_dist_operand(p), out=buf[:40 * 40].reshape(40, 40))
         assert np.shares_memory(got, buf)
-        assert got.tobytes() == pairwise_sq_dists(p, p).tobytes()
+        assert got.tobytes() == pairwise_sq_dists(p, sq_dist_operand(p)).tobytes()
 
     def test_float32_operands_give_float32_block(self, rng):
         q = rng.normal(size=(7, 5)) + 1e3
-        p = np.vstack([q[:3], rng.normal(size=(8, 5)) + 1e3, q[:3]])
+        p = rng.normal(size=(11, 5)) + 1e3
         q32, p32 = q.astype(np.float32), p.astype(np.float32)
-        got = pairwise_sq_dists(q32, p32, sq_norms(p32))
+        got = pairwise_sq_dists(q32, sq_dist_operand(p32, dtype=np.float32))
         assert got.dtype == np.float32
-        assert got.min() >= 0.0  # cancellation at 1e3 goes negative before the clip
-        np.testing.assert_array_equal(got[:, :3], got[:, -3:])  # identical rows
-        np.testing.assert_array_equal(got, pairwise_sq_dists(q32, p32))
         # float32's spacing at the squared norms (~5e6) is 0.5
-        np.testing.assert_allclose(got, pairwise_sq_dists(q, p), atol=4.0)
+        np.testing.assert_allclose(got, pairwise_sq_dists(q, sq_dist_operand(p)), atol=4.0)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_identical_rows_give_identical_values(self, rng, dtype):
+        q = (rng.normal(size=(7, 5)) + 1e3).astype(dtype)
+        p = np.vstack([q[:3], rng.normal(size=(8, 5)) + 1e3, q[:3]])
+        got = pairwise_sq_dists(q, sq_dist_operand(p, dtype=dtype))
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got[:, :3], got[:, -3:])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hubridge import knn
-from hubridge._arrays import sq_norms
+from hubridge._arrays import sq_dist_operand, sq_norms
 from hubridge.knn import (Dissimilarity, KnnModel, build_knn_model, classify_batch, evaluate,
                           knn_from_transform, neighbor_index_matrix)
 from hubridge.transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER,
@@ -100,6 +100,20 @@ def lookups(draw):
     return build_knn_model(rows[:n], np.zeros(n, dtype=np.int64), k, dis), rows[n:]
 
 
+@st.composite
+def tied_lookups(draw):
+    """(model, queries): 0/1 rows, Euclidean, n up to 300 and k up to 10, so
+    most rows tie at the k-th place and n falls on both sides of 8k."""
+    d = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=300))
+    m = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=min(10, n)))
+    density = draw(st.sampled_from([0.1, 0.3, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    rows = (rng.random((n + m, d)) < density).astype(np.float64)
+    return build_knn_model(rows[:n], np.zeros(n, dtype=np.int64), k, Dissimilarity()), rows[n:]
+
+
 def stage_dtypes(monkeypatch) -> list:
     """Record the operand dtype of every distance block a lookup forms."""
     seen = []
@@ -124,6 +138,13 @@ class TestCertifiedStage:
         want = [oracle_knn_indices(q, model.labeled_points, model.k) for q in mapped]
         np.testing.assert_array_equal(neighbor_index_matrix(model, queries), want)
 
+    @given(tied_lookups())
+    @settings(max_examples=150, deadline=None)
+    def test_tied_binary_rows_match_full_sort_oracle(self, lookup):
+        model, queries = lookup
+        want = [oracle_knn_indices(q, model.labeled_points, model.k) for q in queries]
+        np.testing.assert_array_equal(neighbor_index_matrix(model, queries), want)
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     @pytest.mark.parametrize("d", [1, 30, 300])
@@ -132,11 +153,11 @@ class TestCertifiedStage:
         queries = np.vstack([rng.normal(size=(20, d)) + offset, pts[:5]])
         model = build_knn_model(pts, np.zeros(300, dtype=np.int64), 1, Dissimilarity())
         centered = (queries - model.labeled_mean).astype(dtype)
-        points = (pts - model.labeled_mean).astype(dtype)
+        operand = sq_dist_operand(pts, model.labeled_mean, dtype)
         if dtype == np.float32:
-            np.testing.assert_array_equal(points, model.centered32)
-        approx = knn.pairwise_sq_dists(centered, points)
-        err = knn._error_bound(sq_norms(centered), float(sq_norms(points).max()), d, dtype)
+            np.testing.assert_array_equal(operand, model.operand32)
+        approx = knn.pairwise_sq_dists(centered, operand)
+        err = knn._error_bound(sq_norms(centered), float(operand[:, d].max()), d, dtype)
         exact = np.array([[oracle_sq_dist(q, p) for p in pts] for q in queries])
         assert (np.abs(approx - exact) <= err[:, None]).all()
 

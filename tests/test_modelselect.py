@@ -147,8 +147,18 @@ class TestGridSearch:
     def test_unknown_method_rejected(self):
         ds = self.separable_dataset(seed=9)
         cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=3, seed=0)
-        with pytest.raises(ValueError, match=r"methods\[1\] = 'move-both' is not one of"):
+        with pytest.raises(ValueError, match=r"methods\[1\] = 'move-both' is an unknown method"):
             grid_search(ds, np.arange(ds.n), cfg, ["euclidean", "move-both"])
+
+    @pytest.mark.parametrize("methods, message", [
+        (["move-labeled", "move-labeled"], r"methods\[1\] = 'move-labeled' repeats"),
+        ([], "at least one method"),
+    ], ids=["repeated", "empty"])
+    def test_method_list_rejected(self, methods, message):
+        ds = self.separable_dataset(seed=9)
+        cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=3, seed=0)
+        with pytest.raises(ValueError, match=message):
+            grid_search(ds, np.arange(ds.n), cfg, methods)
 
     def test_json_round_trip_schema(self):
         ds = self.separable_dataset(seed=9)
