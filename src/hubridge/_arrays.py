@@ -1,4 +1,5 @@
-"""Shared array utilities: validation, immutability, pairwise distances, top-k."""
+"""Shared array utilities: validation, immutability, and the distance GEMM and
+candidate band behind ``knn.neighbor_index_matrix``, the one k-nearest routine."""
 
 from __future__ import annotations
 
@@ -67,7 +68,7 @@ def sq_norms(points: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", points, points)
 
 
-def sq_dist_operand(points: np.ndarray, shift: np.ndarray | None = None,
+def sq_dist_operand(points: np.ndarray, shift: np.ndarray | float,
                     dtype=np.float64) -> np.ndarray:
     """The point side [p | ||p||^2 | 1] of ``pairwise_sq_dists``, p = points - shift.
 
@@ -79,60 +80,38 @@ def sq_dist_operand(points: np.ndarray, shift: np.ndarray | None = None,
     n, d = points.shape
     operand = np.empty((n, d + 2), dtype=dtype)
     body = operand[:, :d]
-    np.subtract(points, 0.0 if shift is None else shift, out=body, casting="same_kind")
+    np.subtract(points, shift, out=body, casting="same_kind")
     operand[:, d] = sq_norms(body)
     operand[:, d + 1] = 1.0
     return operand
 
 
-def pairwise_sq_dists(queries: np.ndarray, operand: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
+def pairwise_sq_dists(queries: np.ndarray, operand: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between each query row and each point row.
 
-    ``operand`` is ``sq_dist_operand(points)``. The block is one GEMM on
-    augmented operands, [-2 q | 1 | ||q||^2] . [p | ||p||^2 | 1]^T, which
-    sums the expanded form ||q||^2 - 2 q.p + ||p||^2 with no elementwise
-    pass (the -2 rides on the query side, where the copy is made anyway;
-    scaling by it is exact). Nothing is clipped: where the expansion
-    cancels, an entry can fall slightly below zero. Identical point rows
-    give identical values in every row, so index-based tie-breaking
-    downstream stays deterministic. The block has the operand's dtype (a
-    float32 operand gives one float32 GEMM); the queries are rounded to it.
-    ``out``, if given, receives the result (a reused buffer saves page
-    faults on large blocks).
+    ``operand`` is ``sq_dist_operand(points, shift)`` and ``queries`` are
+    shifted alike. The block is one GEMM on augmented operands,
+    [-2 q | 1 | ||q||^2] . [p | ||p||^2 | 1]^T, which sums the expanded form
+    ||q||^2 - 2 q.p + ||p||^2 with no elementwise pass (the -2 rides on the
+    query side, where the copy is made anyway; scaling by it is exact).
+    Nothing is clipped: where the expansion cancels, an entry can fall
+    slightly below zero. Identical point rows give identical values in
+    every row, so index-based tie-breaking downstream stays deterministic.
+    The block has the operand's dtype (a float32 operand gives one float32
+    GEMM); the queries are rounded to it.
     """
     m, d = queries.shape
     augmented = np.empty((m, d + 2), dtype=operand.dtype)
     np.multiply(queries, -2.0, out=augmented[:, :d], casting="same_kind")
     augmented[:, d] = 1.0
     augmented[:, d + 1] = sq_norms(queries)
-    return np.matmul(augmented, operand.T, out=out)
-
-
-def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
-    """Column indices of each row's k smallest entries, ordered by (value, index).
-
-    The result is a stable full sort of each row cut to k columns, computed
-    without sorting whole rows: ``smallest_k_band`` keeps every entry at or
-    below a bound no smaller than each row's k-th smallest value (so a tie
-    straddling the k-th place still resolves toward the lower index) in
-    (row, value, index) order, and each row's first k are read from where
-    the row starts. At k = 1 this is ``argmin``, which returns the first
-    minimum. ``values`` must not contain NaN; +inf is allowed.
-    """
-    n = values.shape[1]
-    if not 1 <= k <= n:
-        raise ValueError(f"k must be in [1, {n}], got {k}")
-    if k == 1:
-        return values.argmin(axis=1)[:, None]
-    _, cols, _, starts = smallest_k_band(values, k)
-    return cols[starts[:, None] + np.arange(k)]
+    return augmented @ operand.T
 
 
 _GROUP = 8  # columns per strided group bounding the k-th value
 
 
-def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray | None = None):
+def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray):
     """Every entry at most a bound T >= its row's k-th smallest value, plus ``slack[row]``.
 
     Returns (rows, cols, values, starts): the entries' row and column
@@ -144,13 +123,12 @@ def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray | None = None)
     in none), one ``np.minimum.reduce`` takes the g group minima, and T is
     the k-th smallest of them. Those are k entries in distinct columns, so
     T is at least the k-th value; a group holds s = n // g entries, so T is
-    at most the (s (k - 1) + 1)-th. With ``slack``, the bound is T plus the
-    slack rounded up to ``values``' dtype. Only the band is sorted: its
-    entries are found as flat row-major indices (``flatnonzero`` and
-    ``ravel`` both read in logical C order, whatever the memory layout),
-    split into (row, column) by ``divmod``, and a stable sort by (row,
-    value) keeps equal values in column order. ``values`` must not contain
-    NaN.
+    at most the (s (k - 1) + 1)-th. The bound is T plus the slack, rounded
+    up to ``values``' dtype. Only the band is sorted: its entries are found
+    as flat row-major indices (``flatnonzero`` and ``ravel`` both read in
+    logical C order, whatever the memory layout), split into (row, column)
+    by ``divmod``, and a stable sort by (row, value) keeps equal values in
+    column order. ``values`` must not contain NaN.
     """
     m, n = values.shape
     if k == 1:
@@ -160,8 +138,7 @@ def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray | None = None)
         s = n // g
         group_min = np.minimum.reduce(values[:, :s * g].reshape(m, s, g), axis=1)
         bound = np.partition(group_min, k - 1, axis=1)[:, k - 1]
-    if slack is not None:
-        bound = np.nextafter((bound + slack).astype(values.dtype), values.dtype.type(np.inf))
+    bound = np.nextafter((bound + slack).astype(values.dtype), values.dtype.type(np.inf))
     flat = np.flatnonzero(values <= bound[:, None])
     rows, cols = np.divmod(flat, n)
     kept = values.ravel()[flat]
@@ -170,8 +147,11 @@ def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray | None = None)
     return rows, cols[order], kept[order], np.searchsorted(rows, np.arange(m))
 
 
-def query_chunks(n_queries: int, n_points: int, cell_budget: int = 4_000_000):
+_CHUNK_CELLS = 4_000_000  # distance-block cells per query chunk
+
+
+def query_chunks(n_queries: int, n_points: int):
     """Yield (start, stop) row ranges so each distance block stays small."""
-    rows = max(1, cell_budget // max(1, n_points))
+    rows = max(1, _CHUNK_CELLS // max(1, n_points))
     for start in range(0, n_queries, rows):
         yield start, min(start + rows, n_queries)

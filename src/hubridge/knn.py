@@ -7,7 +7,9 @@ each lookup maps its query batch through Q and returns, per query, the k
 labeled indices a full sort by (direct-difference float64 value, index)
 gives: among equal dissimilarities the lower labeled index comes first.
 Majority votes tie-break toward the label of the nearest neighbor within the
-tied label set, which degrades to the 1-NN rule.
+tied label set, which degrades to the 1-NN rule. Target selection
+(``targets.select_targets``) is a client: it queries each training class
+against itself, so J follows the same neighbour contract.
 
 The lookup is certified rather than computed in full precision. Per chunk
 of queries it

@@ -1,10 +1,12 @@
 """Per-object regression targets: same-class nearest neighbors in the training set.
 
 Targets are selected with the plain Euclidean metric on the features as
-given (before any learned transformation). They come out as the 0/1
-indicator J, J[i, j] = 1 iff training object j is a target of object i, whose
-rows and columns are positions within the training list that produced it, so
-they align directly with the columns of the feature matrix handed to the
+given (before any learned transformation), by the same certified lookup as
+a k-NN query (``knn.neighbor_index_matrix``): ties go by direct-difference
+distance, then lower index. They come out as the 0/1 indicator J,
+J[i, j] = 1 iff training object j is a target of object i, whose rows and
+columns are positions within the training list that produced it, so they
+align directly with the columns of the feature matrix handed to the
 transform solvers.
 """
 
@@ -13,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._arrays import as_int_vector, index_vector, pairwise_sq_dists, smallest_k, sq_dist_operand
+from ._arrays import as_int_vector, index_vector
 from .datamodel import Dataset
+from .knn import Dissimilarity, KnnModel, neighbor_index_matrix
 
 
 class TargetSelectionError(ValueError):
@@ -24,11 +27,14 @@ class TargetSelectionError(ValueError):
 def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
     """J marking each training object's k nearest same-class training objects.
 
-    Distance ties are broken toward the lower index. Classes with fewer than
-    ``k_targets + 1`` training members contribute all available same-class
-    objects instead of failing; classes with a single training member are
-    rejected (no same-class target exists). ``train`` must list distinct row
-    positions of ``dataset``.
+    Each class is one Euclidean ``KnnModel`` queried with its own members for
+    k + 1 neighbours in the lookup's (direct-difference distance, index)
+    order. Each row drops its own index, or its last neighbour where more
+    than k + 1 identical rows push its own index out, which leaves the first
+    k other members in that order. Classes with fewer than ``k_targets + 1``
+    training members contribute all of their other members; a class with a
+    single training member is rejected (no same-class target exists).
+    ``train`` must list distinct row positions of ``dataset``.
     """
     if k_targets < 0:
         raise ValueError("k_targets must be non-negative")
@@ -38,20 +44,20 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
     labs = dataset.labels[tr]
     owners, targets = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     classes, sizes = np.unique(labs, return_counts=True)
-    buf = np.empty(int(sizes.max(initial=0)) ** 2)  # one distance block for every class
     for c, size in zip(classes, sizes.tolist()):
         members = np.flatnonzero(labs == c)
         if size < 2:
             raise TargetSelectionError(
                 f"training class {dataset.label_names[int(c)]!r} has a single member; "
                 "cannot select same-class targets")
+        k = min(k_targets, size - 1)
         member_feats = dataset.features[tr[members]]
-        d2 = pairwise_sq_dists(member_feats, sq_dist_operand(member_feats),
-                               out=buf[:size * size].reshape(size, size))
-        np.fill_diagonal(d2, np.inf)
-        chosen = members[smallest_k(d2, min(k_targets, size - 1))]
-        owners.append(np.repeat(members, chosen.shape[1]))
-        targets.append(chosen.ravel())
+        model = KnnModel(member_feats, labs[members], k + 1, Dissimilarity())
+        nearest = neighbor_index_matrix(model, member_feats, k + 1)
+        own = nearest == np.arange(size)[:, None]
+        own[:, k] |= ~own.any(axis=1)
+        owners.append(np.repeat(members, k))
+        targets.append(members[nearest[~own]])
     return indicator_matrix(np.concatenate(owners), np.concatenate(targets), tr.size)
 
 

@@ -101,6 +101,28 @@ class TestSelectTargets:
             sets = target_sets(select_targets(ds, np.arange(32), k))
             assert sets == brute_force_targets(feats, labels, k)
 
+    @pytest.mark.parametrize("k_targets", [1, 3])
+    def test_matches_brute_force_at_large_offset(self, k_targets):
+        # an uncentered expanded form loses the small differences to
+        # cancellation against ~1e6 squared norms and picks wrong targets
+        # (it did for 1-5 of the 600 objects at each of these seeds)
+        for seed in range(2):
+            rng = np.random.default_rng(seed)
+            feats = rng.normal(size=(600, 50)) + 1e6
+            labels = rng.integers(0, 3, size=600)
+            ds = dataset_from_arrays(feats, labels)
+            sets = target_sets(select_targets(ds, np.arange(600), k_targets))
+            assert sets == brute_force_targets(feats, labels, k_targets)
+
+    def test_rows_near_float64_range(self):
+        # their expanded squared norms overflow float64; the direct
+        # differences (1, 9 and 4) do not
+        feats = np.array([[1e155, 0.0], [1e155, 1.0], [1e155, 3.0]])
+        ds = dataset_from_arrays(feats, [0, 0, 0])
+        sets = target_sets(select_targets(ds, np.arange(3), 1))
+        assert sets == [(1,), (0,), (1,)]
+        assert sets == brute_force_targets(feats, np.zeros(3), 1)
+
     @pytest.mark.parametrize("train, message", [
         ([0, -1, 2], r"train\[1\] = -1 is out of range \[0, 4\)"),
         ([0, 1, 4], r"train\[2\] = 4 is out of range \[0, 4\)"),
