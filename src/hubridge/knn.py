@@ -8,8 +8,9 @@ labeled indices a full sort by (direct-difference float64 value, index)
 gives: among equal dissimilarities the lower labeled index comes first.
 Majority votes tie-break toward the label of the nearest neighbor within the
 tied label set, which degrades to the 1-NN rule. Target selection
-(``targets.select_targets``) is a client: it queries each training class
-against itself, so J follows the same neighbour contract.
+(``targets.select_targets``) is a client: it asks ``nearest_indices`` for
+each training class's neighbours among itself, so J follows the same
+neighbour contract.
 
 The lookup is certified rather than computed in full precision. Per chunk
 of queries it
@@ -199,10 +200,19 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
     q = as_matrix(queries, "queries")
     if q.shape[1] != model.d:
         raise ValueError(f"queries have dimension {q.shape[1]}, model expects {model.d}")
-    q = model.dissimilarity.map_query(q)
+    return nearest_indices(model, model.dissimilarity.map_query(q), k, pairwise_sq_dists)
+
+
+def nearest_indices(model: KnnModel, q: np.ndarray, k: int, sq_dists) -> np.ndarray:
+    """``neighbor_index_matrix`` for mapped float64 queries ``q`` and 1 <= k <= n.
+
+    ``sq_dists`` is ``_arrays.pairwise_sq_dists`` through the caller's own
+    binding, so a profile that wraps one module's binding (as
+    ``perfbench/spans.py`` does) charges the distance GEMM to that caller.
+    """
     out = np.empty((q.shape[0], k), dtype=np.int64)
     for lo, hi in query_chunks(q.shape[0], model.n):
-        out[lo:hi] = _nearest(model, q[lo:hi], k)
+        out[lo:hi] = _nearest(model, q[lo:hi], k, sq_dists)
     return out
 
 
@@ -213,7 +223,7 @@ _F64_SAFE = float(np.finfo(np.float64).max) / 8
 _GATHER_CELLS = 1 << 20  # float64 cells gathered at once by the exact re-rank
 
 
-def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
+def _nearest(model: KnnModel, q: np.ndarray, k: int, sq_dists) -> np.ndarray:
     """The certified k nearest labeled indices of one chunk of mapped queries."""
     d = model.d
     centered = np.empty(q.shape, dtype=np.float32)
@@ -222,7 +232,7 @@ def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
         q_sq = sq_norms(centered)
     p_max = model.sq_norm_max32
     if float(q_sq.max()) + p_max < _F32_SAFE and (d + 2) * _U32 < 0.5:
-        approx = pairwise_sq_dists(centered, model.operand32)
+        approx = sq_dists(centered, model.operand32)
         err = _error_bound(q_sq, p_max, d, np.float32)
     else:  # past float32's range: the same augmented operands in float64, formed per chunk
         with np.errstate(over="ignore", invalid="ignore"):  # checked just below
@@ -233,7 +243,7 @@ def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
             if not float(q_sq.max()) + p_max < _F64_SAFE:
                 raise ValueError("squared distances overflow float64: queries and labeled "
                                  "points (after their maps) lie too far apart")
-        approx = pairwise_sq_dists(centered, operand)
+        approx = sq_dists(centered, operand)
         err = _error_bound(q_sq, p_max, d, np.float64)
     return _rank(model, q, err, k, *smallest_k_band(approx, k, 2.0 * err))
 

@@ -1,8 +1,8 @@
 """Per-object regression targets: same-class nearest neighbors in the training set.
 
 Targets are selected with the plain Euclidean metric on the features as
-given (before any learned transformation), by the same certified lookup as
-a k-NN query (``knn.neighbor_index_matrix``): ties go by direct-difference
+given (before any learned transformation), by the same certified routine as
+a k-NN query (``knn.nearest_indices``): ties go by direct-difference
 distance, then lower index. They come out as the 0/1 indicator J,
 J[i, j] = 1 iff training object j is a target of object i, whose rows and
 columns are positions within the training list that produced it, so they
@@ -15,9 +15,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._arrays import as_int_vector, index_vector
+from ._arrays import as_int_vector, index_vector, pairwise_sq_dists
 from .datamodel import Dataset
-from .knn import Dissimilarity, KnnModel, neighbor_index_matrix
+from .knn import Dissimilarity, KnnModel, nearest_indices
 
 
 class TargetSelectionError(ValueError):
@@ -53,7 +53,7 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
         k = min(k_targets, size - 1)
         member_feats = dataset.features[tr[members]]
         model = KnnModel(member_feats, labs[members], k + 1, Dissimilarity())
-        nearest = neighbor_index_matrix(model, member_feats, k + 1)
+        nearest = nearest_indices(model, member_feats, k + 1, pairwise_sq_dists)
         own = nearest == np.arange(size)[:, None]
         own[:, k] |= ~own.any(axis=1)
         owners.append(np.repeat(members, k))

@@ -72,8 +72,9 @@ def test_fit_timed_counts_one_selection_and_one_fit():
     # select_targets builds J through indicator_matrix, so its span is timed
     assert tracer.calls("targets.indicator") == 1
     assert tracer.calls("targets.indicator", "targets.select") == 1
-    # target selection looks up each of the 3 classes through the k-NN lookup
-    assert tracer.calls("knn.neighbors", "targets.select") == 3
+    # target selection's per-class lookups are charged to targets.select,
+    # not counted as k-NN queries or k-NN distance blocks
+    assert metrics["knn.neighbors_calls"] == 0 == metrics["knn.distance_cells"]
     assert metrics["transform.gram_gflop"] == 4.0 * d * d * n / 1e9
 
 
