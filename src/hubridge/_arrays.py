@@ -68,36 +68,49 @@ def sq_norms(points: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", points, points)
 
 
+_BUILD_CELLS = 1 << 17  # point cells centered per block while building an operand
+
+
 def sq_dist_operand(points: np.ndarray, shift: np.ndarray | float,
                     dtype=np.float64) -> np.ndarray:
-    """The point side [p | ||p||^2 | 1] of ``pairwise_sq_dists``, p = points - shift.
+    """The point side of ``pairwise_sq_dists``: column j is [p_j | ||p_j||^2 | 1].
 
-    Built in place in one (n, d + 2) array of ``dtype``: ``points - shift``
-    is rounded once into the first d columns and its squared norms are
-    taken there. Callers that query the same points repeatedly build it
-    once.
+    p = points - shift. One C-contiguous (d + 2, n) array of ``dtype``: rows
+    0..d-1 hold p column-major, row d its squared norms and row d + 1 ones, so
+    the GEMM reads it as stored, without transposing it. It is built in
+    blocks of rows, with no second n x d array: ``points - shift`` is
+    rounded once into a small row-major block of ``dtype``, its squared
+    norms are taken there, and the block is copied in transposed. Callers
+    that query the same points repeatedly build it once.
     """
     n, d = points.shape
-    operand = np.empty((n, d + 2), dtype=dtype)
-    body = operand[:, :d]
-    np.subtract(points, shift, out=body, casting="same_kind")
-    operand[:, d] = sq_norms(body)
-    operand[:, d + 1] = 1.0
+    operand = np.empty((d + 2, n), dtype=dtype)
+    step = max(1, _BUILD_CELLS // max(1, d))
+    block = np.empty((min(step, n), d), dtype=dtype)
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        body = block[:hi - lo]
+        np.subtract(points[lo:hi], shift, out=body, casting="same_kind")
+        operand[:d, lo:hi] = body.T
+        operand[d, lo:hi] = sq_norms(body)
+    operand[d + 1] = 1.0
     return operand
 
 
 def pairwise_sq_dists(queries: np.ndarray, operand: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between each query row and each point row.
+    """Squared Euclidean distances between each query row and each point column.
 
     ``operand`` is ``sq_dist_operand(points, shift)`` and ``queries`` are
-    shifted alike. The block is one GEMM on augmented operands,
-    [-2 q | 1 | ||q||^2] . [p | ||p||^2 | 1]^T, which sums the expanded form
-    ||q||^2 - 2 q.p + ||p||^2 with no elementwise pass (the -2 rides on the
-    query side, where the copy is made anyway; scaling by it is exact).
-    Nothing is clipped: where the expansion cancels, an entry can fall
-    slightly below zero. Identical point rows give identical values in
-    every row, so index-based tie-breaking downstream stays deterministic.
-    The block has the operand's dtype (a float32 operand gives one float32
+    shifted alike. The block is one GEMM, ``augmented @ operand``, of the
+    augmented query rows [-2 q | 1 | ||q||^2] and the operand's columns
+    [p | ||p||^2 | 1], which sums the expanded form ||q||^2 - 2 q.p + ||p||^2
+    with no elementwise pass (the -2 rides on the query side, where the copy
+    is made anyway; scaling by it is exact). Nothing is clipped: where the
+    expansion cancels, an entry can fall slightly below zero. The GEMM need
+    not sum every entry in the same order, so identical point rows need not
+    give identical values: they agree within the bound E of ``knn``'s
+    certified lookup, whose exact re-rank settles the tie by index. The
+    block has the operand's dtype (a float32 operand gives one float32
     GEMM); the queries are rounded to it.
     """
     m, d = queries.shape
@@ -105,7 +118,7 @@ def pairwise_sq_dists(queries: np.ndarray, operand: np.ndarray) -> np.ndarray:
     np.multiply(queries, -2.0, out=augmented[:, :d], casting="same_kind")
     augmented[:, d] = 1.0
     augmented[:, d + 1] = sq_norms(queries)
-    return augmented @ operand.T
+    return augmented @ operand
 
 
 _GROUP = 8  # columns per strided group bounding the k-th value

@@ -19,8 +19,10 @@ of queries it
    (``_arrays.pairwise_sq_dists``) on augmented operands
    [-2 a | 1 | ||a||^2] . [b_p | ||b_p||^2 | 1]^T, where a = x - mu and
    b_p = z_p - mu are centered on the labeled mean mu, where expansion
-   cancels least; the point side is built once per model, and no
-   elementwise pass follows the GEMM;
+   cancels least; the point side is built once per model and stored
+   column-major, one (d + 2, n) array whose column p is
+   [b_p | ||b_p||^2 | 1], so the GEMM reads it as stored; no elementwise
+   pass follows the GEMM;
 2. bounds, per query row, how far any approximate value can lie from the
    direct-difference float64 value: E = c (||a||^2 + max_p ||b_p||^2) plus an
    underflow term, where a and b_p are the float32 centered operands and
@@ -109,9 +111,11 @@ class KnnModel:
 
     The float32 stage's point operand is built once here so lookups do not
     rebuild it per batch: ``labeled_mean`` (mu), ``operand32``
-    (``sq_dist_operand`` of ``labeled_points - mu`` in float32: the centered
-    points, then their squared norms, +inf where they overflow float32) and
-    ``sq_norm_max32`` (the largest of those norms).
+    (``sq_dist_operand`` of ``labeled_points - mu`` in float32, one
+    C-contiguous (d + 2, n) array: the centered points column-major in rows
+    0..d-1, their squared norms in row d, +inf where they overflow float32,
+    and ones in row d + 1) and ``sq_norm_max32`` (the largest of those
+    norms).
     """
 
     labeled_points: np.ndarray
@@ -142,7 +146,7 @@ class KnnModel:
             operand = sq_dist_operand(pts, mean, np.float32)
         object.__setattr__(self, "labeled_mean", frozen(mean))
         object.__setattr__(self, "operand32", frozen(operand))
-        object.__setattr__(self, "sq_norm_max32", float(operand[:, self.d].max()))
+        object.__setattr__(self, "sq_norm_max32", float(operand[self.d].max()))
 
     @property
     def n(self) -> int:
@@ -239,7 +243,7 @@ def _nearest(model: KnnModel, q: np.ndarray, k: int, sq_dists) -> np.ndarray:
             operand = sq_dist_operand(model.labeled_points, model.labeled_mean)
             centered = q - model.labeled_mean
             q_sq = sq_norms(centered)
-            p_max = float(operand[:, d].max())
+            p_max = float(operand[d].max())
             if not float(q_sq.max()) + p_max < _F64_SAFE:
                 raise ValueError("squared distances overflow float64: queries and labeled "
                                  "points (after their maps) lie too far apart")

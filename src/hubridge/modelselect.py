@@ -5,10 +5,12 @@ fold centering and the target indicator J are made once, and a fold's
 ``RidgeSystem`` factors each distinct Gram matrix once. With one target per
 object every row of J sums to 1, so move-query's Gram is the paper solver's
 X X^T: one eigendecomposition per fold serves both over the whole lambda
-grid. Euclidean has no lambda, so it searches k at lambda 0.0 alone. A
-lambda at which G + lambda I is numerically singular raises
-``SingularSystemError``. Each method's outcome, result or error, is the one
-a pass serving it alone gives.
+grid. The fold's Euclidean k-NN model of its fit rows is built once too:
+it serves Euclidean and move-query at every lambda, since move-query's W
+maps the queries alone. Euclidean has no lambda, so it searches k at
+lambda 0.0 alone. A lambda at which G + lambda I is numerically singular
+raises ``SingularSystemError``. Each method's outcome, result or error, is
+the one a pass serving it alone gives.
 
 Each fold refits centering, target selection and the transform on its fold
 fit rows only. Preprocessing done before the search is not refitted: with
@@ -21,6 +23,7 @@ regularized, simpler model).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,9 +170,16 @@ class CvPass:
         return outcome
 
 
-def _score_fold(config: CvConfig, method: str, system: RidgeSystem | None, x_fit, y_fit,
-                x_val, y_val, n_classes: int) -> np.ndarray:
-    """(lambda, k) validation accuracy of one method on one fold; Euclidean gives one row."""
+def _score_fold(config: CvConfig, method: str, system: RidgeSystem | None, plain, x_fit,
+                y_fit, x_val, y_val, n_classes: int) -> np.ndarray:
+    """(lambda, k) validation accuracy of one method on one fold; Euclidean gives one row.
+
+    ``plain()`` returns the fold's Euclidean ``KnnModel`` of ``x_fit``. It
+    serves every lookup whose labeled side is unmapped: Euclidean's, and
+    move-query's at each lambda, whose W maps the queries alone (as
+    ``Dissimilarity(query_map=W).map_query`` does). Move-labeled maps the
+    labeled points, so it builds one model per lambda.
+    """
     max_k = max(config.k_grid)
     if max_k > y_fit.size:
         raise ValueError(f"k={max_k} exceeds the fold training size {y_fit.size}")
@@ -177,8 +187,11 @@ def _score_fold(config: CvConfig, method: str, system: RidgeSystem | None, x_fit
             system.path(config.lambda_grid, method, config.solver))
     rows = []
     for tm in path:
-        km = knn_from_transform(tm, x_fit, y_fit, max_k)
-        nbr = y_fit[neighbor_index_matrix(km, x_val, max_k)]
+        if method == MOVE_LABELED:
+            km, queries = knn_from_transform(tm, x_fit, y_fit, max_k), x_val
+        else:
+            km, queries = plain(), (x_val if tm is None else x_val @ tm.w.T)
+        nbr = y_fit[neighbor_index_matrix(km, queries, max_k)]
         rows.append(_accuracy_rows(nbr, y_val, config.k_grid, n_classes))
     return np.array(rows)
 
@@ -218,6 +231,9 @@ def grid_search(dataset: Dataset, train_indices, config: CvConfig, methods) -> C
         x_fit = x_fit - mu
         x_val = x_val - mu
 
+        # built on first use and shared; a build error is raised anew to each caller
+        plain = functools.cache(functools.partial(knn_from_transform, None, x_fit, y_fit,
+                                                  max(config.k_grid)))
         fitted = [i for i, m in enumerate(methods)
                   if m != EUCLIDEAN_METHOD and errors[i] is None]
         system = None
@@ -230,8 +246,8 @@ def grid_search(dataset: Dataset, train_indices, config: CvConfig, methods) -> C
         for i, method in enumerate(methods):
             if errors[i] is None:
                 try:
-                    acc[i][:, :, f] = _score_fold(config, method, system, x_fit, y_fit,
-                                                  x_val, y_val, dataset.class_count)
+                    acc[i][:, :, f] = _score_fold(config, method, system, plain, x_fit,
+                                                  y_fit, x_val, y_val, dataset.class_count)
                 except Exception as e:  # ends this method's search only
                     errors[i] = e
 

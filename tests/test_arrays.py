@@ -142,12 +142,25 @@ class TestSmallestK:
 
 class TestPairwiseSqDists:
     def test_operand_layout(self):
+        # column j is [p_j | ||p_j||^2 | 1]: the points column-major, then norms, then ones
         p = np.array([[1.0, 2.0], [-3.0, 0.5]])
-        np.testing.assert_array_equal(sq_dist_operand(p, 0.0),
-                                      [[1.0, 2.0, 5.0, 1.0], [-3.0, 0.5, 9.25, 1.0]])
+        operand = sq_dist_operand(p, 0.0)
+        assert operand.flags.c_contiguous
+        np.testing.assert_array_equal(operand, [[1.0, -3.0], [2.0, 0.5], [5.0, 9.25], [1.0, 1.0]])
         shifted = sq_dist_operand(p, np.array([1.0, 0.5]), np.float32)
-        assert shifted.dtype == np.float32
-        np.testing.assert_array_equal(shifted, [[0.0, 1.5, 2.25, 1.0], [-4.0, 0.0, 16.0, 1.0]])
+        assert shifted.dtype == np.float32 and shifted.flags.c_contiguous
+        np.testing.assert_array_equal(shifted, [[0.0, -4.0], [1.5, 0.0], [2.25, 16.0], [1.0, 1.0]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_build_matches_one_pass(self, rng, dtype):
+        # 1,000 rows of 300 span several build blocks, the last one partial
+        p = rng.normal(size=(1000, 300)) + 1e3
+        shift = p.mean(axis=0)
+        body = (p - shift).astype(dtype)
+        want = np.vstack([body.T, np.einsum("ij,ij->i", body, body), np.ones(1000)])
+        got = sq_dist_operand(p, shift, dtype)
+        assert got.dtype == dtype and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want.astype(dtype))
 
     def test_prebuilt_operand_bit_identical(self, rng):
         q = rng.normal(size=(7, 5))

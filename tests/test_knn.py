@@ -127,6 +127,25 @@ def stage_dtypes(monkeypatch) -> list:
     return seen
 
 
+@pytest.fixture(scope="module", params=[False, True], ids=["continuous", "binary"])
+def blas_scale(request):
+    """(points, queries, want) at the benchmark's shapes: 2,003 labeled rows (not
+    a multiple of 16) and 65 queries in d = 300, continuous or 0/1, with the
+    first two labeled rows repeated as the last two (so the distance block's
+    first and last columns tie) and queries sitting on them; ``want`` is each
+    query's first 10 in the full-sort oracle's order."""
+    rng = np.random.default_rng(14)
+    n, m, d = 2003, 65, 300
+    if request.param:
+        rows = (rng.random((n + m, d)) < 0.1).astype(np.float64)
+    else:
+        rows = rng.normal(size=(n + m, d)) * rng.uniform(0.5, 2.0, size=d) + 10.0
+    pts, queries = rows[:n], rows[n:]
+    pts[-2:] = pts[:2]
+    queries[0], queries[-1] = pts[-2], pts[-1]
+    return pts, queries, np.array([oracle_knn_indices(q, pts, 10) for q in queries])
+
+
 class TestCertifiedStage:
     @given(lookups())
     @settings(max_examples=300, deadline=None)
@@ -145,6 +164,14 @@ class TestCertifiedStage:
         want = [oracle_knn_indices(q, model.labeled_points, model.k) for q in queries]
         np.testing.assert_array_equal(neighbor_index_matrix(model, queries), want)
 
+    @pytest.mark.parametrize("k", [1, 10])
+    @pytest.mark.parametrize("m", [1, 64, 65])
+    def test_blas_scale_matches_full_sort_oracle(self, blas_scale, m, k):
+        # the property tests stop at d <= 12 and n <= 300; these are full-size GEMMs
+        pts, queries, want = blas_scale
+        model = build_knn_model(pts, np.zeros(len(pts), dtype=np.int64), k, Dissimilarity())
+        np.testing.assert_array_equal(neighbor_index_matrix(model, queries[:m]), want[:m, :k])
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     @pytest.mark.parametrize("d", [1, 30, 300])
@@ -155,9 +182,10 @@ class TestCertifiedStage:
         centered = (queries - model.labeled_mean).astype(dtype)
         operand = sq_dist_operand(pts, model.labeled_mean, dtype)
         if dtype == np.float32:
+            assert model.operand32.flags.c_contiguous and model.operand32.shape == (d + 2, 300)
             np.testing.assert_array_equal(operand, model.operand32)
         approx = knn.pairwise_sq_dists(centered, operand)
-        err = knn._error_bound(sq_norms(centered), float(operand[:, d].max()), d, dtype)
+        err = knn._error_bound(sq_norms(centered), float(operand[d].max()), d, dtype)
         exact = np.array([[oracle_sq_dist(q, p) for p in pts] for q in queries])
         assert (np.abs(approx - exact) <= err[:, None]).all()
 

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from hubridge.datamodel import dataset_from_arrays
+from hubridge.knn import knn_from_transform, majority_vote, neighbor_index_matrix
 from hubridge.modelselect import METHODS, CvConfig, FoldError, grid_search, make_folds
+from hubridge.targets import select_targets
+from hubridge.transform import fit_move_query
 
 from _helpers import gaussian_mixture
 
@@ -186,6 +189,35 @@ class TestSharedPass:
         for i, method in enumerate(methods):
             alone = grid_search(ds, train, cfg, [method])
             assert together.result(i) == alone.result(0), method
+
+    def test_unmapped_lookups_equal_a_model_per_lambda(self):
+        # Euclidean and move-query share one Euclidean model per fold; each
+        # cell must equal the one a KnnModel built through knn_from_transform
+        # for that lambda alone gives (move-query: Dissimilarity(query_map=W))
+        x, y = gaussian_mixture(120, 6, 3, sep=0.8, seed=11)
+        ds = dataset_from_arrays(x, y)
+        train = np.arange(ds.n)
+        cfg = CvConfig((0.0, 0.03, 1.0), (1, 3, 5), 3, 4)
+        cv = grid_search(ds, train, cfg, ["euclidean", "move-query"])
+        for i, lambdas in enumerate([(None,), cfg.lambda_grid]):
+            acc = np.zeros((len(lambdas), len(cfg.k_grid), cfg.n_folds))
+            for f, val in enumerate(cv.folds):
+                val = np.array(val)
+                fit = np.sort(np.concatenate([g for h, g in enumerate(cv.folds) if h != f]))
+                mu = ds.features[fit].mean(axis=0)
+                x_fit, x_val = ds.features[fit] - mu, ds.features[val] - mu
+                j = select_targets(ds, fit, cfg.k_targets)
+                for li, lam in enumerate(lambdas):
+                    tm = None if lam is None else fit_move_query(x_fit.T, j, lam)
+                    km = knn_from_transform(tm, x_fit, ds.labels[fit], max(cfg.k_grid))
+                    nbr = ds.labels[fit][neighbor_index_matrix(km, x_val)]
+                    for ki, k in enumerate(cfg.k_grid):
+                        pred = majority_vote(nbr[:, :k], ds.class_count)
+                        acc[li, ki, f] = np.mean(pred == ds.labels[val])
+            want = [(0.0 if lam is None else lam, k, acc[li, ki].mean(), acc[li, ki].std(ddof=1))
+                    for li, lam in enumerate(lambdas) for ki, k in enumerate(cfg.k_grid)]
+            got = [(c.lam, c.k, c.mean_accuracy, c.std_accuracy) for c in cv.result(i).table]
+            assert got == want
 
     def test_a_failing_method_leaves_the_others_running(self):
         # an all-zero column makes X X^T singular at lambda 0: the fitted
