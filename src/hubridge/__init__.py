@@ -7,9 +7,9 @@ queries instead, N_k hubness diagnostics, a Monte-Carlo verifier of the
 spatial-centrality bias, and an experiment harness.
 """
 
-from .datamodel import (Dataset, DatasetFormatError, PcaModel, PreprocessError,
-                        Preprocessor, Split, apply_pca, bundled_dataset_path,
-                        dataset_from_arrays, fit_pca, load_dataset, split, subset)
+from .datamodel import (Dataset, DatasetFormatError, PreprocessError, Preprocessor, Split,
+                        bundled_dataset_path, dataset_from_arrays, load_dataset, split,
+                        subset)
 from .targets import TargetSelectionError, indicator_matrix, select_targets
 from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER, RidgeSystem,
                         SingularSystemError, TransformModel, fit_move_labeled,

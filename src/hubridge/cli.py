@@ -47,7 +47,8 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 
 def _add_preproc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-center", dest="center", action="store_false",
-                   help="skip mean-centering (fitted on the training side)")
+                   help="skip mean-centering (fitted on the training side); "
+                   "--pca-dim centers regardless")
     p.add_argument("--zscore", action="store_true",
                    help="standardize columns (fitted on the training side)")
     p.add_argument("--pca-dim", type=int, default=None,

@@ -101,7 +101,7 @@ def dataset_from_arrays(features, labels, name: str = "",
     y = as_int_vector(np.array(labels, copy=True), "labels")
     if y.size == 0:
         raise ValueError("labels must be non-empty")
-    class_count = int(y.max()) + 1 if y.size else 0
+    class_count = int(y.max()) + 1
     if label_names is None:
         label_names = tuple(str(c) for c in range(class_count))
     return Dataset(f, y, class_count, name, tuple(label_names))
@@ -313,76 +313,28 @@ def column_mean_sd(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, sd
 
 
-@dataclass(frozen=True)
-class PcaModel:
-    """Thin-SVD principal components: ``mean`` (d,), ``components`` (d, r) orthonormal."""
-
-    mean: np.ndarray
-    components: np.ndarray
-    r: int
-
-    def __post_init__(self):
-        if self.components.shape != (self.mean.shape[0], self.r):
-            raise ValueError("components must be d x r with d = len(mean)")
-        frozen(self.mean)
-        frozen(self.components)
-
-    def to_json_dict(self) -> dict:
-        return {"version": 1, "mean": self.mean.tolist(),
-                "components": self.components.tolist(), "r": self.r}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "PcaModel":
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported PcaModel version {doc.get('version')!r}")
-        return cls(as_vector(doc["mean"], "mean"),
-                   as_matrix(doc["components"], "components"), int(doc["r"]))
-
-
-def fit_pca(features, r: int) -> PcaModel:
-    """Fit principal components via thin SVD of the centered (n, d) feature matrix.
-
-    Components are ordered by non-increasing explained variance; the sign of
-    each component is fixed so its largest-magnitude entry is positive.
-    """
-    x = as_matrix(features, "features")
-    n, d = x.shape
-    if not 1 <= r <= min(n, d):
-        raise ValueError(f"r must be in [1, min(n, d)] = [1, {min(n, d)}], got {r}")
-    mean = x.mean(axis=0)
-    _, _, vt = np.linalg.svd(x - mean, full_matrices=False)
-    components = vt[:r].T.copy()
-    anchor = np.abs(components).argmax(axis=0)
-    signs = np.sign(components[anchor, np.arange(r)])
-    signs[signs == 0] = 1.0
-    components *= signs
-    return PcaModel(mean.copy(), components, r)
-
-
-def apply_pca(model: PcaModel, points) -> np.ndarray:
-    """Project points onto the model's components: (points - mean) @ components."""
-    p = as_matrix(points, "points")
-    if p.shape[1] != model.mean.shape[0]:
-        raise ValueError(
-            f"points have dimension {p.shape[1]}, model expects {model.mean.shape[0]}")
-    return (p - model.mean) @ model.components
+# Preprocessor's array fields, in field order, each with its JSON check
+_ARRAY_FIELDS = {"zscore_mean": as_vector, "zscore_sd": as_vector,
+                 "center_mean": as_vector, "components": as_matrix}
 
 
 @dataclass(frozen=True)
 class Preprocessor:
-    """Fitted feature preprocessing: z-score, then center, then PCA.
+    """Fitted feature preprocessing: z-score, then center, then project.
 
     Each step is optional. ``zscore_mean``/``zscore_sd`` standardize the
-    columns, ``center_mean`` is then subtracted, and ``pca`` projects last.
-    ``d_in`` is the feature dimension the statistics were fitted on; applying
-    the preprocessor to any other dimension is an error.
+    columns, ``center_mean`` is then subtracted, and the rows are multiplied
+    last by ``components``, a (d_in, r) matrix of orthonormal principal axes.
+    A PCA fit always sets ``center_mean``, since its axes are those of the
+    centered training rows. ``d_in`` is the feature dimension the statistics
+    were fitted on; applying the preprocessor to any other dimension is an error.
     """
 
     d_in: int
     zscore_mean: np.ndarray | None = None
     zscore_sd: np.ndarray | None = None
     center_mean: np.ndarray | None = None
-    pca: PcaModel | None = None
+    components: np.ndarray | None = None
 
     def __post_init__(self):
         if (self.zscore_mean is None) != (self.zscore_sd is None):
@@ -393,29 +345,47 @@ class Preprocessor:
                 if v.shape != (self.d_in,):
                     raise ValueError(f"{name} must have length d_in = {self.d_in}")
                 frozen(v)
-        if self.pca is not None and self.pca.mean.shape[0] != self.d_in:
-            raise ValueError(f"pca must take d_in = {self.d_in} inputs")
+        sd = self.zscore_sd
+        if sd is not None and not (sd > 0).all():
+            bad = int(np.argmin(sd > 0))
+            raise ValueError(f"zscore_sd must be positive; column {bad} is {float(sd[bad])}")
+        c = self.components
+        if c is not None:
+            if c.ndim != 2 or c.shape[0] != self.d_in or c.shape[1] < 1:
+                raise ValueError(f"components must be d_in x r with d_in = {self.d_in}, r >= 1")
+            frozen(c)
 
     @property
     def d_out(self) -> int:
-        return self.d_in if self.pca is None else self.pca.r
+        return self.d_in if self.components is None else self.components.shape[1]
 
     @classmethod
     def fit(cls, features, *, center: bool = True, zscore: bool = False,
             pca_dim: int | None = None) -> "Preprocessor":
-        """Fit every enabled step on ``features``, each on the previous step's output."""
+        """Fit every enabled step on ``features``, each on the previous step's output.
+
+        ``pca_dim`` keeps that many principal axes, from one thin SVD of the
+        centered rows, ordered by non-increasing explained variance, each with
+        its largest-magnitude entry positive. Centered rows have rank at most
+        n - 1, so ``pca_dim`` must lie in [1, min(n - 1, d)].
+        """
         x = as_matrix(features, "features")
-        zscore_mean = zscore_sd = center_mean = pca = None
+        n, d = x.shape
+        zscore_mean = zscore_sd = center_mean = components = None
         if zscore:
             zscore_mean, zscore_sd = column_mean_sd(x)
             x = (x - zscore_mean) / zscore_sd
-        if center:
+        if center or pca_dim is not None:
             center_mean = x.mean(axis=0)
-            if pca_dim is not None:
-                x = x - center_mean
         if pca_dim is not None:
-            pca = fit_pca(x, pca_dim)
-        return cls(x.shape[1], zscore_mean, zscore_sd, center_mean, pca)
+            if not 1 <= pca_dim <= min(n - 1, d):
+                raise ValueError(f"pca_dim must be in [1, min(n - 1, d)] = "
+                                 f"[1, {min(n - 1, d)}], got {pca_dim}")
+            _, _, vt = np.linalg.svd(x - center_mean, full_matrices=False)
+            components = vt[:pca_dim].T.copy()
+            anchor = np.abs(components).argmax(axis=0)
+            components *= np.where(components[anchor, np.arange(pca_dim)] < 0, -1.0, 1.0)
+        return cls(d, zscore_mean, zscore_sd, center_mean, components)
 
     def apply(self, features, name: str = "features") -> np.ndarray:
         """The fitted steps applied to an (n, d_in) matrix, as a C-contiguous matrix."""
@@ -427,22 +397,22 @@ class Preprocessor:
             x = (x - self.zscore_mean) / self.zscore_sd
         if self.center_mean is not None:
             x = x - self.center_mean
-        if self.pca is not None:
-            x = apply_pca(self.pca, x)
+        if self.components is not None:
+            x = x @ self.components
         return x
 
     def to_json_dict(self) -> dict:
-        doc = {name: None if getattr(self, name) is None else getattr(self, name).tolist()
-               for name in ("zscore_mean", "zscore_sd", "center_mean")}
-        doc["pca"] = None if self.pca is None else self.pca.to_json_dict()
-        return {"d_in": self.d_in, **doc}
+        return {"d_in": self.d_in, **{
+            name: None if getattr(self, name) is None else getattr(self, name).tolist()
+            for name in _ARRAY_FIELDS}}
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Preprocessor":
-        vectors = [None if doc[name] is None else as_vector(doc[name], name)
-                   for name in ("zscore_mean", "zscore_sd", "center_mean")]
-        pca = None if doc["pca"] is None else PcaModel.from_json_dict(doc["pca"])
-        return cls(int(doc["d_in"]), *vectors, pca)
+        d_in = doc["d_in"]
+        if type(d_in) is not int:
+            raise ValueError(f"preprocessor field 'd_in': expected int, got {d_in!r}")
+        return cls(d_in, *(None if doc[name] is None else check(doc[name], name)
+                           for name, check in _ARRAY_FIELDS.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ValueError("cv_folds must be >= 2")
         if self.hubness_k < 1:
             raise ValueError("hubness_k must be >= 1")
+        if self.pca_dim is not None and self.pca_dim < 1:
+            raise ValueError(f"pca_dim must be >= 1, got {self.pca_dim}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         # the user's grids, k_targets and solver fail here, not mid-run, even
@@ -220,7 +222,8 @@ def preprocess(dataset: Dataset, train_rows=None, *, center: bool = True,
     """Train-fitted preprocessing applied to every row of the dataset.
 
     A ``Preprocessor`` is fitted on ``train_rows`` only (``None`` fits on all
-    rows) and applied to every row. Order: z-score, center, PCA.
+    rows) and applied to every row. Order: z-score, center, project onto the
+    ``pca_dim`` principal axes. PCA centers even when ``center`` is False.
     """
     rows = (np.arange(dataset.n) if train_rows is None
             else index_vector(train_rows, dataset.n, "train_rows"))
@@ -257,6 +260,11 @@ def solver_gap(train: Dataset, tm: TransformModel | None, jj) -> float | None:
     return solver_disagreement(train.features.T, jj, tm)
 
 
+# parser per model-file field; the two records check their own fields
+_MODEL_PARSERS = {"preprocessor": _json(dict), "transform": _json(dict),
+                  "label_names": _json(list, item=str)}
+
+
 @dataclass(frozen=True)
 class ModelArtifact:
     """Everything ``predict`` needs from ``fit``: preprocessing, transform, labels.
@@ -277,19 +285,28 @@ class ModelArtifact:
                 f"outputs {self.preprocessor.d_out} dimensions")
 
     def to_json_dict(self) -> dict:
-        return {"version": 2, "label_names": list(self.label_names),
+        return {"version": 3, "label_names": list(self.label_names),
                 "preprocessor": self.preprocessor.to_json_dict(),
                 "transform": self.transform.to_json_dict()}
 
     @classmethod
-    def from_json_dict(cls, doc: dict) -> "ModelArtifact":
-        if doc.get("version") != 2:
-            raise ValueError(f"model file version {doc.get('version')!r} is not 2, the "
-                             "first with a preprocessing record; refit it with `hubridge fit`")
+    def from_json_dict(cls, doc) -> "ModelArtifact":
+        """Parse a model document; a missing or mistyped field raises a ValueError naming it."""
+        if not isinstance(doc, dict):
+            raise ValueError(f"model file must be a JSON object, got {type(doc).__name__}")
+        if doc.get("version") != 3:
+            raise ValueError(f"model file version {doc.get('version')!r} is not 3, the first "
+                             "with PCA as a components matrix; refit it with `hubridge fit`")
         try:
-            return cls(Preprocessor.from_json_dict(doc["preprocessor"]),
-                       TransformModel.from_json_dict(doc["transform"]),
-                       tuple(str(t) for t in doc["label_names"]))
+            fields = {}
+            for key, parse in _MODEL_PARSERS.items():
+                try:
+                    fields[key] = parse(doc[key])
+                except TypeError as e:
+                    raise ValueError(f"model file field {key!r}: {e}") from None
+            return cls(Preprocessor.from_json_dict(fields["preprocessor"]),
+                       TransformModel.from_json_dict(fields["transform"]),
+                       fields["label_names"])
         except KeyError as e:
             raise ValueError(f"model file lacks field {e.args[0]!r}") from None
 

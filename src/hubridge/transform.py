@@ -85,8 +85,10 @@ class TransformModel:
     def from_json_dict(cls, doc: dict) -> "TransformModel":
         if doc.get("version") != 1:
             raise ValueError(f"unsupported TransformModel version {doc.get('version')!r}")
-        return cls(as_matrix(doc["W"], "W"), doc["direction"],
-                   float(doc["lambda"]), doc["solver"])
+        lam = doc["lambda"]
+        if type(lam) not in (int, float):
+            raise ValueError(f"transform field 'lambda': expected a number, got {lam!r}")
+        return cls(as_matrix(doc["W"], "W"), doc["direction"], float(lam), doc["solver"])
 
 
 def _check_lambdas(lambdas) -> None:

@@ -103,11 +103,12 @@ class TestFitPredict:
                      "--lambda", "0.5", "--out", str(model_p)]) == 0
         doc = json.loads(model_p.read_text())
         assert set(doc) == {"version", "label_names", "preprocessor", "transform"}
-        assert doc["version"] == 2
+        assert doc["version"] == 3
         assert doc["label_names"] == list(load_dataset(train_p, "dense-csv").label_names)
         assert doc["preprocessor"]["d_in"] == 6
         assert len(doc["preprocessor"]["center_mean"]) == 6
-        assert doc["preprocessor"]["zscore_mean"] is None and doc["preprocessor"]["pca"] is None
+        assert doc["preprocessor"]["zscore_mean"] is None
+        assert doc["preprocessor"]["components"] is None
         assert doc["transform"]["direction"] == "move-query"
         assert doc["transform"]["d"] == 6 and len(doc["transform"]["W"]) == 6
 
@@ -180,6 +181,24 @@ class TestPredictRejects:
         v1_p.write_text(json.dumps(json.loads(model_p.read_text())["transform"]))
         err = self.predict(train_p, query_p, v1_p, capsys)
         assert "version 1" in err and "refit" in err
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: [], "JSON object"),
+        (lambda doc: {**doc, "preprocessor": []}, "'preprocessor'"),
+        (lambda doc: {**doc, "transform": []}, "'transform'"),
+        (lambda doc: {**doc, "label_names": 5}, "'label_names'"),
+        (lambda doc: {**doc, "preprocessor": {**doc["preprocessor"], "d_in": 2.7}}, "'d_in'"),
+    ], ids=["document", "preprocessor", "transform", "label_names", "d_in"])
+    def test_malformed_model_file(self, train_and_queries, model_p, tmp_path, capsys,
+                                  edit, field):
+        # each used to end in a traceback, or (d_in) to load silently as 2;
+        # test_experiment.py checks each message
+        train_p, query_p = train_and_queries
+        bad_p = tmp_path / "bad.json"
+        bad_p.write_text(json.dumps(edit(json.loads(model_p.read_text()))))
+        err = self.predict(train_p, query_p, bad_p, capsys)
+        assert err.startswith("error: model file") or err.startswith("error: preprocessor")
+        assert field in err
 
 
 class TestErrors:
@@ -275,6 +294,13 @@ class TestCvCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["best_k"] in (1, 3)
         assert len(doc["table"]) == 2
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_pca_dim_below_one_named(self, train_and_queries, capsys, value):
+        rc = main(["cv", "--dataset", str(train_and_queries[0]), "--direction", "euclidean",
+                   "--k-grid", "1", "--folds", "3", "--pca-dim", value])
+        assert rc == 1
+        assert "pca_dim must be in [1, min(n - 1, d)]" in capsys.readouterr().err
 
 
 class TestCentralityCommand:

@@ -8,10 +8,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from hubridge import datamodel
-from hubridge.datamodel import (Dataset, DatasetFormatError, PcaModel,
-                                PreprocessError, Preprocessor, apply_pca,
-                                bundled_dataset_path, dataset_from_arrays,
-                                fit_pca, load_dataset, split, subset)
+from hubridge.datamodel import (Dataset, DatasetFormatError, PreprocessError,
+                                Preprocessor, bundled_dataset_path, dataset_from_arrays,
+                                load_dataset, split, subset)
 
 from _helpers import write_dense_csv
 
@@ -306,15 +305,19 @@ class TestZscore:
             fit_zscore([[1.0, 5.0], [2.0, 5.0]])
 
 
+def fit_pca(x, r, center=True):
+    return Preprocessor.fit(x, center=center, pca_dim=r)
+
+
 class TestPca:
     def test_exact_subspace_recovery(self, rng):
         basis = np.linalg.qr(rng.normal(size=(5, 2)))[0]
         coords = rng.normal(size=(40, 2))
         x = coords @ basis.T + rng.normal(size=5)  # rank-2 + offset
         ds = dataset_from_arrays(x, [0] * 40)
-        model = fit_pca(ds.features, 2)
-        proj = apply_pca(model, x)
-        recon = proj @ model.components.T + model.mean
+        prep = fit_pca(ds.features, 2)
+        proj = prep.apply(x)
+        recon = proj @ prep.components.T + prep.center_mean
         assert np.abs(recon - x).max() < 1e-8
 
     def test_correlated_gaussian_axis(self, rng):
@@ -322,69 +325,93 @@ class TestPca:
         cov = np.array([[1.0, 0.99], [0.99, 1.0]])
         x = rng.multivariate_normal([0, 0], cov, size=400)
         ds = dataset_from_arrays(x, [0] * 400)
-        model = fit_pca(ds.features, 1)
+        prep = fit_pca(ds.features, 1)
         evals, evecs = np.linalg.eigh(np.cov(x.T))
         principal = evecs[:, np.argmax(evals)]
-        cosine = abs(float(model.components[:, 0] @ principal))
+        cosine = abs(float(prep.components[:, 0] @ principal))
         assert cosine > np.cos(np.deg2rad(1.0))
 
     def test_document_shaped(self, rng):
         x = rng.normal(size=(320, 29992))
         ds = dataset_from_arrays(x, [0] * 320)
-        model = fit_pca(ds.features, 300)
-        assert apply_pca(model, x[:3]).shape == (3, 300)
+        prep = fit_pca(ds.features, 300)
+        assert prep.apply(x[:3]).shape == (3, 300)
 
     def test_orthonormal_components(self, rng):
         ds = dataset_from_arrays(rng.normal(size=(30, 8)), [0] * 30)
-        model = fit_pca(ds.features, 5)
-        gram = model.components.T @ model.components
+        prep = fit_pca(ds.features, 5)
+        gram = prep.components.T @ prep.components
         np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
 
     def test_explained_variance_non_increasing(self, rng):
         x = rng.normal(size=(50, 6)) * np.array([5.0, 3.0, 2.0, 1.0, 0.5, 0.1])
         ds = dataset_from_arrays(x, [0] * 50)
-        model = fit_pca(ds.features, 6)
-        proj = apply_pca(model, x)
+        prep = fit_pca(ds.features, 6)
+        proj = prep.apply(x)
         variances = proj.var(axis=0)
         assert (np.diff(variances) <= 1e-12).all()
         assert (variances >= 0).all()
 
     def test_sign_convention(self, rng):
         ds = dataset_from_arrays(rng.normal(size=(30, 4)), [0] * 30)
-        model = fit_pca(ds.features, 4)
-        anchors = np.abs(model.components).argmax(axis=0)
-        assert (model.components[anchors, np.arange(4)] > 0).all()
+        prep = fit_pca(ds.features, 4)
+        anchors = np.abs(prep.components).argmax(axis=0)
+        assert (prep.components[anchors, np.arange(4)] > 0).all()
 
     def test_apply_mean_is_zero(self, rng):
         ds = dataset_from_arrays(rng.normal(size=(10, 3)), [0] * 10)
-        model = fit_pca(ds.features, 2)
-        np.testing.assert_allclose(apply_pca(model, model.mean[None, :]), 0.0, atol=1e-12)
+        prep = fit_pca(ds.features, 2)
+        np.testing.assert_allclose(prep.apply(prep.center_mean[None, :]), 0.0, atol=1e-12)
+
+    def test_centers_without_center_flag(self, rng):
+        # the axes are those of the centered rows, so PCA centers regardless
+        x = rng.normal(3.0, 1.0, size=(10, 3))
+        prep = fit_pca(x, 2, center=False)
+        np.testing.assert_array_equal(prep.center_mean, x.mean(axis=0))
+        np.testing.assert_allclose(prep.apply(x).mean(axis=0), 0.0, atol=1e-12)
 
     def test_apply_identity_components(self):
-        model = PcaModel(np.zeros(3), np.eye(3), 3)
+        prep = Preprocessor(3, center_mean=np.zeros(3), components=np.eye(3))
         x = np.array([[1.0, 2.0, 3.0]])
-        np.testing.assert_array_equal(apply_pca(model, x), x)
+        np.testing.assert_array_equal(prep.apply(x), x)
 
     def test_apply_matches_explicit_dot(self, rng):
         ds = dataset_from_arrays(rng.normal(size=(12, 5)), [0] * 12)
-        model = fit_pca(ds.features, 3)
+        prep = fit_pca(ds.features, 3)
         p = rng.normal(size=5)
         # oracle: explicit dot products
-        want = np.array([(p - model.mean) @ model.components[:, c] for c in range(3)])
-        np.testing.assert_allclose(apply_pca(model, p[None, :])[0], want, atol=1e-10)
+        want = np.array([(p - prep.center_mean) @ prep.components[:, c] for c in range(3)])
+        np.testing.assert_allclose(prep.apply(p[None, :])[0], want, atol=1e-10)
 
     def test_r_too_large(self, rng):
         ds = dataset_from_arrays(rng.normal(size=(4, 6)), [0] * 4)
-        with pytest.raises(ValueError, match="r must be"):
+        with pytest.raises(ValueError, match=r"pca_dim must be in \[1, min\(n - 1, d\)\] "
+                                             r"= \[1, 3\], got 5"):
             fit_pca(ds.features, 5)
 
+    @pytest.mark.parametrize("n, d", [(4, 6), (5, 5)], ids=["n<d", "n=d"])
+    def test_r_equal_to_n_rejected(self, rng, n, d):
+        # centered rows have rank <= n - 1, so an n-th axis would be a
+        # null-space direction chosen by rounding
+        x = rng.normal(size=(n, d))
+        with pytest.raises(ValueError, match=f"pca_dim must be in .* = \\[1, {n - 1}\\], "
+                                             f"got {n}"):
+            fit_pca(x, n)
+        assert fit_pca(x, n - 1).d_out == n - 1
+
+    @pytest.mark.parametrize("r", [0, -1])
+    def test_r_below_one_names_pca_dim(self, rng, r):
+        with pytest.raises(ValueError, match=f"pca_dim must be in .*, got {r}"):
+            fit_pca(rng.normal(size=(6, 4)), r)
+
     def test_json_round_trip(self, rng):
-        model = fit_pca(rng.normal(size=(10, 4)), 2)
-        doc = json.loads(json.dumps(model.to_json_dict()))
-        loaded = PcaModel.from_json_dict(doc)
-        np.testing.assert_array_equal(loaded.components, model.components)
-        np.testing.assert_array_equal(loaded.mean, model.mean)
-        assert doc["version"] == 1
+        prep = fit_pca(rng.normal(size=(10, 4)), 2)
+        doc = json.loads(json.dumps(prep.to_json_dict()))
+        loaded = Preprocessor.from_json_dict(doc)
+        np.testing.assert_array_equal(loaded.components, prep.components)
+        np.testing.assert_array_equal(loaded.center_mean, prep.center_mean)
+        assert set(doc) == {"d_in", "zscore_mean", "zscore_sd", "center_mean", "components"}
+        assert loaded.d_out == 2 and len(doc["components"]) == 4
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
-from hubridge.datamodel import (Preprocessor, column_mean_sd, dataset_from_arrays,
-                                apply_pca, fit_pca, split)
+from hubridge.datamodel import Preprocessor, column_mean_sd, dataset_from_arrays, split
 from hubridge.experiment import (ExperimentConfig, ModelArtifact, TIMING_FIELDS,
                                  fit_timed, preprocess, run_experiment)
 from hubridge.modelselect import CvConfig, grid_search
@@ -78,10 +78,15 @@ class TestPreprocess:
         if zscore:
             mean, sd = column_mean_sd(want[rows])
             want = (want - mean) / sd
-        if center:
+        if center or pca_dim is not None:  # PCA centers regardless
             want = want - want[rows].mean(axis=0)
         if pca_dim is not None:
-            want = apply_pca(fit_pca(want[rows], pca_dim), want)
+            # principal axes from a thin SVD, each with its largest-magnitude entry positive
+            axes = np.linalg.svd(want[rows], full_matrices=False)[2][:pca_dim].T.copy()
+            for c in range(pca_dim):
+                if axes[np.abs(axes[:, c]).argmax(), c] < 0:
+                    axes[:, c] = -axes[:, c]
+            want = want @ axes
         got = preprocess(ds, None if train_rows is None else rows, center=center,
                          zscore=zscore, pca_dim=pca_dim)
         assert np.array_equal(got.features, want)
@@ -101,10 +106,10 @@ class TestPreprocess:
 
 
 class TestModelArtifact:
-    def fitted(self, rng, pca_dim=3):
+    def fitted(self, rng, pca_dim=3, center=True):
         x = rng.normal(1.0, 4.0, size=(30, 6)) * np.array([1.0, 10.0, 0.1, 1.0, 5.0, 2.0])
         ds = dataset_from_arrays(x, np.tile([0, 1, 2], 10), label_names=("a", "b", "c"))
-        prep = Preprocessor.fit(ds.features, zscore=True, pca_dim=pca_dim)
+        prep = Preprocessor.fit(ds.features, center=center, zscore=True, pca_dim=pca_dim)
         pre = dataset_from_arrays(prep.apply(ds.features), ds.labels,
                                   label_names=ds.label_names)
         tm, _, _ = fit_timed(pre, "move-labeled", 0.3, 1, "exact")
@@ -115,16 +120,39 @@ class TestModelArtifact:
         path = tmp_path / "model.json"
         art.save(path)
         got = ModelArtifact.load(path)
-        assert json.loads(path.read_text())["version"] == 2
+        assert json.loads(path.read_text())["version"] == 3
         assert np.array_equal(got.transform.w, art.transform.w)
         assert (got.transform.direction, got.transform.lam, got.transform.solver) == (
             "move-labeled", 0.3, "exact")
         a, b = got.preprocessor, art.preprocessor
         assert a.d_in == b.d_in == 6 and got.label_names == ("a", "b", "c")
-        for name in ("zscore_mean", "zscore_sd", "center_mean"):
+        for name in ("zscore_mean", "zscore_sd", "center_mean", "components"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
-        assert np.array_equal(a.pca.components, b.pca.components)
-        assert np.array_equal(a.pca.mean, b.pca.mean)
+        assert a.components.shape == (6, 3)
+
+    def test_uncentered_pca_round_trip(self, rng, tmp_path):
+        # a center=False PCA fit still stores the mean its axes were fitted on
+        art = self.fitted(rng, center=False)
+        path = tmp_path / "model.json"
+        art.save(path)
+        doc = json.loads(path.read_text())
+        assert doc["version"] == 3 and len(doc["preprocessor"]["components"]) == 6
+        got = ModelArtifact.load(path).preprocessor
+        x = rng.normal(size=(5, 6))
+        assert np.array_equal(got.center_mean, art.preprocessor.center_mean)
+        assert np.array_equal(got.components, art.preprocessor.components)
+        assert np.array_equal(got.apply(x), art.preprocessor.apply(x))
+
+    def test_version_2_rejected(self, rng):
+        # version 2 kept PCA as a nested document with a second mean
+        doc = self.fitted(rng).to_json_dict()
+        doc["version"] = 2
+        pre = doc["preprocessor"]
+        pre["pca"] = {"version": 1, "mean": [0.0] * 6, "components": pre.pop("components"),
+                      "r": 3}
+        with pytest.raises(ValueError, match="model file version 2 is not 3.*refit it with "
+                                             "`hubridge fit`"):
+            ModelArtifact.from_json_dict(doc)
 
     def test_transform_must_fit_preprocessed_dimension(self, rng):
         art = self.fitted(rng)
@@ -138,6 +166,30 @@ class TestModelArtifact:
         del doc["preprocessor"]["center_mean"]
         with pytest.raises(ValueError, match="lacks field 'center_mean'"):
             ModelArtifact.from_json_dict(doc)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: [], "model file must be a JSON object, got list"),
+        (lambda doc: {**doc, "preprocessor": []},
+         "model file field 'preprocessor': expected dict, got []"),
+        (lambda doc: {**doc, "transform": []}, "model file field 'transform': expected dict, got []"),
+        (lambda doc: {**doc, "label_names": 5}, "model file field 'label_names': expected list, got 5"),
+        *((lambda doc, v=v: {**doc, "preprocessor": {**doc["preprocessor"], "d_in": v}},
+           f"preprocessor field 'd_in': expected int, got {v!r}") for v in (2.7, "6", True, None)),
+        *((lambda doc, v=v: {**doc, "transform": {**doc["transform"], "lambda": v}},
+           f"transform field 'lambda': expected a number, got {v!r}")
+          for v in ([1], None, "0.3")),
+        (lambda doc: {**doc,
+                      "preprocessor": {**doc["preprocessor"], "zscore_sd": [1.0, 0.0] * 3}},
+         "zscore_sd must be positive; column 1 is 0.0"),
+    ], ids=["document", "preprocessor", "transform", "label_names",
+            "d_in-2.7", "d_in-str", "d_in-bool", "d_in-null",
+            "lambda-list", "lambda-null", "lambda-str", "zscore_sd-zero"])
+    def test_malformed_document_named(self, rng, edit, message):
+        # the first four and a non-number lambda used to raise AttributeError or
+        # TypeError; d_in 2.7 loaded as 2, lambda "0.3" as 0.3 and a zero zscore_sd
+        # divided by zero at apply
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ModelArtifact.from_json_dict(edit(self.fitted(rng).to_json_dict()))
 
 
 class TestRunExperiment:
@@ -341,6 +393,13 @@ class TestConfigFile:
         # hubness_k = 0 used to fail only after the whole cross-validation
         doc[key] = value
         with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_json_dict(doc)
+
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_pca_dim_below_one_named(self, doc, value):
+        # used to load, then fail at the first split without naming the key
+        doc["pca_dim"] = value
+        with pytest.raises(ValueError, match=f"pca_dim must be >= 1, got {value}"):
             ExperimentConfig.from_json_dict(doc)
 
     @pytest.mark.parametrize("grid", [[], [-1.0]])
