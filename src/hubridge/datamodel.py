@@ -1,10 +1,10 @@
 """Dataset representation, file ingestion, preprocessing and train/test splitting.
 
-Feature files come in two shapes: ``dense-csv`` (one object per line,
-``v1,v2,...,vd,label``) and ``sparse-pairs`` (``label idx:val idx:val ...``
-with 1-based indices, densified on load). Labels are remapped to contiguous
-integer ids in first-appearance order; the original tokens are kept on the
-dataset for reporting. A dense-csv label may not be empty, and a
+Feature files are UTF-8 text in two shapes: ``dense-csv`` (one object per
+line, ``v1,v2,...,vd,label``) and ``sparse-pairs`` (``label idx:val idx:val
+...`` with 1-based indices, densified on load). Labels are remapped to
+contiguous integer ids in first-appearance order; the original tokens are
+kept on the dataset for reporting. A dense-csv label may not be empty, and a
 sparse-pairs label may not contain ``:`` (such a line starts with a pair and
 has no label).
 
@@ -13,9 +13,10 @@ through Python ``float`` (``int`` for indices) in one ``np.fromiter`` call
 and get one vectorized finiteness check; sparse-pairs indices are checked
 (1-based, none twice in a row) once for the whole file. Blocks rather than
 the whole file, because a whole file's token strings take several times the
-memory of the matrix they fill. A file the block-wise parse rejects is parsed
-again by the per-row parsers, whose ``DatasetFormatError`` names the first
-bad row and column in file order.
+memory of the matrix they fill. When a block or a whole-file check fails,
+a per-format checker reads the rows again from the first, builds nothing,
+and returns the ``DatasetFormatError`` naming the first bad row and column
+in file order, which the parse raises.
 """
 
 from __future__ import annotations
@@ -119,78 +120,60 @@ def subset(dataset: Dataset, indices) -> Dataset:
 # Loading
 # ---------------------------------------------------------------------------
 
-def _finite_or_raise(value: float, row: int, col: int) -> float:
-    if not np.isfinite(value):
-        raise DatasetFormatError(
-            f"row {row}, column {col}: non-finite value {value!r}")
-    return value
-
-
-def _parse_dense_csv(lines: list[tuple[int, str]]):
-    rows, tokens = [], []
-    width = None
+def _dense_csv_fault(lines: list[tuple[int, str]]) -> DatasetFormatError:
+    """The error naming the first bad row and column of a rejected dense-csv file."""
+    width = len(lines[0][1].split(","))
     for lineno, line in lines:
         fields = line.split(",")
         if len(fields) < 2:
-            raise DatasetFormatError(
+            return DatasetFormatError(
                 f"row {lineno}: expected 'v1,...,vd,label', got {len(fields)} field(s)")
-        if width is None:
-            width = len(fields)
-        elif len(fields) != width:
-            raise DatasetFormatError(
-                f"row {lineno}: expected {width} fields, got {len(fields)}")
-        label = fields[-1].strip()
-        if not label:
-            raise DatasetFormatError(f"row {lineno}: empty label")
-        values = []
+        if len(fields) != width:
+            return DatasetFormatError(f"row {lineno}: expected {width} fields, got {len(fields)}")
+        if not fields[-1].strip():
+            return DatasetFormatError(f"row {lineno}: empty label")
         for col, tok in enumerate(fields[:-1], start=1):
             try:
                 v = float(tok)
             except ValueError:
-                raise DatasetFormatError(
-                    f"row {lineno}, column {col}: cannot parse {tok.strip()!r} as a number") from None
-            values.append(_finite_or_raise(v, lineno, col))
-        rows.append(values)
-        tokens.append(label)
-    return np.array(rows, dtype=np.float64), tokens
+                return DatasetFormatError(
+                    f"row {lineno}, column {col}: cannot parse {tok.strip()!r} as a number")
+            if not np.isfinite(v):
+                return DatasetFormatError(f"row {lineno}, column {col}: non-finite value {v!r}")
 
 
-def _parse_sparse_pairs(lines: list[tuple[int, str]]):
-    entries, tokens = [], []
-    d = 0
+def _sparse_pairs_fault(lines: list[tuple[int, str]]) -> DatasetFormatError:
+    """The error naming the first bad row and pair of a rejected sparse-pairs file.
+
+    A file with no bad pair was rejected because its dense matrix cannot be
+    allocated; the error names the first pair holding the largest index.
+    """
+    d, at = 0, None
     for lineno, line in lines:
         fields = line.split()
         if ":" in fields[0]:
-            raise DatasetFormatError(f"row {lineno}: missing label before 'idx:val' pairs")
-        tokens.append(fields[0])
-        row = {}
+            return DatasetFormatError(f"row {lineno}: missing label before 'idx:val' pairs")
+        seen = set()
         for col, tok in enumerate(fields[1:], start=1):
             part = tok.split(":")
             if len(part) != 2:
-                raise DatasetFormatError(
+                return DatasetFormatError(
                     f"row {lineno}, pair {col}: expected 'idx:val', got {tok!r}")
             try:
-                idx = int(part[0])
-                v = float(part[1])
+                idx, v = int(part[0]), float(part[1])
             except ValueError:
-                raise DatasetFormatError(
-                    f"row {lineno}, pair {col}: cannot parse {tok!r}") from None
+                return DatasetFormatError(f"row {lineno}, pair {col}: cannot parse {tok!r}")
             if idx < 1:
-                raise DatasetFormatError(
-                    f"row {lineno}, pair {col}: index {idx} is not 1-based")
-            if idx in row:
-                raise DatasetFormatError(
-                    f"row {lineno}, pair {col}: duplicate index {idx}")
-            row[idx] = _finite_or_raise(v, lineno, col)
-            d = max(d, idx)
-        entries.append(row)
-    if d == 0:
-        raise DatasetFormatError("no feature indices found in sparse-pairs file")
-    features = np.zeros((len(entries), d), dtype=np.float64)
-    for i, row in enumerate(entries):
-        for idx, v in row.items():
-            features[i, idx - 1] = v
-    return features, tokens
+                return DatasetFormatError(f"row {lineno}, pair {col}: index {idx} is not 1-based")
+            if idx in seen:
+                return DatasetFormatError(f"row {lineno}, pair {col}: duplicate index {idx}")
+            if not np.isfinite(v):
+                return DatasetFormatError(f"row {lineno}, column {col}: non-finite value {v!r}")
+            seen.add(idx)
+            if idx > d:
+                d, at = idx, (lineno, col)
+    return DatasetFormatError(f"row {at[0]}, pair {at[1]}: index {d} is too large; a dense "
+                              f"{len(lines)} x {d} matrix does not fit in memory")
 
 
 # Tokens a block-wise parse holds at once (13 rows of 300 values): the peak of
@@ -206,78 +189,85 @@ def _row_blocks(lines: list[tuple[int, str]], tokens_per_row: int):
 
 
 def _dense_csv_blocks(lines: list[tuple[int, str]]):
-    """``_parse_dense_csv``'s result, parsed block-wise; None where it would raise."""
+    """Features and label tokens of a dense-csv file, parsed block-wise."""
     d = lines[0][1].count(",")
     if d < 1:
-        return None
+        raise _dense_csv_fault(lines)
     features = np.empty((len(lines), d))
     tokens = []
     for start, block in _row_blocks(lines, d + 1):
         rows = [line.split(",") for line in block]
         labels = [fields.pop().strip() for fields in rows]
         if any(len(fields) != d for fields in rows) or "" in labels:
-            return None
+            raise _dense_csv_fault(lines)
         try:
             values = np.fromiter(map(float, chain.from_iterable(rows)), np.float64,
                                  len(rows) * d)
         except ValueError:
-            return None
+            raise _dense_csv_fault(lines) from None
         if not np.isfinite(values).all():
-            return None
+            raise _dense_csv_fault(lines)
         features[start:start + len(rows)] = values.reshape(len(rows), d)
         tokens += labels
     return features, tokens
 
 
 def _sparse_pairs_blocks(lines: list[tuple[int, str]]):
-    """``_parse_sparse_pairs``'s result, parsed block-wise; None where it would raise."""
+    """Features and label tokens of a sparse-pairs file, parsed block-wise."""
     rows, idx, vals, tokens = [], [], [], []
     for start, block in _row_blocks(lines, len(lines[0][1].split())):
         fields = [line.split() for line in block]
         labels = [f.pop(0) for f in fields]
         pairs = list(chain.from_iterable(fields))
-        parts = ":".join(pairs).split(":")
+        # a block of labels alone has no parts ("".split(":") would give one)
+        parts = ":".join(pairs).split(":") if pairs else []
         # one ':' in every pair: at least one in each, and as many in all as there are pairs
         if (any(":" in label for label in labels) or len(parts) != 2 * len(pairs)
                 or not all(":" in pair for pair in pairs)):
-            return None
+            raise _sparse_pairs_fault(lines)
         try:
             idx.append(np.fromiter(map(int, parts[0::2]), np.int64, len(pairs)))
             vals.append(np.fromiter(map(float, parts[1::2]), np.float64, len(pairs)))
         except (ValueError, OverflowError):
-            return None
+            raise _sparse_pairs_fault(lines) from None
         rows.append(np.repeat(np.arange(start, start + len(fields)), list(map(len, fields))))
         tokens += labels
     rows, idx, vals = (np.concatenate(a) for a in (rows, idx, vals))
-    if not idx.size or idx.min() < 1 or not np.isfinite(vals).all():
-        return None
-    d = idx.max()
-    # row * d + idx - 1 is one-to-one on (row, idx); int64 wrap-around could
-    # only fake a duplicate, which sends the file to the per-row parser
+    if not idx.size:
+        raise DatasetFormatError("no feature indices found in sparse-pairs file")
+    d = int(idx.max())
+    try:
+        features = np.zeros((len(lines), d))
+    except (ValueError, MemoryError):
+        raise _sparse_pairs_fault(lines) from None
+    # for 1-based indices, row * d + idx - 1 is one-to-one on (row, idx) and
+    # below the size of the matrix just allocated, so it does not wrap around
     flat = np.sort(rows * d + (idx - 1))
-    if (flat[1:] == flat[:-1]).any():
-        return None
-    features = np.zeros((len(lines), int(d)))
+    if idx.min() < 1 or not np.isfinite(vals).all() or (flat[1:] == flat[:-1]).any():
+        raise _sparse_pairs_fault(lines)
     features[rows, idx - 1] = vals
     return features, tokens
 
 
 def load_dataset(path, fmt: str) -> Dataset:
-    """Load a feature file; labels are remapped to dense ids in first-appearance order."""
+    """Load a UTF-8 feature file; labels are remapped to dense ids in first-appearance order."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     path = Path(path)
-    # the text is dropped once split, so the parse does not hold the file twice
-    lines = [(i, ln.strip()) for i, ln in enumerate(path.read_text().splitlines(), start=1)]
+    try:
+        # the text is dropped once split, so the parse does not hold the file twice
+        lines = path.read_bytes().decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # a character put in place of the bad byte lands on the row splitlines() gives it
+        row = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
+        raise DatasetFormatError(f"row {row}: not valid UTF-8 ({exc.reason})") from None
+    lines = [(i, ln.strip()) for i, ln in enumerate(lines, start=1)]
     lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
     if not lines:
         raise DatasetFormatError(f"{path}: file contains no data rows")
 
-    # the per-row parsers run only on files the block-wise parse rejects, to name the row
-    if fmt == DENSE_CSV:
-        features, tokens = _dense_csv_blocks(lines) or _parse_dense_csv(lines)
-    else:
-        features, tokens = _sparse_pairs_blocks(lines) or _parse_sparse_pairs(lines)
+    parse = _dense_csv_blocks if fmt == DENSE_CSV else _sparse_pairs_blocks
+    features, tokens = parse(lines)
 
     id_of: dict[str, int] = {}
     labels = np.empty(len(tokens), dtype=np.int64)
@@ -378,6 +368,8 @@ class Preprocessor:
         if center or pca_dim is not None:
             center_mean = x.mean(axis=0)
         if pca_dim is not None:
+            if isinstance(pca_dim, bool) or not isinstance(pca_dim, (int, np.integer)):
+                raise ValueError(f"pca_dim must be an integer, got {pca_dim!r}")
             if not 1 <= pca_dim <= min(n - 1, d):
                 raise ValueError(f"pca_dim must be in [1, min(n - 1, d)] = "
                                  f"[1, {min(n - 1, d)}], got {pca_dim}")

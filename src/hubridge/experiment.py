@@ -90,8 +90,12 @@ class ExperimentConfig:
             raise ValueError("cv_folds must be >= 2")
         if self.hubness_k < 1:
             raise ValueError("hubness_k must be >= 1")
-        if self.pca_dim is not None and self.pca_dim < 1:
-            raise ValueError(f"pca_dim must be >= 1, got {self.pca_dim}")
+        if self.pca_dim is not None:
+            if isinstance(self.pca_dim, bool) or not isinstance(self.pca_dim, (int, np.integer)):
+                raise ValueError(f"pca_dim must be an integer, got {self.pca_dim!r}")
+            if self.pca_dim < 1:
+                raise ValueError(f"pca_dim must be >= 1, got {self.pca_dim}")
+            object.__setattr__(self, "pca_dim", int(self.pca_dim))  # a JSON-ready int
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         # the user's grids, k_targets and solver fail here, not mid-run, even

@@ -1,8 +1,9 @@
 """Shared test oracles and synthetic data generators.
 
 Everything here is deliberately independent of the library's computation
-paths: distances are per-pair differences, votes are explicit loops, and
-the ridge oracle minimizes the written objective with a generic optimizer.
+paths: distances are per-pair differences, votes are explicit loops, the
+ridge oracle minimizes the written objective with a generic optimizer, and
+the file parsers read one row at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.optimize
+
+from hubridge.datamodel import DatasetFormatError
 
 
 # ---------------------------------------------------------------------------
@@ -188,3 +191,84 @@ def write_dense_csv(path, features, labels) -> None:
     with open(path, "w") as fh:
         for row, lab in zip(features, labels):
             fh.write(",".join(repr(float(v)) for v in row) + f",c{int(lab)}\n")
+
+
+# ---------------------------------------------------------------------------
+# Per-row reference parsers: the block-wise parse must give their features,
+# labels and DatasetFormatError messages on every file
+# ---------------------------------------------------------------------------
+
+def _finite_or_raise(value: float, row: int, col: int) -> float:
+    if not np.isfinite(value):
+        raise DatasetFormatError(
+            f"row {row}, column {col}: non-finite value {value!r}")
+    return value
+
+
+def parse_dense_csv(lines: list[tuple[int, str]]):
+    """Features and label tokens of dense-csv (line number, text) rows, one row at a time."""
+    rows, tokens = [], []
+    width = None
+    for lineno, line in lines:
+        fields = line.split(",")
+        if len(fields) < 2:
+            raise DatasetFormatError(
+                f"row {lineno}: expected 'v1,...,vd,label', got {len(fields)} field(s)")
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            raise DatasetFormatError(
+                f"row {lineno}: expected {width} fields, got {len(fields)}")
+        label = fields[-1].strip()
+        if not label:
+            raise DatasetFormatError(f"row {lineno}: empty label")
+        values = []
+        for col, tok in enumerate(fields[:-1], start=1):
+            try:
+                v = float(tok)
+            except ValueError:
+                raise DatasetFormatError(
+                    f"row {lineno}, column {col}: cannot parse {tok.strip()!r} as a number") from None
+            values.append(_finite_or_raise(v, lineno, col))
+        rows.append(values)
+        tokens.append(label)
+    return np.array(rows, dtype=np.float64), tokens
+
+
+def parse_sparse_pairs(lines: list[tuple[int, str]]):
+    """Features and label tokens of sparse-pairs (line number, text) rows, one row at a time."""
+    entries, tokens = [], []
+    d = 0
+    for lineno, line in lines:
+        fields = line.split()
+        if ":" in fields[0]:
+            raise DatasetFormatError(f"row {lineno}: missing label before 'idx:val' pairs")
+        tokens.append(fields[0])
+        row = {}
+        for col, tok in enumerate(fields[1:], start=1):
+            part = tok.split(":")
+            if len(part) != 2:
+                raise DatasetFormatError(
+                    f"row {lineno}, pair {col}: expected 'idx:val', got {tok!r}")
+            try:
+                idx = int(part[0])
+                v = float(part[1])
+            except ValueError:
+                raise DatasetFormatError(
+                    f"row {lineno}, pair {col}: cannot parse {tok!r}") from None
+            if idx < 1:
+                raise DatasetFormatError(
+                    f"row {lineno}, pair {col}: index {idx} is not 1-based")
+            if idx in row:
+                raise DatasetFormatError(
+                    f"row {lineno}, pair {col}: duplicate index {idx}")
+            row[idx] = _finite_or_raise(v, lineno, col)
+            d = max(d, idx)
+        entries.append(row)
+    if d == 0:
+        raise DatasetFormatError("no feature indices found in sparse-pairs file")
+    features = np.zeros((len(entries), d), dtype=np.float64)
+    for i, row in enumerate(entries):
+        for idx, v in row.items():
+            features[i, idx - 1] = v
+    return features, tokens

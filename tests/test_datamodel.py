@@ -12,7 +12,7 @@ from hubridge.datamodel import (Dataset, DatasetFormatError, PreprocessError,
                                 Preprocessor, bundled_dataset_path, dataset_from_arrays,
                                 load_dataset, split, subset)
 
-from _helpers import write_dense_csv
+from _helpers import parse_dense_csv, parse_sparse_pairs, write_dense_csv
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -23,9 +23,9 @@ def write(tmp_path, text, name="data.csv"):
 
 @contextmanager
 def per_row_parse():
-    """Make load_dataset skip the block-wise parse and run the per-row parsers."""
-    with mock.patch.object(datamodel, "_dense_csv_blocks", lambda lines: None), \
-            mock.patch.object(datamodel, "_sparse_pairs_blocks", lambda lines: None):
+    """Make load_dataset parse with the per-row reference parsers in place of its own."""
+    with mock.patch.object(datamodel, "_dense_csv_blocks", parse_dense_csv), \
+            mock.patch.object(datamodel, "_sparse_pairs_blocks", parse_sparse_pairs):
         yield
 
 
@@ -81,6 +81,19 @@ class TestLoadDense:
         with pytest.raises(DatasetFormatError, match=r"row 2, column 1"):
             load_dataset(write(tmp_path, "1,2,a\nnan,3,a\n"), "dense-csv")
 
+    @pytest.mark.parametrize("data, row", [
+        (b"\xff,1,a\n", 1),
+        (b"1,2,a\n3,\xff,b\n", 2),
+        (b"# x,y\r\n1,2,a\n\n\xe9,4,b\n", 4),
+        (b"1,2,a\r3,4,b\x80\n", 2),
+    ], ids=["first-row", "mid-row", "after-blank-and-comment", "after-carriage-return"])
+    def test_non_utf8_byte_names_row(self, tmp_path, data, row):
+        # UnicodeDecodeError would name a byte offset, not the row
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        with pytest.raises(DatasetFormatError, match=f"^row {row}: not valid UTF-8 "):
+            load_dataset(path, "dense-csv")
+
     def test_load_twice_identical(self, tmp_path):
         p = write(tmp_path, "1.5,2.5,a\n3.5,4.5,b\n")
         a, b = load_dataset(p, "dense-csv"), load_dataset(p, "dense-csv")
@@ -106,6 +119,16 @@ class TestLoadSparse:
     def test_duplicate_index_rejected(self, tmp_path):
         with pytest.raises(DatasetFormatError, match="duplicate index"):
             load_dataset(write(tmp_path, "a 2:1.0 2:3.0\n"), "sparse-pairs")
+
+    @pytest.mark.parametrize("index", [2 ** 62, 10 ** 20], ids=["2^62", "10^20"])
+    def test_too_large_index_named(self, tmp_path, index):
+        # numpy's allocation errors ("array is too big", "Maximum allowed
+        # dimension exceeded", MemoryError) name no row
+        path = write(tmp_path, f"a 1:1\nb 2:1 {index}:1\n", "data.txt")
+        with pytest.raises(DatasetFormatError,
+                           match=f"^row 2, pair 2: index {index} is too large; a dense "
+                                 f"2 x {index} matrix does not fit in memory$"):
+            load_dataset(path, "sparse-pairs")
 
 
 @pytest.mark.parametrize("per_row", [False, True], ids=["blocks", "per-row"])
@@ -174,6 +197,11 @@ class TestBlockParse:
     @example(("a 4 1:2:3\n", "sparse-pairs"), 8)  # pairs whose ':' count only in total
     @example(("1,a\n2,b\n", "dense-csv"), 1)  # one row per block
     @example(("a 1:1\nb 2:1\n", "sparse-pairs"), 1)
+    @example(("a +1:1_000 1:1_000\n1:2\n", "sparse-pairs"), 1)  # a fault in an earlier block
+    @example(("a\nb 1:1\n", "sparse-pairs"), 1)  # a block of labels alone
+    @example(("a\nb\n", "sparse-pairs"), 8)  # no block holds a pair
+    @example((f"a {2 ** 62}:1\nb 0:1\n", "sparse-pairs"), 8)  # a bad row outranks a too-large index
+    @example((f"a {10 ** 20}:1\nb 1:1 1:2\n", "sparse-pairs"), 1)
     def test_agrees_with_per_row_parser(self, tmp_path_factory, file, block_tokens):
         text, fmt = file
         path = write(tmp_path_factory.getbasetemp(), text, "agree.txt")
@@ -182,19 +210,6 @@ class TestBlockParse:
         with per_row_parse():
             slow = load_outcome(path, fmt)
         assert fast == slow
-
-    def test_valid_files_take_the_block_path(self, tmp_path, rng):
-        dense = tmp_path / "data.csv"
-        write_dense_csv(dense, rng.normal(size=(50, 2)), np.arange(50) % 3)
-        sparse = write(tmp_path, "a 1:1.5 3:2.5\nb 2:-1.0\n\nc\n", "data.txt")
-        with per_row_parse():
-            want = [load_outcome(dense, "dense-csv"), load_outcome(sparse, "sparse-pairs")]
-        refuse = mock.Mock(side_effect=AssertionError("per-row parser ran"))
-        with mock.patch.object(datamodel, "_parse_dense_csv", refuse), \
-                mock.patch.object(datamodel, "_parse_sparse_pairs", refuse), \
-                mock.patch.object(datamodel, "_BLOCK_TOKENS", 16):
-            got = [load_outcome(dense, "dense-csv"), load_outcome(sparse, "sparse-pairs")]
-        assert got == want and want[0][0] == (50, 2) and want[1][0] == (3, 3)
 
     def test_peak_memory_within_per_row_parser(self, tmp_path, rng):
         path = tmp_path / "wide.csv"
@@ -403,6 +418,16 @@ class TestPca:
     def test_r_below_one_names_pca_dim(self, rng, r):
         with pytest.raises(ValueError, match=f"pca_dim must be in .*, got {r}"):
             fit_pca(rng.normal(size=(6, 4)), r)
+
+    @pytest.mark.parametrize("r", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
+    def test_non_integer_names_pca_dim(self, rng, r):
+        # 2.5 passes the range check and would fail in the SVD slice; True would fit one axis
+        with pytest.raises(ValueError, match=f"^pca_dim must be an integer, got {r}$"):
+            fit_pca(rng.normal(size=(6, 4)), r)
+
+    def test_numpy_integer_accepted(self, rng):
+        x = rng.normal(size=(6, 4))
+        assert fit_pca(x, np.int64(2)).components.tobytes() == fit_pca(x, 2).components.tobytes()
 
     def test_json_round_trip(self, rng):
         prep = fit_pca(rng.normal(size=(10, 4)), 2)

@@ -402,6 +402,16 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=f"pca_dim must be >= 1, got {value}"):
             ExperimentConfig.from_json_dict(doc)
 
+    @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["2.5", "3.0", "True"])
+    def test_non_integer_pca_dim_named(self, value):
+        # else the run would fail in the SVD slice at the first split, naming no key
+        with pytest.raises(ValueError, match=f"^pca_dim must be an integer, got {value}$"):
+            ExperimentConfig("x.csv", pca_dim=value, seeds=(1, 2, 3, 4))
+
+    def test_numpy_integer_pca_dim_accepted(self):
+        cfg = ExperimentConfig("x.csv", pca_dim=np.int64(3), seeds=(1, 2, 3, 4))
+        assert json.loads(json.dumps(cfg.to_json_dict()))["pca_dim"] == 3
+
     @pytest.mark.parametrize("grid", [[], [-1.0]])
     def test_lambda_grid_checked_for_euclidean_alone(self, doc, grid):
         doc["methods"] = ["euclidean"]
