@@ -1,5 +1,5 @@
 """Shared array utilities: validation, immutability, and the distance GEMM and
-candidate band behind ``knn.neighbor_index_matrix``, the one k-nearest routine."""
+candidate band behind ``knn``'s certified lookup, the one k-nearest routine."""
 
 from __future__ import annotations
 

@@ -21,8 +21,9 @@ in file order, which the parse raises.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -181,11 +182,13 @@ def _sparse_pairs_fault(lines: list[tuple[int, str]]) -> DatasetFormatError:
 _BLOCK_TOKENS = 1 << 12
 
 
-def _row_blocks(lines: list[tuple[int, str]], tokens_per_row: int):
-    """(first row, row texts) of consecutive blocks of about _BLOCK_TOKENS tokens."""
-    step = max(1, _BLOCK_TOKENS // tokens_per_row)
-    for start in range(0, len(lines), step):
-        yield start, [line for _, line in lines[start:start + step]]
+def _row_blocks(lines: list[tuple[int, str]], row_tokens):
+    """(first row, row texts) of blocks of about _BLOCK_TOKENS tokens, per ``row_tokens``."""
+    ends = list(accumulate(row_tokens, initial=0))  # tokens before each row
+    stop = 0
+    while stop < len(lines):
+        start, stop = stop, bisect_left(ends, ends[stop] + _BLOCK_TOKENS, stop + 1)
+        yield start, [line for _, line in lines[start:stop]]
 
 
 def _dense_csv_blocks(lines: list[tuple[int, str]]):
@@ -195,7 +198,7 @@ def _dense_csv_blocks(lines: list[tuple[int, str]]):
         raise _dense_csv_fault(lines)
     features = np.empty((len(lines), d))
     tokens = []
-    for start, block in _row_blocks(lines, d + 1):
+    for start, block in _row_blocks(lines, repeat(d + 1, len(lines))):
         rows = [line.split(",") for line in block]
         labels = [fields.pop().strip() for fields in rows]
         if any(len(fields) != d for fields in rows) or "" in labels:
@@ -215,7 +218,7 @@ def _dense_csv_blocks(lines: list[tuple[int, str]]):
 def _sparse_pairs_blocks(lines: list[tuple[int, str]]):
     """Features and label tokens of a sparse-pairs file, parsed block-wise."""
     rows, idx, vals, tokens = [], [], [], []
-    for start, block in _row_blocks(lines, len(lines[0][1].split())):
+    for start, block in _row_blocks(lines, (line.count(":") + 1 for _, line in lines)):
         fields = [line.split() for line in block]
         labels = [f.pop(0) for f in fields]
         pairs = list(chain.from_iterable(fields))

@@ -8,9 +8,8 @@ labeled indices a full sort by (direct-difference float64 value, index)
 gives: among equal dissimilarities the lower labeled index comes first.
 Majority votes tie-break toward the label of the nearest neighbor within the
 tied label set, which degrades to the 1-NN rule. Target selection
-(``targets.select_targets``) is a client: it asks ``nearest_indices`` for
-each training class's neighbours among itself, so J follows the same
-neighbour contract.
+(``targets.select_targets``) is one self-join per class through the same
+stage (``nearest_others``), so J follows the same neighbour contract.
 
 The lookup is certified rather than computed in full precision. Per chunk
 of queries it
@@ -188,15 +187,9 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
     float64 dissimilarity, index), so among equal dissimilarities the lower
     labeled index comes first (and is kept when the tie straddles the k-th
     place), and a prefix of ``j <= k`` columns is the ``j``-nearest-neighbor
-    matrix. It is computed without that sort: one float32 GEMM on augmented
-    centered operands, a per-row a-priori error bound E, the band of entries
-    within T + 2E for a T no smaller than the k-th approximate value
-    (proven to hold every true neighbour), and a direct-difference re-rank
-    of only those band entries that lie within 2E of a neighbour in
-    approximate order. A chunk whose centered norms are not safely inside
-    float32 range is certified the same way from a float64 GEMM instead,
-    and one past float64's range raises ValueError. The module docstring
-    states the bound.
+    matrix. It is computed without that sort, by the certified stage the
+    module docstring states; inputs whose squared distances overflow
+    float64 raise ValueError.
     """
     k = model.k if k is None else int(k)
     if not 1 <= k <= model.n:
@@ -204,19 +197,46 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
     q = as_matrix(queries, "queries")
     if q.shape[1] != model.d:
         raise ValueError(f"queries have dimension {q.shape[1]}, model expects {model.d}")
-    return nearest_indices(model, model.dissimilarity.map_query(q), k, pairwise_sq_dists)
-
-
-def nearest_indices(model: KnnModel, q: np.ndarray, k: int, sq_dists) -> np.ndarray:
-    """``neighbor_index_matrix`` for mapped float64 queries ``q`` and 1 <= k <= n.
-
-    ``sq_dists`` is ``_arrays.pairwise_sq_dists`` through the caller's own
-    binding, so a profile that wraps one module's binding (as
-    ``perfbench/spans.py`` does) charges the distance GEMM to that caller.
-    """
+    q = model.dissimilarity.map_query(q)
     out = np.empty((q.shape[0], k), dtype=np.int64)
     for lo, hi in query_chunks(q.shape[0], model.n):
-        out[lo:hi] = _nearest(model, q[lo:hi], k, sq_dists)
+        out[lo:hi] = _nearest(model, q[lo:hi], k)
+    return out
+
+
+def nearest_others(points: np.ndarray, k: int) -> np.ndarray:
+    """(n, k): row i holds the first k rows j != i of finite float64 ``points``
+    by (direct-difference squared distance to row i, j), for 1 <= k < n.
+
+    The lookup's certified stage as a self-join. The rows are centered once
+    into a float32 ``side`` [a | ||a||^2 | 1], whose exact scale
+    [-2 a | 1 | ||a||^2] is the query side; a row's own entry is +inf in the
+    block and dropped from the band before the re-rank. Past float32's
+    range each chunk takes a lookup's float64 block instead.
+    """
+    n, d = points.shape
+    mean = points.mean(axis=0)
+    side = np.empty((n, d + 2), dtype=np.float32)
+    with np.errstate(over="ignore"):  # an overflow shows as +inf norms
+        np.subtract(points, mean, out=side[:, :d], casting="same_kind")
+        side[:, d] = sq_norms(side[:, :d])
+    side[:, d + 1] = 1.0
+    sq, p_max = side[:, d], float(side[:, d].max())
+    out = np.empty((n, k), dtype=np.int64)
+    for lo, hi in query_chunks(n, n):
+        if 2 * p_max < _F32_SAFE and (d + 2) * _U32 < 0.5:
+            query = side[lo:hi] * -2.0
+            query[:, d], query[:, d + 1] = 1.0, sq[lo:hi]
+            approx = query @ side.T
+            err = _error_bound(sq[lo:hi], p_max, d, np.float32)
+        else:
+            approx, err = _float64_block(points, mean, points[lo:hi])
+        np.fill_diagonal(approx[:, lo:], np.inf)
+        rows, cols, values, _ = smallest_k_band(approx, k, 2.0 * err)
+        other = cols != lo + rows
+        rows = rows[other]
+        out[lo:hi] = _rank(points, points[lo:hi], err, k, rows, cols[other], values[other],
+                           np.searchsorted(rows, np.arange(hi - lo)))
     return out
 
 
@@ -227,7 +247,7 @@ _F64_SAFE = float(np.finfo(np.float64).max) / 8
 _GATHER_CELLS = 1 << 20  # float64 cells gathered at once by the exact re-rank
 
 
-def _nearest(model: KnnModel, q: np.ndarray, k: int, sq_dists) -> np.ndarray:
+def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
     """The certified k nearest labeled indices of one chunk of mapped queries."""
     d = model.d
     centered = np.empty(q.shape, dtype=np.float32)
@@ -236,20 +256,25 @@ def _nearest(model: KnnModel, q: np.ndarray, k: int, sq_dists) -> np.ndarray:
         q_sq = sq_norms(centered)
     p_max = model.sq_norm_max32
     if float(q_sq.max()) + p_max < _F32_SAFE and (d + 2) * _U32 < 0.5:
-        approx = sq_dists(centered, model.operand32)
+        approx = pairwise_sq_dists(centered, model.operand32)
         err = _error_bound(q_sq, p_max, d, np.float32)
-    else:  # past float32's range: the same augmented operands in float64, formed per chunk
-        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-            operand = sq_dist_operand(model.labeled_points, model.labeled_mean)
-            centered = q - model.labeled_mean
-            q_sq = sq_norms(centered)
-            p_max = float(operand[d].max())
-            if not float(q_sq.max()) + p_max < _F64_SAFE:
-                raise ValueError("squared distances overflow float64: queries and labeled "
-                                 "points (after their maps) lie too far apart")
-        approx = sq_dists(centered, operand)
-        err = _error_bound(q_sq, p_max, d, np.float64)
-    return _rank(model, q, err, k, *smallest_k_band(approx, k, 2.0 * err))
+    else:
+        approx, err = _float64_block(model.labeled_points, model.labeled_mean, q)
+    return _rank(model.labeled_points, q, err, k, *smallest_k_band(approx, k, 2.0 * err))
+
+
+def _float64_block(points: np.ndarray, mean: np.ndarray, q: np.ndarray):
+    """The float64 block and bound E of ``q`` against ``points``, centered on ``mean``."""
+    d = points.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        operand = sq_dist_operand(points, mean)
+        centered = q - mean
+        q_sq = sq_norms(centered)
+        p_max = float(operand[d].max())
+        if not float(q_sq.max()) + p_max < _F64_SAFE:
+            raise ValueError("squared distances overflow float64: queries and labeled "
+                             "points (after their maps) lie too far apart")
+    return pairwise_sq_dists(centered, operand), _error_bound(q_sq, p_max, d, np.float64)
 
 
 def _error_bound(q_sq: np.ndarray, p_max: float, d: int, dtype) -> np.ndarray:
@@ -274,7 +299,7 @@ def _error_bound(q_sq: np.ndarray, p_max: float, d: int, dtype) -> np.ndarray:
     return err * (1 + 16 * _U64)  # the float64 arithmetic forming and applying E
 
 
-def _rank(model: KnnModel, q: np.ndarray, err: np.ndarray, k: int, rows: np.ndarray,
+def _rank(points: np.ndarray, q: np.ndarray, err: np.ndarray, k: int, rows: np.ndarray,
           cols: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """First k band entries per row, ambiguous clusters re-ranked by exact values."""
     # entry i joins entry i - 1's cluster unless its value is provably larger
@@ -288,7 +313,7 @@ def _rank(model: KnnModel, q: np.ndarray, err: np.ndarray, k: int, rows: np.ndar
     ambiguous = ((size > 1) & (place < k))[cluster]
     if ambiguous.any():
         at = np.flatnonzero(ambiguous)
-        exact = _direct_sq_dists(q, model.labeled_points, rows[at], cols[at])
+        exact = _direct_sq_dists(q, points, rows[at], cols[at])
         cols[at] = cols[at][np.lexsort((cols[at], exact, cluster[at]))]
     return cols[starts[:, None] + np.arange(k)]
 

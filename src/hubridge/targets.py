@@ -1,9 +1,8 @@
 """Per-object regression targets: same-class nearest neighbors in the training set.
 
 Targets are selected with the plain Euclidean metric on the features as
-given (before any learned transformation), by the same certified routine as
-a k-NN query (``knn.nearest_indices``): ties go by direct-difference
-distance, then lower index. They come out as the 0/1 indicator J,
+given (before any learned transformation), by one certified self-join per
+class (``knn.nearest_others``). They come out as the 0/1 indicator J,
 J[i, j] = 1 iff training object j is a target of object i, whose rows and
 columns are positions within the training list that produced it, so they
 align directly with the columns of the feature matrix handed to the
@@ -15,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._arrays import as_int_vector, index_vector, pairwise_sq_dists
+from ._arrays import as_int_vector, index_vector
 from .datamodel import Dataset
-from .knn import Dissimilarity, KnnModel, nearest_indices
+from .knn import nearest_others
 
 
 class TargetSelectionError(ValueError):
@@ -27,13 +26,11 @@ class TargetSelectionError(ValueError):
 def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
     """J marking each training object's k nearest same-class training objects.
 
-    Each class is one Euclidean ``KnnModel`` queried with its own members for
-    k + 1 neighbours in the lookup's (direct-difference distance, index)
-    order. Each row drops its own index, or its last neighbour where more
-    than k + 1 identical rows push its own index out, which leaves the first
-    k other members in that order. Classes with fewer than ``k_targets + 1``
-    training members contribute all of their other members; a class with a
-    single training member is rejected (no same-class target exists).
+    Each object's targets are the first k = min(k_targets, size - 1) other
+    members of its class by (direct-difference distance, index), as the
+    k-NN lookup orders them: a class with fewer than ``k_targets + 1``
+    training members contributes all of its other members, and a class with
+    a single training member is rejected (no same-class target exists).
     ``train`` must list distinct row positions of ``dataset``.
     """
     if k_targets < 0:
@@ -51,13 +48,8 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
                 f"training class {dataset.label_names[int(c)]!r} has a single member; "
                 "cannot select same-class targets")
         k = min(k_targets, size - 1)
-        member_feats = dataset.features[tr[members]]
-        model = KnnModel(member_feats, labs[members], k + 1, Dissimilarity())
-        nearest = nearest_indices(model, member_feats, k + 1, pairwise_sq_dists)
-        own = nearest == np.arange(size)[:, None]
-        own[:, k] |= ~own.any(axis=1)
         owners.append(np.repeat(members, k))
-        targets.append(members[nearest[~own]])
+        targets.append(members[nearest_others(dataset.features[tr[members]], k).ravel()])
     return indicator_matrix(np.concatenate(owners), np.concatenate(targets), tr.size)
 
 

@@ -227,6 +227,24 @@ class TestBlockParse:
             per_row = peak()
         assert peak() <= per_row
 
+    def test_short_first_line_keeps_sparse_blocks_small(self, tmp_path, rng):
+        # blocks are cut by each row's own token count: sized from a
+        # labels-only first line, one block would hold every token at once
+        rows = [" ".join([f"c{i % 5}"] + [f"{j + 1}:1" for j in np.sort(
+                    rng.choice(400, 50, replace=False))]) for i in range(2000)]
+        plain = write(tmp_path, "\n".join(rows) + "\n", "plain.txt")
+        short = write(tmp_path, "\n".join(["c0"] + rows) + "\n", "short.txt")
+
+        def peak(path):
+            tracemalloc.start()
+            try:
+                load_dataset(path, "sparse-pairs")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(short) <= 1.1 * peak(plain)
+
 
 class TestDatasetInvariants:
     def test_missing_class_rejected(self):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hubridge._arrays
+from hubridge import knn
 from hubridge.datamodel import dataset_from_arrays
 from hubridge.targets import TargetSelectionError, indicator_matrix, select_targets
 
@@ -170,6 +173,104 @@ class TestSelectTargets:
         for new_i in range(8):
             old_i = perm[new_i]
             assert permuted[new_i] == tuple(sorted(int(inv[j]) for j in base[old_i]))
+
+
+@st.composite
+def tied_classes(draw):
+    """(features, labels, k_targets): 1-3 classes of 2-40 rows drawn from a few
+    distinct 0/1 or small-integer rows, so rows repeat and distances tie, and
+    k_targets from 1 to the largest class size + 1."""
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=3))
+    d = draw(st.integers(min_value=1, max_value=6))
+    high = draw(st.sampled_from([1, 3]))
+    distinct = draw(st.integers(min_value=1, max_value=12))
+    k_targets = draw(st.integers(min_value=1, max_value=max(sizes) + 1))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    rows = rng.integers(0, high + 1, size=(distinct, d)).astype(np.float64)
+    feats = rows[rng.integers(0, distinct, size=sum(sizes))]
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    return feats, labels, k_targets
+
+
+def counting_bands(monkeypatch) -> list:
+    """Record the values of every band the self-join takes."""
+    seen = []
+    real = knn.smallest_k_band
+
+    def spy(*args):
+        out = real(*args)
+        seen.append(out[2])
+        return out
+
+    monkeypatch.setattr(knn, "smallest_k_band", spy)
+    return seen
+
+
+def tied_class(n: int, d: int = 3, seed: int = 0) -> np.ndarray:
+    """n 0/1 rows, every row repeated at least once."""
+    rows = np.random.default_rng(seed).integers(0, 2, size=(n // 2, d)).astype(np.float64)
+    return np.vstack([rows, rows, rows[:n % 2]])
+
+
+class TestSelfJoin:
+    """Each class is one self-join; it must equal the full-sort oracle wherever
+    its own entry, chunks or precision could go wrong."""
+
+    @given(tied_classes())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_brute_force_on_tied_rows(self, case):
+        feats, labels, k_targets = case
+        ds = dataset_from_arrays(feats, labels)
+        sets = target_sets(select_targets(ds, np.arange(len(labels)), k_targets))
+        assert sets == brute_force_targets(feats, labels, k_targets)
+
+    @pytest.mark.parametrize("k_targets", [1, 4, 13])
+    def test_class_split_over_chunks(self, monkeypatch, k_targets):
+        # 7 rows per chunk: a 20-row class is cut into 3 chunks, so a row's
+        # own entry is column lo + r of its chunk
+        monkeypatch.setattr(hubridge._arrays, "_CHUNK_CELLS", 7 * 20)
+        bands = counting_bands(monkeypatch)
+        feats = tied_class(20)
+        ds = dataset_from_arrays(feats, np.zeros(20, dtype=np.int64))
+        sets = target_sets(select_targets(ds, np.arange(20), k_targets))
+        assert len(bands) == 3
+        assert sets == brute_force_targets(feats, np.zeros(20), k_targets)
+
+    @pytest.mark.parametrize("k_targets", [11, 15, 19])
+    def test_more_than_half_the_class(self, k_targets):
+        # k > n/2 puts each strided group at one column, so the bound T of the
+        # rows whose own +inf entry is among the first k columns is +inf and
+        # the band holds that entry; it must not reach the re-rank
+        feats = tied_class(20, seed=k_targets)
+        ds = dataset_from_arrays(feats, np.zeros(20, dtype=np.int64))
+        sets = target_sets(select_targets(ds, np.arange(20), k_targets))
+        assert sets == brute_force_targets(feats, np.zeros(20), k_targets)
+
+    def test_own_entry_dropped_before_the_re_rank(self, monkeypatch):
+        bands = counting_bands(monkeypatch)
+        ranked = []
+        real = knn._rank
+        monkeypatch.setattr(knn, "_rank", lambda *args: ranked.append(args) or real(*args))
+        ds = dataset_from_arrays(tied_class(20), np.zeros(20, dtype=np.int64))
+        select_targets(ds, np.arange(20), 15)
+        assert np.isinf(bands[0]).any()
+        # one chunk, so a row's own column is its row index
+        _, _, _, _, rows, cols, values, _ = ranked[0]
+        assert np.isfinite(values).all() and not (rows == cols).any()
+
+    def test_chunked_rows_near_float64_range(self, monkeypatch):
+        # the 1e155 rows overflow float32, so every chunk forms its block in float64
+        monkeypatch.setattr(hubridge._arrays, "_CHUNK_CELLS", 4 * 12)
+        seen = []
+        real = knn.pairwise_sq_dists
+        monkeypatch.setattr(knn, "pairwise_sq_dists",
+                            lambda q, p: seen.append(p.dtype) or real(q, p))
+        feats = np.column_stack([np.full(12, 1e155), tied_class(12, d=1)[:, 0] * 3])
+        ds = dataset_from_arrays(feats, np.zeros(12, dtype=np.int64))
+        for k_targets in (1, 5, 11):
+            sets = target_sets(select_targets(ds, np.arange(12), k_targets))
+            assert sets == brute_force_targets(feats, np.zeros(12), k_targets)
+        assert len(seen) == 3 * 3 and set(seen) == {np.dtype(np.float64)}
 
 
 class TestIndicatorMatrix:
