@@ -2,9 +2,11 @@
 
 Subcommands:
   fit         train a transform on a feature file and write it, with the
-              fitted preprocessing and the label names, as one JSON model file
+              fitted preprocessing, the label names and a digest of the
+              training set, as one JSON model file
   predict     classify a query file against the training file with a saved
-              model; the preprocessing comes from the model file
+              model; the preprocessing comes from the model file, and a
+              training file other than the one fitted on is rejected
   hubness     skewness report for one random split, per dissimilarity
   cv          grid search over lambda and k on a feature file
   centrality  spatial-centrality simulation (single cell or sweep table)
@@ -24,7 +26,7 @@ from . import experiment
 from .datamodel import (FORMATS, Dataset, Preprocessor, load_dataset,
                         split as make_split, subset)
 from .experiment import (ExperimentConfig, ModelArtifact, fit_method, preprocess,
-                         run_experiment, solver_gap)
+                         run_experiment, solver_gap, training_record)
 from .hubness import hubness_report, report_csv
 from .knn import classify_batch, knn_from_transform
 from .modelselect import METHODS, CvConfig, check_methods, grid_search
@@ -140,7 +142,7 @@ def _cmd_fit(args) -> int:
     tm, jj, seconds = fit_method(pre, args.method, args.lam, args.k_targets,
                                  args.solver)
     gap = solver_gap(pre, tm, jj)
-    ModelArtifact(prep, tm, ds.label_names).save(args.out)
+    ModelArtifact(prep, tm, ds.label_names, training_record(ds)).save(args.out)
     summary = {"direction": tm.direction, "lambda": tm.lam, "solver": tm.solver,
                "d": tm.d, "n": pre.n, "training_seconds": seconds,
                "model_path": str(args.out)}
@@ -159,6 +161,7 @@ def _cmd_predict(args) -> int:
             f"model's label_names {list(art.label_names)}")
     queries = load_dataset(args.queries, args.format)
     x_train = art.preprocessor.apply(train.features, "training features")
+    art.check_training(train)
     x_queries = art.preprocessor.apply(queries.features, "query features")
 
     km = knn_from_transform(art.transform, x_train, train.labels, args.k)

@@ -10,6 +10,7 @@ reflects the solver, not the protocol around it.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import time
 from dataclasses import dataclass
@@ -264,9 +265,28 @@ def solver_gap(train: Dataset, tm: TransformModel | None, jj) -> float | None:
     return solver_disagreement(train.features.T, jj, tm)
 
 
+def training_record(dataset: Dataset) -> dict:
+    """n, d_in and the sha256 of a loaded training set's features and labels."""
+    digest = hashlib.sha256(np.ascontiguousarray(dataset.features, "<f8").tobytes())
+    digest.update(np.ascontiguousarray(dataset.labels, "<i8").tobytes())
+    return {"n": dataset.n, "d_in": dataset.d, "sha256": digest.hexdigest()}
+
+
 # parser per model-file field; the two records check their own fields
 _MODEL_PARSERS = {"preprocessor": _json(dict), "transform": _json(dict),
-                  "label_names": _json(list, item=str)}
+                  "label_names": _json(list, item=str), "training": _json(dict)}
+_TRAINING_PARSERS = {"n": _json(int), "d_in": _json(int), "sha256": _json(str)}
+
+
+def _fields(where: str, parsers: dict, doc: dict) -> dict:
+    """``doc``'s value for each key of ``parsers``, parsed; a mistyped one raises naming it."""
+    out = {}
+    for key, parse in parsers.items():
+        try:
+            out[key] = parse(doc[key])
+        except TypeError as e:
+            raise ValueError(f"{where} field {key!r}: {e}") from None
+    return out
 
 
 @dataclass(frozen=True)
@@ -275,12 +295,14 @@ class ModelArtifact:
 
     The transform was learned in the preprocessed space, so queries must go
     through the same fitted ``preprocessor`` before lookup. ``label_names``
-    are the training file's label tokens in class-id order.
+    are the training file's label tokens in class-id order, and ``training``
+    is the ``training_record`` of the set the transform was fitted on.
     """
 
     preprocessor: Preprocessor
     transform: TransformModel
     label_names: tuple[str, ...]
+    training: dict
 
     def __post_init__(self):
         if self.transform.d != self.preprocessor.d_out:
@@ -289,30 +311,35 @@ class ModelArtifact:
                 f"outputs {self.preprocessor.d_out} dimensions")
 
     def to_json_dict(self) -> dict:
-        return {"version": 3, "label_names": list(self.label_names),
+        return {"version": 4, "label_names": list(self.label_names),
                 "preprocessor": self.preprocessor.to_json_dict(),
-                "transform": self.transform.to_json_dict()}
+                "transform": self.transform.to_json_dict(), "training": dict(self.training)}
 
     @classmethod
     def from_json_dict(cls, doc) -> "ModelArtifact":
         """Parse a model document; a missing or mistyped field raises a ValueError naming it."""
         if not isinstance(doc, dict):
             raise ValueError(f"model file must be a JSON object, got {type(doc).__name__}")
-        if doc.get("version") != 3:
-            raise ValueError(f"model file version {doc.get('version')!r} is not 3, the first "
-                             "with PCA as a components matrix; refit it with `hubridge fit`")
+        if doc.get("version") != 4:
+            raise ValueError(f"model file version {doc.get('version')!r} is not 4, the first "
+                             "that records its training set; refit it with `hubridge fit`")
         try:
-            fields = {}
-            for key, parse in _MODEL_PARSERS.items():
-                try:
-                    fields[key] = parse(doc[key])
-                except TypeError as e:
-                    raise ValueError(f"model file field {key!r}: {e}") from None
+            fields = _fields("model file", _MODEL_PARSERS, doc)
             return cls(Preprocessor.from_json_dict(fields["preprocessor"]),
                        TransformModel.from_json_dict(fields["transform"]),
-                       fields["label_names"])
+                       fields["label_names"],
+                       _fields("training", _TRAINING_PARSERS, fields["training"]))
         except KeyError as e:
             raise ValueError(f"model file lacks field {e.args[0]!r}") from None
+
+    def check_training(self, dataset: Dataset) -> None:
+        """Raise a ValueError naming the first ``training`` field that ``dataset`` does not match."""
+        got = training_record(dataset)
+        for key, want in self.training.items():
+            if got[key] != want:
+                raise ValueError(f"training file has {key} {got[key]!r}, the model's training "
+                                 f"field {key!r} is {want!r}; predict with the file the model "
+                                 "was fitted on")
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_json_dict()))

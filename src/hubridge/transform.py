@@ -13,8 +13,19 @@ that share a Gram can share its eigendecomposition (``RidgeSystem``).
 
 X is (d, n) at the API, one column per object. ``RidgeSystem`` holds it as
 its (n, d) rows R = X^T (taken without a copy when x is ``rows.T``, as the
-callers pass it) and forms G = R^T R and B = R^T (J R), so the sparse
-product reads C-ordered rows and no (d, n) copy is made.
+callers pass it), so the sparse products read C-ordered rows.
+
+Each product sums only the rows of the objects J touches. Let T be the
+targets (the columns of J holding an entry) and O the owners (its rows
+holding one). If |T| <= n/2, B = A^T R[T], where row t of A = (J^T R)[T]
+sums the owners of t. Else, if |O| <= n/2, B = R[O]^T (J R)[O]. Else B is
+R^T (J R) over all n rows. The n/2 rule keeps the two |T| x d blocks within
+the one n x d block J R. The exact solver's Gram R^T diag(c) R sums only
+the rows with c > 0 under the same rule; the plain Gram R^T R sums all n.
+T is small in practice: in high dimension a few hubs are the nearest
+neighbour of many objects, and the antihubs, never a nearest neighbour, are
+nobody's target (Radovanovic et al., JMLR 2010). With one target per object
+about a third of the objects are targets at d = 300.
 
 * move-labeled: ||x - W z|| pulls each target z toward its owner x_i; the
   body runs on J. Solver ``paper`` uses no weights, ``exact`` the column
@@ -100,9 +111,10 @@ def _indicator(n: int, j) -> sp.csr_matrix:
     jj = sp.csr_matrix(j)
     if jj.shape != (n, n):
         raise ValueError(f"indicator matrix must be {n}x{n}, got {jj.shape}")
-    if not jj.has_canonical_format:  # repeated (row, col) entries add up
+    if not (jj.has_canonical_format and jj.data.all()):
         jj = jj.copy()
-        jj.sum_duplicates()
+        jj.sum_duplicates()  # repeated (row, col) entries add up
+        jj.eliminate_zeros()  # a stored 0 marks no target
     bad = np.flatnonzero((jj.data != 0) & (jj.data != 1))  # NaN is neither
     if bad.size:
         p = int(bad[0])
@@ -112,8 +124,68 @@ def _indicator(n: int, j) -> sp.csr_matrix:
     return jj
 
 
+def _counts(j: sp.csr_matrix, by_owner: bool) -> np.ndarray:
+    """Each object's targets (by_owner: J's row sums) or owners (column sums); J holds only 1s."""
+    return np.diff(j.indptr) if by_owner else np.bincount(j.indices, minlength=j.shape[0])
+
+
+def _touched(counts: np.ndarray) -> np.ndarray | None:
+    """The objects with a nonzero count, or None when more than half of them have one."""
+    return np.flatnonzero(counts) if 2 * np.count_nonzero(counts) <= counts.size else None
+
+
+def _sums(j: sp.csr_matrix, idx: np.ndarray, rows: np.ndarray, by_owner: bool) -> np.ndarray:
+    """(J R)[idx] (by_owner: row o sums the targets of o), else (J^T R)[idx] (t's owners).
+
+    For (J^T R)[idx], idx must hold every target. Each row adds its terms in
+    ascending object order either way, so the owner-side sums on J equal the
+    target-side sums on a CSR copy of J^T bit for bit.
+    """
+    if by_owner:
+        return j[idx] @ rows
+    pos = np.zeros(j.shape[0], dtype=j.indices.dtype)
+    pos[idx] = np.arange(idx.size)
+    return sp.csr_matrix((j.data, pos[j.indices], j.indptr),
+                         shape=(j.shape[0], idx.size)).T @ rows
+
+
+def _rhs(rows: np.ndarray, j: sp.csr_matrix, transpose: bool) -> np.ndarray:
+    """B = R^T M R for M = J (J^T when ``transpose``), summed over the objects M touches.
+
+    M's touched columns C first, B = (M^T R)[C]^T R[C]; else its touched rows
+    S, B = R[S]^T (M R)[S]; each only where at most n/2 objects are touched.
+    The form depends only on M, so move-query on J is the exact fit on J^T
+    bit for bit.
+    """
+    m_cols = _touched(_counts(j, transpose))  # M = J^T: its columns are J's owners
+    if m_cols is not None:
+        return _sums(j, m_cols, rows, transpose).T @ rows[m_cols]
+    m_rows = _touched(_counts(j, not transpose))
+    if m_rows is not None:
+        return rows[m_rows].T @ _sums(j, m_rows, rows, not transpose)
+    return rows.T @ ((j.T if transpose else j) @ rows)
+
+
+def _gram(rows: np.ndarray, c: np.ndarray | None) -> np.ndarray:
+    """R^T diag(c) R (None: R^T R), over only the rows with c > 0 when at most n/2 are."""
+    if c is None:
+        return rows.T @ rows
+    keep = _touched(c)
+    if keep is not None:
+        rows, c = rows[keep], c[keep]
+    return (rows * c[:, None]).T @ rows
+
+
 class RidgeSystem:
     """The ridge fits of one (X, J) pair, each distinct Gram matrix factored once.
+
+    B sums the rows of J's targets T when |T| <= n/2, else the rows of its
+    owners when those are at most n/2, else all n rows. Move-query's J^T has
+    T as its touched rows and takes the mirrored form on them. The exact
+    solver's Gram sums the rows of nonzero weight under the same n/2 rule:
+    T itself for move-labeled, since an object that is nobody's target has
+    weight 0. Most objects are such antihubs in high dimension, so |T| is
+    usually well below n/2.
 
     Each fit forms its own B: move-query's W stays bit-identical to the
     exact move-labeled fit on J^T, which B^T from J's product would not be.
@@ -128,7 +200,7 @@ class RidgeSystem:
         if direction == MOVE_LABELED and solver == SOLVER_PAPER:
             return None
         # exact move-labeled: column sums of J; move-query: column sums of J^T
-        c = np.asarray(self.j.sum(axis=0 if direction == MOVE_LABELED else 1)).ravel()
+        c = _counts(self.j, direction == MOVE_QUERY)
         return None if np.all(c == 1) else c
 
     def path(self, lambdas, direction: str, solver: str = SOLVER_PAPER) -> list[TransformModel]:
@@ -149,11 +221,9 @@ class RidgeSystem:
         c = self._weights(direction, solver)
         key = None if c is None else c.tobytes()
         if key not in self._factors:
-            gram = rows.T @ rows if c is None else (rows * c[:, None]).T @ rows
-            self._factors[key] = np.linalg.eigh(gram)
+            self._factors[key] = np.linalg.eigh(_gram(rows, c))
         evals, v = self._factors[key]
-        j = self.j.T if direction == MOVE_QUERY else self.j
-        bv = (rows.T @ (j @ rows)) @ v
+        bv = _rhs(rows, self.j, direction == MOVE_QUERY) @ v
         tol = v.shape[0] * np.finfo(v.dtype).eps
         out = []
         for lam in lambdas:

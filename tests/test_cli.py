@@ -102,8 +102,9 @@ class TestFitPredict:
         assert main(["fit", "--dataset", str(train_p), "--method", "move-query",
                      "--lambda", "0.5", "--out", str(model_p)]) == 0
         doc = json.loads(model_p.read_text())
-        assert set(doc) == {"version", "label_names", "preprocessor", "transform"}
-        assert doc["version"] == 3
+        assert set(doc) == {"version", "label_names", "preprocessor", "transform", "training"}
+        assert doc["version"] == 4
+        assert {k: doc["training"][k] for k in ("n", "d_in")} == {"n": 90, "d_in": 6}
         assert doc["label_names"] == list(load_dataset(train_p, "dense-csv").label_names)
         assert doc["preprocessor"]["d_in"] == 6
         assert len(doc["preprocessor"]["center_mean"]) == 6
@@ -174,6 +175,25 @@ class TestPredictRejects:
         write_dense_csv(relabeled_p, train.features, written_ids(train) + 3)
         err = self.predict(relabeled_p, query_p, model_p, capsys)
         assert "label_names" in err and "'c3'" in err
+
+    def test_training_row_subset(self, train_and_queries, model_p, tmp_path, capsys):
+        # every other training row used to predict, exit 0, with no warning
+        train_p, query_p = train_and_queries
+        train = load_dataset(train_p, "dense-csv")
+        half_p = tmp_path / "half.csv"
+        write_dense_csv(half_p, train.features[::2], written_ids(train)[::2])
+        err = self.predict(half_p, query_p, model_p, capsys)
+        assert "training file has n 45" in err and "training field 'n' is 90" in err
+
+    def test_training_value_changed(self, train_and_queries, model_p, tmp_path, capsys):
+        train_p, query_p = train_and_queries
+        train = load_dataset(train_p, "dense-csv")
+        features = train.features.copy()
+        features[17, 2] = np.nextafter(features[17, 2], np.inf)
+        changed_p = tmp_path / "changed.csv"
+        write_dense_csv(changed_p, features, written_ids(train))
+        err = self.predict(changed_p, query_p, model_p, capsys)
+        assert "training file has sha256" in err and "training field 'sha256'" in err
 
     def test_version_1_model(self, train_and_queries, model_p, tmp_path, capsys):
         train_p, query_p = train_and_queries

@@ -6,7 +6,7 @@ import pytest
 
 from hubridge.datamodel import Preprocessor, column_mean_sd, dataset_from_arrays, split
 from hubridge.experiment import (ExperimentConfig, ModelArtifact, TIMING_FIELDS,
-                                 fit_timed, preprocess, run_experiment)
+                                 fit_timed, preprocess, run_experiment, training_record)
 from hubridge.modelselect import CvConfig, grid_search
 
 from _helpers import gaussian_mixture, write_dense_csv
@@ -113,14 +113,15 @@ class TestModelArtifact:
         pre = dataset_from_arrays(prep.apply(ds.features), ds.labels,
                                   label_names=ds.label_names)
         tm, _, _ = fit_timed(pre, "move-labeled", 0.3, 1, "exact")
-        return ModelArtifact(prep, tm, ds.label_names)
+        return ModelArtifact(prep, tm, ds.label_names, training_record(ds))
 
     def test_exact_json_round_trip(self, rng, tmp_path):
         art = self.fitted(rng)
         path = tmp_path / "model.json"
         art.save(path)
         got = ModelArtifact.load(path)
-        assert json.loads(path.read_text())["version"] == 3
+        assert json.loads(path.read_text())["version"] == 4
+        assert got.training == art.training and art.training["n"] == 30
         assert np.array_equal(got.transform.w, art.transform.w)
         assert (got.transform.direction, got.transform.lam, got.transform.solver) == (
             "move-labeled", 0.3, "exact")
@@ -136,7 +137,7 @@ class TestModelArtifact:
         path = tmp_path / "model.json"
         art.save(path)
         doc = json.loads(path.read_text())
-        assert doc["version"] == 3 and len(doc["preprocessor"]["components"]) == 6
+        assert doc["version"] == 4 and len(doc["preprocessor"]["components"]) == 6
         got = ModelArtifact.load(path).preprocessor
         x = rng.normal(size=(5, 6))
         assert np.array_equal(got.center_mean, art.preprocessor.center_mean)
@@ -150,16 +151,37 @@ class TestModelArtifact:
         pre = doc["preprocessor"]
         pre["pca"] = {"version": 1, "mean": [0.0] * 6, "components": pre.pop("components"),
                       "r": 3}
-        with pytest.raises(ValueError, match="model file version 2 is not 3.*refit it with "
+        with pytest.raises(ValueError, match="model file version 2 is not 4.*refit it with "
                                              "`hubridge fit`"):
             ModelArtifact.from_json_dict(doc)
+
+    def test_version_3_rejected(self, rng):
+        # version 3 did not record the training set, so predict could not check it
+        doc = self.fitted(rng).to_json_dict()
+        doc["version"] = 3
+        del doc["training"]
+        with pytest.raises(ValueError, match="model file version 3 is not 4, the first that "
+                                             "records its training set; refit"):
+            ModelArtifact.from_json_dict(doc)
+
+    def test_training_mismatch_names_the_field(self, rng):
+        x = rng.normal(size=(12, 3))
+        art = self.fitted(rng)
+        art = ModelArtifact(art.preprocessor, art.transform, art.label_names,
+                            training_record(dataset_from_arrays(x, [0, 1, 2] * 4)))
+        for ds, field in ((dataset_from_arrays(x[:, :2], [0, 1, 2] * 4), "d_in"),
+                          (dataset_from_arrays(x[1:], [1, 2, 0] * 3 + [1, 2]), "n"),
+                          (dataset_from_arrays(x, [0, 1, 2] * 3 + [0, 2, 1]), "sha256")):
+            with pytest.raises(ValueError, match=f"training field '{field}'"):
+                art.check_training(ds)
+        art.check_training(dataset_from_arrays(x, [0, 1, 2] * 4))
 
     def test_transform_must_fit_preprocessed_dimension(self, rng):
         art = self.fitted(rng)
         with pytest.raises(ValueError, match="transform is 3-dimensional, "
                                              "preprocessing outputs 6"):
             ModelArtifact(self.fitted(rng, pca_dim=None).preprocessor, art.transform,
-                          art.label_names)
+                          art.label_names, art.training)
 
     def test_missing_field_named(self, rng):
         doc = self.fitted(rng).to_json_dict()
@@ -181,9 +203,17 @@ class TestModelArtifact:
         (lambda doc: {**doc,
                       "preprocessor": {**doc["preprocessor"], "zscore_sd": [1.0, 0.0] * 3}},
          "zscore_sd must be positive; column 1 is 0.0"),
+        (lambda doc: {**doc, "training": "abc"}, "model file field 'training': expected dict"),
+        (lambda doc: {**doc, "training": {**doc["training"], "n": 30.0}},
+         "training field 'n': expected int, got 30.0"),
+        (lambda doc: {**doc, "training": {**doc["training"], "sha256": 7}},
+         "training field 'sha256': expected str, got 7"),
+        (lambda doc: {**doc, "training": {"n": 30, "d_in": 6}},
+         "model file lacks field 'sha256'"),
     ], ids=["document", "preprocessor", "transform", "label_names",
             "d_in-2.7", "d_in-str", "d_in-bool", "d_in-null",
-            "lambda-list", "lambda-null", "lambda-str", "zscore_sd-zero"])
+            "lambda-list", "lambda-null", "lambda-str", "zscore_sd-zero",
+            "training", "training-n", "training-sha256", "training-missing"])
     def test_malformed_document_named(self, rng, edit, message):
         # the first four and a non-number lambda used to raise AttributeError or
         # TypeError; d_in 2.7 loaded as 2, lambda "0.3" as 0.3 and a zero zscore_sd

@@ -8,8 +8,8 @@ from hubridge.datamodel import dataset_from_arrays
 from hubridge.targets import select_targets
 from hubridge.transform import (SOLVER_EXACT, SOLVER_PAPER, MOVE_LABELED,
                                 MOVE_QUERY, RidgeSystem, SingularSystemError,
-                                TransformModel, fit_move_labeled, fit_move_query,
-                                fit_transform, solver_disagreement)
+                                TransformModel, _counts, _touched, fit_move_labeled,
+                                fit_move_query, fit_transform, solver_disagreement)
 
 from _helpers import (gd_minimize, pairs_from_indicator, regression_objective,
                       transform_points)
@@ -22,6 +22,42 @@ def random_problem(rng, d=5, n=12, k_targets=1, n_classes=2):
     ds = dataset_from_arrays(feats, labels)
     jj = select_targets(ds, np.arange(n), k_targets)
     return feats.T.copy(), jj  # (d, n) columns are objects
+
+
+def hub_problem(rng, d=5, n=60):
+    """Every object targets one of objects 0, 1 and 2: three targets, n owners."""
+    owners = np.arange(n)
+    return rng.normal(size=(d, n)), sp.csr_matrix((np.ones(n), (owners, (owners + 1) % 3)),
+                                                  shape=(n, n))
+
+
+def fan_problem(rng, d=5, n=60):
+    """Objects 0, 1 and 2 each target 2n/3 objects: three owners, most objects targets."""
+    j = np.zeros((n, n))
+    for owner in range(3):
+        j[owner, rng.choice(n, 2 * n // 3, replace=False)] = 1
+    return rng.normal(size=(d, n)), sp.csr_matrix(j)
+
+
+def permutation_problem(rng, d=5, n=60):
+    """Every object is a target exactly once: no side is at most n/2."""
+    return rng.normal(size=(d, n)), sp.csr_matrix(np.eye(n)[rng.permutation(n)])
+
+
+def stored_zeros_problem(rng, d=5, n=60):
+    """The hub indicator with a stored 0 in every row; counted, the 0s touch every column."""
+    x, hub = hub_problem(rng, d, n)
+    zero_cols = (np.arange(n) + 5) % n
+    j = sp.csr_matrix((np.tile([1.0, 0.0], n), np.column_stack([hub.indices, zero_cols]).ravel(),
+                       np.arange(0, 2 * n + 1, 2)), shape=(n, n))
+    return x, j
+
+
+INDICATORS = {
+    "hub": hub_problem, "fan": fan_problem, "permutation": permutation_problem,
+    "stored-zeros": stored_zeros_problem,
+    **{f"select-k{k}": (lambda rng, k=k: random_problem(rng, d=5, n=60, k_targets=k,
+                                                        n_classes=3)) for k in (1, 2, 3)}}
 
 
 class TestIdentityAndLimits:
@@ -215,6 +251,15 @@ class TestOneRidgeBody:
             assert np.array_equal(fit_move_query(x, j, lam).w,
                                   fit_move_labeled(x, j.T, lam, SOLVER_EXACT).w)
 
+    @pytest.mark.parametrize("kind", ["hub", "fan", "stored-zeros"])
+    @pytest.mark.parametrize("lam", [0.3, 7.0])
+    def test_holds_where_few_objects_are_touched(self, rng, kind, lam):
+        # the hub's J^T has 3 touched rows, the fan's 3 touched columns
+        for _ in range(10):
+            x, j = INDICATORS[kind](rng)
+            assert np.array_equal(fit_move_query(x, j, lam).w,
+                                  fit_move_labeled(x, j.T, lam, SOLVER_EXACT).w)
+
 
 def _solve_reference(x, j, lam, direction, solver):
     """W from the written normal equations by a generic dense solve."""
@@ -248,6 +293,15 @@ class TestRidgePath:
                 single = fit_transform(x, j, tm.lam, direction, solver)
                 assert (tm.direction, tm.solver) == (single.direction, single.solver)
                 assert np.array_equal(tm.w, single.w)
+
+    @pytest.mark.parametrize("direction, solver", CASES)
+    @pytest.mark.parametrize("kind", ["hub", "fan"])
+    def test_grid_on_few_touched_objects_is_bit_identical(self, rng, kind, direction, solver):
+        grid = (1e-3, 0.1, 1.0, 10.0, 1e4)  # the hub's weighted Gram has rank 3 < d
+        for _ in range(5):
+            x, j = INDICATORS[kind](rng)
+            for tm in RidgeSystem(x, j).path(grid, direction, solver):
+                assert np.array_equal(tm.w, fit_transform(x, j, tm.lam, direction, solver).w)
 
     @pytest.mark.parametrize("direction, solver", CASES)
     def test_matches_dense_solve_on_criterion_1_problems(self, direction, solver):
@@ -292,6 +346,35 @@ class TestRidgePath:
             RidgeSystem(x, j).path((0.1, -1.0), MOVE_LABELED)
 
 
+class TestTouchedObjects:
+    """B and the weighted Gram sum over the objects J touches; W solves the same system."""
+
+    @pytest.mark.parametrize("direction, solver", CASES)
+    @pytest.mark.parametrize("kind", INDICATORS)
+    def test_matches_dense_solve(self, rng, kind, direction, solver):
+        for _ in range(5):
+            x, j = INDICATORS[kind](rng)
+            for tm in RidgeSystem(x, j).path((0.1, 10.0), direction, solver):
+                want, _ = _solve_reference(x, j, tm.lam, direction, solver)
+                assert np.linalg.norm(tm.w - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("direction, solver", CASES)
+    def test_stored_zeros_touch_nothing(self, rng, direction, solver):
+        x, j = stored_zeros_problem(rng)
+        assert j.nnz == 2 * j.count_nonzero()
+        _, hub = hub_problem(rng)
+        assert np.array_equal(RidgeSystem(x, j).path((0.1,), direction, solver)[0].w,
+                              RidgeSystem(x, hub).path((0.1,), direction, solver)[0].w)
+
+    @pytest.mark.parametrize("kind, targets, owners", [
+        ("hub", 3, None), ("fan", None, 3), ("permutation", None, None)])
+    def test_each_side_is_taken_only_up_to_half(self, rng, kind, targets, owners):
+        _, j = INDICATORS[kind](rng)
+        for by_owner, want in ((False, targets), (True, owners)):
+            got = _touched(_counts(j, by_owner))
+            assert (got is None) if want is None else got.size == want
+
+
 class TestRowLayout:
     """RidgeSystem keeps X as its (n, d) rows; the (d, n) argument's layout does not matter."""
 
@@ -320,6 +403,22 @@ class TestRowLayout:
             tracemalloc.stop()
         # J X^T is one n x d block; a copy of X would be a second
         assert peak < 2 * n * d * 8
+
+    @pytest.mark.parametrize("direction, solver", CASES)
+    def test_few_targets_take_less_than_one_block(self, rng, direction, solver):
+        # targets drawn from n/10 objects: each product keeps ~n/10 rows, not n
+        n, d = 20_000, 20
+        rows = rng.normal(size=(n, d))
+        pool = rng.choice(n, n // 10, replace=False)
+        j = sp.csr_matrix((np.ones(n), (np.arange(n), pool[rng.integers(0, n // 10, size=n)])),
+                          shape=(n, n))
+        tracemalloc.start()
+        try:
+            RidgeSystem(rows.T, j).path((0.1,), direction, solver)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.75 * n * d * 8
 
 
 class TestSolverGap:
