@@ -71,20 +71,20 @@ def sq_norms(points: np.ndarray) -> np.ndarray:
 _BUILD_CELLS = 1 << 17  # point cells centered per block while building an operand
 
 
-def sq_dist_operand(points: np.ndarray, shift: np.ndarray | float,
-                    dtype=np.float64) -> np.ndarray:
+def sq_dist_operand(points: np.ndarray, shift: np.ndarray | float, dtype,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """The point side of ``pairwise_sq_dists``: column j is [p_j | ||p_j||^2 | 1].
 
-    p = points - shift. One C-contiguous (d + 2, n) array of ``dtype``: rows
+    p = points - shift. One C-contiguous (d + 2, n) array of ``dtype`` (or
+    ``out``, a (d + 2, n) view such as a row-major array's transpose): rows
     0..d-1 hold p column-major, row d its squared norms and row d + 1 ones, so
-    the GEMM reads it as stored, without transposing it. It is built in
-    blocks of rows, with no second n x d array: ``points - shift`` is
-    rounded once into a small row-major block of ``dtype``, its squared
-    norms are taken there, and the block is copied in transposed. Callers
-    that query the same points repeatedly build it once.
+    the GEMM reads it as stored. It is built in blocks of rows, with no
+    second n x d array: ``points - shift`` is rounded once into a small
+    row-major block of ``dtype``, its squared norms are taken there, and the
+    block is copied in transposed.
     """
     n, d = points.shape
-    operand = np.empty((d + 2, n), dtype=dtype)
+    operand = np.empty((d + 2, n), dtype=dtype) if out is None else out
     step = max(1, _BUILD_CELLS // max(1, d))
     block = np.empty((min(step, n), d), dtype=dtype)
     for lo in range(0, n, step):
@@ -100,8 +100,8 @@ def sq_dist_operand(points: np.ndarray, shift: np.ndarray | float,
 def pairwise_sq_dists(queries: np.ndarray, operand: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between each query row and each point column.
 
-    ``operand`` is ``sq_dist_operand(points, shift)`` and ``queries`` are
-    shifted alike. The block is one GEMM, ``augmented @ operand``, of the
+    ``operand`` is ``sq_dist_operand(points, shift, dtype)`` and ``queries``
+    are shifted alike. The block is one GEMM, ``augmented @ operand``, of the
     augmented query rows [-2 q | 1 | ||q||^2] and the operand's columns
     [p | ||p||^2 | 1], which sums the expanded form ||q||^2 - 2 q.p + ||p||^2
     with no elementwise pass (the -2 rides on the query side, where the copy
@@ -110,8 +110,8 @@ def pairwise_sq_dists(queries: np.ndarray, operand: np.ndarray) -> np.ndarray:
     not sum every entry in the same order, so identical point rows need not
     give identical values: they agree within the bound E of ``knn``'s
     certified lookup, whose exact re-rank settles the tie by index. The
-    block has the operand's dtype (a float32 operand gives one float32
-    GEMM); the queries are rounded to it.
+    block has the operand's dtype, and the queries are rounded to it:
+    ``knn`` passes float32 operands, so each block is one float32 GEMM.
     """
     m, d = queries.shape
     augmented = np.empty((m, d + 2), dtype=operand.dtype)

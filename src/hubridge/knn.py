@@ -15,16 +15,17 @@ The lookup is certified rather than computed in full precision. Per chunk
 of queries it
 
 1. forms every approximate squared distance with one float32 GEMM
-   (``_arrays.pairwise_sq_dists``) on augmented operands
-   [-2 a | 1 | ||a||^2] . [b_p | ||b_p||^2 | 1]^T, where a = x - mu and
-   b_p = z_p - mu are centered on the labeled mean mu, where expansion
-   cancels least; the point side is built once per model and stored
-   column-major, one (d + 2, n) array whose column p is
-   [b_p | ||b_p||^2 | 1], so the GEMM reads it as stored; no elementwise
-   pass follows the GEMM;
-2. bounds, per query row, how far any approximate value can lie from the
-   direct-difference float64 value: E = c (||a||^2 + max_p ||b_p||^2) plus an
-   underflow term, where a and b_p are the float32 centered operands and
+   (``_arrays.pairwise_sq_dists``) of [-2 a | 1 | ||a||^2] and
+   [b_p | ||b_p||^2 | 1], a = s (x - mu) and b_p = s (z_p - mu) centered on
+   the labeled mean mu, where expansion cancels least (the point side built
+   once per model). The scale s = 2^-e is 1 while the first labeled point's
+   centered squared norm is at least 2^-64 and the largest at most 2^64, as
+   on ordinary data; else e is the binary exponent of their largest centered
+   coordinate, at least -474 (``_scaled``). A power of two scales exactly,
+   so every finite input keeps float32's range and relative rounding;
+2. bounds, per query row, how far any approximate value can lie from s^2
+   times the direct-difference float64 value: E = c (||a||^2 +
+   max_p ||b_p||^2) plus underflow terms, where a and b_p are as rounded and
 
        c = [(2 + gamma_d(u32)) gamma_{d+2}(u32) + gamma_d(u32) + 5 u32
             + 2 gamma_{d+2}(u64)] * (1 + O(gamma_d)),
@@ -34,8 +35,12 @@ of queries it
    The GEMM sums d + 2 products whose absolute values add up to at most
    2 + gamma_d times the norms' sum (the two stored norms were each rounded
    once, by at most gamma_d of themselves, which is the lone gamma_d term);
-   5 u32 covers the rounding of x - mu to float32 and the last term the
-   rounding of the float64 oracle itself (``_error_bound``);
+   5 u32 covers the rounding of s (x - mu) to float32 and the last term the
+   oracle's own. E adds the oracle's underflow below ~1e-154, d 2^-1074 s^2
+   (at most d tiny32, by the cap on s), so pairs it ties stay in one
+   cluster. A far query row (scaled squared norm not safely inside float32
+   range) gets E = +inf and a zero GEMM row, so it is re-ranked whole, as
+   is every row once (d + 2) u32 >= 1/2 voids the bound;
 3. keeps the band of entries at most T + 2E, where T is at least the k-th
    smallest approximate value: the row minimum at k = 1, else the k-th
    smallest of the minima of strided column groups
@@ -47,22 +52,18 @@ of queries it
    wherever consecutive values differ by more than 2E. Across a cut the
    true order is the approximate one; within a cluster it may not be, so
    only clusters of two or more entries that start among the first k
-   places are re-ranked, by (exact value, index), where the exact value
-   is the oracle's arithmetic: a float64 difference, its square and
-   ``np.sum`` over the row.
+   places are re-ranked, by (exact value, index), where the exact value is
+   the oracle's on the unscaled inputs: a float64 difference, its square
+   and ``np.sum`` over the row.
 
-A chunk whose centered squared norms are not safely inside float32 range
-(step 1 would overflow; so does a dimension with (d + 2) u32 >= 1/2, where
-the bound is void) is certified the very same way from a float64 GEMM on
-the same augmented operands in float64 (step 2 with u64), formed per chunk
-since only such inputs need them. Where those norms are not safely inside
-float64 range either, the lookup raises ValueError: the squared distances
-themselves may overflow, and no order of them is defined. Real ties are
-never a fallback: their cluster is re-ranked exactly like any other.
+Where a query row's and the farthest labeled point's unscaled squared norms
+are not safely inside float64 range, the lookup raises ValueError: the
+squared distances themselves may overflow, and no order of them is defined.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,12 +110,9 @@ class KnnModel:
     """Labeled points ready for lookup (already mapped for the labeled side).
 
     The float32 stage's point operand is built once here so lookups do not
-    rebuild it per batch: ``labeled_mean`` (mu), ``operand32``
-    (``sq_dist_operand`` of ``labeled_points - mu`` in float32, one
-    C-contiguous (d + 2, n) array: the centered points column-major in rows
-    0..d-1, their squared norms in row d, +inf where they overflow float32,
-    and ones in row d + 1) and ``sq_norm_max32`` (the largest of those
-    norms).
+    rebuild it per batch: ``labeled_mean`` (mu), ``scale_exp`` (e of the scale
+    s = 2^-e) and ``operand32`` (``sq_dist_operand`` in float32, columns
+    [s (z_p - mu) | its squared norm, +inf past float32's range | 1]).
     """
 
     labeled_points: np.ndarray
@@ -122,8 +120,8 @@ class KnnModel:
     k: int
     dissimilarity: Dissimilarity
     labeled_mean: np.ndarray = field(init=False, repr=False, compare=False)
+    scale_exp: int = field(init=False, repr=False, compare=False)
     operand32: np.ndarray = field(init=False, repr=False, compare=False)
-    sq_norm_max32: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = self.labeled_points
@@ -140,12 +138,11 @@ class KnnModel:
             raise ValueError(f"labels[{p}] = {int(self.labels[p])} is negative")
         frozen(pts)
         frozen(self.labels)
-        mean = pts.mean(axis=0)
+        object.__setattr__(self, "labeled_mean", frozen(pts.mean(axis=0)))
         with np.errstate(over="ignore"):  # an overflow shows as +inf norms
-            operand = sq_dist_operand(pts, mean, np.float32)
-        object.__setattr__(self, "labeled_mean", frozen(mean))
+            operand, e = _scaled(pts, self.labeled_mean)
+        object.__setattr__(self, "scale_exp", e)
         object.__setattr__(self, "operand32", frozen(operand))
-        object.__setattr__(self, "sq_norm_max32", float(operand[self.d].max()))
 
     @property
     def n(self) -> int:
@@ -208,29 +205,23 @@ def nearest_others(points: np.ndarray, k: int) -> np.ndarray:
     """(n, k): row i holds the first k rows j != i of finite float64 ``points``
     by (direct-difference squared distance to row i, j), for 1 <= k < n.
 
-    The lookup's certified stage as a self-join. The rows are centered once
-    into a float32 ``side`` [a | ||a||^2 | 1], whose exact scale
-    [-2 a | 1 | ||a||^2] is the query side; a row's own entry is +inf in the
-    block and dropped from the band before the re-rank. Past float32's
-    range each chunk takes a lookup's float64 block instead.
+    The lookup's certified stage, s and all, as a self-join: the float32
+    ``side`` [a | ||a||^2 | 1] gives the query side by an exact scale; a row's
+    own entry is +inf in the block and dropped from the band before the re-rank.
     """
     n, d = points.shape
-    mean = points.mean(axis=0)
     side = np.empty((n, d + 2), dtype=np.float32)
     with np.errstate(over="ignore"):  # an overflow shows as +inf norms
-        np.subtract(points, mean, out=side[:, :d], casting="same_kind")
-        side[:, d] = sq_norms(side[:, :d])
-    side[:, d + 1] = 1.0
-    sq, p_max = side[:, d], float(side[:, d].max())
+        _, e = _scaled(points, points.mean(axis=0), side.T)
+        sq, p_max = side[:, d], float(side[:, d].max())
+        if not 2 * float(np.ldexp(p_max, 2 * e)) < _F64_SAFE:
+            raise ValueError("squared distances overflow float64: the rows lie too far apart")
     out = np.empty((n, k), dtype=np.int64)
     for lo, hi in query_chunks(n, n):
-        if 2 * p_max < _F32_SAFE and (d + 2) * _U32 < 0.5:
-            query = side[lo:hi] * -2.0
-            query[:, d], query[:, d + 1] = 1.0, sq[lo:hi]
-            approx = query @ side.T
-            err = _error_bound(sq[lo:hi], p_max, d, np.float32)
-        else:
-            approx, err = _float64_block(points, mean, points[lo:hi])
+        query = side[lo:hi] * -2.0
+        query[:, d], query[:, d + 1] = 1.0, sq[lo:hi]
+        approx = query @ side.T
+        err = _error_bound(sq[lo:hi], p_max, d, e)
         np.fill_diagonal(approx[:, lo:], np.inf)
         rows, cols, values, _ = smallest_k_band(approx, k, 2.0 * err)
         other = cols != lo + rows
@@ -242,61 +233,66 @@ def nearest_others(points: np.ndarray, k: int) -> np.ndarray:
 
 _U32 = float(np.finfo(np.float32).eps) / 2  # unit roundoff
 _U64 = float(np.finfo(np.float64).eps) / 2
+_TINY32 = float(np.finfo(np.float32).tiny)  # flushed or gradual underflow costs at most this
 _F32_SAFE = float(np.finfo(np.float32).max) / 8  # every float32 intermediate stays below 4 S
 _F64_SAFE = float(np.finfo(np.float64).max) / 8
 _GATHER_CELLS = 1 << 20  # float64 cells gathered at once by the exact re-rank
 
 
+def _scaled(points: np.ndarray, mean: np.ndarray, out: np.ndarray | None = None):
+    """(operand, e): float32 ``sq_dist_operand`` of s ``points`` shifted by s ``mean``,
+    into ``out`` if given, s = 2^-e by the module docstring's rule. The first
+    point goes before any build: float32 norms of tinier inputs underflow, at
+    ~60x the cost. The largest centered coordinate comes from column extremes."""
+    if np.linalg.norm(points[0] - mean) >= 2.0 ** -32:  # its square at least 2^-64
+        operand = sq_dist_operand(points, mean, np.float32, out)
+        if float(operand[-2].max()) <= 2.0 ** 64:
+            return operand, 0
+    span = np.maximum(points.max(axis=0) - mean, mean - points.min(axis=0)).max(initial=0.0)
+    e = max(math.frexp(span)[1], -474)
+    s = math.ldexp(1.0, -e)
+    return sq_dist_operand(points * s, mean * s, np.float32, out), e
+
+
 def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
     """The certified k nearest labeled indices of one chunk of mapped queries."""
-    d = model.d
+    e, p_max = model.scale_exp, float(model.operand32[model.d].max())
+    diff = q - model.labeled_mean
     centered = np.empty(q.shape, dtype=np.float32)
-    with np.errstate(over="ignore"):  # an overflow shows as +inf norms
-        np.subtract(q, model.labeled_mean, out=centered, casting="same_kind")
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        if not float(sq_norms(diff).max()) + float(np.ldexp(p_max, 2 * e)) < _F64_SAFE:
+            raise ValueError("squared distances overflow float64: queries and labeled "
+                             "points (after their maps) lie too far apart")
+        np.multiply(diff, math.ldexp(1.0, -e), out=centered, casting="same_kind")
         q_sq = sq_norms(centered)
-    p_max = model.sq_norm_max32
-    if float(q_sq.max()) + p_max < _F32_SAFE and (d + 2) * _U32 < 0.5:
-        approx = pairwise_sq_dists(centered, model.operand32)
-        err = _error_bound(q_sq, p_max, d, np.float32)
-    else:
-        approx, err = _float64_block(model.labeled_points, model.labeled_mean, q)
+    err = _error_bound(q_sq, p_max, model.d, e)
+    centered[np.isinf(err)] = 0.0  # a far row: the exact re-rank takes all of it
+    approx = pairwise_sq_dists(centered, model.operand32)
     return _rank(model.labeled_points, q, err, k, *smallest_k_band(approx, k, 2.0 * err))
 
 
-def _float64_block(points: np.ndarray, mean: np.ndarray, q: np.ndarray):
-    """The float64 block and bound E of ``q`` against ``points``, centered on ``mean``."""
-    d = points.shape[1]
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        operand = sq_dist_operand(points, mean)
-        centered = q - mean
-        q_sq = sq_norms(centered)
-        p_max = float(operand[d].max())
-        if not float(q_sq.max()) + p_max < _F64_SAFE:
-            raise ValueError("squared distances overflow float64: queries and labeled "
-                             "points (after their maps) lie too far apart")
-    return pairwise_sq_dists(centered, operand), _error_bound(q_sq, p_max, d, np.float64)
-
-
-def _error_bound(q_sq: np.ndarray, p_max: float, d: int, dtype) -> np.ndarray:
-    """Per-row bound on |approximate - direct-difference float64| squared distance.
-
-    ``q_sq`` and ``p_max`` are the computed squared norms of the GEMM's
-    query rows and the largest of its point rows, in ``dtype``; both were
-    rounded from float64 differences with the labeled mean on the way in.
-    """
-    u = float(np.finfo(dtype).eps) / 2
-    tiny = float(np.finfo(dtype).tiny)  # flushed or gradual underflow costs at most this
+def _error_bound(q_sq: np.ndarray, p_max: float, d: int, e: int) -> np.ndarray:
+    """Per-row bound on |approximate - s^2 direct-difference float64| squared
+    distance, s = 2^-e, or +inf where the float32 stage cannot serve the row;
+    ``q_sq`` and ``p_max`` are the float32 squared norms of the GEMM's query
+    rows and the largest of its point rows, rounded from scaled differences."""
+    total = q_sq.astype(np.float64) + p_max
+    if (d + 2) * _U32 >= 0.5:
+        return np.full(total.shape, np.inf)
 
     def gamma(n, unit):
         return n * unit / (1 - n * unit)
 
-    g = gamma(d, u)
-    s = (q_sq.astype(np.float64) + p_max) / (1 - g)  # >= the exact norms' sum S
-    coef = (2 + g) * gamma(d + 2, u) + g  # the augmented GEMM and its two stored norms
-    coef += 2 * gamma(d + 2, _U64) * (1 + 5 * u)  # the oracle's: gamma_{d+2}(u64) D, D <= 2 S
-    coef += 5 * u  # rounding x - mu to dtype: (2u' + u'^2) 2 / (1 - u')^2, u' ~ u
-    err = coef * s + (9 * d + 3 + 6 * np.sqrt(d * s)) * tiny
-    return err * (1 + 16 * _U64)  # the float64 arithmetic forming and applying E
+    g = gamma(d, _U32)
+    s = total / (1 - g)  # >= the exact norms' sum S
+    coef = (2 + g) * gamma(d + 2, _U32) + g  # the augmented GEMM and its two stored norms
+    coef += 2 * gamma(d + 2, _U64) * (1 + 5 * _U32)  # the oracle's: gamma_{d+2}(u64) D, D <= 2 S
+    coef += 5 * _U32  # rounding s (x - mu) to float32: (2u + u^2) 2 / (1 - u)^2
+    err = coef * s + (9 * d + 3 + 6 * np.sqrt(d * s)) * _TINY32  # the stage's underflow
+    err += d * math.ldexp(1.0, -1074 - 2 * e)  # the oracle's, scaled by s^2
+    err *= 1 + 16 * _U64  # the float64 arithmetic forming and applying E
+    err[~(total < _F32_SAFE)] = np.inf
+    return err
 
 
 def _rank(points: np.ndarray, q: np.ndarray, err: np.ndarray, k: int, rows: np.ndarray,

@@ -20,7 +20,7 @@ from .knn import nearest_others
 
 
 class TargetSelectionError(ValueError):
-    """Target selection is impossible (e.g. a training class is a singleton)."""
+    """Target selection is impossible: a training class is a singleton or overflows float64."""
 
 
 def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
@@ -43,13 +43,17 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
     classes, sizes = np.unique(labs, return_counts=True)
     for c, size in zip(classes, sizes.tolist()):
         members = np.flatnonzero(labs == c)
+        name = dataset.label_names[int(c)]
         if size < 2:
             raise TargetSelectionError(
-                f"training class {dataset.label_names[int(c)]!r} has a single member; "
-                "cannot select same-class targets")
+                f"training class {name!r} has a single member; cannot select same-class targets")
         k = min(k_targets, size - 1)
+        try:  # the self-join's one error: squared distances past float64's range
+            near = nearest_others(dataset.features[tr[members]], k)
+        except ValueError as err:
+            raise TargetSelectionError(f"training class {name!r}: {err}") from None
         owners.append(np.repeat(members, k))
-        targets.append(members[nearest_others(dataset.features[tr[members]], k).ravel()])
+        targets.append(members[near.ravel()])
     return indicator_matrix(np.concatenate(owners), np.concatenate(targets), tr.size)
 
 

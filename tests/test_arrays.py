@@ -144,12 +144,16 @@ class TestPairwiseSqDists:
     def test_operand_layout(self):
         # column j is [p_j | ||p_j||^2 | 1]: the points column-major, then norms, then ones
         p = np.array([[1.0, 2.0], [-3.0, 0.5]])
-        operand = sq_dist_operand(p, 0.0)
+        operand = sq_dist_operand(p, 0.0, np.float64)
         assert operand.flags.c_contiguous
         np.testing.assert_array_equal(operand, [[1.0, -3.0], [2.0, 0.5], [5.0, 9.25], [1.0, 1.0]])
         shifted = sq_dist_operand(p, np.array([1.0, 0.5]), np.float32)
         assert shifted.dtype == np.float32 and shifted.flags.c_contiguous
         np.testing.assert_array_equal(shifted, [[0.0, -4.0], [1.5, 0.0], [2.25, 16.0], [1.0, 1.0]])
+        # or into a view: the transpose of a row-major (n, d + 2) array
+        side = np.empty((2, 4), dtype=np.float32)
+        sq_dist_operand(p, np.array([1.0, 0.5]), np.float32, side.T)
+        np.testing.assert_array_equal(side.T, shifted)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_blocked_build_matches_one_pass(self, rng, dtype):
@@ -165,10 +169,11 @@ class TestPairwiseSqDists:
     def test_prebuilt_operand_bit_identical(self, rng):
         q = rng.normal(size=(7, 5))
         p = rng.normal(size=(11, 5)) + 1e3
-        operand = sq_dist_operand(p, 0.0)
+        operand = sq_dist_operand(p, 0.0, np.float64)
         first = pairwise_sq_dists(q, operand)
         assert pairwise_sq_dists(q, operand).tobytes() == first.tobytes()  # reused
-        assert pairwise_sq_dists(q, sq_dist_operand(p, 0.0)).tobytes() == first.tobytes()  # fresh
+        fresh = pairwise_sq_dists(q, sq_dist_operand(p, 0.0, np.float64))
+        assert fresh.tobytes() == first.tobytes()
 
     def test_float32_operands_give_float32_block(self, rng):
         q = rng.normal(size=(7, 5)) + 1e3
@@ -177,7 +182,8 @@ class TestPairwiseSqDists:
         got = pairwise_sq_dists(q32, sq_dist_operand(p32, 0.0, np.float32))
         assert got.dtype == np.float32
         # float32's spacing at the squared norms (~5e6) is 0.5
-        np.testing.assert_allclose(got, pairwise_sq_dists(q, sq_dist_operand(p, 0.0)), atol=4.0)
+        want = pairwise_sq_dists(q, sq_dist_operand(p, 0.0, np.float64))
+        np.testing.assert_allclose(got, want, atol=4.0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_identical_rows_give_identical_values(self, rng, dtype):

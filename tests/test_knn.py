@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,8 @@ from hubridge.knn import (Dissimilarity, KnnModel, build_knn_model, classify_bat
 from hubridge.transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER,
                                 TransformModel)
 
-from _helpers import oracle_classify, oracle_knn_indices, oracle_sq_dist
+from _helpers import (oracle_classify, oracle_dissimilarity_row, oracle_knn_indices,
+                      oracle_sq_dist)
 
 
 # the Dissimilarity for each transformed kind of ``_helpers.oracle_dissimilarity_row``
@@ -75,8 +78,9 @@ class TestTies:
 @st.composite
 def lookups(draw):
     """(model, queries): offsets up to 1e6, rows drawn with repeats from a small
-    pool of 0/1, small-integer or continuous rows, k from 1 to n, and no map,
-    the identity or a random map on either side."""
+    pool of 0/1, small-integer or continuous rows, all scaled by 2^e for e in
+    [-200, 200], k from 1 to n, and no map, the identity or a random map on
+    either side."""
     d = draw(st.integers(min_value=1, max_value=6))
     n = draw(st.integers(min_value=1, max_value=30))
     m = draw(st.integers(min_value=1, max_value=6))
@@ -91,7 +95,8 @@ def lookups(draw):
                           min_size=n + m, max_size=n + m))
     offset = draw(st.one_of(st.sampled_from([0.0, 1e3, 1e6]),
                             st.floats(min_value=-1e6, max_value=1e6)))
-    rows = pool.reshape(size, d)[picks] + offset
+    scale = 2.0 ** draw(st.integers(min_value=-200, max_value=200))
+    rows = (pool.reshape(size, d)[picks] + offset) * scale
     w = np.array(draw(st.lists(st.floats(min_value=-2.0, max_value=2.0),
                                min_size=d * d, max_size=d * d))).reshape(d, d)
     dis = draw(st.sampled_from([Dissimilarity(), Dissimilarity(labeled_map=np.eye(d)),
@@ -172,22 +177,25 @@ class TestCertifiedStage:
         model = build_knn_model(pts, np.zeros(len(pts), dtype=np.int64), k, Dissimilarity())
         np.testing.assert_array_equal(neighbor_index_matrix(model, queries[:m]), want[:m, :k])
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("scale", [2.0 ** -200, 1.0, 2.0 ** 200], ids=["2^-200", "1", "2^200"])
     @pytest.mark.parametrize("offset", [0.0, 1e3, 1e6])
     @pytest.mark.parametrize("d", [1, 30, 300])
-    def test_error_bound_holds(self, rng, offset, d, dtype):
-        pts = rng.normal(size=(300, d)) * rng.uniform(0.5, 2.0, size=d) + offset
-        queries = np.vstack([rng.normal(size=(20, d)) + offset, pts[:5]])
+    def test_error_bound_holds(self, rng, offset, d, scale):
+        # in the stage's scaled units: |approx - s^2 exact| <= E, s = 2^-e
+        pts = (rng.normal(size=(300, d)) * rng.uniform(0.5, 2.0, size=d) + offset) * scale
+        queries = np.vstack([(rng.normal(size=(20, d)) + offset) * scale, pts[:5]])
         model = build_knn_model(pts, np.zeros(300, dtype=np.int64), 1, Dissimilarity())
-        centered = (queries - model.labeled_mean).astype(dtype)
-        operand = sq_dist_operand(pts, model.labeled_mean, dtype)
-        if dtype == np.float32:
-            assert model.operand32.flags.c_contiguous and model.operand32.shape == (d + 2, 300)
-            np.testing.assert_array_equal(operand, model.operand32)
+        e = model.scale_exp
+        assert (e == 0) == (scale == 1.0)
+        s = math.ldexp(1.0, -e)
+        centered = ((queries - model.labeled_mean) * s).astype(np.float32)
+        operand = sq_dist_operand(pts * s, model.labeled_mean * s, np.float32)
+        assert model.operand32.flags.c_contiguous and model.operand32.shape == (d + 2, 300)
+        np.testing.assert_array_equal(operand, model.operand32)
         approx = knn.pairwise_sq_dists(centered, operand)
-        err = knn._error_bound(sq_norms(centered), float(operand[d].max()), d, dtype)
+        err = knn._error_bound(sq_norms(centered), float(operand[d].max()), d, e)
         exact = np.array([[oracle_sq_dist(q, p) for p in pts] for q in queries])
-        assert (np.abs(approx - exact) <= err[:, None]).all()
+        assert (np.abs(approx - np.ldexp(exact, -2 * e)) <= err[:, None]).all()
 
     def test_float32_stage_serves_ordinary_data(self, rng, monkeypatch):
         pts = rng.normal(size=(200, 8)) + 1e3
@@ -211,18 +219,20 @@ class TestCertifiedStage:
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("side", ["labeled", "queries"])
-    def test_float32_overflow_falls_back_to_float64(self, rng, monkeypatch, side):
-        # squared norms around 1e42 are past float32's range (~3.4e38)
+    def test_float32_overflow_is_scaled(self, rng, monkeypatch, side):
+        # squared norms around 1e42 are past float32's range (~3.4e38): 1e21
+        # labeled points are scaled down; 1e21 queries far from unit labeled
+        # points are far rows, re-ranked whole
         pts = rng.normal(size=(40, 5)) * (1e21 if side == "labeled" else 1.0)
         queries = rng.normal(size=(6, 5)) * 1e21
         model = build_knn_model(pts, np.zeros(40, dtype=np.int64), 4, Dissimilarity())
         seen = stage_dtypes(monkeypatch)
         got = neighbor_index_matrix(model, queries)
-        assert seen == [np.float64]
+        assert seen == [np.float32]
         np.testing.assert_array_equal(got, [oracle_knn_indices(q, pts, 4) for q in queries])
 
     @pytest.mark.filterwarnings("error")
-    def test_float64_stage_is_centered(self, rng, monkeypatch):
+    def test_scaled_stage_is_centered(self, rng, monkeypatch):
         # raw squared norms (~3e320) overflow float64, centered ones (~3e300)
         # only float32
         pts = rng.normal(size=(30, 3)) * 1e150 + 1e160
@@ -230,8 +240,37 @@ class TestCertifiedStage:
         model = build_knn_model(pts, np.zeros(30, dtype=np.int64), 3, Dissimilarity())
         seen = stage_dtypes(monkeypatch)
         got = neighbor_index_matrix(model, queries)
-        assert seen == [np.float64]
+        assert seen == [np.float32]
         np.testing.assert_array_equal(got, [oracle_knn_indices(q, pts, 3) for q in queries])
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-160, 1e-310])
+    def test_oracle_underflow_ties_kept(self, rng, scale):
+        # below ~1e-154 the oracle's squares underflow (at 1e-310, to zero):
+        # it ties rows whose true distances differ, such as these near-copies,
+        # and the lookup must tie them as it does, lower index first
+        pts = rng.normal(size=(60, 4)) * scale
+        pts[40:] = pts[:20] + 1e-6 * scale
+        queries = rng.normal(size=(8, 4)) * scale
+        model = build_knn_model(pts, np.zeros(60, dtype=np.int64), 5, Dissimilarity())
+        rows = [oracle_dissimilarity_row(q, pts, "euclidean") for q in queries]
+        assert all((r[:20] == r[40:]).any() for r in rows)
+        np.testing.assert_array_equal(neighbor_index_matrix(model, queries),
+                                      [oracle_knn_indices(q, pts, 5) for q in queries])
+
+    def test_tiny_inputs_re_rank_no_more(self, rng, re_ranked):
+        # unscaled, 1e-19 inputs underflow in float32 and every entry is re-ranked
+        pts = (rng.random((400, 20)) < 0.3).astype(np.float64)
+        queries = (rng.random((16, 20)) < 0.3).astype(np.float64)
+        totals = []
+        for scale in (1.0, 1e-19):
+            re_ranked.clear()
+            model = build_knn_model(pts * scale, np.zeros(400, dtype=np.int64), 5, Dissimilarity())
+            got = neighbor_index_matrix(model, queries * scale)
+            np.testing.assert_array_equal(got, [oracle_knn_indices(q, pts * scale, 5)
+                                                for q in queries * scale])
+            totals.append(sum(re_ranked))
+        assert totals[0] == totals[1] < 16 * 400
 
     @pytest.mark.filterwarnings("error")
     def test_float64_overflow_rejected(self):
@@ -240,6 +279,23 @@ class TestCertifiedStage:
                                 Dissimilarity())
         with pytest.raises(ValueError, match="squared distances overflow float64"):
             neighbor_index_matrix(model, [[0.6e160, 2.9]])
+        with pytest.raises(ValueError, match="squared distances overflow float64"):
+            neighbor_index_matrix(model, [[0.0, 2.9]])  # the labeled side's norms alone
+
+    def test_far_rows_get_an_infinite_bound(self):
+        # past float32's safe range (1e38 > max / 8), or once (d + 2) u32 >= 1/2,
+        # a row is re-ranked whole
+        err = knn._error_bound(np.array([1.0, 1e38], dtype=np.float32), 1.0, 3, 0)
+        assert np.isfinite(err[0]) and np.isinf(err[1])
+        assert np.isinf(knn._error_bound(np.ones(2, dtype=np.float32), 1.0, 2 ** 23, 0)).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_mapped_queries_overflow_rejected(self, rng):
+        # unit labeled points, queries mapped to ~1e300: their squares overflow
+        model = build_knn_model(rng.normal(size=(10, 2)), [0] * 10, 2,
+                                Dissimilarity(query_map=1e300 * np.eye(2)))
+        with pytest.raises(ValueError, match="squared distances overflow float64"):
+            neighbor_index_matrix(model, rng.normal(size=(3, 2)))
 
 
 class TestDissimilarityKinds:

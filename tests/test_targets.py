@@ -178,15 +178,17 @@ class TestSelectTargets:
 @st.composite
 def tied_classes(draw):
     """(features, labels, k_targets): 1-3 classes of 2-40 rows drawn from a few
-    distinct 0/1 or small-integer rows, so rows repeat and distances tie, and
-    k_targets from 1 to the largest class size + 1."""
+    distinct 0/1 or small-integer rows, so rows repeat and distances tie, all
+    scaled by 2^e for e in [-200, 200], and k_targets from 1 to the largest
+    class size + 1."""
     sizes = draw(st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=3))
     d = draw(st.integers(min_value=1, max_value=6))
     high = draw(st.sampled_from([1, 3]))
     distinct = draw(st.integers(min_value=1, max_value=12))
     k_targets = draw(st.integers(min_value=1, max_value=max(sizes) + 1))
+    scale = 2.0 ** draw(st.integers(min_value=-200, max_value=200))
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
-    rows = rng.integers(0, high + 1, size=(distinct, d)).astype(np.float64)
+    rows = rng.integers(0, high + 1, size=(distinct, d)) * scale
     feats = rows[rng.integers(0, distinct, size=sum(sizes))]
     labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
     return feats, labels, k_targets
@@ -259,18 +261,50 @@ class TestSelfJoin:
         assert np.isfinite(values).all() and not (rows == cols).any()
 
     def test_chunked_rows_near_float64_range(self, monkeypatch):
-        # the 1e155 rows overflow float32, so every chunk forms its block in float64
+        # the 1e155 rows overflow float32 unscaled; every chunk forms one
+        # float32 block all the same
         monkeypatch.setattr(hubridge._arrays, "_CHUNK_CELLS", 4 * 12)
-        seen = []
-        real = knn.pairwise_sq_dists
-        monkeypatch.setattr(knn, "pairwise_sq_dists",
-                            lambda q, p: seen.append(p.dtype) or real(q, p))
+        bands = counting_bands(monkeypatch)
         feats = np.column_stack([np.full(12, 1e155), tied_class(12, d=1)[:, 0] * 3])
         ds = dataset_from_arrays(feats, np.zeros(12, dtype=np.int64))
         for k_targets in (1, 5, 11):
             sets = target_sets(select_targets(ds, np.arange(12), k_targets))
             assert sets == brute_force_targets(feats, np.zeros(12), k_targets)
-        assert len(seen) == 3 * 3 and set(seen) == {np.dtype(np.float64)}
+        assert len(bands) == 3 * 3 and {b.dtype for b in bands} == {np.dtype(np.float32)}
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-160, 1e-310])
+    def test_oracle_underflow_ties_kept(self, rng, scale):
+        # below ~1e-154 the oracle's squares underflow (at 1e-310, to zero): it
+        # ties the near-copies' distances, and the targets must follow its ties
+        feats = rng.normal(size=(40, 3)) * scale
+        feats[20:] = feats[:20] + 1e-6 * scale
+        labels = np.tile([0, 1], 20)
+        ds = dataset_from_arrays(feats, labels)
+        for k_targets in (1, 4):
+            sets = target_sets(select_targets(ds, np.arange(40), k_targets))
+            assert sets == brute_force_targets(feats, labels, k_targets)
+
+    def test_tiny_inputs_re_rank_no_more(self, rng, re_ranked):
+        # unscaled, 1e-19 inputs underflow in float32 and every entry is re-ranked
+        feats = (rng.random((300, 20)) < 0.3).astype(np.float64)
+        labels = np.repeat([0, 1, 2], 100)
+        totals = []
+        for scale in (1.0, 1e-19):
+            re_ranked.clear()
+            ds = dataset_from_arrays(feats * scale, labels)
+            sets = target_sets(select_targets(ds, np.arange(300), 5))
+            assert sets == brute_force_targets(feats * scale, labels, 5)
+            totals.append(sum(re_ranked))
+        assert totals[0] == totals[1] < 3 * 100 * 99
+
+    def test_float64_overflow_names_the_class(self):
+        # centered squared norms near 1e320: the distances themselves overflow
+        ds = dataset_from_arrays([[1e160, 0.0], [-1e160, 1.0], [0.0, 3.0], [0.0, 0.0], [1.0, 0.0]],
+                                 [0, 0, 0, 1, 1], label_names=("far", "near"))
+        with pytest.raises(TargetSelectionError,
+                           match="training class 'far': squared distances overflow float64"):
+            select_targets(ds, np.arange(5), 1)
 
 
 class TestIndicatorMatrix:
