@@ -13,10 +13,10 @@ from .datamodel import (Dataset, DatasetFormatError, PreprocessError, Preprocess
 from .targets import TargetSelectionError, indicator_matrix, select_targets
 from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER, RidgeSystem,
                         SingularSystemError, TransformModel, fit_move_labeled,
-                        fit_move_query, fit_transform, solver_disagreement)
+                        fit_move_query, solver_disagreement)
 from .knn import (Dissimilarity, KnnModel, build_knn_model, classify_batch, evaluate,
                   knn_from_transform, neighbor_index_matrix)
-from .hubness import HubnessRow, ZeroVarianceError, hubness_report, nk_counts, skewness
+from .hubness import ZeroVarianceError, nk_counts, skewness
 from .theory import (CentralityExperiment, CentralityResult, PairConstructionError,
                      simulate_delta, squared_norm_std, theoretical_delta)
 from .modelselect import (CvCell, CvConfig, CvPass, CvResult, FoldError, grid_search,

@@ -7,7 +7,7 @@ Subcommands:
   predict     classify a query file against the training file with a saved
               model; the preprocessing comes from the model file, and a
               training file other than the one fitted on is rejected
-  hubness     skewness report for one random split, per dissimilarity
+  hubness     N_k skewness, max and mean per method on one random split
   cv          grid search over lambda and k on a feature file
   centrality  spatial-centrality simulation (single cell or sweep table)
   bench       full experiment protocol driven by a JSON config
@@ -18,20 +18,20 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import experiment
-from .datamodel import (FORMATS, Dataset, Preprocessor, load_dataset,
-                        split as make_split, subset)
-from .experiment import (ExperimentConfig, ModelArtifact, fit_method, preprocess,
-                         run_experiment, solver_gap, training_record)
-from .hubness import hubness_report, report_csv
+from .datamodel import FORMATS, Dataset, Preprocessor, load_dataset, split as make_split
+from .experiment import (ExperimentConfig, ModelArtifact, fit_timed, preprocess,
+                         run_experiment, split_neighbors, training_record)
+from .hubness import skewness
 from .knn import classify_batch, knn_from_transform
 from .modelselect import METHODS, CvConfig, check_methods, grid_search
 from .theory import CentralityExperiment, simulate_delta
-from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS
+from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, solver_disagreement
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -139,15 +139,13 @@ def _cmd_fit(args) -> int:
                             pca_dim=args.pca_dim)
     pre = Dataset(prep.apply(ds.features), ds.labels, ds.class_count, ds.name,
                   ds.label_names)
-    tm, jj, seconds = fit_method(pre, args.method, args.lam, args.k_targets,
-                                 args.solver)
-    gap = solver_gap(pre, tm, jj)
+    tm, jj, seconds = fit_timed(pre, args.method, args.lam, args.k_targets, args.solver)
     ModelArtifact(prep, tm, ds.label_names, training_record(ds)).save(args.out)
     summary = {"direction": tm.direction, "lambda": tm.lam, "solver": tm.solver,
                "d": tm.d, "n": pre.n, "training_seconds": seconds,
                "model_path": str(args.out)}
-    if gap is not None:
-        summary["solver_gap"] = gap
+    if tm.direction == MOVE_LABELED:
+        summary["solver_gap"] = solver_disagreement(pre.features.T, jj, tm)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0
 
@@ -195,21 +193,20 @@ def _cmd_hubness(args) -> int:
     sp = make_split(ds, args.train_fraction, args.seed)
     pre = preprocess(ds, sp.train_indices, center=args.center,
                      zscore=args.zscore, pca_dim=args.pca_dim)
-    train_ds = subset(pre, sp.train_indices)
-    models = []
+    rows = []
     for method in methods:
-        tm, _, _ = fit_method(train_ds, method, args.lam, args.k_targets, args.solver)
-        models.append((method, knn_from_transform(tm, train_ds.features,
-                                                  train_ds.labels, 1)))
-
-    rows = hubness_report(pre, sp, models, k=args.k)
-    csv_text = report_csv(rows)
+        idx = split_neighbors(pre, sp, method, args.lam, args.k_targets, args.solver,
+                              args.k)[0]
+        counts = np.bincount(idx.ravel(), minlength=sp.train_indices.size)
+        rows.append({"method": method, "k": args.k, "skewness": skewness(counts),
+                     "max_count": int(counts.max()), "mean_count": float(counts.mean())})
+    csv_text = "\n".join(["method,k,skewness,max_count,mean_count"]
+                         + [",".join(map(str, r.values())) for r in rows]) + "\n"
     if args.out:
         Path(args.out).write_text(csv_text)
     print(csv_text, end="")
     if args.json_out:
-        Path(args.json_out).write_text(
-            json.dumps([r.to_json_dict() for r in rows], indent=2, sort_keys=True))
+        Path(args.json_out).write_text(json.dumps(rows, indent=2, sort_keys=True))
     return 0
 
 
@@ -253,22 +250,14 @@ def _cmd_centrality(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = ExperimentConfig.load(args.config)
-    updates = {}
-    if args.out is not None:
-        updates["out_dir"] = args.out
-    if args.train_fraction is not None:
-        updates["train_fraction"] = args.train_fraction
-    if args.methods is not None:
-        updates["methods"] = args.methods
-    if args.splits is not None:
-        updates["n_splits"] = args.splits
-        base = args.seed if args.seed is not None else cfg.seeds[0]
-        updates["seeds"] = tuple(base + i for i in range(args.splits))
-    elif args.seed is not None:
-        updates["seeds"] = tuple(args.seed + i for i in range(cfg.n_splits))
-    if updates:
-        from dataclasses import replace
-        cfg = replace(cfg, **updates)
+    n_splits = cfg.n_splits if args.splits is None else args.splits
+    seeds = cfg.seeds
+    if args.splits is not None or args.seed is not None:
+        base = cfg.seeds[0] if args.seed is None else args.seed
+        seeds = tuple(range(base, base + n_splits))
+    given = {"out_dir": args.out, "train_fraction": args.train_fraction, "methods": args.methods}
+    cfg = replace(cfg, n_splits=n_splits, seeds=seeds,
+                  **{key: value for key, value in given.items() if value is not None})
     report = run_experiment(cfg)
     print(report.render_table(), end="")
     if cfg.out_dir:

@@ -26,8 +26,8 @@ from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
 from .modelselect import (EUCLIDEAN_METHOD, METHODS, CvConfig, CvResult, check_methods,
                           grid_search)
 from .targets import select_targets
-from .transform import (MOVE_LABELED, SOLVER_PAPER, TransformModel, fit_transform,
-                        solver_disagreement)
+from .transform import (DIRECTIONS, MOVE_LABELED, SOLVER_PAPER, TransformModel,
+                        fit_move_labeled, fit_move_query, solver_disagreement)
 
 DEFAULT_LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 DEFAULT_K_GRID = (1, 3, 5, 7, 9)
@@ -240,29 +240,29 @@ def preprocess(dataset: Dataset, train_rows=None, *, center: bool = True,
 
 def fit_timed(train_ds: Dataset, method: str, lam: float, k_targets: int,
               solver: str):
-    """Select targets and fit the transform, timing exactly that region."""
+    """Select targets and fit ``method``'s transform, timing exactly that region."""
     if k_targets < 1:
         raise ValueError("k_targets must be >= 1")
-    local = np.arange(train_ds.n)
+    if method not in DIRECTIONS:
+        raise ValueError(f"direction must be one of {DIRECTIONS}, got {method!r}")
     t0 = time.perf_counter()
-    jj = select_targets(train_ds, local, k_targets)
-    tm = fit_transform(train_ds.features.T, jj, lam, method, solver)
-    elapsed = time.perf_counter() - t0
-    return tm, jj, elapsed
+    jj = select_targets(train_ds, np.arange(train_ds.n), k_targets)
+    tm = (fit_move_labeled(train_ds.features.T, jj, lam, solver) if method == MOVE_LABELED
+          else fit_move_query(train_ds.features.T, jj, lam))
+    return tm, jj, time.perf_counter() - t0
 
 
-def fit_method(train: Dataset, method: str, lam: float, k_targets: int, solver: str):
-    """(transform, indicator J, training seconds) for ``method``; Euclidean is (None, None, 0.0)."""
-    if method == EUCLIDEAN_METHOD:
-        return None, None, 0.0
-    return fit_timed(train, method, lam, k_targets, solver)
-
-
-def solver_gap(train: Dataset, tm: TransformModel | None, jj) -> float | None:
-    """The paper-vs-exact gap of a move-labeled fit on ``train``; None for other methods."""
-    if tm is None or tm.direction != MOVE_LABELED:
-        return None
-    return solver_disagreement(train.features.T, jj, tm)
+def split_neighbors(pre: Dataset, sp: Split, method: str, lam: float, k_targets: int,
+                    solver: str, k: int):
+    """(idx, transform, J, training seconds, training Dataset) of ``method`` fitted
+    on ``sp``'s training rows (Euclidean fits nothing: None, None, 0.0). idx holds
+    the test rows' k nearest training rows, sorted by (dissimilarity, index), so
+    each prefix of its columns is exactly the smaller-k neighbor matrix."""
+    train = subset(pre, sp.train_indices)
+    tm, jj, seconds = ((None, None, 0.0) if method == EUCLIDEAN_METHOD
+                       else fit_timed(train, method, lam, k_targets, solver))
+    km = knn_from_transform(tm, train.features, train.labels, k)
+    return neighbor_index_matrix(km, pre.features[sp.test_indices]), tm, jj, seconds, train
 
 
 def training_record(dataset: Dataset) -> dict:
@@ -351,21 +351,14 @@ class ModelArtifact:
 
 def _run_method(pre: Dataset, sp: Split, method: str, cv: CvResult,
                 config: ExperimentConfig) -> MethodSplitResult:
-    x_test = pre.features[sp.test_indices]
-    y_test = pre.labels[sp.test_indices]
-    train_ds = subset(pre, sp.train_indices)
-
-    tm, jj, training_seconds = fit_method(train_ds, method, cv.best_lambda,
-                                          config.k_targets, config.solver)
-    gap = solver_gap(train_ds, tm, jj)
-    km = knn_from_transform(tm, train_ds.features, train_ds.labels, cv.best_k)
-
-    # One lookup serves both scores: rows are sorted by (dissimilarity, index),
-    # so each prefix is exactly the smaller-k neighbor matrix.
-    idx = neighbor_index_matrix(km, x_test, max(cv.best_k, config.hubness_k))
-    preds = majority_vote(km.labels[idx[:, :cv.best_k]], pre.class_count)
-    accuracy = float(np.mean(preds == y_test))
-    counts = np.bincount(idx[:, :config.hubness_k].ravel(), minlength=km.n)
+    # one lookup serves both scores
+    idx, tm, jj, training_seconds, train = split_neighbors(
+        pre, sp, method, cv.best_lambda, config.k_targets, config.solver,
+        max(cv.best_k, config.hubness_k))
+    preds = majority_vote(train.labels[idx[:, :cv.best_k]], pre.class_count)
+    accuracy = float(np.mean(preds == pre.labels[sp.test_indices]))
+    counts = np.bincount(idx[:, :config.hubness_k].ravel(), minlength=train.n)
+    gap = solver_disagreement(train.features.T, jj, tm) if method == MOVE_LABELED else None
     return MethodSplitResult(method=method, split_seed=sp.seed, accuracy=accuracy,
                              n10_skewness=skewness(counts),
                              training_seconds=training_seconds,

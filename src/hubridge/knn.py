@@ -257,14 +257,21 @@ def _scaled(points: np.ndarray, mean: np.ndarray, out: np.ndarray | None = None)
 def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
     """The certified k nearest labeled indices of one chunk of mapped queries."""
     e, p_max = model.scale_exp, float(model.operand32[model.d].max())
-    diff = q - model.labeled_mean
     centered = np.empty(q.shape, dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        if not float(sq_norms(diff).max()) + float(np.ldexp(p_max, 2 * e)) < _F64_SAFE:
+        if e == 0:  # p_max <= 2^64: only a row past float32's range can overflow float64
+            np.subtract(q, model.labeled_mean, out=centered, casting="same_kind")
+            q_sq = sq_norms(centered)
+            far = ~(q_sq < _F32_SAFE)
+            q_max = float(sq_norms(q[far] - model.labeled_mean).max(initial=0.0))
+        else:
+            diff = q - model.labeled_mean
+            q_max = float(sq_norms(diff).max())
+            np.multiply(diff, math.ldexp(1.0, -e), out=centered, casting="same_kind")
+            q_sq = sq_norms(centered)
+        if not q_max + float(np.ldexp(p_max, 2 * e)) < _F64_SAFE:
             raise ValueError("squared distances overflow float64: queries and labeled "
                              "points (after their maps) lie too far apart")
-        np.multiply(diff, math.ldexp(1.0, -e), out=centered, casting="same_kind")
-        q_sq = sq_norms(centered)
     err = _error_bound(q_sq, p_max, model.d, e)
     centered[np.isinf(err)] = 0.0  # a far row: the exact re-rank takes all of it
     approx = pairwise_sq_dists(centered, model.operand32)

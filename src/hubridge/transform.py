@@ -258,15 +258,6 @@ def fit_move_query(x, j, lam: float) -> TransformModel:
     return RidgeSystem(x, j).path((lam,), MOVE_QUERY)[0]
 
 
-def fit_transform(x, j, lam: float, direction: str, solver: str) -> TransformModel:
-    """Fit W in either direction; move-query always uses its exact minimizer."""
-    if direction == MOVE_LABELED:
-        return fit_move_labeled(x, j, lam, solver)
-    if direction == MOVE_QUERY:
-        return fit_move_query(x, j, lam)
-    raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-
-
 def solver_disagreement(x, j, model: TransformModel) -> float:
     """Relative Frobenius gap between the paper closed form and the exact minimizer.
 

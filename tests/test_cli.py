@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from hubridge.cli import main
-from hubridge.datamodel import bundled_dataset_path, dataset_from_arrays, load_dataset
+from hubridge.datamodel import (bundled_dataset_path, dataset_from_arrays, load_dataset,
+                                split, subset)
 from hubridge.experiment import ModelArtifact, fit_timed, preprocess
 from hubridge.knn import classify_batch, knn_from_transform
 
-from _helpers import gaussian_mixture, write_dense_csv
+from _helpers import exact_skewness, gaussian_mixture, oracle_knn_indices, write_dense_csv
 
 
 @pytest.fixture
@@ -265,6 +266,33 @@ class TestHubnessCommand:
         doc = json.loads(json_p.read_text())
         assert {r["method"] for r in doc} == {"euclidean", "move-labeled", "move-query"}
 
+    def test_row_fields_and_csv(self, train_and_queries, tmp_path, capsys):
+        train_p, _ = train_and_queries
+        json_p = tmp_path / "hub.json"
+        rc = main(["hubness", "--dataset", str(train_p), "--seed", "2", "--k", "5",
+                   "--json-out", str(json_p)])
+        assert rc == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "method,k,skewness,max_count,mean_count"
+        # the oracle: per-query full sorts on the preprocessed split, exact moments
+        ds = load_dataset(train_p, "dense-csv")
+        sp = split(ds, 0.7, 2)
+        pre = preprocess(ds, sp.train_indices)
+        train = subset(pre, sp.train_indices)
+        w = {m: fit_timed(train, m, 0.1, 1, "paper")[0].w for m in ("move-labeled", "move-query")}
+        kinds = {"euclidean": "euclidean", "move-labeled": "transformed-labeled",
+                 "move-query": "transformed-query"}
+        doc = json.loads(json_p.read_text())
+        assert [r["method"] for r in doc] == list(kinds)
+        for line, row in zip(lines[1:], doc):
+            m = row["method"]
+            idx = [oracle_knn_indices(q, train.features, 5, kinds[m], w.get(m))
+                   for q in pre.features[sp.test_indices]]
+            counts = np.bincount(np.ravel(idx), minlength=train.n)
+            want = {"method": m, "k": 5, "skewness": exact_skewness(counts),
+                    "max_count": int(counts.max()), "mean_count": float(counts.mean())}
+            assert row == pytest.approx(want, rel=1e-12)
+            assert line == ",".join(str(row[key]) for key in want)
 
     def test_solver_gap_not_computed(self, train_and_queries, monkeypatch, capsys):
         # the hubness report has no solver_gap column, so no extra fit for it

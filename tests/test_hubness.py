@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hubridge.datamodel import dataset_from_arrays, split
-from hubridge.hubness import (ZeroVarianceError, hubness_report, nk_counts,
-                              report_csv, skewness)
+from hubridge.hubness import ZeroVarianceError, nk_counts, skewness
 from hubridge.knn import Dissimilarity, build_knn_model
 
 from _helpers import exact_skewness, oracle_knn_indices
@@ -36,6 +34,13 @@ class TestNkCounts:
             for i in oracle_knn_indices(q, pts, 10):
                 want[i] += 1
         np.testing.assert_array_equal(counts, want)
+
+    def test_identity_w_matches_euclidean(self, rng):
+        pts, queries = rng.normal(size=(42, 5)), rng.normal(size=(18, 5))
+        identity = build_knn_model(pts, np.zeros(42, dtype=int), 1,
+                                   Dissimilarity(labeled_map=np.eye(5)))
+        np.testing.assert_array_equal(nk_counts(identity, queries, 10),
+                                      nk_counts(euclid_model(pts), queries, 10))
 
     def test_k_too_large(self, rng):
         pts = rng.normal(size=(5, 2))
@@ -84,45 +89,3 @@ class TestSkewness:
     def test_too_short(self):
         with pytest.raises(ValueError, match="length >= 2"):
             skewness([5])
-
-
-class TestHubnessReport:
-    def test_identity_w_matches_euclidean(self, rng):
-        feats = rng.normal(size=(60, 5))
-        labels = np.tile([0, 1, 2], 20)
-        ds = dataset_from_arrays(feats, labels)
-        sp = split(ds, 0.7, seed=0)
-        x_train = ds.features[sp.train_indices]
-        y_train = ds.labels[sp.train_indices]
-        models = [
-            ("euclidean", euclid_model(x_train, y_train)),
-            ("identity-w", build_knn_model(
-                x_train, y_train, 1, Dissimilarity(labeled_map=np.eye(5)))),
-        ]
-        rows = hubness_report(ds, sp, models, k=10)
-        assert len(rows) == 2
-        assert rows[0].skewness == rows[1].skewness
-        assert all(np.isfinite(r.skewness) for r in rows)
-
-    def test_row_fields_and_csv(self, rng):
-        feats = rng.normal(size=(40, 3))
-        labels = np.tile([0, 1], 20)
-        ds = dataset_from_arrays(feats, labels)
-        sp = split(ds, 0.7, seed=1)
-        model = euclid_model(ds.features[sp.train_indices],
-                             ds.labels[sp.train_indices])
-        rows = hubness_report(ds, sp, [("euclidean", model)], k=5)
-        assert rows[0].k == 5
-        text = report_csv(rows)
-        header, line = text.strip().split("\n")
-        assert header == "method,k,skewness,max_count,mean_count"
-        assert line.startswith("euclidean,5,")
-
-    def test_mismatched_model_rejected(self, rng):
-        feats = rng.normal(size=(40, 3))
-        labels = np.tile([0, 1], 20)
-        ds = dataset_from_arrays(feats, labels)
-        sp = split(ds, 0.7, seed=1)
-        wrong = euclid_model(rng.normal(size=(5, 3)))
-        with pytest.raises(ValueError, match="labeled points"):
-            hubness_report(ds, sp, [("bad", wrong)])

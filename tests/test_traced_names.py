@@ -18,7 +18,7 @@ import numpy as np
 
 import hubridge  # noqa: F401  (loads every hubridge module the tracer scans)
 from hubridge.datamodel import dataset_from_arrays
-from hubridge.experiment import fit_timed
+from hubridge.experiment import ExperimentConfig, fit_timed, run_experiment
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 WORKLOADS_PATH = SPANS_PATH.with_name("workloads.py")
@@ -111,3 +111,17 @@ def test_every_workload_call_resolves():
             module = importlib.import_module(node.module)
             for a in node.names:
                 assert hasattr(module, a.name), f"{node.module}.{a.name} does not exist"
+
+
+def test_cv_cells_read_off_grid_search_results():
+    # spans.py counts modelselect.cv_cells from the attributes of what
+    # grid_search returns (CvPass.table and .folds), which LAYERS does not name
+    rng = np.random.default_rng(0)
+    ds = dataset_from_arrays(rng.normal(size=(60, 4)), np.arange(60) % 3)
+    config = ExperimentConfig("unused.csv", n_splits=2, seeds=(1, 2), lambda_grid=(0.1, 1.0),
+                              k_grid=(1, 3), cv_folds=3)
+    tracer = load_spans().Tracer()
+    with tracer.installed():
+        run_experiment(config, ds)
+    splits, folds, ks, lambdas = 2, 3, 2, 2
+    assert tracer.layer_metrics()["modelselect.cv_cells"] == splits * folds * ks * (1 + 2 * lambdas)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import hubridge.experiment
 from hubridge.datamodel import dataset_from_arrays
+from hubridge.experiment import fit_timed
 from hubridge.targets import select_targets
 from hubridge.transform import (SOLVER_EXACT, SOLVER_PAPER, MOVE_LABELED,
                                 MOVE_QUERY, RidgeSystem, SingularSystemError,
                                 TransformModel, _counts, _touched, fit_move_labeled,
-                                fit_move_query, fit_transform, solver_disagreement)
+                                fit_move_query, solver_disagreement)
 
 from _helpers import (gd_minimize, pairs_from_indicator, regression_objective,
                       transform_points)
@@ -227,14 +229,24 @@ class TestErrors:
             fit_move_labeled(x, j, 0.1)
 
 
-    def test_fit_transform_dispatch(self, rng):
-        x, j = random_problem(rng, d=3, n=8)
-        np.testing.assert_array_equal(fit_transform(x, j, 0.1, MOVE_LABELED, SOLVER_EXACT).w,
-                                      fit_move_labeled(x, j, 0.1, SOLVER_EXACT).w)
-        np.testing.assert_array_equal(fit_transform(x, j, 0.1, MOVE_QUERY, SOLVER_EXACT).w,
-                                      fit_move_query(x, j, 0.1).w)
+    @pytest.mark.parametrize("solver", [SOLVER_PAPER, SOLVER_EXACT])
+    def test_fit_timed_dispatch(self, rng, solver):
+        ds = dataset_from_arrays(rng.normal(size=(12, 3)), np.arange(12) % 2)
+        tm, j, _ = fit_timed(ds, MOVE_LABELED, 0.1, 1, solver)
+        np.testing.assert_array_equal(tm.w, fit_move_labeled(ds.features.T, j, 0.1, solver).w)
+        tm, j, _ = fit_timed(ds, MOVE_QUERY, 0.1, 1, solver)
+        np.testing.assert_array_equal(tm.w, fit_move_query(ds.features.T, j, 0.1).w)
+
+    @pytest.mark.parametrize("method", ["euclidean", "bogus"])
+    def test_fit_timed_refuses_a_method_before_selecting_targets(self, rng, monkeypatch,
+                                                                 method):
+        def refuse(*args):
+            raise AssertionError("targets selected for a method fit_timed cannot fit")
+
+        monkeypatch.setattr(hubridge.experiment, "select_targets", refuse)
+        ds = dataset_from_arrays(rng.normal(size=(12, 3)), np.arange(12) % 2)
         with pytest.raises(ValueError, match="direction must be one of"):
-            fit_transform(x, j, 0.1, "euclidean", SOLVER_PAPER)
+            fit_timed(ds, method, 0.1, 1, SOLVER_PAPER)
 
 
 class TestOneRidgeBody:
@@ -290,7 +302,7 @@ class TestRidgePath:
             path = RidgeSystem(x, j).path(grid, direction, solver)
             assert [tm.lam for tm in path] == list(grid)
             for tm in path:
-                single = fit_transform(x, j, tm.lam, direction, solver)
+                single = RidgeSystem(x, j).path((tm.lam,), direction, solver)[0]
                 assert (tm.direction, tm.solver) == (single.direction, single.solver)
                 assert np.array_equal(tm.w, single.w)
 
@@ -301,7 +313,8 @@ class TestRidgePath:
         for _ in range(5):
             x, j = INDICATORS[kind](rng)
             for tm in RidgeSystem(x, j).path(grid, direction, solver):
-                assert np.array_equal(tm.w, fit_transform(x, j, tm.lam, direction, solver).w)
+                single = RidgeSystem(x, j).path((tm.lam,), direction, solver)[0]
+                assert np.array_equal(tm.w, single.w)
 
     @pytest.mark.parametrize("direction, solver", CASES)
     def test_matches_dense_solve_on_criterion_1_problems(self, direction, solver):
