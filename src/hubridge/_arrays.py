@@ -20,16 +20,6 @@ def as_matrix(a, name: str = "array", finite: bool = True) -> np.ndarray:
     return out
 
 
-def as_vector(a, name: str = "array") -> np.ndarray:
-    """Coerce to a float64 1-D array, rejecting non-finite values."""
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got ndim={out.ndim}")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return out
-
-
 def as_int_vector(a, name: str = "array") -> np.ndarray:
     out = np.ascontiguousarray(a, dtype=np.int64)
     if out.ndim != 1:

@@ -29,7 +29,7 @@ from .experiment import (ExperimentConfig, ModelArtifact, fit_timed, preprocess,
                          run_experiment, split_neighbors, training_record)
 from .hubness import skewness
 from .knn import classify_batch, knn_from_transform
-from .modelselect import METHODS, CvConfig, check_methods, grid_search
+from .modelselect import METHODS, CvConfig, CvResult, check_methods, grid_search
 from .theory import CentralityExperiment, simulate_delta
 from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, solver_disagreement
 
@@ -40,6 +40,16 @@ def _float_list(text: str) -> tuple[float, ...]:
 
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t)
+
+
+def _at_least(low, cast):
+    """An argparse type: ``cast(text)``, which must be at least ``low`` (NaN never is)."""
+    def parse(text: str):
+        if not cast(text) >= low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        return cast(text)
+    parse.__name__ = cast.__name__  # argparse names it when the cast fails
+    return parse
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -69,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_preproc_args(p)
     p.add_argument("--method", default=MOVE_LABELED, choices=(MOVE_LABELED, MOVE_QUERY))
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
+    p.add_argument("--lambda", dest="lam", type=_at_least(0, float), default=0.1)
     p.add_argument("--k-targets", type=int, default=1)
     p.add_argument("--solver", default=SOLVER_PAPER, choices=SOLVERS)
     p.add_argument("--out", required=True, help="path for the model JSON")
@@ -87,10 +97,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_preproc_args(p)
     p.add_argument("--methods", type=lambda s: tuple(s.split(",")),
                    default=METHODS, help="comma list among " + ",".join(METHODS))
-    p.add_argument("--lambda", dest="lam", type=float, default=0.1)
+    p.add_argument("--lambda", dest="lam", type=_at_least(0, float), default=0.1)
     p.add_argument("--k-targets", type=int, default=1)
     p.add_argument("--solver", default=SOLVER_PAPER, choices=SOLVERS)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_at_least(1, int), default=10)
     p.add_argument("--train-fraction", type=float, default=0.7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the CSV report here")
@@ -191,6 +201,9 @@ def _cmd_hubness(args) -> int:
     methods = check_methods(args.methods, "--methods")  # before any loading or fitting
     ds = load_dataset(args.dataset, args.format)
     sp = make_split(ds, args.train_fraction, args.seed)
+    if args.k > sp.train_indices.size:  # before any preprocessing or fit
+        raise ValueError(f"--k must be at most the {sp.train_indices.size} training rows, "
+                         f"got {args.k}")
     pre = preprocess(ds, sp.train_indices, center=args.center,
                      zscore=args.zscore, pca_dim=args.pca_dim)
     rows = []
@@ -211,13 +224,13 @@ def _cmd_hubness(args) -> int:
 
 
 def _cmd_cv(args) -> int:
+    cfg = CvConfig(args.lambda_grid, args.k_grid, args.folds, args.seed, args.k_targets,
+                   args.solver)  # before any loading
     ds = load_dataset(args.dataset, args.format)
     pre = preprocess(ds, None, center=args.center, zscore=args.zscore,
                      pca_dim=args.pca_dim)
-    cfg = CvConfig(args.lambda_grid, args.k_grid, args.folds, args.seed, args.k_targets,
-                   args.solver)
     result = grid_search(pre, np.arange(pre.n), cfg, [args.direction]).result(0)
-    text = json.dumps(result.to_json_dict(), indent=2, sort_keys=True)
+    text = json.dumps(CvResult.JSON.encode(result), indent=2, sort_keys=True)
     if args.out:
         Path(args.out).write_text(text)
     print(text)

@@ -17,6 +17,9 @@ memory of the matrix they fill. When a block or a whole-file check fails,
 a per-format checker reads the rows again from the first, builds nothing,
 and returns the ``DatasetFormatError`` naming the first bad row and column
 in file order, which the parse raises.
+
+A fitted ``Preprocessor`` goes to and from JSON through its ``JSON`` record,
+in the one codec (``_codec``).
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import as_matrix, as_vector, as_int_vector, frozen, index_vector
+from ._arrays import as_matrix, as_int_vector, frozen, index_vector
+from ._codec import INT, Record, array, nullable
 
 DENSE_CSV = "dense-csv"
 SPARSE_PAIRS = "sparse-pairs"
@@ -306,11 +310,6 @@ def column_mean_sd(features: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, sd
 
 
-# Preprocessor's array fields, in field order, each with its JSON check
-_ARRAY_FIELDS = {"zscore_mean": as_vector, "zscore_sd": as_vector,
-                 "center_mean": as_vector, "components": as_matrix}
-
-
 @dataclass(frozen=True)
 class Preprocessor:
     """Fitted feature preprocessing: z-score, then center, then project.
@@ -396,18 +395,11 @@ class Preprocessor:
             x = x @ self.components
         return x
 
-    def to_json_dict(self) -> dict:
-        return {"d_in": self.d_in, **{
-            name: None if getattr(self, name) is None else getattr(self, name).tolist()
-            for name in _ARRAY_FIELDS}}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "Preprocessor":
-        d_in = doc["d_in"]
-        if type(d_in) is not int:
-            raise ValueError(f"preprocessor field 'd_in': expected int, got {d_in!r}")
-        return cls(d_in, *(None if doc[name] is None else check(doc[name], name)
-                           for name, check in _ARRAY_FIELDS.items()))
+    JSON = Record("preprocessor", (
+        ("d_in", "d_in", INT), ("zscore_mean", "zscore_mean", nullable(array(1))),
+        ("zscore_sd", "zscore_sd", nullable(array(1))),
+        ("center_mean", "center_mean", nullable(array(1))),
+        ("components", "components", nullable(array(2)))))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,9 @@ queries), the chosen hyperparameters, and the training wall-clock time.
 The timed region is target selection plus the closed-form solve only;
 loading, preprocessing and cross-validation are excluded so the number
 reflects the solver, not the protocol around it.
+
+Configs, reports and model files go to and from JSON through their classes'
+``JSON`` records, in the one codec (``_codec``).
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from ._arrays import index_vector
+from ._codec import BOOL, INT, NUMBER, STR, Parser, Record, list_of, nullable
 from .datamodel import (Dataset, Preprocessor, Split, load_dataset,
                         split as make_split, subset)
 from .hubness import DEFAULT_HUBNESS_K, skewness
@@ -32,32 +36,8 @@ from .transform import (DIRECTIONS, MOVE_LABELED, SOLVER_PAPER, TransformModel,
 DEFAULT_LAMBDA_GRID = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0)
 DEFAULT_K_GRID = (1, 3, 5, 7, 9)
 
-
-def _json(*kinds, item=None):
-    """Parser requiring one of ``kinds`` (bool only if listed); list entries go through ``item``."""
-    def parse(value):
-        if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
-            raise TypeError(f"expected {' or '.join(k.__name__ for k in kinds)}, "
-                            f"got {value!r}")
-        return value if item is None else tuple(map(item, value))
-    return parse
-
-
-def _number(value) -> float:
-    """A JSON number, not a bool, as a float."""
-    return float(_json(int, float)(value))
-
-
-# parser per config JSON key, in the file's key order
-_CONFIG_PARSERS = {
-    "dataset": _json(str), "format": _json(str), "center": _json(bool),
-    "zscore": _json(bool), "pca_dim": _json(int, type(None)), "methods": _json(list, item=str),
-    "n_splits": _json(int), "train_fraction": _number, "seeds": _json(list, item=_json(int)),
-    "lambda_grid": _json(list, item=_number), "k_grid": _json(list, item=_json(int)),
-    "cv_folds": _json(int), "k_targets": _json(int), "solver": _json(str),
-    "hubness_k": _json(int), "out_dir": _json(str, type(None))}
-# the config keys whose ExperimentConfig field has another name
-_CONFIG_FIELDS = {"dataset": "dataset_path", "format": "fmt"}
+# entries go through str: a label token or method name that is not a string reads as its text
+_NAMES = list_of(Parser(str))
 
 
 @dataclass(frozen=True)
@@ -85,7 +65,8 @@ class ExperimentConfig:
         if self.n_splits < 1:
             raise ValueError("n_splits must be >= 1")
         if len(self.seeds) != self.n_splits:
-            raise ValueError("seeds must provide one seed per split")
+            raise ValueError(f"seeds must provide one seed per split: n_splits is "
+                             f"{self.n_splits}, seeds holds {len(self.seeds)}")
         check_methods(self.methods)
         if self.cv_folds < 2:
             raise ValueError("cv_folds must be >= 2")
@@ -103,37 +84,22 @@ class ExperimentConfig:
         # when Euclidean alone (whose search ignores lambda_grid) is asked for
         CvConfig(self.lambda_grid, self.k_grid, self.cv_folds, 0, self.k_targets, self.solver)
 
-    def to_json_dict(self) -> dict:
-        doc = {key: getattr(self, _CONFIG_FIELDS.get(key, key)) for key in _CONFIG_PARSERS}
-        return {"version": 1, **{k: list(v) if isinstance(v, tuple) else v for k, v in doc.items()}}
-
-    @classmethod
-    def from_json_dict(cls, doc) -> "ExperimentConfig":
-        """Parse a config document; a bad key or value raises a ValueError naming the key."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"config must be a JSON object, got {type(doc).__name__}")
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported config version {doc.get('version')!r}")
-        for key in doc:
-            if key not in _CONFIG_PARSERS and key != "version":
-                raise ValueError(f"unknown config key {key!r}")
-        for key in ("dataset", "seeds"):
-            if key not in doc:
-                raise ValueError(f"config lacks required key {key!r}")
-        kwargs = {}
-        for key, parse in _CONFIG_PARSERS.items():
-            if key in doc:
-                try:
-                    value = parse(doc[key])
-                except (TypeError, ValueError) as e:
-                    raise ValueError(f"config key {key!r}: {e}") from None
-                kwargs[_CONFIG_FIELDS.get(key, key)] = value
-        kwargs.setdefault("n_splits", len(kwargs["seeds"]))
-        return cls(**kwargs)
-
     @classmethod
     def load(cls, path) -> "ExperimentConfig":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.JSON.decode(json.loads(Path(path).read_text()))
+
+    # a file without n_splits has one split per seed
+    JSON = Record("config", (
+        ("dataset", "dataset_path", STR), ("format", "fmt", STR), ("center", "center", BOOL),
+        ("zscore", "zscore", BOOL), ("pca_dim", "pca_dim", nullable(INT)),
+        ("methods", "methods", _NAMES), ("n_splits", "n_splits", INT),
+        ("train_fraction", "train_fraction", NUMBER), ("seeds", "seeds", list_of(INT)),
+        ("lambda_grid", "lambda_grid", list_of(NUMBER)), ("k_grid", "k_grid", list_of(INT)),
+        ("cv_folds", "cv_folds", INT), ("k_targets", "k_targets", INT),
+        ("solver", "solver", STR), ("hubness_k", "hubness_k", INT),
+        ("out_dir", "out_dir", nullable(STR))),
+        lambda **kw: ExperimentConfig(**{"n_splits": len(kw["seeds"]), **kw}),
+        version=1, required=("dataset", "seeds"), word="key")
 
 
 @dataclass(frozen=True)
@@ -149,11 +115,11 @@ class MethodSplitResult:
     k: int
     solver_gap: float | None = None
 
-    def to_json_dict(self) -> dict:
-        return {"method": self.method, "split_seed": self.split_seed,
-                "accuracy": self.accuracy, "n10_skewness": self.n10_skewness,
-                "training_seconds": self.training_seconds, "lambda": self.lam,
-                "k": self.k, "solver_gap": self.solver_gap}
+    JSON = Record("row", (
+        ("method", "method", STR), ("split_seed", "split_seed", INT),
+        ("accuracy", "accuracy", NUMBER), ("n10_skewness", "n10_skewness", NUMBER),
+        ("training_seconds", "training_seconds", NUMBER), ("lambda", "lam", NUMBER),
+        ("k", "k", INT), ("solver_gap", "solver_gap", nullable(NUMBER))))
 
 
 @dataclass(frozen=True)
@@ -165,11 +131,11 @@ class MethodAggregate:
     sd_skewness: float
     mean_training_seconds: float
 
-    def to_json_dict(self) -> dict:
-        return {"method": self.method, "mean_accuracy": self.mean_accuracy,
-                "sd_accuracy": self.sd_accuracy, "mean_skewness": self.mean_skewness,
-                "sd_skewness": self.sd_skewness,
-                "mean_training_seconds": self.mean_training_seconds}
+    JSON = Record("aggregate", (
+        ("method", "method", STR), ("mean_accuracy", "mean_accuracy", NUMBER),
+        ("sd_accuracy", "sd_accuracy", NUMBER), ("mean_skewness", "mean_skewness", NUMBER),
+        ("sd_skewness", "sd_skewness", NUMBER),
+        ("mean_training_seconds", "mean_training_seconds", NUMBER)))
 
 
 TIMING_FIELDS = ("training_seconds", "mean_training_seconds")
@@ -183,13 +149,13 @@ class ExperimentReport:
     rows: tuple[MethodSplitResult, ...]
     aggregates: tuple[MethodAggregate, ...]
 
-    def to_json_dict(self) -> dict:
-        return {"version": 1, "config": self.config.to_json_dict(),
-                "rows": [r.to_json_dict() for r in self.rows],
-                "aggregates": [a.to_json_dict() for a in self.aggregates]}
+    JSON = Record("report", (
+        ("config", "config", ExperimentConfig.JSON),
+        ("rows", "rows", list_of(MethodSplitResult.JSON)),
+        ("aggregates", "aggregates", list_of(MethodAggregate.JSON))), version=1)
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+    def to_json_dict(self) -> dict:
+        return self.JSON.encode(self)
 
     def render_table(self) -> str:
         header = (f"{'method':<14} {'seed':>6} {'accuracy':>9} "
@@ -213,7 +179,7 @@ class ExperimentReport:
         out.mkdir(parents=True, exist_ok=True)
         json_path = out / "report.json"
         text_path = out / "report.txt"
-        json_path.write_text(self.to_json())
+        json_path.write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))
         text_path.write_text(self.render_table())
         return json_path, text_path
 
@@ -272,23 +238,6 @@ def training_record(dataset: Dataset) -> dict:
     return {"n": dataset.n, "d_in": dataset.d, "sha256": digest.hexdigest()}
 
 
-# parser per model-file field; the two records check their own fields
-_MODEL_PARSERS = {"preprocessor": _json(dict), "transform": _json(dict),
-                  "label_names": _json(list, item=str), "training": _json(dict)}
-_TRAINING_PARSERS = {"n": _json(int), "d_in": _json(int), "sha256": _json(str)}
-
-
-def _fields(where: str, parsers: dict, doc: dict) -> dict:
-    """``doc``'s value for each key of ``parsers``, parsed; a mistyped one raises naming it."""
-    out = {}
-    for key, parse in parsers.items():
-        try:
-            out[key] = parse(doc[key])
-        except TypeError as e:
-            raise ValueError(f"{where} field {key!r}: {e}") from None
-    return out
-
-
 @dataclass(frozen=True)
 class ModelArtifact:
     """Everything ``predict`` needs from ``fit``: preprocessing, transform, labels.
@@ -305,32 +254,12 @@ class ModelArtifact:
     training: dict
 
     def __post_init__(self):
-        if self.transform.d != self.preprocessor.d_out:
+        d_out = self.preprocessor.d_out
+        if self.transform.d != d_out:
             raise ValueError(
-                f"transform is {self.transform.d}-dimensional, preprocessing "
-                f"outputs {self.preprocessor.d_out} dimensions")
-
-    def to_json_dict(self) -> dict:
-        return {"version": 4, "label_names": list(self.label_names),
-                "preprocessor": self.preprocessor.to_json_dict(),
-                "transform": self.transform.to_json_dict(), "training": dict(self.training)}
-
-    @classmethod
-    def from_json_dict(cls, doc) -> "ModelArtifact":
-        """Parse a model document; a missing or mistyped field raises a ValueError naming it."""
-        if not isinstance(doc, dict):
-            raise ValueError(f"model file must be a JSON object, got {type(doc).__name__}")
-        if doc.get("version") != 4:
-            raise ValueError(f"model file version {doc.get('version')!r} is not 4, the first "
-                             "that records its training set; refit it with `hubridge fit`")
-        try:
-            fields = _fields("model file", _MODEL_PARSERS, doc)
-            return cls(Preprocessor.from_json_dict(fields["preprocessor"]),
-                       TransformModel.from_json_dict(fields["transform"]),
-                       fields["label_names"],
-                       _fields("training", _TRAINING_PARSERS, fields["training"]))
-        except KeyError as e:
-            raise ValueError(f"model file lacks field {e.args[0]!r}") from None
+                f"transform is {self.transform.d}-dimensional, preprocessing outputs "
+                f"{d_out} dimensions (the columns of components, else d_in), so W must be "
+                f"{d_out} x {d_out}")
 
     def check_training(self, dataset: Dataset) -> None:
         """Raise a ValueError naming the first ``training`` field that ``dataset`` does not match."""
@@ -342,11 +271,20 @@ class ModelArtifact:
                                  "was fitted on")
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict()))
+        Path(path).write_text(json.dumps(self.JSON.encode(self)))
 
     @classmethod
     def load(cls, path) -> "ModelArtifact":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return cls.JSON.decode(json.loads(Path(path).read_text()))
+
+    JSON = Record("model file", (
+        ("label_names", "label_names", _NAMES),
+        ("preprocessor", "preprocessor", Preprocessor.JSON),
+        ("transform", "transform", TransformModel.JSON),
+        ("training", "training", Record("training", (
+            ("n", "n", INT), ("d_in", "d_in", INT), ("sha256", "sha256", STR)), dict))),
+        version=4, version_error="model file version {version} is not 4, the first that "
+        "records its training set; refit it with `hubridge fit`")
 
 
 def _run_method(pre: Dataset, sp: Split, method: str, cv: CvResult,

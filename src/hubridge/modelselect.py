@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._arrays import as_int_vector, index_vector
+from ._codec import INT, NUMBER, Record, list_of
 from .datamodel import Dataset
 from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
 from .targets import select_targets
@@ -71,7 +72,7 @@ class CvConfig:
         for name in ("lambda_grid", "k_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        if any(l < 0 for l in self.lambda_grid):
+        if not all(lam >= 0 for lam in self.lambda_grid):  # NaN fails too
             raise ValueError(f"lambda_grid values must be non-negative, got {self.lambda_grid}")
         if any(k < 1 for k in self.k_grid):
             raise ValueError(f"k_grid values must be positive, got {self.k_grid}")
@@ -92,10 +93,9 @@ class CvCell:
     mean_accuracy: float
     std_accuracy: float
 
-    def to_json_dict(self) -> dict:
-        return {"lambda": self.lam, "k": self.k,
-                "mean_accuracy": self.mean_accuracy,
-                "std_accuracy": self.std_accuracy}
+    JSON = Record("cv cell", (
+        ("lambda", "lam", NUMBER), ("k", "k", INT), ("mean_accuracy", "mean_accuracy", NUMBER),
+        ("std_accuracy", "std_accuracy", NUMBER)))
 
 
 @dataclass(frozen=True)
@@ -107,10 +107,10 @@ class CvResult:
     table: tuple[CvCell, ...]
     folds: tuple[tuple[int, ...], ...]
 
-    def to_json_dict(self) -> dict:
-        return {"version": 1, "best_lambda": self.best_lambda, "best_k": self.best_k,
-                "table": [c.to_json_dict() for c in self.table],
-                "folds": [list(f) for f in self.folds]}
+    JSON = Record("cv result", (
+        ("best_lambda", "best_lambda", NUMBER), ("best_k", "best_k", INT),
+        ("table", "table", list_of(CvCell.JSON)), ("folds", "folds", list_of(list_of(INT)))),
+        version=1)
 
 
 def make_folds(indices, labels, n_folds: int, seed: int) -> list[np.ndarray]:

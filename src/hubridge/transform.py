@@ -35,6 +35,9 @@ about a third of the objects are targets at d = 300.
   the same regression with owner and target exchanged: the ``exact`` body
   on J^T, whose B is the transpose of J's, weighted by the column sums of
   J^T (the row sums of J, all 1 with one target per object).
+
+A ``TransformModel`` goes to and from JSON through its ``JSON`` record, in
+the one codec (``_codec``).
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from ._arrays import as_matrix, frozen
+from ._codec import NUMBER, STR, WRITTEN, Record, array
 
 MOVE_LABELED = "move-labeled"
 MOVE_QUERY = "move-query"
@@ -76,8 +80,7 @@ class TransformModel:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
+        _check_lambdas((self.lam,))
         if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
             raise ValueError("W must be square")
         if not np.isfinite(self.w).all():
@@ -88,23 +91,16 @@ class TransformModel:
     def d(self) -> int:
         return self.w.shape[0]
 
-    def to_json_dict(self) -> dict:
-        return {"version": 1, "direction": self.direction, "lambda": self.lam,
-                "solver": self.solver, "d": self.d, "W": self.w.tolist()}
-
-    @classmethod
-    def from_json_dict(cls, doc: dict) -> "TransformModel":
-        if doc.get("version") != 1:
-            raise ValueError(f"unsupported TransformModel version {doc.get('version')!r}")
-        lam = doc["lambda"]
-        if type(lam) not in (int, float):
-            raise ValueError(f"transform field 'lambda': expected a number, got {lam!r}")
-        return cls(as_matrix(doc["W"], "W"), doc["direction"], float(lam), doc["solver"])
+    JSON = Record("transform", (
+        ("direction", "direction", STR), ("lambda", "lam", NUMBER), ("solver", "solver", STR),
+        ("d", "d", WRITTEN), ("W", "w", array(2))),
+        version=1, version_error="unsupported TransformModel version {version}")
 
 
 def _check_lambdas(lambdas) -> None:
-    if any(lam < 0 for lam in lambdas):
-        raise ValueError("lambda must be non-negative")
+    for lam in lambdas:
+        if not lam >= 0:  # NaN fails too
+            raise ValueError(f"lambda must be non-negative, got {lam!r}")
 
 
 def _indicator(n: int, j) -> sp.csr_matrix:

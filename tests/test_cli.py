@@ -234,6 +234,38 @@ class TestErrors:
         assert exc.value.code != 0
         assert "usage" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["fit", "--lambda", "nan", "--out", "m.json"], "--lambda"),
+        (["fit", "--lambda", "-1", "--out", "m.json"], "--lambda"),
+        (["hubness", "--lambda", "nan"], "--lambda"),
+        (["hubness", "--k", "0"], "--k"),
+    ], ids=["fit-nan-lambda", "fit-negative-lambda", "hubness-nan-lambda", "hubness-k-0"])
+    def test_lower_bound_checked_before_loading(self, monkeypatch, capsys, argv, flag):
+        # NaN passed `lam < 0`; fit --lambda -1 and hubness --k 0 failed only after
+        # loading, without naming the flag
+        import hubridge.cli
+
+        def refuse(*args):
+            raise AssertionError(f"dataset loaded before {flag} was checked")
+
+        monkeypatch.setattr(hubridge.cli, "load_dataset", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--dataset", str(bundled_dataset_path("iris")), *argv[1:]])
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+    def test_nan_lambda_grid_checked_before_loading(self, monkeypatch, capsys):
+        import hubridge.cli
+
+        def refuse(*args):
+            raise AssertionError("dataset loaded before --lambda-grid was checked")
+
+        monkeypatch.setattr(hubridge.cli, "load_dataset", refuse)
+        rc = main(["cv", "--dataset", str(bundled_dataset_path("iris")),
+                   "--lambda-grid", "0.1,nan"])
+        assert rc == 1
+        assert "lambda_grid values must be non-negative" in capsys.readouterr().err
+
     def test_zero_k_targets_exits_1(self, train_and_queries, tmp_path, capsys):
         # zero targets per object would fit and save W = 0
         model_p = tmp_path / "m.json"
@@ -331,6 +363,22 @@ class TestHubnessCommand:
         captured = capsys.readouterr()
         assert re.search(message, captured.err)
         assert captured.out == ""
+
+    def test_k_above_training_size_checked_before_fitting(self, monkeypatch, capsys):
+        # used to fail inside the first k-NN lookup, after preprocessing and a fit
+        import hubridge.cli
+        import hubridge.experiment
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("preprocessed or fitted before --k was checked")
+
+        monkeypatch.setattr(hubridge.cli, "preprocess", refuse)
+        monkeypatch.setattr(hubridge.experiment, "fit_timed", refuse)
+        rc = main(["hubness", "--dataset", str(bundled_dataset_path("iris")), "--k", "200",
+                   "--methods", "move-labeled"])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: --k must be at most the 105 training rows, "
+                                           "got 200\n")
 
 
 class TestCvCommand:

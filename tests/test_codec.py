@@ -1,0 +1,195 @@
+"""The one JSON codec: every field of a model file and a config, fuzzed; every document's
+record against its class; encode -> decode -> encode on the documents that are read."""
+
+import contextlib
+import copy
+import dataclasses
+import io
+import json
+import math
+import re
+
+import numpy as np
+import pytest
+
+from hubridge.cli import main
+from hubridge.datamodel import Preprocessor, bundled_dataset_path, dataset_from_arrays
+from hubridge.experiment import (ExperimentConfig, ExperimentReport, MethodAggregate,
+                                 MethodSplitResult, ModelArtifact, run_experiment)
+from hubridge.modelselect import CvCell, CvResult
+from hubridge.transform import TransformModel
+
+MISSING = object()
+VALUES = {"missing": MISSING, "null": None, "bool": True, "int": 1, "float": 1.5,
+          "huge": 10**400, "nan": math.nan, "str": "x", "list": [1], "nested": [[1]],
+          "object": {}}
+IRIS = str(bundled_dataset_path("iris"))
+
+# the values each field takes; the rest raise a ValueError naming the field. These
+# are the values the codec's predecessor accepted, less a NaN lambda, which loaded
+# and predicted before.
+MODEL_ACCEPTS = {"label_names": {"list", "nested"}, "preprocessor.center_mean": {"null"},
+                 "transform.version": {"bool", "int"}, "transform.lambda": {"int", "float"},
+                 "transform.d": set(VALUES), "training.n": {"int", "huge"},
+                 "training.d_in": {"int", "huge"}, "training.sha256": {"str"}}
+CONFIG = {"version": 1, "dataset": IRIS, "format": "dense-csv", "center": True,
+          "zscore": False, "pca_dim": None, "methods": ["euclidean"], "n_splits": 2,
+          "train_fraction": 0.7, "seeds": [1, 2], "lambda_grid": [0.1], "k_grid": [1, 3],
+          "cv_folds": 3, "k_targets": 1, "solver": "paper", "hubness_k": 10, "out_dir": None}
+CONFIG_ACCEPTS = {"version": {"bool", "int"}, "dataset": {"str"}, "format": {"str"},
+                  "center": {"bool"}, "zscore": {"bool"}, "pca_dim": {"null", "int", "huge"},
+                  "lambda_grid": {"list"}, "k_grid": {"list"}, "cv_folds": {"huge"},
+                  "k_targets": {"int", "huge"}, "hubness_k": {"int", "huge"},
+                  "out_dir": {"null", "str"}}
+CONFIG_REQUIRED = {"version", "dataset", "seeds"}
+
+
+@pytest.fixture(scope="module")
+def model_doc(tmp_path_factory):
+    # z-scoring and PCA, so every preprocessor field holds an array
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["fit", "--dataset", IRIS, "--zscore", "--pca-dim", "3",
+                     "--out", str(path)]) == 0
+    return json.loads(path.read_text())
+
+
+def fields(doc, prefix=""):
+    for key, value in doc.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from fields(value, f"{prefix}{key}.")
+
+
+def mutated(doc, field, value):
+    out = copy.deepcopy(doc)
+    *path, key = field.split(".")
+    holder = out
+    for part in path:
+        holder = holder[part]
+    if value is MISSING:
+        del holder[key]
+    else:
+        holder[key] = value
+    return out
+
+
+def names(message: str, field: str) -> bool:
+    key = field.split(".")[-1]
+    return re.search(rf"(?<![\w-]){re.escape(key)}(?![\w-])", message) is not None
+
+
+def model_fields():
+    # the fixture's fields, known without running it
+    return ["version", "label_names", "preprocessor", *(
+        f"preprocessor.{k}" for k in ("d_in", "zscore_mean", "zscore_sd", "center_mean",
+                                      "components")),
+        "transform", *(f"transform.{k}" for k in ("version", "direction", "lambda", "solver",
+                                                  "d", "W")),
+        "training", "training.n", "training.d_in", "training.sha256"]
+
+
+def test_model_fields_listed(model_doc):
+    assert list(fields(model_doc)) == model_fields()
+
+
+@pytest.mark.parametrize("field", model_fields())
+def test_model_file_fuzz(model_doc, tmp_path, capsys, field):
+    # an object, 10**400 or a string in an array, and 10**400 as lambda, used to
+    # end predict in a TypeError, OverflowError or unnamed ValueError
+    path = tmp_path / "model.json"
+    for name, value in VALUES.items():
+        path.write_text(json.dumps(mutated(model_doc, field, value)))
+        accepted = name in MODEL_ACCEPTS.get(field, ())
+        if accepted:
+            ModelArtifact.load(path)
+        else:
+            with pytest.raises(ValueError) as info:
+                ModelArtifact.load(path)
+            assert names(str(info.value), field), (name, str(info.value))
+        rc = main(["predict", "--dataset", IRIS, "--queries", IRIS, "--model", str(path)])
+        err = capsys.readouterr().err
+        if not accepted:
+            assert rc == 1 and err.startswith("error: ") and names(err, field), (name, err)
+        assert rc in (0, 1) and "Traceback" not in err, (name, err)
+
+
+@pytest.mark.parametrize("field", list(CONFIG))
+def test_config_fuzz(tmp_path, capsys, field):
+    path = tmp_path / "config.json"
+    for name, value in VALUES.items():
+        path.write_text(json.dumps(mutated(CONFIG, field, value)))
+        if name in CONFIG_ACCEPTS.get(field, ()) or (name == "missing"
+                                                       and field not in CONFIG_REQUIRED):
+            ExperimentConfig.load(path)
+            continue
+        with pytest.raises(ValueError) as info:
+            ExperimentConfig.load(path)
+        assert names(str(info.value), field), (name, str(info.value))
+        assert main(["bench", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names(err, field), (name, err)
+
+
+# ---------------------------------------------------------------------------
+# Every record against its class
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def documents():
+    """One instance of each class written as JSON, by class name."""
+    rng = np.random.default_rng(0)
+    ds = dataset_from_arrays(rng.normal(size=(30, 4)), np.arange(30) % 3)
+    config = ExperimentConfig("unused.csv", n_splits=1, seeds=(1,), lambda_grid=(0.1,),
+                              k_grid=(1,), cv_folds=3, zscore=True, pca_dim=2)
+    report = run_experiment(config, ds)
+    prep = Preprocessor.fit(ds.features, zscore=True, pca_dim=2)
+    art = ModelArtifact(prep, TransformModel(np.eye(2), "move-labeled", 0.1, "paper"),
+                        ("a", "b", "c"), {"n": 30, "d_in": 4, "sha256": "0" * 64})
+    cv = CvResult(0.1, 1, (CvCell(0.1, 1, 0.9, 0.05),), ((0, 1), (2, 3)))
+    objs = [config, report.rows[0], report.aggregates[0], report, cv.table[0], cv,
+            art.transform, prep, art]
+    return {type(obj).__name__: obj for obj in objs}
+
+
+@pytest.mark.parametrize("name", [cls.__name__ for cls in (
+    ExperimentConfig, MethodSplitResult, MethodAggregate, ExperimentReport, CvCell, CvResult,
+    TransformModel, Preprocessor, ModelArtifact)])
+def test_record_matches_class(documents, name):
+    # a dataclass field added without an entry, or an entry left behind, fails here
+    obj = documents[name]
+    record = type(obj).JSON
+    read = {attr for _, attr, parser in record.entries if parser.parse is not None}
+    assert read == {f.name for f in dataclasses.fields(obj)}
+    head = set() if record.version is None else {"version"}
+    assert set(record.encode(obj)) == head | {key for key, _, _ in record.entries}
+
+
+@pytest.mark.parametrize("name", ["ExperimentConfig", "ModelArtifact", "TransformModel",
+                                  "Preprocessor"])
+def test_read_documents_round_trip(documents, name):
+    record = type(documents[name]).JSON
+    text = json.dumps(record.encode(documents[name]))
+    assert json.dumps(record.encode(record.decode(json.loads(text)))) == text
+
+
+def test_nested_missing_field_names_its_record(model_doc):
+    doc = mutated(model_doc, "transform.W", MISSING)
+    with pytest.raises(ValueError, match=r"^model file lacks field 'W' in 'transform'$"):
+        ModelArtifact.JSON.decode(doc)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"lambda": 10**400}, "transform field 'lambda': expected a finite number, got 1000"),
+    ({"lambda": math.inf}, "transform field 'lambda': expected a finite number, got inf"),
+    ({"W": [[1.0, "x"], [0.0, 1.0]]}, "transform field 'W': expected a 2-dimensional array"),
+    ({"W": [[1.0], [0.0, 1.0]]}, "transform field 'W': expected a 2-dimensional array"),
+    ({"W": [[1.0, math.nan], [0.0, 1.0]]}, "transform field 'W': expected a 2-dimensional "
+                                            "array of finite numbers"),
+], ids=["huge-lambda", "inf-lambda", "string-entry", "ragged", "nan-entry"])
+def test_transform_values_named(doc, message):
+    good = {"version": 1, "direction": "move-labeled", "lambda": 0.1, "solver": "paper",
+            "W": [[1.0, 0.0], [0.0, 1.0]]}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TransformModel.JSON.decode({**good, **doc})
+    assert TransformModel.JSON.decode(good).lam == 0.1

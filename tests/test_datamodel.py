@@ -449,8 +449,8 @@ class TestPca:
 
     def test_json_round_trip(self, rng):
         prep = fit_pca(rng.normal(size=(10, 4)), 2)
-        doc = json.loads(json.dumps(prep.to_json_dict()))
-        loaded = Preprocessor.from_json_dict(doc)
+        doc = json.loads(json.dumps(Preprocessor.JSON.encode(prep)))
+        loaded = Preprocessor.JSON.decode(doc)
         np.testing.assert_array_equal(loaded.components, prep.components)
         np.testing.assert_array_equal(loaded.center_mean, prep.center_mean)
         assert set(doc) == {"d_in", "zscore_mean", "zscore_sd", "center_mean", "components"}

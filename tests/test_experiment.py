@@ -146,23 +146,23 @@ class TestModelArtifact:
 
     def test_version_2_rejected(self, rng):
         # version 2 kept PCA as a nested document with a second mean
-        doc = self.fitted(rng).to_json_dict()
+        doc = ModelArtifact.JSON.encode(self.fitted(rng))
         doc["version"] = 2
         pre = doc["preprocessor"]
         pre["pca"] = {"version": 1, "mean": [0.0] * 6, "components": pre.pop("components"),
                       "r": 3}
         with pytest.raises(ValueError, match="model file version 2 is not 4.*refit it with "
                                              "`hubridge fit`"):
-            ModelArtifact.from_json_dict(doc)
+            ModelArtifact.JSON.decode(doc)
 
     def test_version_3_rejected(self, rng):
         # version 3 did not record the training set, so predict could not check it
-        doc = self.fitted(rng).to_json_dict()
+        doc = ModelArtifact.JSON.encode(self.fitted(rng))
         doc["version"] = 3
         del doc["training"]
         with pytest.raises(ValueError, match="model file version 3 is not 4, the first that "
                                              "records its training set; refit"):
-            ModelArtifact.from_json_dict(doc)
+            ModelArtifact.JSON.decode(doc)
 
     def test_training_mismatch_names_the_field(self, rng):
         x = rng.normal(size=(12, 3))
@@ -184,10 +184,10 @@ class TestModelArtifact:
                           art.label_names, art.training)
 
     def test_missing_field_named(self, rng):
-        doc = self.fitted(rng).to_json_dict()
+        doc = ModelArtifact.JSON.encode(self.fitted(rng))
         del doc["preprocessor"]["center_mean"]
         with pytest.raises(ValueError, match="lacks field 'center_mean'"):
-            ModelArtifact.from_json_dict(doc)
+            ModelArtifact.JSON.decode(doc)
 
     @pytest.mark.parametrize("edit, message", [
         (lambda doc: [], "model file must be a JSON object, got list"),
@@ -219,7 +219,7 @@ class TestModelArtifact:
         # TypeError; d_in 2.7 loaded as 2, lambda "0.3" as 0.3 and a zero zscore_sd
         # divided by zero at apply
         with pytest.raises(ValueError, match=re.escape(message)):
-            ModelArtifact.from_json_dict(edit(self.fitted(rng).to_json_dict()))
+            ModelArtifact.JSON.decode(edit(ModelArtifact.JSON.encode(self.fitted(rng))))
 
 
 class TestRunExperiment:
@@ -318,7 +318,7 @@ class TestRunExperiment:
     def test_config_json_round_trip(self, mixture_csv, tmp_path):
         cfg = small_config(mixture_csv, zscore=True, pca_dim=5)
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(cfg.to_json_dict()))
+        path.write_text(json.dumps(ExperimentConfig.JSON.encode(cfg)))
         loaded = ExperimentConfig.load(path)
         assert loaded == cfg
 
@@ -362,32 +362,32 @@ class TestConfigFile:
     def test_unknown_key(self, doc):
         doc["lamda_grid"] = [1.0]
         with pytest.raises(ValueError, match="unknown config key 'lamda_grid'"):
-            ExperimentConfig.from_json_dict(doc)
+            ExperimentConfig.JSON.decode(doc)
 
     @pytest.mark.parametrize("key", ["center", "zscore"])
     @pytest.mark.parametrize("value", ["false", 0, None])
     def test_flags_must_be_booleans(self, doc, key, value):
         doc[key] = value
         with pytest.raises(ValueError, match=f"config key '{key}': expected bool"):
-            ExperimentConfig.from_json_dict(doc)
+            ExperimentConfig.JSON.decode(doc)
 
     @pytest.mark.parametrize("key", ["dataset", "seeds"])
     def test_missing_required_key(self, doc, key):
         del doc[key]
         with pytest.raises(ValueError, match=f"lacks required key '{key}'"):
-            ExperimentConfig.from_json_dict(doc)
+            ExperimentConfig.JSON.decode(doc)
 
     @pytest.mark.parametrize("doc", [[1, 2], "config", None])
     def test_document_not_an_object(self, doc):
         with pytest.raises(ValueError, match="must be a JSON object"):
-            ExperimentConfig.from_json_dict(doc)
+            ExperimentConfig.JSON.decode(doc)
 
     @pytest.mark.parametrize("key", ["lambda_grid", "k_grid", "seeds", "methods"])
     @pytest.mark.parametrize("value", [5, "0.1"])
     def test_non_list_grid(self, doc, key, value):
         doc[key] = value
         with pytest.raises(ValueError, match=f"config key '{key}': expected list"):
-            ExperimentConfig.from_json_dict(doc)
+            ExperimentConfig.JSON.decode(doc)
 
     @pytest.mark.parametrize("key, value", [("dataset", None), ("format", 1),
                                             ("pca_dim", "3"), ("solver", ["exact"]),
@@ -399,19 +399,19 @@ class TestConfigFile:
     def test_wrongly_typed_value(self, doc, key, value):
         doc[key] = value
         with pytest.raises(ValueError, match=f"config key '{key}': expected"):
-            ExperimentConfig.from_json_dict(doc)
+            ExperimentConfig.JSON.decode(doc)
 
     @pytest.mark.parametrize("key", ["lambda_grid", "k_grid"])
     def test_empty_grid_rejected_at_load(self, doc, key):
         doc[key] = []
         with pytest.raises(ValueError, match=f"{key} must be non-empty"):
-            ExperimentConfig.from_json_dict(doc)
+            ExperimentConfig.JSON.decode(doc)
 
     @pytest.mark.parametrize("value", [1, 0])
     def test_cv_folds_below_two_named(self, doc, value):
         doc["cv_folds"] = value
         with pytest.raises(ValueError, match="cv_folds must be >= 2"):
-            ExperimentConfig.from_json_dict(doc)
+            ExperimentConfig.JSON.decode(doc)
 
     @pytest.mark.parametrize("key, value, message", [
         ("hubness_k", 0, "hubness_k must be >= 1"),
@@ -423,14 +423,14 @@ class TestConfigFile:
         # hubness_k = 0 used to fail only after the whole cross-validation
         doc[key] = value
         with pytest.raises(ValueError, match=message):
-            ExperimentConfig.from_json_dict(doc)
+            ExperimentConfig.JSON.decode(doc)
 
     @pytest.mark.parametrize("value", [0, -1])
     def test_pca_dim_below_one_named(self, doc, value):
         # used to load, then fail at the first split without naming the key
         doc["pca_dim"] = value
         with pytest.raises(ValueError, match=f"pca_dim must be >= 1, got {value}"):
-            ExperimentConfig.from_json_dict(doc)
+            ExperimentConfig.JSON.decode(doc)
 
     @pytest.mark.parametrize("value", [2.5, 3.0, True], ids=["2.5", "3.0", "True"])
     def test_non_integer_pca_dim_named(self, value):
@@ -440,24 +440,24 @@ class TestConfigFile:
 
     def test_numpy_integer_pca_dim_accepted(self):
         cfg = ExperimentConfig("x.csv", pca_dim=np.int64(3), seeds=(1, 2, 3, 4))
-        assert json.loads(json.dumps(cfg.to_json_dict()))["pca_dim"] == 3
+        assert json.loads(json.dumps(ExperimentConfig.JSON.encode(cfg)))["pca_dim"] == 3
 
-    @pytest.mark.parametrize("grid", [[], [-1.0]])
+    @pytest.mark.parametrize("grid", [[], [-1.0], [float("nan")]])
     def test_lambda_grid_checked_for_euclidean_alone(self, doc, grid):
         doc["methods"] = ["euclidean"]
         doc["lambda_grid"] = grid
         with pytest.raises(ValueError, match="lambda_grid"):
-            ExperimentConfig.from_json_dict(doc)
+            ExperimentConfig.JSON.decode(doc)
 
     def test_repeated_method_named(self, doc):
         # each copy's aggregate row would average the rows of both
         doc["methods"] = ["euclidean", "euclidean"]
         with pytest.raises(ValueError, match=r"methods\[1\] = 'euclidean' repeats"):
-            ExperimentConfig.from_json_dict(doc)
+            ExperimentConfig.JSON.decode(doc)
 
     def test_n_splits_follows_seeds(self, doc):
         del doc["n_splits"]
-        cfg = ExperimentConfig.from_json_dict(doc)
+        cfg = ExperimentConfig.JSON.decode(doc)
         assert cfg.n_splits == 2 and cfg.seeds == (1, 2)
 
 

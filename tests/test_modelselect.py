@@ -5,7 +5,8 @@ import pytest
 
 from hubridge.datamodel import dataset_from_arrays
 from hubridge.knn import knn_from_transform, majority_vote, neighbor_index_matrix
-from hubridge.modelselect import METHODS, CvConfig, FoldError, grid_search, make_folds
+from hubridge.modelselect import (METHODS, CvConfig, CvResult, FoldError, grid_search,
+                                  make_folds)
 from hubridge.targets import select_targets
 from hubridge.transform import fit_move_query
 
@@ -147,6 +148,12 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="non-empty"):
             CvConfig(lambda_grid=(), k_grid=(1,), n_folds=2, seed=0)
 
+    @pytest.mark.parametrize("lam", [-1.0, np.nan])
+    def test_negative_lambda_rejected(self, lam):
+        # NaN used to pass, and every fit at it failed on a non-finite W
+        with pytest.raises(ValueError, match="lambda_grid values must be non-negative"):
+            CvConfig(lambda_grid=(0.1, lam), k_grid=(1,), n_folds=2, seed=0)
+
     def test_unknown_method_rejected(self):
         ds = self.separable_dataset(seed=9)
         cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=3, seed=0)
@@ -167,7 +174,7 @@ class TestGridSearch:
         ds = self.separable_dataset(seed=9)
         cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=3, seed=0)
         res = grid_search(ds, np.arange(ds.n), cfg, ["euclidean"]).result(0)
-        doc = res.to_json_dict()
+        doc = CvResult.JSON.encode(res)
         assert doc["version"] == 1
         assert {"lambda", "k", "mean_accuracy", "std_accuracy"} == set(doc["table"][0])
 

@@ -18,7 +18,8 @@ import numpy as np
 
 import hubridge  # noqa: F401  (loads every hubridge module the tracer scans)
 from hubridge.datamodel import dataset_from_arrays
-from hubridge.experiment import ExperimentConfig, fit_timed, run_experiment
+from hubridge.experiment import (TIMING_FIELDS, ExperimentConfig, fit_timed,
+                                 run_experiment)
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 WORKLOADS_PATH = SPANS_PATH.with_name("workloads.py")
@@ -125,3 +126,16 @@ def test_cv_cells_read_off_grid_search_results():
         run_experiment(config, ds)
     splits, folds, ks, lambdas = 2, 3, 2, 2
     assert tracer.layer_metrics()["modelselect.cv_cells"] == splits * folds * ks * (1 + 2 * lambdas)
+
+
+def test_report_json_keeps_the_fields_the_benchmark_reads():
+    # workloads.report_fields reads these off report.to_json_dict(), a call on a
+    # local variable that the scan of the workloads' source cannot see
+    rng = np.random.default_rng(0)
+    ds = dataset_from_arrays(rng.normal(size=(30, 4)), np.arange(30) % 3)
+    config = ExperimentConfig("unused.csv", n_splits=1, seeds=(1,), lambda_grid=(0.1,),
+                              k_grid=(1,), cv_folds=3)
+    doc = run_experiment(config, ds).to_json_dict()
+    for part in ("rows", "aggregates"):
+        assert doc[part] and all(isinstance(item, dict) for item in doc[part])
+    assert set(TIMING_FIELDS) <= set(doc["rows"][0]) | set(doc["aggregates"][0])

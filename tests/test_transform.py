@@ -204,6 +204,17 @@ class TestErrors:
         with pytest.raises(ValueError, match="non-negative"):
             fit_move_labeled(x, np.eye(5), -1.0)
 
+    def test_nan_lambda(self, rng):
+        # used to fit an all-NaN W, rejected only as "W contains non-finite entries"
+        x = rng.normal(size=(3, 5))
+        with pytest.raises(ValueError, match="lambda must be non-negative, got nan"):
+            fit_move_labeled(x, np.eye(5), np.nan)
+
+    def test_nan_lambda_model_rejected(self):
+        # a NaN lambda next to a finite W used to construct, so a model file loaded it
+        with pytest.raises(ValueError, match="lambda must be non-negative, got nan"):
+            TransformModel(np.eye(2), MOVE_LABELED, np.nan, SOLVER_PAPER)
+
     def test_non_indicator_entries(self, rng):
         x = rng.normal(size=(3, 4))
         with pytest.raises(ValueError, match="0 or 1"):
@@ -456,8 +467,8 @@ class TestSerialization:
         x, j = random_problem(rng, d=3, n=8)
         tm = fit_move_labeled(x, j, 0.25, SOLVER_PAPER)
         import json
-        doc = json.loads(json.dumps(tm.to_json_dict()))
-        loaded = TransformModel.from_json_dict(doc)
+        doc = json.loads(json.dumps(TransformModel.JSON.encode(tm)))
+        loaded = TransformModel.JSON.decode(doc)
         np.testing.assert_array_equal(loaded.w, tm.w)
         assert loaded.direction == MOVE_LABELED
         assert loaded.lam == 0.25 and loaded.solver == SOLVER_PAPER
