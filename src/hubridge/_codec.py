@@ -116,9 +116,10 @@ class Record:
         """The object of a nested entry's value (of a whole document, through ``decode``)."""
         if not isinstance(doc, dict):
             raise _expected("dict", doc)
-        if self.version is not None and doc.get("version") != self.version:
+        version = doc.get("version")  # an int, as INT parses it: neither true nor 4.0
+        if self.version is not None and (type(version) is not int or version != self.version):
             raise ValueError(self.version_error.format(
-                name=self.name, version=reprlib.repr(doc.get("version"))))
+                name=self.name, version=reprlib.repr(version)))
         known = [key for key, _, _ in self.entries]
         for key in doc:
             if self.required is not None and key not in known and key != "version":

@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_preproc_args(p)
     p.add_argument("--method", default=MOVE_LABELED, choices=(MOVE_LABELED, MOVE_QUERY))
     p.add_argument("--lambda", dest="lam", type=_at_least(0, float), default=0.1)
-    p.add_argument("--k-targets", type=int, default=1)
+    p.add_argument("--k-targets", type=_at_least(1, int), default=1)
     p.add_argument("--solver", default=SOLVER_PAPER, choices=SOLVERS)
     p.add_argument("--out", required=True, help="path for the model JSON")
 
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     p.add_argument("--model", required=True, help="model JSON written by `fit`")
     p.add_argument("--queries", required=True, help="query feature file (same format)")
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=_at_least(1, int), default=1)
     p.add_argument("--out", default=None, help="write predictions CSV here")
 
     p = sub.add_parser("hubness", help="N_k skewness per dissimilarity on one split")
@@ -98,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--methods", type=lambda s: tuple(s.split(",")),
                    default=METHODS, help="comma list among " + ",".join(METHODS))
     p.add_argument("--lambda", dest="lam", type=_at_least(0, float), default=0.1)
-    p.add_argument("--k-targets", type=int, default=1)
+    p.add_argument("--k-targets", type=_at_least(1, int), default=1)
     p.add_argument("--solver", default=SOLVER_PAPER, choices=SOLVERS)
     p.add_argument("--k", type=_at_least(1, int), default=10)
     p.add_argument("--train-fraction", type=float, default=0.7)
@@ -113,8 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-grid", type=_float_list,
                    default=experiment.DEFAULT_LAMBDA_GRID)
     p.add_argument("--k-grid", type=_int_list, default=experiment.DEFAULT_K_GRID)
-    p.add_argument("--folds", type=int, default=5)
-    p.add_argument("--k-targets", type=int, default=1)
+    p.add_argument("--folds", type=_at_least(2, int), default=5)
+    p.add_argument("--k-targets", type=_at_least(1, int), default=1)
     p.add_argument("--solver", default=SOLVER_PAPER, choices=SOLVERS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the CvResult JSON here")
@@ -123,14 +123,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=_int_list, default=(300,))
     p.add_argument("--s", type=_float_list, default=(1.0,))
     p.add_argument("--gamma", type=_float_list, default=(1.0,))
-    p.add_argument("--n", type=int, default=100_000)
+    p.add_argument("--n", type=_at_least(1, int), default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the JSON/CSV output here")
 
     p = sub.add_parser("bench", help="run the full experiment protocol")
     p.add_argument("--config", required=True, help="ExperimentConfig JSON file")
     p.add_argument("--out", default=None, help="override the output directory")
-    p.add_argument("--splits", type=int, default=None, help="override n_splits")
+    p.add_argument("--splits", type=_at_least(1, int), default=None, help="override n_splits")
     p.add_argument("--seed", type=int, default=None,
                    help="override seeds with seed, seed+1, ...")
     p.add_argument("--train-fraction", type=float, default=None)
@@ -163,13 +163,12 @@ def _cmd_fit(args) -> int:
 def _cmd_predict(args) -> int:
     art = ModelArtifact.load(args.model)
     train = load_dataset(args.dataset, args.format)
-    if train.label_names != art.label_names:
-        raise ValueError(
-            f"training file label names {list(train.label_names)} differ from the "
-            f"model's label_names {list(art.label_names)}")
+    art.preprocessor.check_dimension(train.d, "training features")
+    art.check_training(train)
+    if args.k > train.n:
+        raise ValueError(f"--k must be at most the {train.n} training rows, got {args.k}")
     queries = load_dataset(args.queries, args.format)
     x_train = art.preprocessor.apply(train.features, "training features")
-    art.check_training(train)
     x_queries = art.preprocessor.apply(queries.features, "query features")
 
     km = knn_from_transform(art.transform, x_train, train.labels, args.k)

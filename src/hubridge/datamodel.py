@@ -276,13 +276,9 @@ def load_dataset(path, fmt: str) -> Dataset:
     parse = _dense_csv_blocks if fmt == DENSE_CSV else _sparse_pairs_blocks
     features, tokens = parse(lines)
 
-    id_of: dict[str, int] = {}
-    labels = np.empty(len(tokens), dtype=np.int64)
-    for i, tok in enumerate(tokens):
-        if tok not in id_of:
-            id_of[tok] = len(id_of)
-        labels[i] = id_of[tok]
-    names = tuple(id_of)
+    names = tuple(dict.fromkeys(tokens))
+    id_of = {name: i for i, name in enumerate(names)}
+    labels = np.fromiter(map(id_of.__getitem__, tokens), np.int64, len(tokens))
     return Dataset(features, labels, len(names), path.stem, names)
 
 
@@ -345,6 +341,9 @@ class Preprocessor:
         if c is not None:
             if c.ndim != 2 or c.shape[0] != self.d_in or c.shape[1] < 1:
                 raise ValueError(f"components must be d_in x r with d_in = {self.d_in}, r >= 1")
+            if self.center_mean is None:
+                raise ValueError("components need a center_mean: the principal axes are "
+                                 "those of the centered training rows")
             frozen(c)
 
     @property
@@ -381,12 +380,14 @@ class Preprocessor:
             components *= np.where(components[anchor, np.arange(pca_dim)] < 0, -1.0, 1.0)
         return cls(d, zscore_mean, zscore_sd, center_mean, components)
 
+    def check_dimension(self, d: int, name: str) -> None:
+        if d != self.d_in:
+            raise ValueError(f"{name} have dimension {d}; the preprocessor's d_in is {self.d_in}")
+
     def apply(self, features, name: str = "features") -> np.ndarray:
         """The fitted steps applied to an (n, d_in) matrix, as a C-contiguous matrix."""
         x = as_matrix(features, name)
-        if x.shape[1] != self.d_in:
-            raise ValueError(
-                f"{name} have dimension {x.shape[1]}; the preprocessor's d_in is {self.d_in}")
+        self.check_dimension(x.shape[1], name)
         if self.zscore_mean is not None:
             x = (x - self.zscore_mean) / self.zscore_sd
         if self.center_mean is not None:
@@ -422,35 +423,21 @@ class Split:
 
 
 def _allocate_train_counts(class_sizes: np.ndarray, fraction: float, total: int) -> np.ndarray:
-    """Largest-remainder allocation of `total` train slots, at least 1 per class."""
+    """Largest-remainder allocation of `total` train slots, at least 1 per class.
+
+    Under ``split``'s checks each floor has room for one more slot and the floors
+    fall short of ``total`` by at most the class count, so one step tops them up.
+    Floors raised to 1 can overshoot; each trim pass then takes a slot from every
+    class above 1, smallest remainder first.
+    """
     ideal = fraction * class_sizes
-    counts = np.clip(np.floor(ideal).astype(np.int64), 1, class_sizes)
+    counts = np.maximum(np.floor(ideal).astype(np.int64), 1)
     remainder = ideal - np.floor(ideal)
-    while counts.sum() < total:
-        room = counts < class_sizes
-        order = np.lexsort((np.arange(len(counts)), -remainder))
-        grew = False
-        for c in order:
-            if room[c]:
-                counts[c] += 1
-                grew = True
-                if counts.sum() == total:
-                    break
-        if not grew:  # no capacity left; cannot happen when total <= n
-            raise ValueError("cannot allocate train slots")
-    while counts.sum() > total:
-        shrinkable = counts > 1
-        order = np.lexsort((np.arange(len(counts)), remainder))
-        shrank = False
-        for c in order:
-            if shrinkable[c]:
-                counts[c] -= 1
-                shrank = True
-                if counts.sum() == total:
-                    break
-        if not shrank:
-            raise ValueError(
-                "train size is smaller than the number of classes; cannot stratify")
+    index = np.arange(len(counts))
+    counts[np.lexsort((index, -remainder))[:max(total - counts.sum(), 0)]] += 1
+    order = np.lexsort((index, remainder))
+    while (excess := counts.sum() - total) > 0:
+        counts[order[counts[order] > 1][:excess]] -= 1
     return counts
 
 
@@ -481,7 +468,4 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> Split:
         perm = rng.permutation(members)
         train_parts.append(perm[: counts[c]])
     train = np.sort(np.concatenate(train_parts))
-    mask = np.ones(n, dtype=bool)
-    mask[train] = False
-    test = np.flatnonzero(mask)
-    return Split(train, test, int(seed))
+    return Split(train, np.setdiff1d(np.arange(n), train), int(seed))

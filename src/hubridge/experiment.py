@@ -9,6 +9,13 @@ reflects the solver, not the protocol around it.
 
 Configs, reports and model files go to and from JSON through their classes'
 ``JSON`` records, in the one codec (``_codec``).
+
+Reproducibility: a report's non-timing fields are byte-identical from run to
+run, and across BLAS thread counts with one exception. OpenBLAS sums in
+another order at another thread count, so the fitted W moves in its last
+bits, and ``solver_gap`` with it (within 1e-12 relative). Accuracy,
+skewness, lambda and k do not move. ``predict`` reads W from the model file,
+so it does not depend on the thread count of the host that fitted it.
 """
 
 from __future__ import annotations
@@ -262,7 +269,12 @@ class ModelArtifact:
                 f"{d_out} x {d_out}")
 
     def check_training(self, dataset: Dataset) -> None:
-        """Raise a ValueError naming the first ``training`` field that ``dataset`` does not match."""
+        """Raise a ValueError naming the label names, or else the first ``training``
+        field, that ``dataset`` does not match."""
+        if dataset.label_names != self.label_names:
+            raise ValueError(
+                f"training file label names {list(dataset.label_names)} differ from the "
+                f"model's label_names {list(self.label_names)}")
         got = training_record(dataset)
         for key, want in self.training.items():
             if got[key] != want:

@@ -170,21 +170,21 @@ class CvPass:
         return outcome
 
 
-def _score_fold(config: CvConfig, method: str, system: RidgeSystem | None, plain, x_fit,
-                y_fit, x_val, y_val, n_classes: int) -> np.ndarray:
+def _score_fold(config: CvConfig, method: str, system, plain, x_fit, y_fit, x_val, y_val,
+                n_classes: int) -> np.ndarray:
     """(lambda, k) validation accuracy of one method on one fold; Euclidean gives one row.
 
-    ``plain()`` returns the fold's Euclidean ``KnnModel`` of ``x_fit``. It
-    serves every lookup whose labeled side is unmapped: Euclidean's, and
-    move-query's at each lambda, whose W maps the queries alone (as
-    ``Dissimilarity(query_map=W).map_query`` does). Move-labeled maps the
-    labeled points, so it builds one model per lambda.
+    ``system()`` and ``plain()`` return the fold's ``RidgeSystem`` and its
+    Euclidean ``KnnModel`` of ``x_fit``. The latter serves every lookup whose
+    labeled side is unmapped: Euclidean's, and move-query's at each lambda,
+    whose W maps the queries alone (as ``Dissimilarity(query_map=W).map_query``
+    does). Move-labeled maps the labeled points: one model per lambda.
     """
+    ridge = None if method == EUCLIDEAN_METHOD else system()
     max_k = max(config.k_grid)
     if max_k > y_fit.size:
         raise ValueError(f"k={max_k} exceeds the fold training size {y_fit.size}")
-    path = ([None] if method == EUCLIDEAN_METHOD else
-            system.path(config.lambda_grid, method, config.solver))
+    path = [None] if ridge is None else ridge.path(config.lambda_grid, method, config.solver)
     rows = []
     for tm in path:
         if method == MOVE_LABELED:
@@ -234,15 +234,8 @@ def grid_search(dataset: Dataset, train_indices, config: CvConfig, methods) -> C
         # built on first use and shared; a build error is raised anew to each caller
         plain = functools.cache(functools.partial(knn_from_transform, None, x_fit, y_fit,
                                                   max(config.k_grid)))
-        fitted = [i for i, m in enumerate(methods)
-                  if m != EUCLIDEAN_METHOD and errors[i] is None]
-        system = None
-        if fitted:
-            try:
-                system = RidgeSystem(x_fit.T, select_targets(dataset, fit_idx, config.k_targets))
-            except Exception as e:  # every fitted method needs these targets
-                for i in fitted:
-                    errors[i] = e
+        system = functools.cache(lambda: RidgeSystem(
+            x_fit.T, select_targets(dataset, fit_idx, config.k_targets)))
         for i, method in enumerate(methods):
             if errors[i] is None:
                 try:

@@ -99,21 +99,26 @@ def simulate_delta(exp: CentralityExperiment) -> CentralityResult:
         if norm > 0.0:
             shift = (exp.query_shift / norm) * axis
 
-    total = 0.0
-    total_sq = 0.0
+    # deviations are summed from a pivot, the first chunk's mean: summed from 0,
+    # squares of a mean far above the spread cancel to noise in the variance
+    total = total_dev = total_dev_sq = 0.0
+    pivot = None
     remaining = exp.n_queries
     while remaining > 0:
         m = min(_DRAW_CHUNK, remaining)
         x = rng.normal(0.0, 1.0, size=(m, exp.d)) + shift
         diffs = ((x - z2) ** 2).sum(axis=1) - ((x - z1) ** 2).sum(axis=1)
         total += float(diffs.sum())
-        total_sq += float((diffs ** 2).sum())
+        pivot = float(diffs.mean()) if pivot is None else pivot
+        dev = diffs - pivot
+        total_dev += float(dev.sum())
+        total_dev_sq += float((dev ** 2).sum())
         remaining -= m
 
     n = exp.n_queries
     mean = total / n
     if n > 1:
-        var = max(0.0, (total_sq - n * mean * mean) / (n - 1))
+        var = max(0.0, (total_dev_sq - total_dev * total_dev / n) / (n - 1))
         std_error = math.sqrt(var / n)
     else:
         std_error = 0.0

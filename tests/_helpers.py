@@ -272,3 +272,39 @@ def parse_sparse_pairs(lines: list[tuple[int, str]]):
         for idx, v in row.items():
             features[i, idx - 1] = v
     return features, tokens
+
+
+# ---------------------------------------------------------------------------
+# Reference train-slot allocation: round-robin passes, one slot per class each
+# ---------------------------------------------------------------------------
+
+def reference_train_counts(class_sizes: np.ndarray, fraction: float, total: int) -> np.ndarray:
+    """Largest-remainder allocation of `total` train slots, at least 1 per class."""
+    ideal = fraction * class_sizes
+    counts = np.clip(np.floor(ideal).astype(np.int64), 1, class_sizes)
+    remainder = ideal - np.floor(ideal)
+    while counts.sum() < total:
+        room = counts < class_sizes
+        order = np.lexsort((np.arange(len(counts)), -remainder))
+        grew = False
+        for c in order:
+            if room[c]:
+                counts[c] += 1
+                grew = True
+                if counts.sum() == total:
+                    break
+        if not grew:
+            raise ValueError("cannot allocate train slots")
+    while counts.sum() > total:
+        shrinkable = counts > 1
+        order = np.lexsort((np.arange(len(counts)), remainder))
+        shrank = False
+        for c in order:
+            if shrinkable[c]:
+                counts[c] -= 1
+                shrank = True
+                if counts.sum() == total:
+                    break
+        if not shrank:
+            raise ValueError("train size is smaller than the number of classes; cannot stratify")
+    return counts

@@ -6,11 +6,16 @@ fixture; its wall-clock budget covers both.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hubridge
 from hubridge.cli import main as cli_main
 from hubridge.datamodel import bundled_dataset_path, dataset_from_arrays
 from hubridge.experiment import (ExperimentConfig, TIMING_FIELDS, fit_timed,
@@ -288,3 +293,35 @@ class TestCriterion10Reproducibility:
         ok = outputs[0] == outputs[1]
         _report(10, "bench reports byte-identical modulo timing", ok,
                 f"{len(outputs[0])} bytes compared")
+
+    def test_bench_across_blas_thread_counts(self, tmp_path):
+        # the contract in the experiment docstring: OpenBLAS sums in another order at
+        # another thread count, so the fitted W, and with it solver_gap, may move in
+        # its last bits; every other non-timing field may not move at all. d = 100 is
+        # large enough for OpenBLAS to split its products: with numpy's OpenBLAS on a
+        # 2-CPU x86-64 host, split 1's gap differs in its last two digits
+        x, y = hetero_gaussian_mixture(n=300, d=100, n_classes=3, seed=1011)
+        data_p = tmp_path / "mix.csv"
+        write_dense_csv(data_p, x, y)
+        cfg_p = tmp_path / "exp.json"
+        cfg_p.write_text(json.dumps({"version": 1, "dataset": str(data_p), "seeds": [1, 2],
+                                     "lambda_grid": [0.1, 1.0], "k_grid": [1, 3],
+                                     "cv_folds": 3}))
+        outputs, gaps = [], []
+        for threads in ("1", "2"):  # the most a 2-CPU host runs at once
+            env = dict(os.environ, PYTHONPATH=str(Path(hubridge.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            out_dir = tmp_path / threads
+            subprocess.run([sys.executable, "-m", "hubridge.cli", "bench", "--config",
+                            str(cfg_p), "--out", str(out_dir)], env=env, check=True,
+                           capture_output=True, timeout=300)
+            doc = json.loads((out_dir / "report.json").read_text())
+            doc["config"]["out_dir"] = None
+            gaps.append([row.pop("solver_gap") for row in doc["rows"]])
+            outputs.append(json.dumps(self._strip_timing(doc), sort_keys=True, indent=2))
+        assert outputs[0] == outputs[1]
+        assert [g is None for g in gaps[0]] == [g is None for g in gaps[1]]
+        ok = all(a is None or abs(a - b) <= 1e-12 * abs(a) for a, b in zip(*gaps))
+        _report(10, "bench reports identical at 1 and 2 BLAS threads, solver_gap to 1e-12",
+                ok, f"solver_gap {gaps[0]} against {gaps[1]}")

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from hubridge.cli import main
-from hubridge.datamodel import (bundled_dataset_path, dataset_from_arrays, load_dataset,
-                                split, subset)
+from hubridge.datamodel import (Preprocessor, bundled_dataset_path, dataset_from_arrays,
+                                load_dataset, split, subset)
 from hubridge.experiment import ModelArtifact, fit_timed, preprocess
 from hubridge.knn import classify_batch, knn_from_transform
 
@@ -196,6 +196,49 @@ class TestPredictRejects:
         err = self.predict(changed_p, query_p, model_p, capsys)
         assert "training file has sha256" in err and "training field 'sha256'" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda x, y: (x, y + 3), "label_names"),
+        (lambda x, y: (x[:, :5], y), "training features have dimension 5"),
+        (lambda x, y: (x[::2], y[::2]), "training file has n 45"),
+    ], ids=["label-names", "dimension", "rows"])
+    def test_training_checked_before_queries_and_preprocessing(
+            self, train_and_queries, model_p, tmp_path, monkeypatch, capsys, edit, message):
+        train_p, query_p = train_and_queries
+        train = load_dataset(train_p, "dense-csv")
+        other_p = tmp_path / "other.csv"
+        write_dense_csv(other_p, *edit(train.features, written_ids(train)))
+        self.load_training_only(monkeypatch, other_p)
+        assert message in self.predict(other_p, query_p, model_p, capsys)
+
+    def test_k_above_training_size_checked_before_queries(self, train_and_queries, model_p,
+                                                           monkeypatch, capsys):
+        # used to fail in the k-NN model, after both files loaded, as "k must be in
+        # [1, 90], got 91"
+        train_p, query_p = train_and_queries
+        self.load_training_only(monkeypatch, train_p)
+        rc = main(["predict", "--dataset", str(train_p), "--queries", str(query_p),
+                   "--model", str(model_p), "--k", "91"])
+        assert rc == 1
+        assert capsys.readouterr().err == ("error: --k must be at most the 90 training rows, "
+                                           "got 91\n")
+
+    @staticmethod
+    def load_training_only(monkeypatch, train_p):
+        """Make ``predict`` fail the test if it loads another file or preprocesses a row."""
+        import hubridge.cli
+
+        real = hubridge.cli.load_dataset
+
+        def training_only(path, fmt):
+            assert path == str(train_p), "query file loaded before the training file was checked"
+            return real(path, fmt)
+
+        def refuse(*args):
+            raise AssertionError("preprocessed before the training file was checked")
+
+        monkeypatch.setattr(hubridge.cli, "load_dataset", training_only)
+        monkeypatch.setattr(Preprocessor, "apply", refuse)
+
     def test_version_1_model(self, train_and_queries, model_p, tmp_path, capsys):
         train_p, query_p = train_and_queries
         v1_p = tmp_path / "v1.json"
@@ -237,20 +280,36 @@ class TestErrors:
     @pytest.mark.parametrize("argv, flag", [
         (["fit", "--lambda", "nan", "--out", "m.json"], "--lambda"),
         (["fit", "--lambda", "-1", "--out", "m.json"], "--lambda"),
+        (["fit", "--k-targets", "0", "--out", "m.json"], "--k-targets"),
         (["hubness", "--lambda", "nan"], "--lambda"),
         (["hubness", "--k", "0"], "--k"),
-    ], ids=["fit-nan-lambda", "fit-negative-lambda", "hubness-nan-lambda", "hubness-k-0"])
+        (["hubness", "--k-targets", "0"], "--k-targets"),
+        (["cv", "--k-targets", "0"], "--k-targets"),
+        (["cv", "--folds", "1"], "--folds"),
+        (["predict", "--model", "m.json", "--queries", "q.csv", "--k", "0"], "--k"),
+        (["centrality", "--n", "0"], "--n"),
+        (["bench", "--config", "c.json", "--splits", "0"], "--splits"),
+    ], ids=["fit-nan-lambda", "fit-negative-lambda", "fit-k-targets-0", "hubness-nan-lambda",
+            "hubness-k-0", "hubness-k-targets-0", "cv-k-targets-0", "cv-folds-1",
+            "predict-k-0", "centrality-n-0", "bench-splits-0"])
     def test_lower_bound_checked_before_loading(self, monkeypatch, capsys, argv, flag):
         # NaN passed `lam < 0`; fit --lambda -1 and hubness --k 0 failed only after
-        # loading, without naming the flag
+        # loading, as did fit/hubness --k-targets 0 and predict --k 0, and cv, centrality
+        # and bench failed in a constructor; none named the flag ("n_folds must be >= 2")
         import hubridge.cli
+        import hubridge.experiment
 
         def refuse(*args):
-            raise AssertionError(f"dataset loaded before {flag} was checked")
+            raise AssertionError(f"work began before {flag} was checked")
 
-        monkeypatch.setattr(hubridge.cli, "load_dataset", refuse)
+        for module, name in ((hubridge.cli, "load_dataset"),
+                             (hubridge.experiment, "load_dataset"),
+                             (hubridge.cli, "simulate_delta")):
+            monkeypatch.setattr(module, name, refuse)
+        dataset = [] if argv[0] in ("centrality", "bench") else [
+            "--dataset", str(bundled_dataset_path("iris"))]
         with pytest.raises(SystemExit) as exc:
-            main([argv[0], "--dataset", str(bundled_dataset_path("iris")), *argv[1:]])
+            main([argv[0], *dataset, *argv[1:]])
         assert exc.value.code == 2
         assert f"argument {flag}: must be >= " in capsys.readouterr().err
 
@@ -265,15 +324,6 @@ class TestErrors:
                    "--lambda-grid", "0.1,nan"])
         assert rc == 1
         assert "lambda_grid values must be non-negative" in capsys.readouterr().err
-
-    def test_zero_k_targets_exits_1(self, train_and_queries, tmp_path, capsys):
-        # zero targets per object would fit and save W = 0
-        model_p = tmp_path / "m.json"
-        rc = main(["fit", "--dataset", str(train_and_queries[0]), "--k-targets", "0",
-                   "--out", str(model_p)])
-        assert rc == 1
-        assert "k_targets" in capsys.readouterr().err
-        assert not model_p.exists()
 
     def test_domain_error_is_diagnosed(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"

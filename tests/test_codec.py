@@ -27,16 +27,17 @@ IRIS = str(bundled_dataset_path("iris"))
 
 # the values each field takes; the rest raise a ValueError naming the field. These
 # are the values the codec's predecessor accepted, less a NaN lambda, which loaded
-# and predicted before.
-MODEL_ACCEPTS = {"label_names": {"list", "nested"}, "preprocessor.center_mean": {"null"},
-                 "transform.version": {"bool", "int"}, "transform.lambda": {"int", "float"},
+# and predicted before, a null center_mean beside PCA components, which projected
+# uncentered rows, and a version of true (== 1).
+MODEL_ACCEPTS = {"label_names": {"list", "nested"}, "transform.version": {"int"},
+                 "transform.lambda": {"int", "float"},
                  "transform.d": set(VALUES), "training.n": {"int", "huge"},
                  "training.d_in": {"int", "huge"}, "training.sha256": {"str"}}
 CONFIG = {"version": 1, "dataset": IRIS, "format": "dense-csv", "center": True,
           "zscore": False, "pca_dim": None, "methods": ["euclidean"], "n_splits": 2,
           "train_fraction": 0.7, "seeds": [1, 2], "lambda_grid": [0.1], "k_grid": [1, 3],
           "cv_folds": 3, "k_targets": 1, "solver": "paper", "hubness_k": 10, "out_dir": None}
-CONFIG_ACCEPTS = {"version": {"bool", "int"}, "dataset": {"str"}, "format": {"str"},
+CONFIG_ACCEPTS = {"version": {"int"}, "dataset": {"str"}, "format": {"str"},
                   "center": {"bool"}, "zscore": {"bool"}, "pca_dim": {"null", "int", "huge"},
                   "lambda_grid": {"list"}, "k_grid": {"list"}, "cv_folds": {"huge"},
                   "k_targets": {"int", "huge"}, "hubness_k": {"int", "huge"},
@@ -193,3 +194,21 @@ def test_transform_values_named(doc, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         TransformModel.JSON.decode({**good, **doc})
     assert TransformModel.JSON.decode(good).lam == 0.1
+
+
+@pytest.mark.parametrize("name, version, message", [
+    ("ModelArtifact", 4.0, "model file version 4.0 is not 4"),
+    ("ModelArtifact", True, "model file version True is not 4"),
+    ("TransformModel", True, "unsupported TransformModel version True"),
+    ("TransformModel", 1.0, "unsupported TransformModel version 1.0"),
+    ("ExperimentConfig", True, "unsupported config version True"),
+    ("ExperimentConfig", 1.0, "unsupported config version 1.0"),
+], ids=["model-4.0", "model-true", "transform-true", "transform-1.0", "config-true",
+        "config-1.0"])
+def test_version_is_an_int(documents, name, version, message):
+    # true == 1 and 4.0 == 4, so these used to load
+    record = type(documents[name]).JSON
+    doc = record.encode(documents[name])
+    record.decode(doc)
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        record.decode({**doc, "version": version})

@@ -5,14 +5,15 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from hubridge import datamodel
 from hubridge.datamodel import (Dataset, DatasetFormatError, PreprocessError,
                                 Preprocessor, bundled_dataset_path, dataset_from_arrays,
                                 load_dataset, split, subset)
 
-from _helpers import parse_dense_csv, parse_sparse_pairs, write_dense_csv
+from _helpers import (parse_dense_csv, parse_sparse_pairs, reference_train_counts,
+                      write_dense_csv)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -403,6 +404,12 @@ class TestPca:
         np.testing.assert_array_equal(prep.center_mean, x.mean(axis=0))
         np.testing.assert_allclose(prep.apply(x).mean(axis=0), 0.0, atol=1e-12)
 
+    def test_components_need_a_center_mean(self):
+        # a PCA fit always centers; a model file with a null center_mean used to
+        # project uncentered rows
+        with pytest.raises(ValueError, match="components need a center_mean"):
+            Preprocessor(3, components=np.eye(3))
+
     def test_apply_identity_components(self):
         prep = Preprocessor(3, center_mean=np.zeros(3), components=np.eye(3))
         x = np.array([[1.0, 2.0, 3.0]])
@@ -528,3 +535,19 @@ class TestSplit:
         ds = dataset_from_arrays([[0.0], [1.0], [2.0]], [0, 0, 1])
         with pytest.raises(ValueError, match="need >= 2"):
             split(ds, 0.7, seed=0)
+
+    @given(small=st.lists(st.integers(2, 3), max_size=60),
+           large=st.lists(st.integers(4, 400), max_size=4), cut=st.integers(0, 60),
+           fraction=st.floats(0.005, 0.995))
+    @example(small=[3, 2, 3, 3, 2, 2], large=[289, 105, 83], cut=2,
+             fraction=0.07745817166705632).via("floors raised to 1 overshoot; two trim passes")
+    @settings(max_examples=300, deadline=None)
+    def test_train_counts_match_round_robin(self, small, large, cut, fraction):
+        # many 2-3 member classes beside a few large ones, where raising floors to 1
+        # overshoots the total; the domain is the one split calls the allocation in
+        sizes = np.array(small[:cut] + large + small[cut:], dtype=np.int64)
+        total = int(round(fraction * sizes.sum()))
+        assume(1 <= sizes.size <= total < sizes.sum())
+        counts = datamodel._allocate_train_counts(sizes, fraction, total)
+        np.testing.assert_array_equal(counts, reference_train_counts(sizes, fraction, total))
+        assert counts.sum() == total and (counts >= 1).all() and (counts <= sizes).all()

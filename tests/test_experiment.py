@@ -169,12 +169,19 @@ class TestModelArtifact:
         art = self.fitted(rng)
         art = ModelArtifact(art.preprocessor, art.transform, art.label_names,
                             training_record(dataset_from_arrays(x, [0, 1, 2] * 4)))
-        for ds, field in ((dataset_from_arrays(x[:, :2], [0, 1, 2] * 4), "d_in"),
-                          (dataset_from_arrays(x[1:], [1, 2, 0] * 3 + [1, 2]), "n"),
-                          (dataset_from_arrays(x, [0, 1, 2] * 3 + [0, 2, 1]), "sha256")):
+        names = art.label_names  # checked first, so each set below carries the model's
+        for ds, field in ((dataset_from_arrays(x[:, :2], [0, 1, 2] * 4, label_names=names),
+                           "d_in"),
+                          (dataset_from_arrays(x[1:], [1, 2, 0] * 3 + [1, 2], label_names=names),
+                           "n"),
+                          (dataset_from_arrays(x, [0, 1, 2] * 3 + [0, 2, 1], label_names=names),
+                           "sha256")):
             with pytest.raises(ValueError, match=f"training field '{field}'"):
                 art.check_training(ds)
-        art.check_training(dataset_from_arrays(x, [0, 1, 2] * 4))
+        with pytest.raises(ValueError, match=r"training file label names \['0', '1', '2'\] "
+                                             r"differ from the model's label_names"):
+            art.check_training(dataset_from_arrays(x, [0, 1, 2] * 4))
+        art.check_training(dataset_from_arrays(x, [0, 1, 2] * 4, label_names=names))
 
     def test_transform_must_fit_preprocessed_dimension(self, rng):
         art = self.fitted(rng)

@@ -3,11 +3,12 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from hubridge import modelselect
 from hubridge.datamodel import dataset_from_arrays
 from hubridge.knn import knn_from_transform, majority_vote, neighbor_index_matrix
 from hubridge.modelselect import (METHODS, CvConfig, CvResult, FoldError, grid_search,
                                   make_folds)
-from hubridge.targets import select_targets
+from hubridge.targets import TargetSelectionError, select_targets
 from hubridge.transform import fit_move_query
 
 from _helpers import gaussian_mixture
@@ -238,6 +239,40 @@ class TestSharedPass:
         for i in (1, 2):
             with pytest.raises(ValueError, match="singular at lambda=0.0"):
                 cv.result(i)
+
+    @pytest.fixture
+    def selections(self, monkeypatch):
+        """The calls grid_search makes to select_targets, as the test runs."""
+        calls = []
+        real = modelselect.select_targets
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(modelselect, "select_targets", counted)
+        return calls
+
+    @pytest.mark.parametrize("methods", [METHODS, METHODS[1:]])
+    def test_targets_selected_once_per_fold(self, selections, methods):
+        ds = dataset_from_arrays(*gaussian_mixture(60, 4, 2, sep=2.0, seed=1))
+        grid_search(ds, np.arange(ds.n), CvConfig((0.1, 1.0), (1, 3), 3, 0), methods)
+        assert len(selections) == 3
+
+    def test_a_failed_selection_fails_each_fitted_method(self, selections):
+        # a class of two leaves one member on each fold's fit side, which has no
+        # same-class target; each fitted method's own call raises, Euclidean runs on
+        x, y = gaussian_mixture(60, 4, 2, sep=2.0, seed=1)
+        y[:2] = 2
+        ds = dataset_from_arrays(x, y)
+        cfg = CvConfig((0.1,), (1,), 2, 0)
+        cv = grid_search(ds, np.arange(ds.n), cfg, METHODS)
+        assert len(selections) == 2  # the first fold's, once per fitted method
+        for i in (1, 2):
+            with pytest.raises(TargetSelectionError, match="training class '2' has a single "
+                                                           "member"):
+                cv.result(i)
+        assert cv.result(0) == grid_search(ds, np.arange(ds.n), cfg, METHODS[:1]).result(0)
 
     @pytest.mark.parametrize("change, message", [
         ((0, -1), r"train_indices\[0\] = -1 is out of range \[0, 30\)"),

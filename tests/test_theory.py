@@ -5,6 +5,7 @@ import pytest
 import scipy.stats
 
 from hubridge.hubness import nk_counts
+from hubridge import theory
 from hubridge.knn import Dissimilarity, build_knn_model
 from hubridge.theory import (CentralityExperiment, CentralityResult,
                              PairConstructionError, simulate_delta, squared_norm_std,
@@ -74,6 +75,22 @@ class TestSimulateDelta:
         r = simulate_delta(CentralityExperiment(d=50, s=1.0, gamma=0.0,
                                                 n_queries=50_000, seed=5))
         assert abs(r.delta_hat - 0.0) < 3 * r.std_error
+
+    def test_std_error_matches_two_pass_at_large_s(self):
+        # at s = 1e8 the mean difference is ~5e7 times its spread, and
+        # (sum d^2 - n mean^2) / (n - 1) read 1.94e7 for the 2.50e7 here
+        exp = CentralityExperiment(d=300, s=1e8, gamma=1.0, n_queries=40_000, seed=0)
+        rng = np.random.default_rng(exp.seed)
+        z1, z2 = theory._conditioned_pair(rng, exp.d, exp.s, exp.gamma)
+        diffs = []
+        for start in range(0, exp.n_queries, theory._DRAW_CHUNK):
+            x = rng.normal(size=(min(theory._DRAW_CHUNK, exp.n_queries - start), exp.d))
+            diffs.append(((x - z2) ** 2).sum(axis=1) - ((x - z1) ** 2).sum(axis=1))
+        diffs = np.concatenate(diffs)
+        r = simulate_delta(exp)
+        assert r.std_error == pytest.approx(diffs.std(ddof=1) / math.sqrt(exp.n_queries),
+                                            rel=1e-6)
+        assert r.delta_hat == pytest.approx(diffs.mean(), rel=1e-12)
 
     def test_matches_theory_d300(self):
         exp = CentralityExperiment(d=300, s=1.0, gamma=1.0,
