@@ -111,7 +111,15 @@ def pairwise_sq_dists(queries: np.ndarray, operand: np.ndarray) -> np.ndarray:
     return augmented @ operand
 
 
-_GROUP = 8  # columns per strided group bounding the k-th value
+def ordered_bits(values: np.ndarray) -> np.ndarray:
+    """Signed integers of ``values``' width that order as the values do, -0.0
+    as +0.0 (``values`` must not contain NaN): a negative value's bits below
+    the sign are flipped, so a larger magnitude gives a smaller integer."""
+    bits = (values + values.dtype.type(0)).view(f"i{values.itemsize}")  # -0.0 + 0 is +0.0
+    return bits ^ ((bits >> (8 * values.itemsize - 1)) & np.iinfo(bits.dtype).max)
+
+
+_GROUP = 8  # columns per level-1 group, and level-1 groups per level-2 group
 
 
 def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray):
@@ -120,32 +128,65 @@ def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray):
     Returns (rows, cols, values, starts): the entries' row and column
     indices and values, sorted by (row, value, column), and the position
     where each row's entries start (each row has at least k, and its first
-    k are the row's k smallest by (value, column)). At k = 1, T is the row
-    minimum. For k > 1 the block is never partitioned whole: column j falls
-    in strided group j mod g, g = max(k, n // 8) (the last n mod g columns
-    in none), one ``np.minimum.reduce`` takes the g group minima, and T is
-    the k-th smallest of them. Those are k entries in distinct columns, so
-    T is at least the k-th value; a group holds s = n // g entries, so T is
-    at most the (s (k - 1) + 1)-th. The bound is T plus the slack, rounded
-    up to ``values``' dtype. Only the band is sorted: its entries are found
-    as flat row-major indices (``flatnonzero`` and ``ravel`` both read in
-    logical C order, whatever the memory layout), split into (row, column)
-    by ``divmod``, and a stable sort by (row, value) keeps equal values in
-    column order. ``values`` must not contain NaN.
+    k are the row's k smallest by (value, column)). ``values`` must not
+    contain NaN.
+
+    The block is read whole once, by one ``np.minimum.reduce`` over strided
+    level-1 groups: column j falls in group j mod g, g = max(k, n // 8), and
+    a group holds s = n // g columns (the last n - s g < g columns, the
+    tail, fall in none). At k = 1, T is the least group minimum. For k > 1,
+    level-1 group i falls in level-2 group i mod g2, g2 = max(k, g // 8),
+    each holding t = g // g2 of them, and T is the k-th smallest of the g2
+    level-2 minima. Either way T is the least of k entries in distinct
+    columns, so it is at least the k-th value. Fewer than k level-2 groups
+    hold an entry below T, so at most s t (k - 1) of their entries lie below
+    it: the band's worst-case width is s t (k - 1) + 1, 64 (k - 1) + 1 at s =
+    t = 8 (s (k - 1) + 1 with T from level-1 minima alone), besides ties at
+    T, the slack and the columns in no level-2 group (the tail and the
+    fewer than g2 level-1 groups left over). The bound is T plus the slack,
+    rounded up to ``values``' dtype.
+
+    Only the level-1 groups whose minimum is within the bound are gathered,
+    with the tail, by flat row-major index (``reshape(-1)`` reads in logical
+    C order, copying only a block not stored so), in group-offset order, so
+    each row's entries come in column order. The band is then ordered by
+    integer keys: for float32, one stable argsort of (row << 32) +
+    ``ordered_bits(value)`` (each row's keys fill their own 2^32-wide range);
+    for float64, stable argsorts by the value's bits and then by row.
+    Stability keeps equal values in column order.
     """
     m, n = values.shape
+    g = max(k, n // _GROUP)
+    s = n // g
+    group_min = np.minimum.reduce(values[:, :s * g].reshape(m, s, g), axis=1)
     if k == 1:
-        bound = values.min(axis=1)
+        bound = group_min.min(axis=1)
     else:
-        g = max(k, n // _GROUP)
-        s = n // g
-        group_min = np.minimum.reduce(values[:, :s * g].reshape(m, s, g), axis=1)
-        bound = np.partition(group_min, k - 1, axis=1)[:, k - 1]
+        g2 = max(k, g // _GROUP)
+        top_min = group_min[:, :g2].copy()
+        for i in range(1, g // g2):
+            np.minimum(top_min, group_min[:, i * g2:(i + 1) * g2], out=top_min)
+        bound = np.partition(top_min, k - 1, axis=1)[:, k - 1]
     bound = np.nextafter((bound + slack).astype(values.dtype), values.dtype.type(np.inf))
-    flat = np.flatnonzero(values <= bound[:, None])
+    cells = values.reshape(-1)
+
+    def within(flat: np.ndarray, limit: np.ndarray):  # the cells at ``flat`` <= limit, in order
+        kept = cells.take(flat)
+        at = np.flatnonzero(kept <= limit)
+        return flat.reshape(-1)[at], kept.reshape(-1)[at]
+
+    rows, groups = np.divmod(np.flatnonzero(group_min <= bound[:, None]), g)
+    flat, kept = within(np.add.outer(np.arange(0, s * g, g), rows * n + groups), bound[rows])
+    if s * g < n:
+        tail = within(np.add.outer(np.arange(0, m * n, n), np.arange(s * g, n)), bound[:, None])
+        flat, kept = np.concatenate([flat, tail[0]]), np.concatenate([kept, tail[1]])
     rows, cols = np.divmod(flat, n)
-    kept = values.ravel()[flat]
-    order = np.lexsort((kept, rows))
+    bits = ordered_bits(kept)
+    if bits.itemsize == 4:
+        order = np.argsort((rows << 32) + bits, kind="stable")
+    else:
+        order = np.argsort(bits, kind="stable")
+        order = order[np.argsort(rows[order], kind="stable")]
     rows = rows[order]
     return rows, cols[order], kept[order], np.searchsorted(rows, np.arange(m))
 

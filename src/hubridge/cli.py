@@ -42,14 +42,21 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t)
 
 
-def _at_least(low, cast):
-    """An argparse type: ``cast(text)``, which must be at least ``low`` (NaN never is)."""
+def _checked(cast, test, rule: str):
+    """An argparse type: ``cast(text)``, which must pass ``test`` (NaN never does)."""
     def parse(text: str):
-        if not cast(text) >= low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
+        if not test(cast(text)):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
         return cast(text)
     parse.__name__ = cast.__name__  # argparse names it when the cast fails
     return parse
+
+
+def _at_least(low, cast):
+    return _checked(cast, lambda value: value >= low, f">= {low}")
+
+
+_FRACTION = _checked(float, lambda value: 0 < value < 1, "in (0, 1)")
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -63,7 +70,7 @@ def _add_preproc_args(p: argparse.ArgumentParser) -> None:
                    "--pca-dim centers regardless")
     p.add_argument("--zscore", action="store_true",
                    help="standardize columns (fitted on the training side)")
-    p.add_argument("--pca-dim", type=int, default=None,
+    p.add_argument("--pca-dim", type=_at_least(1, int), default=None,
                    help="project to this many principal components")
 
 
@@ -101,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-targets", type=_at_least(1, int), default=1)
     p.add_argument("--solver", default=SOLVER_PAPER, choices=SOLVERS)
     p.add_argument("--k", type=_at_least(1, int), default=10)
-    p.add_argument("--train-fraction", type=float, default=0.7)
+    p.add_argument("--train-fraction", type=_FRACTION, default=0.7)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="write the CSV report here")
     p.add_argument("--json-out", default=None, help="write the JSON report here")
@@ -133,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", type=_at_least(1, int), default=None, help="override n_splits")
     p.add_argument("--seed", type=int, default=None,
                    help="override seeds with seed, seed+1, ...")
-    p.add_argument("--train-fraction", type=float, default=None)
+    p.add_argument("--train-fraction", type=_FRACTION, default=None)
     p.add_argument("--methods", type=lambda s: tuple(s.split(",")), default=None)
 
     return parser
@@ -238,12 +245,15 @@ def _cmd_cv(args) -> int:
 
 def _cmd_centrality(args) -> int:
     cells = [(d, s, g) for d in args.d for s in args.s for g in args.gamma]
+    try:  # every cell before the first draw; d, s and gamma errors begin with the flag's name
+        exps = [CentralityExperiment(d=d, s=s, gamma=g, n_queries=args.n, seed=args.seed + i)
+                for i, (d, s, g) in enumerate(cells)]
+    except ValueError as e:
+        raise ValueError(f"--{e}") from None
     results = []
-    for i, (d, s, g) in enumerate(cells):
-        exp = CentralityExperiment(d=d, s=s, gamma=g, n_queries=args.n,
-                                   seed=args.seed + i)
+    for exp in exps:
         r = simulate_delta(exp)
-        results.append({"d": d, "s": s, "gamma": g, "n_queries": args.n,
+        results.append({"d": exp.d, "s": exp.s, "gamma": exp.gamma, "n_queries": args.n,
                         "delta_hat": r.delta_hat, "delta_theory": r.delta_theory,
                         "std_error": r.std_error})
     if len(results) == 1:

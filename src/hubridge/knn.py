@@ -42,12 +42,17 @@ of queries it
    range) gets E = +inf and a zero GEMM row, so it is re-ranked whole, as
    is every row once (d + 2) u32 >= 1/2 voids the bound;
 3. keeps the band of entries at most T + 2E, where T is at least the k-th
-   smallest approximate value: the row minimum at k = 1, else the k-th
-   smallest of the minima of strided column groups
-   (``_arrays.smallest_k_band``). At least k entries have an approximate
-   value no greater than T, so the true k-th value is at most T + E, and
-   any entry whose true value reaches it lies within the band: the band
-   holds every true neighbour;
+   smallest approximate value (``_arrays.smallest_k_band``): strided groups
+   of s columns give level-1 minima, strided groups of t of those give
+   level-2 minima (s = t = 8 on wide blocks), and T is the least level-1
+   minimum at k = 1, else the k-th smallest level-2 minimum. At least k
+   entries have an approximate value no greater than T, so the true k-th
+   value is at most T + E, and any entry whose true value reaches it lies
+   within the band: the band holds every true neighbour. Fewer than k
+   level-2 groups hold an entry below T, so the band's worst-case width is
+   s t (k - 1) + 1, 64 (k - 1) + 1 at s = t = 8 (s (k - 1) + 1 with T from
+   level-1 minima alone), besides ties at T, the slack and the few columns
+   in no level-2 group;
 4. sorts the band by (approximate value, index) and cuts it into clusters
    wherever consecutive values differ by more than 2E. Across a cut the
    true order is the approximate one; within a cluster it may not be, so
@@ -113,6 +118,16 @@ class KnnModel:
     rebuild it per batch: ``labeled_mean`` (mu), ``scale_exp`` (e of the scale
     s = 2^-e) and ``operand32`` (``sq_dist_operand`` in float32, columns
     [s (z_p - mu) | its squared norm, +inf past float32's range | 1]).
+
+    ``labeled_points`` are stored mapped, in float64, rather than mapped
+    again for the few rows a lookup re-ranks: the exact values must come
+    from the bits of ``map_labeled`` over every point at once, which the
+    full sort of the contract reads, and mapping a subset of rows does not
+    give them. OpenBLAS's dgemm does not return the same bits for a subset
+    of rows: on 10,000 x 300 normal points and a 300 x 300 W (2
+    OpenBLAS threads), ``X[idx] @ W.T`` differed from the same rows of
+    ``X @ W.T`` in 56 of the 57 rows of subsets of 1, 2, 7, 16 and 31 rows,
+    and in 40 of 64, 114 of 257 and 39 of 1,000 rows.
     """
 
     labeled_points: np.ndarray
@@ -316,8 +331,13 @@ def _rank(points: np.ndarray, q: np.ndarray, err: np.ndarray, k: int, rows: np.n
     ambiguous = ((size > 1) & (place < k))[cluster]
     if ambiguous.any():
         at = np.flatnonzero(ambiguous)
-        exact = _direct_sq_dists(q, points, rows[at], cols[at])
-        cols[at] = cols[at][np.lexsort((cols[at], exact, cluster[at]))]
+        # stable sorts by column, exact value and cluster order each cluster by
+        # (exact, column); a sum of squares is never negative, so its bits order
+        moved = cols[at]
+        order = np.argsort(moved, kind="stable")
+        exact = _direct_sq_dists(q, points, rows[at], moved).view(np.int64)
+        order = order[np.argsort(exact[order], kind="stable")]
+        cols[at] = moved[order[np.argsort(cluster[at][order], kind="stable")]]
     return cols[starts[:, None] + np.arange(k)]
 
 

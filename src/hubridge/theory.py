@@ -42,10 +42,17 @@ class CentralityExperiment:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be >= 1")
-        if self.s <= 0:
-            raise ValueError("s must be positive")
         if self.n_queries < 1:
             raise ValueError("n_queries must be >= 1")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
+        if not self.s > 0:
+            raise ValueError(f"s must be positive, got {self.s!r}")
+        limit = largest_scale(self.d, self.gamma, self.n_queries)
+        if not self.s <= limit:
+            raise ValueError(f"s must be at most {limit!r} at d = {self.d}, gamma = "
+                             f"{self.gamma!r} and {self.n_queries} queries, got {self.s!r}: "
+                             "the simulation's sums would leave float64 range")
 
 
 @dataclass(frozen=True)
@@ -55,6 +62,19 @@ class CentralityResult:
     delta_hat: float
     delta_theory: float
     std_error: float
+
+
+def largest_scale(d: int, gamma: float, n_queries: int) -> float:
+    """The largest s a ``CentralityExperiment`` takes.
+
+    The simulation's squared norms and squared distances are about M = s^2
+    (d + |gamma| sqrt(2d)), and the largest sum it forms, of the squared
+    deviations of their differences over the n_queries draws, about n M^2;
+    s is bounded so that n M^2 stays 2^16 below float64's largest value,
+    which leaves room for the normal draws' tails.
+    """
+    spread = d + abs(gamma) * math.sqrt(2.0 * d)
+    return (float(np.finfo(np.float64).max) * 2.0 ** -16 / n_queries) ** 0.25 / math.sqrt(spread)
 
 
 def squared_norm_std(d: int, s: float) -> float:

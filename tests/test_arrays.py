@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hubridge._arrays import pairwise_sq_dists, smallest_k_band, sq_dist_operand
+from hubridge._arrays import (ordered_bits, pairwise_sq_dists, smallest_k_band,
+                              sq_dist_operand)
 
 
 def full_sort_oracle(values: np.ndarray, k: int) -> np.ndarray:
@@ -138,6 +139,116 @@ class TestSmallestK:
         np.testing.assert_array_equal(kept, [0.0, 0.5, 1.0, 1.5, 0.0, 2.0, 2.0, 4.0])
         assert kept.dtype == np.float32
         np.testing.assert_array_equal(starts, [0, 4])
+
+
+@st.composite
+def band_blocks(draw):
+    """(values, k, slack): float32 or float64 blocks of tie-heavy or continuous
+    rows holding -0.0 and +0.0, +inf entries and whole +inf rows, n from 1 to
+    700 (most n leave a tail at one level of groups or both), k up to the
+    level-1 group count n // 8 or up to n, and zero or per-row slack."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    m = draw(st.integers(min_value=0, max_value=5))
+    n = draw(st.integers(min_value=1, max_value=700))
+    k = draw(st.one_of(st.integers(min_value=1, max_value=max(1, n // 8)),
+                       st.integers(min_value=1, max_value=n)))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    if draw(st.booleans()):
+        values = rng.integers(-1, draw(st.integers(min_value=1, max_value=6)), size=(m, n))
+        values = values * rng.choice([-1.0, 1.0], size=(m, n))  # -0.0 where 0 meets -1
+    else:
+        values = rng.normal(size=(m, n)) * 10.0 ** rng.integers(-3, 4)
+    values[rng.random((m, n)) < draw(st.sampled_from([0.0, 0.05, 0.9]))] = np.inf
+    values[rng.random(m) < 0.2] = np.inf
+    slack = draw(st.sampled_from([np.zeros(m), rng.uniform(0.0, 2.0, size=m)]))
+    return values.astype(dtype), k, slack
+
+
+def assert_band_is_a_sorted_prefix(values: np.ndarray, k: int, band) -> None:
+    """Each row's band is a prefix of its stable full sort by (value, column),
+    at least k long, that ends where the value rises: every entry up to a bound."""
+    rows, cols, kept, starts = band
+    np.testing.assert_array_equal(starts, np.searchsorted(rows, np.arange(values.shape[0])))
+    order = np.argsort(values, axis=1, kind="stable")
+    ends = np.append(starts[1:], rows.size)
+    for r, (lo, hi) in enumerate(zip(starts, ends)):
+        width = hi - lo
+        assert width >= k
+        assert (rows[lo:hi] == r).all()
+        np.testing.assert_array_equal(cols[lo:hi], order[r, :width])
+        np.testing.assert_array_equal(kept[lo:hi], values[r, cols[lo:hi]])
+        if width < values.shape[1]:
+            assert values[r, order[r, width]] > values[r, order[r, width - 1]]
+    assert kept.dtype == values.dtype
+
+
+class TestTwoLevelBand:
+    @given(band_blocks())
+    @settings(max_examples=300, deadline=None)
+    def test_band_matches_stable_full_sort(self, block):
+        values, k, slack = block
+        band = smallest_k_band(values, k, slack)
+        assert_band_is_a_sorted_prefix(values, k, band)
+        if not slack.any():
+            np.testing.assert_array_equal(smallest_k(values, k), full_sort_oracle(values, k))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n", [1000, 1013], ids=["grouped", "tail-columns"])
+    def test_k_nearest_in_one_level2_group_widen_the_band_only(self, dtype, n):
+        # g = n // 8 level-1 groups (126 at n = 1013, with a 5-column tail) and
+        # g2 = 15 level-2 groups: columns 0, 15 and 30 fall in distinct level-1
+        # groups of level-2 group 0, so T, the 3rd-smallest level-2 minimum, is
+        # above the 3rd value, where the 3rd-smallest level-1 minimum was not
+        k = 3
+        values = np.tile(np.arange(n, 0, -1, dtype=dtype) + 100, (2, 1))
+        values[:, [30, 0, 15]] = [1.0, 2.0, 3.0]
+        values[1, 1010 if n == 1013 else 999] = 1.0  # a tie in the tail, or in the last group
+        band = smallest_k_band(values, k, np.zeros(2))
+        assert_band_is_a_sorted_prefix(values, k, band)
+        assert np.diff(np.append(band[3], band[0].size)).min() > k  # the bound is loose
+        np.testing.assert_array_equal(smallest_k(values, k), full_sort_oracle(values, k))
+        np.testing.assert_array_equal(smallest_k(values, k)[0], [30, 0, 15])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ties_straddling_kth_place_keep_lower_columns(self, dtype):
+        # ties at 1.0 across groups, level-2 groups and the tail (n = 1005 leaves
+        # columns 1000-1004 in no group), -0.0 and +0.0 tied below them
+        n, k = 1005, 5
+        values = np.full((1, n), 7.0, dtype=dtype)
+        values[0, [1003, 997, 3, 500, 126, 250]] = 1.0
+        values[0, [700, 2]] = [0.0, -0.0]
+        band = smallest_k_band(values, k, np.zeros(1))
+        assert_band_is_a_sorted_prefix(values, k, band)
+        np.testing.assert_array_equal(smallest_k(values, k), [[2, 700, 3, 126, 250]])
+
+    def test_block_read_whole_only_by_the_group_minima(self, rng, monkeypatch):
+        # no compare of the whole block: every index scan is of the group
+        # minima or of gathered candidate groups, far smaller than the block
+        values = rng.normal(size=(40, 4000)).astype(np.float32)
+        sizes = []
+        real = np.flatnonzero
+
+        def spy(a):
+            sizes.append(np.size(a))
+            return real(a)
+
+        monkeypatch.setattr(np, "flatnonzero", spy)
+        got = smallest_k(values, 10)
+        np.testing.assert_array_equal(got, np.argsort(values, axis=1, kind="stable")[:, :10])
+        assert sizes and max(sizes) <= values.size // 8
+
+
+class TestOrderedBits:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_order_matches_values(self, dtype):
+        info = np.finfo(dtype)
+        v = np.array([-np.inf, -info.max, -1.5, -info.tiny, -info.smallest_subnormal, -0.0,
+                      0.0, info.smallest_subnormal, info.tiny, 1.0, 1.5, info.max, np.inf],
+                     dtype=dtype)
+        bits = ordered_bits(v)
+        assert bits.itemsize == v.itemsize
+        np.testing.assert_array_equal(np.sign(np.diff(bits.astype(np.int64))), np.sign(np.diff(v)))
+        assert bits[5] == bits[6] == 0  # -0.0 folds to +0.0
 
 
 class TestPairwiseSqDists:

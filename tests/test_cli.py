@@ -289,9 +289,12 @@ class TestErrors:
         (["predict", "--model", "m.json", "--queries", "q.csv", "--k", "0"], "--k"),
         (["centrality", "--n", "0"], "--n"),
         (["bench", "--config", "c.json", "--splits", "0"], "--splits"),
+        (["fit", "--pca-dim", "0", "--out", "m.json"], "--pca-dim"),
+        (["hubness", "--pca-dim", "0"], "--pca-dim"),
     ], ids=["fit-nan-lambda", "fit-negative-lambda", "fit-k-targets-0", "hubness-nan-lambda",
             "hubness-k-0", "hubness-k-targets-0", "cv-k-targets-0", "cv-folds-1",
-            "predict-k-0", "centrality-n-0", "bench-splits-0"])
+            "predict-k-0", "centrality-n-0", "bench-splits-0", "fit-pca-dim-0",
+            "hubness-pca-dim-0"])
     def test_lower_bound_checked_before_loading(self, monkeypatch, capsys, argv, flag):
         # NaN passed `lam < 0`; fit --lambda -1 and hubness --k 0 failed only after
         # loading, as did fit/hubness --k-targets 0 and predict --k 0, and cv, centrality
@@ -312,6 +315,27 @@ class TestErrors:
             main([argv[0], *dataset, *argv[1:]])
         assert exc.value.code == 2
         assert f"argument {flag}: must be >= " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["hubness", "bench"])
+    @pytest.mark.parametrize("fraction", ["1.5", "1", "0", "-0.1", "nan"])
+    def test_train_fraction_checked_before_loading(self, monkeypatch, capsys, command,
+                                                   fraction):
+        import hubridge.cli
+        import hubridge.experiment
+
+        def refuse(*args):
+            raise AssertionError("work began before --train-fraction was checked")
+
+        for module, name in ((hubridge.cli, "load_dataset"),
+                             (hubridge.experiment, "load_dataset"),
+                             (hubridge.cli.ExperimentConfig, "load")):
+            monkeypatch.setattr(module, name, refuse)
+        source = (["--config", "c.json"] if command == "bench"
+                  else ["--dataset", str(bundled_dataset_path("iris"))])
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source, "--train-fraction", fraction])
+        assert exc.value.code == 2
+        assert "argument --train-fraction: must be in (0, 1), got " in capsys.readouterr().err
 
     def test_nan_lambda_grid_checked_before_loading(self, monkeypatch, capsys):
         import hubridge.cli
@@ -442,11 +466,18 @@ class TestCvCommand:
         assert len(doc["table"]) == 2
 
     @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_pca_dim_below_one_named(self, train_and_queries, capsys, value):
-        rc = main(["cv", "--dataset", str(train_and_queries[0]), "--direction", "euclidean",
-                   "--k-grid", "1", "--folds", "3", "--pca-dim", value])
-        assert rc == 1
-        assert "pca_dim must be in [1, min(n - 1, d)]" in capsys.readouterr().err
+    def test_pca_dim_below_one_named(self, train_and_queries, monkeypatch, capsys, value):
+        import hubridge.cli
+
+        def refuse(*args):
+            raise AssertionError("dataset loaded before --pca-dim was checked")
+
+        monkeypatch.setattr(hubridge.cli, "load_dataset", refuse)
+        with pytest.raises(SystemExit) as exc:
+            main(["cv", "--dataset", str(train_and_queries[0]), "--direction", "euclidean",
+                  "--k-grid", "1", "--folds", "3", "--pca-dim", value])
+        assert exc.value.code == 2
+        assert f"argument --pca-dim: must be >= 1, got '{value}'" in capsys.readouterr().err
 
 
 class TestCentralityCommand:
@@ -458,6 +489,21 @@ class TestCentralityCommand:
         assert doc["delta_theory"] == pytest.approx(np.sqrt(600))
         assert abs(doc["delta_hat"] - 24.49) < 1.0
         assert abs(doc["delta_hat"] - doc["delta_theory"]) < 3 * doc["std_error"]
+
+    @pytest.mark.parametrize("scales", ["1e160", "1,1e160"], ids=["one-cell", "sweep"])
+    def test_overflowing_s_named_before_any_draw(self, monkeypatch, capsys, scales):
+        import hubridge.cli
+
+        def refuse(*args):
+            raise AssertionError("a cell was simulated before every --s was checked")
+
+        monkeypatch.setattr(hubridge.cli, "simulate_delta", refuse)
+        rc = main(["centrality", "--s", scales, "--n", "100"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --s must be at most " in captured.err
+        assert "got 1e+160" in captured.err
 
     def test_sweep_csv(self, capsys):
         rc = main(["centrality", "--d", "10,50", "--gamma", "0,1", "--s", "1",

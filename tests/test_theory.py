@@ -8,8 +8,8 @@ from hubridge.hubness import nk_counts
 from hubridge import theory
 from hubridge.knn import Dissimilarity, build_knn_model
 from hubridge.theory import (CentralityExperiment, CentralityResult,
-                             PairConstructionError, simulate_delta, squared_norm_std,
-                             theoretical_delta)
+                             PairConstructionError, largest_scale, simulate_delta,
+                             squared_norm_std, theoretical_delta)
 
 
 def hub_tendency_demo(d: int, s_data: float, n_data: int, n_queries: int,
@@ -91,6 +91,31 @@ class TestSimulateDelta:
         assert r.std_error == pytest.approx(diffs.std(ddof=1) / math.sqrt(exp.n_queries),
                                             rel=1e-6)
         assert r.delta_hat == pytest.approx(diffs.mean(), rel=1e-12)
+
+    @pytest.mark.parametrize("field, value", [("s", 1e160), ("s", math.inf), ("s", math.nan),
+                                              ("s", 0.0), ("gamma", math.nan),
+                                              ("gamma", math.inf)])
+    def test_out_of_range_rejected_before_any_draw(self, monkeypatch, field, value):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a draw was made before the check")
+
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        cell = {"d": 300, "s": 1.0, "gamma": 1.0, "n_queries": 100, "seed": 0, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            CentralityExperiment(**cell)
+
+    @pytest.mark.parametrize("d, gamma, n", [(300, 1.0, 100), (1, 0.0, 2), (1, 50.0, 3),
+                                             (1000, -1.0, 20_000), (2, 1e6, 10)])
+    def test_largest_accepted_s_stays_finite(self, d, gamma, n):
+        s = largest_scale(d, gamma, n)
+        with pytest.raises(ValueError, match="^s must be at most .* float64 range"):
+            CentralityExperiment(d=d, s=np.nextafter(s, math.inf), gamma=gamma,
+                                 n_queries=n, seed=0)
+        with np.errstate(over="raise", invalid="raise"):
+            r = simulate_delta(CentralityExperiment(d=d, s=s, gamma=gamma, n_queries=n,
+                                                    seed=0))
+        assert all(map(math.isfinite, (r.delta_hat, r.delta_theory, r.std_error)))
+        assert r.delta_hat == pytest.approx(r.delta_theory, rel=1e-6, abs=s * s)
 
     def test_matches_theory_d300(self):
         exp = CentralityExperiment(d=300, s=1.0, gamma=1.0,
