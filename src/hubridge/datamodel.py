@@ -116,9 +116,9 @@ def dataset_from_arrays(features, labels, name: str = "",
 def subset(dataset: Dataset, indices) -> Dataset:
     """Row subset as a new Dataset. Every class must survive the selection."""
     idx = index_vector(indices, dataset.n, "indices")
-    f = np.array(dataset.features[idx], copy=True)
-    y = np.array(dataset.labels[idx], copy=True)
-    return Dataset(f, y, dataset.class_count, dataset.name, dataset.label_names)
+    # an index array gathers fresh copies, which the new Dataset freezes
+    return Dataset(dataset.features[idx], dataset.labels[idx], dataset.class_count,
+                   dataset.name, dataset.label_names)
 
 
 # ---------------------------------------------------------------------------

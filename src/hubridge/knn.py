@@ -54,12 +54,22 @@ of queries it
    level-1 minima alone), besides ties at T, the slack and the few columns
    in no level-2 group;
 4. sorts the band by (approximate value, index) and cuts it into clusters
-   wherever consecutive values differ by more than 2E. Across a cut the
-   true order is the approximate one; within a cluster it may not be, so
-   only clusters of two or more entries that start among the first k
-   places are re-ranked, by (exact value, index), where the exact value is
-   the oracle's on the unscaled inputs: a float64 difference, its square
-   and ``np.sum`` over the row.
+   wherever consecutive values differ by more than 2E', where E' is the
+   band's own bound: c (||a||^2 + max over the row's band of ||b_p||^2),
+   from the same stored float32 norms and terms as E. Every band entry's
+   value lies within E' of its true one, so across a cut the true order is
+   the approximate one; within a cluster it may not be, so only clusters of
+   two or more entries that start among the first k places are re-ranked,
+   by (exact value, index), where the exact value is the oracle's on the
+   unscaled inputs: a float64 difference, its square and ``np.sum`` over
+   the row. (One E' per row: bounds taken pair by pair would let an entry
+   of large bound lie above a later entry across a cut.) The re-rank skips
+   the exact values of a row whose clusters hold equal ones, and orders
+   them by index: where s = 1, the row's query and every labeled point
+   (mapped) are integers, max |x| <= 2^20 and d (2 max |x|)^2 < 2^52, the
+   oracle's differences, squares and sums are exact and its values
+   integers, so where also 4 E' < 1, entries at most 2E' apart in
+   approximate value are equal in exact value.
 
 Where a query row's and the farthest labeled point's unscaled squared norms
 are not safely inside float64 range, the lookup raises ValueError: the
@@ -70,6 +80,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
 
@@ -118,6 +130,9 @@ class KnnModel:
     rebuild it per batch: ``labeled_mean`` (mu), ``scale_exp`` (e of the scale
     s = 2^-e) and ``operand32`` (``sq_dist_operand`` in float32, columns
     [s (z_p - mu) | its squared norm, +inf past float32's range | 1]).
+    ``integer_points`` says whether s = 1 and the labeled points are integers
+    small enough for the module docstring's equal-value certificate (step 4),
+    checked once here so a lookup checks only its queries.
 
     ``labeled_points`` are stored mapped, in float64, rather than mapped
     again for the few rows a lookup re-ranks: the exact values must come
@@ -137,6 +152,7 @@ class KnnModel:
     labeled_mean: np.ndarray = field(init=False, repr=False, compare=False)
     scale_exp: int = field(init=False, repr=False, compare=False)
     operand32: np.ndarray = field(init=False, repr=False, compare=False)
+    integer_points: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = self.labeled_points
@@ -158,6 +174,7 @@ class KnnModel:
             operand, e = _scaled(pts, self.labeled_mean)
         object.__setattr__(self, "scale_exp", e)
         object.__setattr__(self, "operand32", frozen(operand))
+        object.__setattr__(self, "integer_points", e == 0 and _small_integers(pts))
 
     @property
     def n(self) -> int:
@@ -231,6 +248,7 @@ def nearest_others(points: np.ndarray, k: int) -> np.ndarray:
         sq, p_max = side[:, d], float(side[:, d].max())
         if not 2 * float(np.ldexp(p_max, 2 * e)) < _F64_SAFE:
             raise ValueError("squared distances overflow float64: the rows lie too far apart")
+    integral = e == 0 and _small_integers(points)
     out = np.empty((n, k), dtype=np.int64)
     for lo, hi in query_chunks(n, n):
         query = side[lo:hi] * -2.0
@@ -241,8 +259,8 @@ def nearest_others(points: np.ndarray, k: int) -> np.ndarray:
         rows, cols, values, _ = smallest_k_band(approx, k, 2.0 * err)
         other = cols != lo + rows
         rows = rows[other]
-        out[lo:hi] = _rank(points, points[lo:hi], err, k, rows, cols[other], values[other],
-                           np.searchsorted(rows, np.arange(hi - lo)))
+        out[lo:hi] = _rank(points, points[lo:hi], _Stage(sq[lo:hi], sq, e, integral), k, rows,
+                           cols[other], values[other], np.searchsorted(rows, np.arange(hi - lo)))
     return out
 
 
@@ -251,7 +269,9 @@ _U64 = float(np.finfo(np.float64).eps) / 2
 _TINY32 = float(np.finfo(np.float32).tiny)  # flushed or gradual underflow costs at most this
 _F32_SAFE = float(np.finfo(np.float32).max) / 8  # every float32 intermediate stays below 4 S
 _F64_SAFE = float(np.finfo(np.float64).max) / 8
-_GATHER_CELLS = 1 << 20  # float64 cells gathered at once by the exact re-rank
+_GATHER_CELLS = 1 << 15  # float64 cells gathered at once by the exact re-rank
+_LATTICE_CELLS = 1 << 15  # cells checked at once for integer values
+_EQUAL_BOUND = 0.25 * (1 - 2.0 ** -20)  # 4 E' < 1, with room for rounding the cut test
 
 
 def _scaled(points: np.ndarray, mean: np.ndarray, out: np.ndarray | None = None):
@@ -290,14 +310,48 @@ def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
     err = _error_bound(q_sq, p_max, model.d, e)
     centered[np.isinf(err)] = 0.0  # a far row: the exact re-rank takes all of it
     approx = pairwise_sq_dists(centered, model.operand32)
-    return _rank(model.labeled_points, q, err, k, *smallest_k_band(approx, k, 2.0 * err))
+    integral = model.integer_points and _small_integers(q)
+    return _rank(model.labeled_points, q, _Stage(q_sq, model.operand32[model.d], e, integral), k,
+                 *smallest_k_band(approx, k, 2.0 * err))
 
 
-def _error_bound(q_sq: np.ndarray, p_max: float, d: int, e: int) -> np.ndarray:
+def _small_integers(a: np.ndarray) -> bool:
+    """Whether every entry of the matrix ``a`` is an integer of magnitude at
+    most some top <= 2^20 with d (2 top)^2 < 2^52, d = a.shape[1]: between
+    such rows the oracle's differences (at most 2 top), squares and sums
+    are exact integers.
+
+    The first entry is read alone, then blocks of at most ``_LATTICE_CELLS``
+    cells, and the check stops at the first block that fails: continuous
+    data pay for one entry, and no temporary outgrows a block."""
+    d = a.shape[1]
+    step = max(1, _LATTICE_CELLS // max(1, d))
+    for block in chain([a[:1, :1]], (a[lo:lo + step] for lo in range(0, a.shape[0], step))):
+        top = float(np.abs(block).max(initial=0.0))
+        if not (top <= 2.0 ** 20 and d * (2.0 * top) ** 2 < 2.0 ** 52
+                and (np.rint(block) == block).all()):
+            return False
+    return True
+
+
+class _Stage(NamedTuple):
+    """What bounds a chunk's band in ``_rank``: the float32 squared norms of
+    the GEMM's query rows (``q_sq``) and point rows (``p_sq``), the scale's
+    exponent e, and whether s = 1 and the chunk's queries and the points
+    pass ``_small_integers``."""
+
+    q_sq: np.ndarray
+    p_sq: np.ndarray
+    e: int
+    integral: bool
+
+
+def _error_bound(q_sq: np.ndarray, p_max: float | np.ndarray, d: int, e: int) -> np.ndarray:
     """Per-row bound on |approximate - s^2 direct-difference float64| squared
     distance, s = 2^-e, or +inf where the float32 stage cannot serve the row;
     ``q_sq`` and ``p_max`` are the float32 squared norms of the GEMM's query
-    rows and the largest of its point rows, rounded from scaled differences."""
+    rows and the largest of its point rows (one for all rows, or one per
+    row), rounded from scaled differences."""
     total = q_sq.astype(np.float64) + p_max
     if (d + 2) * _U32 >= 0.5:
         return np.full(total.shape, np.inf)
@@ -317,13 +371,15 @@ def _error_bound(q_sq: np.ndarray, p_max: float, d: int, e: int) -> np.ndarray:
     return err
 
 
-def _rank(points: np.ndarray, q: np.ndarray, err: np.ndarray, k: int, rows: np.ndarray,
+def _rank(points: np.ndarray, q: np.ndarray, stage: _Stage, k: int, rows: np.ndarray,
           cols: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """First k band entries per row, ambiguous clusters re-ranked by exact values."""
+    cut = _error_bound(stage.q_sq, np.maximum.reduceat(stage.p_sq[cols], starts),
+                       points.shape[1], stage.e)  # E' per row
     # entry i joins entry i - 1's cluster unless its value is provably larger
     joined = np.zeros(rows.size, dtype=bool)
     joined[1:] = ((rows[1:] == rows[:-1]) &
-                  (values[1:] <= np.nextafter(values[:-1] + 2.0 * err[rows[1:]], np.inf)))
+                  (values[1:] <= np.nextafter(values[:-1] + 2.0 * cut[rows[1:]], np.inf)))
     cluster = np.cumsum(~joined) - 1
     first = np.flatnonzero(~joined)  # each cluster's first entry
     size = np.diff(np.append(first, rows.size))
@@ -332,11 +388,16 @@ def _rank(points: np.ndarray, q: np.ndarray, err: np.ndarray, k: int, rows: np.n
     if ambiguous.any():
         at = np.flatnonzero(ambiguous)
         # stable sorts by column, exact value and cluster order each cluster by
-        # (exact, column); a sum of squares is never negative, so its bits order
+        # (exact, column); a sum of squares is never negative, so its bits order.
+        # The entries of a row whose clusters hold equal values keep exact 0
         moved = cols[at]
         order = np.argsort(moved, kind="stable")
-        exact = _direct_sq_dists(q, points, rows[at], moved).view(np.int64)
-        order = order[np.argsort(exact[order], kind="stable")]
+        pending = ~(stage.integral & (cut < _EQUAL_BOUND))[rows[at]]
+        if pending.any():
+            exact = np.zeros(at.size, dtype=np.int64)
+            exact[pending] = _direct_sq_dists(q, points, rows[at[pending]],
+                                              moved[pending]).view(np.int64)
+            order = order[np.argsort(exact[order], kind="stable")]
         cols[at] = moved[order[np.argsort(cluster[at][order], kind="stable")]]
     return cols[starts[:, None] + np.arange(k)]
 
@@ -348,7 +409,8 @@ def _direct_sq_dists(q: np.ndarray, points: np.ndarray, rows: np.ndarray,
     out = np.empty(rows.size)
     step = max(1, _GATHER_CELLS // max(1, q.shape[1]))
     for lo in range(0, rows.size, step):
-        diff = q[rows[lo:lo + step]] - points[cols[lo:lo + step]]
+        diff = points[cols[lo:lo + step]]
+        diff -= q[rows[lo:lo + step]]  # its square is that of q - points, bit for bit
         diff *= diff
         out[lo:lo + step] = diff.sum(axis=1)
     return out
@@ -362,8 +424,8 @@ def majority_vote(neighbor_labels: np.ndarray, n_classes: int) -> np.ndarray:
     """
     q, _ = neighbor_labels.shape
     rows = np.arange(q)[:, None]
-    counts = np.zeros((q, n_classes), dtype=np.int64)
-    np.add.at(counts, (rows, neighbor_labels), 1)
+    counts = np.bincount((rows * n_classes + neighbor_labels).ravel(),
+                         minlength=q * n_classes).reshape(q, n_classes)
     top = counts.max(axis=1)
     in_tied_set = counts[rows, neighbor_labels] == top[:, None]
     first = in_tied_set.argmax(axis=1)

@@ -119,24 +119,30 @@ def simulate_delta(exp: CentralityExperiment) -> CentralityResult:
         if norm > 0.0:
             shift = (exp.query_shift / norm) * axis
 
-    # deviations are summed from a pivot, the first chunk's mean: summed from 0,
-    # squares of a mean far above the spread cancel to noise in the variance
+    # ||x - z2||^2 - ||x - z1||^2 = (||z2||^2 - ||z1||^2) - 2 x.(z2 - z1): the
+    # constant is added once, and only the x-dependent part is summed and
+    # spread: differencing the two ~s^2 d sums per query would round that part
+    # away for large s.
+    # Deviations are summed from a pivot, the first chunk's mean: summed from
+    # 0, squares of a mean far above the spread cancel to noise in the variance
+    offset = float(z2 @ z2) - float(z1 @ z1)
+    slope = -2.0 * (z2 - z1)
     total = total_dev = total_dev_sq = 0.0
     pivot = None
     remaining = exp.n_queries
     while remaining > 0:
         m = min(_DRAW_CHUNK, remaining)
         x = rng.normal(0.0, 1.0, size=(m, exp.d)) + shift
-        diffs = ((x - z2) ** 2).sum(axis=1) - ((x - z1) ** 2).sum(axis=1)
-        total += float(diffs.sum())
-        pivot = float(diffs.mean()) if pivot is None else pivot
-        dev = diffs - pivot
+        part = x @ slope
+        total += float(part.sum())
+        pivot = float(part.mean()) if pivot is None else pivot
+        dev = part - pivot
         total_dev += float(dev.sum())
         total_dev_sq += float((dev ** 2).sum())
         remaining -= m
 
     n = exp.n_queries
-    mean = total / n
+    mean = offset + total / n
     if n > 1:
         var = max(0.0, (total_dev_sq - total_dev * total_dev / n) / (n - 1))
         std_error = math.sqrt(var / n)

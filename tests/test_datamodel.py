@@ -261,6 +261,19 @@ class TestDatasetInvariants:
         sub = subset(ds, [0, 1])
         assert sub.n == 2 and sub.class_count == 2
 
+    def test_subset_copies_its_rows_once(self, rng):
+        ds = dataset_from_arrays(rng.normal(size=(2500, 300)), np.arange(2500) % 4)
+        rows = rng.permutation(2500)[:2000]
+        tracemalloc.start()
+        try:
+            sub = subset(ds, rows)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(sub.features, ds.features[rows])
+        np.testing.assert_array_equal(sub.labels, ds.labels[rows])
+        assert peak < 1.5 * (sub.features.nbytes + sub.labels.nbytes)
+
     @pytest.mark.parametrize("rows, message", [
         ([-1, 0, 1], r"indices\[0\] = -1 is out of range \[0, 4\)"),
         ([0, 1, 4], r"indices\[2\] = 4 is out of range \[0, 4\)"),

@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 from hubridge import knn
 from hubridge._arrays import sq_dist_operand, sq_norms
 from hubridge.knn import (Dissimilarity, KnnModel, build_knn_model, classify_batch, evaluate,
-                          knn_from_transform, neighbor_index_matrix)
+                          knn_from_transform, majority_vote, neighbor_index_matrix)
 from hubridge.transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER,
                                 TransformModel)
 
 from _helpers import (oracle_classify, oracle_dissimilarity_row, oracle_knn_indices,
-                      oracle_sq_dist)
+                      oracle_sq_dist, oracle_vote)
 
 
 # the Dissimilarity for each transformed kind of ``_helpers.oracle_dissimilarity_row``
@@ -259,9 +259,11 @@ class TestCertifiedStage:
                                       [oracle_knn_indices(q, pts, 5) for q in queries])
 
     def test_tiny_inputs_re_rank_no_more(self, rng, re_ranked):
-        # unscaled, 1e-19 inputs underflow in float32 and every entry is re-ranked
-        pts = (rng.random((400, 20)) < 0.3).astype(np.float64)
-        queries = (rng.random((16, 20)) < 0.3).astype(np.float64)
+        # unscaled, 1e-19 inputs underflow in float32 and every entry is re-ranked;
+        # the 0.5 shift keeps the ties and exact arithmetic but leaves the integer
+        # lattice, whose equal-value certificate would skip the re-rank at scale 1
+        pts = (rng.random((400, 20)) < 0.3) + 0.5
+        queries = (rng.random((16, 20)) < 0.3) + 0.5
         totals = []
         for scale in (1.0, 1e-19):
             re_ranked.clear()
@@ -296,6 +298,111 @@ class TestCertifiedStage:
                                 Dissimilarity(query_map=1e300 * np.eye(2)))
         with pytest.raises(ValueError, match="squared distances overflow float64"):
             neighbor_index_matrix(model, rng.normal(size=(3, 2)))
+
+
+@st.composite
+def count_lookups(draw):
+    """(model, queries): 0/1 or 0-3 count rows at scale 1, Euclidean, drawn
+    with repeats from a pool of distinct rows (queries too, so some sit on
+    labeled points), n up to 200 and k up to 20: integer rows the equal-value
+    certificate serves. A query moved 1000 along the first axis has a bound E
+    near 1, where clusters join entries of unequal value."""
+    d = draw(st.sampled_from([1, 2, 5, 12, 40, 300]))
+    n = draw(st.integers(min_value=1, max_value=200))
+    m = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=min(20, n)))
+    high = draw(st.sampled_from([1, 3]))
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+    distinct = draw(st.integers(min_value=1, max_value=n + m))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    pool = rng.integers(0, high + 1, size=(distinct, d)) * (rng.random((distinct, d)) < density)
+    rows = pool[rng.integers(0, distinct, size=n + m)].astype(np.float64)
+    rows[n:, 0] += draw(st.sampled_from([0.0, 1000.0]))
+    return build_knn_model(rows[:n], np.zeros(n, dtype=np.int64), k, Dissimilarity()), rows[n:]
+
+
+class TestEqualValueCertificate:
+    """Integer rows at scale 1 skip the exact re-rank; their ties go by index."""
+
+    @given(count_lookups())
+    @settings(max_examples=150, deadline=None)
+    def test_count_rows_match_full_sort_oracle(self, lookup):
+        model, queries = lookup
+        assert model.integer_points
+        want = [oracle_knn_indices(q, model.labeled_points, model.k) for q in queries]
+        np.testing.assert_array_equal(neighbor_index_matrix(model, queries), want)
+
+    @pytest.mark.parametrize("shift, re_ranks", [(0.0, False), (0.5, True)],
+                             ids=["integer", "shifted"])
+    def test_integer_rows_re_rank_nothing(self, rng, re_ranked, shift, re_ranks):
+        # the same ties either way: shifted by 0.5 the rows leave the lattice
+        pts = (rng.random((400, 20)) < 0.3) + shift
+        queries = (rng.random((16, 20)) < 0.3) + shift
+        model = build_knn_model(pts, np.zeros(400, dtype=np.int64), 5, Dissimilarity())
+        got = neighbor_index_matrix(model, queries)
+        np.testing.assert_array_equal(got, [oracle_knn_indices(q, pts, 5) for q in queries])
+        assert model.integer_points is not re_ranks
+        assert (sum(re_ranked) > 0) is re_ranks
+
+    def test_wide_bound_rows_re_rank(self, re_ranked):
+        # squared distances 1,000,001 and 1,000,000: at ||a||^2 ~ 1e6 the bound E
+        # is ~0.85, so the two share a cluster, and 4 E >= 1 voids the certificate
+        model = build_knn_model([[1000.0, 1.0], [1000.0, 0.0]], [0, 0], 2, Dissimilarity())
+        assert model.integer_points
+        np.testing.assert_array_equal(neighbor_index_matrix(model, [[0.0, 0.0]]), [[1, 0]])
+        assert sum(re_ranked) == 2
+
+    def test_non_integer_query_chunk_re_ranks(self, rng, re_ranked):
+        # integer points, one query half a unit off the lattice
+        pts = (rng.random((400, 20)) < 0.3).astype(np.float64)
+        queries = (rng.random((16, 20)) < 0.3).astype(np.float64)
+        queries[-1, -1] += 0.5
+        model = build_knn_model(pts, np.zeros(400, dtype=np.int64), 5, Dissimilarity())
+        got = neighbor_index_matrix(model, queries)
+        np.testing.assert_array_equal(got, [oracle_knn_indices(q, pts, 5) for q in queries])
+        assert model.integer_points and sum(re_ranked) > 0
+
+    @pytest.mark.parametrize("points, integer", [
+        (np.eye(3), True),
+        (np.eye(3) - 7.0, True),
+        (np.eye(3) + 0.5, False),
+        (np.eye(3) * 1e-19, False),  # its scale s is not 1
+        (np.eye(3) * 2.0 ** 20, True),
+        (np.eye(3) * 2.0 ** 21, False),  # a difference past 2^21
+        (np.full((3, 2 ** 10), 2.0 ** 20) * np.eye(3)[:, :1], False),  # d (2 max|x|)^2 = 2^52
+    ], ids=["0/1", "negative", "shifted", "tiny", "2^20", "2^21", "sum-2^52"])
+    def test_integer_points_field(self, points, integer):
+        model = build_knn_model(points, np.zeros(3, dtype=np.int64), 1, Dissimilarity())
+        assert model.integer_points is integer
+
+    @pytest.mark.parametrize("at", [0, 7, -1], ids=["first", "middle", "last"])
+    @pytest.mark.parametrize("bad", [0.25, 2.0 ** 21], ids=["fraction", "2^21"])
+    def test_small_integers_reads_every_block(self, monkeypatch, at, bad):
+        monkeypatch.setattr(knn, "_LATTICE_CELLS", 8)  # blocks of 2 rows of 4
+        a = np.arange(-20.0, 20.0).reshape(10, 4)
+        assert knn._small_integers(a)
+        a.reshape(-1)[at] += bad
+        assert not knn._small_integers(a)
+
+    def test_cut_at_the_band_bound(self):
+        # q = 0 in d = 1; exact values A 1.3225, B 1, C 1.21. A's stored norm
+        # gives it a bound E_A ~ 0.7, and its approximate value 0.9 lies within
+        # it. Bounds taken pair by pair (E_A + E_B, then E_B + E_C ~ 3e-6) join
+        # A and B and cut before C, so the re-rank would give [B, A]; the band's
+        # bound, 2 E_A, keeps all three in one cluster
+        points = np.array([[1.15], [1.0], [1.1]])
+        q = np.zeros((1, 1))
+        q_sq, p_sq = np.zeros(1, dtype=np.float32), np.array([1e6, 1.0, 1.0], dtype=np.float32)
+        rows, cols = np.zeros(3, dtype=np.int64), np.arange(3)
+        values = np.array([0.9, 1.0, 1.21], dtype=np.float32)
+        per_entry = knn._error_bound(np.zeros(3, dtype=np.float32), p_sq, 1, 0)
+        exact = np.array([oracle_sq_dist(q[0], p) for p in points])
+        assert (np.abs(values - exact) <= per_entry).all()
+        assert values[1] - values[0] <= per_entry[0] + per_entry[1]
+        assert values[2] - values[1] > per_entry[1] + per_entry[2]
+        got = knn._rank(points, q, knn._Stage(q_sq, p_sq, 0, False), 2, rows, cols, values,
+                        np.zeros(1, dtype=np.int64))
+        np.testing.assert_array_equal(got, [[1, 2]])
 
 
 class TestDissimilarityKinds:
@@ -400,6 +507,13 @@ class TestClassify:
         got = classify_batch(model, queries)
         want = [oracle_classify(q, pts, labels, 5) for q in queries]
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("q, k, n_classes", [(1, 1, 1), (64, 10, 10), (420, 9, 12)])
+    def test_vote_matches_oracle(self, rng, q, k, n_classes):
+        # few labels per row against many classes, so counts tie often
+        labels = rng.integers(0, min(n_classes, 4), size=(q, k))
+        want = [oracle_vote([int(v) for v in row]) for row in labels]
+        np.testing.assert_array_equal(majority_vote(labels, n_classes), want)
 
     def test_deterministic_across_runs(self, rng):
         pts = rng.normal(size=(40, 3))

@@ -194,6 +194,24 @@ def tied_classes(draw):
     return feats, labels, k_targets
 
 
+@st.composite
+def count_classes(draw):
+    """(features, labels, k_targets): 1-3 classes of 2-40 rows at scale 1 drawn
+    from a few distinct 0/1 or 0-3 count rows, so rows repeat and distances
+    tie, and k_targets from 1 to 20: integer rows the equal-value certificate
+    serves."""
+    sizes = draw(st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=3))
+    d = draw(st.sampled_from([1, 3, 12, 40]))
+    high = draw(st.sampled_from([1, 3]))
+    distinct = draw(st.integers(min_value=1, max_value=20))
+    k_targets = draw(st.integers(min_value=1, max_value=20))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    rows = rng.integers(0, high + 1, size=(distinct, d)).astype(np.float64)
+    feats = rows[rng.integers(0, distinct, size=sum(sizes))]
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    return feats, labels, k_targets
+
+
 def counting_bands(monkeypatch) -> list:
     """Record the values of every band the self-join takes."""
     seen = []
@@ -286,8 +304,10 @@ class TestSelfJoin:
             assert sets == brute_force_targets(feats, labels, k_targets)
 
     def test_tiny_inputs_re_rank_no_more(self, rng, re_ranked):
-        # unscaled, 1e-19 inputs underflow in float32 and every entry is re-ranked
-        feats = (rng.random((300, 20)) < 0.3).astype(np.float64)
+        # unscaled, 1e-19 inputs underflow in float32 and every entry is re-ranked;
+        # the 0.5 shift keeps the ties and exact arithmetic but leaves the integer
+        # lattice, whose equal-value certificate would skip the re-rank at scale 1
+        feats = (rng.random((300, 20)) < 0.3) + 0.5
         labels = np.repeat([0, 1, 2], 100)
         totals = []
         for scale in (1.0, 1e-19):
@@ -297,6 +317,25 @@ class TestSelfJoin:
             assert sets == brute_force_targets(feats * scale, labels, 5)
             totals.append(sum(re_ranked))
         assert totals[0] == totals[1] < 3 * 100 * 99
+
+    @given(count_classes())
+    @settings(max_examples=100, deadline=None)
+    def test_count_rows_match_brute_force(self, case):
+        feats, labels, k_targets = case
+        ds = dataset_from_arrays(feats, labels)
+        sets = target_sets(select_targets(ds, np.arange(len(labels)), k_targets))
+        assert sets == brute_force_targets(feats, labels, k_targets)
+
+    @pytest.mark.parametrize("shift, re_ranks", [(0.0, False), (0.5, True)],
+                             ids=["integer", "shifted"])
+    def test_integer_rows_re_rank_nothing(self, rng, re_ranked, shift, re_ranks):
+        # the same ties either way: shifted by 0.5 the rows leave the lattice
+        feats = (rng.random((300, 20)) < 0.3) + shift
+        labels = np.repeat([0, 1, 2], 100)
+        ds = dataset_from_arrays(feats, labels)
+        sets = target_sets(select_targets(ds, np.arange(300), 5))
+        assert sets == brute_force_targets(feats, labels, 5)
+        assert (sum(re_ranked) > 0) is re_ranks
 
     def test_float64_overflow_names_the_class(self):
         # centered squared norms near 1e320: the distances themselves overflow

@@ -92,6 +92,19 @@ class TestSimulateDelta:
                                             rel=1e-6)
         assert r.delta_hat == pytest.approx(diffs.mean(), rel=1e-12)
 
+    @pytest.mark.parametrize("s", [1e16, 1e18])
+    def test_std_error_scales_with_s(self, s):
+        # the same seed draws the same pair up to the factor s, and the same
+        # queries, so the standard error is s times that at s = 1, near
+        # s sqrt(8 d / n); differencing the two ~s^2 d sums per query read
+        # 3.54 times that at s = 1e16 and 0.0 at 1e18
+        cell = {"d": 300, "gamma": 1.0, "n_queries": 1000, "seed": 0}
+        unit = simulate_delta(CentralityExperiment(s=1.0, **cell))
+        r = simulate_delta(CentralityExperiment(s=s, **cell))
+        assert r.std_error == pytest.approx(s * unit.std_error, rel=1e-9)
+        assert r.std_error == pytest.approx(s * math.sqrt(8 * 300 / 1000), rel=0.1)
+        assert r.delta_hat == pytest.approx(r.delta_theory, rel=1e-12)
+
     @pytest.mark.parametrize("field, value", [("s", 1e160), ("s", math.inf), ("s", math.nan),
                                               ("s", 0.0), ("gamma", math.nan),
                                               ("gamma", math.inf)])
