@@ -21,10 +21,18 @@ def as_matrix(a, name: str = "array", finite: bool = True) -> np.ndarray:
 
 
 def as_int_vector(a, name: str = "array") -> np.ndarray:
-    out = np.ascontiguousarray(a, dtype=np.int64)
-    if out.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got ndim={out.ndim}")
-    return out
+    """Coerce to a C-contiguous int64 vector; a non-integer entry (a fraction,
+    NaN, inf or past int64's range) is named, not truncated or wrapped."""
+    a = np.asarray(a)
+    if a.ndim != 1:
+        raise ValueError(f"{name} must be 1-dimensional, got ndim={a.ndim}")
+    if a.dtype.kind not in "biu":
+        f = a.astype(np.float64, copy=False)
+        bad = np.flatnonzero(~((np.rint(f) == f) & (f >= -2.0 ** 63) & (f < 2.0 ** 63)))
+        if bad.size:
+            p = int(bad[0])
+            raise ValueError(f"{name}[{p}] = {float(f[p])} is not an integer in int64's range")
+    return np.ascontiguousarray(a, dtype=np.int64)
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
@@ -61,12 +69,10 @@ def sq_norms(points: np.ndarray) -> np.ndarray:
 _BUILD_CELLS = 1 << 17  # point cells centered per block while building an operand
 
 
-def sq_dist_operand(points: np.ndarray, shift: np.ndarray | float, dtype,
-                    out: np.ndarray | None = None) -> np.ndarray:
+def sq_dist_operand(points: np.ndarray, shift: np.ndarray | float, dtype) -> np.ndarray:
     """The point side of ``pairwise_sq_dists``: column j is [p_j | ||p_j||^2 | 1].
 
-    p = points - shift. One C-contiguous (d + 2, n) array of ``dtype`` (or
-    ``out``, a (d + 2, n) view such as a row-major array's transpose): rows
+    p = points - shift. One C-contiguous (d + 2, n) array of ``dtype``: rows
     0..d-1 hold p column-major, row d its squared norms and row d + 1 ones, so
     the GEMM reads it as stored. It is built in blocks of rows, with no
     second n x d array: ``points - shift`` is rounded once into a small
@@ -74,7 +80,7 @@ def sq_dist_operand(points: np.ndarray, shift: np.ndarray | float, dtype,
     block is copied in transposed.
     """
     n, d = points.shape
-    operand = np.empty((d + 2, n), dtype=dtype) if out is None else out
+    operand = np.empty((d + 2, n), dtype=dtype)
     step = max(1, _BUILD_CELLS // max(1, d))
     block = np.empty((min(step, n), d), dtype=dtype)
     for lo in range(0, n, step):
@@ -128,8 +134,8 @@ def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray):
     Returns (rows, cols, values, starts): the entries' row and column
     indices and values, sorted by (row, value, column), and the position
     where each row's entries start (each row has at least k, and its first
-    k are the row's k smallest by (value, column)). ``values`` must not
-    contain NaN.
+    k are the row's k smallest by (value, column)). ``values`` must be
+    float32, as every block ``knn`` forms is, and hold no NaN.
 
     The block is read whole once, by one ``np.minimum.reduce`` over strided
     level-1 groups: column j falls in group j mod g, g = max(k, n // 8), and
@@ -144,16 +150,15 @@ def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray):
     t = 8 (s (k - 1) + 1 with T from level-1 minima alone), besides ties at
     T, the slack and the columns in no level-2 group (the tail and the
     fewer than g2 level-1 groups left over). The bound is T plus the slack,
-    rounded up to ``values``' dtype.
+    rounded up to float32.
 
     Only the level-1 groups whose minimum is within the bound are gathered,
     with the tail, by flat row-major index (``reshape(-1)`` reads in logical
     C order, copying only a block not stored so), in group-offset order, so
-    each row's entries come in column order. The band is then ordered by
-    integer keys: for float32, one stable argsort of (row << 32) +
-    ``ordered_bits(value)`` (each row's keys fill their own 2^32-wide range);
-    for float64, stable argsorts by the value's bits and then by row.
-    Stability keeps equal values in column order.
+    each row's entries come in column order. The band is then ordered by one
+    stable argsort of the integer keys (row << 32) + ``ordered_bits(value)``:
+    a float32 value's 32-bit key keeps each row's keys in their own 2^32-wide
+    range. Stability keeps equal values in column order.
     """
     m, n = values.shape
     g = max(k, n // _GROUP)
@@ -167,7 +172,7 @@ def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray):
         for i in range(1, g // g2):
             np.minimum(top_min, group_min[:, i * g2:(i + 1) * g2], out=top_min)
         bound = np.partition(top_min, k - 1, axis=1)[:, k - 1]
-    bound = np.nextafter((bound + slack).astype(values.dtype), values.dtype.type(np.inf))
+    bound = np.nextafter((bound + slack).astype(np.float32), np.float32(np.inf))
     cells = values.reshape(-1)
 
     def within(flat: np.ndarray, limit: np.ndarray):  # the cells at ``flat`` <= limit, in order
@@ -181,12 +186,7 @@ def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray):
         tail = within(np.add.outer(np.arange(0, m * n, n), np.arange(s * g, n)), bound[:, None])
         flat, kept = np.concatenate([flat, tail[0]]), np.concatenate([kept, tail[1]])
     rows, cols = np.divmod(flat, n)
-    bits = ordered_bits(kept)
-    if bits.itemsize == 4:
-        order = np.argsort((rows << 32) + bits, kind="stable")
-    else:
-        order = np.argsort(bits, kind="stable")
-        order = order[np.argsort(rows[order], kind="stable")]
+    order = np.argsort((rows << 32) + ordered_bits(kept), kind="stable")
     rows = rows[order]
     return rows, cols[order], kept[order], np.searchsorted(rows, np.arange(m))
 

@@ -300,6 +300,10 @@ def main(argv=None) -> int:
         print(f"error: file not found: {e.filename or e}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return 1
+    except OSError as e:  # a directory, a file it may not read, a full disk
+        print(f"error: {e.filename}: {e.strerror}" if e.filename else f"error: {e}",
+              file=sys.stderr)
+        return 1
     except (ValueError, RuntimeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -8,8 +8,8 @@ labeled indices a full sort by (direct-difference float64 value, index)
 gives: among equal dissimilarities the lower labeled index comes first.
 Majority votes tie-break toward the label of the nearest neighbor within the
 tied label set, which degrades to the 1-NN rule. Target selection
-(``targets.select_targets``) is one self-join per class through the same
-stage (``nearest_others``), so J follows the same neighbour contract.
+(``targets.select_targets``) is one self-join per class on the class's own
+``KnnModel`` (``nearest_others``), so J follows the same neighbour contract.
 
 The lookup is certified rather than computed in full precision. Per chunk
 of queries it
@@ -81,7 +81,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import chain
-from typing import NamedTuple
 
 import numpy as np
 
@@ -126,13 +125,14 @@ class Dissimilarity:
 class KnnModel:
     """Labeled points ready for lookup (already mapped for the labeled side).
 
-    The float32 stage's point operand is built once here so lookups do not
-    rebuild it per batch: ``labeled_mean`` (mu), ``scale_exp`` (e of the scale
-    s = 2^-e) and ``operand32`` (``sq_dist_operand`` in float32, columns
-    [s (z_p - mu) | its squared norm, +inf past float32's range | 1]).
-    ``integer_points`` says whether s = 1 and the labeled points are integers
-    small enough for the module docstring's equal-value certificate (step 4),
-    checked once here so a lookup checks only its queries.
+    The float32 stage's point operand is built once here, for every lookup
+    and for both sides of a self-join (``nearest_others``): ``labeled_mean``
+    (mu), ``scale_exp`` (e of the scale s = 2^-e) and ``operand32``
+    (``sq_dist_operand`` in float32, columns [s (z_p - mu) | its squared
+    norm, +inf past float32's range | 1]). ``integer_points`` says whether
+    s = 1 and the labeled points are integers small enough for the module
+    docstring's equal-value certificate (step 4), checked once here so a
+    lookup checks only its queries.
 
     ``labeled_points`` are stored mapped, in float64, rather than mapped
     again for the few rows a lookup re-ranks: the exact values must come
@@ -233,34 +233,32 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
     return out
 
 
-def nearest_others(points: np.ndarray, k: int) -> np.ndarray:
-    """(n, k): row i holds the first k rows j != i of finite float64 ``points``
-    by (direct-difference squared distance to row i, j), for 1 <= k < n.
+def nearest_others(model: KnnModel) -> np.ndarray:
+    """(n, k): row i holds the first k = ``model.k`` < n labeled rows j != i
+    by (direct-difference squared distance to labeled row i, j).
 
-    The lookup's certified stage, s and all, as a self-join: the float32
-    ``side`` [a | ||a||^2 | 1] gives the query side by an exact scale; a row's
-    own entry is +inf in the block and dropped from the band before the re-rank.
+    The lookup's certified stage on the model's own point side: the query
+    side is columns of ``operand32`` scaled by an exact -2, for a bare ``@``.
+    A row's own entry is +inf in the block and dropped from the band before
+    the re-rank.
     """
-    n, d = points.shape
-    side = np.empty((n, d + 2), dtype=np.float32)
-    with np.errstate(over="ignore"):  # an overflow shows as +inf norms
-        _, e = _scaled(points, points.mean(axis=0), side.T)
-        sq, p_max = side[:, d], float(side[:, d].max())
+    k, n, d, e, side = model.k, model.n, model.d, model.scale_exp, model.operand32
+    sq, p_max = side[d], float(side[d].max())
+    with np.errstate(over="ignore"):  # an overflow shows as +inf
         if not 2 * float(np.ldexp(p_max, 2 * e)) < _F64_SAFE:
             raise ValueError("squared distances overflow float64: the rows lie too far apart")
-    integral = e == 0 and _small_integers(points)
     out = np.empty((n, k), dtype=np.int64)
     for lo, hi in query_chunks(n, n):
-        query = side[lo:hi] * -2.0
+        query = side[:, lo:hi].T * -2.0
         query[:, d], query[:, d + 1] = 1.0, sq[lo:hi]
-        approx = query @ side.T
+        approx = query @ side
         err = _error_bound(sq[lo:hi], p_max, d, e)
         np.fill_diagonal(approx[:, lo:], np.inf)
         rows, cols, values, _ = smallest_k_band(approx, k, 2.0 * err)
         other = cols != lo + rows
-        rows = rows[other]
-        out[lo:hi] = _rank(points, points[lo:hi], _Stage(sq[lo:hi], sq, e, integral), k, rows,
-                           cols[other], values[other], np.searchsorted(rows, np.arange(hi - lo)))
+        rows, cols, values = rows[other], cols[other], values[other]
+        out[lo:hi] = _rank(model, model.labeled_points[lo:hi], sq[lo:hi], model.integer_points, k,
+                           rows, cols, values, np.searchsorted(rows, np.arange(hi - lo)))
     return out
 
 
@@ -274,19 +272,19 @@ _LATTICE_CELLS = 1 << 15  # cells checked at once for integer values
 _EQUAL_BOUND = 0.25 * (1 - 2.0 ** -20)  # 4 E' < 1, with room for rounding the cut test
 
 
-def _scaled(points: np.ndarray, mean: np.ndarray, out: np.ndarray | None = None):
+def _scaled(points: np.ndarray, mean: np.ndarray):
     """(operand, e): float32 ``sq_dist_operand`` of s ``points`` shifted by s ``mean``,
-    into ``out`` if given, s = 2^-e by the module docstring's rule. The first
-    point goes before any build: float32 norms of tinier inputs underflow, at
-    ~60x the cost. The largest centered coordinate comes from column extremes."""
+    s = 2^-e by the module docstring's rule. The first point goes before any
+    build: float32 norms of tinier inputs underflow, at ~60x the cost. The
+    largest centered coordinate comes from column extremes."""
     if np.linalg.norm(points[0] - mean) >= 2.0 ** -32:  # its square at least 2^-64
-        operand = sq_dist_operand(points, mean, np.float32, out)
+        operand = sq_dist_operand(points, mean, np.float32)
         if float(operand[-2].max()) <= 2.0 ** 64:
             return operand, 0
     span = np.maximum(points.max(axis=0) - mean, mean - points.min(axis=0)).max(initial=0.0)
     e = max(math.frexp(span)[1], -474)
     s = math.ldexp(1.0, -e)
-    return sq_dist_operand(points * s, mean * s, np.float32, out), e
+    return sq_dist_operand(points * s, mean * s, np.float32), e
 
 
 def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
@@ -311,8 +309,7 @@ def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
     centered[np.isinf(err)] = 0.0  # a far row: the exact re-rank takes all of it
     approx = pairwise_sq_dists(centered, model.operand32)
     integral = model.integer_points and _small_integers(q)
-    return _rank(model.labeled_points, q, _Stage(q_sq, model.operand32[model.d], e, integral), k,
-                 *smallest_k_band(approx, k, 2.0 * err))
+    return _rank(model, q, q_sq, integral, k, *smallest_k_band(approx, k, 2.0 * err))
 
 
 def _small_integers(a: np.ndarray) -> bool:
@@ -332,18 +329,6 @@ def _small_integers(a: np.ndarray) -> bool:
                 and (np.rint(block) == block).all()):
             return False
     return True
-
-
-class _Stage(NamedTuple):
-    """What bounds a chunk's band in ``_rank``: the float32 squared norms of
-    the GEMM's query rows (``q_sq``) and point rows (``p_sq``), the scale's
-    exponent e, and whether s = 1 and the chunk's queries and the points
-    pass ``_small_integers``."""
-
-    q_sq: np.ndarray
-    p_sq: np.ndarray
-    e: int
-    integral: bool
 
 
 def _error_bound(q_sq: np.ndarray, p_max: float | np.ndarray, d: int, e: int) -> np.ndarray:
@@ -371,11 +356,11 @@ def _error_bound(q_sq: np.ndarray, p_max: float | np.ndarray, d: int, e: int) ->
     return err
 
 
-def _rank(points: np.ndarray, q: np.ndarray, stage: _Stage, k: int, rows: np.ndarray,
-          cols: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _rank(model: KnnModel, q: np.ndarray, q_sq: np.ndarray, integral: bool, k: int,
+          rows: np.ndarray, cols: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """First k band entries per row, ambiguous clusters re-ranked by exact values."""
-    cut = _error_bound(stage.q_sq, np.maximum.reduceat(stage.p_sq[cols], starts),
-                       points.shape[1], stage.e)  # E' per row
+    cut = _error_bound(q_sq, np.maximum.reduceat(model.operand32[model.d][cols], starts),
+                       model.d, model.scale_exp)  # E' per row
     # entry i joins entry i - 1's cluster unless its value is provably larger
     joined = np.zeros(rows.size, dtype=bool)
     joined[1:] = ((rows[1:] == rows[:-1]) &
@@ -384,21 +369,16 @@ def _rank(points: np.ndarray, q: np.ndarray, stage: _Stage, k: int, rows: np.nda
     first = np.flatnonzero(~joined)  # each cluster's first entry
     size = np.diff(np.append(first, rows.size))
     place = first - starts[rows[first]]  # its place within its row
-    ambiguous = ((size > 1) & (place < k))[cluster]
-    if ambiguous.any():
-        at = np.flatnonzero(ambiguous)
-        # stable sorts by column, exact value and cluster order each cluster by
-        # (exact, column); a sum of squares is never negative, so its bits order.
-        # The entries of a row whose clusters hold equal values keep exact 0
-        moved = cols[at]
-        order = np.argsort(moved, kind="stable")
-        pending = ~(stage.integral & (cut < _EQUAL_BOUND))[rows[at]]
-        if pending.any():
-            exact = np.zeros(at.size, dtype=np.int64)
-            exact[pending] = _direct_sq_dists(q, points, rows[at[pending]],
-                                              moved[pending]).view(np.int64)
-            order = order[np.argsort(exact[order], kind="stable")]
-        cols[at] = moved[order[np.argsort(cluster[at][order], kind="stable")]]
+    at = np.flatnonzero(((size > 1) & (place < k))[cluster])
+    # each ambiguous cluster in (exact, column) order; a sum of squares is never
+    # negative, so its bits order. The entries of a row whose clusters hold
+    # equal values keep exact 0
+    moved = cols[at]
+    exact = np.zeros(at.size, dtype=np.int64)
+    pending = ~(integral & (cut < _EQUAL_BOUND))[rows[at]]
+    exact[pending] = _direct_sq_dists(q, model.labeled_points, rows[at[pending]],
+                                      moved[pending]).view(np.int64)
+    cols[at] = moved[np.lexsort((moved, exact, cluster[at]))]
     return cols[starts[:, None] + np.arange(k)]
 
 

@@ -1,12 +1,12 @@
 """Per-object regression targets: same-class nearest neighbors in the training set.
 
 Targets are selected with the plain Euclidean metric on the features as
-given (before any learned transformation), by one certified self-join per
-class (``knn.nearest_others``). They come out as the 0/1 indicator J,
+given (before any learned transformation): the classifier's k-NN run inside
+each class, as one certified self-join (``knn.nearest_others``) on a
+``KnnModel`` of the class's members. They come out as the 0/1 indicator J,
 J[i, j] = 1 iff training object j is a target of object i, whose rows and
 columns are positions within the training list that produced it, so they
-align directly with the columns of the feature matrix handed to the
-transform solvers.
+align with the columns of the feature matrix handed to the transform solvers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import scipy.sparse as sp
 
 from ._arrays import as_int_vector, index_vector
 from .datamodel import Dataset
-from .knn import nearest_others
+from .knn import Dissimilarity, KnnModel, nearest_others
 
 
 class TargetSelectionError(ValueError):
@@ -48,8 +48,9 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
             raise TargetSelectionError(
                 f"training class {name!r} has a single member; cannot select same-class targets")
         k = min(k_targets, size - 1)
+        model = KnnModel(dataset.features[tr[members]], labs[members], k, Dissimilarity())
         try:  # the self-join's one error: squared distances past float64's range
-            near = nearest_others(dataset.features[tr[members]], k)
+            near = nearest_others(model)
         except ValueError as err:
             raise TargetSelectionError(f"training class {name!r}: {err}") from None
         owners.append(np.repeat(members, k))

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hubridge._arrays import (ordered_bits, pairwise_sq_dists, smallest_k_band,
-                              sq_dist_operand)
+from hubridge._arrays import (as_int_vector, ordered_bits, pairwise_sq_dists,
+                              smallest_k_band, sq_dist_operand)
 
 
 def full_sort_oracle(values: np.ndarray, k: int) -> np.ndarray:
@@ -23,8 +25,8 @@ def smallest_k(values: np.ndarray, k: int) -> np.ndarray:
 
 @st.composite
 def blocks(draw):
-    """(values, k): tie-heavy integer rows, optionally offset by 1e6, with +inf,
-    in one of several memory layouts."""
+    """(values, k): float32 tie-heavy integer rows, optionally offset by 1e6,
+    with +inf, in one of several memory layouts."""
     m = draw(st.integers(min_value=0, max_value=6))
     n = draw(st.integers(min_value=1, max_value=12))
     k = draw(st.integers(min_value=1, max_value=n))
@@ -33,13 +35,13 @@ def blocks(draw):
                       st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
     cells = draw(st.lists(entry, min_size=m * n, max_size=m * n))
     offset = draw(st.sampled_from([0.0, 1e6]))
-    values = np.array(cells, dtype=np.float64).reshape(m, n) + offset
+    values = (np.array(cells).reshape(m, n) + offset).astype(np.float32)
     return draw(st.sampled_from(LAYOUTS))(values), k
 
 
 def strided(values: np.ndarray) -> np.ndarray:
     """Every other column of a wider array, the gaps filled with smaller values."""
-    wide = np.full((values.shape[0], 2 * values.shape[1]), -np.inf)
+    wide = np.full((values.shape[0], 2 * values.shape[1]), -np.inf, dtype=values.dtype)
     wide[:, ::2] = values
     return wide[:, ::2]
 
@@ -72,9 +74,9 @@ class TestSmallestK:
                                       full_sort_oracle(np.ascontiguousarray(values), 1))
 
     @pytest.mark.parametrize("values", [
-        np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]]),  # -0.0 == 0.0: lower index
-        np.array([[np.inf, np.inf, np.inf], [np.inf, 2.0, 2.0]]),
-        np.zeros((0, 4)),
+        np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0]], dtype=np.float32),  # -0.0 == 0.0: lower index
+        np.array([[np.inf, np.inf, np.inf], [np.inf, 2.0, 2.0]], dtype=np.float32),
+        np.zeros((0, 4), dtype=np.float32),
     ], ids=["signed-zeros", "all-inf-row", "no-rows"])
     def test_first_minimum_edge_cases(self, values):
         got = smallest_k(values, 1)
@@ -86,14 +88,15 @@ class TestSmallestK:
             raise AssertionError("k = 1 must not partition")
 
         monkeypatch.setattr(np, "partition", refuse)
-        np.testing.assert_array_equal(smallest_k(np.array([[3.0, 1.0, 1.0, 0.5]]), 1), [[3]])
+        values = np.array([[3.0, 1.0, 1.0, 0.5]], dtype=np.float32)
+        np.testing.assert_array_equal(smallest_k(values, 1), [[3]])
 
     def test_tie_straddling_kth_place_keeps_lower_indices(self):
-        values = np.array([[2.0, 1.0, 0.0, 1.0, 1.0, 1.0]])
+        values = np.array([[2.0, 1.0, 0.0, 1.0, 1.0, 1.0]], dtype=np.float32)
         np.testing.assert_array_equal(smallest_k(values, 3), [[2, 1, 3]])
 
     def test_equals_stable_argsort_on_continuous_rows(self, rng):
-        values = rng.normal(size=(40, 300))
+        values = rng.normal(size=(40, 300)).astype(np.float32)
         np.testing.assert_array_equal(
             smallest_k(values, 10), np.argsort(values, axis=1, kind="stable")[:, :10])
 
@@ -109,7 +112,7 @@ class TestSmallestK:
         m = data.draw(st.integers(min_value=0, max_value=5))
         high = data.draw(st.integers(min_value=1, max_value=6))
         seed = data.draw(st.integers(min_value=0, max_value=2 ** 32 - 1))
-        values = np.random.default_rng(seed).integers(0, high, size=(m, n)).astype(np.float64)
+        values = np.random.default_rng(seed).integers(0, high, size=(m, n)).astype(np.float32)
         np.testing.assert_array_equal(
             smallest_k(values, k), np.argsort(values, axis=1, kind="stable")[:, :k])
 
@@ -119,7 +122,7 @@ class TestSmallestK:
         # in group 0, so the 3rd-smallest group minimum is far above the 3rd
         # value; at n = 85 columns 80-84 belong to no group and hold ties
         k = 3
-        values = np.tile(np.arange(n, dtype=np.float64) + 100.0, (2, 1))
+        values = np.tile(np.arange(n, dtype=np.float32) + 100.0, (2, 1))
         values[0, [0, 10, 20]] = [3.0, 1.0, 2.0]
         values[1, [30, 0, 70]] = 5.0
         if n == 85:
@@ -143,11 +146,10 @@ class TestSmallestK:
 
 @st.composite
 def band_blocks(draw):
-    """(values, k, slack): float32 or float64 blocks of tie-heavy or continuous
-    rows holding -0.0 and +0.0, +inf entries and whole +inf rows, n from 1 to
-    700 (most n leave a tail at one level of groups or both), k up to the
+    """(values, k, slack): float32 blocks of tie-heavy or continuous rows
+    holding -0.0 and +0.0, +inf entries and whole +inf rows, n from 1 to 700
+    (most n leave a tail at one level of groups or both), k up to the
     level-1 group count n // 8 or up to n, and zero or per-row slack."""
-    dtype = draw(st.sampled_from([np.float32, np.float64]))
     m = draw(st.integers(min_value=0, max_value=5))
     n = draw(st.integers(min_value=1, max_value=700))
     k = draw(st.one_of(st.integers(min_value=1, max_value=max(1, n // 8)),
@@ -161,7 +163,7 @@ def band_blocks(draw):
     values[rng.random((m, n)) < draw(st.sampled_from([0.0, 0.05, 0.9]))] = np.inf
     values[rng.random(m) < 0.2] = np.inf
     slack = draw(st.sampled_from([np.zeros(m), rng.uniform(0.0, 2.0, size=m)]))
-    return values.astype(dtype), k, slack
+    return values.astype(np.float32), k, slack
 
 
 def assert_band_is_a_sorted_prefix(values: np.ndarray, k: int, band) -> None:
@@ -192,7 +194,7 @@ class TestTwoLevelBand:
         if not slack.any():
             np.testing.assert_array_equal(smallest_k(values, k), full_sort_oracle(values, k))
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float32])  # the band's one dtype
     @pytest.mark.parametrize("n", [1000, 1013], ids=["grouped", "tail-columns"])
     def test_k_nearest_in_one_level2_group_widen_the_band_only(self, dtype, n):
         # g = n // 8 level-1 groups (126 at n = 1013, with a 5-column tail) and
@@ -209,7 +211,7 @@ class TestTwoLevelBand:
         np.testing.assert_array_equal(smallest_k(values, k), full_sort_oracle(values, k))
         np.testing.assert_array_equal(smallest_k(values, k)[0], [30, 0, 15])
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dtype", [np.float32])  # the band's one dtype
     def test_ties_straddling_kth_place_keep_lower_columns(self, dtype):
         # ties at 1.0 across groups, level-2 groups and the tail (n = 1005 leaves
         # columns 1000-1004 in no group), -0.0 and +0.0 tied below them
@@ -238,6 +240,26 @@ class TestTwoLevelBand:
         assert sizes and max(sizes) <= values.size // 8
 
 
+class TestAsIntVector:
+    @pytest.mark.parametrize("values", [[0, 3, -2], [True, False], np.array([4], np.uint8),
+                                        [1.0, -7.0, 2.0 ** 62], [-2.0 ** 63]])
+    def test_whole_numbers_kept(self, values):
+        got = as_int_vector(values, "labels")
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, np.asarray(values, dtype=np.float64))
+
+    @pytest.mark.parametrize("values, message", [
+        ([0, 1, 0.9, 1.2], "labels[2] = 0.9"),
+        ([1.0, np.nan], "labels[1] = nan"),
+        ([-np.inf], "labels[0] = -inf"),
+        ([3.0, 1e30], "labels[1] = 1e+30"),
+        ([2.0 ** 63], "labels[0] = 9.223372036854776e+18"),
+    ], ids=["fraction", "nan", "inf", "1e30", "2^63"])
+    def test_other_values_named_not_truncated(self, values, message):
+        with pytest.raises(ValueError, match=re.escape(message + " is not an integer")):
+            as_int_vector(values, "labels")
+
+
 class TestOrderedBits:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_order_matches_values(self, dtype):
@@ -261,10 +283,6 @@ class TestPairwiseSqDists:
         shifted = sq_dist_operand(p, np.array([1.0, 0.5]), np.float32)
         assert shifted.dtype == np.float32 and shifted.flags.c_contiguous
         np.testing.assert_array_equal(shifted, [[0.0, -4.0], [1.5, 0.0], [2.25, 16.0], [1.0, 1.0]])
-        # or into a view: the transpose of a row-major (n, d + 2) array
-        side = np.empty((2, 4), dtype=np.float32)
-        sq_dist_operand(p, np.array([1.0, 0.5]), np.float32, side.T)
-        np.testing.assert_array_equal(side.T, shifted)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_blocked_build_matches_one_pass(self, rng, dtype):

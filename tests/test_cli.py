@@ -271,6 +271,11 @@ class TestErrors:
         assert rc == 1
         assert "not found" in capsys.readouterr().err
 
+    def test_directory_as_dataset(self, tmp_path, capsys):
+        rc = main(["fit", "--dataset", str(tmp_path), "--out", str(tmp_path / "m.json")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path}: Is a directory")
+
     def test_unknown_flag_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--bogus"])

@@ -256,6 +256,14 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="non-finite"):
             dataset_from_arrays([[np.inf, 1.0]], [0])
 
+    def test_fractional_labels_and_rows_rejected(self):
+        # both used to be truncated toward zero: labels [0, 1, 0, 1, 0, 1], row 1
+        with pytest.raises(ValueError, match=r"labels\[0\] = 0.9 is not an integer"):
+            dataset_from_arrays(np.eye(6), [0.9, 1.2, 0, 1, 0, 1])
+        ds = dataset_from_arrays([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
+        with pytest.raises(ValueError, match=r"indices\[1\] = 1.7 is not an integer"):
+            subset(ds, [0, 1.7, 2, 3])
+
     def test_subset_keeps_classes(self):
         ds = dataset_from_arrays([[0.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1])
         sub = subset(ds, [0, 1])

@@ -4,10 +4,12 @@ import re
 import numpy as np
 import pytest
 
+from hubridge import knn
 from hubridge.datamodel import Preprocessor, column_mean_sd, dataset_from_arrays, split
 from hubridge.experiment import (ExperimentConfig, ModelArtifact, TIMING_FIELDS,
                                  fit_timed, preprocess, run_experiment, training_record)
 from hubridge.modelselect import CvConfig, grid_search
+from hubridge.targets import select_targets
 
 from _helpers import gaussian_mixture, write_dense_csv
 
@@ -244,6 +246,24 @@ class TestRunExperiment:
         assert all(r.training_seconds == 0.0 for r in euclid)
         assert (tmp_path / "out" / "report.json").exists()
         assert (tmp_path / "out" / "report.txt").exists()
+
+    def test_every_band_is_float32(self, mixture_csv, monkeypatch, rng):
+        # the band orders by a 32-bit key: a lookup, a target selection and a
+        # whole split (CV, fits, lookups) may form no other block
+        seen = []
+        real = knn.smallest_k_band
+        monkeypatch.setattr(knn, "smallest_k_band",
+                            lambda values, *args: seen.append(values.dtype) or real(values, *args))
+        counts = []
+        ds = dataset_from_arrays(rng.normal(size=(60, 5)), np.arange(60) % 3)
+        model = knn.build_knn_model(ds.features, ds.labels, 3, knn.Dissimilarity())
+        for run in (lambda: knn.neighbor_index_matrix(model, rng.normal(size=(8, 5))),
+                    lambda: select_targets(ds, np.arange(60), 4),
+                    lambda: run_experiment(small_config(mixture_csv, n_splits=1, seeds=(1,)))):
+            run()
+            counts.append(len(seen))
+        assert 0 < counts[0] < counts[1] < counts[2]
+        assert set(seen) == {np.dtype(np.float32)}
 
     def test_single_euclidean_split(self, mixture_csv):
         cfg = small_config(mixture_csv, methods=("euclidean",), n_splits=1,

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -305,8 +306,9 @@ def count_lookups(draw):
     """(model, queries): 0/1 or 0-3 count rows at scale 1, Euclidean, drawn
     with repeats from a pool of distinct rows (queries too, so some sit on
     labeled points), n up to 200 and k up to 20: integer rows the equal-value
-    certificate serves. A query moved 1000 along the first axis has a bound E
-    near 1, where clusters join entries of unequal value."""
+    certificate serves. Each query, drawn row by row, may be moved 1000 along
+    the first axis: its bound E is near 1, where clusters join entries of
+    unequal value, so one chunk can mix rows with 4 E' < 1 and rows without."""
     d = draw(st.sampled_from([1, 2, 5, 12, 40, 300]))
     n = draw(st.integers(min_value=1, max_value=200))
     m = draw(st.integers(min_value=1, max_value=8))
@@ -317,7 +319,7 @@ def count_lookups(draw):
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
     pool = rng.integers(0, high + 1, size=(distinct, d)) * (rng.random((distinct, d)) < density)
     rows = pool[rng.integers(0, distinct, size=n + m)].astype(np.float64)
-    rows[n:, 0] += draw(st.sampled_from([0.0, 1000.0]))
+    rows[n:, 0] += rng.choice([0.0, 1000.0], size=m)
     return build_knn_model(rows[:n], np.zeros(n, dtype=np.int64), k, Dissimilarity()), rows[n:]
 
 
@@ -400,8 +402,10 @@ class TestEqualValueCertificate:
         assert (np.abs(values - exact) <= per_entry).all()
         assert values[1] - values[0] <= per_entry[0] + per_entry[1]
         assert values[2] - values[1] > per_entry[1] + per_entry[2]
-        got = knn._rank(points, q, knn._Stage(q_sq, p_sq, 0, False), 2, rows, cols, values,
-                        np.zeros(1, dtype=np.int64))
+        # a stand-in model: the hand-built norms, not those of ``points``
+        operand = np.vstack([points.T, p_sq, np.ones(3)]).astype(np.float32)
+        model = SimpleNamespace(labeled_points=points, d=1, scale_exp=0, operand32=operand)
+        got = knn._rank(model, q, q_sq, False, 2, rows, cols, values, np.zeros(1, dtype=np.int64))
         np.testing.assert_array_equal(got, [[1, 2]])
 
 

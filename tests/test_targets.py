@@ -275,7 +275,7 @@ class TestSelfJoin:
         select_targets(ds, np.arange(20), 15)
         assert np.isinf(bands[0]).any()
         # one chunk, so a row's own column is its row index
-        _, _, _, _, rows, cols, values, _ = ranked[0]
+        *_, rows, cols, values, _ = ranked[0]
         assert np.isfinite(values).all() and not (rows == cols).any()
 
     def test_chunked_rows_near_float64_range(self, monkeypatch):
