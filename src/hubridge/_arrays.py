@@ -26,12 +26,15 @@ def as_int_vector(a, name: str = "array") -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got ndim={a.ndim}")
-    if a.dtype.kind not in "biu":
-        f = a.astype(np.float64, copy=False)
-        bad = np.flatnonzero(~((np.rint(f) == f) & (f >= -2.0 ** 63) & (f < 2.0 ** 63)))
+    if a.dtype.kind not in "bi":
+        if a.dtype.kind == "u":  # a uint64 past int64's range would wrap
+            v, bad = a, np.flatnonzero(a > np.iinfo(np.int64).max)
+        else:
+            v = a.astype(np.float64, copy=False)
+            bad = np.flatnonzero(~((np.rint(v) == v) & (v >= -2.0 ** 63) & (v < 2.0 ** 63)))
         if bad.size:
             p = int(bad[0])
-            raise ValueError(f"{name}[{p}] = {float(f[p])} is not an integer in int64's range")
+            raise ValueError(f"{name}[{p}] = {v[p].item()} is not an integer in int64's range")
     return np.ascontiguousarray(a, dtype=np.int64)
 
 

@@ -31,7 +31,8 @@ from .hubness import skewness
 from .knn import classify_batch, knn_from_transform
 from .modelselect import METHODS, CvConfig, CvResult, check_methods, grid_search
 from .theory import CentralityExperiment, simulate_delta
-from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, solver_disagreement
+from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, _valid_lambda,
+                        solver_disagreement)
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -57,6 +58,7 @@ def _at_least(low, cast):
 
 
 _FRACTION = _checked(float, lambda value: 0 < value < 1, "in (0, 1)")
+_LAMBDA = _checked(float, _valid_lambda, ">= 0 and finite")
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:
@@ -86,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_dataset_args(p)
     _add_preproc_args(p)
     p.add_argument("--method", default=MOVE_LABELED, choices=(MOVE_LABELED, MOVE_QUERY))
-    p.add_argument("--lambda", dest="lam", type=_at_least(0, float), default=0.1)
+    p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=0.1)
     p.add_argument("--k-targets", type=_at_least(1, int), default=1)
     p.add_argument("--solver", default=SOLVER_PAPER, choices=SOLVERS)
     p.add_argument("--out", required=True, help="path for the model JSON")
@@ -104,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_preproc_args(p)
     p.add_argument("--methods", type=lambda s: tuple(s.split(",")),
                    default=METHODS, help="comma list among " + ",".join(METHODS))
-    p.add_argument("--lambda", dest="lam", type=_at_least(0, float), default=0.1)
+    p.add_argument("--lambda", dest="lam", type=_LAMBDA, default=0.1)
     p.add_argument("--k-targets", type=_at_least(1, int), default=1)
     p.add_argument("--solver", default=SOLVER_PAPER, choices=SOLVERS)
     p.add_argument("--k", type=_at_least(1, int), default=10)
@@ -287,6 +289,13 @@ def _cmd_bench(args) -> int:
     return 0
 
 
+def _check_outputs(args) -> None:
+    """Reject an ``--out`` or ``--json-out`` whose directory does not exist, before any work."""
+    for flag, path in (("--out", args.out), ("--json-out", getattr(args, "json_out", None))):
+        if path is not None and not Path(path).parent.is_dir():
+            raise ValueError(f"output {flag} {path}: directory {Path(path).parent} does not exist")
+
+
 _COMMANDS = {"fit": _cmd_fit, "predict": _cmd_predict, "hubness": _cmd_hubness,
              "cv": _cmd_cv, "centrality": _cmd_centrality, "bench": _cmd_bench}
 
@@ -295,6 +304,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.command != "bench":  # bench creates its --out directory
+            _check_outputs(args)
         return _COMMANDS[args.command](args)
     except FileNotFoundError as e:
         print(f"error: file not found: {e.filename or e}", file=sys.stderr)

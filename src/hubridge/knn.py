@@ -19,10 +19,11 @@ of queries it
    [b_p | ||b_p||^2 | 1], a = s (x - mu) and b_p = s (z_p - mu) centered on
    the labeled mean mu, where expansion cancels least (the point side built
    once per model). The scale s = 2^-e is 1 while the first labeled point's
-   centered squared norm is at least 2^-64 and the largest at most 2^64, as
-   on ordinary data; else e is the binary exponent of their largest centered
-   coordinate, at least -474 (``_scaled``). A power of two scales exactly,
-   so every finite input keeps float32's range and relative rounding;
+   centered norm, or else their largest centered coordinate, is at least
+   2^-32 and the largest centered squared norm at most 2^64, as on ordinary
+   data; else e is the binary exponent of that largest coordinate, at least
+   -474 (``_scaled``). A power of two scales exactly, so every finite input
+   keeps float32's range and relative rounding;
 2. bounds, per query row, how far any approximate value can lie from s^2
    times the direct-difference float64 value: E = c (||a||^2 +
    max_p ||b_p||^2) plus underflow terms, where a and b_p are as rounded and
@@ -276,13 +277,16 @@ def _scaled(points: np.ndarray, mean: np.ndarray):
     """(operand, e): float32 ``sq_dist_operand`` of s ``points`` shifted by s ``mean``,
     s = 2^-e by the module docstring's rule. The first point goes before any
     build: float32 norms of tinier inputs underflow, at ~60x the cost. The
-    largest centered coordinate comes from column extremes."""
-    if np.linalg.norm(points[0] - mean) >= 2.0 ** -32:  # its square at least 2^-64
+    largest centered coordinate, from column extremes, decides for a first
+    point on the mean and sets e."""
+    def span():
+        return np.maximum(points.max(axis=0) - mean, mean - points.min(axis=0)).max(initial=0.0)
+
+    if np.linalg.norm(points[0] - mean) >= 2.0 ** -32 or span() >= 2.0 ** -32:
         operand = sq_dist_operand(points, mean, np.float32)
         if float(operand[-2].max()) <= 2.0 ** 64:
             return operand, 0
-    span = np.maximum(points.max(axis=0) - mean, mean - points.min(axis=0)).max(initial=0.0)
-    e = max(math.frexp(span)[1], -474)
+    e = max(math.frexp(span())[1], -474)
     s = math.ldexp(1.0, -e)
     return sq_dist_operand(points * s, mean * s, np.float32), e
 
@@ -292,16 +296,10 @@ def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
     e, p_max = model.scale_exp, float(model.operand32[model.d].max())
     centered = np.empty(q.shape, dtype=np.float32)
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        if e == 0:  # p_max <= 2^64: only a row past float32's range can overflow float64
-            np.subtract(q, model.labeled_mean, out=centered, casting="same_kind")
-            q_sq = sq_norms(centered)
-            far = ~(q_sq < _F32_SAFE)
-            q_max = float(sq_norms(q[far] - model.labeled_mean).max(initial=0.0))
-        else:
-            diff = q - model.labeled_mean
-            q_max = float(sq_norms(diff).max())
-            np.multiply(diff, math.ldexp(1.0, -e), out=centered, casting="same_kind")
-            q_sq = sq_norms(centered)
+        diff = q - model.labeled_mean
+        q_max = float(sq_norms(diff).max())
+        np.multiply(diff, math.ldexp(1.0, -e), out=centered, casting="same_kind")  # exact at e = 0
+        q_sq = sq_norms(centered)
         if not q_max + float(np.ldexp(p_max, 2 * e)) < _F64_SAFE:
             raise ValueError("squared distances overflow float64: queries and labeled "
                              "points (after their maps) lie too far apart")

@@ -33,7 +33,7 @@ from ._codec import INT, NUMBER, Record, list_of
 from .datamodel import Dataset
 from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
 from .targets import select_targets
-from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, RidgeSystem
+from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, RidgeSystem, _check_lambdas
 
 EUCLIDEAN_METHOD = "euclidean"
 METHODS = (EUCLIDEAN_METHOD, MOVE_LABELED, MOVE_QUERY)
@@ -72,8 +72,7 @@ class CvConfig:
         for name in ("lambda_grid", "k_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        if not all(lam >= 0 for lam in self.lambda_grid):  # NaN fails too
-            raise ValueError(f"lambda_grid values must be non-negative, got {self.lambda_grid}")
+        _check_lambdas(self.lambda_grid, "lambda_grid values")
         if any(k < 1 for k in self.k_grid):
             raise ValueError(f"k_grid values must be positive, got {self.k_grid}")
         if self.n_folds < 2:

@@ -33,11 +33,9 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
     a single training member is rejected (no same-class target exists).
     ``train`` must list distinct row positions of ``dataset``.
     """
-    if k_targets < 0:
-        raise ValueError("k_targets must be non-negative")
+    if k_targets < 1:
+        raise ValueError("k_targets must be >= 1")
     tr = index_vector(train, dataset.n, "train")
-    if k_targets == 0:
-        return indicator_matrix([], [], tr.size)
     labs = dataset.labels[tr]
     owners, targets = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     classes, sizes = np.unique(labs, return_counts=True)

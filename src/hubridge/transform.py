@@ -97,10 +97,14 @@ class TransformModel:
         version=1, version_error="unsupported TransformModel version {version}")
 
 
-def _check_lambdas(lambdas) -> None:
+def _valid_lambda(lam) -> bool:
+    return 0 <= lam < np.inf  # NaN fails too
+
+
+def _check_lambdas(lambdas, name: str = "lambda") -> None:
     for lam in lambdas:
-        if not lam >= 0:  # NaN fails too
-            raise ValueError(f"lambda must be non-negative, got {lam!r}")
+        if not _valid_lambda(lam):
+            raise ValueError(f"{name} must be finite and non-negative, got {lam!r}")
 
 
 def _indicator(n: int, j) -> sp.csr_matrix:

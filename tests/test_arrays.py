@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hubridge._arrays import (as_int_vector, ordered_bits, pairwise_sq_dists,
+from hubridge._arrays import (as_int_vector, index_vector, ordered_bits, pairwise_sq_dists,
                               smallest_k_band, sq_dist_operand)
 
 
@@ -258,6 +258,13 @@ class TestAsIntVector:
     def test_other_values_named_not_truncated(self, values, message):
         with pytest.raises(ValueError, match=re.escape(message + " is not an integer")):
             as_int_vector(values, "labels")
+
+    def test_unsigned_past_int64_named_not_wrapped(self):
+        # 2^63 as uint64 used to wrap to -2^63 and be reported under that value
+        assert as_int_vector(np.array([2 ** 63 - 1], np.uint64))[0] == 2 ** 63 - 1
+        with pytest.raises(ValueError, match=re.escape(
+                "indices[1] = 9223372036854775808 is not an integer in int64's range")):
+            index_vector(np.array([3, 2 ** 63], dtype=np.uint64), 10)
 
 
 class TestOrderedBits:

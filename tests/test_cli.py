@@ -276,6 +276,30 @@ class TestErrors:
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"error: {tmp_path}: Is a directory")
 
+    @pytest.mark.parametrize("command, flag", [
+        ("fit", "--out"), ("hubness", "--out"), ("hubness", "--json-out"), ("cv", "--out"),
+        ("predict", "--out"), ("centrality", "--out")])
+    def test_missing_output_directory_checked_first(self, monkeypatch, tmp_path, capsys,
+                                                    command, flag):
+        # fit and cv used to load and fit, and hubness to print its CSV, before
+        # exiting 1 with "file not found: <path>" and the usage line
+        import hubridge.cli
+
+        def refuse(*args):
+            raise AssertionError(f"work began before {flag} was checked")
+
+        for name in ("load_dataset", "simulate_delta"):
+            monkeypatch.setattr(hubridge.cli, name, refuse)
+        out = tmp_path / "missing" / "out.json"
+        iris = ["--dataset", str(bundled_dataset_path("iris"))]
+        given = {"centrality": [],
+                 "predict": [*iris, "--model", str(tmp_path / "m.json"), "--queries", iris[1]]}
+        assert main([command, *given.get(command, iris), flag, str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: output {flag} {out}: directory {out.parent} "
+                                "does not exist\n")
+
     def test_unknown_flag_exits_nonzero(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["fit", "--bogus"])
@@ -285,6 +309,8 @@ class TestErrors:
     @pytest.mark.parametrize("argv, flag", [
         (["fit", "--lambda", "nan", "--out", "m.json"], "--lambda"),
         (["fit", "--lambda", "-1", "--out", "m.json"], "--lambda"),
+        (["fit", "--lambda", "inf", "--out", "m.json"], "--lambda"),
+        (["hubness", "--lambda=-inf"], "--lambda"),
         (["fit", "--k-targets", "0", "--out", "m.json"], "--k-targets"),
         (["hubness", "--lambda", "nan"], "--lambda"),
         (["hubness", "--k", "0"], "--k"),
@@ -296,7 +322,8 @@ class TestErrors:
         (["bench", "--config", "c.json", "--splits", "0"], "--splits"),
         (["fit", "--pca-dim", "0", "--out", "m.json"], "--pca-dim"),
         (["hubness", "--pca-dim", "0"], "--pca-dim"),
-    ], ids=["fit-nan-lambda", "fit-negative-lambda", "fit-k-targets-0", "hubness-nan-lambda",
+    ], ids=["fit-nan-lambda", "fit-negative-lambda", "fit-inf-lambda", "hubness-minus-inf-lambda",
+            "fit-k-targets-0", "hubness-nan-lambda",
             "hubness-k-0", "hubness-k-targets-0", "cv-k-targets-0", "cv-folds-1",
             "predict-k-0", "centrality-n-0", "bench-splits-0", "fit-pca-dim-0",
             "hubness-pca-dim-0"])
@@ -352,7 +379,7 @@ class TestErrors:
         rc = main(["cv", "--dataset", str(bundled_dataset_path("iris")),
                    "--lambda-grid", "0.1,nan"])
         assert rc == 1
-        assert "lambda_grid values must be non-negative" in capsys.readouterr().err
+        assert "lambda_grid values must be finite and non-negative" in capsys.readouterr().err
 
     def test_domain_error_is_diagnosed(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"

@@ -369,10 +369,12 @@ class TestEqualValueCertificate:
         (np.eye(3) - 7.0, True),
         (np.eye(3) + 0.5, False),
         (np.eye(3) * 1e-19, False),  # its scale s is not 1
+        (np.array([[1.0], [2.0], [0.0]]), True),  # its first row sits on the mean
         (np.eye(3) * 2.0 ** 20, True),
         (np.eye(3) * 2.0 ** 21, False),  # a difference past 2^21
         (np.full((3, 2 ** 10), 2.0 ** 20) * np.eye(3)[:, :1], False),  # d (2 max|x|)^2 = 2^52
-    ], ids=["0/1", "negative", "shifted", "tiny", "2^20", "2^21", "sum-2^52"])
+    ], ids=["0/1", "negative", "shifted", "tiny", "first-on-mean", "2^20", "2^21",
+        "sum-2^52"])
     def test_integer_points_field(self, points, integer):
         model = build_knn_model(points, np.zeros(3, dtype=np.int64), 1, Dissimilarity())
         assert model.integer_points is integer

@@ -152,7 +152,7 @@ class TestGridSearch:
     @pytest.mark.parametrize("lam", [-1.0, np.nan])
     def test_negative_lambda_rejected(self, lam):
         # NaN used to pass, and every fit at it failed on a non-finite W
-        with pytest.raises(ValueError, match="lambda_grid values must be non-negative"):
+        with pytest.raises(ValueError, match="lambda_grid values must be finite and non-negative"):
             CvConfig(lambda_grid=(0.1, lam), k_grid=(1,), n_folds=2, seed=0)
 
     def test_unknown_method_rejected(self):
@@ -180,6 +180,33 @@ class TestGridSearch:
         assert {"lambda", "k", "mean_accuracy", "std_accuracy"} == set(doc["table"][0])
 
 
+def cells(result: CvResult) -> list[tuple]:
+    return [(c.lam, c.k, c.mean_accuracy, c.std_accuracy) for c in result.table]
+
+
+def library_table(ds, cfg: CvConfig, folds, lambdas) -> list[tuple]:
+    """``cells`` recomputed fold by fold through the library path: a move-query
+    fit per lambda (None: Euclidean) and ``knn_from_transform``'s model of the
+    fold's centered fit rows, looked up with ``neighbor_index_matrix``."""
+    max_k = max(cfg.k_grid)
+    acc = np.zeros((len(lambdas), len(cfg.k_grid), cfg.n_folds))
+    for f, val in enumerate(folds):
+        val = np.array(val)
+        fit = np.sort(np.concatenate([g for h, g in enumerate(folds) if h != f]))
+        mu = ds.features[fit].mean(axis=0)
+        x_fit, x_val = ds.features[fit] - mu, ds.features[val] - mu
+        j = select_targets(ds, fit, cfg.k_targets)
+        for li, lam in enumerate(lambdas):
+            tm = None if lam is None else fit_move_query(x_fit.T, j, lam)
+            km = knn_from_transform(tm, x_fit, ds.labels[fit], max_k)
+            nbr = ds.labels[fit][neighbor_index_matrix(km, x_val, max_k)]
+            for ki, k in enumerate(cfg.k_grid):
+                pred = majority_vote(nbr[:, :k], ds.class_count)
+                acc[li, ki, f] = np.mean(pred == ds.labels[val])
+    return [(0.0 if lam is None else lam, k, acc[li, ki].mean(), acc[li, ki].std(ddof=1))
+            for li, lam in enumerate(lambdas) for ki, k in enumerate(cfg.k_grid)]
+
+
 class TestSharedPass:
     """Every method's outcome is the one a pass serving that method alone gives."""
 
@@ -204,28 +231,21 @@ class TestSharedPass:
         # for that lambda alone gives (move-query: Dissimilarity(query_map=W))
         x, y = gaussian_mixture(120, 6, 3, sep=0.8, seed=11)
         ds = dataset_from_arrays(x, y)
-        train = np.arange(ds.n)
         cfg = CvConfig((0.0, 0.03, 1.0), (1, 3, 5), 3, 4)
-        cv = grid_search(ds, train, cfg, ["euclidean", "move-query"])
+        cv = grid_search(ds, np.arange(ds.n), cfg, ["euclidean", "move-query"])
         for i, lambdas in enumerate([(None,), cfg.lambda_grid]):
-            acc = np.zeros((len(lambdas), len(cfg.k_grid), cfg.n_folds))
-            for f, val in enumerate(cv.folds):
-                val = np.array(val)
-                fit = np.sort(np.concatenate([g for h, g in enumerate(cv.folds) if h != f]))
-                mu = ds.features[fit].mean(axis=0)
-                x_fit, x_val = ds.features[fit] - mu, ds.features[val] - mu
-                j = select_targets(ds, fit, cfg.k_targets)
-                for li, lam in enumerate(lambdas):
-                    tm = None if lam is None else fit_move_query(x_fit.T, j, lam)
-                    km = knn_from_transform(tm, x_fit, ds.labels[fit], max(cfg.k_grid))
-                    nbr = ds.labels[fit][neighbor_index_matrix(km, x_val)]
-                    for ki, k in enumerate(cfg.k_grid):
-                        pred = majority_vote(nbr[:, :k], ds.class_count)
-                        acc[li, ki, f] = np.mean(pred == ds.labels[val])
-            want = [(0.0 if lam is None else lam, k, acc[li, ki].mean(), acc[li, ki].std(ddof=1))
-                    for li, lam in enumerate(lambdas) for ki, k in enumerate(cfg.k_grid)]
-            got = [(c.lam, c.k, c.mean_accuracy, c.std_accuracy) for c in cv.result(i).table]
-            assert got == want
+            assert cells(cv.result(i)) == library_table(ds, cfg, cv.folds, lambdas)
+
+    @pytest.mark.parametrize("k_targets", [1, 2])
+    @pytest.mark.parametrize("rounded", [False, True], ids=["continuous", "integer"])
+    def test_move_query_alone_equals_the_library_path(self, k_targets, rounded):
+        # the fold maps its validation rows itself and looks them up on its
+        # shared Euclidean model; the table must stay the library path's
+        x, y = gaussian_mixture(90, 5, 3, sep=0.8, seed=5)
+        ds = dataset_from_arrays(np.rint(2 * x) if rounded else x, y)
+        cfg = CvConfig((0.01, 1.0), (1, 4), 3, 2, k_targets)
+        cv = grid_search(ds, np.arange(ds.n), cfg, ["move-query"])
+        assert cells(cv.result(0)) == library_table(ds, cfg, cv.folds, cfg.lambda_grid)
 
     def test_a_failing_method_leaves_the_others_running(self):
         # an all-zero column makes X X^T singular at lambda 0: the fitted

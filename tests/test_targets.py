@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import hubridge._arrays
 from hubridge import knn
 from hubridge.datamodel import dataset_from_arrays
+from hubridge.experiment import fit_timed
 from hubridge.targets import TargetSelectionError, indicator_matrix, select_targets
 
 from _helpers import oracle_sq_dist
@@ -146,9 +147,12 @@ class TestSelectTargets:
         assert sets == oracle
 
     def test_k_targets_zero(self):
+        # k_targets = 0 used to give an empty J that no fit could use
         ds = dataset_from_arrays([[0.0], [1.0]], [0, 0])
-        sets = target_sets(select_targets(ds, [0, 1], 0))
-        assert sets == [(), ()]
+        with pytest.raises(ValueError, match="k_targets must be >= 1"):
+            select_targets(ds, [0, 1], 0)
+        with pytest.raises(ValueError, match="k_targets must be >= 1"):
+            fit_timed(ds, "move-labeled", 0.1, 0, "paper")
 
     def test_unique_argmin_when_distances_distinct(self, rng):
         feats = rng.normal(size=(9, 3))

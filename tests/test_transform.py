@@ -1,4 +1,6 @@
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -6,7 +8,8 @@ import scipy.sparse as sp
 
 import hubridge.experiment
 from hubridge.datamodel import dataset_from_arrays
-from hubridge.experiment import fit_timed
+from hubridge.experiment import ExperimentConfig, fit_timed
+from hubridge.modelselect import CvConfig
 from hubridge.targets import select_targets
 from hubridge.transform import (SOLVER_EXACT, SOLVER_PAPER, MOVE_LABELED,
                                 MOVE_QUERY, RidgeSystem, SingularSystemError,
@@ -207,13 +210,31 @@ class TestErrors:
     def test_nan_lambda(self, rng):
         # used to fit an all-NaN W, rejected only as "W contains non-finite entries"
         x = rng.normal(size=(3, 5))
-        with pytest.raises(ValueError, match="lambda must be non-negative, got nan"):
+        with pytest.raises(ValueError, match="lambda must be finite and non-negative, got nan"):
             fit_move_labeled(x, np.eye(5), np.nan)
 
     def test_nan_lambda_model_rejected(self):
         # a NaN lambda next to a finite W used to construct, so a model file loaded it
-        with pytest.raises(ValueError, match="lambda must be non-negative, got nan"):
+        with pytest.raises(ValueError, match="lambda must be finite and non-negative, got nan"):
             TransformModel(np.eye(2), MOVE_LABELED, np.nan, SOLVER_PAPER)
+
+    @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize("entry", ["model", "path", "cv-config", "experiment-config"])
+    def test_lambda_rule_at_every_entry(self, rng, entry, lam):
+        # inf passed every entry but the codec: path then warned on inf/inf and
+        # called the system singular at lambda=inf
+        x, j = random_problem(rng)
+        build = {
+            "model": lambda: TransformModel(np.eye(2), MOVE_LABELED, lam, SOLVER_PAPER),
+            "path": lambda: RidgeSystem(x, j).path((0.1, lam), MOVE_LABELED),
+            "cv-config": lambda: CvConfig((0.1, lam), (1,), 2, 0),
+            "experiment-config": lambda: ExperimentConfig("x.csv", lambda_grid=(lam,)),
+        }[entry]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError,
+                               match=re.escape(f"finite and non-negative, got {lam!r}")):
+                build()
 
     def test_non_indicator_entries(self, rng):
         x = rng.normal(size=(3, 4))
