@@ -20,21 +20,37 @@ def as_matrix(a, name: str = "array", finite: bool = True) -> np.ndarray:
     return out
 
 
+def as_count(value, name: str, low: int, high: int | None = None) -> int:
+    """``value`` as an int in [low, high] (high None: no bound); an error names ``name``.
+    A count is a Python or numpy integer, never a bool or a float (2.7 is not 2)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if high is None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
+    return value
+
+
 def as_int_vector(a, name: str = "array") -> np.ndarray:
     """Coerce to a C-contiguous int64 vector; a non-integer entry (a fraction,
-    NaN, inf or past int64's range) is named, not truncated or wrapped."""
+    NaN, inf or past int64's range) is named as given, not truncated or wrapped."""
     a = np.asarray(a)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got ndim={a.ndim}")
     if a.dtype.kind not in "bi":
         if a.dtype.kind == "u":  # a uint64 past int64's range would wrap
-            v, bad = a, np.flatnonzero(a > np.iinfo(np.int64).max)
+            bad = np.flatnonzero(a > np.iinfo(np.int64).max)
         else:
             v = a.astype(np.float64, copy=False)
-            bad = np.flatnonzero(~((np.rint(v) == v) & (v >= -2.0 ** 63) & (v < 2.0 ** 63)))
+            ok = (np.rint(v) == v) & (v >= -2.0 ** 63) & (v < 2.0 ** 63)
+            if a.dtype.kind == "O":  # Python ints past int64 round into its range as floats
+                ok &= a == v
+            bad = np.flatnonzero(~ok)
         if bad.size:
             p = int(bad[0])
-            raise ValueError(f"{name}[{p}] = {v[p].item()} is not an integer in int64's range")
+            raise ValueError(f"{name}[{p}] = {a.tolist()[p]} is not an integer in int64's range")
     return np.ascontiguousarray(a, dtype=np.int64)
 
 

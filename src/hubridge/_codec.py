@@ -3,9 +3,11 @@
 A class keeps its record as its ``JSON`` attribute. ``encode`` writes the
 entries in order, after ``version`` when the record has one, and ``decode``
 builds the object from the parsed entries, so a writer and its reader cannot
-drift apart. A decode error is a ValueError naming the record and key, e.g.
-``transform field 'lambda': expected a number, got None``, with values shown
-through ``reprlib`` so that it stays short.
+drift apart. ``encode`` writes JSON types: INT, BOOL, STR and NUMBER values go
+through ``int``, ``bool``, ``str`` and ``float``, so a numpy scalar or a path is
+written as a value ``json.dumps`` takes. A decode error is a ValueError naming
+the record and key, e.g. ``transform field 'lambda': expected a number, got
+None``, with values shown through ``reprlib`` so that it stays short.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ def _kind(cls) -> Parser:
         if not isinstance(value, cls) or (isinstance(value, bool) and cls is not bool):
             raise _expected(cls.__name__, value)
         return value
-    return Parser(parse)
+    return Parser(parse, cls)
 
 
 def _number(value) -> float:
@@ -43,7 +45,7 @@ def _number(value) -> float:
     return float(value)
 
 
-INT, BOOL, STR, NUMBER = _kind(int), _kind(bool), _kind(str), Parser(_number)
+INT, BOOL, STR, NUMBER = _kind(int), _kind(bool), _kind(str), Parser(_number, float)
 WRITTEN = Parser(None)  # derived from the other entries
 
 

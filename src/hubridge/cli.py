@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment
-from .datamodel import FORMATS, Dataset, Preprocessor, load_dataset, split as make_split
+from .datamodel import FORMATS, Preprocessor, _valid_fraction, load_dataset, split as make_split
 from .experiment import (ExperimentConfig, ModelArtifact, fit_timed, preprocess,
                          run_experiment, split_neighbors, training_record)
 from .hubness import skewness
@@ -57,7 +57,7 @@ def _at_least(low, cast):
     return _checked(cast, lambda value: value >= low, f">= {low}")
 
 
-_FRACTION = _checked(float, lambda value: 0 < value < 1, "in (0, 1)")
+_FRACTION = _checked(float, _valid_fraction, "in (0, 1)")
 _LAMBDA = _checked(float, _valid_lambda, ">= 0 and finite")
 
 
@@ -152,12 +152,23 @@ def build_parser() -> argparse.ArgumentParser:
 # Subcommand bodies
 # ---------------------------------------------------------------------------
 
+def _csv(rows: list[dict]) -> str:
+    """CSV text of ``rows``: the first row's keys, then each row's values through ``str``."""
+    return "\n".join([",".join(rows[0])] + [",".join(map(str, r.values())) for r in rows]) + "\n"
+
+
+def _emit(text: str, out) -> None:
+    """Write ``text`` to ``out`` when given, and print it."""
+    if out:
+        Path(out).write_text(text)
+    print(text, end="" if text.endswith("\n") else "\n")
+
+
 def _cmd_fit(args) -> int:
     ds = load_dataset(args.dataset, args.format)
     prep = Preprocessor.fit(ds.features, center=args.center, zscore=args.zscore,
                             pca_dim=args.pca_dim)
-    pre = Dataset(prep.apply(ds.features), ds.labels, ds.class_count, ds.name,
-                  ds.label_names)
+    pre = replace(ds, features=prep.apply(ds.features))
     tm, jj, seconds = fit_timed(pre, args.method, args.lam, args.k_targets, args.solver)
     ModelArtifact(prep, tm, ds.label_names, training_record(ds)).save(args.out)
     summary = {"direction": tm.direction, "lambda": tm.lam, "solver": tm.solver,
@@ -191,10 +202,9 @@ def _cmd_predict(args) -> int:
     except KeyError as e:
         raise ValueError(f"query file contains unknown label {e.args[0]!r}") from None
 
-    lines = ["query_index,predicted_label,true_label"]
-    for i, (p_, t_) in enumerate(zip(preds, truth)):
-        lines.append(f"{i},{train.label_names[p_]},{train.label_names[t_]}")
-    csv_text = "\n".join(lines) + "\n"
+    csv_text = _csv([{"query_index": i, "predicted_label": train.label_names[p_],
+                      "true_label": train.label_names[t_]}
+                     for i, (p_, t_) in enumerate(zip(preds, truth))])
     if args.out:
         Path(args.out).write_text(csv_text)
     else:
@@ -221,11 +231,7 @@ def _cmd_hubness(args) -> int:
         counts = np.bincount(idx.ravel(), minlength=sp.train_indices.size)
         rows.append({"method": method, "k": args.k, "skewness": skewness(counts),
                      "max_count": int(counts.max()), "mean_count": float(counts.mean())})
-    csv_text = "\n".join(["method,k,skewness,max_count,mean_count"]
-                         + [",".join(map(str, r.values())) for r in rows]) + "\n"
-    if args.out:
-        Path(args.out).write_text(csv_text)
-    print(csv_text, end="")
+    _emit(_csv(rows), args.out)
     if args.json_out:
         Path(args.json_out).write_text(json.dumps(rows, indent=2, sort_keys=True))
     return 0
@@ -238,10 +244,7 @@ def _cmd_cv(args) -> int:
     pre = preprocess(ds, None, center=args.center, zscore=args.zscore,
                      pca_dim=args.pca_dim)
     result = grid_search(pre, np.arange(pre.n), cfg, [args.direction]).result(0)
-    text = json.dumps(CvResult.JSON.encode(result), indent=2, sort_keys=True)
-    if args.out:
-        Path(args.out).write_text(text)
-    print(text)
+    _emit(json.dumps(CvResult.JSON.encode(result), indent=2, sort_keys=True), args.out)
     return 0
 
 
@@ -258,17 +261,8 @@ def _cmd_centrality(args) -> int:
         results.append({"d": exp.d, "s": exp.s, "gamma": exp.gamma, "n_queries": args.n,
                         "delta_hat": r.delta_hat, "delta_theory": r.delta_theory,
                         "std_error": r.std_error})
-    if len(results) == 1:
-        text = json.dumps(results[0], indent=2, sort_keys=True)
-    else:
-        lines = ["d,s,gamma,n_queries,delta_hat,delta_theory,std_error"]
-        for r in results:
-            lines.append(f"{r['d']},{r['s']!r},{r['gamma']!r},{r['n_queries']},"
-                         f"{r['delta_hat']!r},{r['delta_theory']!r},{r['std_error']!r}")
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    print(text, end="" if text.endswith("\n") else "\n")
+    _emit(json.dumps(results[0], indent=2, sort_keys=True) if len(results) == 1
+          else _csv(results), args.out)
     return 0
 
 

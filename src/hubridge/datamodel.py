@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import as_matrix, as_int_vector, frozen, index_vector
+from ._arrays import as_count, as_matrix, as_int_vector, frozen, index_vector
 from ._codec import INT, Record, array, nullable
 
 DENSE_CSV = "dense-csv"
@@ -369,8 +369,7 @@ class Preprocessor:
         if center or pca_dim is not None:
             center_mean = x.mean(axis=0)
         if pca_dim is not None:
-            if isinstance(pca_dim, bool) or not isinstance(pca_dim, (int, np.integer)):
-                raise ValueError(f"pca_dim must be an integer, got {pca_dim!r}")
+            pca_dim = as_count(pca_dim, "pca_dim", -np.inf)  # the range, named just below
             if not 1 <= pca_dim <= min(n - 1, d):
                 raise ValueError(f"pca_dim must be in [1, min(n - 1, d)] = "
                                  f"[1, {min(n - 1, d)}], got {pca_dim}")
@@ -441,9 +440,13 @@ def _allocate_train_counts(class_sizes: np.ndarray, fraction: float, total: int)
     return counts
 
 
+def _valid_fraction(fraction) -> bool:
+    return 0 < fraction < 1  # NaN fails too
+
+
 def split(dataset: Dataset, train_fraction: float, seed: int) -> Split:
     """Stratified random train/test split, reproducible from the seed."""
-    if not 0.0 < train_fraction < 1.0:
+    if not _valid_fraction(train_fraction):
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     sizes = dataset.class_sizes()
     small = np.flatnonzero(sizes < 2)
@@ -452,7 +455,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> Split:
         raise ValueError(
             f"class {dataset.label_names[c]!r} has {int(sizes[c])} member(s); need >= 2")
     n = dataset.n
-    total = int(round(train_fraction * n))
+    total = int(round(float(train_fraction) * n))  # a float32 fraction by its exact value
     if total == n:
         raise ValueError(f"train_fraction {train_fraction} leaves no test rows out of {n}")
     if total < dataset.class_count:

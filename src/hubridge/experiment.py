@@ -23,14 +23,14 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
-from ._arrays import index_vector
+from ._arrays import as_count, index_vector
 from ._codec import BOOL, INT, NUMBER, STR, Parser, Record, list_of, nullable
-from .datamodel import (Dataset, Preprocessor, Split, load_dataset,
+from .datamodel import (Dataset, Preprocessor, Split, _valid_fraction, load_dataset,
                         split as make_split, subset)
 from .hubness import DEFAULT_HUBNESS_K, skewness
 from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
@@ -69,23 +69,18 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
-        if self.n_splits < 1:
-            raise ValueError("n_splits must be >= 1")
-        if len(self.seeds) != self.n_splits:
+        n_splits = as_count(self.n_splits, "n_splits", 1)
+        if len(self.seeds) != n_splits:
             raise ValueError(f"seeds must provide one seed per split: n_splits is "
-                             f"{self.n_splits}, seeds holds {len(self.seeds)}")
+                             f"{n_splits}, seeds holds {len(self.seeds)}")
+        for i, seed in enumerate(self.seeds):
+            as_count(seed, f"seeds[{i}]", 0)
         check_methods(self.methods)
-        if self.cv_folds < 2:
-            raise ValueError("cv_folds must be >= 2")
-        if self.hubness_k < 1:
-            raise ValueError("hubness_k must be >= 1")
+        as_count(self.cv_folds, "cv_folds", 2)
+        as_count(self.hubness_k, "hubness_k", 1)
         if self.pca_dim is not None:
-            if isinstance(self.pca_dim, bool) or not isinstance(self.pca_dim, (int, np.integer)):
-                raise ValueError(f"pca_dim must be an integer, got {self.pca_dim!r}")
-            if self.pca_dim < 1:
-                raise ValueError(f"pca_dim must be >= 1, got {self.pca_dim}")
-            object.__setattr__(self, "pca_dim", int(self.pca_dim))  # a JSON-ready int
-        if not 0.0 < self.train_fraction < 1.0:
+            as_count(self.pca_dim, "pca_dim", 1)
+        if not _valid_fraction(self.train_fraction):
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         # the user's grids, k_targets and solver fail here, not mid-run, even
         # when Euclidean alone (whose search ignores lambda_grid) is asked for
@@ -207,8 +202,7 @@ def preprocess(dataset: Dataset, train_rows=None, *, center: bool = True,
             else index_vector(train_rows, dataset.n, "train_rows"))
     prep = Preprocessor.fit(dataset.features[rows], center=center, zscore=zscore,
                             pca_dim=pca_dim)
-    return Dataset(prep.apply(dataset.features), dataset.labels.copy(),
-                   dataset.class_count, dataset.name, dataset.label_names)
+    return replace(dataset, features=prep.apply(dataset.features))
 
 
 def fit_timed(train_ds: Dataset, method: str, lam: float, k_targets: int,

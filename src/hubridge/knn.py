@@ -85,8 +85,8 @@ from itertools import chain
 
 import numpy as np
 
-from ._arrays import (as_matrix, as_int_vector, frozen, pairwise_sq_dists, query_chunks,
-                      smallest_k_band, sq_dist_operand, sq_norms)
+from ._arrays import (as_count, as_matrix, as_int_vector, frozen, pairwise_sq_dists,
+                      query_chunks, smallest_k_band, sq_dist_operand, sq_norms)
 from .transform import TransformModel, MOVE_LABELED
 
 
@@ -163,8 +163,7 @@ class KnnModel:
             raise ValueError("labeled_points contains non-finite values")
         if self.labels.shape != (pts.shape[0],):
             raise ValueError("labels length must match labeled point count")
-        if not 1 <= self.k <= pts.shape[0]:
-            raise ValueError(f"k must be in [1, {pts.shape[0]}], got {self.k}")
+        as_count(self.k, "k", 1, pts.shape[0])
         if (self.labels < 0).any():  # a vote would wrap a negative class id around
             p = int(np.argmax(self.labels < 0))
             raise ValueError(f"labels[{p}] = {int(self.labels[p])} is negative")
@@ -195,7 +194,7 @@ def build_knn_model(labeled_points, labels, k: int, dissimilarity: Dissimilarity
         if m is not None and m.shape[0] != pts.shape[1]:
             raise ValueError(f"{name} is {m.shape[0]}-dimensional, "
                              f"points are {pts.shape[1]}-dimensional")
-    return KnnModel(dissimilarity.map_labeled(pts), y, int(k), dissimilarity)
+    return KnnModel(dissimilarity.map_labeled(pts), y, k, dissimilarity)
 
 
 def knn_from_transform(model: TransformModel | None, labeled_points, labels,
@@ -221,9 +220,7 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
     module docstring states; inputs whose squared distances overflow
     float64 raise ValueError.
     """
-    k = model.k if k is None else int(k)
-    if not 1 <= k <= model.n:
-        raise ValueError(f"k must be in [1, {model.n}], got {k}")
+    k = model.k if k is None else as_count(k, "k", 1, model.n)
     q = as_matrix(queries, "queries")
     if q.shape[1] != model.d:
         raise ValueError(f"queries have dimension {q.shape[1]}, model expects {model.d}")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_int_vector, index_vector
+from ._arrays import as_count, as_int_vector, index_vector
 from ._codec import INT, NUMBER, Record, list_of
 from .datamodel import Dataset
 from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
@@ -73,12 +73,11 @@ class CvConfig:
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
         _check_lambdas(self.lambda_grid, "lambda_grid values")
-        if any(k < 1 for k in self.k_grid):
-            raise ValueError(f"k_grid values must be positive, got {self.k_grid}")
-        if self.n_folds < 2:
-            raise ValueError("n_folds must be >= 2")
-        if self.k_targets < 1:
-            raise ValueError("k_targets must be >= 1")
+        for i, k in enumerate(self.k_grid):
+            as_count(k, f"k_grid[{i}]", 1)
+        as_count(self.n_folds, "n_folds", 2)
+        as_count(self.k_targets, "k_targets", 1)
+        as_count(self.seed, "seed", 0)
         if self.solver not in SOLVERS:
             raise ValueError(f"solver must be one of {SOLVERS}")
 
@@ -122,8 +121,7 @@ def make_folds(indices, labels, n_folds: int, seed: int) -> list[np.ndarray]:
     labs = as_int_vector(labels, "labels")
     if labs.shape != idx.shape:
         raise ValueError("labels must align with indices")
-    if n_folds < 2:
-        raise ValueError("n_folds must be >= 2")
+    n_folds = as_count(n_folds, "n_folds", 2)
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(n_folds)]
     for c in np.unique(labs):

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._arrays import as_int_vector, index_vector
+from ._arrays import as_count, as_int_vector, index_vector
 from .datamodel import Dataset
 from .knn import Dissimilarity, KnnModel, nearest_others
 
@@ -33,8 +33,7 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
     a single training member is rejected (no same-class target exists).
     ``train`` must list distinct row positions of ``dataset``.
     """
-    if k_targets < 1:
-        raise ValueError("k_targets must be >= 1")
+    k_targets = as_count(k_targets, "k_targets", 1)
     tr = index_vector(train, dataset.n, "train")
     labs = dataset.labels[tr]
     owners, targets = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]

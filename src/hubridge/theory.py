@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from ._arrays import as_count
+
 _DRAW_CHUNK = 16384
 
 
@@ -27,9 +29,7 @@ class PairConstructionError(ValueError):
 class CentralityExperiment:
     """Configuration for one simulated pair-of-points experiment.
 
-    ``gamma`` is the squared-norm gap in units of sigma. Queries are drawn
-    from N(0, I); ``query_shift`` moves their mean along the z2 - z1
-    direction (breaking the zero-mean assumption).
+    ``gamma`` is the squared-norm gap in units of sigma. Queries are drawn from N(0, I).
     """
 
     d: int
@@ -37,13 +37,11 @@ class CentralityExperiment:
     gamma: float
     n_queries: int
     seed: int
-    query_shift: float = 0.0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.n_queries < 1:
-            raise ValueError("n_queries must be >= 1")
+        as_count(self.d, "d", 1)
+        as_count(self.n_queries, "n_queries", 1)
+        as_count(self.seed, "seed", 0)
         if not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be finite, got {self.gamma!r}")
         if not self.s > 0:
@@ -84,8 +82,7 @@ def squared_norm_std(d: int, s: float) -> float:
 
 def theoretical_delta(d: int, s: float, gamma: float) -> float:
     """Expected squared-distance difference gamma * s^2 * sqrt(2d)."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    as_count(d, "d", 1)
     if s <= 0:
         raise ValueError("s must be positive")
     return gamma * s * s * math.sqrt(2.0 * d)
@@ -112,13 +109,6 @@ def simulate_delta(exp: CentralityExperiment) -> CentralityResult:
     rng = np.random.default_rng(exp.seed)
     z1, z2 = _conditioned_pair(rng, exp.d, exp.s, exp.gamma)
 
-    shift = np.zeros(exp.d)
-    if exp.query_shift != 0.0:
-        axis = z2 - z1
-        norm = float(np.linalg.norm(axis))
-        if norm > 0.0:
-            shift = (exp.query_shift / norm) * axis
-
     # ||x - z2||^2 - ||x - z1||^2 = (||z2||^2 - ||z1||^2) - 2 x.(z2 - z1): the
     # constant is added once, and only the x-dependent part is summed and
     # spread: differencing the two ~s^2 d sums per query would round that part
@@ -132,7 +122,7 @@ def simulate_delta(exp: CentralityExperiment) -> CentralityResult:
     remaining = exp.n_queries
     while remaining > 0:
         m = min(_DRAW_CHUNK, remaining)
-        x = rng.normal(0.0, 1.0, size=(m, exp.d)) + shift
+        x = rng.normal(0.0, 1.0, size=(m, exp.d))
         part = x @ slope
         total += float(part.sum())
         pivot = float(part.mean()) if pivot is None else pivot

@@ -266,6 +266,16 @@ class TestAsIntVector:
                 "indices[1] = 9223372036854775808 is not an integer in int64's range")):
             index_vector(np.array([3, 2 ** 63], dtype=np.uint64), 10)
 
+    @pytest.mark.parametrize("big", [-2 ** 63 - 1, 2 ** 64, -2 ** 70],
+                             ids=["-2^63-1", "2^64", "-2^70"])
+    def test_python_int_past_int64_named_exactly(self, big):
+        # a list holding such an int is an object array: -2^63 - 1 used to escape as an
+        # OverflowError and 2^64 to be named as the rounded float 1.8446744073709552e+19
+        assert as_int_vector([5, -2 ** 63, 2 ** 63 - 1]).tolist() == [5, -2 ** 63, 2 ** 63 - 1]
+        with pytest.raises(ValueError, match=re.escape(
+                f"labels[1] = {big} is not an integer in int64's range")):
+            as_int_vector([7, big], "labels")
+
 
 class TestOrderedBits:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])

@@ -546,6 +546,25 @@ class TestCentralityCommand:
         assert len(lines) == 5
 
 
+@pytest.mark.parametrize("argv, want", [
+    (["centrality", "--d", "5,7", "--s", "1", "--gamma", "0.5", "--n", "50", "--seed", "3"],
+     "d,s,gamma,n_queries,delta_hat,delta_theory,std_error\n"
+     "5,1.0,0.5,50,1.3241193774198712,1.5811388300841898,1.189927333877826\n"
+     "7,1.0,0.5,50,1.9226036602802725,1.8708286933869707,1.2299168411543813\n"),
+    (["hubness", "--dataset", str(bundled_dataset_path("iris")), "--seed", "1", "--k", "5"],
+     "method,k,skewness,max_count,mean_count\n"
+     "euclidean,5,0.9083474605307684,7,2.142857142857143\n"
+     "move-labeled,5,0.9482208560062986,8,2.142857142857143\n"
+     "move-query,5,0.8953431227970493,8,2.142857142857143\n"),
+], ids=["centrality-sweep", "hubness"])
+def test_csv_bytes_pinned(tmp_path, capsys, argv, want):
+    # the CSV text written to --out and printed, byte for byte
+    out_p = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out_p)]) == 0
+    assert capsys.readouterr().out == want
+    assert out_p.read_bytes() == want.encode()
+
+
 class TestBenchCommand:
     def test_report_files_schema_valid(self, tmp_path, capsys):
         x, y = gaussian_mixture(120, 6, 3, sep=1.5, seed=5)

@@ -212,3 +212,44 @@ def test_version_is_an_int(documents, name, version, message):
     record.decode(doc)
     with pytest.raises(ValueError, match="^" + re.escape(message)):
         record.decode({**doc, "version": version})
+
+
+def plain_leaves(value):
+    """Every scalar a decoded object holds (arrays, decoded as float64 arrays, aside)."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from plain_leaves(getattr(value, f.name))
+    elif isinstance(value, (tuple, list, dict)):
+        for item in (value.values() if isinstance(value, dict) else value):
+            yield from plain_leaves(item)
+    elif not isinstance(value, np.ndarray):
+        yield value
+
+
+def test_numpy_scalars_and_paths_encode_as_json_types(tmp_path):
+    # json.dumps used to raise "Object of type int64 is not JSON serializable"
+    i64, f32 = np.int64, np.float32
+    config = ExperimentConfig(
+        tmp_path / "data.csv", fmt=np.str_("dense-csv"), center=np.bool_(True),
+        zscore=np.bool_(False), pca_dim=i64(2), methods=(np.str_("euclidean"),),
+        n_splits=i64(1), train_fraction=f32(0.7), seeds=(i64(3),), lambda_grid=(f32(0.1),),
+        k_grid=(i64(1), np.int32(3)), cv_folds=i64(3), k_targets=i64(1), hubness_k=i64(4),
+        out_dir=tmp_path)
+    row = MethodSplitResult(np.str_("move-labeled"), i64(3), f32(0.5), np.float64(0.25),
+                            f32(0.125), f32(0.1), i64(3), f32(1e-3))
+    aggregate = MethodAggregate(np.str_("euclidean"), f32(0.5), f32(0.25), f32(1.5),
+                                np.float64(0.0), f32(0.0))
+    cell = CvCell(f32(0.1), i64(3), f32(0.75), f32(0.125))
+    transform = TransformModel(np.eye(2), np.str_("move-labeled"), f32(0.1), np.str_("paper"))
+    prep = Preprocessor(i64(2), center_mean=np.zeros(2))
+    training = {"n": i64(30), "d_in": np.int32(2), "sha256": np.str_("0" * 64)}
+    for obj in (config, row, aggregate, ExperimentReport(config, (row,), (aggregate,)), cell,
+                CvResult(f32(0.1), i64(3), (cell,), ((i64(0), i64(2)), (np.int32(1),))),
+                transform, prep, ModelArtifact(prep, transform, (np.str_("a"),), training)):
+        record = type(obj).JSON
+        doc = json.loads(json.dumps(record.encode(obj)))
+        back = record.decode(doc)
+        assert record.encode(back) == doc
+        assert {type(v) for v in plain_leaves(back)} <= {int, float, str, bool, type(None)}
+    assert doc["training"] == {"n": 30, "d_in": 2, "sha256": "0" * 64}
+    assert ExperimentConfig.JSON.encode(config)["dataset"] == str(tmp_path / "data.csv")

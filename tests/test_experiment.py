@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -348,6 +349,32 @@ class TestRunExperiment:
         path.write_text(json.dumps(ExperimentConfig.JSON.encode(cfg)))
         loaded = ExperimentConfig.load(path)
         assert loaded == cfg
+
+    def test_numpy_scalars_and_paths_written_as_json(self, mixture_csv, tmp_path):
+        # numpy counts, seeds, fraction and lambdas and Path fields used to run the whole
+        # protocol and then fail in report.save: "Object of type int64 is not JSON serializable"
+        def plain(value):  # the Python value of a numpy scalar or a Path
+            return (str(value) if isinstance(value, Path) else tuple(map(plain, value))
+                    if isinstance(value, tuple) else value.item())
+
+        out = tmp_path / "out"
+        given = dict(dataset_path=mixture_csv, out_dir=out, n_splits=np.int64(2),
+                     seeds=(np.int64(1), np.int64(2)), k_grid=(np.int64(1), np.int32(3)),
+                     lambda_grid=tuple(np.float32(v) for v in (0.01, 0.1, 1.0)),
+                     cv_folds=np.int64(3), k_targets=np.int64(1), hubness_k=np.int64(5),
+                     pca_dim=np.int64(5), train_fraction=np.float32(0.7), center=np.bool_(True))
+        written = []
+        for cfg in (ExperimentConfig(**given),
+                    ExperimentConfig(**{key: plain(value) for key, value in given.items()})):
+            run_experiment(cfg)
+            doc = json.loads((out / "report.json").read_text())
+            for item in doc["rows"] + doc["aggregates"]:
+                for key in TIMING_FIELDS:
+                    item.pop(key, None)
+            written.append(doc)
+        assert written[0] == written[1]
+        assert written[0]["config"]["train_fraction"] == float(np.float32(0.7))
+        assert written[0]["config"]["dataset"] == str(mixture_csv)
 
     def test_partial_report_kept_when_a_method_fails(self, tmp_path):
         # an all-zero column makes X X^T exactly singular: move-labeled at
