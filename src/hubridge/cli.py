@@ -27,7 +27,7 @@ from . import experiment
 from .datamodel import FORMATS, Preprocessor, _valid_fraction, load_dataset, split as make_split
 from .experiment import (ExperimentConfig, ModelArtifact, fit_timed, preprocess,
                          run_experiment, split_neighbors, training_record)
-from .hubness import skewness
+from .hubness import nk_counts, skewness
 from .knn import classify_batch, knn_from_transform
 from .modelselect import METHODS, CvConfig, CvResult, check_methods, grid_search
 from .theory import CentralityExperiment, simulate_delta
@@ -111,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", default=SOLVER_PAPER, choices=SOLVERS)
     p.add_argument("--k", type=_at_least(1, int), default=10)
     p.add_argument("--train-fraction", type=_FRACTION, default=0.7)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0, int), default=0)
     p.add_argument("--out", default=None, help="write the CSV report here")
     p.add_argument("--json-out", default=None, help="write the JSON report here")
 
@@ -226,9 +226,8 @@ def _cmd_hubness(args) -> int:
                      zscore=args.zscore, pca_dim=args.pca_dim)
     rows = []
     for method in methods:
-        idx = split_neighbors(pre, sp, method, args.lam, args.k_targets, args.solver,
-                              args.k)[0]
-        counts = np.bincount(idx.ravel(), minlength=sp.train_indices.size)
+        counts = nk_counts(split_neighbors(pre, sp, method, args.lam, args.k_targets,
+                                           args.solver, args.k)[0], sp.train_indices.size)
         rows.append({"method": method, "k": args.k, "skewness": skewness(counts),
                      "max_count": int(counts.max()), "mean_count": float(counts.mean())})
     _emit(_csv(rows), args.out)

@@ -446,6 +446,7 @@ def _valid_fraction(fraction) -> bool:
 
 def split(dataset: Dataset, train_fraction: float, seed: int) -> Split:
     """Stratified random train/test split, reproducible from the seed."""
+    seed = as_count(seed, "seed", 0)
     if not _valid_fraction(train_fraction):
         raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
     sizes = dataset.class_sizes()
@@ -471,4 +472,4 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> Split:
         perm = rng.permutation(members)
         train_parts.append(perm[: counts[c]])
     train = np.sort(np.concatenate(train_parts))
-    return Split(train, np.setdiff1d(np.arange(n), train), int(seed))
+    return Split(train, np.setdiff1d(np.arange(n), train), seed)

@@ -32,8 +32,8 @@ from ._arrays import as_count, index_vector
 from ._codec import BOOL, INT, NUMBER, STR, Parser, Record, list_of, nullable
 from .datamodel import (Dataset, Preprocessor, Split, _valid_fraction, load_dataset,
                         split as make_split, subset)
-from .hubness import DEFAULT_HUBNESS_K, skewness
-from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
+from .hubness import DEFAULT_HUBNESS_K, nk_counts, skewness
+from .knn import evaluate, knn_from_transform, neighbor_index_matrix
 from .modelselect import (EUCLIDEAN_METHOD, METHODS, CvConfig, CvResult, check_methods,
                           grid_search)
 from .targets import select_targets
@@ -297,9 +297,9 @@ def _run_method(pre: Dataset, sp: Split, method: str, cv: CvResult,
     idx, tm, jj, training_seconds, train = split_neighbors(
         pre, sp, method, cv.best_lambda, config.k_targets, config.solver,
         max(cv.best_k, config.hubness_k))
-    preds = majority_vote(train.labels[idx[:, :cv.best_k]], pre.class_count)
-    accuracy = float(np.mean(preds == pre.labels[sp.test_indices]))
-    counts = np.bincount(idx[:, :config.hubness_k].ravel(), minlength=train.n)
+    accuracy = evaluate(train.labels[idx[:, :cv.best_k]], pre.labels[sp.test_indices],
+                        pre.class_count)
+    counts = nk_counts(idx[:, :config.hubness_k], train.n)
     gap = solver_disagreement(train.features.T, jj, tm) if method == MOVE_LABELED else None
     return MethodSplitResult(method=method, split_seed=sp.seed, accuracy=accuracy,
                              n10_skewness=skewness(counts),

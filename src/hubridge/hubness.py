@@ -7,17 +7,15 @@ the skewness of that count distribution, computed with population
 
     skew = [ sum_i (counts[i] - mean)^3 / n ] / variance^(3/2)
 
-The protocol and ``hubridge hubness`` count N_k with ``np.bincount`` on the
-neighbour matrix of ``experiment.split_neighbors``; ``nk_counts`` does the
-same for any model and query set.
+``nk_counts`` is the one N_k routine: the protocol and ``hubridge hubness``
+pass it the neighbour matrix of ``experiment.split_neighbors``.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._arrays import as_matrix
-from .knn import KnnModel, neighbor_index_matrix
+from ._arrays import as_count
 
 DEFAULT_HUBNESS_K = 10
 
@@ -26,13 +24,19 @@ class ZeroVarianceError(ValueError):
     """All counts are equal; skewness is undefined."""
 
 
-def nk_counts(model: KnnModel, queries, k: int) -> np.ndarray:
-    """How often each labeled object appears in the queries' k-NN lists."""
-    q = as_matrix(queries, "queries")
-    if q.shape[0] == 0:
-        raise ValueError("queries must be non-empty")
-    idx = neighbor_index_matrix(model, q, k)
-    return np.bincount(idx.ravel(), minlength=model.n).astype(np.int64)
+def nk_counts(neighbors: np.ndarray, n_labeled: int) -> np.ndarray:
+    """How often each of ``n_labeled`` labeled indices appears in the rows of
+    ``neighbors``, a (queries, k) index matrix; an entry outside [0, n_labeled)
+    is named, not counted into a longer vector."""
+    n_labeled = as_count(n_labeled, "n_labeled", 1)
+    if neighbors.size == 0:
+        raise ValueError("neighbors must be non-empty")
+    bad = (neighbors < 0) | (neighbors >= n_labeled)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), neighbors.shape)
+        raise ValueError(f"neighbors[{', '.join(map(str, at))}] = {neighbors[at]} is "
+                         f"outside [0, {n_labeled})")
+    return np.bincount(neighbors.ravel(), minlength=n_labeled).astype(np.int64)
 
 
 def skewness(counts) -> float:

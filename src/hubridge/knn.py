@@ -414,13 +414,11 @@ def classify_batch(model: KnnModel, queries) -> np.ndarray:
     return majority_vote(model.labels[idx], n_classes)
 
 
-def evaluate(model: KnnModel, queries, true_labels) -> float:
-    """Fraction of queries whose prediction matches the true label."""
-    y = as_int_vector(true_labels, "true_labels")
-    q = as_matrix(queries, "queries")
-    if q.shape[0] == 0:
+def evaluate(neighbor_labels: np.ndarray, true_labels: np.ndarray, n_classes: int) -> float:
+    """Share of rows whose ``majority_vote`` is the true label: the one accuracy
+    routine, fed the (queries, k) labels of a neighbor matrix."""
+    if neighbor_labels.shape[0] == 0:
         raise ValueError("queries must be non-empty")
-    if y.shape[0] != q.shape[0]:
+    if true_labels.shape[0] != neighbor_labels.shape[0]:
         raise ValueError("true_labels length must match query count")
-    preds = classify_batch(model, q)
-    return float(np.mean(preds == y))
+    return float(np.mean(majority_vote(neighbor_labels, n_classes) == true_labels))

@@ -31,7 +31,7 @@ import numpy as np
 from ._arrays import as_count, as_int_vector, index_vector
 from ._codec import INT, NUMBER, Record, list_of
 from .datamodel import Dataset
-from .knn import knn_from_transform, majority_vote, neighbor_index_matrix
+from .knn import evaluate, knn_from_transform, neighbor_index_matrix
 from .targets import select_targets
 from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, RidgeSystem, _check_lambdas
 
@@ -136,16 +136,6 @@ def make_folds(indices, labels, n_folds: int, seed: int) -> list[np.ndarray]:
     return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
 
 
-def _accuracy_rows(neighbor_labels: np.ndarray, truth: np.ndarray,
-                   k_grid: tuple[int, ...], n_classes: int) -> np.ndarray:
-    """Accuracy per k, reusing one sorted neighbor-label matrix."""
-    out = np.empty(len(k_grid))
-    for ki, k in enumerate(k_grid):
-        preds = majority_vote(neighbor_labels[:, :k], n_classes)
-        out[ki] = float(np.mean(preds == truth))
-    return out
-
-
 @dataclass(frozen=True)
 class CvPass:
     """One fold plan's outcome per method: its ``CvResult``, or the error its search raised."""
@@ -188,8 +178,8 @@ def _score_fold(config: CvConfig, method: str, system, plain, x_fit, y_fit, x_va
             km, queries = knn_from_transform(tm, x_fit, y_fit, max_k), x_val
         else:
             km, queries = plain(), (x_val if tm is None else x_val @ tm.w.T)
-        nbr = y_fit[neighbor_index_matrix(km, queries, max_k)]
-        rows.append(_accuracy_rows(nbr, y_val, config.k_grid, n_classes))
+        nbr = y_fit[neighbor_index_matrix(km, queries, max_k)]  # one lookup serves every k
+        rows.append([evaluate(nbr[:, :k], y_val, n_classes) for k in config.k_grid])
     return np.array(rows)
 
 

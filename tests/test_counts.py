@@ -1,6 +1,7 @@
 """Every count the package takes (k, k_targets, folds, splits, pca_dim, hubness_k, d,
-n_queries and seeds) is an integer within its bounds: a float is not truncated, a bool
-is not 1, and the check runs before any data is loaded, drawn, searched or fitted."""
+n_queries, n_labeled and seeds) is an integer within its bounds: a float is not
+truncated, a bool is not 1, and the check runs before any data is loaded, drawn,
+searched or fitted."""
 
 import re
 
@@ -10,8 +11,9 @@ import pytest
 import hubridge.experiment
 import hubridge.knn
 import hubridge.targets
-from hubridge.datamodel import Preprocessor, dataset_from_arrays
+from hubridge.datamodel import Preprocessor, dataset_from_arrays, split
 from hubridge.experiment import ExperimentConfig
+from hubridge.hubness import nk_counts
 from hubridge.knn import Dissimilarity, KnnModel, build_knn_model, neighbor_index_matrix
 from hubridge.modelselect import CvConfig, make_folds
 from hubridge.targets import select_targets
@@ -52,6 +54,8 @@ ENTRIES = [
     ("CentralityExperiment.seed", "seed", 0,
      lambda v: CentralityExperiment(d=3, s=1.0, gamma=1.0, n_queries=10, seed=v)),
     ("theoretical_delta", "d", 1, lambda v: theoretical_delta(v, 1.0, 1.0)),
+    ("split", "seed", 0, lambda v: split(DATASET, 0.5, v)),
+    ("nk_counts", "n_labeled", 1, lambda v: nk_counts(np.zeros((2, 1), dtype=np.int64), v)),
 ]
 IDS = [entry[0] for entry in ENTRIES]
 

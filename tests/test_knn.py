@@ -536,25 +536,28 @@ class TestEvaluate:
         pts = rng.normal(size=(30, 4))
         labels = rng.integers(0, 3, 30)
         model = build_knn_model(pts, labels, 1, Dissimilarity.euclidean())
-        assert evaluate(model, pts, labels) == 1.0
+        assert evaluate(model.labels[neighbor_index_matrix(model, pts)], labels, 3) == 1.0
 
     def test_all_wrong(self, rng):
         pts = rng.normal(size=(10, 2))
         labels = np.zeros(10, dtype=int)
         model = build_knn_model(pts, labels, 1, Dissimilarity.euclidean())
-        assert evaluate(model, pts, np.ones(10, dtype=int)) == 0.0
+        nbr = model.labels[neighbor_index_matrix(model, pts)]
+        assert evaluate(nbr, np.ones(10, dtype=int), 2) == 0.0
 
     def test_empty_queries_rejected(self, rng):
         model = build_knn_model(rng.normal(size=(5, 2)), [0] * 5, 1,
                                 Dissimilarity.euclidean())
+        nbr = model.labels[neighbor_index_matrix(model, np.empty((0, 2)))]
         with pytest.raises(ValueError, match="non-empty"):
-            evaluate(model, np.empty((0, 2)), [])
+            evaluate(nbr, np.empty(0, dtype=int), 1)
 
     def test_length_mismatch(self, rng):
         model = build_knn_model(rng.normal(size=(5, 2)), [0] * 5, 1,
                                 Dissimilarity.euclidean())
+        nbr = model.labels[neighbor_index_matrix(model, rng.normal(size=(3, 2)))]
         with pytest.raises(ValueError, match="length"):
-            evaluate(model, rng.normal(size=(3, 2)), [0, 1])
+            evaluate(nbr, np.array([0, 1]), 1)
 
 
 class TestModelConstruction:

@@ -6,7 +6,7 @@ import scipy.stats
 
 from hubridge.hubness import nk_counts
 from hubridge import theory
-from hubridge.knn import Dissimilarity, build_knn_model
+from hubridge.knn import Dissimilarity, build_knn_model, neighbor_index_matrix
 from hubridge.theory import (CentralityExperiment, CentralityResult,
                              PairConstructionError, largest_scale, simulate_delta,
                              squared_norm_std, theoretical_delta)
@@ -27,7 +27,7 @@ def hub_tendency_demo(d: int, s_data: float, n_data: int, n_queries: int,
     queries = rng.normal(0.0, 1.0, size=(n_queries, d))
     model = build_knn_model(data, np.zeros(n_data, dtype=np.int64), k=1,
                             dissimilarity=Dissimilarity())
-    counts = nk_counts(model, queries, k=min(10, n_data))
+    counts = nk_counts(neighbor_index_matrix(model, queries, min(10, n_data)), n_data)
     closeness = -np.linalg.norm(data, axis=1)
     if np.ptp(counts) == 0 or np.ptp(closeness) == 0:
         return 0.0

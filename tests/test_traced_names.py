@@ -139,3 +139,18 @@ def test_report_json_keeps_the_fields_the_benchmark_reads():
     for part in ("rows", "aggregates"):
         assert doc[part] and all(isinstance(item, dict) for item in doc[part])
     assert set(TIMING_FIELDS) <= set(doc["rows"][0]) | set(doc["aggregates"][0])
+
+
+def test_every_span_records_on_a_protocol_run(tmp_path):
+    # every layer the benchmark reports is reached by a plain run of all three methods
+    rng = np.random.default_rng(0)
+    path = tmp_path / "small.csv"
+    path.write_text("".join(",".join(map(str, row)) + f",c{i % 3}\n"
+                            for i, row in enumerate(rng.normal(size=(60, 4)))))
+    config = ExperimentConfig(str(path), n_splits=1, seeds=(1,), lambda_grid=(0.1, 1.0),
+                              k_grid=(1, 3), cv_folds=3)
+    spans = load_spans()
+    tracer = spans.Tracer()
+    with tracer.installed():
+        run_experiment(config)
+    assert [name for name in spans.SPAN_NAMES if tracer.calls(name) == 0] == []
