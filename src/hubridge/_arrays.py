@@ -60,18 +60,25 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def index_vector(a, n: int | None, name: str = "indices") -> np.ndarray:
-    """Coerce to an int64 vector of distinct positions in [0, n) (n None: no upper bound).
+def in_range(values: np.ndarray, high: int | None, name: str) -> np.ndarray:
+    """``values``, an integer array of any shape with entries in [0, high) (high
+    None: no upper bound): the one rule for index, neighbour and label ids. An
+    error names the first offender as ``name[i]`` or ``name[i, j]``, so a
+    negative id never wraps around, or else a non-integer array's dtype."""
+    if values.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be an integer array, got dtype {values.dtype}")
+    bad = values < 0 if high is None else (values < 0) | (values >= high)
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), values.shape)
+        raise ValueError(f"{name}[{', '.join(map(str, at))}] = {values[at]} is out of range "
+                         f"[0, {np.inf if high is None else high})")
+    return values
 
-    The error names the first offending position, so a negative index never
-    wraps around to the end of the array.
-    """
-    out = as_int_vector(a, name)
-    high = np.inf if n is None else n
-    bad = np.flatnonzero((out < 0) | (out >= high))
-    if bad.size:
-        p = int(bad[0])
-        raise ValueError(f"{name}[{p}] = {int(out[p])} is out of range [0, {high})")
+
+def index_vector(a, n: int | None, name: str = "indices") -> np.ndarray:
+    """Coerce to an int64 vector of distinct positions in [0, n) (n None: no
+    upper bound); ``in_range`` names an entry outside it."""
+    out = in_range(as_int_vector(a, name), n, name)
     repeat = np.ones(out.size, dtype=bool)
     repeat[np.unique(out, return_index=True)[1]] = False
     if repeat.any():

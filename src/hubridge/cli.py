@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=_at_least(2, int), default=5)
     p.add_argument("--k-targets", type=_at_least(1, int), default=1)
     p.add_argument("--solver", default=SOLVER_PAPER, choices=SOLVERS)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0, int), default=0)
     p.add_argument("--out", default=None, help="write the CvResult JSON here")
 
     p = sub.add_parser("centrality", help="simulate the spatial-centrality bias")
@@ -133,14 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=_float_list, default=(1.0,))
     p.add_argument("--gamma", type=_float_list, default=(1.0,))
     p.add_argument("--n", type=_at_least(1, int), default=100_000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0, int), default=0)
     p.add_argument("--out", default=None, help="write the JSON/CSV output here")
 
     p = sub.add_parser("bench", help="run the full experiment protocol")
     p.add_argument("--config", required=True, help="ExperimentConfig JSON file")
     p.add_argument("--out", default=None, help="override the output directory")
     p.add_argument("--splits", type=_at_least(1, int), default=None, help="override n_splits")
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--seed", type=_at_least(0, int), default=None,
                    help="override seeds with seed, seed+1, ...")
     p.add_argument("--train-fraction", type=_FRACTION, default=None)
     p.add_argument("--methods", type=lambda s: tuple(s.split(",")), default=None)

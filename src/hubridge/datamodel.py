@@ -31,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import as_count, as_matrix, as_int_vector, frozen, index_vector
+from ._arrays import as_count, as_matrix, as_int_vector, frozen, in_range, index_vector
 from ._codec import INT, Record, array, nullable
 
 DENSE_CSV = "dense-csv"
@@ -77,8 +77,7 @@ class Dataset:
             raise ValueError("labels length must match feature row count")
         if self.class_count < 1:
             raise ValueError("class_count must be positive")
-        if y.min() < 0 or y.max() >= self.class_count:
-            raise ValueError("labels must lie in [0, class_count)")
+        in_range(y, self.class_count, "labels")
         present = np.bincount(y, minlength=self.class_count)
         if (present == 0).any():
             missing = int(np.flatnonzero(present == 0)[0])

@@ -297,8 +297,7 @@ def _run_method(pre: Dataset, sp: Split, method: str, cv: CvResult,
     idx, tm, jj, training_seconds, train = split_neighbors(
         pre, sp, method, cv.best_lambda, config.k_targets, config.solver,
         max(cv.best_k, config.hubness_k))
-    accuracy = evaluate(train.labels[idx[:, :cv.best_k]], pre.labels[sp.test_indices],
-                        pre.class_count)
+    accuracy = evaluate(train.labels[idx[:, :cv.best_k]], pre.labels[sp.test_indices])
     counts = nk_counts(idx[:, :config.hubness_k], train.n)
     gap = solver_disagreement(train.features.T, jj, tm) if method == MOVE_LABELED else None
     return MethodSplitResult(method=method, split_seed=sp.seed, accuracy=accuracy,

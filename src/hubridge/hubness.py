@@ -8,14 +8,15 @@ the skewness of that count distribution, computed with population
     skew = [ sum_i (counts[i] - mean)^3 / n ] / variance^(3/2)
 
 ``nk_counts`` is the one N_k routine: the protocol and ``hubridge hubness``
-pass it the neighbour matrix of ``experiment.split_neighbors``.
+pass it the neighbour matrix of ``experiment.split_neighbors``, whose entries
+``_arrays.in_range`` checks. ``skewness`` rejects a non-finite count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._arrays import as_count
+from ._arrays import as_count, in_range
 
 DEFAULT_HUBNESS_K = 10
 
@@ -31,11 +32,7 @@ def nk_counts(neighbors: np.ndarray, n_labeled: int) -> np.ndarray:
     n_labeled = as_count(n_labeled, "n_labeled", 1)
     if neighbors.size == 0:
         raise ValueError("neighbors must be non-empty")
-    bad = (neighbors < 0) | (neighbors >= n_labeled)
-    if bad.any():
-        at = np.unravel_index(np.argmax(bad), neighbors.shape)
-        raise ValueError(f"neighbors[{', '.join(map(str, at))}] = {neighbors[at]} is "
-                         f"outside [0, {n_labeled})")
+    in_range(neighbors, n_labeled, "neighbors")
     return np.bincount(neighbors.ravel(), minlength=n_labeled).astype(np.int64)
 
 
@@ -44,6 +41,8 @@ def skewness(counts) -> float:
     c = np.asarray(counts, dtype=np.float64)
     if c.ndim != 1 or c.size < 2:
         raise ValueError("counts must be a vector of length >= 2")
+    if not np.isfinite(c).all():  # the moments would be NaN
+        raise ValueError("counts contain non-finite values")
     dev = c - c.mean()
     var = float(np.mean(dev ** 2))
     if var == 0.0:

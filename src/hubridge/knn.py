@@ -85,7 +85,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._arrays import (as_count, as_matrix, as_int_vector, frozen, pairwise_sq_dists,
+from ._arrays import (as_count, as_matrix, as_int_vector, frozen, in_range, pairwise_sq_dists,
                       query_chunks, smallest_k_band, sq_dist_operand, sq_norms)
 from .transform import TransformModel, MOVE_LABELED
 
@@ -164,9 +164,7 @@ class KnnModel:
         if self.labels.shape != (pts.shape[0],):
             raise ValueError("labels length must match labeled point count")
         as_count(self.k, "k", 1, pts.shape[0])
-        if (self.labels < 0).any():  # a vote would wrap a negative class id around
-            p = int(np.argmax(self.labels < 0))
-            raise ValueError(f"labels[{p}] = {int(self.labels[p])} is negative")
+        in_range(self.labels, None, "labels")  # named at the build, before any vote
         frozen(pts)
         frozen(self.labels)
         object.__setattr__(self, "labeled_mean", frozen(pts.mean(axis=0)))
@@ -391,13 +389,15 @@ def _direct_sq_dists(q: np.ndarray, points: np.ndarray, rows: np.ndarray,
     return out
 
 
-def majority_vote(neighbor_labels: np.ndarray, n_classes: int) -> np.ndarray:
+def majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:
     """Row-wise majority with ties broken by the nearest neighbor among tied labels.
 
     ``neighbor_labels`` rows must already be ordered by non-decreasing
-    dissimilarity.
+    dissimilarity. The class ids are those of the batch: ids absent from it
+    count zero, and ``in_range`` names a negative or non-integer one.
     """
     q, _ = neighbor_labels.shape
+    n_classes = int(in_range(neighbor_labels, None, "neighbor_labels").max(initial=0)) + 1
     rows = np.arange(q)[:, None]
     counts = np.bincount((rows * n_classes + neighbor_labels).ravel(),
                          minlength=q * n_classes).reshape(q, n_classes)
@@ -409,16 +409,15 @@ def majority_vote(neighbor_labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 def classify_batch(model: KnnModel, queries) -> np.ndarray:
     """Predicted class id per query row."""
-    idx = neighbor_index_matrix(model, queries)
-    n_classes = int(model.labels.max()) + 1
-    return majority_vote(model.labels[idx], n_classes)
+    return majority_vote(model.labels[neighbor_index_matrix(model, queries)])
 
 
-def evaluate(neighbor_labels: np.ndarray, true_labels: np.ndarray, n_classes: int) -> float:
+def evaluate(neighbor_labels: np.ndarray, true_labels: np.ndarray) -> float:
     """Share of rows whose ``majority_vote`` is the true label: the one accuracy
-    routine, fed the (queries, k) labels of a neighbor matrix."""
+    routine, fed the (queries, k) labels of a neighbor matrix. The class ids
+    come from the batch, and a negative one is named, as in the vote."""
     if neighbor_labels.shape[0] == 0:
         raise ValueError("queries must be non-empty")
     if true_labels.shape[0] != neighbor_labels.shape[0]:
         raise ValueError("true_labels length must match query count")
-    return float(np.mean(majority_vote(neighbor_labels, n_classes) == true_labels))
+    return float(np.mean(majority_vote(neighbor_labels) == true_labels))

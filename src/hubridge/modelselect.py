@@ -112,7 +112,8 @@ class CvResult:
 
 
 def make_folds(indices, labels, n_folds: int, seed: int) -> list[np.ndarray]:
-    """Stratified folds over `indices`; per-class counts differ by at most 1.
+    """Stratified folds over `indices`: each class's permuted members go to the
+    folds in turn from a random first one, so per-class counts differ by at most 1.
 
     `indices` must be distinct and non-negative: a row in two folds would sit
     on both the fit and the validation side.
@@ -123,17 +124,16 @@ def make_folds(indices, labels, n_folds: int, seed: int) -> list[np.ndarray]:
         raise ValueError("labels must align with indices")
     n_folds = as_count(n_folds, "n_folds", 2)
     rng = np.random.default_rng(seed)
-    folds: list[list[int]] = [[] for _ in range(n_folds)]
+    members, places = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for c in np.unique(labs):
-        members = idx[labs == c]
-        if members.size < n_folds:
+        group = idx[labs == c]
+        if group.size < n_folds:
             raise FoldError(
-                f"class {int(c)} has {members.size} member(s); need >= {n_folds} folds")
-        perm = rng.permutation(members)
-        start = int(rng.integers(n_folds))
-        for t, member in enumerate(perm):
-            folds[(start + t) % n_folds].append(int(member))
-    return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
+                f"class {int(c)} has {group.size} member(s); need >= {n_folds} folds")
+        members.append(rng.permutation(group))
+        places.append((int(rng.integers(n_folds)) + np.arange(group.size)) % n_folds)
+    members, places = np.concatenate(members), np.concatenate(places)
+    return [np.sort(members[places == f]) for f in range(n_folds)]
 
 
 @dataclass(frozen=True)
@@ -157,8 +157,8 @@ class CvPass:
         return outcome
 
 
-def _score_fold(config: CvConfig, method: str, system, plain, x_fit, y_fit, x_val, y_val,
-                n_classes: int) -> np.ndarray:
+def _score_fold(config: CvConfig, method: str, system, plain, x_fit, y_fit, x_val,
+                y_val) -> np.ndarray:
     """(lambda, k) validation accuracy of one method on one fold; Euclidean gives one row.
 
     ``system()`` and ``plain()`` return the fold's ``RidgeSystem`` and its
@@ -179,7 +179,7 @@ def _score_fold(config: CvConfig, method: str, system, plain, x_fit, y_fit, x_va
         else:
             km, queries = plain(), (x_val if tm is None else x_val @ tm.w.T)
         nbr = y_fit[neighbor_index_matrix(km, queries, max_k)]  # one lookup serves every k
-        rows.append([evaluate(nbr[:, :k], y_val, n_classes) for k in config.k_grid])
+        rows.append([evaluate(nbr[:, :k], y_val) for k in config.k_grid])
     return np.array(rows)
 
 
@@ -227,7 +227,7 @@ def grid_search(dataset: Dataset, train_indices, config: CvConfig, methods) -> C
             if errors[i] is None:
                 try:
                     acc[i][:, :, f] = _score_fold(config, method, system, plain, x_fit,
-                                                  y_fit, x_val, y_val, dataset.class_count)
+                                                  y_fit, x_val, y_val)
                 except Exception as e:  # ends this method's search only
                     errors[i] = e
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._arrays import as_count, as_int_vector, index_vector
+from ._arrays import as_count, as_int_vector, in_range, index_vector
 from .datamodel import Dataset
 from .knn import Dissimilarity, KnnModel, nearest_others
 
@@ -61,15 +61,10 @@ def indicator_matrix(owners, targets, n: int) -> sp.csr_matrix:
     The error names the first bad pair: an index outside [0, n), an object
     that targets itself, or a pair listed twice.
     """
-    own = as_int_vector(owners, "owners")
-    tgt = as_int_vector(targets, "targets")
+    own = in_range(as_int_vector(owners, "owners"), n, "owners")
+    tgt = in_range(as_int_vector(targets, "targets"), n, "targets")
     if own.shape != tgt.shape:
         raise ValueError(f"owners has {own.size} entries, targets {tgt.size}")
-    for name, v in (("owners", own), ("targets", tgt)):
-        bad = np.flatnonzero((v < 0) | (v >= n))
-        if bad.size:
-            p = int(bad[0])
-            raise ValueError(f"{name}[{p}] = {int(v[p])} is out of range [0, {n})")
     bad = np.flatnonzero(own == tgt)
     if bad.size:
         p = int(bad[0])

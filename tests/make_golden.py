@@ -5,14 +5,18 @@ Run from the repository root, on a tree whose outputs are known to be right:
     PYTHONPATH=src python tests/make_golden.py
 
 For bundled iris and a fixed-seed 7-class 144 x 12 set (``golden/seven_class.csv``,
-written here first), it runs three commands in process and writes what they produce
+written here first), it runs five commands in process and writes what they produce
 to ``tests/golden/<set>_<file>``:
 
 - ``bench.json``: ``hubridge bench``'s report.json on the default protocol over split
   seeds 1-4, without ``TIMING_FIELDS``, with the config's dataset path relative to the
   repository root and its output directory relative to the run's own;
 - ``cv.json``: ``hubridge cv --out`` (move-labeled, default grids);
-- ``hubness.csv`` and ``hubness.json``: ``hubridge hubness --out --json-out``.
+- ``hubness.csv`` and ``hubness.json``: ``hubridge hubness --out --json-out``;
+- ``fit.json`` and ``model.json``: ``hubridge fit``'s printed summary (default flags),
+  without ``training_seconds`` and ``model_path``, and the model file it writes;
+- ``predict.csv`` and ``predict.json``: ``hubridge predict --k 5 --out`` with that
+  model and the training file as the queries, and the summary it prints.
 
 A change that rewrites a golden file says which fields moved, and why.
 """
@@ -46,11 +50,14 @@ def seven_class_csv() -> str:
     return "".join(",".join(f"{v:.2f}" for v in row) + f",c{y}\n" for row, y in zip(x, labels))
 
 
-def _run(*argv: str) -> None:
-    with contextlib.redirect_stdout(io.StringIO()):
+def _run(*argv: str) -> str:
+    """What ``hubridge *argv`` prints."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         status = cli.main(list(argv))
     if status != 0:
         raise RuntimeError(f"hubridge {' '.join(argv)} exited {status}")
+    return out.getvalue()
 
 
 def _portable_report(report: dict, work: Path) -> dict:
@@ -74,10 +81,18 @@ def golden_outputs(dataset: Path, work: Path) -> dict[str, str]:
     _run("cv", "--dataset", str(dataset), "--out", str(work / "cv.json"))
     _run("hubness", "--dataset", str(dataset), "--out", str(work / "hubness.csv"),
          "--json-out", str(work / "hubness.json"))
+    fit = json.loads(_run("fit", "--dataset", str(dataset), "--out", str(work / "model.json")))
+    del fit["training_seconds"], fit["model_path"]
+    predict = _run("predict", "--dataset", str(dataset), "--model", str(work / "model.json"),
+                   "--queries", str(dataset), "--k", "5", "--out", str(work / "predict.csv"))
     return {"bench.json": json.dumps(_portable_report(report, work), indent=2, sort_keys=True),
             "cv.json": (work / "cv.json").read_text(),
             "hubness.csv": (work / "hubness.csv").read_text(),
-            "hubness.json": (work / "hubness.json").read_text()}
+            "hubness.json": (work / "hubness.json").read_text(),
+            "fit.json": json.dumps(fit, indent=2, sort_keys=True),
+            "model.json": (work / "model.json").read_text(),
+            "predict.csv": (work / "predict.csv").read_text(),
+            "predict.json": predict}
 
 
 def main() -> int:

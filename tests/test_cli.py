@@ -323,11 +323,15 @@ class TestErrors:
         (["fit", "--pca-dim", "0", "--out", "m.json"], "--pca-dim"),
         (["hubness", "--pca-dim", "0"], "--pca-dim"),
         (["hubness", "--seed", "-1"], "--seed"),
+        (["cv", "--seed", "-1"], "--seed"),
+        (["centrality", "--seed", "-1"], "--seed"),
+        (["bench", "--config", "c.json", "--seed", "-1"], "--seed"),
     ], ids=["fit-nan-lambda", "fit-negative-lambda", "fit-inf-lambda", "hubness-minus-inf-lambda",
             "fit-k-targets-0", "hubness-nan-lambda",
             "hubness-k-0", "hubness-k-targets-0", "cv-k-targets-0", "cv-folds-1",
             "predict-k-0", "centrality-n-0", "bench-splits-0", "fit-pca-dim-0",
-            "hubness-pca-dim-0", "hubness-seed-minus-1"])
+            "hubness-pca-dim-0", "hubness-seed-minus-1", "cv-seed-minus-1",
+            "centrality-seed-minus-1", "bench-seed-minus-1"])
     def test_lower_bound_checked_before_loading(self, monkeypatch, capsys, argv, flag):
         # NaN passed `lam < 0`; fit --lambda -1 and hubness --k 0 failed only after
         # loading, as did fit/hubness --k-targets 0 and predict --k 0, and cv, centrality

@@ -1,9 +1,10 @@
 """The CLI's outputs on two fixed sets equal the committed golden files
 (``make_golden.py`` writes them and says what each holds).
 
-Every field compares byte for byte, as its JSON text, except ``solver_gap``:
-it reads W's last bits, which move with the BLAS thread count, so it compares
-to 1e-12 relative (the ``experiment`` module docstring states the contract).
+Every field compares byte for byte, as its JSON text, except ``solver_gap``
+and the model file's W entries: they are W's last bits, which move with the
+BLAS thread count, so they compare to 1e-12 relative (the ``experiment``
+module docstring states the contract).
 """
 
 import json
@@ -22,7 +23,7 @@ def assert_same(got, want, path="$"):
         assert isinstance(got, list) and len(got) == len(want), path
         for i, (g, w) in enumerate(zip(got, want)):
             assert_same(g, w, f"{path}[{i}]")
-    elif path.endswith(".solver_gap") and want is not None:
+    elif (path.endswith(".solver_gap") or ".W[" in path) and want is not None:
         assert got == pytest.approx(want, rel=1e-12, abs=0.0), path
     else:
         assert json.dumps(got) == json.dumps(want), path

@@ -59,7 +59,8 @@ class TestNkCounts:
     @pytest.mark.parametrize("bad", [5, 7, -1])
     def test_entry_outside_range_named(self, bad):
         # bincount would lengthen the vector past 5 entries, or fail on -1
-        with pytest.raises(ValueError, match=rf"^neighbors\[1, 0\] = {bad} is outside \[0, 5\)$"):
+        with pytest.raises(ValueError,
+                           match=rf"^neighbors\[1, 0\] = {bad} is out of range \[0, 5\)$"):
             nk_counts(np.array([[0, 4], [bad, 2]]), 5)
 
 
@@ -67,6 +68,12 @@ class TestSkewness:
     def test_constant_counts_error(self):
         with pytest.raises(ZeroVarianceError):
             skewness([1, 1, 1, 1])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_counts_rejected(self, bad):
+        # a NaN count made the skewness NaN, which no caller checks
+        with pytest.raises(ValueError, match="^counts contain non-finite values$"):
+            skewness([1.0, bad, 2.0])
 
     def test_symmetric_counts_zero(self):
         assert abs(skewness([0, 1, 2, 3, 4])) < 1e-12

@@ -1,0 +1,88 @@
+"""Every integer id the package takes (row indices, target pairs, neighbour indices
+and class labels) lies in [0, high), with high the entry's bound or none: an
+entry outside it is named as ``name[i]`` or ``name[i, j]``, so a negative id never
+wraps around or votes as another class, and a float array is named by its dtype
+(or, where the entry coerces to integers, by its first non-integer entry)."""
+
+import re
+
+import numpy as np
+import pytest
+
+from hubridge.datamodel import Dataset, dataset_from_arrays, subset
+from hubridge.experiment import preprocess
+from hubridge.hubness import nk_counts
+from hubridge.knn import Dissimilarity, KnnModel, evaluate, majority_vote
+from hubridge.modelselect import CvConfig, grid_search, make_folds
+from hubridge.targets import indicator_matrix, select_targets
+
+POINTS = np.arange(18, dtype=np.float64).reshape(6, 3) ** 1.5
+LABELS = np.array([0, 0, 0, 1, 1, 1])
+DATASET = dataset_from_arrays(POINTS, LABELS)
+CV = CvConfig((0.1,), (1,), 2, 0)
+ROWS = np.array([0, 1, 3, 4])
+
+# (entry, the name its errors give, its bound (None: none), whether it coerces to
+# int64 first, a valid input, the position the test makes bad, a call on an input)
+ENTRIES = [
+    ("subset", "indices", 6, True, ROWS, (1,), lambda v: subset(DATASET, v)),
+    ("select_targets", "train", 6, True, ROWS, (1,), lambda v: select_targets(DATASET, v, 1)),
+    ("grid_search", "train_indices", 6, True, ROWS, (1,),
+     lambda v: grid_search(DATASET, v, CV, ["euclidean"])),
+    ("make_folds", "indices", None, True, np.arange(6), (1,),
+     lambda v: make_folds(v, LABELS, 2, 0)),
+    ("preprocess", "train_rows", 6, True, ROWS, (1,), lambda v: preprocess(DATASET, v)),
+    ("indicator_matrix.owners", "owners", 3, True, np.array([0, 1, 2]), (1,),
+     lambda v: indicator_matrix(v, [1, 2, 0], 3)),
+    ("indicator_matrix.targets", "targets", 3, True, np.array([1, 2, 0]), (1,),
+     lambda v: indicator_matrix([0, 1, 2], v, 3)),
+    ("nk_counts", "neighbors", 5, False, np.array([[0, 4], [1, 2]]), (1, 0),
+     lambda v: nk_counts(v, 5)),
+    ("KnnModel", "labels", None, False, LABELS, (2,),
+     lambda v: KnnModel(POINTS.copy(), v, 2, Dissimilarity())),
+    ("Dataset", "labels", 2, False, LABELS, (2,),
+     lambda v: Dataset(POINTS.copy(), v, 2, "", ("a", "b"))),
+    ("majority_vote", "neighbor_labels", None, False, np.array([[0, 1], [1, 1]]), (1, 0),
+     majority_vote),
+    ("evaluate", "neighbor_labels", None, False, np.array([[0, 1], [1, 1]]), (1, 0),
+     lambda v: evaluate(v, np.array([0, 1]))),
+]
+IDS = [entry[0] for entry in ENTRIES]
+
+
+def with_entry(good: np.ndarray, pos: tuple, value) -> np.ndarray:
+    out = good.astype(type(value))
+    out[pos] = value
+    return out
+
+
+@pytest.mark.parametrize("entry, name, high, coerces, good, pos, call", ENTRIES, ids=IDS)
+def test_valid_input_accepted(entry, name, high, coerces, good, pos, call):
+    call(good.copy())
+
+
+@pytest.mark.parametrize("entry, name, high, coerces, good, pos, call, value", [
+    pytest.param(*entry, value, id=f"{entry[0]}[{value}]")
+    for entry in ENTRIES for value in (-1, entry[2]) if value is not None])
+def test_entry_out_of_range_named(entry, name, high, coerces, good, pos, call, value):
+    at = ", ".join(map(str, pos))
+    want = f"{name}[{at}] = {value} is out of range [0, {'inf' if high is None else high})"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        call(with_entry(good, pos, value))
+
+
+@pytest.mark.parametrize("entry, name, high, coerces, good, pos, call", ENTRIES, ids=IDS)
+def test_float_array_named(entry, name, high, coerces, good, pos, call):
+    # a float id array used to reach numpy, which raised a bare TypeError
+    if coerces:
+        want = f"{name}[{pos[0]}] = 1.5 is not an integer in int64's range"
+    else:
+        want = f"{name} must be an integer array, got dtype float64"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        call(with_entry(good, pos, 1.5))
+
+
+def test_negative_vote_label_not_counted_as_another_class():
+    # row 1's -1 used to be counted as row 0's class 2, scoring 0.5
+    with pytest.raises(ValueError, match=r"^neighbor_labels\[1, 0\] = -1 is out of range"):
+        evaluate(np.array([[0, 2], [-1, 1]]), np.array([0, 1]))

@@ -519,7 +519,14 @@ class TestClassify:
         # few labels per row against many classes, so counts tie often
         labels = rng.integers(0, min(n_classes, 4), size=(q, k))
         want = [oracle_vote([int(v) for v in row]) for row in labels]
-        np.testing.assert_array_equal(majority_vote(labels, n_classes), want)
+        np.testing.assert_array_equal(majority_vote(labels), want)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_zero_queries(self, rng, k):
+        # the vote's class count comes from its batch, and an empty batch has none
+        model = build_knn_model(rng.normal(size=(6, 2)), [0, 1, 2, 0, 1, 2], k, Dissimilarity())
+        got = classify_batch(model, np.empty((0, 2)))
+        assert got.dtype == np.int64 and got.shape == (0,)
 
     def test_deterministic_across_runs(self, rng):
         pts = rng.normal(size=(40, 3))
@@ -536,28 +543,28 @@ class TestEvaluate:
         pts = rng.normal(size=(30, 4))
         labels = rng.integers(0, 3, 30)
         model = build_knn_model(pts, labels, 1, Dissimilarity.euclidean())
-        assert evaluate(model.labels[neighbor_index_matrix(model, pts)], labels, 3) == 1.0
+        assert evaluate(model.labels[neighbor_index_matrix(model, pts)], labels) == 1.0
 
     def test_all_wrong(self, rng):
         pts = rng.normal(size=(10, 2))
         labels = np.zeros(10, dtype=int)
         model = build_knn_model(pts, labels, 1, Dissimilarity.euclidean())
         nbr = model.labels[neighbor_index_matrix(model, pts)]
-        assert evaluate(nbr, np.ones(10, dtype=int), 2) == 0.0
+        assert evaluate(nbr, np.ones(10, dtype=int)) == 0.0
 
     def test_empty_queries_rejected(self, rng):
         model = build_knn_model(rng.normal(size=(5, 2)), [0] * 5, 1,
                                 Dissimilarity.euclidean())
         nbr = model.labels[neighbor_index_matrix(model, np.empty((0, 2)))]
         with pytest.raises(ValueError, match="non-empty"):
-            evaluate(nbr, np.empty(0, dtype=int), 1)
+            evaluate(nbr, np.empty(0, dtype=int))
 
     def test_length_mismatch(self, rng):
         model = build_knn_model(rng.normal(size=(5, 2)), [0] * 5, 1,
                                 Dissimilarity.euclidean())
         nbr = model.labels[neighbor_index_matrix(model, rng.normal(size=(3, 2)))]
         with pytest.raises(ValueError, match="length"):
-            evaluate(nbr, np.array([0, 1]), 1)
+            evaluate(nbr, np.array([0, 1]))
 
 
 class TestModelConstruction:
@@ -568,7 +575,7 @@ class TestModelConstruction:
 
     def test_negative_label_rejected(self, rng):
         # a negative class id would wrap in the vote and be predicted
-        with pytest.raises(ValueError, match=r"labels\[2\] = -1 is negative"):
+        with pytest.raises(ValueError, match=r"labels\[2\] = -1 is out of range \[0, inf\)"):
             build_knn_model(rng.normal(size=(4, 2)), [0, 1, -1, -2], 3,
                             Dissimilarity.euclidean())
 

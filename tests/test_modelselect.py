@@ -59,6 +59,29 @@ class TestMakeFolds:
         with pytest.raises(ValueError, match=message):
             make_folds(indices, labels, 2, 0)
 
+    def test_matches_member_by_member_reference(self):
+        # the per-member loop make_folds replaced, with the same draws in the same order
+        def reference(indices, labels, n_folds, seed):
+            rng = np.random.default_rng(seed)
+            folds = [[] for _ in range(n_folds)]
+            for c in np.unique(labels):
+                perm = rng.permutation(indices[labels == c])
+                start = int(rng.integers(n_folds))
+                for t, member in enumerate(perm):
+                    folds[(start + t) % n_folds].append(int(member))
+            return [np.sort(np.array(f, dtype=np.int64)) for f in folds]
+
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            n_folds = int(rng.integers(2, 6))
+            labels = np.repeat(rng.permutation(4), rng.integers(n_folds, 3 * n_folds, 4))
+            indices = rng.permutation(10 * labels.size)[:labels.size]
+            seed = int(rng.integers(1000))
+            for got, want in zip(make_folds(indices, labels, n_folds, seed),
+                                 reference(indices, labels, n_folds, seed), strict=True):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+
     def test_non_contiguous_indices(self):
         indices = np.array([3, 7, 11, 20, 21, 30])
         labels = np.array([0, 1, 0, 1, 0, 1])
@@ -201,7 +224,7 @@ def library_table(ds, cfg: CvConfig, folds, lambdas) -> list[tuple]:
             km = knn_from_transform(tm, x_fit, ds.labels[fit], max_k)
             nbr = ds.labels[fit][neighbor_index_matrix(km, x_val, max_k)]
             for ki, k in enumerate(cfg.k_grid):
-                pred = majority_vote(nbr[:, :k], ds.class_count)
+                pred = majority_vote(nbr[:, :k])
                 acc[li, ki, f] = np.mean(pred == ds.labels[val])
     return [(0.0 if lam is None else lam, k, acc[li, ki].mean(), acc[li, ki].std(ddof=1))
             for li, lam in enumerate(lambdas) for ki, k in enumerate(cfg.k_grid)]
