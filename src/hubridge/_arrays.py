@@ -1,7 +1,12 @@
-"""Shared array utilities: validation, immutability, and the distance GEMM and
-candidate band behind ``knn``'s certified lookup, the one k-nearest routine."""
+"""Shared array utilities: immutability, the distance GEMM and candidate band
+behind ``knn``'s certified lookup (the one k-nearest routine), and the four
+rules that check what the package takes, each error naming the parameter:
+``as_count`` for counts, ``as_real`` for reals (the CLI's flags read its range
+rules too), ``as_choice`` for choices and ``in_range`` for integer ids."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -30,6 +35,34 @@ def as_count(value, name: str, low: int, high: int | None = None) -> int:
         raise ValueError(f"{name} must be >= {low}, got {value}")
     if high is not None and not low <= value <= high:
         raise ValueError(f"{name} must be in [{low}, {high}], got {value}")
+    return value
+
+
+# (test, text) range rules of ``as_real`` on a Python float: each test fails NaN and +-inf
+FINITE = (math.isfinite, "finite")
+NON_NEGATIVE = (lambda value: 0 <= value < math.inf, "finite and non-negative")
+POSITIVE = (lambda value: 0 < value < math.inf, "finite and positive")
+FRACTION = (lambda value: 0 < value < 1, "in (0, 1)")
+
+
+def as_real(value, name: str, rule) -> float:
+    """``value`` as a float passing ``rule``'s test; an error names ``name`` and prints the
+    rule's text. A real is a Python or numpy int or float, never a bool, a str or None."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        real = float(value)  # a float32 by its exact value
+    except OverflowError:  # an int past float64's range
+        real = math.inf
+    if not rule[0](real):
+        raise ValueError(f"{name} must be {rule[1]}, got {value!r}")
+    return real
+
+
+def as_choice(value, name: str, choices: tuple[str, ...]) -> str:
+    """``value``, a str among ``choices``; an error names ``name``."""
+    if not (isinstance(value, str) and value in choices):
+        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
     return value
 
 

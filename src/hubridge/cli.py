@@ -24,15 +24,15 @@ from pathlib import Path
 import numpy as np
 
 from . import experiment
-from .datamodel import FORMATS, Preprocessor, _valid_fraction, load_dataset, split as make_split
+from ._arrays import FRACTION, NON_NEGATIVE
+from .datamodel import FORMATS, Preprocessor, load_dataset, split as make_split
 from .experiment import (ExperimentConfig, ModelArtifact, fit_timed, preprocess,
                          run_experiment, split_neighbors, training_record)
 from .hubness import nk_counts, skewness
 from .knn import classify_batch, knn_from_transform
 from .modelselect import METHODS, CvConfig, CvResult, check_methods, grid_search
 from .theory import CentralityExperiment, simulate_delta
-from .transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, _valid_lambda,
-                        solver_disagreement)
+from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, solver_disagreement
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -43,22 +43,22 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(t) for t in text.split(",") if t)
 
 
-def _checked(cast, test, rule: str):
-    """An argparse type: ``cast(text)``, which must pass ``test`` (NaN never does)."""
+def _checked(cast, rule):
+    """An argparse type: ``cast(text)``, which must pass the (test, text) ``rule``."""
     def parse(text: str):
-        if not test(cast(text)):
-            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        if not rule[0](cast(text)):
+            raise argparse.ArgumentTypeError(f"must be {rule[1]}, got {text!r}")
         return cast(text)
     parse.__name__ = cast.__name__  # argparse names it when the cast fails
     return parse
 
 
 def _at_least(low, cast):
-    return _checked(cast, lambda value: value >= low, f">= {low}")
+    return _checked(cast, (lambda value: value >= low, f">= {low}"))
 
 
-_FRACTION = _checked(float, _valid_fraction, "in (0, 1)")
-_LAMBDA = _checked(float, _valid_lambda, ">= 0 and finite")
+_FRACTION = _checked(float, FRACTION)
+_LAMBDA = _checked(float, NON_NEGATIVE)
 
 
 def _add_dataset_args(p: argparse.ArgumentParser) -> None:

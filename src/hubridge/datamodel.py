@@ -31,7 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import as_count, as_matrix, as_int_vector, frozen, in_range, index_vector
+from ._arrays import (FRACTION, as_choice, as_count, as_int_vector, as_matrix, as_real, frozen,
+                      in_range, index_vector)
 from ._codec import INT, Record, array, nullable
 
 DENSE_CSV = "dense-csv"
@@ -57,12 +58,11 @@ class Dataset:
 
     features : (n, d) float64 matrix, rows are objects.
     labels : (n,) int64, values in [0, class_count); every class occurs.
-    label_names : original label token per class id.
+    label_names : original label token per class id; ``class_count`` is their number.
     """
 
     features: np.ndarray
     labels: np.ndarray
-    class_count: int
     name: str
     label_names: tuple[str, ...]
 
@@ -75,17 +75,17 @@ class Dataset:
             raise ValueError("features contain non-finite values")
         if y.shape != (f.shape[0],):
             raise ValueError("labels length must match feature row count")
-        if self.class_count < 1:
-            raise ValueError("class_count must be positive")
         in_range(y, self.class_count, "labels")
         present = np.bincount(y, minlength=self.class_count)
         if (present == 0).any():
             missing = int(np.flatnonzero(present == 0)[0])
             raise ValueError(f"class id {missing} has no members")
-        if len(self.label_names) != self.class_count:
-            raise ValueError("label_names length must equal class_count")
         frozen(f)
         frozen(y)
+
+    @property
+    def class_count(self) -> int:
+        return len(self.label_names)
 
     @property
     def n(self) -> int:
@@ -106,18 +106,16 @@ def dataset_from_arrays(features, labels, name: str = "",
     y = as_int_vector(np.array(labels, copy=True), "labels")
     if y.size == 0:
         raise ValueError("labels must be non-empty")
-    class_count = int(y.max()) + 1
     if label_names is None:
-        label_names = tuple(str(c) for c in range(class_count))
-    return Dataset(f, y, class_count, name, tuple(label_names))
+        label_names = tuple(str(c) for c in range(int(y.max()) + 1))
+    return Dataset(f, y, name, tuple(label_names))
 
 
 def subset(dataset: Dataset, indices) -> Dataset:
     """Row subset as a new Dataset. Every class must survive the selection."""
     idx = index_vector(indices, dataset.n, "indices")
     # an index array gathers fresh copies, which the new Dataset freezes
-    return Dataset(dataset.features[idx], dataset.labels[idx], dataset.class_count,
-                   dataset.name, dataset.label_names)
+    return Dataset(dataset.features[idx], dataset.labels[idx], dataset.name, dataset.label_names)
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +255,7 @@ def _sparse_pairs_blocks(lines: list[tuple[int, str]]):
 
 def load_dataset(path, fmt: str) -> Dataset:
     """Load a UTF-8 feature file; labels are remapped to dense ids in first-appearance order."""
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    as_choice(fmt, "fmt", FORMATS)
     path = Path(path)
     try:
         # the text is dropped once split, so the parse does not hold the file twice
@@ -278,7 +275,7 @@ def load_dataset(path, fmt: str) -> Dataset:
     names = tuple(dict.fromkeys(tokens))
     id_of = {name: i for i, name in enumerate(names)}
     labels = np.fromiter(map(id_of.__getitem__, tokens), np.int64, len(tokens))
-    return Dataset(features, labels, len(names), path.stem, names)
+    return Dataset(features, labels, path.stem, names)
 
 
 def bundled_dataset_path(name: str) -> Path:
@@ -439,15 +436,10 @@ def _allocate_train_counts(class_sizes: np.ndarray, fraction: float, total: int)
     return counts
 
 
-def _valid_fraction(fraction) -> bool:
-    return 0 < fraction < 1  # NaN fails too
-
-
 def split(dataset: Dataset, train_fraction: float, seed: int) -> Split:
     """Stratified random train/test split, reproducible from the seed."""
     seed = as_count(seed, "seed", 0)
-    if not _valid_fraction(train_fraction):
-        raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+    train_fraction = as_real(train_fraction, "train_fraction", FRACTION)
     sizes = dataset.class_sizes()
     small = np.flatnonzero(sizes < 2)
     if small.size:
@@ -455,7 +447,7 @@ def split(dataset: Dataset, train_fraction: float, seed: int) -> Split:
         raise ValueError(
             f"class {dataset.label_names[c]!r} has {int(sizes[c])} member(s); need >= 2")
     n = dataset.n
-    total = int(round(float(train_fraction) * n))  # a float32 fraction by its exact value
+    total = int(round(train_fraction * n))
     if total == n:
         raise ValueError(f"train_fraction {train_fraction} leaves no test rows out of {n}")
     if total < dataset.class_count:

@@ -28,10 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import as_count, index_vector
+from ._arrays import FRACTION, as_choice, as_count, as_real, index_vector
 from ._codec import BOOL, INT, NUMBER, STR, Parser, Record, list_of, nullable
-from .datamodel import (Dataset, Preprocessor, Split, _valid_fraction, load_dataset,
-                        split as make_split, subset)
+from .datamodel import Dataset, Preprocessor, Split, load_dataset, split as make_split, subset
 from .hubness import DEFAULT_HUBNESS_K, nk_counts, skewness
 from .knn import evaluate, knn_from_transform, neighbor_index_matrix
 from .modelselect import (EUCLIDEAN_METHOD, METHODS, CvConfig, CvResult, check_methods,
@@ -80,8 +79,7 @@ class ExperimentConfig:
         as_count(self.hubness_k, "hubness_k", 1)
         if self.pca_dim is not None:
             as_count(self.pca_dim, "pca_dim", 1)
-        if not _valid_fraction(self.train_fraction):
-            raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        as_real(self.train_fraction, "train_fraction", FRACTION)
         # the user's grids, k_targets and solver fail here, not mid-run, even
         # when Euclidean alone (whose search ignores lambda_grid) is asked for
         CvConfig(self.lambda_grid, self.k_grid, self.cv_folds, 0, self.k_targets, self.solver)
@@ -208,8 +206,7 @@ def preprocess(dataset: Dataset, train_rows=None, *, center: bool = True,
 def fit_timed(train_ds: Dataset, method: str, lam: float, k_targets: int,
               solver: str):
     """Select targets and fit ``method``'s transform, timing exactly that region."""
-    if method not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}, got {method!r}")
+    as_choice(method, "direction", DIRECTIONS)
     t0 = time.perf_counter()
     jj = select_targets(train_ds, np.arange(train_ds.n), k_targets)
     tm = (fit_move_labeled(train_ds.features.T, jj, lam, solver) if method == MOVE_LABELED

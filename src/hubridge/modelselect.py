@@ -28,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import as_count, as_int_vector, index_vector
+from ._arrays import NON_NEGATIVE, as_choice, as_count, as_int_vector, as_real, index_vector
 from ._codec import INT, NUMBER, Record, list_of
 from .datamodel import Dataset
 from .knn import evaluate, knn_from_transform, neighbor_index_matrix
 from .targets import select_targets
-from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, RidgeSystem, _check_lambdas
+from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, RidgeSystem
 
 EUCLIDEAN_METHOD = "euclidean"
 METHODS = (EUCLIDEAN_METHOD, MOVE_LABELED, MOVE_QUERY)
@@ -45,10 +45,7 @@ def check_methods(methods, name: str = "methods") -> tuple[str, ...]:
     if not methods:
         raise ValueError("at least one method is required")
     for i, method in enumerate(methods):
-        if method not in METHODS:
-            raise ValueError(f"{name}[{i}] = {method!r} is an unknown method; "
-                             f"expected one of {METHODS}")
-        if method in methods[:i]:
+        if as_choice(method, f"{name}[{i}]", METHODS) in methods[:i]:
             raise ValueError(f"{name}[{i}] = {method!r} repeats an earlier method")
     return methods
 
@@ -72,14 +69,14 @@ class CvConfig:
         for name in ("lambda_grid", "k_grid"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
-        _check_lambdas(self.lambda_grid, "lambda_grid values")
+        for i, lam in enumerate(self.lambda_grid):
+            as_real(lam, f"lambda_grid[{i}]", NON_NEGATIVE)
         for i, k in enumerate(self.k_grid):
             as_count(k, f"k_grid[{i}]", 1)
         as_count(self.n_folds, "n_folds", 2)
         as_count(self.k_targets, "k_targets", 1)
         as_count(self.seed, "seed", 0)
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}")
+        as_choice(self.solver, "solver", SOLVERS)
 
 
 @dataclass(frozen=True)

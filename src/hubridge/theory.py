@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 
-from ._arrays import as_count
+from ._arrays import FINITE, POSITIVE, as_count, as_real
 
 _DRAW_CHUNK = 16384
 
@@ -42,10 +42,8 @@ class CentralityExperiment:
         as_count(self.d, "d", 1)
         as_count(self.n_queries, "n_queries", 1)
         as_count(self.seed, "seed", 0)
-        if not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
-        if not self.s > 0:
-            raise ValueError(f"s must be positive, got {self.s!r}")
+        as_real(self.gamma, "gamma", FINITE)
+        as_real(self.s, "s", POSITIVE)
         limit = largest_scale(self.d, self.gamma, self.n_queries)
         if not self.s <= limit:
             raise ValueError(f"s must be at most {limit!r} at d = {self.d}, gamma = "
@@ -83,8 +81,7 @@ def squared_norm_std(d: int, s: float) -> float:
 def theoretical_delta(d: int, s: float, gamma: float) -> float:
     """Expected squared-distance difference gamma * s^2 * sqrt(2d)."""
     as_count(d, "d", 1)
-    if s <= 0:
-        raise ValueError("s must be positive")
+    s, gamma = as_real(s, "s", POSITIVE), as_real(gamma, "gamma", FINITE)
     return gamma * s * s * math.sqrt(2.0 * d)
 
 

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._arrays import as_matrix, frozen
+from ._arrays import NON_NEGATIVE, as_choice, as_matrix, as_real, frozen
 from ._codec import NUMBER, STR, WRITTEN, Record, array
 
 MOVE_LABELED = "move-labeled"
@@ -76,11 +76,9 @@ class TransformModel:
     solver: str
 
     def __post_init__(self):
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"direction must be one of {DIRECTIONS}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"solver must be one of {SOLVERS}")
-        _check_lambdas((self.lam,))
+        as_choice(self.direction, "direction", DIRECTIONS)
+        as_choice(self.solver, "solver", SOLVERS)
+        as_real(self.lam, "lambda", NON_NEGATIVE)
         if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
             raise ValueError("W must be square")
         if not np.isfinite(self.w).all():
@@ -95,16 +93,6 @@ class TransformModel:
         ("direction", "direction", STR), ("lambda", "lam", NUMBER), ("solver", "solver", STR),
         ("d", "d", WRITTEN), ("W", "w", array(2))),
         version=1, version_error="unsupported TransformModel version {version}")
-
-
-def _valid_lambda(lam) -> bool:
-    return 0 <= lam < np.inf  # NaN fails too
-
-
-def _check_lambdas(lambdas, name: str = "lambda") -> None:
-    for lam in lambdas:
-        if not _valid_lambda(lam):
-            raise ValueError(f"{name} must be finite and non-negative, got {lam!r}")
 
 
 def _indicator(n: int, j) -> sp.csr_matrix:
@@ -207,16 +195,12 @@ class RidgeSystem:
         """W (X diag(c) X^T + lam I) = X J X^T for each lam of a grid (J^T for move-query).
 
         W for each lambda is bit-identical to a single-lambda fit. move-query
-        always uses its exact minimizer, whatever ``solver`` says.
+        always uses its exact minimizer, whichever of ``SOLVERS`` is named.
         """
-        if direction == MOVE_LABELED:
-            if solver not in SOLVERS:
-                raise ValueError(f"solver must be one of {SOLVERS}")
-        elif direction == MOVE_QUERY:
-            solver = SOLVER_EXACT
-        else:
-            raise ValueError(f"direction must be one of {DIRECTIONS}, got {direction!r}")
-        _check_lambdas(lambdas)
+        as_choice(direction, "direction", DIRECTIONS)
+        as_choice(solver, "solver", SOLVERS)
+        solver = SOLVER_EXACT if direction == MOVE_QUERY else solver
+        lambdas = [as_real(lam, "lambda", NON_NEGATIVE) for lam in lambdas]
         rows = self.rows
         c = self._weights(direction, solver)
         key = None if c is None else c.tobytes()
@@ -234,8 +218,7 @@ class RidgeSystem:
                     f"Gram matrix plus lambda*I is numerically singular at lambda={lam!r}: "
                     f"(min eigenvalue + lambda) / (max eigenvalue + lambda) = {ratio:.3g} "
                     f"<= d*eps = {tol:.3g}; use a larger lambda")
-            out.append(TransformModel((bv / (evals + lam)) @ v.T, direction,
-                                      float(lam), solver))
+            out.append(TransformModel((bv / (evals + lam)) @ v.T, direction, lam, solver))
         return out
 
 

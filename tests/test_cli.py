@@ -351,7 +351,8 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main([argv[0], *dataset, *argv[1:]])
         assert exc.value.code == 2
-        assert f"argument {flag}: must be >= " in capsys.readouterr().err
+        rule = "finite and non-negative" if flag == "--lambda" else ">= "
+        assert f"argument {flag}: must be {rule}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["hubness", "bench"])
     @pytest.mark.parametrize("fraction", ["1.5", "1", "0", "-0.1", "nan"])
@@ -384,7 +385,7 @@ class TestErrors:
         rc = main(["cv", "--dataset", str(bundled_dataset_path("iris")),
                    "--lambda-grid", "0.1,nan"])
         assert rc == 1
-        assert "lambda_grid values must be finite and non-negative" in capsys.readouterr().err
+        assert "lambda_grid[1] must be finite and non-negative" in capsys.readouterr().err
 
     def test_domain_error_is_diagnosed(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
@@ -458,7 +459,7 @@ class TestHubnessCommand:
         assert [line.split(",")[0] for line in lines[1:]] == order
 
     @pytest.mark.parametrize("methods,message", [
-        ("euclidean,bogus", r"--methods\[1\] = 'bogus' is an unknown method"),
+        ("euclidean,bogus", r"--methods\[1\] must be one of \(.*\), got 'bogus'"),
         ("euclidean,euclidean", r"--methods\[1\] = 'euclidean' repeats an earlier method"),
     ])
     def test_methods_checked_before_loading(self, monkeypatch, capsys, methods, message):

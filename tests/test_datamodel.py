@@ -250,7 +250,7 @@ class TestBlockParse:
 class TestDatasetInvariants:
     def test_missing_class_rejected(self):
         with pytest.raises(ValueError, match="class id 1"):
-            Dataset(np.ones((2, 2)), np.array([0, 2]), 3, "x", ("a", "b", "c"))
+            Dataset(np.ones((2, 2)), np.array([0, 2]), "x", ("a", "b", "c"))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):

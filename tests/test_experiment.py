@@ -401,7 +401,7 @@ class TestRunExperiment:
             small_config(mixture_csv, n_splits=3)
 
     def test_unknown_method_rejected(self, mixture_csv):
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(ValueError, match=r"methods\[0\] must be one of .*, got 'lmnn'"):
             small_config(mixture_csv, methods=("lmnn",))
 
 

@@ -41,7 +41,7 @@ ENTRIES = [
     ("KnnModel", "labels", None, False, LABELS, (2,),
      lambda v: KnnModel(POINTS.copy(), v, 2, Dissimilarity())),
     ("Dataset", "labels", 2, False, LABELS, (2,),
-     lambda v: Dataset(POINTS.copy(), v, 2, "", ("a", "b"))),
+     lambda v: Dataset(POINTS.copy(), v, "", ("a", "b"))),
     ("majority_vote", "neighbor_labels", None, False, np.array([[0, 1], [1, 1]]), (1, 0),
      majority_vote),
     ("evaluate", "neighbor_labels", None, False, np.array([[0, 1], [1, 1]]), (1, 0),

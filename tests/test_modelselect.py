@@ -175,13 +175,13 @@ class TestGridSearch:
     @pytest.mark.parametrize("lam", [-1.0, np.nan])
     def test_negative_lambda_rejected(self, lam):
         # NaN used to pass, and every fit at it failed on a non-finite W
-        with pytest.raises(ValueError, match="lambda_grid values must be finite and non-negative"):
+        with pytest.raises(ValueError, match=r"lambda_grid\[1\] must be finite and non-negative"):
             CvConfig(lambda_grid=(0.1, lam), k_grid=(1,), n_folds=2, seed=0)
 
     def test_unknown_method_rejected(self):
         ds = self.separable_dataset(seed=9)
         cfg = CvConfig(lambda_grid=(0.1,), k_grid=(1,), n_folds=3, seed=0)
-        with pytest.raises(ValueError, match=r"methods\[1\] = 'move-both' is an unknown method"):
+        with pytest.raises(ValueError, match=r"methods\[1\] must be one of .*, got 'move-both'"):
             grid_search(ds, np.arange(ds.n), cfg, ["euclidean", "move-both"])
 
     @pytest.mark.parametrize("methods, message", [
