@@ -45,10 +45,14 @@ POSITIVE = (lambda value: 0 < value < math.inf, "finite and positive")
 FRACTION = (lambda value: 0 < value < 1, "in (0, 1)")
 
 
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def as_real(value, name: str, rule) -> float:
     """``value`` as a float passing ``rule``'s test; an error names ``name`` and prints the
     rule's text. A real is a Python or numpy int or float, never a bool, a str or None."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if not _is_real(value):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     try:
         real = float(value)  # a float32 by its exact value
@@ -67,23 +71,27 @@ def as_choice(value, name: str, choices: tuple[str, ...]) -> str:
 
 
 def as_int_vector(a, name: str = "array") -> np.ndarray:
-    """Coerce to a C-contiguous int64 vector; a non-integer entry (a fraction,
-    NaN, inf or past int64's range) is named as given, not truncated or wrapped."""
+    """Coerce to a C-contiguous int64 vector. A bool, str or other non-number
+    array is named by its dtype, and a non-integer entry (a fraction, NaN, inf,
+    past int64's range, or no real number) as given, not truncated or wrapped."""
     a = np.asarray(a)
     if a.ndim != 1:
         raise ValueError(f"{name} must be 1-dimensional, got ndim={a.ndim}")
-    if a.dtype.kind not in "bi":
+    if a.dtype.kind not in "iufO":
+        raise ValueError(f"{name} must be an integer array, got dtype {a.dtype}")
+    if a.dtype.kind != "i":
         if a.dtype.kind == "u":  # a uint64 past int64's range would wrap
             bad = np.flatnonzero(a > np.iinfo(np.int64).max)
-        else:
-            v = a.astype(np.float64, copy=False)
+        else:  # an object entry that is no real number, or past int64's range, reads as NaN
+            v = a.astype(np.float64, copy=False) if a.dtype.kind == "f" else np.array(
+                [x if _is_real(x) and abs(x) < 2 ** 63 else np.nan for x in a.tolist()], np.float64)
             ok = (np.rint(v) == v) & (v >= -2.0 ** 63) & (v < 2.0 ** 63)
             if a.dtype.kind == "O":  # Python ints past int64 round into its range as floats
                 ok &= a == v
             bad = np.flatnonzero(~ok)
         if bad.size:
             p = int(bad[0])
-            raise ValueError(f"{name}[{p}] = {a.tolist()[p]} is not an integer in int64's range")
+            raise ValueError(f"{name}[{p}] = {a.tolist()[p]!r} is not an integer in int64's range")
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
@@ -93,11 +101,13 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def in_range(values: np.ndarray, high: int | None, name: str) -> np.ndarray:
-    """``values``, an integer array of any shape with entries in [0, high) (high
-    None: no upper bound): the one rule for index, neighbour and label ids. An
-    error names the first offender as ``name[i]`` or ``name[i, j]``, so a
-    negative id never wraps around, or else a non-integer array's dtype."""
+def in_range(values: np.ndarray, high: int | None, name: str, ndim=None) -> np.ndarray:
+    """``values``, an integer array of rank ``ndim`` (None: any) with entries in [0, high)
+    (high None: no upper bound): the one rule for index, neighbour and label ids. An error
+    names a wrong rank, the dtype, or else the first offender as ``name[i]`` or
+    ``name[i, j]``, so a negative id never wraps around."""
+    if ndim is not None and values.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got ndim={values.ndim}")
     if values.dtype.kind not in "iu":
         raise ValueError(f"{name} must be an integer array, got dtype {values.dtype}")
     bad = values < 0 if high is None else (values < 0) | (values >= high)

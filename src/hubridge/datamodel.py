@@ -106,8 +106,8 @@ def dataset_from_arrays(features, labels, name: str = "",
     y = as_int_vector(np.array(labels, copy=True), "labels")
     if y.size == 0:
         raise ValueError("labels must be non-empty")
-    if label_names is None:
-        label_names = tuple(str(c) for c in range(int(y.max()) + 1))
+    if label_names is None:  # n rows hold at most n classes, which bounds the names made
+        label_names = tuple(map(str, range(int(in_range(y, y.size, "labels").max()) + 1)))
     return Dataset(f, y, name, tuple(label_names))
 
 

@@ -392,19 +392,14 @@ def _direct_sq_dists(q: np.ndarray, points: np.ndarray, rows: np.ndarray,
 def majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:
     """Row-wise majority with ties broken by the nearest neighbor among tied labels.
 
-    ``neighbor_labels`` rows must already be ordered by non-decreasing
-    dissimilarity. The class ids are those of the batch: ids absent from it
-    count zero, and ``in_range`` names a negative or non-integer one.
+    ``neighbor_labels``, a (queries, k) matrix ``in_range`` checks, has its rows
+    ordered by non-decreasing dissimilarity. Each entry is counted in its row by
+    k column comparisons, so no allocation is sized by an id value.
     """
-    q, _ = neighbor_labels.shape
-    n_classes = int(in_range(neighbor_labels, None, "neighbor_labels").max(initial=0)) + 1
-    rows = np.arange(q)[:, None]
-    counts = np.bincount((rows * n_classes + neighbor_labels).ravel(),
-                         minlength=q * n_classes).reshape(q, n_classes)
-    top = counts.max(axis=1)
-    in_tied_set = counts[rows, neighbor_labels] == top[:, None]
-    first = in_tied_set.argmax(axis=1)
-    return neighbor_labels[np.arange(q), first]
+    columns = np.ascontiguousarray(in_range(neighbor_labels, None, "neighbor_labels", 2).T)
+    counts = sum((columns == column for column in columns), np.zeros(columns.shape, np.intp))
+    first = (counts == counts.max(axis=0)).argmax(axis=0)
+    return columns[first, np.arange(columns.shape[1])]
 
 
 def classify_batch(model: KnnModel, queries) -> np.ndarray:
@@ -413,11 +408,11 @@ def classify_batch(model: KnnModel, queries) -> np.ndarray:
 
 
 def evaluate(neighbor_labels: np.ndarray, true_labels: np.ndarray) -> float:
-    """Share of rows whose ``majority_vote`` is the true label: the one accuracy
-    routine, fed the (queries, k) labels of a neighbor matrix. The class ids
-    come from the batch, and a negative one is named, as in the vote."""
-    if neighbor_labels.shape[0] == 0:
+    """Share of rows whose ``majority_vote`` (which checks ``neighbor_labels``) is the
+    true label: the one accuracy routine, fed the (queries, k) labels of a neighbor matrix."""
+    votes = majority_vote(neighbor_labels)
+    if votes.size == 0:
         raise ValueError("queries must be non-empty")
-    if true_labels.shape[0] != neighbor_labels.shape[0]:
+    if np.shape(true_labels) != votes.shape:
         raise ValueError("true_labels length must match query count")
-    return float(np.mean(majority_vote(neighbor_labels) == true_labels))
+    return float(np.mean(votes == true_labels))

@@ -42,8 +42,8 @@ class CentralityExperiment:
         as_count(self.d, "d", 1)
         as_count(self.n_queries, "n_queries", 1)
         as_count(self.seed, "seed", 0)
-        as_real(self.gamma, "gamma", FINITE)
-        as_real(self.s, "s", POSITIVE)
+        for name, rule in (("gamma", FINITE), ("s", POSITIVE)):  # kept as Python floats
+            object.__setattr__(self, name, as_real(getattr(self, name), name, rule))
         limit = largest_scale(self.d, self.gamma, self.n_queries)
         if not self.s <= limit:
             raise ValueError(f"s must be at most {limit!r} at d = {self.d}, gamma = "

@@ -241,8 +241,9 @@ class TestTwoLevelBand:
 
 
 class TestAsIntVector:
-    @pytest.mark.parametrize("values", [[0, 3, -2], [True, False], np.array([4], np.uint8),
-                                        [1.0, -7.0, 2.0 ** 62], [-2.0 ** 63]])
+    @pytest.mark.parametrize("values", [[0, 3, -2], np.array([2, -1], object),
+                                        np.array([4], np.uint8), [1.0, -7.0, 2.0 ** 62],
+                                        [-2.0 ** 63]])
     def test_whole_numbers_kept(self, values):
         got = as_int_vector(values, "labels")
         assert got.dtype == np.int64

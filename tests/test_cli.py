@@ -387,6 +387,42 @@ class TestErrors:
         assert rc == 1
         assert "lambda_grid[1] must be finite and non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, config", [
+        (["fit", "--lambda", "nan", "--out", "m.json"], None),
+        (["fit", "--solver", "bogus", "--out", "m.json"], None),
+        (["predict", "--model", "m.json", "--queries", "q.csv", "--k", "1.5"], None),
+        (["hubness", "--train-fraction", "inf"], None),
+        (["hubness", "--methods", "euclidean,None"], None),
+        (["cv", "--lambda-grid", "0.1,-inf"], None),
+        (["cv", "--direction", "bogus"], None),
+        (["centrality", "--s", "nan"], None),
+        (["centrality", "--gamma", "inf"], None),
+        (["bench"], {"train_fraction": "0.5"}),
+        (["bench"], {"lambda_grid": [True]}),
+        (["bench"], {"solver": None}),
+        (["bench"], {"methods": ["euclidean", "nan"]}),
+        (["bench"], {"format": "csv"}),
+    ], ids=["fit-lambda", "fit-solver", "predict-k", "hubness-fraction", "hubness-methods",
+            "cv-lambda-grid", "cv-direction", "centrality-s", "centrality-gamma",
+            "bench-fraction", "bench-lambda-grid", "bench-solver", "bench-methods",
+            "bench-format"])
+    def test_hostile_value_is_one_error_line(self, tmp_path, capsys, argv, config):
+        iris = str(bundled_dataset_path("iris"))
+        if config is None:
+            source = [] if argv[0] == "centrality" else ["--dataset", iris]
+        else:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"dataset": iris, "seeds": [1], **config}))
+            source = ["--config", str(path)]
+        try:
+            rc = main([argv[0], *source, *argv[1:]])
+        except SystemExit as exc:
+            rc = exc.code
+        assert rc in (1, 2)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert sum("error:" in line for line in captured.err.splitlines()) == 1
+
     def test_domain_error_is_diagnosed(self, tmp_path, capsys):
         p = tmp_path / "bad.csv"
         p.write_text("1,2,a\n1,2,3,a\n")

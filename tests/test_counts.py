@@ -1,7 +1,7 @@
 """Every count the package takes (k, k_targets, folds, splits, pca_dim, hubness_k, d,
 n_queries, n_labeled and seeds) is an integer within its bounds: a float is not
-truncated, a bool is not 1, and the check runs before any data is loaded, drawn,
-searched or fitted."""
+truncated, a bool is not 1, an array (even a 0-d one) is no count, and the check
+runs before any data is loaded, drawn, searched or fitted."""
 
 import re
 
@@ -75,9 +75,11 @@ def no_work(monkeypatch):
 
 
 @pytest.mark.parametrize("entry, name, low, call", ENTRIES, ids=IDS)
-@pytest.mark.parametrize("bad", ["2.5", "True", "low-1"])
+@pytest.mark.parametrize("bad", ["2.5", "True", "low-1", "bool-array", "0-d", "3-d", "object"])
 def test_rejected_before_any_work(no_work, entry, name, low, call, bad):
-    value = {"2.5": 2.5, "True": True, "low-1": low - 1}[bad]
+    value = {"2.5": 2.5, "True": True, "low-1": low - 1, "bool-array": np.array([True]),
+             "0-d": np.array(low + 1), "3-d": np.full((1, 1, 1), low + 1),
+             "object": np.array([low + 1], dtype=object)}[bad]
     with pytest.raises(ValueError, match=f"^{re.escape(name)} must be ") as info:
         call(value)
     if bad != "low-1":

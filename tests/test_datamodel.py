@@ -252,6 +252,11 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="class id 1"):
             Dataset(np.ones((2, 2)), np.array([0, 2]), "x", ("a", "b", "c"))
 
+    def test_class_count_is_the_number_of_label_names(self):
+        # class_count was a constructor field: 2.5 reached numpy's bincount as a bare TypeError
+        ds = Dataset(np.ones((3, 2)), np.array([0, 1, 1]), "x", ("a", "b"))
+        assert ds.class_count == 2 and "class_count" not in Dataset.__dataclass_fields__
+
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             dataset_from_arrays([[np.inf, 1.0]], [0])

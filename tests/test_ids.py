@@ -2,7 +2,9 @@
 and class labels) lies in [0, high), with high the entry's bound or none: an
 entry outside it is named as ``name[i]`` or ``name[i, j]``, so a negative id never
 wraps around or votes as another class, and a float array is named by its dtype
-(or, where the entry coerces to integers, by its first non-integer entry)."""
+(or, where the entry coerces to integers, by its first non-integer entry). A bool
+array is never read as ids, a wrong rank is named, and no allocation is sized by an
+id value."""
 
 import re
 
@@ -12,7 +14,8 @@ import pytest
 from hubridge.datamodel import Dataset, dataset_from_arrays, subset
 from hubridge.experiment import preprocess
 from hubridge.hubness import nk_counts
-from hubridge.knn import Dissimilarity, KnnModel, evaluate, majority_vote
+from hubridge.knn import (Dissimilarity, KnnModel, build_knn_model, classify_batch, evaluate,
+                          majority_vote)
 from hubridge.modelselect import CvConfig, grid_search, make_folds
 from hubridge.targets import indicator_matrix, select_targets
 
@@ -86,3 +89,43 @@ def test_negative_vote_label_not_counted_as_another_class():
     # row 1's -1 used to be counted as row 0's class 2, scoring 0.5
     with pytest.raises(ValueError, match=r"^neighbor_labels\[1, 0\] = -1 is out of range"):
         evaluate(np.array([[0, 2], [-1, 1]]), np.array([0, 1]))
+
+
+def with_text(good: np.ndarray, pos: tuple) -> np.ndarray:
+    out = good.astype(object)
+    out[pos] = "1"
+    return out
+
+
+HOSTILE = {"bool": lambda good, pos: good.astype(bool),
+           "0-d": lambda good, pos: np.array(good.flat[0]),
+           "3-d": lambda good, pos: good.reshape(1, 1, -1),
+           "object": with_text}
+
+
+@pytest.mark.parametrize("entry, name, high, coerces, good, pos, call, kind", [
+    pytest.param(*entry, kind, id=f"{entry[0]}-{kind}") for entry in ENTRIES for kind in HOSTILE])
+def test_hostile_array_named(entry, name, high, coerces, good, pos, call, kind):
+    # a bool array used to be read as the ids 1 and 0; a 0-d or 3-d neighbour matrix was
+    # counted by nk_counts, or failed to unpack in the vote; the text "1" was read as 1
+    bad = HOSTILE[kind](good, pos)
+    want = {"bool": f"{name} must be an integer array, got dtype bool",
+            "object": (f"{name}[{pos[0]}] = '1' is not an integer in int64's range" if coerces
+                       else f"{name} must be an integer array, got dtype object")}
+    with pytest.raises(ValueError, match=f"^{re.escape(want.get(kind, name + ' '))}"):
+        call(bad)
+
+
+def test_vote_allocates_nothing_by_id_value():
+    # the vote's bincount was sized by the largest id: MemoryError, "Unable to allocate 16.0 TiB"
+    big = 2 ** 40
+    model = build_knn_model(np.eye(2), [0, big], 1, Dissimilarity())
+    assert classify_batch(model, np.eye(2)).tolist() == [0, big]
+    assert evaluate(np.array([[big, 0, big], [3, big, 3]]), np.array([big, 3])) == 1.0
+
+
+def test_default_label_names_bounded_by_rows():
+    # the default names were made for every id up to the largest, 2^40 + 1 strings here
+    want = r"^labels\[1\] = 1099511627776 is out of range \[0, 2\)$"
+    with pytest.raises(ValueError, match=want):
+        dataset_from_arrays(np.eye(2), [0, 2 ** 40])
