@@ -102,10 +102,11 @@ def frozen(a: np.ndarray) -> np.ndarray:
 
 
 def in_range(values: np.ndarray, high: int | None, name: str, ndim=None) -> np.ndarray:
-    """``values``, an integer array of rank ``ndim`` (None: any) with entries in [0, high)
-    (high None: no upper bound): the one rule for index, neighbour and label ids. An error
-    names a wrong rank, the dtype, or else the first offender as ``name[i]`` or
-    ``name[i, j]``, so a negative id never wraps around."""
+    """``values`` through ``np.asarray``, an integer array of rank ``ndim`` (None: any)
+    with entries in [0, high) (high None: no upper bound): the one rule for index,
+    neighbour and label ids. An error names a wrong rank, the dtype, or else the first
+    offender as ``name[i]`` or ``name[i, j]``, so a negative id never wraps around."""
+    values = np.asarray(values)
     if ndim is not None and values.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got ndim={values.ndim}")
     if values.dtype.kind not in "iu":

@@ -58,7 +58,8 @@ class Dataset:
 
     features : (n, d) float64 matrix, rows are objects.
     labels : (n,) int64, values in [0, class_count); every class occurs.
-    label_names : original label token per class id; ``class_count`` is their number.
+    label_names : original label token per class id, a sequence of str stored as a
+        tuple; ``class_count`` is their number.
     """
 
     features: np.ndarray
@@ -67,6 +68,11 @@ class Dataset:
     label_names: tuple[str, ...]
 
     def __post_init__(self):
+        names = self.label_names
+        if (isinstance(names, str) or not np.iterable(names)
+                or not all(isinstance(token, str) for token in names)):
+            raise ValueError(f"label_names must be a sequence of str, got {names!r}")
+        object.__setattr__(self, "label_names", tuple(names))
         f = self.features
         y = self.labels
         if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
@@ -108,7 +114,7 @@ def dataset_from_arrays(features, labels, name: str = "",
         raise ValueError("labels must be non-empty")
     if label_names is None:  # n rows hold at most n classes, which bounds the names made
         label_names = tuple(map(str, range(int(in_range(y, y.size, "labels").max()) + 1)))
-    return Dataset(f, y, name, tuple(label_names))
+    return Dataset(f, y, name, label_names)
 
 
 def subset(dataset: Dataset, indices) -> Dataset:

@@ -82,7 +82,9 @@ class ExperimentConfig:
         as_real(self.train_fraction, "train_fraction", FRACTION)
         # the user's grids, k_targets and solver fail here, not mid-run, even
         # when Euclidean alone (whose search ignores lambda_grid) is asked for
-        CvConfig(self.lambda_grid, self.k_grid, self.cv_folds, 0, self.k_targets, self.solver)
+        cv = CvConfig(self.lambda_grid, self.k_grid, self.cv_folds, 0, self.k_targets, self.solver)
+        object.__setattr__(self, "lambda_grid", cv.lambda_grid)
+        object.__setattr__(self, "k_grid", cv.k_grid)
 
     @classmethod
     def load(cls, path) -> "ExperimentConfig":

@@ -30,7 +30,7 @@ def nk_counts(neighbors: np.ndarray, n_labeled: int) -> np.ndarray:
     ``neighbors``, a (queries, k) index matrix; a wrong rank, or an entry
     outside [0, n_labeled), is named, not counted into a longer vector."""
     n_labeled = as_count(n_labeled, "n_labeled", 1)
-    in_range(neighbors, n_labeled, "neighbors", 2)
+    neighbors = in_range(neighbors, n_labeled, "neighbors", 2)
     if neighbors.size == 0:
         raise ValueError("neighbors must be non-empty")
     return np.bincount(neighbors.ravel(), minlength=n_labeled).astype(np.int64)

@@ -11,14 +11,15 @@ tied label set, which degrades to the 1-NN rule. Target selection
 (``targets.select_targets``) is one self-join per class on the class's own
 ``KnnModel`` (``nearest_others``), so J follows the same neighbour contract.
 
-The lookup is certified rather than computed in full precision. Per chunk
-of queries it
+The lookup is certified (exact, on small integers: below) rather than
+computed in full precision. Per chunk of queries it
 
 1. forms every approximate squared distance with one float32 GEMM
    (``_arrays.pairwise_sq_dists``) of [-2 a | 1 | ||a||^2] and
    [b_p | ||b_p||^2 | 1], a = s (x - mu) and b_p = s (z_p - mu) centered on
-   the labeled mean mu, where expansion cancels least (the point side built
-   once per model). The scale s = 2^-e is 1 while the first labeled point's
+   mu, the labeled mean (rounded to integers for integer points, below),
+   where expansion cancels least (the point side built once per model).
+   The scale s = 2^-e is 1 while the first labeled point's
    centered norm, or else their largest centered coordinate, is at least
    2^-32 and the largest centered squared norm at most 2^64, as on ordinary
    data; else e is the binary exponent of that largest coordinate, at least
@@ -64,13 +65,22 @@ of queries it
    by (exact value, index), where the exact value is the oracle's on the
    unscaled inputs: a float64 difference, its square and ``np.sum`` over
    the row. (One E' per row: bounds taken pair by pair would let an entry
-   of large bound lie above a later entry across a cut.) The re-rank skips
-   the exact values of a row whose clusters hold equal ones, and orders
-   them by index: where s = 1, the row's query and every labeled point
-   (mapped) are integers, max |x| <= 2^20 and d (2 max |x|)^2 < 2^52, the
-   oracle's differences, squares and sums are exact and its values
-   integers, so where also 4 E' < 1, entries at most 2E' apart in
-   approximate value are equal in exact value.
+   of large bound lie above a later entry across a cut.)
+
+Small integers take an exact stage instead. Where every labeled point
+(mapped) is an integer, max |z| <= 2^20 and d (2 max |z|)^2 < 2^52
+(``integer_points``; s is then 1), mu is ``np.rint`` of the mean, so a and
+b_p are integers too. A chunk whose queries are such integers as well, and
+whose largest ||a||^2 plus the largest ||b_p||^2 is at most 2^23, has an
+exact block: every GEMM term is an integer, and any partial sum, in any
+order and with or without fused multiply-adds, is at most the terms'
+absolute sum 2 |a|.|b_p| + ||a||^2 + ||b_p||^2 <= 2 (||a||^2 + ||b_p||^2)
+<= 2^24, an integer float32 holds exactly. The oracle's differences, squares
+and sums are exact integers there too, so the block is the oracle's values
+and two entries tie exactly when their values are equal. Such a chunk skips
+steps 2 and 4: each row keeps the first k entries of its band at zero
+slack, in (value, column) order, so ties go by index. Every other chunk,
+of integer points included, takes steps 2-4, which hold for any mu.
 
 Where a query row's and the farthest labeled point's unscaled squared norms
 are not safely inside float64 range, the lookup raises ValueError: the
@@ -127,13 +137,14 @@ class KnnModel:
     """Labeled points ready for lookup (already mapped for the labeled side).
 
     The float32 stage's point operand is built once here, for every lookup
-    and for both sides of a self-join (``nearest_others``): ``labeled_mean``
-    (mu), ``scale_exp`` (e of the scale s = 2^-e) and ``operand32``
+    and for both sides of a self-join (``nearest_others``): ``center`` (mu),
+    ``scale_exp`` (e of the scale s = 2^-e) and ``operand32``
     (``sq_dist_operand`` in float32, columns [s (z_p - mu) | its squared
     norm, +inf past float32's range | 1]). ``integer_points`` says whether
-    s = 1 and the labeled points are integers small enough for the module
-    docstring's equal-value certificate (step 4), checked once here so a
-    lookup checks only its queries.
+    the labeled points are integers small enough for the module docstring's
+    exact stage, checked once here so a lookup checks only its queries. The
+    center is the labeled mean, rounded by ``np.rint`` for integer points
+    so their operand holds integers (and s is 1).
 
     ``labeled_points`` are stored mapped, in float64, rather than mapped
     again for the few rows a lookup re-ranks: the exact values must come
@@ -150,7 +161,7 @@ class KnnModel:
     labels: np.ndarray
     k: int
     dissimilarity: Dissimilarity
-    labeled_mean: np.ndarray = field(init=False, repr=False, compare=False)
+    center: np.ndarray = field(init=False, repr=False, compare=False)
     scale_exp: int = field(init=False, repr=False, compare=False)
     operand32: np.ndarray = field(init=False, repr=False, compare=False)
     integer_points: bool = field(init=False, repr=False, compare=False)
@@ -167,12 +178,13 @@ class KnnModel:
         in_range(self.labels, None, "labels")  # named at the build, before any vote
         frozen(pts)
         frozen(self.labels)
-        object.__setattr__(self, "labeled_mean", frozen(pts.mean(axis=0)))
+        object.__setattr__(self, "integer_points", _small_integers(pts))
+        mean = pts.mean(axis=0)
+        object.__setattr__(self, "center", frozen(np.rint(mean) if self.integer_points else mean))
         with np.errstate(over="ignore"):  # an overflow shows as +inf norms
-            operand, e = _scaled(pts, self.labeled_mean)
+            operand, e = _scaled(pts, self.center)
         object.__setattr__(self, "scale_exp", e)
         object.__setattr__(self, "operand32", frozen(operand))
-        object.__setattr__(self, "integer_points", e == 0 and _small_integers(pts))
 
     @property
     def n(self) -> int:
@@ -233,10 +245,10 @@ def nearest_others(model: KnnModel) -> np.ndarray:
     """(n, k): row i holds the first k = ``model.k`` < n labeled rows j != i
     by (direct-difference squared distance to labeled row i, j).
 
-    The lookup's certified stage on the model's own point side: the query
-    side is columns of ``operand32`` scaled by an exact -2, for a bare ``@``.
-    A row's own entry is +inf in the block and dropped from the band before
-    the re-rank.
+    The lookup's exact or certified stage on the model's own point side: the
+    query side is columns of ``operand32`` scaled by an exact -2, for a bare
+    ``@``. A row's own entry is +inf in the block and dropped from the band
+    before the first k are taken or re-ranked.
     """
     k, n, d, e, side = model.k, model.n, model.d, model.scale_exp, model.operand32
     sq, p_max = side[d], float(side[d].max())
@@ -248,13 +260,16 @@ def nearest_others(model: KnnModel) -> np.ndarray:
         query = side[:, lo:hi].T * -2.0
         query[:, d], query[:, d + 1] = 1.0, sq[lo:hi]
         approx = query @ side
-        err = _error_bound(sq[lo:hi], p_max, d, e)
+        exact = model.integer_points and float(sq[lo:hi].max()) + p_max <= _EXACT_NORMS
+        err = 0.0 if exact else _error_bound(sq[lo:hi], p_max, d, e)
         np.fill_diagonal(approx[:, lo:], np.inf)
         rows, cols, values, _ = smallest_k_band(approx, k, 2.0 * err)
         other = cols != lo + rows
         rows, cols, values = rows[other], cols[other], values[other]
-        out[lo:hi] = _rank(model, model.labeled_points[lo:hi], sq[lo:hi], model.integer_points, k,
-                           rows, cols, values, np.searchsorted(rows, np.arange(hi - lo)))
+        starts = np.searchsorted(rows, np.arange(hi - lo))
+        out[lo:hi] = (cols[starts[:, None] + np.arange(k)] if exact else
+                      _rank(model, model.labeled_points[lo:hi], sq[lo:hi], k, rows, cols, values,
+                            starts))
     return out
 
 
@@ -265,33 +280,40 @@ _F32_SAFE = float(np.finfo(np.float32).max) / 8  # every float32 intermediate st
 _F64_SAFE = float(np.finfo(np.float64).max) / 8
 _GATHER_CELLS = 1 << 15  # float64 cells gathered at once by the exact re-rank
 _LATTICE_CELLS = 1 << 15  # cells checked at once for integer values
-_EQUAL_BOUND = 0.25 * (1 - 2.0 ** -20)  # 4 E' < 1, with room for rounding the cut test
+_EXACT_NORMS = 2.0 ** 23  # the exact stage's bound on ||a||^2 + max ||b_p||^2
 
 
-def _scaled(points: np.ndarray, mean: np.ndarray):
-    """(operand, e): float32 ``sq_dist_operand`` of s ``points`` shifted by s ``mean``,
+def _scaled(points: np.ndarray, center: np.ndarray):
+    """(operand, e): float32 ``sq_dist_operand`` of s ``points`` shifted by s ``center``,
     s = 2^-e by the module docstring's rule. The first point goes before any
     build: float32 norms of tinier inputs underflow, at ~60x the cost. The
     largest centered coordinate, from column extremes, decides for a first
-    point on the mean and sets e."""
+    point on the center and sets e."""
     def span():
-        return np.maximum(points.max(axis=0) - mean, mean - points.min(axis=0)).max(initial=0.0)
+        return np.maximum(points.max(axis=0) - center, center - points.min(axis=0)).max(initial=0.0)
 
-    if np.linalg.norm(points[0] - mean) >= 2.0 ** -32 or span() >= 2.0 ** -32:
-        operand = sq_dist_operand(points, mean, np.float32)
+    if np.linalg.norm(points[0] - center) >= 2.0 ** -32 or span() >= 2.0 ** -32:
+        operand = sq_dist_operand(points, center, np.float32)
         if float(operand[-2].max()) <= 2.0 ** 64:
             return operand, 0
     e = max(math.frexp(span())[1], -474)
     s = math.ldexp(1.0, -e)
-    return sq_dist_operand(points * s, mean * s, np.float32), e
+    return sq_dist_operand(points * s, center * s, np.float32), e
 
 
 def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
-    """The certified k nearest labeled indices of one chunk of mapped queries."""
+    """The exact or else the certified k nearest labeled indices of one chunk of
+    mapped queries."""
     e, p_max = model.scale_exp, float(model.operand32[model.d].max())
     centered = np.empty(q.shape, dtype=np.float32)
+    if model.integer_points and _small_integers(q):
+        np.subtract(q, model.center, out=centered, casting="same_kind")  # exact: |q - mu| <= 2^21
+        if float(sq_norms(centered).max()) + p_max <= _EXACT_NORMS:
+            rows, cols, _, starts = smallest_k_band(
+                pairwise_sq_dists(centered, model.operand32), k, 0.0)
+            return cols[starts[:, None] + np.arange(k)]
     with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        diff = q - model.labeled_mean
+        diff = q - model.center
         q_max = float(sq_norms(diff).max())
         np.multiply(diff, math.ldexp(1.0, -e), out=centered, casting="same_kind")  # exact at e = 0
         q_sq = sq_norms(centered)
@@ -301,15 +323,14 @@ def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
     err = _error_bound(q_sq, p_max, model.d, e)
     centered[np.isinf(err)] = 0.0  # a far row: the exact re-rank takes all of it
     approx = pairwise_sq_dists(centered, model.operand32)
-    integral = model.integer_points and _small_integers(q)
-    return _rank(model, q, q_sq, integral, k, *smallest_k_band(approx, k, 2.0 * err))
+    return _rank(model, q, q_sq, k, *smallest_k_band(approx, k, 2.0 * err))
 
 
 def _small_integers(a: np.ndarray) -> bool:
     """Whether every entry of the matrix ``a`` is an integer of magnitude at
     most some top <= 2^20 with d (2 top)^2 < 2^52, d = a.shape[1]: between
     such rows the oracle's differences (at most 2 top), squares and sums
-    are exact integers.
+    are exact integers, and no centered float32 norm overflows.
 
     The first entry is read alone, then blocks of at most ``_LATTICE_CELLS``
     cells, and the check stops at the first block that fails: continuous
@@ -349,8 +370,8 @@ def _error_bound(q_sq: np.ndarray, p_max: float | np.ndarray, d: int, e: int) ->
     return err
 
 
-def _rank(model: KnnModel, q: np.ndarray, q_sq: np.ndarray, integral: bool, k: int,
-          rows: np.ndarray, cols: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+def _rank(model: KnnModel, q: np.ndarray, q_sq: np.ndarray, k: int, rows: np.ndarray,
+          cols: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     """First k band entries per row, ambiguous clusters re-ranked by exact values."""
     cut = _error_bound(q_sq, np.maximum.reduceat(model.operand32[model.d][cols], starts),
                        model.d, model.scale_exp)  # E' per row
@@ -364,13 +385,9 @@ def _rank(model: KnnModel, q: np.ndarray, q_sq: np.ndarray, integral: bool, k: i
     place = first - starts[rows[first]]  # its place within its row
     at = np.flatnonzero(((size > 1) & (place < k))[cluster])
     # each ambiguous cluster in (exact, column) order; a sum of squares is never
-    # negative, so its bits order. The entries of a row whose clusters hold
-    # equal values keep exact 0
+    # negative, so its bits order
     moved = cols[at]
-    exact = np.zeros(at.size, dtype=np.int64)
-    pending = ~(integral & (cut < _EQUAL_BOUND))[rows[at]]
-    exact[pending] = _direct_sq_dists(q, model.labeled_points, rows[at[pending]],
-                                      moved[pending]).view(np.int64)
+    exact = _direct_sq_dists(q, model.labeled_points, rows[at], moved).view(np.int64)
     cols[at] = moved[np.lexsort((moved, exact, cluster[at]))]
     return cols[starts[:, None] + np.arange(k)]
 
@@ -392,11 +409,13 @@ def _direct_sq_dists(q: np.ndarray, points: np.ndarray, rows: np.ndarray,
 def majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:
     """Row-wise majority with ties broken by the nearest neighbor among tied labels.
 
-    ``neighbor_labels``, a (queries, k) matrix ``in_range`` checks, has its rows
+    ``neighbor_labels``, a (queries, k >= 1) matrix ``in_range`` checks, has its rows
     ordered by non-decreasing dissimilarity. Each entry is counted in its row by
     k column comparisons, so no allocation is sized by an id value.
     """
     columns = np.ascontiguousarray(in_range(neighbor_labels, None, "neighbor_labels", 2).T)
+    if columns.shape[0] == 0:
+        raise ValueError(f"neighbor_labels must have a column, got shape {columns.T.shape}")
     counts = sum((columns == column for column in columns), np.zeros(columns.shape, np.intp))
     first = (counts == counts.max(axis=0)).argmax(axis=0)
     return columns[first, np.arange(columns.shape[1])]

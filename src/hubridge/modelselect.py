@@ -66,7 +66,11 @@ class CvConfig:
     solver: str = SOLVER_PAPER
 
     def __post_init__(self):
-        for name in ("lambda_grid", "k_grid"):
+        for name in ("lambda_grid", "k_grid"):  # stored as tuples: an ndarray has no truth value
+            grid = getattr(self, name)
+            if not np.iterable(grid):
+                raise ValueError(f"{name} must be a sequence, got {grid!r}")
+            object.__setattr__(self, name, tuple(grid))
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
         for i, lam in enumerate(self.lambda_grid):
@@ -120,7 +124,7 @@ def make_folds(indices, labels, n_folds: int, seed: int) -> list[np.ndarray]:
     if labs.shape != idx.shape:
         raise ValueError("labels must align with indices")
     n_folds = as_count(n_folds, "n_folds", 2)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_count(seed, "seed", 0))
     members, places = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for c in np.unique(labs):
         group = idx[labs == c]

@@ -50,6 +50,29 @@ def oracle_knn_indices(query, labeled, k, kind="euclidean", matrix=None) -> list
     return order[:k]
 
 
+def brute_force_targets(features, labels, k_targets):
+    """Oracle: exhaustive same-class scan with (distance, index) sorting.
+
+    Returns each object's chosen targets as a sorted index tuple, the row
+    pattern of J.
+    """
+    out = []
+    for i in range(len(features)):
+        cands = [(oracle_sq_dist(features[i], features[j]), j)
+                 for j in range(len(features))
+                 if j != i and labels[j] == labels[i]]
+        cands.sort()
+        out.append(tuple(sorted(j for _, j in cands[:k_targets])))
+    return out
+
+
+def target_sets(jj):
+    """Each row's target columns, ascending, from J."""
+    assert jj.has_canonical_format and (jj.data == 1).all()
+    return [tuple(int(c) for c in jj.indices[jj.indptr[i]:jj.indptr[i + 1]])
+            for i in range(jj.shape[0])]
+
+
 def oracle_vote(neighbor_labels: list[int]) -> int:
     """Majority vote; ties go to the nearest neighbor among the tied labels."""
     counts: dict[int, int] = {}

@@ -21,3 +21,20 @@ def re_ranked(monkeypatch):
 
     monkeypatch.setattr(knn, "_direct_sq_dists", spy)
     return seen
+
+
+@pytest.fixture
+def error_bounds(monkeypatch):
+    """The number of rows each ``_error_bound`` call of ``hubridge.knn`` bounds, as the test
+    runs: one entry per call, so an empty list means the certified stage never ran."""
+    from hubridge import knn
+
+    seen = []
+    real = knn._error_bound
+
+    def spy(q_sq, p_max, d, e):
+        seen.append(q_sq.size)
+        return real(q_sq, p_max, d, e)
+
+    monkeypatch.setattr(knn, "_error_bound", spy)
+    return seen

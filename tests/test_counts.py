@@ -42,6 +42,7 @@ ENTRIES = [
     ("CvConfig.k_targets", "k_targets", 1, lambda v: CvConfig((0.1,), (1,), 2, 0, v)),
     ("CvConfig.seed", "seed", 0, lambda v: CvConfig((0.1,), (1,), 2, v)),
     ("make_folds", "n_folds", 2, lambda v: make_folds(np.arange(6), LABELS, v, 0)),
+    ("make_folds.seed", "seed", 0, lambda v: make_folds(np.arange(6), LABELS, 2, v)),
     ("select_targets", "k_targets", 1, lambda v: select_targets(DATASET, np.arange(6), v)),
     ("KnnModel", "k", 1, lambda v: KnnModel(POINTS, LABELS, v, Dissimilarity())),
     ("build_knn_model", "k", 1, lambda v: build_knn_model(POINTS, LABELS, v, Dissimilarity())),

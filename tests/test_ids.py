@@ -129,3 +129,38 @@ def test_default_label_names_bounded_by_rows():
     want = r"^labels\[1\] = 1099511627776 is out of range \[0, 2\)$"
     with pytest.raises(ValueError, match=want):
         dataset_from_arrays(np.eye(2), [0, 2 ** 40])
+
+
+@pytest.mark.parametrize("call, want", [
+    (lambda: nk_counts([[0, 1]], 5), [1, 1, 0, 0, 0]),
+    (lambda: majority_vote([[0, 1], [2, 2]]), [0, 2]),
+    (lambda: evaluate([[0, 1], [2, 2]], [0, 1]), 0.5),
+], ids=["nk_counts", "majority_vote", "evaluate"])
+def test_nested_list_taken(call, want):
+    # a list used to fail in the rule itself: "'list' object has no attribute 'ndim'"
+    assert np.asarray(call()).tolist() == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: majority_vote(np.zeros((2, 0), dtype=np.int64)),
+    lambda: evaluate(np.zeros((2, 0), dtype=np.int64), np.array([0, 1])),
+], ids=["majority_vote", "evaluate"])
+def test_neighbour_matrix_without_column_named(call):
+    # it used to reach numpy: "zero-size array to reduction operation maximum"
+    want = "neighbor_labels must have a column, got shape (2, 0)"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        call()
+
+
+@pytest.mark.parametrize("names", [2.5, "ab", ("a", 1), None], ids=["float", "str", "int-entry",
+                                                                   "None"])
+def test_label_names_not_str_sequence_named(names):
+    # 2.5 used to raise "object of type 'float' has no len()"; "ab" read as two names
+    want = f"label_names must be a sequence of str, got {names!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        Dataset(POINTS.copy(), LABELS, "", names)
+
+
+def test_label_names_stored_as_tuple():
+    ds = Dataset(POINTS.copy(), LABELS, "", ["a", "b"])
+    assert ds.label_names == ("a", "b") and ds.class_count == 2

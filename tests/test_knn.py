@@ -1,19 +1,23 @@
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hubridge._arrays
 from hubridge import knn
 from hubridge._arrays import sq_dist_operand, sq_norms
+from hubridge.datamodel import dataset_from_arrays
 from hubridge.knn import (Dissimilarity, KnnModel, build_knn_model, classify_batch, evaluate,
                           knn_from_transform, majority_vote, neighbor_index_matrix)
+from hubridge.targets import select_targets
 from hubridge.transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER,
                                 TransformModel)
 
-from _helpers import (oracle_classify, oracle_dissimilarity_row, oracle_knn_indices,
-                      oracle_sq_dist, oracle_vote)
+from _helpers import (brute_force_targets, oracle_classify, oracle_dissimilarity_row,
+                      oracle_knn_indices, oracle_sq_dist, oracle_vote, target_sets)
 
 
 # the Dissimilarity for each transformed kind of ``_helpers.oracle_dissimilarity_row``
@@ -189,8 +193,8 @@ class TestCertifiedStage:
         e = model.scale_exp
         assert (e == 0) == (scale == 1.0)
         s = math.ldexp(1.0, -e)
-        centered = ((queries - model.labeled_mean) * s).astype(np.float32)
-        operand = sq_dist_operand(pts * s, model.labeled_mean * s, np.float32)
+        centered = ((queries - model.center) * s).astype(np.float32)
+        operand = sq_dist_operand(pts * s, model.center * s, np.float32)
         assert model.operand32.flags.c_contiguous and model.operand32.shape == (d + 2, 300)
         np.testing.assert_array_equal(operand, model.operand32)
         approx = knn.pairwise_sq_dists(centered, operand)
@@ -262,7 +266,7 @@ class TestCertifiedStage:
     def test_tiny_inputs_re_rank_no_more(self, rng, re_ranked):
         # unscaled, 1e-19 inputs underflow in float32 and every entry is re-ranked;
         # the 0.5 shift keeps the ties and exact arithmetic but leaves the integer
-        # lattice, whose equal-value certificate would skip the re-rank at scale 1
+        # lattice, whose exact stage would skip the re-rank at scale 1
         pts = (rng.random((400, 20)) < 0.3) + 0.5
         queries = (rng.random((16, 20)) < 0.3) + 0.5
         totals = []
@@ -305,10 +309,11 @@ class TestCertifiedStage:
 def count_lookups(draw):
     """(model, queries): 0/1 or 0-3 count rows at scale 1, Euclidean, drawn
     with repeats from a pool of distinct rows (queries too, so some sit on
-    labeled points), n up to 200 and k up to 20: integer rows the equal-value
-    certificate serves. Each query, drawn row by row, may be moved 1000 along
-    the first axis: its bound E is near 1, where clusters join entries of
-    unequal value, so one chunk can mix rows with 4 E' < 1 and rows without."""
+    labeled points), n up to 200 and k up to 20: integer rows the exact stage
+    serves. Each query, drawn row by row, may be moved 1000 along the first
+    axis: a squared norm near 1e6, whose certified bound E would be near 1,
+    where clusters join entries of unequal value; the exact stage serves it
+    all the same, far below 2^23."""
     d = draw(st.sampled_from([1, 2, 5, 12, 40, 300]))
     n = draw(st.integers(min_value=1, max_value=200))
     m = draw(st.integers(min_value=1, max_value=8))
@@ -324,7 +329,9 @@ def count_lookups(draw):
 
 
 class TestEqualValueCertificate:
-    """Integer rows at scale 1 skip the exact re-rank; their ties go by index."""
+    """Small-integer rows take the exact stage, which skips the error bound and the
+    re-rank; their ties go by index (named for the equal-value certificate that the
+    exact stage replaced)."""
 
     @given(count_lookups())
     @settings(max_examples=150, deadline=None)
@@ -347,12 +354,14 @@ class TestEqualValueCertificate:
         assert (sum(re_ranked) > 0) is re_ranks
 
     def test_wide_bound_rows_re_rank(self, re_ranked):
-        # squared distances 1,000,001 and 1,000,000: at ||a||^2 ~ 1e6 the bound E
-        # is ~0.85, so the two share a cluster, and 4 E >= 1 voids the certificate
+        # squared distances 1,000,001 and 1,000,000: at ||a||^2 ~ 1e6 the certified
+        # bound E is ~0.85, so the two would share a cluster, but 1e6 + 1 <= 2^23 puts
+        # them on the exact stage, which re-ranks nothing. At 9,000,001 and 9,000,000,
+        # past 2^23, the certified stage re-ranks the two (TestExactStage)
         model = build_knn_model([[1000.0, 1.0], [1000.0, 0.0]], [0, 0], 2, Dissimilarity())
         assert model.integer_points
         np.testing.assert_array_equal(neighbor_index_matrix(model, [[0.0, 0.0]]), [[1, 0]])
-        assert sum(re_ranked) == 2
+        assert re_ranked == []
 
     def test_non_integer_query_chunk_re_ranks(self, rng, re_ranked):
         # integer points, one query half a unit off the lattice
@@ -407,8 +416,103 @@ class TestEqualValueCertificate:
         # a stand-in model: the hand-built norms, not those of ``points``
         operand = np.vstack([points.T, p_sq, np.ones(3)]).astype(np.float32)
         model = SimpleNamespace(labeled_points=points, d=1, scale_exp=0, operand32=operand)
-        got = knn._rank(model, q, q_sq, False, 2, rows, cols, values, np.zeros(1, dtype=np.int64))
+        got = knn._rank(model, q, q_sq, 2, rows, cols, values, np.zeros(1, dtype=np.int64))
         np.testing.assert_array_equal(got, [[1, 2]])
+
+
+@st.composite
+def small_integer_lookups(draw):
+    """(points, labels, queries, k, k_targets, chunk rows): small-integer rows for
+    both oracles. Rows are 0/1, 0-3 counts or -3..3, drawn with repeats from a
+    pool, all moved by 0 or +1000 (so that rint(mean) is far from 0) and,
+    optionally, one labeled row moved 2500 along the first axis (a centered
+    squared norm up to 6.25e6: chunks of the self-join that hold it take the
+    certified stage, the others the exact one). Each query may be moved 1500
+    or 3000 (past 2^23) along the first axis, and one may leave the lattice by
+    1/3 or 0.5 + 2^-30 in one coordinate. Chunks hold 1 to m query rows, so
+    one lookup can mix exact and certified chunks."""
+    d = draw(st.sampled_from([1, 2, 5, 12, 40]))
+    n = draw(st.integers(min_value=2, max_value=60))
+    m = draw(st.integers(min_value=1, max_value=8))
+    k = draw(st.integers(min_value=1, max_value=min(20, n)))
+    low, high = draw(st.sampled_from([(0, 1), (0, 3), (-3, 3)]))
+    classes = draw(st.integers(min_value=1, max_value=min(3, n // 2)))
+    distinct = draw(st.integers(min_value=1, max_value=n + m))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2 ** 32 - 1)))
+    pool = rng.integers(low, high + 1, size=(distinct, d)) * (rng.random((distinct, d)) < 0.5)
+    rows = pool[rng.integers(0, distinct, size=n + m)].astype(np.float64)
+    rows += draw(st.sampled_from([0.0, 1000.0]))
+    if draw(st.booleans()):
+        rows[rng.integers(0, n), 0] += 2500.0
+    rows[n:, 0] += rng.choice([0.0, 1500.0, 3000.0], size=m)
+    if draw(st.booleans()):  # 0.5 + 2^-30 rounds to 0.5 in float32, tying two distances
+        off = draw(st.sampled_from([1 / 3, 0.5 + 2.0 ** -30]))
+        rows[n + rng.integers(0, m), rng.integers(0, d)] += off
+    labels = rng.permutation(np.arange(n) % classes)
+    k_targets = draw(st.integers(min_value=1, max_value=20))
+    return rows[:n], labels, rows[n:], k, k_targets, draw(st.integers(min_value=1, max_value=m))
+
+
+class TestExactStage:
+    """Small-integer chunks whose centered squared norms stay within 2^23 take the
+    exact block and skip the error bound and the re-rank; every other chunk takes
+    the certified stage."""
+
+    @given(small_integer_lookups())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_full_sort_oracles(self, lookup):
+        points, labels, queries, k, k_targets, chunk = lookup
+        model = build_knn_model(points, labels, k, Dissimilarity())
+        assert model.integer_points
+        want = [oracle_knn_indices(q, points, k) for q in queries]
+        with mock.patch.object(hubridge._arrays, "_CHUNK_CELLS", chunk * len(points)):
+            np.testing.assert_array_equal(neighbor_index_matrix(model, queries), want)
+            ds = dataset_from_arrays(points, labels)
+            sets = target_sets(select_targets(ds, np.arange(len(points)), k_targets))
+        assert sets == brute_force_targets(points, labels, k_targets)
+
+    def test_integer_chunk_skips_bound_and_re_rank(self, rng, error_bounds, re_ranked):
+        pts = (rng.random((400, 20)) < 0.3) + 7.0
+        queries = (rng.random((16, 20)) < 0.3) + 7.0
+        model = build_knn_model(pts, np.repeat([0, 1], 200), 5, Dissimilarity())
+        assert model.integer_points and (model.center == 7.0).all()
+        np.testing.assert_array_equal(neighbor_index_matrix(model, queries),
+                                      [oracle_knn_indices(q, pts, 5) for q in queries])
+        ds = dataset_from_arrays(pts, model.labels)
+        assert (target_sets(select_targets(ds, np.arange(400), 5))
+                == brute_force_targets(pts, model.labels, 5))
+        assert error_bounds == [] and re_ranked == []
+
+    def test_past_the_bound_takes_the_certified_stage(self, error_bounds, re_ranked):
+        # squared distances 9,000,001 and 9,000,000: past 2^23, so the chunk's
+        # row is bounded (E, then the band's E') and the two, within E ~ 8 of
+        # each other, re-ranked
+        model = build_knn_model([[3000.0, 1.0], [3000.0, 0.0]], [0, 0], 2, Dissimilarity())
+        assert model.integer_points
+        np.testing.assert_array_equal(neighbor_index_matrix(model, [[0.0, 0.0]]), [[1, 0]])
+        assert error_bounds == [1, 1] and re_ranked == [2]
+
+    def test_past_float32_integers_re_ranked(self):
+        # 16,785,410 and 16,785,409 lie past 2^24, one apart: both round to the
+        # same float32 value, so an exact block would tie them by index
+        model = build_knn_model([[4097.0, 1.0], [4097.0, 0.0]], [0, 0], 2, Dissimilarity())
+        np.testing.assert_array_equal(neighbor_index_matrix(model, [[0.0, 0.0]]), [[1, 0]])
+
+    def test_non_integer_query_takes_the_certified_stage(self):
+        # 0.5 + 2^-30 rounds to 0.5 in float32, which would tie the two points
+        model = build_knn_model([[0.0], [1.0]], [0, 0], 2, Dissimilarity())
+        np.testing.assert_array_equal(neighbor_index_matrix(model, [[0.5 + 2.0 ** -30]]),
+                                      [[1, 0]])
+
+    def test_center_is_the_rounded_mean(self):
+        # a mean of 1000.3 would leave the operand's 0/1 offsets off the lattice
+        pts = np.array([[1001.0], [1000.0], [1000.0], [1000.0]]).repeat(3, axis=0)[:10]
+        model = build_knn_model(pts, np.zeros(10, dtype=np.int64), 3, Dissimilarity())
+        assert model.center.tolist() == [1000.0]
+        np.testing.assert_array_equal(model.operand32[0], pts[:, 0] - 1000.0)
+        queries = np.array([[1000.0], [1001.0], [999.0]])
+        np.testing.assert_array_equal(neighbor_index_matrix(model, queries),
+                                      [oracle_knn_indices(q, pts, 3) for q in queries])
 
 
 class TestDissimilarityKinds:

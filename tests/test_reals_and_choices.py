@@ -99,3 +99,15 @@ def test_lambda_has_one_wording():
         with pytest.raises(ValueError,
                            match=r"^lambda must be finite and non-negative, got -1\.0$"):
             call(-1.0)
+
+
+def test_grids_stored_as_tuples():
+    # an ndarray grid used to raise numpy's ambiguous-truth error from the non-empty test
+    cfg = CvConfig(np.array([0.1, 1.0]), np.array([1, 3]), 2, 0)
+    assert cfg.lambda_grid == (0.1, 1.0) and cfg.k_grid == (1, 3)
+    assert isinstance(cfg.lambda_grid, tuple) and isinstance(cfg.k_grid, tuple)
+    run = ExperimentConfig("never-loaded.csv", lambda_grid=np.array([0.5]), k_grid=np.array([2]))
+    assert run.lambda_grid == (0.5,) and run.k_grid == (2,)
+    for grid in (2.5, None):
+        with pytest.raises(ValueError, match=f"^lambda_grid must be a sequence, got {grid!r}$"):
+            CvConfig(grid, (1,), 2, 0)

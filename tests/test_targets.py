@@ -8,30 +8,7 @@ from hubridge.datamodel import dataset_from_arrays
 from hubridge.experiment import fit_timed
 from hubridge.targets import TargetSelectionError, indicator_matrix, select_targets
 
-from _helpers import oracle_sq_dist
-
-
-def brute_force_targets(features, labels, k_targets):
-    """Oracle: exhaustive same-class scan with (distance, index) sorting.
-
-    Returns each object's chosen targets as a sorted index tuple, the row
-    pattern of J.
-    """
-    out = []
-    for i in range(len(features)):
-        cands = [(oracle_sq_dist(features[i], features[j]), j)
-                 for j in range(len(features))
-                 if j != i and labels[j] == labels[i]]
-        cands.sort()
-        out.append(tuple(sorted(j for _, j in cands[:k_targets])))
-    return out
-
-
-def target_sets(jj):
-    """Each row's target columns, ascending, from J."""
-    assert jj.has_canonical_format and (jj.data == 1).all()
-    return [tuple(int(c) for c in jj.indices[jj.indptr[i]:jj.indptr[i + 1]])
-            for i in range(jj.shape[0])]
+from _helpers import brute_force_targets, oracle_sq_dist, target_sets
 
 
 class TestSelectTargets:
@@ -202,8 +179,7 @@ def tied_classes(draw):
 def count_classes(draw):
     """(features, labels, k_targets): 1-3 classes of 2-40 rows at scale 1 drawn
     from a few distinct 0/1 or 0-3 count rows, so rows repeat and distances
-    tie, and k_targets from 1 to 20: integer rows the equal-value certificate
-    serves."""
+    tie, and k_targets from 1 to 20: integer rows the exact stage serves."""
     sizes = draw(st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=3))
     d = draw(st.sampled_from([1, 3, 12, 40]))
     high = draw(st.sampled_from([1, 3]))
@@ -275,7 +251,8 @@ class TestSelfJoin:
         ranked = []
         real = knn._rank
         monkeypatch.setattr(knn, "_rank", lambda *args: ranked.append(args) or real(*args))
-        ds = dataset_from_arrays(tied_class(20), np.zeros(20, dtype=np.int64))
+        # off the integer lattice, so the certified stage serves the class
+        ds = dataset_from_arrays(tied_class(20) + 0.5, np.zeros(20, dtype=np.int64))
         select_targets(ds, np.arange(20), 15)
         assert np.isinf(bands[0]).any()
         # one chunk, so a row's own column is its row index
@@ -310,7 +287,7 @@ class TestSelfJoin:
     def test_tiny_inputs_re_rank_no_more(self, rng, re_ranked):
         # unscaled, 1e-19 inputs underflow in float32 and every entry is re-ranked;
         # the 0.5 shift keeps the ties and exact arithmetic but leaves the integer
-        # lattice, whose equal-value certificate would skip the re-rank at scale 1
+        # lattice, whose exact stage would skip the re-rank at scale 1
         feats = (rng.random((300, 20)) < 0.3) + 0.5
         labels = np.repeat([0, 1, 2], 100)
         totals = []
