@@ -1,28 +1,16 @@
 """Shared array utilities: immutability, the distance GEMM and candidate band
-behind ``knn``'s certified lookup (the one k-nearest routine), and the four
+behind ``knn``'s certified lookup (the one k-nearest routine), and the six
 rules that check what the package takes, each error naming the parameter:
 ``as_count`` for counts, ``as_real`` for reals (the CLI's flags read its range
-rules too), ``as_choice`` for choices and ``in_range`` for integer ids."""
+rules too), ``as_choice`` for choices, ``in_range`` for integer ids,
+``as_reals`` for real matrices and vectors, and ``as_tuple`` for sequences."""
 
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
-
-
-def as_matrix(a, name: str = "array", finite: bool = True) -> np.ndarray:
-    """Coerce to a C-contiguous float64 2-D array, rejecting non-finite values.
-
-    ``finite=False`` skips the finiteness scan, for a caller whose result is
-    checked where it lands (``KnnModel`` checks its own points).
-    """
-    out = np.ascontiguousarray(a, dtype=np.float64)
-    if out.ndim != 2:
-        raise ValueError(f"{name} must be 2-dimensional, got ndim={out.ndim}")
-    if finite and not np.isfinite(out).all():
-        raise ValueError(f"{name} contains non-finite values")
-    return out
 
 
 def as_count(value, name: str, low: int, high: int | None = None) -> int:
@@ -63,11 +51,47 @@ def as_real(value, name: str, rule) -> float:
     return real
 
 
-def as_choice(value, name: str, choices: tuple[str, ...]) -> str:
-    """``value``, a str among ``choices``; an error names ``name``."""
-    if not (isinstance(value, str) and value in choices):
-        raise ValueError(f"{name} must be one of {choices}, got {value!r}")
+def as_choice(value, name: str, choices: tuple[str, ...] | None = None) -> str:
+    """``value``, a str among ``choices`` (None: any str); an error names ``name``."""
+    if not (isinstance(value, str) and (choices is None or value in choices)):
+        want = "a str" if choices is None else f"one of {choices}"
+        raise ValueError(f"{name} must be {want}, got {value!r}")
     return value
+
+
+def as_tuple(values, name: str, entry, *args, unique: str | None = None) -> tuple:
+    """``values``, a non-empty sequence other than a str, as a tuple of ``entry(value,
+    f"{name}[i]", *args)``; with ``unique``, the word for an entry, a repeat is named."""
+    if isinstance(values, str) or not np.iterable(values):
+        raise ValueError(f"{name} must be a sequence, got {values!r}")
+    out = tuple(entry(value, f"{name}[{i}]", *args) for i, value in enumerate(values))
+    if not out:
+        raise ValueError(f"{name} must be non-empty")
+    if unique and len(set(out)) < len(out):
+        i = next(i for i, value in enumerate(out) if value in out[:i])
+        raise ValueError(f"{name}[{i}] = {out[i]!r} repeats an earlier {unique}")
+    return out
+
+
+def as_reals(a, name: str, ndim: int = 2, finite: bool = True) -> np.ndarray:
+    """``a``, an array-like of rank ``ndim``, as a C-contiguous float64 array. An error names
+    a ragged nesting, a wrong rank, the first entry that is no real in float64's range (a str,
+    None, an int past it) and, unless ``finite`` is False, the first non-finite one."""
+    try:
+        a = np.asarray(a)
+    except ValueError:  # numpy takes no ragged nesting
+        raise ValueError(f"{name} must be a rectangular array, got a ragged nesting") from None
+    if a.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-dimensional, got ndim={a.ndim}")
+    if a.dtype.kind not in "biuf":  # str, complex or object entries; list(at) prints [i, j]
+        for at, x in zip(np.ndindex(a.shape), a.reshape(-1).tolist()):
+            if not _is_real(x) or abs(x) > sys.float_info.max:
+                raise ValueError(f"{name}{list(at)} = {x!r} is not a real in float64's range")
+    out = np.ascontiguousarray(a, dtype=np.float64)
+    if finite and not (ok := np.isfinite(out)).all():
+        at = np.argwhere(~ok)[0].tolist()
+        raise ValueError(f"{name} contains non-finite values: {name}{at} = {out[tuple(at)]}")
+    return out
 
 
 def as_int_vector(a, name: str = "array") -> np.ndarray:

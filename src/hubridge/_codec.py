@@ -19,6 +19,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from ._arrays import as_reals
+
 
 class Parser(NamedTuple):
     parse: Callable | None  # JSON value -> attribute, or TypeError/ValueError; None: never read
@@ -65,12 +67,9 @@ def list_of(item: Parser) -> Parser:
 def array(rank: int) -> Parser:
     def parse(value):
         try:
-            out = np.array(value, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):  # not numbers, or ragged
-            out = None
-        if out is None or out.ndim != rank or not np.isfinite(out).all():
-            raise _expected(f"a {rank}-dimensional array of finite numbers", value)
-        return out
+            return as_reals(value, "array", rank)
+        except ValueError:  # not numbers, ragged, another rank or not finite
+            raise _expected(f"a {rank}-dimensional array of finite numbers", value) from None
     return Parser(parse, np.ndarray.tolist)
 
 

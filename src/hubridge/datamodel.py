@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import (FRACTION, as_choice, as_count, as_int_vector, as_matrix, as_real, frozen,
-                      in_range, index_vector)
+from ._arrays import (FRACTION, as_choice, as_count, as_int_vector, as_real, as_reals, as_tuple,
+                      frozen, in_range, index_vector)
 from ._codec import INT, Record, array, nullable
 
 DENSE_CSV = "dense-csv"
@@ -56,10 +56,10 @@ class PreprocessError(ValueError):
 class Dataset:
     """Immutable labeled point set.
 
-    features : (n, d) float64 matrix, rows are objects.
-    labels : (n,) int64, values in [0, class_count); every class occurs.
-    label_names : original label token per class id, a sequence of str stored as a
-        tuple; ``class_count`` is their number.
+    features : (n, d) real matrix, rows are objects, stored as float64.
+    labels : (n,) integer ids in [0, class_count); every class occurs.
+    label_names : original label token per class id, a sequence of distinct str stored
+        as a tuple; ``class_count`` is their number.
     """
 
     features: np.ndarray
@@ -68,26 +68,20 @@ class Dataset:
     label_names: tuple[str, ...]
 
     def __post_init__(self):
-        names = self.label_names
-        if (isinstance(names, str) or not np.iterable(names)
-                or not all(isinstance(token, str) for token in names)):
-            raise ValueError(f"label_names must be a sequence of str, got {names!r}")
-        object.__setattr__(self, "label_names", tuple(names))
-        f = self.features
-        y = self.labels
-        if f.ndim != 2 or f.shape[0] < 1 or f.shape[1] < 1:
+        object.__setattr__(self, "label_names", as_tuple(self.label_names, "label_names",
+                                                         as_choice))
+        f = as_reals(self.features, "features")
+        y = in_range(self.labels, self.class_count, "labels", 1)
+        if not f.size:
             raise ValueError("features must be a non-empty 2-D matrix")
-        if not np.isfinite(f).all():
-            raise ValueError("features contain non-finite values")
         if y.shape != (f.shape[0],):
             raise ValueError("labels length must match feature row count")
-        in_range(y, self.class_count, "labels")
         present = np.bincount(y, minlength=self.class_count)
         if (present == 0).any():
             missing = int(np.flatnonzero(present == 0)[0])
             raise ValueError(f"class id {missing} has no members")
-        frozen(f)
-        frozen(y)
+        object.__setattr__(self, "features", frozen(f))
+        object.__setattr__(self, "labels", frozen(y))
 
     @property
     def class_count(self) -> int:
@@ -108,7 +102,8 @@ class Dataset:
 def dataset_from_arrays(features, labels, name: str = "",
                         label_names: tuple[str, ...] | None = None) -> Dataset:
     """Build a Dataset from in-memory arrays with dense integer labels."""
-    f = as_matrix(np.array(features, dtype=np.float64, copy=True), "features")
+    # Dataset freezes what it stores: a copy of an ndarray, a new array of anything else
+    f = features.copy() if isinstance(features, np.ndarray) else features
     y = as_int_vector(np.array(labels, copy=True), "labels")
     if y.size == 0:
         raise ValueError("labels must be non-empty")
@@ -327,26 +322,25 @@ class Preprocessor:
     components: np.ndarray | None = None
 
     def __post_init__(self):
+        d = self.d_in
         if (self.zscore_mean is None) != (self.zscore_sd is None):
             raise ValueError("zscore_mean and zscore_sd must be given together")
-        for name in ("zscore_mean", "zscore_sd", "center_mean"):
-            v = getattr(self, name)
-            if v is not None:
-                if v.shape != (self.d_in,):
-                    raise ValueError(f"{name} must have length d_in = {self.d_in}")
-                frozen(v)
+        for name in ("zscore_mean", "zscore_sd", "center_mean", "components"):
+            if getattr(self, name) is None:
+                continue
+            rank = 2 if name == "components" else 1
+            v = as_reals(getattr(self, name), name, rank)
+            if v.shape[0] != d or not v.size:
+                raise ValueError(f"{name} must have length d_in = {d}" if rank == 1 else
+                                 f"components must be d_in x r with d_in = {d}, r >= 1")
+            object.__setattr__(self, name, frozen(v))
         sd = self.zscore_sd
         if sd is not None and not (sd > 0).all():
             bad = int(np.argmin(sd > 0))
             raise ValueError(f"zscore_sd must be positive; column {bad} is {float(sd[bad])}")
-        c = self.components
-        if c is not None:
-            if c.ndim != 2 or c.shape[0] != self.d_in or c.shape[1] < 1:
-                raise ValueError(f"components must be d_in x r with d_in = {self.d_in}, r >= 1")
-            if self.center_mean is None:
-                raise ValueError("components need a center_mean: the principal axes are "
-                                 "those of the centered training rows")
-            frozen(c)
+        if self.components is not None and self.center_mean is None:
+            raise ValueError("components need a center_mean: the principal axes are "
+                             "those of the centered training rows")
 
     @property
     def d_out(self) -> int:
@@ -362,7 +356,7 @@ class Preprocessor:
         its largest-magnitude entry positive. Centered rows have rank at most
         n - 1, so ``pca_dim`` must lie in [1, min(n - 1, d)].
         """
-        x = as_matrix(features, "features")
+        x = as_reals(features, "features")
         n, d = x.shape
         zscore_mean = zscore_sd = center_mean = components = None
         if zscore:
@@ -387,7 +381,7 @@ class Preprocessor:
 
     def apply(self, features, name: str = "features") -> np.ndarray:
         """The fitted steps applied to an (n, d_in) matrix, as a C-contiguous matrix."""
-        x = as_matrix(features, name)
+        x = as_reals(features, name)
         self.check_dimension(x.shape[1], name)
         if self.zscore_mean is not None:
             x = (x - self.zscore_mean) / self.zscore_sd

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import FRACTION, as_choice, as_count, as_real, index_vector
+from ._arrays import FRACTION, as_choice, as_count, as_real, as_tuple, index_vector
 from ._codec import BOOL, INT, NUMBER, STR, Parser, Record, list_of, nullable
 from .datamodel import Dataset, Preprocessor, Split, load_dataset, split as make_split, subset
 from .hubness import DEFAULT_HUBNESS_K, nk_counts, skewness
@@ -69,12 +69,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         n_splits = as_count(self.n_splits, "n_splits", 1)
+        object.__setattr__(self, "seeds", as_tuple(self.seeds, "seeds", as_count, 0))
         if len(self.seeds) != n_splits:
             raise ValueError(f"seeds must provide one seed per split: n_splits is "
                              f"{n_splits}, seeds holds {len(self.seeds)}")
-        for i, seed in enumerate(self.seeds):
-            as_count(seed, f"seeds[{i}]", 0)
-        check_methods(self.methods)
+        object.__setattr__(self, "methods", check_methods(self.methods))
         as_count(self.cv_folds, "cv_folds", 2)
         as_count(self.hubness_k, "hubness_k", 1)
         if self.pca_dim is not None:

@@ -9,14 +9,15 @@ the skewness of that count distribution, computed with population
 
 ``nk_counts`` is the one N_k routine: the protocol and ``hubridge hubness``
 pass it the neighbour matrix of ``experiment.split_neighbors``, whose entries
-``_arrays.in_range`` checks. ``skewness`` rejects a non-finite count.
+``_arrays.in_range`` checks. ``skewness`` takes its counts through
+``_arrays.as_reals``, which rejects a non-finite one.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._arrays import as_count, in_range
+from ._arrays import as_count, as_reals, in_range
 
 DEFAULT_HUBNESS_K = 10
 
@@ -38,11 +39,9 @@ def nk_counts(neighbors: np.ndarray, n_labeled: int) -> np.ndarray:
 
 def skewness(counts) -> float:
     """Third standardized central moment with population (divide-by-n) normalization."""
-    c = np.asarray(counts, dtype=np.float64)
-    if c.ndim != 1 or c.size < 2:
+    c = as_reals(counts, "counts", 1)  # a non-finite count would make the moments NaN
+    if c.size < 2:
         raise ValueError("counts must be a vector of length >= 2")
-    if not np.isfinite(c).all():  # the moments would be NaN
-        raise ValueError("counts contain non-finite values")
     dev = c - c.mean()
     var = float(np.mean(dev ** 2))
     if var == 0.0:

@@ -95,7 +95,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._arrays import (as_count, as_matrix, as_int_vector, frozen, in_range, pairwise_sq_dists,
+from ._arrays import (as_count, as_int_vector, as_reals, frozen, in_range, pairwise_sq_dists,
                       query_chunks, smallest_k_band, sq_dist_operand, sq_norms)
 from .transform import TransformModel, MOVE_LABELED
 
@@ -109,13 +109,11 @@ class Dissimilarity:
 
     def __post_init__(self):
         for name in ("labeled_map", "query_map"):
-            m = getattr(self, name)
-            if m is None:
-                continue
-            m = as_matrix(m, name)
-            if m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} must be square, got shape {m.shape}")
-            object.__setattr__(self, name, frozen(m))
+            if getattr(self, name) is not None:
+                m = as_reals(getattr(self, name), name)
+                if m.shape[0] != m.shape[1]:
+                    raise ValueError(f"{name} must be square, got shape {m.shape}")
+                object.__setattr__(self, name, frozen(m))
         if (self.labeled_map is not None and self.query_map is not None
                 and self.labeled_map.shape != self.query_map.shape):
             raise ValueError(f"labeled_map is {self.labeled_map.shape[0]}-dimensional, "
@@ -167,17 +165,13 @@ class KnnModel:
     integer_points: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        pts = self.labeled_points
-        if pts.ndim != 2:
-            raise ValueError("labeled_points must be a matrix")
-        if not np.isfinite(pts).all():  # a NaN would drop out of every band
-            raise ValueError("labeled_points contains non-finite values")
-        if self.labels.shape != (pts.shape[0],):
+        pts = as_reals(self.labeled_points, "labeled_points")  # a NaN would drop out of every band
+        labels = in_range(self.labels, None, "labels", 1)  # named at the build, before any vote
+        if labels.shape != (pts.shape[0],):
             raise ValueError("labels length must match labeled point count")
         as_count(self.k, "k", 1, pts.shape[0])
-        in_range(self.labels, None, "labels")  # named at the build, before any vote
-        frozen(pts)
-        frozen(self.labels)
+        object.__setattr__(self, "labeled_points", frozen(pts))
+        object.__setattr__(self, "labels", frozen(labels))
         object.__setattr__(self, "integer_points", _small_integers(pts))
         mean = pts.mean(axis=0)
         object.__setattr__(self, "center", frozen(np.rint(mean) if self.integer_points else mean))
@@ -197,7 +191,7 @@ class KnnModel:
 
 def build_knn_model(labeled_points, labels, k: int, dissimilarity: Dissimilarity) -> KnnModel:
     """Construct a KnnModel, applying the labeled-side map once."""
-    pts = as_matrix(labeled_points, "labeled_points", finite=False)  # KnnModel checks
+    pts = as_reals(labeled_points, "labeled_points", finite=False)  # KnnModel checks
     y = as_int_vector(labels, "labels")
     for name in ("labeled_map", "query_map"):
         m = getattr(dissimilarity, name)
@@ -231,7 +225,7 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
     float64 raise ValueError.
     """
     k = model.k if k is None else as_count(k, "k", 1, model.n)
-    q = as_matrix(queries, "queries")
+    q = as_reals(queries, "queries")
     if q.shape[1] != model.d:
         raise ValueError(f"queries have dimension {q.shape[1]}, model expects {model.d}")
     q = model.dissimilarity.map_query(q)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import NON_NEGATIVE, as_choice, as_count, as_int_vector, as_real, index_vector
+from ._arrays import (NON_NEGATIVE, as_choice, as_count, as_int_vector, as_real, as_tuple,
+                      index_vector)
 from ._codec import INT, NUMBER, Record, list_of
 from .datamodel import Dataset
 from .knn import evaluate, knn_from_transform, neighbor_index_matrix
@@ -41,13 +42,7 @@ METHODS = (EUCLIDEAN_METHOD, MOVE_LABELED, MOVE_QUERY)
 
 def check_methods(methods, name: str = "methods") -> tuple[str, ...]:
     """``methods`` as a tuple of known, distinct method names; an error names ``name[i]``."""
-    methods = tuple(methods)
-    if not methods:
-        raise ValueError("at least one method is required")
-    for i, method in enumerate(methods):
-        if as_choice(method, f"{name}[{i}]", METHODS) in methods[:i]:
-            raise ValueError(f"{name}[{i}] = {method!r} repeats an earlier method")
-    return methods
+    return as_tuple(methods, name, as_choice, METHODS, unique="method")
 
 
 class FoldError(ValueError):
@@ -65,18 +60,10 @@ class CvConfig:
     k_targets: int = 1
     solver: str = SOLVER_PAPER
 
-    def __post_init__(self):
-        for name in ("lambda_grid", "k_grid"):  # stored as tuples: an ndarray has no truth value
-            grid = getattr(self, name)
-            if not np.iterable(grid):
-                raise ValueError(f"{name} must be a sequence, got {grid!r}")
-            object.__setattr__(self, name, tuple(grid))
-            if not getattr(self, name):
-                raise ValueError(f"{name} must be non-empty")
-        for i, lam in enumerate(self.lambda_grid):
-            as_real(lam, f"lambda_grid[{i}]", NON_NEGATIVE)
-        for i, k in enumerate(self.k_grid):
-            as_count(k, f"k_grid[{i}]", 1)
+    def __post_init__(self):  # the grids are stored as tuples: an ndarray has no truth value
+        object.__setattr__(self, "lambda_grid",
+                           as_tuple(self.lambda_grid, "lambda_grid", as_real, NON_NEGATIVE))
+        object.__setattr__(self, "k_grid", as_tuple(self.k_grid, "k_grid", as_count, 1))
         as_count(self.n_folds, "n_folds", 2)
         as_count(self.k_targets, "k_targets", 1)
         as_count(self.seed, "seed", 0)

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._arrays import NON_NEGATIVE, as_choice, as_matrix, as_real, frozen
+from ._arrays import NON_NEGATIVE, as_choice, as_real, as_reals, as_tuple, frozen
 from ._codec import NUMBER, STR, WRITTEN, Record, array
 
 MOVE_LABELED = "move-labeled"
@@ -79,11 +79,10 @@ class TransformModel:
         as_choice(self.direction, "direction", DIRECTIONS)
         as_choice(self.solver, "solver", SOLVERS)
         as_real(self.lam, "lambda", NON_NEGATIVE)
-        if self.w.ndim != 2 or self.w.shape[0] != self.w.shape[1]:
+        w = as_reals(self.w, "W")
+        if w.shape[0] != w.shape[1]:
             raise ValueError("W must be square")
-        if not np.isfinite(self.w).all():
-            raise ValueError("W contains non-finite entries")
-        frozen(self.w)
+        object.__setattr__(self, "w", frozen(w))
 
     @property
     def d(self) -> int:
@@ -180,7 +179,7 @@ class RidgeSystem:
     """
 
     def __init__(self, x, j):
-        self.rows = as_matrix(np.transpose(x), "x")  # X^T: no copy when x is rows.T
+        self.rows = as_reals(np.transpose(x), "x")  # X^T: no copy when x is rows.T
         self.j = _indicator(self.rows.shape[0], j)
         self._factors = {}  # Gram weights (None: all 1) -> (ascending eigenvalues, V)
 
@@ -200,7 +199,7 @@ class RidgeSystem:
         as_choice(direction, "direction", DIRECTIONS)
         as_choice(solver, "solver", SOLVERS)
         solver = SOLVER_EXACT if direction == MOVE_QUERY else solver
-        lambdas = [as_real(lam, "lambda", NON_NEGATIVE) for lam in lambdas]
+        lambdas = as_tuple(lambdas, "lambdas", lambda lam, _: as_real(lam, "lambda", NON_NEGATIVE))
         rows = self.rows
         c = self._weights(direction, solver)
         key = None if c is None else c.tobytes()

@@ -72,7 +72,8 @@ class TestSkewness:
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_counts_rejected(self, bad):
         # a NaN count made the skewness NaN, which no caller checks
-        with pytest.raises(ValueError, match="^counts contain non-finite values$"):
+        with pytest.raises(ValueError, match=rf"^counts contains non-finite values: "
+                                             rf"counts\[1\] = {bad}$"):
             skewness([1.0, bad, 2.0])
 
     def test_symmetric_counts_zero(self):

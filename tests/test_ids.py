@@ -152,11 +152,14 @@ def test_neighbour_matrix_without_column_named(call):
         call()
 
 
-@pytest.mark.parametrize("names", [2.5, "ab", ("a", 1), None], ids=["float", "str", "int-entry",
-                                                                   "None"])
-def test_label_names_not_str_sequence_named(names):
+@pytest.mark.parametrize("names, want", [
+    (2.5, "label_names must be a sequence, got 2.5"),
+    ("ab", "label_names must be a sequence, got 'ab'"),
+    (("a", 1), "label_names[1] must be a str, got 1"),
+    (None, "label_names must be a sequence, got None"),
+], ids=["float", "str", "int-entry", "None"])
+def test_label_names_not_str_sequence_named(names, want):
     # 2.5 used to raise "object of type 'float' has no len()"; "ab" read as two names
-    want = f"label_names must be a sequence of str, got {names!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
         Dataset(POINTS.copy(), LABELS, "", names)
 

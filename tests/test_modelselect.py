@@ -186,7 +186,7 @@ class TestGridSearch:
 
     @pytest.mark.parametrize("methods, message", [
         (["move-labeled", "move-labeled"], r"methods\[1\] = 'move-labeled' repeats"),
-        ([], "at least one method"),
+        ([], "^methods must be non-empty$"),
     ], ids=["repeated", "empty"])
     def test_method_list_rejected(self, methods, message):
         ds = self.separable_dataset(seed=9)
