@@ -51,9 +51,11 @@ def as_real(value, name: str, rule) -> float:
     return real
 
 
-def as_choice(value, name: str, choices: tuple[str, ...] | None = None) -> str:
-    """``value``, a str among ``choices`` (None: any str); an error names ``name``."""
-    if not (isinstance(value, str) and (choices is None or value in choices)):
+def as_choice(value, name: str, choices: tuple | None = None):
+    """``value``, a str or bool among ``choices`` (None: any str); an error names
+    ``name``. A number is no choice, so 1 is not True."""
+    if not (isinstance(value, str) if choices is None else
+            isinstance(value, (str, bool, np.bool_)) and value in choices):
         want = "a str" if choices is None else f"one of {choices}"
         raise ValueError(f"{name} must be {want}, got {value!r}")
     return value

@@ -69,7 +69,7 @@ class Dataset:
 
     def __post_init__(self):
         object.__setattr__(self, "label_names", as_tuple(self.label_names, "label_names",
-                                                         as_choice))
+                                                         as_choice, unique="name"))
         f = as_reals(self.features, "features")
         y = in_range(self.labels, self.class_count, "labels", 1)
         if not f.size:
@@ -322,7 +322,7 @@ class Preprocessor:
     components: np.ndarray | None = None
 
     def __post_init__(self):
-        d = self.d_in
+        d = as_count(self.d_in, "d_in", 1)
         if (self.zscore_mean is None) != (self.zscore_sd is None):
             raise ValueError("zscore_mean and zscore_sd must be given together")
         for name in ("zscore_mean", "zscore_sd", "center_mean", "components"):

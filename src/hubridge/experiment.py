@@ -30,7 +30,8 @@ import numpy as np
 
 from ._arrays import FRACTION, as_choice, as_count, as_real, as_tuple, index_vector
 from ._codec import BOOL, INT, NUMBER, STR, Parser, Record, list_of, nullable
-from .datamodel import Dataset, Preprocessor, Split, load_dataset, split as make_split, subset
+from .datamodel import (FORMATS, Dataset, Preprocessor, Split, load_dataset,
+                        split as make_split, subset)
 from .hubness import DEFAULT_HUBNESS_K, nk_counts, skewness
 from .knn import evaluate, knn_from_transform, neighbor_index_matrix
 from .modelselect import (EUCLIDEAN_METHOD, METHODS, CvConfig, CvResult, check_methods,
@@ -74,6 +75,9 @@ class ExperimentConfig:
             raise ValueError(f"seeds must provide one seed per split: n_splits is "
                              f"{n_splits}, seeds holds {len(self.seeds)}")
         object.__setattr__(self, "methods", check_methods(self.methods))
+        as_choice(self.fmt, "format", FORMATS)  # the config key and the CLI flag
+        as_choice(self.center, "center", (False, True))
+        as_choice(self.zscore, "zscore", (False, True))
         as_count(self.cv_folds, "cv_folds", 2)
         as_count(self.hubness_k, "hubness_k", 1)
         if self.pca_dim is not None:

@@ -244,7 +244,8 @@ def nearest_others(model: KnnModel) -> np.ndarray:
     ``@``. A row's own entry is +inf in the block and dropped from the band
     before the first k are taken or re-ranked.
     """
-    k, n, d, e, side = model.k, model.n, model.d, model.scale_exp, model.operand32
+    k = as_count(model.k, "k", 1, model.n - 1)
+    n, d, e, side = model.n, model.d, model.scale_exp, model.operand32
     sq, p_max = side[d], float(side[d].max())
     with np.errstate(over="ignore"):  # an overflow shows as +inf
         if not 2 * float(np.ldexp(p_max, 2 * e)) < _F64_SAFE:

@@ -61,6 +61,7 @@ def indicator_matrix(owners, targets, n: int) -> sp.csr_matrix:
     The error names the first bad pair: an index outside [0, n), an object
     that targets itself, or a pair listed twice.
     """
+    n = as_count(n, "n", 0)
     own = in_range(as_int_vector(owners, "owners"), n, "owners")
     tgt = in_range(as_int_vector(targets, "targets"), n, "targets")
     if own.shape != tgt.shape:

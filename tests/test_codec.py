@@ -37,7 +37,7 @@ CONFIG = {"version": 1, "dataset": IRIS, "format": "dense-csv", "center": True,
           "zscore": False, "pca_dim": None, "methods": ["euclidean"], "n_splits": 2,
           "train_fraction": 0.7, "seeds": [1, 2], "lambda_grid": [0.1], "k_grid": [1, 3],
           "cv_folds": 3, "k_targets": 1, "solver": "paper", "hubness_k": 10, "out_dir": None}
-CONFIG_ACCEPTS = {"version": {"int"}, "dataset": {"str"}, "format": {"str"},
+CONFIG_ACCEPTS = {"version": {"int"}, "dataset": {"str"},
                   "center": {"bool"}, "zscore": {"bool"}, "pca_dim": {"null", "int", "huge"},
                   "lambda_grid": {"list"}, "k_grid": {"list"}, "cv_folds": {"huge"},
                   "k_targets": {"int", "huge"}, "hubness_k": {"int", "huge"},

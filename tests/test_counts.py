@@ -1,5 +1,5 @@
 """Every count the package takes (k, k_targets, folds, splits, pca_dim, hubness_k, d,
-n_queries, n_labeled and seeds) is an integer within its bounds: a float is not
+n_queries, n_labeled, seeds, an indicator's n and a preprocessor's d_in) is an integer within its bounds: a float is not
 truncated, a bool is not 1, an array (even a 0-d one) is no count, and the check
 runs before any data is loaded, drawn, searched or fitted."""
 
@@ -16,7 +16,7 @@ from hubridge.experiment import ExperimentConfig
 from hubridge.hubness import nk_counts
 from hubridge.knn import Dissimilarity, KnnModel, build_knn_model, neighbor_index_matrix
 from hubridge.modelselect import CvConfig, make_folds
-from hubridge.targets import select_targets
+from hubridge.targets import indicator_matrix, select_targets
 from hubridge.theory import CentralityExperiment, theoretical_delta
 
 POINTS = np.arange(18, dtype=np.float64).reshape(6, 3) ** 1.5
@@ -57,6 +57,8 @@ ENTRIES = [
     ("theoretical_delta", "d", 1, lambda v: theoretical_delta(v, 1.0, 1.0)),
     ("split", "seed", 0, lambda v: split(DATASET, 0.5, v)),
     ("nk_counts", "n_labeled", 1, lambda v: nk_counts(np.zeros((2, 1), dtype=np.int64), v)),
+    ("indicator_matrix", "n", 0, lambda v: indicator_matrix([], [], v)),
+    ("Preprocessor.d_in", "d_in", 1, lambda v: Preprocessor(v)),
 ]
 IDS = [entry[0] for entry in ENTRIES]
 

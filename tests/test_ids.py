@@ -164,6 +164,12 @@ def test_label_names_not_str_sequence_named(names, want):
         Dataset(POINTS.copy(), LABELS, "", names)
 
 
+def test_repeated_label_name_named():
+    # two classes named 'a' would both map to id 1 through a name-to-id table
+    with pytest.raises(ValueError, match=r"^label_names\[1\] = 'a' repeats an earlier name$"):
+        Dataset(POINTS.copy(), LABELS, "", ("a", "a"))
+
+
 def test_label_names_stored_as_tuple():
     ds = Dataset(POINTS.copy(), LABELS, "", ["a", "b"])
     assert ds.label_names == ("a", "b") and ds.class_count == 2

@@ -677,6 +677,16 @@ class TestModelConstruction:
         with pytest.raises(ValueError, match="k must be"):
             build_knn_model(pts, [0] * 5, 6, Dissimilarity.euclidean())
 
+    @pytest.mark.parametrize("offset", [0.0, 0.5], ids=["exact-stage", "certified-stage"])
+    def test_self_join_needs_another_row_per_neighbour(self, monkeypatch, offset):
+        # k = n used to index past the band: "IndexError: index 6 is out of bounds"
+        model = KnnModel(np.arange(6.0).reshape(3, 2) + offset, np.zeros(3, np.int64), 3,
+                         Dissimilarity())
+        assert model.integer_points == (offset == 0.0)
+        monkeypatch.setattr(knn, "smallest_k_band", None)  # checked before any block
+        with pytest.raises(ValueError, match=r"^k must be in \[1, 2\], got 3$"):
+            knn.nearest_others(model)
+
     def test_negative_label_rejected(self, rng):
         # a negative class id would wrap in the vote and be predicted
         with pytest.raises(ValueError, match=r"labels\[2\] = -1 is out of range \[0, inf\)"):

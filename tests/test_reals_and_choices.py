@@ -58,6 +58,9 @@ CHOICES = [
     ("ExperimentConfig.solver", "solver", SOLVERS,
      lambda v: ExperimentConfig("never-loaded.csv", solver=v)),
     ("load_dataset", "fmt", FORMATS, lambda v: load_dataset("never-loaded.csv", v)),
+    # "xml" used to pass until the run loaded the file; the name is the config key's
+    ("ExperimentConfig.fmt", "format", FORMATS,
+     lambda v: ExperimentConfig("never-loaded.csv", fmt=v)),
     ("check_methods", "methods[1]", METHODS, lambda v: check_methods(["euclidean", v])),
     ("ExperimentConfig.methods", "methods[0]", METHODS,
      lambda v: ExperimentConfig("never-loaded.csv", methods=(v,))),
@@ -92,6 +95,28 @@ def test_choice_named(entry, name, options, call, kind):
     with pytest.raises(ValueError, match=re.escape(
             f"{name} must be one of {options}, got {value!r}")):
         call(value)
+
+
+# (entry, the name its errors give, a call with the value set)
+BOOLS = [("ExperimentConfig.center", "center",
+          lambda v: ExperimentConfig("never-loaded.csv", center=v)),
+         ("ExperimentConfig.zscore", "zscore",
+          lambda v: ExperimentConfig("never-loaded.csv", zscore=v))]
+
+
+@pytest.mark.parametrize("entry, name, call", BOOLS, ids=[e[0] for e in BOOLS])
+@pytest.mark.parametrize("value", ["no", "", 1, 0, 1.0, None, np.int64(1), np.nan])
+def test_bool_named(entry, name, call, value):
+    # center="no" used to be stored, and a non-empty str is truthy, so the run centered
+    want = f"{name} must be one of (False, True), got {value!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+        call(value)
+
+
+@pytest.mark.parametrize("entry, name, call", BOOLS, ids=[e[0] for e in BOOLS])
+def test_bool_taken(entry, name, call):
+    for value in (True, False, np.True_, np.False_):
+        assert getattr(call(value), name) == value
 
 
 def test_lambda_has_one_wording():
