@@ -2,8 +2,9 @@
 behind ``knn``'s certified lookup (the one k-nearest routine), and the six
 rules that check what the package takes, each error naming the parameter:
 ``as_count`` for counts, ``as_real`` for reals (the CLI's flags read its range
-rules too), ``as_choice`` for choices, ``in_range`` for integer ids,
-``as_reals`` for real matrices and vectors, and ``as_tuple`` for sequences."""
+rules too), ``as_choice`` for choices, ``as_ids`` for index, label and
+neighbour ids, ``as_reals`` for real matrices and vectors, and ``as_tuple``
+for sequences. ``as_ids`` and ``as_reals`` take arrays through ``as_array``."""
 
 from __future__ import annotations
 
@@ -75,16 +76,23 @@ def as_tuple(values, name: str, entry, *args, unique: str | None = None) -> tupl
     return out
 
 
-def as_reals(a, name: str, ndim: int = 2, finite: bool = True) -> np.ndarray:
-    """``a``, an array-like of rank ``ndim``, as a C-contiguous float64 array. An error names
-    a ragged nesting, a wrong rank, the first entry that is no real in float64's range (a str,
-    None, an int past it) and, unless ``finite`` is False, the first non-finite one."""
+def as_array(a, name: str, ndim: int) -> np.ndarray:
+    """``a`` through ``np.asarray``, of rank ``ndim``; an error names a ragged nesting
+    or another rank."""
     try:
         a = np.asarray(a)
     except ValueError:  # numpy takes no ragged nesting
         raise ValueError(f"{name} must be a rectangular array, got a ragged nesting") from None
     if a.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-dimensional, got ndim={a.ndim}")
+    return a
+
+
+def as_reals(a, name: str, ndim: int = 2, finite: bool = True) -> np.ndarray:
+    """``a``, an array-like of rank ``ndim``, as a C-contiguous float64 array. An error names
+    a ragged nesting, a wrong rank, the first entry that is no real in float64's range (a str,
+    None, an int past it) and, unless ``finite`` is False, the first non-finite one."""
+    a = as_array(a, name, ndim)
     if a.dtype.kind not in "biuf":  # str, complex or object entries; list(at) prints [i, j]
         for at, x in zip(np.ndindex(a.shape), a.reshape(-1).tolist()):
             if not _is_real(x) or abs(x) > sys.float_info.max:
@@ -96,65 +104,54 @@ def as_reals(a, name: str, ndim: int = 2, finite: bool = True) -> np.ndarray:
     return out
 
 
-def as_int_vector(a, name: str = "array") -> np.ndarray:
-    """Coerce to a C-contiguous int64 vector. A bool, str or other non-number
-    array is named by its dtype, and a non-integer entry (a fraction, NaN, inf,
-    past int64's range, or no real number) as given, not truncated or wrapped."""
-    a = np.asarray(a)
-    if a.ndim != 1:
-        raise ValueError(f"{name} must be 1-dimensional, got ndim={a.ndim}")
+def as_ids(values, name: str, high: int | None = None, shape: tuple = (None,),
+           distinct: bool = False) -> np.ndarray:
+    """``values``, an array-like of ids in [0, high) (high None: no bound), as a C-contiguous
+    int64 array of ``shape`` (None: any length): the one rule for index, label and neighbour
+    ids. An error names a ragged nesting, a wrong rank or length, a bool, str or other
+    non-number dtype, the first entry that is no integer in int64's range (a fraction, NaN,
+    inf or past it, shown as given, not truncated or wrapped), the first id outside
+    [0, high), so a negative one never wraps, and, if ``distinct``, the first repeat."""
+    a = as_array(values, name, len(shape))
+    if any(want not in (None, got) for want, got in zip(shape, a.shape)):
+        raise ValueError(f"{name} must have shape {shape}, got {a.shape}")
     if a.dtype.kind not in "iufO":
         raise ValueError(f"{name} must be an integer array, got dtype {a.dtype}")
-    if a.dtype.kind != "i":
-        if a.dtype.kind == "u":  # a uint64 past int64's range would wrap
-            bad = np.flatnonzero(a > np.iinfo(np.int64).max)
-        else:  # an object entry that is no real number, or past int64's range, reads as NaN
-            v = a.astype(np.float64, copy=False) if a.dtype.kind == "f" else np.array(
-                [x if _is_real(x) and abs(x) < 2 ** 63 else np.nan for x in a.tolist()], np.float64)
-            ok = (np.rint(v) == v) & (v >= -2.0 ** 63) & (v < 2.0 ** 63)
-            if a.dtype.kind == "O":  # Python ints past int64 round into its range as floats
-                ok &= a == v
-            bad = np.flatnonzero(~ok)
-        if bad.size:
-            p = int(bad[0])
-            raise ValueError(f"{name}[{p}] = {a.tolist()[p]!r} is not an integer in int64's range")
-    return np.ascontiguousarray(a, dtype=np.int64)
+    flat = a.reshape(-1)
+    if a.dtype.kind == "O":  # entry by entry: a Python int past int64 is not rounded
+        ok = np.array([_is_real(x) and -2 ** 63 <= x < 2 ** 63 and float(x).is_integer()
+                       for x in flat.tolist()], dtype=bool)
+    elif a.dtype.kind == "u":  # a uint64 past int64's range would wrap
+        ok = flat <= np.iinfo(np.int64).max
+    elif a.dtype.kind == "f":  # rint fails NaN and inf too
+        ok = (np.rint(flat) == flat) & (flat >= -2.0 ** 63) & (flat < 2.0 ** 63)
+    if a.dtype.kind != "i" and not ok.all():
+        p = int(np.argmin(ok))
+        raise ValueError(f"{name}{_at(p, a.shape)} = {flat[p:p + 1].tolist()[0]!r} is not an "
+                         "integer in int64's range")
+    ids = np.ascontiguousarray(a, dtype=np.int64)
+    flat, top = ids.reshape(-1), math.inf if high is None else high
+    if flat.size and (flat.min() < 0 or flat.max() >= top):
+        p = int(np.argmax((flat < 0) | (flat >= top)))
+        raise ValueError(f"{name}{_at(p, a.shape)} = {flat[p]} is out of range [0, {top})")
+    if distinct:
+        repeat = np.ones(flat.size, dtype=bool)
+        repeat[np.unique(flat, return_index=True)[1]] = False
+        if repeat.any():
+            p = int(np.argmax(repeat))
+            raise ValueError(f"{name}{_at(p, a.shape)} = {flat[p]} repeats an earlier entry")
+    return ids
+
+
+def _at(p: int, shape: tuple) -> str:
+    """Flat position ``p`` of an array of ``shape`` as its index, [i] or [i, j]."""
+    return str([int(i) for i in np.unravel_index(p, shape)])
 
 
 def frozen(a: np.ndarray) -> np.ndarray:
     """Return `a` with its write flag cleared (views of it stay readable)."""
     a.flags.writeable = False
     return a
-
-
-def in_range(values: np.ndarray, high: int | None, name: str, ndim=None) -> np.ndarray:
-    """``values`` through ``np.asarray``, an integer array of rank ``ndim`` (None: any)
-    with entries in [0, high) (high None: no upper bound): the one rule for index,
-    neighbour and label ids. An error names a wrong rank, the dtype, or else the first
-    offender as ``name[i]`` or ``name[i, j]``, so a negative id never wraps around."""
-    values = np.asarray(values)
-    if ndim is not None and values.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-dimensional, got ndim={values.ndim}")
-    if values.dtype.kind not in "iu":
-        raise ValueError(f"{name} must be an integer array, got dtype {values.dtype}")
-    bad = values < 0 if high is None else (values < 0) | (values >= high)
-    if bad.any():
-        at = np.unravel_index(np.argmax(bad), values.shape)
-        raise ValueError(f"{name}[{', '.join(map(str, at))}] = {values[at]} is out of range "
-                         f"[0, {np.inf if high is None else high})")
-    return values
-
-
-def index_vector(a, n: int | None, name: str = "indices") -> np.ndarray:
-    """Coerce to an int64 vector of distinct positions in [0, n) (n None: no
-    upper bound); ``in_range`` names an entry outside it."""
-    out = in_range(as_int_vector(a, name), n, name)
-    repeat = np.ones(out.size, dtype=bool)
-    repeat[np.unique(out, return_index=True)[1]] = False
-    if repeat.any():
-        p = int(np.argmax(repeat))
-        raise ValueError(f"{name}[{p}] = {int(out[p])} repeats an earlier entry")
-    return out
 
 
 def sq_norms(points: np.ndarray) -> np.ndarray:

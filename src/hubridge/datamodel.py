@@ -31,8 +31,8 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import (FRACTION, as_choice, as_count, as_int_vector, as_real, as_reals, as_tuple,
-                      frozen, in_range, index_vector)
+from ._arrays import (FRACTION, as_array, as_choice, as_count, as_ids, as_real, as_reals,
+                      as_tuple, frozen)
 from ._codec import INT, Record, array, nullable
 
 DENSE_CSV = "dense-csv"
@@ -71,11 +71,9 @@ class Dataset:
         object.__setattr__(self, "label_names", as_tuple(self.label_names, "label_names",
                                                          as_choice, unique="name"))
         f = as_reals(self.features, "features")
-        y = in_range(self.labels, self.class_count, "labels", 1)
         if not f.size:
             raise ValueError("features must be a non-empty 2-D matrix")
-        if y.shape != (f.shape[0],):
-            raise ValueError("labels length must match feature row count")
+        y = as_ids(self.labels, "labels", self.class_count, (f.shape[0],))
         present = np.bincount(y, minlength=self.class_count)
         if (present == 0).any():
             missing = int(np.flatnonzero(present == 0)[0])
@@ -104,17 +102,17 @@ def dataset_from_arrays(features, labels, name: str = "",
     """Build a Dataset from in-memory arrays with dense integer labels."""
     # Dataset freezes what it stores: a copy of an ndarray, a new array of anything else
     f = features.copy() if isinstance(features, np.ndarray) else features
-    y = as_int_vector(np.array(labels, copy=True), "labels")
+    y = as_array(labels, "labels", 1).copy()
     if y.size == 0:
         raise ValueError("labels must be non-empty")
     if label_names is None:  # n rows hold at most n classes, which bounds the names made
-        label_names = tuple(map(str, range(int(in_range(y, y.size, "labels").max()) + 1)))
+        label_names = tuple(map(str, range(int(as_ids(y, "labels", y.size).max()) + 1)))
     return Dataset(f, y, name, label_names)
 
 
 def subset(dataset: Dataset, indices) -> Dataset:
     """Row subset as a new Dataset. Every class must survive the selection."""
-    idx = index_vector(indices, dataset.n, "indices")
+    idx = as_ids(indices, "indices", dataset.n, distinct=True)
     # an index array gathers fresh copies, which the new Dataset freezes
     return Dataset(dataset.features[idx], dataset.labels[idx], dataset.name, dataset.label_names)
 
@@ -404,17 +402,19 @@ class Preprocessor:
 
 @dataclass(frozen=True)
 class Split:
-    """Disjoint train/test index partition with the seed that generated it."""
+    """Disjoint train/test partition of distinct row indices, stored as int64, with the
+    seed that generated it."""
 
     train_indices: np.ndarray
     test_indices: np.ndarray
     seed: int
 
     def __post_init__(self):
+        for name in ("train_indices", "test_indices"):
+            object.__setattr__(self, name, frozen(as_ids(getattr(self, name), name, distinct=True)))
         if np.intersect1d(self.train_indices, self.test_indices).size:
             raise ValueError("train and test indices overlap")
-        frozen(self.train_indices)
-        frozen(self.test_indices)
+        object.__setattr__(self, "seed", as_count(self.seed, "seed", 0))
 
 
 def _allocate_train_counts(class_sizes: np.ndarray, fraction: float, total: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._arrays import FRACTION, as_choice, as_count, as_real, as_tuple, index_vector
+from ._arrays import FRACTION, as_choice, as_count, as_ids, as_real, as_tuple
 from ._codec import BOOL, INT, NUMBER, STR, Parser, Record, list_of, nullable
 from .datamodel import (FORMATS, Dataset, Preprocessor, Split, load_dataset,
                         split as make_split, subset)
@@ -202,7 +202,7 @@ def preprocess(dataset: Dataset, train_rows=None, *, center: bool = True,
     ``pca_dim`` principal axes. PCA centers even when ``center`` is False.
     """
     rows = (np.arange(dataset.n) if train_rows is None
-            else index_vector(train_rows, dataset.n, "train_rows"))
+            else as_ids(train_rows, "train_rows", dataset.n, distinct=True))
     prep = Preprocessor.fit(dataset.features[rows], center=center, zscore=zscore,
                             pca_dim=pca_dim)
     return replace(dataset, features=prep.apply(dataset.features))

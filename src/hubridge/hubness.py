@@ -9,7 +9,7 @@ the skewness of that count distribution, computed with population
 
 ``nk_counts`` is the one N_k routine: the protocol and ``hubridge hubness``
 pass it the neighbour matrix of ``experiment.split_neighbors``, whose entries
-``_arrays.in_range`` checks. ``skewness`` takes its counts through
+``_arrays.as_ids`` checks. ``skewness`` takes its counts through
 ``_arrays.as_reals``, which rejects a non-finite one.
 """
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._arrays import as_count, as_reals, in_range
+from ._arrays import as_count, as_ids, as_reals
 
 DEFAULT_HUBNESS_K = 10
 
@@ -31,7 +31,7 @@ def nk_counts(neighbors: np.ndarray, n_labeled: int) -> np.ndarray:
     ``neighbors``, a (queries, k) index matrix; a wrong rank, or an entry
     outside [0, n_labeled), is named, not counted into a longer vector."""
     n_labeled = as_count(n_labeled, "n_labeled", 1)
-    neighbors = in_range(neighbors, n_labeled, "neighbors", 2)
+    neighbors = as_ids(neighbors, "neighbors", n_labeled, (None, None))
     if neighbors.size == 0:
         raise ValueError("neighbors must be non-empty")
     return np.bincount(neighbors.ravel(), minlength=n_labeled).astype(np.int64)

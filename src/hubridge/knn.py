@@ -95,7 +95,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._arrays import (as_count, as_int_vector, as_reals, frozen, in_range, pairwise_sq_dists,
+from ._arrays import (as_count, as_ids, as_reals, frozen, pairwise_sq_dists,
                       query_chunks, smallest_k_band, sq_dist_operand, sq_norms)
 from .transform import TransformModel, MOVE_LABELED
 
@@ -166,9 +166,7 @@ class KnnModel:
 
     def __post_init__(self):
         pts = as_reals(self.labeled_points, "labeled_points")  # a NaN would drop out of every band
-        labels = in_range(self.labels, None, "labels", 1)  # named at the build, before any vote
-        if labels.shape != (pts.shape[0],):
-            raise ValueError("labels length must match labeled point count")
+        labels = as_ids(self.labels, "labels", shape=(pts.shape[0],))  # named before any vote
         as_count(self.k, "k", 1, pts.shape[0])
         object.__setattr__(self, "labeled_points", frozen(pts))
         object.__setattr__(self, "labels", frozen(labels))
@@ -192,13 +190,12 @@ class KnnModel:
 def build_knn_model(labeled_points, labels, k: int, dissimilarity: Dissimilarity) -> KnnModel:
     """Construct a KnnModel, applying the labeled-side map once."""
     pts = as_reals(labeled_points, "labeled_points", finite=False)  # KnnModel checks
-    y = as_int_vector(labels, "labels")
     for name in ("labeled_map", "query_map"):
         m = getattr(dissimilarity, name)
         if m is not None and m.shape[0] != pts.shape[1]:
             raise ValueError(f"{name} is {m.shape[0]}-dimensional, "
                              f"points are {pts.shape[1]}-dimensional")
-    return KnnModel(dissimilarity.map_labeled(pts), y, k, dissimilarity)
+    return KnnModel(dissimilarity.map_labeled(pts), labels, k, dissimilarity)
 
 
 def knn_from_transform(model: TransformModel | None, labeled_points, labels,
@@ -404,11 +401,11 @@ def _direct_sq_dists(q: np.ndarray, points: np.ndarray, rows: np.ndarray,
 def majority_vote(neighbor_labels: np.ndarray) -> np.ndarray:
     """Row-wise majority with ties broken by the nearest neighbor among tied labels.
 
-    ``neighbor_labels``, a (queries, k >= 1) matrix ``in_range`` checks, has its rows
+    ``neighbor_labels``, a (queries, k >= 1) matrix of ids, has its rows
     ordered by non-decreasing dissimilarity. Each entry is counted in its row by
     k column comparisons, so no allocation is sized by an id value.
     """
-    columns = np.ascontiguousarray(in_range(neighbor_labels, None, "neighbor_labels", 2).T)
+    columns = np.ascontiguousarray(as_ids(neighbor_labels, "neighbor_labels", shape=(None, None)).T)
     if columns.shape[0] == 0:
         raise ValueError(f"neighbor_labels must have a column, got shape {columns.T.shape}")
     counts = sum((columns == column for column in columns), np.zeros(columns.shape, np.intp))
@@ -427,6 +424,4 @@ def evaluate(neighbor_labels: np.ndarray, true_labels: np.ndarray) -> float:
     votes = majority_vote(neighbor_labels)
     if votes.size == 0:
         raise ValueError("queries must be non-empty")
-    if np.shape(true_labels) != votes.shape:
-        raise ValueError("true_labels length must match query count")
-    return float(np.mean(votes == true_labels))
+    return float(np.mean(votes == as_ids(true_labels, "true_labels", shape=votes.shape)))

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._arrays import (NON_NEGATIVE, as_choice, as_count, as_int_vector, as_real, as_tuple,
-                      index_vector)
+from ._arrays import NON_NEGATIVE, as_choice, as_count, as_ids, as_real, as_tuple
 from ._codec import INT, NUMBER, Record, list_of
 from .datamodel import Dataset
 from .knn import evaluate, knn_from_transform, neighbor_index_matrix
@@ -106,10 +105,8 @@ def make_folds(indices, labels, n_folds: int, seed: int) -> list[np.ndarray]:
     `indices` must be distinct and non-negative: a row in two folds would sit
     on both the fit and the validation side.
     """
-    idx = index_vector(indices, None, "indices")
-    labs = as_int_vector(labels, "labels")
-    if labs.shape != idx.shape:
-        raise ValueError("labels must align with indices")
+    idx = as_ids(indices, "indices", distinct=True)
+    labs = as_ids(labels, "labels", shape=idx.shape)
     n_folds = as_count(n_folds, "n_folds", 2)
     rng = np.random.default_rng(as_count(seed, "seed", 0))
     members, places = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
@@ -188,7 +185,7 @@ def grid_search(dataset: Dataset, train_indices, config: CvConfig, methods) -> C
     """Cross-validate (lambda, k) for each of ``methods`` on the given rows of `dataset`."""
     methods = check_methods(methods)
     lambda_grids = [(0.0,) if m == EUCLIDEAN_METHOD else config.lambda_grid for m in methods]
-    tr = index_vector(train_indices, dataset.n, "train_indices")
+    tr = as_ids(train_indices, "train_indices", dataset.n, distinct=True)
     try:
         folds = make_folds(tr, dataset.labels[tr], config.n_folds, config.seed)
     except FoldError as e:

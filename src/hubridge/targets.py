@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from ._arrays import as_count, as_int_vector, in_range, index_vector
+from ._arrays import as_count, as_ids
 from .datamodel import Dataset
 from .knn import Dissimilarity, KnnModel, nearest_others
 
@@ -34,7 +34,7 @@ def select_targets(dataset: Dataset, train, k_targets: int) -> sp.csr_matrix:
     ``train`` must list distinct row positions of ``dataset``.
     """
     k_targets = as_count(k_targets, "k_targets", 1)
-    tr = index_vector(train, dataset.n, "train")
+    tr = as_ids(train, "train", dataset.n, distinct=True)
     labs = dataset.labels[tr]
     owners, targets = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     classes, sizes = np.unique(labs, return_counts=True)
@@ -62,10 +62,8 @@ def indicator_matrix(owners, targets, n: int) -> sp.csr_matrix:
     that targets itself, or a pair listed twice.
     """
     n = as_count(n, "n", 0)
-    own = in_range(as_int_vector(owners, "owners"), n, "owners")
-    tgt = in_range(as_int_vector(targets, "targets"), n, "targets")
-    if own.shape != tgt.shape:
-        raise ValueError(f"owners has {own.size} entries, targets {tgt.size}")
+    own = as_ids(owners, "owners", n)
+    tgt = as_ids(targets, "targets", n, own.shape)
     bad = np.flatnonzero(own == tgt)
     if bad.size:
         p = int(bad[0])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hubridge._arrays import (as_int_vector, index_vector, ordered_bits, pairwise_sq_dists,
+from hubridge._arrays import (as_ids, ordered_bits, pairwise_sq_dists,
                               smallest_k_band, sq_dist_operand)
 
 
@@ -241,11 +241,14 @@ class TestTwoLevelBand:
 
 
 class TestAsIntVector:
-    @pytest.mark.parametrize("values", [[0, 3, -2], np.array([2, -1], object),
-                                        np.array([4], np.uint8), [1.0, -7.0, 2.0 ** 62],
-                                        [-2.0 ** 63]])
+    """``as_ids`` reads ids as int64: whole numbers of any dtype are kept, and every other
+    entry is named as given (its range and repeat checks are in ``test_ids.py``)."""
+
+    @pytest.mark.parametrize("values", [[0, 3, 2], np.array([2, 1], object),
+                                        np.array([4], np.uint8), [1.0, 7.0, 2.0 ** 62],
+                                        [2.0 ** 63 - 1024]])
     def test_whole_numbers_kept(self, values):
-        got = as_int_vector(values, "labels")
+        got = as_ids(values, "labels")
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, np.asarray(values, dtype=np.float64))
 
@@ -258,24 +261,24 @@ class TestAsIntVector:
     ], ids=["fraction", "nan", "inf", "1e30", "2^63"])
     def test_other_values_named_not_truncated(self, values, message):
         with pytest.raises(ValueError, match=re.escape(message + " is not an integer")):
-            as_int_vector(values, "labels")
+            as_ids(values, "labels")
 
     def test_unsigned_past_int64_named_not_wrapped(self):
         # 2^63 as uint64 used to wrap to -2^63 and be reported under that value
-        assert as_int_vector(np.array([2 ** 63 - 1], np.uint64))[0] == 2 ** 63 - 1
+        assert as_ids(np.array([2 ** 63 - 1], np.uint64), "indices")[0] == 2 ** 63 - 1
         with pytest.raises(ValueError, match=re.escape(
                 "indices[1] = 9223372036854775808 is not an integer in int64's range")):
-            index_vector(np.array([3, 2 ** 63], dtype=np.uint64), 10)
+            as_ids(np.array([3, 2 ** 63], dtype=np.uint64), "indices", 10, distinct=True)
 
     @pytest.mark.parametrize("big", [-2 ** 63 - 1, 2 ** 64, -2 ** 70],
                              ids=["-2^63-1", "2^64", "-2^70"])
     def test_python_int_past_int64_named_exactly(self, big):
         # a list holding such an int is an object array: -2^63 - 1 used to escape as an
         # OverflowError and 2^64 to be named as the rounded float 1.8446744073709552e+19
-        assert as_int_vector([5, -2 ** 63, 2 ** 63 - 1]).tolist() == [5, -2 ** 63, 2 ** 63 - 1]
+        assert as_ids([5, 0, 2 ** 63 - 1], "labels").tolist() == [5, 0, 2 ** 63 - 1]
         with pytest.raises(ValueError, match=re.escape(
                 f"labels[1] = {big} is not an integer in int64's range")):
-            as_int_vector([7, big], "labels")
+            as_ids([7, big], "labels")
 
 
 class TestOrderedBits:

@@ -11,7 +11,7 @@ import pytest
 import hubridge.experiment
 import hubridge.knn
 import hubridge.targets
-from hubridge.datamodel import Preprocessor, dataset_from_arrays, split
+from hubridge.datamodel import Preprocessor, Split, dataset_from_arrays, split
 from hubridge.experiment import ExperimentConfig
 from hubridge.hubness import nk_counts
 from hubridge.knn import Dissimilarity, KnnModel, build_knn_model, neighbor_index_matrix
@@ -56,6 +56,7 @@ ENTRIES = [
      lambda v: CentralityExperiment(d=3, s=1.0, gamma=1.0, n_queries=10, seed=v)),
     ("theoretical_delta", "d", 1, lambda v: theoretical_delta(v, 1.0, 1.0)),
     ("split", "seed", 0, lambda v: split(DATASET, 0.5, v)),
+    ("Split.seed", "seed", 0, lambda v: Split(np.array([0, 1]), np.array([2]), v)),
     ("nk_counts", "n_labeled", 1, lambda v: nk_counts(np.zeros((2, 1), dtype=np.int64), v)),
     ("indicator_matrix", "n", 0, lambda v: indicator_matrix([], [], v)),
     ("Preprocessor.d_in", "d_in", 1, lambda v: Preprocessor(v)),

@@ -667,7 +667,7 @@ class TestEvaluate:
         model = build_knn_model(rng.normal(size=(5, 2)), [0] * 5, 1,
                                 Dissimilarity.euclidean())
         nbr = model.labels[neighbor_index_matrix(model, rng.normal(size=(3, 2)))]
-        with pytest.raises(ValueError, match="length"):
+        with pytest.raises(ValueError, match=r"^true_labels must have shape \(3,\), got \(2,\)$"):
             evaluate(nbr, np.array([0, 1]))
 
 

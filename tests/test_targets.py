@@ -370,7 +370,7 @@ class TestIndicatorMatrix:
 
     @pytest.mark.parametrize("owners, message", [
         ([0, -1], r"owners\[1\] = -1 is out of range \[0, 3\)"),
-        ([0, 1, 2], r"owners has 3 entries, targets 2"),
+        ([0, 1, 2], r"targets must have shape \(3,\), got \(2,\)"),
     ], ids=["negative", "unaligned"])
     def test_bad_owners_rejected(self, owners, message):
         with pytest.raises(ValueError, match=message):

@@ -50,7 +50,7 @@ ROWS = [
      lambda tmp: Split(np.array([0, 1]), np.array([1, 2]), 0)),
     ("split.train-too-small", ValueError, "train partition of size 2 cannot contain all 3 classes",
      lambda tmp: split(dataset_from_arrays(np.arange(6.0)[:, None], [0, 0, 1, 1, 2, 2]), 0.4, 0)),
-    ("make_folds.labels", ValueError, "labels must align with indices",
+    ("make_folds.labels", ValueError, "labels must have shape (4,), got (3,)",
      lambda tmp: make_folds(np.arange(4), [0, 1, 0], 2, 0)),
     ("grid_search.k-past-fold", ValueError, "k=5 exceeds the fold training size 2",
      lambda tmp: grid_search(dataset_from_arrays(POINTS, LABELS), np.arange(6),
