@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from ._arrays import NON_NEGATIVE, as_choice, as_real, as_reals, as_tuple, frozen
+from ._arrays import NON_NEGATIVE, as_array, as_choice, as_real, as_reals, as_tuple, frozen
 from ._codec import NUMBER, STR, WRITTEN, Record, array
 
 MOVE_LABELED = "move-labeled"
@@ -179,7 +179,7 @@ class RidgeSystem:
     """
 
     def __init__(self, x, j):
-        self.rows = as_reals(np.transpose(x), "x")  # X^T: no copy when x is rows.T
+        self.rows = as_reals(as_array(x, "x", 2).T, "x")  # X^T: no copy when x is rows.T
         self.j = _indicator(self.rows.shape[0], j)
         self._factors = {}  # Gram weights (None: all 1) -> (ascending eigenvalues, V)
 

@@ -49,6 +49,7 @@ ARRAYS = [
     ("Preprocessor.components", "components", np.eye(3)[:, :2],
      lambda v: Preprocessor(3, center_mean=np.zeros(3), components=v)),
     ("skewness", "counts", np.array([1.0, 2.0, 4.0]), skewness),
+    ("RidgeSystem.x", "x", POINTS.T, lambda v: RidgeSystem(v, J)),
 ]
 ENTRY = {"str": "1.5", "None": None, "huge": 10 ** 400}  # no real in float64's range
 NON_FINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
@@ -98,6 +99,11 @@ def test_motivating_holes():
     ds = Dataset([[0.0], [1.0]], [0, 1], "", ("a", "b"))
     assert ds.features.dtype == np.float64 and ds.labels.tolist() == [0, 1]
     assert not ds.features.flags.writeable and not ds.labels.flags.writeable
+
+
+def test_ridge_system_shares_the_features():
+    # the fits read X^T = the features as stored; a copy would double a large fit's memory
+    assert np.shares_memory(RidgeSystem(DATASET.features.T, J).rows, DATASET.features)
 
 
 def test_dataset_from_arrays_leaves_its_input_writable():
