@@ -1,8 +1,9 @@
 """End-to-end experiment protocol: preprocess, split, cross-validate, fit, score.
 
 One run covers several random splits. Per split and method it reports test
-accuracy, the skewness of the 10-occurrence distribution (test rows as
-queries), the chosen hyperparameters, and the training wall-clock time.
+accuracy, the skewness of the k-occurrence distribution at ``hubness_k``
+(test rows as queries; the field keeps the name ``n10_skewness`` of the
+default k = 10), the chosen hyperparameters, and the training wall-clock time.
 The timed region is target selection plus the closed-form solve only;
 loading, preprocessing and cross-validation are excluded so the number
 reflects the solver, not the protocol around it.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -69,6 +71,11 @@ class ExperimentConfig:
     out_dir: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.dataset_path, (str, os.PathLike)):
+            raise ValueError(
+                f"dataset_path must be a str or os.PathLike, got {self.dataset_path!r}")
+        if not isinstance(self.out_dir, (str, os.PathLike, type(None))):
+            raise ValueError(f"out_dir must be a str, os.PathLike or None, got {self.out_dir!r}")
         n_splits = as_count(self.n_splits, "n_splits", 1)
         object.__setattr__(self, "seeds", as_tuple(self.seeds, "seeds", as_count, 0))
         if len(self.seeds) != n_splits:
@@ -109,7 +116,7 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class MethodSplitResult:
-    """Scores for one (method, split) pair."""
+    """Scores for one (method, split) pair; ``n10_skewness`` is taken at ``hubness_k``."""
 
     method: str
     split_seed: int
@@ -164,7 +171,7 @@ class ExperimentReport:
 
     def render_table(self) -> str:
         header = (f"{'method':<14} {'seed':>6} {'accuracy':>9} "
-                  f"{'N10 skew':>9} {'train[s]':>9} {'lambda':>9} {'k':>3}")
+                  f"{f'N{self.config.hubness_k} skew':>9} {'train[s]':>9} {'lambda':>9} {'k':>3}")
         lines = [header, "-" * len(header)]
         for r in self.rows:
             lines.append(f"{r.method:<14} {r.split_seed:>6d} {r.accuracy:>9.4f} "
@@ -245,8 +252,8 @@ class ModelArtifact:
 
     The transform was learned in the preprocessed space, so queries must go
     through the same fitted ``preprocessor`` before lookup. ``label_names``
-    are the training file's label tokens in class-id order, and ``training``
-    is the ``training_record`` of the set the transform was fitted on.
+    are the training file's distinct label tokens in class-id order, as a tuple, and
+    ``training`` is the ``training_record`` of the set the transform was fitted on.
     """
 
     preprocessor: Preprocessor
@@ -255,6 +262,8 @@ class ModelArtifact:
     training: dict
 
     def __post_init__(self):
+        object.__setattr__(self, "label_names", as_tuple(self.label_names, "label_names",
+                                                         as_choice, unique="name"))
         d_out = self.preprocessor.d_out
         if self.transform.d != d_out:
             raise ValueError(

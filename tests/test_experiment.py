@@ -7,8 +7,9 @@ import pytest
 
 from hubridge import knn
 from hubridge.datamodel import Preprocessor, column_mean_sd, dataset_from_arrays, split
-from hubridge.experiment import (ExperimentConfig, ModelArtifact, TIMING_FIELDS,
-                                 fit_timed, preprocess, run_experiment, training_record)
+from hubridge.experiment import (ExperimentConfig, ExperimentReport, MethodSplitResult,
+                                 ModelArtifact, TIMING_FIELDS, fit_timed, preprocess,
+                                 run_experiment, training_record)
 from hubridge.modelselect import CvConfig, grid_search
 from hubridge.targets import select_targets
 
@@ -186,6 +187,28 @@ class TestModelArtifact:
             art.check_training(dataset_from_arrays(x, [0, 1, 2] * 4))
         art.check_training(dataset_from_arrays(x, [0, 1, 2] * 4, label_names=names))
 
+    def test_label_names_stored_as_tuple(self, rng):
+        # a list of the right names used to fail check_training: "training file label names
+        # ['a', 'b', 'c'] differ from the model's label_names ['a', 'b', 'c']"
+        art = self.fitted(rng)
+        art = ModelArtifact(art.preprocessor, art.transform, list(art.label_names), art.training)
+        assert art.label_names == ("a", "b", "c")
+        x = rng.normal(1.0, 4.0, size=(30, 6))
+        with pytest.raises(ValueError, match="training field 'sha256'"):  # past the names
+            art.check_training(dataset_from_arrays(x, np.tile([0, 1, 2], 10),
+                                                   label_names=("a", "b", "c")))
+
+    @pytest.mark.parametrize("names, want", [
+        ("abc", "label_names must be a sequence, got 'abc'"),
+        (("a", "a", "c"), "label_names[1] = 'a' repeats an earlier name"),
+        (("a", 1, "c"), "label_names[1] must be a str, got 1"),
+    ], ids=["str", "repeat", "int-entry"])
+    def test_label_names_checked_as_dataset_does(self, rng, names, want):
+        # the str "abc" used to be taken as three names
+        art = self.fitted(rng)
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+            ModelArtifact(art.preprocessor, art.transform, names, art.training)
+
     def test_transform_must_fit_preprocessed_dimension(self, rng):
         art = self.fitted(rng)
         with pytest.raises(ValueError, match="transform is 3-dimensional, "
@@ -265,6 +288,15 @@ class TestRunExperiment:
             counts.append(len(seen))
         assert 0 < counts[0] < counts[1] < counts[2]
         assert set(seen) == {np.dtype(np.float32)}
+
+    @pytest.mark.parametrize("hubness_k", [5, 10])
+    def test_table_heads_skewness_with_hubness_k(self, hubness_k):
+        # hubness_k=5 used to print "N10 skew" above N_5 skewness
+        row = MethodSplitResult("euclidean", 1, 0.5, 1.25, 0.0, 0.0, 1)
+        report = ExperimentReport(ExperimentConfig("never-loaded.csv", n_splits=1, seeds=(1,),
+                                                   hubness_k=hubness_k), (row,), ())
+        header = report.render_table().splitlines()[0]
+        assert header.split()[3:5] == [f"N{hubness_k}", "skew"]
 
     def test_single_euclidean_split(self, mixture_csv):
         cfg = small_config(mixture_csv, methods=("euclidean",), n_splits=1,

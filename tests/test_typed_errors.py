@@ -13,6 +13,7 @@ import pytest
 from hubridge.cli import _cmd_predict, build_parser, main
 from hubridge.datamodel import (DatasetFormatError, PreprocessError, Preprocessor, Split,
                                 bundled_dataset_path, dataset_from_arrays, load_dataset, split)
+from hubridge.experiment import ExperimentConfig
 from hubridge.modelselect import CvConfig, grid_search, make_folds
 from hubridge.transform import MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER, \
     TransformModel, solver_disagreement
@@ -61,6 +62,12 @@ ROWS = [
                                                                  SOLVER_EXACT))),
     ("predict.unknown-label", ValueError, "query file contains unknown label 'not-an-iris'",
      unknown_query_label),
+    # 5 used to raise "expected str, bytes or os.PathLike object, not int" when the run
+    # loaded it, and an out_dir of 5 was stored
+    ("ExperimentConfig.dataset_path", ValueError, "dataset_path must be a str or os.PathLike, "
+     "got 5", lambda tmp: ExperimentConfig(5, n_splits=1, seeds=(1,))),
+    ("ExperimentConfig.out_dir", ValueError, "out_dir must be a str, os.PathLike or None, got 5",
+     lambda tmp: ExperimentConfig(tmp / "data.csv", n_splits=1, seeds=(1,), out_dir=5)),
     ("TransformModel.lam-past-float64", ValueError,
      f"lambda must be finite and non-negative, got {10 ** 400!r}",
      lambda tmp: TransformModel(np.eye(2), MOVE_LABELED, 10 ** 400, SOLVER_PAPER)),
