@@ -258,7 +258,8 @@ class TestAsIntVector:
         ([-np.inf], "labels[0] = -inf"),
         ([3.0, 1e30], "labels[1] = 1e+30"),
         ([2.0 ** 63], "labels[0] = 9.223372036854776e+18"),
-    ], ids=["fraction", "nan", "inf", "1e30", "2^63"])
+        (np.array([0, 1.5], object), "labels[1] = 1.5"),
+    ], ids=["fraction", "nan", "inf", "1e30", "2^63", "object-fraction"])
     def test_other_values_named_not_truncated(self, values, message):
         with pytest.raises(ValueError, match=re.escape(message + " is not an integer")):
             as_ids(values, "labels")
@@ -269,6 +270,10 @@ class TestAsIntVector:
         with pytest.raises(ValueError, match=re.escape(
                 "indices[1] = 9223372036854775808 is not an integer in int64's range")):
             as_ids(np.array([3, 2 ** 63], dtype=np.uint64), "indices", 10, distinct=True)
+
+    def test_object_int_kept_exactly(self):
+        # 2^62 + 1 among object entries was compared with its float, 2^62, and named
+        assert as_ids(np.array([2 ** 62 + 1, 3.0], object), "labels").tolist() == [2 ** 62 + 1, 3]
 
     @pytest.mark.parametrize("big", [-2 ** 63 - 1, 2 ** 64, -2 ** 70],
                              ids=["-2^63-1", "2^64", "-2^70"])
