@@ -8,15 +8,17 @@ kept on the dataset for reporting. A dense-csv label may not be empty, and a
 sparse-pairs label may not contain ``:`` (such a line starts with a pair and
 has no label).
 
-Files are parsed in blocks of a few thousand tokens. Each block's numbers go
-through Python ``float`` (``int`` for indices) in one ``np.fromiter`` call
-and get one vectorized finiteness check; sparse-pairs indices are checked
-(1-based, none twice in a row) once for the whole file. Blocks rather than
-the whole file, because a whole file's token strings take several times the
-memory of the matrix they fill. When a block or a whole-file check fails,
-a per-format checker reads the rows again from the first, builds nothing,
-and returns the ``DatasetFormatError`` naming the first bad row and column
-in file order, which the parse raises.
+A dense-csv file is parsed row by row: one ``np.fromiter`` call reads a
+row's values through Python ``float`` into the feature matrix, and only a
+row that fails to parse or holds a non-finite value has its tokens walked to
+name the column. A sparse-pairs file is parsed in blocks of a few thousand
+tokens, not whole, as a whole file's token strings take several times the
+memory of the matrix they fill; each block's numbers go through ``float``
+(``int`` for indices) in one ``np.fromiter`` call, and indices (1-based,
+none twice in a row) and finiteness are checked once for the whole file.
+When a block or that check fails, a checker reads the rows again from the
+first and returns the ``DatasetFormatError`` naming the first bad row and
+pair in file order. Both formats raise the error of the first bad row.
 
 A fitted ``Preprocessor`` goes to and from JSON through its ``JSON`` record,
 in the one codec (``_codec``).
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain
 from pathlib import Path
 
 import numpy as np
@@ -121,26 +123,39 @@ def subset(dataset: Dataset, indices) -> Dataset:
 # Loading
 # ---------------------------------------------------------------------------
 
-def _dense_csv_fault(lines: list[tuple[int, str]]) -> DatasetFormatError:
-    """The error naming the first bad row and column of a rejected dense-csv file."""
-    width = len(lines[0][1].split(","))
-    for lineno, line in lines:
+def _dense_csv_rows(lines: list[tuple[int, str]]):
+    """Features and label tokens of a dense-csv file, parsed one row at a time."""
+    width = lines[0][1].count(",") + 1
+    features = np.empty((len(lines), width - 1))
+    tokens = []
+    for row, (lineno, line) in zip(features, lines):
         fields = line.split(",")
         if len(fields) < 2:
-            return DatasetFormatError(
+            raise DatasetFormatError(
                 f"row {lineno}: expected 'v1,...,vd,label', got {len(fields)} field(s)")
         if len(fields) != width:
-            return DatasetFormatError(f"row {lineno}: expected {width} fields, got {len(fields)}")
-        if not fields[-1].strip():
-            return DatasetFormatError(f"row {lineno}: empty label")
-        for col, tok in enumerate(fields[:-1], start=1):
+            raise DatasetFormatError(f"row {lineno}: expected {width} fields, got {len(fields)}")
+        tokens.append(fields.pop().strip())
+        if not tokens[-1]:
+            raise DatasetFormatError(f"row {lineno}: empty label")
+        try:
+            row[:] = np.fromiter(map(float, fields), np.float64, width - 1)
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(row).all():
+                continue
+        # the row is bad: name its first unparsable or non-finite column
+        for col, tok in enumerate(fields, start=1):
+            where = f"row {lineno}, column {col}"
             try:
                 v = float(tok)
             except ValueError:
-                return DatasetFormatError(
-                    f"row {lineno}, column {col}: cannot parse {tok.strip()!r} as a number")
+                raise DatasetFormatError(
+                    f"{where}: cannot parse {tok.strip()!r} as a number") from None
             if not np.isfinite(v):
-                return DatasetFormatError(f"row {lineno}, column {col}: non-finite value {v!r}")
+                raise DatasetFormatError(f"{where}: non-finite value {v!r}")
+    return features, tokens
 
 
 def _sparse_pairs_fault(lines: list[tuple[int, str]]) -> DatasetFormatError:
@@ -177,49 +192,20 @@ def _sparse_pairs_fault(lines: list[tuple[int, str]]) -> DatasetFormatError:
                               f"{len(lines)} x {d} matrix does not fit in memory")
 
 
-# Tokens a block-wise parse holds at once (13 rows of 300 values): the peak of
-# a load is the feature matrix, the lines and one block's token strings.
+# Tokens a sparse-pairs block holds at once: the peak of a load is the feature
+# matrix, the lines and one block's token strings.
 _BLOCK_TOKENS = 1 << 12
 
 
-def _row_blocks(lines: list[tuple[int, str]], row_tokens):
-    """(first row, row texts) of blocks of about _BLOCK_TOKENS tokens, per ``row_tokens``."""
-    ends = list(accumulate(row_tokens, initial=0))  # tokens before each row
+def _sparse_pairs_blocks(lines: list[tuple[int, str]]):
+    """Features and label tokens of a sparse-pairs file, parsed in blocks of
+    about _BLOCK_TOKENS tokens, cut by each row's own token count."""
+    ends = list(accumulate((line.count(":") + 1 for _, line in lines), initial=0))
+    rows, idx, vals, tokens = [], [], [], []
     stop = 0
     while stop < len(lines):
         start, stop = stop, bisect_left(ends, ends[stop] + _BLOCK_TOKENS, stop + 1)
-        yield start, [line for _, line in lines[start:stop]]
-
-
-def _dense_csv_blocks(lines: list[tuple[int, str]]):
-    """Features and label tokens of a dense-csv file, parsed block-wise."""
-    d = lines[0][1].count(",")
-    if d < 1:
-        raise _dense_csv_fault(lines)
-    features = np.empty((len(lines), d))
-    tokens = []
-    for start, block in _row_blocks(lines, repeat(d + 1, len(lines))):
-        rows = [line.split(",") for line in block]
-        labels = [fields.pop().strip() for fields in rows]
-        if any(len(fields) != d for fields in rows) or "" in labels:
-            raise _dense_csv_fault(lines)
-        try:
-            values = np.fromiter(map(float, chain.from_iterable(rows)), np.float64,
-                                 len(rows) * d)
-        except ValueError:
-            raise _dense_csv_fault(lines) from None
-        if not np.isfinite(values).all():
-            raise _dense_csv_fault(lines)
-        features[start:start + len(rows)] = values.reshape(len(rows), d)
-        tokens += labels
-    return features, tokens
-
-
-def _sparse_pairs_blocks(lines: list[tuple[int, str]]):
-    """Features and label tokens of a sparse-pairs file, parsed block-wise."""
-    rows, idx, vals, tokens = [], [], [], []
-    for start, block in _row_blocks(lines, (line.count(":") + 1 for _, line in lines)):
-        fields = [line.split() for line in block]
+        fields = [line.split() for _, line in lines[start:stop]]
         labels = [f.pop(0) for f in fields]
         pairs = list(chain.from_iterable(fields))
         # a block of labels alone has no parts ("".split(":") would give one)
@@ -268,7 +254,7 @@ def load_dataset(path, fmt: str) -> Dataset:
     if not lines:
         raise DatasetFormatError(f"{path}: file contains no data rows")
 
-    parse = _dense_csv_blocks if fmt == DENSE_CSV else _sparse_pairs_blocks
+    parse = _dense_csv_rows if fmt == DENSE_CSV else _sparse_pairs_blocks
     features, tokens = parse(lines)
 
     names = tuple(dict.fromkeys(tokens))

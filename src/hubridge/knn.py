@@ -210,8 +210,8 @@ def knn_from_transform(model: TransformModel | None, labeled_points, labels,
     return build_knn_model(labeled_points, labels, k, dis)
 
 
-def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.ndarray:
-    """(n_queries, k) labeled indices, each row sorted by dissimilarity then index.
+def neighbor_index_matrix(model: KnnModel, queries) -> np.ndarray:
+    """(n_queries, model.k) labeled indices, each row sorted by dissimilarity then index.
 
     Each row is exactly the first k of a full sort by (direct-difference
     float64 dissimilarity, index), so among equal dissimilarities the lower
@@ -221,14 +221,13 @@ def neighbor_index_matrix(model: KnnModel, queries, k: int | None = None) -> np.
     module docstring states; inputs whose squared distances overflow
     float64 raise ValueError.
     """
-    k = model.k if k is None else as_count(k, "k", 1, model.n)
     q = as_reals(queries, "queries")
     if q.shape[1] != model.d:
         raise ValueError(f"queries have dimension {q.shape[1]}, model expects {model.d}")
     q = model.dissimilarity.map_query(q)
-    out = np.empty((q.shape[0], k), dtype=np.int64)
+    out = np.empty((q.shape[0], model.k), dtype=np.int64)
     for lo, hi in query_chunks(q.shape[0], model.n):
-        out[lo:hi] = _nearest(model, q[lo:hi], k)
+        out[lo:hi] = _nearest(model, q[lo:hi], model.k)
     return out
 
 

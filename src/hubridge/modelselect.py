@@ -163,7 +163,7 @@ def _score_fold(config: CvConfig, method: str, system, plain, x_fit, y_fit, x_va
             km, queries = knn_from_transform(tm, x_fit, y_fit, max_k), x_val
         else:
             km, queries = plain(), (x_val if tm is None else x_val @ tm.w.T)
-        nbr = y_fit[neighbor_index_matrix(km, queries, max_k)]  # one lookup serves every k
+        nbr = y_fit[neighbor_index_matrix(km, queries)]  # one lookup serves every k
         rows.append([evaluate(nbr[:, :k], y_val) for k in config.k_grid])
     return np.array(rows)
 

@@ -217,8 +217,9 @@ def write_dense_csv(path, features, labels) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Per-row reference parsers: the block-wise parse must give their features,
-# labels and DatasetFormatError messages on every file
+# Reference parsers, one row and one token at a time: the dense-csv row parse
+# and the sparse-pairs block parse must give their features, labels and
+# DatasetFormatError messages on every file
 # ---------------------------------------------------------------------------
 
 def _finite_or_raise(value: float, row: int, col: int) -> float:

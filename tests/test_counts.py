@@ -14,7 +14,7 @@ import hubridge.targets
 from hubridge.datamodel import Preprocessor, Split, dataset_from_arrays, split
 from hubridge.experiment import ExperimentConfig
 from hubridge.hubness import nk_counts
-from hubridge.knn import Dissimilarity, KnnModel, build_knn_model, neighbor_index_matrix
+from hubridge.knn import Dissimilarity, KnnModel, build_knn_model
 from hubridge.modelselect import CvConfig, make_folds
 from hubridge.targets import indicator_matrix, select_targets
 from hubridge.theory import CentralityExperiment, theoretical_delta
@@ -22,7 +22,6 @@ from hubridge.theory import CentralityExperiment, theoretical_delta
 POINTS = np.arange(18, dtype=np.float64).reshape(6, 3) ** 1.5
 LABELS = np.array([0, 0, 0, 1, 1, 1])
 DATASET = dataset_from_arrays(POINTS, LABELS)
-MODEL = build_knn_model(POINTS, LABELS, 2, Dissimilarity())
 
 
 def config(**kw):
@@ -46,7 +45,6 @@ ENTRIES = [
     ("select_targets", "k_targets", 1, lambda v: select_targets(DATASET, np.arange(6), v)),
     ("KnnModel", "k", 1, lambda v: KnnModel(POINTS, LABELS, v, Dissimilarity())),
     ("build_knn_model", "k", 1, lambda v: build_knn_model(POINTS, LABELS, v, Dissimilarity())),
-    ("neighbor_index_matrix", "k", 1, lambda v: neighbor_index_matrix(MODEL, POINTS[:2], v)),
     ("Preprocessor.fit", "pca_dim", 1, lambda v: Preprocessor.fit(POINTS, pca_dim=v)),
     ("CentralityExperiment.d", "d", 1,
      lambda v: CentralityExperiment(d=v, s=1.0, gamma=1.0, n_queries=10, seed=0)),
@@ -97,9 +95,8 @@ def test_numpy_integer_accepted(entry, name, low, call):
 
 @pytest.mark.parametrize("call", [
     lambda: build_knn_model(POINTS, LABELS, 2.7, Dissimilarity()),
-    lambda: neighbor_index_matrix(MODEL, POINTS[:2], 1.9),
-], ids=["build_knn_model-2.7", "neighbor_index_matrix-1.9"])
+], ids=["build_knn_model-2.7"])
 def test_fractional_k_not_truncated(call):
-    # build_knn_model used to build k = 2, and the lookup to return one column
-    with pytest.raises(ValueError, match=r"^k must be an integer, got (2\.7|1\.9)$"):
+    # build_knn_model used to build k = 2
+    with pytest.raises(ValueError, match=r"^k must be an integer, got 2\.7$"):
         call()

@@ -25,7 +25,7 @@ def write(tmp_path, text, name="data.csv"):
 @contextmanager
 def per_row_parse():
     """Make load_dataset parse with the per-row reference parsers in place of its own."""
-    with mock.patch.object(datamodel, "_dense_csv_blocks", parse_dense_csv), \
+    with mock.patch.object(datamodel, "_dense_csv_rows", parse_dense_csv), \
             mock.patch.object(datamodel, "_sparse_pairs_blocks", parse_sparse_pairs):
         yield
 
@@ -149,7 +149,7 @@ class TestLabelRules:
 
 
 # Python float and int accept some of these spellings and reject others; the
-# block-wise parse must draw the same line as the per-row parser on each.
+# loader's parse must draw the same line as the reference parser on each.
 good_numbers = st.one_of(st.sampled_from(["1_000", "+2", "-0.0", " 1.5 "]),
                          st.floats(-1e3, 1e3).map(repr), st.integers(-9, 9).map(str))
 bad_numbers = st.sampled_from(["1e400", "nan", "inf", "Infinity", "0x1p3", "", "x"])
@@ -196,13 +196,18 @@ class TestBlockParse:
                      sparse_pairs_texts().map(lambda t: (t, "sparse-pairs"))),
            st.integers(1, 8))
     @example(("a 4 1:2:3\n", "sparse-pairs"), 8)  # pairs whose ':' count only in total
-    @example(("1,a\n2,b\n", "dense-csv"), 1)  # one row per block
+    @example(("1,a\n2,b\n", "dense-csv"), 1)
     @example(("a 1:1\nb 2:1\n", "sparse-pairs"), 1)
     @example(("a +1:1_000 1:1_000\n1:2\n", "sparse-pairs"), 1)  # a fault in an earlier block
     @example(("a\nb 1:1\n", "sparse-pairs"), 1)  # a block of labels alone
     @example(("a\nb\n", "sparse-pairs"), 8)  # no block holds a pair
     @example((f"a {2 ** 62}:1\nb 0:1\n", "sparse-pairs"), 8)  # a bad row outranks a too-large index
     @example((f"a {10 ** 20}:1\nb 1:1 1:2\n", "sparse-pairs"), 1)
+    # dense-csv names the first bad row, then the first bad column in it
+    @example(("nan,a\nx,b\n", "dense-csv"), 8)  # a non-finite row before an unparsable one
+    @example(("nan,1,a\n2,b\n", "dense-csv"), 8)  # before a short row
+    @example(("nan,a\n1,\n", "dense-csv"), 8)  # before an empty label
+    @example(("1,inf,x,a\n", "dense-csv"), 8)  # a non-finite column before an unparsable one
     def test_agrees_with_per_row_parser(self, tmp_path_factory, file, block_tokens):
         text, fmt = file
         path = write(tmp_path_factory.getbasetemp(), text, "agree.txt")

@@ -13,25 +13,25 @@ def euclid_model(points, labels=None, k=1):
     return build_knn_model(points, labels, k, Dissimilarity.euclidean())
 
 
-def nk(model, queries, k):
-    return nk_counts(neighbor_index_matrix(model, queries, k), model.n)
+def nk(model, queries):
+    return nk_counts(neighbor_index_matrix(model, queries), model.n)
 
 
 class TestNkCounts:
     def test_single_query_k1(self, rng):
         pts = rng.normal(size=(10, 3))
-        counts = nk(euclid_model(pts), rng.normal(size=(1, 3)), 1)
+        counts = nk(euclid_model(pts), rng.normal(size=(1, 3)))
         assert counts.sum() == 1 and (counts == 1).sum() == 1
 
     def test_self_retrieval(self, rng):
         pts = rng.normal(size=(12, 4))
-        counts = nk(euclid_model(pts), pts, 1)
+        counts = nk(euclid_model(pts), pts)
         np.testing.assert_array_equal(counts, np.ones(12, dtype=int))
 
     def test_conservation_and_oracle(self, rng):
         pts = rng.normal(size=(100, 5))
         queries = rng.normal(size=(50, 5))
-        counts = nk(euclid_model(pts), queries, 10)
+        counts = nk(euclid_model(pts, k=10), queries)
         assert counts.sum() == 500
         want = np.zeros(100, dtype=int)
         for q in queries:
@@ -41,20 +41,20 @@ class TestNkCounts:
 
     def test_identity_w_matches_euclidean(self, rng):
         pts, queries = rng.normal(size=(42, 5)), rng.normal(size=(18, 5))
-        identity = build_knn_model(pts, np.zeros(42, dtype=int), 1,
+        identity = build_knn_model(pts, np.zeros(42, dtype=int), 10,
                                    Dissimilarity(labeled_map=np.eye(5)))
-        np.testing.assert_array_equal(nk(identity, queries, 10),
-                                      nk(euclid_model(pts), queries, 10))
+        np.testing.assert_array_equal(nk(identity, queries),
+                                      nk(euclid_model(pts, k=10), queries))
 
     def test_k_too_large(self, rng):
         pts = rng.normal(size=(5, 2))
         with pytest.raises(ValueError, match="k must be"):
-            neighbor_index_matrix(euclid_model(pts), rng.normal(size=(3, 2)), 6)
+            euclid_model(pts, k=6)
 
     def test_empty_queries_rejected(self, rng):
         pts = rng.normal(size=(5, 2))
         with pytest.raises(ValueError, match="non-empty"):
-            nk(euclid_model(pts), np.empty((0, 2)), 2)
+            nk(euclid_model(pts, k=2), np.empty((0, 2)))
 
     @pytest.mark.parametrize("bad", [5, 7, -1])
     def test_entry_outside_range_named(self, bad):

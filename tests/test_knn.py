@@ -523,8 +523,8 @@ class TestDissimilarityKinds:
         eu = build_knn_model(pts, labels, 5, Dissimilarity.euclidean())
         tl = build_knn_model(pts, labels, 5,
                              Dissimilarity(labeled_map=np.eye(4)))
-        np.testing.assert_array_equal(neighbor_index_matrix(eu, queries, 5),
-                                      neighbor_index_matrix(tl, queries, 5))
+        np.testing.assert_array_equal(neighbor_index_matrix(eu, queries),
+                                      neighbor_index_matrix(tl, queries))
         np.testing.assert_array_equal(classify_batch(eu, queries),
                                       classify_batch(tl, queries))
 

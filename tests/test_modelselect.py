@@ -222,7 +222,7 @@ def library_table(ds, cfg: CvConfig, folds, lambdas) -> list[tuple]:
         for li, lam in enumerate(lambdas):
             tm = None if lam is None else fit_move_query(x_fit.T, j, lam)
             km = knn_from_transform(tm, x_fit, ds.labels[fit], max_k)
-            nbr = ds.labels[fit][neighbor_index_matrix(km, x_val, max_k)]
+            nbr = ds.labels[fit][neighbor_index_matrix(km, x_val)]
             for ki, k in enumerate(cfg.k_grid):
                 pred = majority_vote(nbr[:, :k])
                 acc[li, ki, f] = np.mean(pred == ds.labels[val])

@@ -16,7 +16,7 @@ from pathlib import Path
 import hubridge
 
 SOURCES = sorted(Path(hubridge.__file__).parent.glob("*.py"))
-LOADERS = {"_dense_csv_fault", "_sparse_pairs_fault", "_dense_csv_blocks", "_sparse_pairs_blocks"}
+LOADERS = {"_dense_csv_rows", "_sparse_pairs_fault", "_sparse_pairs_blocks"}
 # (module, class or None, function) of each checker that hands its sequences to as_tuple
 CHECKERS = [("modelselect", "CvConfig", "__post_init__"), ("modelselect", None, "check_methods"),
             ("experiment", "ExperimentConfig", "__post_init__"),

@@ -25,9 +25,9 @@ def hub_tendency_demo(d: int, s_data: float, n_data: int, n_queries: int,
     rng = np.random.default_rng(seed)
     data = rng.normal(0.0, s_data, size=(n_data, d))
     queries = rng.normal(0.0, 1.0, size=(n_queries, d))
-    model = build_knn_model(data, np.zeros(n_data, dtype=np.int64), k=1,
+    model = build_knn_model(data, np.zeros(n_data, dtype=np.int64), k=10,
                             dissimilarity=Dissimilarity())
-    counts = nk_counts(neighbor_index_matrix(model, queries, min(10, n_data)), n_data)
+    counts = nk_counts(neighbor_index_matrix(model, queries), n_data)
     closeness = -np.linalg.norm(data, axis=1)
     if np.ptp(counts) == 0 or np.ptp(closeness) == 0:
         return 0.0
@@ -172,6 +172,11 @@ class TestSimulateDelta:
                                                 n_queries=100, seed=1))
         assert isinstance(r, CentralityResult)
         assert r.std_error >= 0
+
+    def test_one_query_has_zero_std_error(self):
+        # a sample variance needs two draws
+        r = simulate_delta(CentralityExperiment(d=10, s=1.0, gamma=1.0, n_queries=1, seed=1))
+        assert r.std_error == 0.0 and np.isfinite(r.delta_hat)
 
 
 class TestHubTendency:

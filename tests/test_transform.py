@@ -475,6 +475,11 @@ class TestSolverGap:
             j[i, (i + 1) % 6] = 1
         assert solver_disagreement(x, j, fit_move_labeled(x, j, 0.1)) == 0.0
 
+    def test_zero_when_every_object_is_zero(self):
+        # both solvers give W = 0, so the gap is not divided by the norm of W
+        x, j = np.zeros((3, 6)), np.eye(6)[[1, 0, 1, 4, 3, 4]]
+        assert solver_disagreement(x, j, fit_move_labeled(x, j, 0.1)) == 0.0
+
     def test_positive_when_multiplicities_vary(self, rng):
         x = rng.normal(size=(4, 6))
         j = np.zeros((6, 6))

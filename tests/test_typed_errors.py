@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from hubridge.cli import _cmd_predict, build_parser, main
-from hubridge.datamodel import (DatasetFormatError, PreprocessError, Preprocessor, Split,
-                                bundled_dataset_path, dataset_from_arrays, load_dataset, split)
+from hubridge.datamodel import (Dataset, DatasetFormatError, PreprocessError, Preprocessor,
+                                Split, bundled_dataset_path, dataset_from_arrays, load_dataset,
+                                split)
 from hubridge.experiment import ExperimentConfig
 from hubridge.modelselect import CvConfig, grid_search, make_folds
 from hubridge.transform import MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER, \
@@ -43,6 +44,8 @@ def unknown_query_label(tmp_path):
 ROWS = [
     ("dataset_from_arrays.empty-labels", ValueError, "labels must be non-empty",
      lambda tmp: dataset_from_arrays(np.zeros((0, 2)), [])),
+    ("Dataset.empty-features", ValueError, "features must be a non-empty 2-D matrix",
+     lambda tmp: Dataset(np.empty((0, 3)), [], "x", ("a",))),
     ("load_dataset.no-comma", DatasetFormatError,
      "row 1: expected 'v1,...,vd,label', got 1 field(s)", no_comma_file),
     ("Preprocessor.fit.zscore-one-row", PreprocessError, "z-scoring needs at least 2 rows",
@@ -68,6 +71,8 @@ ROWS = [
      "got 5", lambda tmp: ExperimentConfig(5, n_splits=1, seeds=(1,))),
     ("ExperimentConfig.out_dir", ValueError, "out_dir must be a str, os.PathLike or None, got 5",
      lambda tmp: ExperimentConfig(tmp / "data.csv", n_splits=1, seeds=(1,), out_dir=5)),
+    ("TransformModel.w-not-square", ValueError, "W must be square",
+     lambda tmp: TransformModel(np.ones((2, 3)), MOVE_LABELED, 0.1, SOLVER_PAPER)),
     ("TransformModel.lam-past-float64", ValueError,
      f"lambda must be finite and non-negative, got {10 ** 400!r}",
      lambda tmp: TransformModel(np.eye(2), MOVE_LABELED, 10 ** 400, SOLVER_PAPER)),
