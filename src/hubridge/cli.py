@@ -69,7 +69,8 @@ def _add_dataset_args(p: argparse.ArgumentParser) -> None:
 def _add_preproc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-center", dest="center", action="store_false",
                    help="skip mean-centering (fitted on the training side); "
-                   "--pca-dim centers regardless")
+                   "--pca-dim centers regardless; cv re-centers every fold on its fit "
+                   "rows, so this flag does not change its result")
     p.add_argument("--zscore", action="store_true",
                    help="standardize columns (fitted on the training side)")
     p.add_argument("--pca-dim", type=_at_least(1, int), default=None,

@@ -66,7 +66,6 @@ class Dataset:
 
     features: np.ndarray
     labels: np.ndarray
-    name: str
     label_names: tuple[str, ...]
 
     def __post_init__(self):
@@ -99,8 +98,7 @@ class Dataset:
         return np.bincount(self.labels, minlength=self.class_count)
 
 
-def dataset_from_arrays(features, labels, name: str = "",
-                        label_names: tuple[str, ...] | None = None) -> Dataset:
+def dataset_from_arrays(features, labels, label_names: tuple[str, ...] | None = None) -> Dataset:
     """Build a Dataset from in-memory arrays with dense integer labels."""
     # Dataset freezes what it stores: a copy of an ndarray, a new array of anything else
     f = features.copy() if isinstance(features, np.ndarray) else features
@@ -109,14 +107,14 @@ def dataset_from_arrays(features, labels, name: str = "",
         raise ValueError("labels must be non-empty")
     if label_names is None:  # n rows hold at most n classes, which bounds the names made
         label_names = tuple(map(str, range(int(as_ids(y, "labels", y.size).max()) + 1)))
-    return Dataset(f, y, name, label_names)
+    return Dataset(f, y, label_names)
 
 
 def subset(dataset: Dataset, indices) -> Dataset:
     """Row subset as a new Dataset. Every class must survive the selection."""
     idx = as_ids(indices, "indices", dataset.n, distinct=True)
     # an index array gathers fresh copies, which the new Dataset freezes
-    return Dataset(dataset.features[idx], dataset.labels[idx], dataset.name, dataset.label_names)
+    return Dataset(dataset.features[idx], dataset.labels[idx], dataset.label_names)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +258,7 @@ def load_dataset(path, fmt: str) -> Dataset:
     names = tuple(dict.fromkeys(tokens))
     id_of = {name: i for i, name in enumerate(names)}
     labels = np.fromiter(map(id_of.__getitem__, tokens), np.int64, len(tokens))
-    return Dataset(features, labels, path.stem, names)
+    return Dataset(features, labels, names)
 
 
 def bundled_dataset_path(name: str) -> Path:

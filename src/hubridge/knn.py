@@ -227,7 +227,7 @@ def neighbor_index_matrix(model: KnnModel, queries) -> np.ndarray:
     q = model.dissimilarity.map_query(q)
     out = np.empty((q.shape[0], model.k), dtype=np.int64)
     for lo, hi in query_chunks(q.shape[0], model.n):
-        out[lo:hi] = _nearest(model, q[lo:hi], model.k)
+        out[lo:hi] = _nearest(model, q[lo:hi])
     return out
 
 
@@ -259,7 +259,7 @@ def nearest_others(model: KnnModel) -> np.ndarray:
         rows, cols, values = rows[other], cols[other], values[other]
         starts = np.searchsorted(rows, np.arange(hi - lo))
         out[lo:hi] = (cols[starts[:, None] + np.arange(k)] if exact else
-                      _rank(model, model.labeled_points[lo:hi], sq[lo:hi], k, rows, cols, values,
+                      _rank(model, model.labeled_points[lo:hi], sq[lo:hi], rows, cols, values,
                             starts))
     return out
 
@@ -292,10 +292,10 @@ def _scaled(points: np.ndarray, center: np.ndarray):
     return sq_dist_operand(points * s, center * s, np.float32), e
 
 
-def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
-    """The exact or else the certified k nearest labeled indices of one chunk of
-    mapped queries."""
-    e, p_max = model.scale_exp, float(model.operand32[model.d].max())
+def _nearest(model: KnnModel, q: np.ndarray) -> np.ndarray:
+    """The exact or else the certified k = ``model.k`` nearest labeled indices of one
+    chunk of mapped queries."""
+    k, e, p_max = model.k, model.scale_exp, float(model.operand32[model.d].max())
     centered = np.empty(q.shape, dtype=np.float32)
     if model.integer_points and _small_integers(q):
         np.subtract(q, model.center, out=centered, casting="same_kind")  # exact: |q - mu| <= 2^21
@@ -314,7 +314,7 @@ def _nearest(model: KnnModel, q: np.ndarray, k: int) -> np.ndarray:
     err = _error_bound(q_sq, p_max, model.d, e)
     centered[np.isinf(err)] = 0.0  # a far row: the exact re-rank takes all of it
     approx = pairwise_sq_dists(centered, model.operand32)
-    return _rank(model, q, q_sq, k, *smallest_k_band(approx, k, 2.0 * err))
+    return _rank(model, q, q_sq, *smallest_k_band(approx, k, 2.0 * err))
 
 
 def _small_integers(a: np.ndarray) -> bool:
@@ -361,9 +361,9 @@ def _error_bound(q_sq: np.ndarray, p_max: float | np.ndarray, d: int, e: int) ->
     return err
 
 
-def _rank(model: KnnModel, q: np.ndarray, q_sq: np.ndarray, k: int, rows: np.ndarray,
+def _rank(model: KnnModel, q: np.ndarray, q_sq: np.ndarray, rows: np.ndarray,
           cols: np.ndarray, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """First k band entries per row, ambiguous clusters re-ranked by exact values."""
+    """First ``model.k`` band entries per row, ambiguous clusters re-ranked by exact values."""
     cut = _error_bound(q_sq, np.maximum.reduceat(model.operand32[model.d][cols], starts),
                        model.d, model.scale_exp)  # E' per row
     # entry i joins entry i - 1's cluster unless its value is provably larger
@@ -374,13 +374,13 @@ def _rank(model: KnnModel, q: np.ndarray, q_sq: np.ndarray, k: int, rows: np.nda
     first = np.flatnonzero(~joined)  # each cluster's first entry
     size = np.diff(np.append(first, rows.size))
     place = first - starts[rows[first]]  # its place within its row
-    at = np.flatnonzero(((size > 1) & (place < k))[cluster])
+    at = np.flatnonzero(((size > 1) & (place < model.k))[cluster])
     # each ambiguous cluster in (exact, column) order; a sum of squares is never
     # negative, so its bits order
     moved = cols[at]
     exact = _direct_sq_dists(q, model.labeled_points, rows[at], moved).view(np.int64)
     cols[at] = moved[np.lexsort((moved, exact, cluster[at]))]
-    return cols[starts[:, None] + np.arange(k)]
+    return cols[starts[:, None] + np.arange(model.k)]
 
 
 def _direct_sq_dists(q: np.ndarray, points: np.ndarray, rows: np.ndarray,

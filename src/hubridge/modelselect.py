@@ -13,12 +13,14 @@ raises ``SingularSystemError``. Each method's outcome, result or error, is
 the one a pass serving it alone gives.
 
 Each fold refits centering, target selection and the transform on its fold
-fit rows only. Preprocessing done before the search is not refitted: with
-z-scoring or PCA, the column statistics and the PCA basis are fitted once
-per split, on all of that split's training rows, fold-validation rows
-included. The winning cell is the highest mean validation accuracy, ties
-broken toward larger lambda and then smaller k (prefer the more
-regularized, simpler model).
+fit rows only, which undoes any centering before the search up to rounding:
+``hubridge cv`` writes the same JSON with and without ``--no-center`` on
+iris and ``tests/golden/seven_class.csv``. Other preprocessing done before
+the search is not refitted: with z-scoring or PCA, the column statistics
+and the PCA basis are fitted once per split, on all of that split's
+training rows, fold-validation rows included. The winning cell is the
+highest mean validation accuracy, ties broken toward larger lambda and then
+smaller k (prefer the more regularized, simpler model).
 """
 
 from __future__ import annotations

@@ -15,14 +15,16 @@ X is (d, n) at the API, one column per object. ``RidgeSystem`` holds it as
 its (n, d) rows R = X^T (taken without a copy when x is ``rows.T``, as the
 callers pass it), so the sparse products read C-ordered rows.
 
-Each product sums only the rows of the objects J touches. Let T be the
-targets (the columns of J holding an entry) and O the owners (its rows
-holding one). If |T| <= n/2, B = A^T R[T], where row t of A = (J^T R)[T]
-sums the owners of t. Else, if |O| <= n/2, B = R[O]^T (J R)[O]. Else B is
-R^T (J R) over all n rows. The n/2 rule keeps the two |T| x d blocks within
-the one n x d block J R. The exact solver's Gram R^T diag(c) R sums only
-the rows with c > 0 under the same rule; the plain Gram R^T R sums all n.
-T is small in practice: in high dimension a few hubs are the nearest
+``RidgeSystem`` keeps J^T in canonical CSR beside J; a fit on M = J or
+M = J^T reads rows of M and M^T only, and each product sums only the rows
+of the objects M touches. Let C be M's touched columns (the non-empty rows
+of M^T) and S its touched rows. If |C| <= n/2, B = A^T R[C], where row t of
+A = M^T[C] R sums the rows that M maps to t. Else, if |S| <= n/2,
+B = R[S]^T (M[S] R). Else B is R^T (M R) over all n rows. The n/2 rule
+keeps the two |C| x d blocks within the one n x d block M R. The exact
+solver's Gram R^T diag(c) R sums only the rows with c > 0 under the same
+rule; the plain Gram R^T R sums all n. For move-labeled C is J's targets,
+few in practice: in high dimension a few hubs are the nearest
 neighbour of many objects, and the antihubs, never a nearest neighbour, are
 nobody's target (Radovanovic et al., JMLR 2010). With one target per object
 about a third of the objects are targets at d = 300.
@@ -111,46 +113,27 @@ def _indicator(n: int, j) -> sp.csr_matrix:
     return jj
 
 
-def _counts(j: sp.csr_matrix, by_owner: bool) -> np.ndarray:
-    """Each object's targets (by_owner: J's row sums) or owners (column sums); J holds only 1s."""
-    return np.diff(j.indptr) if by_owner else np.bincount(j.indices, minlength=j.shape[0])
-
-
 def _touched(counts: np.ndarray) -> np.ndarray | None:
     """The objects with a nonzero count, or None when more than half of them have one."""
     return np.flatnonzero(counts) if 2 * np.count_nonzero(counts) <= counts.size else None
 
 
-def _sums(j: sp.csr_matrix, idx: np.ndarray, rows: np.ndarray, by_owner: bool) -> np.ndarray:
-    """(J R)[idx] (by_owner: row o sums the targets of o), else (J^T R)[idx] (t's owners).
+def _rhs(rows: np.ndarray, m: sp.csr_matrix, mt: sp.csr_matrix) -> np.ndarray:
+    """B = R^T M R for M and M^T in canonical CSR, summed over the objects M touches.
 
-    For (J^T R)[idx], idx must hold every target. Each row adds its terms in
-    ascending object order either way, so the owner-side sums on J equal the
-    target-side sums on a CSR copy of J^T bit for bit.
+    M's touched columns C (the non-empty rows of M^T) first, B = (M^T[C] R)^T R[C];
+    else its touched rows S, B = R[S]^T (M[S] R); each only where at most n/2
+    objects are touched; else B = R^T (M R). Every product reads CSR rows in
+    ascending column order, so move-query on J is the exact fit on J^T bit
+    for bit.
     """
-    if by_owner:
-        return j[idx] @ rows
-    pos = np.zeros(j.shape[0], dtype=j.indices.dtype)
-    pos[idx] = np.arange(idx.size)
-    return sp.csr_matrix((j.data, pos[j.indices], j.indptr),
-                         shape=(j.shape[0], idx.size)).T @ rows
-
-
-def _rhs(rows: np.ndarray, j: sp.csr_matrix, transpose: bool) -> np.ndarray:
-    """B = R^T M R for M = J (J^T when ``transpose``), summed over the objects M touches.
-
-    M's touched columns C first, B = (M^T R)[C]^T R[C]; else its touched rows
-    S, B = R[S]^T (M R)[S]; each only where at most n/2 objects are touched.
-    The form depends only on M, so move-query on J is the exact fit on J^T
-    bit for bit.
-    """
-    m_cols = _touched(_counts(j, transpose))  # M = J^T: its columns are J's owners
-    if m_cols is not None:
-        return _sums(j, m_cols, rows, transpose).T @ rows[m_cols]
-    m_rows = _touched(_counts(j, not transpose))
-    if m_rows is not None:
-        return rows[m_rows].T @ _sums(j, m_rows, rows, not transpose)
-    return rows.T @ ((j.T if transpose else j) @ rows)
+    cols = _touched(np.diff(mt.indptr))
+    if cols is not None:
+        return (mt[cols] @ rows).T @ rows[cols]
+    kept = _touched(np.diff(m.indptr))
+    if kept is not None:
+        return rows[kept].T @ (m[kept] @ rows)
+    return rows.T @ (m @ rows)
 
 
 def _gram(rows: np.ndarray, c: np.ndarray | None) -> np.ndarray:
@@ -166,13 +149,14 @@ def _gram(rows: np.ndarray, c: np.ndarray | None) -> np.ndarray:
 class RidgeSystem:
     """The ridge fits of one (X, J) pair, each distinct Gram matrix factored once.
 
-    B sums the rows of J's targets T when |T| <= n/2, else the rows of its
-    owners when those are at most n/2, else all n rows. Move-query's J^T has
-    T as its touched rows and takes the mirrored form on them. The exact
-    solver's Gram sums the rows of nonzero weight under the same n/2 rule:
-    T itself for move-labeled, since an object that is nobody's target has
-    weight 0. Most objects are such antihubs in high dimension, so |T| is
-    usually well below n/2.
+    J^T is kept in canonical CSR beside J, so each fit reads only CSR rows:
+    move-labeled takes (M, M^T) = (J, J^T), move-query (J^T, J). B sums the
+    rows of M's touched columns when at most n/2 objects are touched, else
+    the rows of its touched rows under the same bound, else all n rows. The
+    exact solver's Gram sums the rows of nonzero weight under the same n/2
+    rule: M's touched columns, since an object that is nobody's target has
+    weight 0. Most objects are such antihubs in high dimension, so J's
+    targets are usually well below n/2.
 
     Each fit forms its own B: move-query's W stays bit-identical to the
     exact move-labeled fit on J^T, which B^T from J's product would not be.
@@ -181,32 +165,30 @@ class RidgeSystem:
     def __init__(self, x, j):
         self.rows = as_reals(as_array(x, "x", 2).T, "x")  # X^T: no copy when x is rows.T
         self.j = _indicator(self.rows.shape[0], j)
+        self.jt = self.j.T.tocsr()  # canonical: each row's owners ascend
         self._factors = {}  # Gram weights (None: all 1) -> (ascending eigenvalues, V)
 
-    def _weights(self, direction: str, solver: str) -> np.ndarray | None:
-        if direction == MOVE_LABELED and solver == SOLVER_PAPER:
-            return None
-        # exact move-labeled: column sums of J; move-query: column sums of J^T
-        c = _counts(self.j, direction == MOVE_QUERY)
-        return None if np.all(c == 1) else c
-
     def path(self, lambdas, direction: str, solver: str = SOLVER_PAPER) -> list[TransformModel]:
-        """W (X diag(c) X^T + lam I) = X J X^T for each lam of a grid (J^T for move-query).
+        """W (X diag(c) X^T + lam I) = X M X^T for each lam of a grid; M is J (J^T for move-query).
 
-        W for each lambda is bit-identical to a single-lambda fit. move-query
-        always uses its exact minimizer, whichever of ``SOLVERS`` is named.
+        c is None for the paper solver, else M's column sums (target
+        multiplicities). W for each lambda is bit-identical to a
+        single-lambda fit. move-query always uses its exact minimizer,
+        whichever of ``SOLVERS`` is named.
         """
         as_choice(direction, "direction", DIRECTIONS)
         as_choice(solver, "solver", SOLVERS)
         solver = SOLVER_EXACT if direction == MOVE_QUERY else solver
         lambdas = as_tuple(lambdas, "lambdas", lambda lam, _: as_real(lam, "lambda", NON_NEGATIVE))
         rows = self.rows
-        c = self._weights(direction, solver)
+        m, mt = (self.j, self.jt) if direction == MOVE_LABELED else (self.jt, self.j)
+        c = np.diff(mt.indptr)  # M's column sums
+        c = None if solver == SOLVER_PAPER or np.all(c == 1) else c
         key = None if c is None else c.tobytes()
         if key not in self._factors:
             self._factors[key] = np.linalg.eigh(_gram(rows, c))
         evals, v = self._factors[key]
-        bv = _rhs(rows, self.j, direction == MOVE_QUERY) @ v
+        bv = _rhs(rows, m, mt) @ v
         tol = v.shape[0] * np.finfo(v.dtype).eps
         out = []
         for lam in lambdas:

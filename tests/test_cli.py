@@ -539,6 +539,16 @@ class TestCvCommand:
         assert doc["best_k"] in (1, 3)
         assert len(doc["table"]) == 2
 
+    @pytest.mark.parametrize("direction", ["euclidean", "move-labeled", "move-query"])
+    def test_no_center_changes_nothing(self, capsys, direction):
+        # every fold is re-centered on its fit rows, which undoes centering before the search
+        argv = ["cv", "--dataset", str(bundled_dataset_path("iris")), "--direction", direction]
+        outputs = []
+        for flags in ([], ["--no-center"]):
+            assert main([*argv, *flags]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_pca_dim_below_one_named(self, train_and_queries, monkeypatch, capsys, value):
         import hubridge.cli

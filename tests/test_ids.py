@@ -42,7 +42,7 @@ ENTRIES = [
      lambda v: nk_counts(v, 5)),
     ("KnnModel", "labels", None, LABELS, (2,),
      lambda v: KnnModel(POINTS.copy(), v, 2, Dissimilarity())),
-    ("Dataset", "labels", 2, LABELS, (2,), lambda v: Dataset(POINTS.copy(), v, "", ("a", "b"))),
+    ("Dataset", "labels", 2, LABELS, (2,), lambda v: Dataset(POINTS.copy(), v, ("a", "b"))),
     ("majority_vote", "neighbor_labels", None, np.array([[0, 1], [1, 1]]), (1, 0),
      majority_vote),
     ("evaluate", "neighbor_labels", None, np.array([[0, 1], [1, 1]]), (1, 0),
@@ -184,22 +184,22 @@ def test_neighbour_matrix_without_column_named(call):
 def test_label_names_not_str_sequence_named(names, want):
     # 2.5 used to raise "object of type 'float' has no len()"; "ab" read as two names
     with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
-        Dataset(POINTS.copy(), LABELS, "", names)
+        Dataset(POINTS.copy(), LABELS, names)
 
 
 def test_repeated_label_name_named():
     # two classes named 'a' would both map to id 1 through a name-to-id table
     with pytest.raises(ValueError, match=r"^label_names\[1\] = 'a' repeats an earlier name$"):
-        Dataset(POINTS.copy(), LABELS, "", ("a", "a"))
+        Dataset(POINTS.copy(), LABELS, ("a", "a"))
 
 
 def test_label_names_stored_as_tuple():
-    ds = Dataset(POINTS.copy(), LABELS, "", ["a", "b"])
+    ds = Dataset(POINTS.copy(), LABELS, ["a", "b"])
     assert ds.label_names == ("a", "b") and ds.class_count == 2
 
 
 @pytest.mark.parametrize("call, want", [
-    (lambda: Dataset(POINTS.copy(), LABELS[:5], "", ("a", "b")), "labels must have shape (6,)"),
+    (lambda: Dataset(POINTS.copy(), LABELS[:5], ("a", "b")), "labels must have shape (6,)"),
     (lambda: KnnModel(POINTS.copy(), LABELS[:5], 2, Dissimilarity()),
      "labels must have shape (6,)"),
     (lambda: build_knn_model(POINTS, LABELS[:5], 2, Dissimilarity()),
@@ -234,6 +234,6 @@ def test_split_indices_distinct_and_stored_as_int64():
 
 
 def test_labels_stored_as_int64():
-    ds = Dataset(POINTS.copy(), LABELS.astype(np.int32), "", ("a", "b"))
+    ds = Dataset(POINTS.copy(), LABELS.astype(np.int32), ("a", "b"))
     model = KnnModel(POINTS.copy(), LABELS.astype(np.uint8), 2, Dissimilarity())
     assert ds.labels.dtype == model.labels.dtype == np.int64

@@ -415,8 +415,8 @@ class TestEqualValueCertificate:
         assert values[2] - values[1] > per_entry[1] + per_entry[2]
         # a stand-in model: the hand-built norms, not those of ``points``
         operand = np.vstack([points.T, p_sq, np.ones(3)]).astype(np.float32)
-        model = SimpleNamespace(labeled_points=points, d=1, scale_exp=0, operand32=operand)
-        got = knn._rank(model, q, q_sq, 2, rows, cols, values, np.zeros(1, dtype=np.int64))
+        model = SimpleNamespace(labeled_points=points, d=1, scale_exp=0, operand32=operand, k=2)
+        got = knn._rank(model, q, q_sq, rows, cols, values, np.zeros(1, dtype=np.int64))
         np.testing.assert_array_equal(got, [[1, 2]])
 
 

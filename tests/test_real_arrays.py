@@ -26,7 +26,7 @@ J = np.eye(6)[[1, 0, 1, 4, 3, 4]]  # each row's target: a same-class neighbour
 
 # (entry, the name its errors give, a valid value, a call with the value set)
 ARRAYS = [
-    ("Dataset.features", "features", POINTS, lambda v: Dataset(v, LABELS, "", ("a", "b"))),
+    ("Dataset.features", "features", POINTS, lambda v: Dataset(v, LABELS, ("a", "b"))),
     ("dataset_from_arrays", "features", POINTS, lambda v: dataset_from_arrays(v, LABELS)),
     ("KnnModel.labeled_points", "labeled_points", POINTS,
      lambda v: KnnModel(v, LABELS, 1, Dissimilarity())),
@@ -96,7 +96,7 @@ def test_motivating_holes():
                                          r"center_mean\[0\] = nan$"):
         Preprocessor(2, center_mean=np.array([np.nan, 0.0]))
     assert prep.apply([[1.0, 2.0]]).tolist() == [[0.5, 2.0]]
-    ds = Dataset([[0.0], [1.0]], [0, 1], "", ("a", "b"))
+    ds = Dataset([[0.0], [1.0]], [0, 1], ("a", "b"))
     assert ds.features.dtype == np.float64 and ds.labels.tolist() == [0, 1]
     assert not ds.features.flags.writeable and not ds.labels.flags.writeable
 
@@ -128,7 +128,7 @@ SEQUENCES = [
     ("grid_search", "methods",
      lambda v: grid_search(DATASET, np.arange(6), CvConfig((0.1,), (1,), 2, 0), v)),
     ("RidgeSystem.path", "lambdas", lambda v: RidgeSystem(POINTS.T, J).path(v, MOVE_LABELED)),
-    ("Dataset.label_names", "label_names", lambda v: Dataset(POINTS.copy(), LABELS, "", v)),
+    ("Dataset.label_names", "label_names", lambda v: Dataset(POINTS.copy(), LABELS, v)),
 ]
 NOT_SEQUENCES = {"str": "euclidean", "scalar": 5, "None": None, "0-d": np.array(5)}
 

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
 
 import hubridge.experiment
 from hubridge.datamodel import dataset_from_arrays
@@ -13,7 +14,7 @@ from hubridge.modelselect import CvConfig
 from hubridge.targets import select_targets
 from hubridge.transform import (SOLVER_EXACT, SOLVER_PAPER, MOVE_LABELED,
                                 MOVE_QUERY, RidgeSystem, SingularSystemError,
-                                TransformModel, _counts, _touched, fit_move_labeled,
+                                TransformModel, _touched, fit_move_labeled,
                                 fit_move_query, solver_disagreement)
 
 from _helpers import (gd_minimize, pairs_from_indicator, regression_objective,
@@ -391,8 +392,41 @@ class TestRidgePath:
             RidgeSystem(x, j).path((0.1, -1.0), MOVE_LABELED)
 
 
+@st.composite
+def indicator_problems(draw):
+    """(x, j, lam): a 0/1 J whose owners and targets each number at most or more
+    than n/2, chosen apart, so B takes the column, row and all-rows forms."""
+    n, d = draw(st.integers(2, 40)), draw(st.integers(1, 6))
+
+    def side():
+        few = draw(st.booleans())
+        return draw(st.permutations(range(n)))[:draw(
+            st.integers(1, n // 2) if few else st.integers(n // 2 + 1, n))]
+
+    owners, targets = side(), side()
+    pairs = {(owners[i % len(owners)], targets[i % len(targets)])
+             for i in range(max(len(owners), len(targets)))}  # each one touched
+    pairs |= set(draw(st.lists(st.tuples(st.sampled_from(owners), st.sampled_from(targets)),
+                               max_size=2 * n)))
+    rows, cols = zip(*pairs)
+    j = sp.csr_matrix((np.ones(len(pairs)), (rows, cols)), shape=(n, n))
+    x = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).normal(size=(d, n))
+    return x, j, draw(st.sampled_from([0.1, 1.0, 10.0]))
+
+
 class TestTouchedObjects:
     """B and the weighted Gram sum over the objects J touches; W solves the same system."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(indicator_problems())
+    def test_every_product_form_solves_the_same_system(self, problem):
+        x, j, lam = problem
+        query = fit_move_query(x, j, lam)
+        assert query.w.tobytes() == fit_move_labeled(x, j.T, lam, SOLVER_EXACT).w.tobytes()
+        for tm in (fit_move_labeled(x, j, lam, SOLVER_PAPER),
+                   fit_move_labeled(x, j, lam, SOLVER_EXACT), query):
+            want, _ = _solve_reference(x, j, lam, tm.direction, tm.solver)
+            assert np.linalg.norm(tm.w - want) <= 1e-10 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("direction, solver", CASES)
     @pytest.mark.parametrize("kind", INDICATORS)
@@ -415,8 +449,8 @@ class TestTouchedObjects:
         ("hub", 3, None), ("fan", None, 3), ("permutation", None, None)])
     def test_each_side_is_taken_only_up_to_half(self, rng, kind, targets, owners):
         _, j = INDICATORS[kind](rng)
-        for by_owner, want in ((False, targets), (True, owners)):
-            got = _touched(_counts(j, by_owner))
+        for m, want in ((j.T.tocsr(), targets), (j, owners)):
+            got = _touched(np.diff(m.indptr))
             assert (got is None) if want is None else got.size == want
 
 

@@ -45,7 +45,7 @@ ROWS = [
     ("dataset_from_arrays.empty-labels", ValueError, "labels must be non-empty",
      lambda tmp: dataset_from_arrays(np.zeros((0, 2)), [])),
     ("Dataset.empty-features", ValueError, "features must be a non-empty 2-D matrix",
-     lambda tmp: Dataset(np.empty((0, 3)), [], "x", ("a",))),
+     lambda tmp: Dataset(np.empty((0, 3)), [], ("a",))),
     ("load_dataset.no-comma", DatasetFormatError,
      "row 1: expected 'v1,...,vd,label', got 1 field(s)", no_comma_file),
     ("Preprocessor.fit.zscore-one-row", PreprocessError, "z-scoring needs at least 2 rows",
