@@ -284,7 +284,9 @@ def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray):
     return rows, cols[order], kept[order], np.searchsorted(rows, np.arange(m))
 
 
-_CHUNK_CELLS = 4_000_000  # distance-block cells per query chunk
+# distance-block cells per query chunk: a 4 MiB float32 block, and where d is at most
+# the point count, at most as many cells in the chunk's float64 q - mu
+_CHUNK_CELLS = 1 << 20
 
 
 def query_chunks(n_queries: int, n_points: int):

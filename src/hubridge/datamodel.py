@@ -8,17 +8,21 @@ kept on the dataset for reporting. A dense-csv label may not be empty, and a
 sparse-pairs label may not contain ``:`` (such a line starts with a pair and
 has no label).
 
-A dense-csv file is parsed row by row: one ``np.fromiter`` call reads a
-row's values through Python ``float`` into the feature matrix, and only a
-row that fails to parse or holds a non-finite value has its tokens walked to
-name the column. A sparse-pairs file is parsed in blocks of a few thousand
-tokens, not whole, as a whole file's token strings take several times the
+A file is never held whole: ``_data_lines`` reads it in binary blocks of 64 KiB,
+cut after a line feed, and decodes and splits one block at a time. A dense-csv
+file is parsed row by row: one ``np.fromiter`` call reads a row's values
+through Python ``float`` into a row buffer that doubles when full and is cut to
+the row count at the end, so the load holds at most about twice the matrix;
+only a row that fails to parse or holds a non-finite value has its tokens
+walked to name the column. A sparse-pairs file is parsed in blocks of a few
+thousand tokens, as a whole file's token strings take several times the
 memory of the matrix they fill; each block's numbers go through ``float``
-(``int`` for indices) in one ``np.fromiter`` call, and indices (1-based,
-none twice in a row) and finiteness are checked once for the whole file.
-When a block or that check fails, a checker reads the rows again from the
-first and returns the ``DatasetFormatError`` naming the first bad row and
-pair in file order. Both formats raise the error of the first bad row.
+(``int`` for indices) in one ``np.fromiter`` call, and indices (1-based, none
+twice in a row) and finiteness are checked once for the whole file. When a
+block or that check fails, or a bad byte is met, a checker reads the file
+again from its first row and returns the ``DatasetFormatError`` naming the
+first bad row and pair. Both formats report faults in file order, a bad UTF-8
+byte among them: a format fault in row 2 is raised before a bad byte in row 5.
 
 A fitted ``Preprocessor`` goes to and from JSON through its ``JSON`` record,
 in the one codec (``_codec``).
@@ -26,9 +30,9 @@ in the one codec (``_codec``).
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from contextlib import closing
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -121,27 +125,68 @@ def subset(dataset: Dataset, indices) -> Dataset:
 # Loading
 # ---------------------------------------------------------------------------
 
-def _dense_csv_rows(lines: list[tuple[int, str]]):
-    """Features and label tokens of a dense-csv file, parsed one row at a time."""
-    width = lines[0][1].count(",") + 1
-    features = np.empty((len(lines), width - 1))
-    tokens = []
-    for row, (lineno, line) in zip(features, lines):
+_READ_BYTES = 1 << 16  # bytes ``_data_lines`` reads at once
+
+
+def _blocks(file):
+    """The bytes of a binary ``file`` in blocks of about _READ_BYTES, each but the last cut
+    after its last b"\\n" (a line longer than a read joins the reads it spans)."""
+    rest = []
+    while data := file.read(_READ_BYTES):
+        if cut := data.rfind(b"\n") + 1:
+            yield b"".join(rest + [data[:cut]])
+            rest = []
+        rest.append(data[cut:])
+    yield b"".join(rest)
+
+
+def _data_lines(path: Path):
+    """Yield (row number, stripped text) of each data line of a UTF-8 file, read in blocks.
+
+    Rows are numbered as ``str.splitlines`` numbers the whole text, and blank and ``#``
+    lines are skipped. No multibyte character holds the byte b"\\n" and no ``\\r\\n`` pair
+    spans a cut after one, so each block decodes and splits as it does in the whole
+    text. A bad byte raises the error naming its row once every row before it is yielded.
+    """
+    row = 0
+    with open(path, "rb") as file:
+        for block in _blocks(file):
+            try:
+                lines, bad = block.decode("utf-8").splitlines(), None
+            except UnicodeDecodeError as exc:
+                # a character put in place of the bad byte lands on the row splitlines() gives it
+                lines, bad = (block[:exc.start].decode("utf-8") + "x").splitlines()[:-1], exc.reason
+            for row, line in enumerate(lines, start=row + 1):
+                if (line := line.strip()) and not line.startswith("#"):
+                    yield row, line
+            if bad:
+                raise DatasetFormatError(f"row {row + 1}: not valid UTF-8 ({bad})")
+
+
+def _dense_csv_rows(lines):
+    """Features and label tokens of dense-csv (row number, line) pairs, parsed one row at a
+    time into a buffer that grows to 2 c + 1 rows when its c rows are full and is cut to
+    the rows read at the end (``ndarray.resize`` reallocates in place where it can)."""
+    features, tokens, width = np.empty((0, 0)), [], None
+    for i, (lineno, line) in enumerate(lines):
         fields = line.split(",")
         if len(fields) < 2:
             raise DatasetFormatError(
                 f"row {lineno}: expected 'v1,...,vd,label', got {len(fields)} field(s)")
+        width = width or len(fields)
         if len(fields) != width:
             raise DatasetFormatError(f"row {lineno}: expected {width} fields, got {len(fields)}")
         tokens.append(fields.pop().strip())
         if not tokens[-1]:
             raise DatasetFormatError(f"row {lineno}: empty label")
+        if i == len(features):  # no view of the buffer outlives the statement that made it
+            features.resize((2 * i + 1, width - 1), refcheck=False)
         try:
-            row[:] = np.fromiter(map(float, fields), np.float64, width - 1)
+            features[i] = np.fromiter(map(float, fields), np.float64, width - 1)
         except ValueError:
             pass
         else:
-            if np.isfinite(row).all():
+            if np.isfinite(features[i]).all():
                 continue
         # the row is bad: name its first unparsable or non-finite column
         for col, tok in enumerate(fields, start=1):
@@ -153,17 +198,19 @@ def _dense_csv_rows(lines: list[tuple[int, str]]):
                     f"{where}: cannot parse {tok.strip()!r} as a number") from None
             if not np.isfinite(v):
                 raise DatasetFormatError(f"{where}: non-finite value {v!r}")
+    features.resize((len(tokens), width - 1), refcheck=False)
     return features, tokens
 
 
-def _sparse_pairs_fault(lines: list[tuple[int, str]]) -> DatasetFormatError:
-    """The error naming the first bad row and pair of a rejected sparse-pairs file.
+def _sparse_pairs_fault(path: Path) -> DatasetFormatError:
+    """The error naming the first bad row and pair of a rejected sparse-pairs file, read
+    again from its first row (a bad byte before any bad pair raises its own error).
 
     A file with no bad pair was rejected because its dense matrix cannot be
     allocated; the error names the first pair holding the largest index.
     """
-    d, at = 0, None
-    for lineno, line in lines:
+    d, at, n = 0, None, 0
+    for n, (lineno, line) in enumerate(_data_lines(path), start=1):
         fields = line.split()
         if ":" in fields[0]:
             return DatasetFormatError(f"row {lineno}: missing label before 'idx:val' pairs")
@@ -187,51 +234,62 @@ def _sparse_pairs_fault(lines: list[tuple[int, str]]) -> DatasetFormatError:
             if idx > d:
                 d, at = idx, (lineno, col)
     return DatasetFormatError(f"row {at[0]}, pair {at[1]}: index {d} is too large; a dense "
-                              f"{len(lines)} x {d} matrix does not fit in memory")
+                              f"{n} x {d} matrix does not fit in memory")
 
 
 # Tokens a sparse-pairs block holds at once: the peak of a load is the feature
-# matrix, the lines and one block's token strings.
+# matrix, its (row, index, value) triples and one block's token strings.
 _BLOCK_TOKENS = 1 << 12
 
 
-def _sparse_pairs_blocks(lines: list[tuple[int, str]]):
-    """Features and label tokens of a sparse-pairs file, parsed in blocks of
-    about _BLOCK_TOKENS tokens, cut by each row's own token count."""
-    ends = list(accumulate((line.count(":") + 1 for _, line in lines), initial=0))
+def _token_blocks(lines):
+    """The split fields of consecutive (row number, line) pairs, in blocks that each end
+    at the first row to bring their token count to _BLOCK_TOKENS."""
+    block, count = [], 0
+    for _, line in lines:
+        block.append(line.split())
+        count += len(block[-1])
+        if count >= _BLOCK_TOKENS:
+            yield block
+            block, count = [], 0
+    if block:
+        yield block
+
+
+def _sparse_pairs_blocks(lines, path: Path):
+    """Features and label tokens of sparse-pairs (row number, line) pairs, parsed in token
+    blocks; any fault has the file at ``path`` walked again to name the first bad row."""
     rows, idx, vals, tokens = [], [], [], []
-    stop = 0
-    while stop < len(lines):
-        start, stop = stop, bisect_left(ends, ends[stop] + _BLOCK_TOKENS, stop + 1)
-        fields = [line.split() for _, line in lines[start:stop]]
-        labels = [f.pop(0) for f in fields]
-        pairs = list(chain.from_iterable(fields))
-        # a block of labels alone has no parts ("".split(":") would give one)
-        parts = ":".join(pairs).split(":") if pairs else []
-        # one ':' in every pair: at least one in each, and as many in all as there are pairs
-        if (any(":" in label for label in labels) or len(parts) != 2 * len(pairs)
-                or not all(":" in pair for pair in pairs)):
-            raise _sparse_pairs_fault(lines)
-        try:
+    try:
+        for fields in _token_blocks(lines):
+            labels = [f.pop(0) for f in fields]
+            pairs = list(chain.from_iterable(fields))
+            # a block of labels alone has no parts ("".split(":") would give one)
+            parts = ":".join(pairs).split(":") if pairs else []
+            # one ':' in every pair: at least one in each, and as many in all as there are pairs
+            if (any(":" in label for label in labels) or len(parts) != 2 * len(pairs)
+                    or not all(":" in pair for pair in pairs)):
+                raise ValueError("a label holds ':' or a pair does not hold one")
             idx.append(np.fromiter(map(int, parts[0::2]), np.int64, len(pairs)))
             vals.append(np.fromiter(map(float, parts[1::2]), np.float64, len(pairs)))
-        except (ValueError, OverflowError):
-            raise _sparse_pairs_fault(lines) from None
-        rows.append(np.repeat(np.arange(start, start + len(fields)), list(map(len, fields))))
-        tokens += labels
+            rows.append(np.repeat(np.arange(len(tokens), len(tokens) + len(fields)),
+                                  list(map(len, fields))))
+            tokens += labels
+    except (ValueError, OverflowError):  # a bad byte's DatasetFormatError is a ValueError too
+        raise _sparse_pairs_fault(path) from None
     rows, idx, vals = (np.concatenate(a) for a in (rows, idx, vals))
     if not idx.size:
         raise DatasetFormatError("no feature indices found in sparse-pairs file")
     d = int(idx.max())
     try:
-        features = np.zeros((len(lines), d))
+        features = np.zeros((len(tokens), d))
     except (ValueError, MemoryError):
-        raise _sparse_pairs_fault(lines) from None
+        raise _sparse_pairs_fault(path) from None
     # for 1-based indices, row * d + idx - 1 is one-to-one on (row, idx) and
     # below the size of the matrix just allocated, so it does not wrap around
     flat = np.sort(rows * d + (idx - 1))
     if idx.min() < 1 or not np.isfinite(vals).all() or (flat[1:] == flat[:-1]).any():
-        raise _sparse_pairs_fault(lines)
+        raise _sparse_pairs_fault(path)
     features[rows, idx - 1] = vals
     return features, tokens
 
@@ -240,20 +298,13 @@ def load_dataset(path, fmt: str) -> Dataset:
     """Load a UTF-8 feature file; labels are remapped to dense ids in first-appearance order."""
     as_choice(fmt, "fmt", FORMATS)
     path = Path(path)
-    try:
-        # the text is dropped once split, so the parse does not hold the file twice
-        lines = path.read_bytes().decode("utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        # a character put in place of the bad byte lands on the row splitlines() gives it
-        row = len((exc.object[:exc.start].decode("utf-8") + "x").splitlines())
-        raise DatasetFormatError(f"row {row}: not valid UTF-8 ({exc.reason})") from None
-    lines = [(i, ln.strip()) for i, ln in enumerate(lines, start=1)]
-    lines = [(i, ln) for i, ln in lines if ln and not ln.startswith("#")]
-    if not lines:
-        raise DatasetFormatError(f"{path}: file contains no data rows")
-
-    parse = _dense_csv_rows if fmt == DENSE_CSV else _sparse_pairs_blocks
-    features, tokens = parse(lines)
+    with closing(_data_lines(path)) as lines:
+        first = next(lines, None)
+        if first is None:
+            raise DatasetFormatError(f"{path}: file contains no data rows")
+        rows = chain([first], lines)
+        features, tokens = (_dense_csv_rows(rows) if fmt == DENSE_CSV else
+                            _sparse_pairs_blocks(rows, path))
 
     names = tuple(dict.fromkeys(tokens))
     id_of = {name: i for i, name in enumerate(names)}

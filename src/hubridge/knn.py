@@ -19,6 +19,9 @@ computed in full precision. Per chunk of queries it
    [b_p | ||b_p||^2 | 1], a = s (x - mu) and b_p = s (z_p - mu) centered on
    mu, the labeled mean (rounded to integers for integer points, below),
    where expansion cancels least (the point side built once per model).
+   A chunk holds as many queries as keep its block within 2^20 cells
+   (``_arrays.query_chunks``; one query where a row alone is wider), so a
+   block takes at most 4 MiB whatever the batch size.
    The scale s = 2^-e is 1 while the first labeled point's
    centered norm, or else their largest centered coordinate, is at least
    2^-32 and the largest centered squared norm at most 2^64, as on ordinary

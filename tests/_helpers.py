@@ -229,8 +229,8 @@ def _finite_or_raise(value: float, row: int, col: int) -> float:
     return value
 
 
-def parse_dense_csv(lines: list[tuple[int, str]]):
-    """Features and label tokens of dense-csv (line number, text) rows, one row at a time."""
+def parse_dense_csv(lines):
+    """Features and label tokens of dense-csv (line number, text) pairs, one row at a time."""
     rows, tokens = [], []
     width = None
     for lineno, line in lines:
@@ -259,8 +259,8 @@ def parse_dense_csv(lines: list[tuple[int, str]]):
     return np.array(rows, dtype=np.float64), tokens
 
 
-def parse_sparse_pairs(lines: list[tuple[int, str]]):
-    """Features and label tokens of sparse-pairs (line number, text) rows, one row at a time."""
+def parse_sparse_pairs(lines):
+    """Features and label tokens of sparse-pairs (line number, text) pairs, one row at a time."""
     entries, tokens = [], []
     d = 0
     for lineno, line in lines:

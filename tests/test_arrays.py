@@ -2,9 +2,10 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from hubridge._arrays import (as_ids, ordered_bits, pairwise_sq_dists,
+from hubridge import _arrays
+from hubridge._arrays import (as_ids, ordered_bits, pairwise_sq_dists, query_chunks,
                               smallest_k_band, sq_dist_operand)
 
 
@@ -347,3 +348,19 @@ class TestPairwiseSqDists:
         got = pairwise_sq_dists(q, sq_dist_operand(p, 0.0, dtype))
         assert got.dtype == dtype
         np.testing.assert_array_equal(got[:, :3], got[:, -3:])
+
+
+class TestQueryChunks:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5000), st.integers(0, 3 * _arrays._CHUNK_CELLS))
+    @example(900, 2100)  # cv_protocol's final lookups: two chunks
+    @example(1000, 1000)  # a fit_large self-join: one chunk
+    @example(3, _arrays._CHUNK_CELLS + 1)  # a row alone is wider than the cap
+    def test_cover_the_queries_within_the_cell_cap(self, n_queries, n_points):
+        chunks = list(query_chunks(n_queries, n_points))
+        assert [i for lo, hi in chunks for i in range(lo, hi)] == list(range(n_queries))
+        assert all(hi > lo for lo, hi in chunks)
+        # only a one-row chunk may exceed the cap, and only the last chunk is short
+        assert all(hi - lo == 1 or (hi - lo) * n_points <= _arrays._CHUNK_CELLS
+                   for lo, hi in chunks)
+        assert len({hi - lo for lo, hi in chunks[:-1]}) <= 1

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 from contextlib import contextmanager, nullcontext
 from unittest import mock
@@ -26,7 +27,8 @@ def write(tmp_path, text, name="data.csv"):
 def per_row_parse():
     """Make load_dataset parse with the per-row reference parsers in place of its own."""
     with mock.patch.object(datamodel, "_dense_csv_rows", parse_dense_csv), \
-            mock.patch.object(datamodel, "_sparse_pairs_blocks", parse_sparse_pairs):
+            mock.patch.object(datamodel, "_sparse_pairs_blocks",
+                              lambda lines, path: parse_sparse_pairs(lines)):
         yield
 
 
@@ -250,6 +252,134 @@ class TestBlockParse:
                 tracemalloc.stop()
 
         assert peak(short) <= 1.1 * peak(plain)
+
+
+# every separator str.splitlines() cuts at, and line bodies that are blank, blank-looking,
+# comments or hold multibyte characters (2, 3 and 4 bytes in UTF-8)
+SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+              "\u2029"]
+BODIES = ["1,2,a", " b 1:1 ", "\u00e9,\u20ac", "\U0001d11e x", "#c", "# 1,2,a", "", "  ", "\t",
+          "a#"]
+
+
+@st.composite
+def line_files(draw):
+    """UTF-8 bytes of lines cut by any separator, with or without a final one, and in
+    half of the files one bad byte sequence put in at any byte offset."""
+    parts = []
+    for _ in range(draw(st.integers(0, 10))):
+        parts += [draw(st.sampled_from(BODIES)), draw(st.sampled_from(SEPARATORS))]
+    data = ("".join(parts) + draw(st.sampled_from(BODIES))).encode("utf-8")
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\x80", b"\xe2\x82", b"\xc3"]))
+        data = data[:at] + bad + data[at:]
+    return data
+
+
+def whole_text_lines(data: bytes):
+    """(row, stripped line) of each data line of the whole decoded text, numbered by
+    splitlines(), up to the row of the first bad byte, and that byte's error or None."""
+    try:
+        lines, error = data.decode("utf-8").splitlines(), None
+    except UnicodeDecodeError as exc:
+        text = data[:exc.start].decode("utf-8")
+        bad = len((text + "x").splitlines())
+        lines, error = text.splitlines()[:bad - 1], f"row {bad}: not valid UTF-8 ({exc.reason})"
+    rows = [(i, ln.strip()) for i, ln in enumerate(lines, start=1)]
+    return [(i, ln) for i, ln in rows if ln and not ln.startswith("#")], error
+
+
+def streamed_lines(path, read_bytes: int):
+    """What ``_data_lines`` yields, reading ``read_bytes`` at a time, and its error or None."""
+    got = []
+    with mock.patch.object(datamodel, "_READ_BYTES", read_bytes):
+        try:
+            got.extend(datamodel._data_lines(path))
+        except DatasetFormatError as exc:
+            return got, str(exc)
+    return got, None
+
+
+class TestStreamedReader:
+    """The file is read in blocks cut after a b"\\n"; rows, skipped lines and bad bytes
+    must come out as a whole-text decode and splitlines() give them."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(line_files(), st.integers(1, 9))
+    @example("a\r\nb\r\nc".encode(), 2)  # a read ends between \r and \n
+    @example("\u20ac\n\U0001d11e\n".encode(), 1)  # every multibyte character spans reads
+    @example(b"1,2\n\xff\n", 4)  # a bad byte just past a cut
+    @example(b"1,2\r\n3\xe2\x82", 3)  # a truncated character at the end of the file
+    @example("a\x85b\u2028c\u2029d\x1ce\x1df\x1eg\vh\fi\r".encode(), 5)
+    def test_rows_as_splitlines_numbers_them(self, tmp_path_factory, data, read_bytes):
+        path = tmp_path_factory.getbasetemp() / "lines.txt"
+        path.write_bytes(data)
+        assert streamed_lines(path, read_bytes) == whole_text_lines(data)
+
+    @pytest.mark.parametrize("read_bytes", [1, 3, 1 << 16])
+    def test_line_longer_than_a_read(self, tmp_path, read_bytes):
+        path = tmp_path / "long.csv"
+        path.write_bytes(b"# head\n" + b"1," * 5000 + b"a\r\n\n2,b")
+        assert streamed_lines(path, read_bytes) == ([(2, "1," * 5000 + "a"), (4, "2,b")], None)
+
+
+class TestFileOrder:
+    """Faults are reported in file order, a bad UTF-8 byte among them."""
+
+    @pytest.mark.parametrize("read_bytes", [4, 1 << 16], ids=["apart", "one-block"])
+    @pytest.mark.parametrize("fmt, data, message", [
+        ("dense-csv", b"1,2,a\n1,x,b\n3,4,c\n5,6,d\n7,\xff,e\n",
+         "row 2, column 2: cannot parse 'x' as a number"),
+        # a 0 index is found only by the whole-file check, after the last block
+        ("sparse-pairs", b"a 1:1\nb 0:1\nc 1:1\nd 1:1\ne 1:\xff\n",
+         "row 2, pair 1: index 0 is not 1-based"),
+        ("sparse-pairs", b"a 1:1\nb 2:1 2:1\nc 1:1\nd 1:1\ne 1:\xff\n",
+         "row 2, pair 2: duplicate index 2"),
+        ("dense-csv", b"1,2,a\n3,\xff,b\n3,4,c\n5,6,d\n7,x,e\n",
+         "row 2: not valid UTF-8 (invalid start byte)"),
+        ("sparse-pairs", b"a 1:1\nb 1:\xff\nc 1:1\nd 1:1\ne 0:1\n",
+         "row 2: not valid UTF-8 (invalid start byte)"),
+    ], ids=["dense-format-first", "sparse-index-first", "sparse-duplicate-first",
+            "dense-byte-first", "sparse-byte-first"])
+    def test_first_fault_in_the_file_wins(self, tmp_path, read_bytes, fmt, data, message):
+        path = tmp_path / "data.txt"
+        path.write_bytes(data)
+        with mock.patch.object(datamodel, "_READ_BYTES", read_bytes), \
+                pytest.raises(DatasetFormatError, match=f"^{re.escape(message)}$"):
+            load_dataset(path, fmt)
+
+    @pytest.mark.parametrize("last, message", [
+        ("c 1:1 1:2", "duplicate index 1"), ("c 1:1 2:nan", "non-finite value nan"),
+        ("1:1 2:1", "missing label before 'idx:val' pairs"), ("c 1:1 2-1", "expected 'idx:val'"),
+    ], ids=["duplicate", "non-finite", "no-label", "no-colon"])
+    def test_sparse_fault_in_the_last_row_of_a_long_file(self, tmp_path, last, message):
+        rows = [f"c{i % 3} 1:1 {i % 7 + 2}:0.5" for i in range(12000)]
+        path = write(tmp_path, "# idx:val pairs\n" + "\n".join(rows + [last]) + "\n", "data.txt")
+        assert path.stat().st_size > 2 * datamodel._READ_BYTES
+        with pytest.raises(DatasetFormatError, match=f"^row 12002[:,] .*{re.escape(message)}"):
+            load_dataset(path, "sparse-pairs")
+
+
+class TestBoundedMemory:
+    def test_dense_load_peak_within_two_and_a_half_matrices(self, tmp_path, rng):
+        # 2048 rows fill a buffer of 2047 and grow it to 4095, its worst case
+        n = 2048
+        path = tmp_path / "wide.csv"
+        write_dense_csv(path, rng.normal(size=(n, 120)), np.arange(n) % 7)
+        tracemalloc.start()
+        try:
+            features = load_dataset(path, "dense-csv").features
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * features.nbytes + (1 << 20)
+
+    def test_dense_buffer_cut_to_the_rows(self, tmp_path, rng):
+        path = tmp_path / "rows.csv"
+        write_dense_csv(path, rng.normal(size=(5, 3)), np.arange(5) % 2)
+        features = load_dataset(path, "dense-csv").features
+        assert features.shape == (5, 3) and features.base is None
 
 
 class TestDatasetInvariants:

@@ -8,6 +8,9 @@ assumed, a str entry, an int past float64's range, an empty grid), so:
   numbers parsed from text before any array is built;
 - ``CvConfig``, ``ExperimentConfig``, ``check_methods`` and ``RidgeSystem.path`` loop
   over no sequence by hand to check it.
+
+The loaders read a file in sized blocks, never whole: ``datamodel`` calls no
+``read_bytes`` or ``read_text`` and no ``.read()`` without a size.
 """
 
 import ast
@@ -87,3 +90,14 @@ def test_checkers_loop_over_no_sequence():
                 n for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == "enumerate"]
         hits += [f"{module}.{cls or ''}.{name}:{n.lineno}" for n in loops]
     assert hits == []
+
+
+def test_loaders_read_no_file_whole():
+    tree = _tree("datamodel")
+    hits = sorted(_uses(tree, "read_bytes") | _uses(tree, "read_text"))
+    sized = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call) and n.args}
+    hits += sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                   and n.attr == "read" and id(n) not in sized)
+    assert hits == []
+    # the blocks are read with a size
+    assert any(isinstance(n, ast.Attribute) and n.attr == "read" for n in ast.walk(tree))
