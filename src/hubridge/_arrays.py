@@ -284,13 +284,14 @@ def smallest_k_band(values: np.ndarray, k: int, slack: np.ndarray):
     return rows, cols[order], kept[order], np.searchsorted(rows, np.arange(m))
 
 
-# distance-block cells per query chunk: a 4 MiB float32 block, and where d is at most
-# the point count, at most as many cells in the chunk's float64 q - mu
+# cells per query chunk, counted in its widest row: at most a 4 MiB float32 distance
+# block, and as many cells of the chunk's float64 q - mu and of its float32 copies
 _CHUNK_CELLS = 1 << 20
 
 
-def query_chunks(n_queries: int, n_points: int):
-    """Yield (start, stop) row ranges so each distance block stays small."""
-    rows = max(1, _CHUNK_CELLS // max(1, n_points))
+def query_chunks(n_queries: int, width: int):
+    """Yield (start, stop) row ranges of at most _CHUNK_CELLS cells of rows ``width``
+    wide, the widest row a chunk holds (one row where a row alone is wider)."""
+    rows = max(1, _CHUNK_CELLS // max(1, width))
     for start in range(0, n_queries, rows):
         yield start, min(start + rows, n_queries)

@@ -35,12 +35,18 @@ from .theory import CentralityExperiment, simulate_delta
 from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, solver_disagreement
 
 
+def _non_empty(values: tuple, text: str) -> tuple:
+    if not values:
+        raise argparse.ArgumentTypeError(f"must be a non-empty comma list, got {text!r}")
+    return values
+
+
 def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(t) for t in text.split(",") if t)
+    return _non_empty(tuple(float(t) for t in text.split(",") if t), text)
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(t) for t in text.split(",") if t)
+    return _non_empty(tuple(int(t) for t in text.split(",") if t), text)
 
 
 def _checked(cast, rule):

@@ -8,21 +8,22 @@ kept on the dataset for reporting. A dense-csv label may not be empty, and a
 sparse-pairs label may not contain ``:`` (such a line starts with a pair and
 has no label).
 
-A file is never held whole: ``_data_lines`` reads it in binary blocks of 64 KiB,
-cut after a line feed, and decodes and splits one block at a time. A dense-csv
-file is parsed row by row: one ``np.fromiter`` call reads a row's values
-through Python ``float`` into a row buffer that doubles when full and is cut to
-the row count at the end, so the load holds at most about twice the matrix;
-only a row that fails to parse or holds a non-finite value has its tokens
-walked to name the column. A sparse-pairs file is parsed in blocks of a few
-thousand tokens, as a whole file's token strings take several times the
-memory of the matrix they fill; each block's numbers go through ``float``
-(``int`` for indices) in one ``np.fromiter`` call, and indices (1-based, none
-twice in a row) and finiteness are checked once for the whole file. When a
-block or that check fails, or a bad byte is met, a checker reads the file
-again from its first row and returns the ``DatasetFormatError`` naming the
-first bad row and pair. Both formats report faults in file order, a bad UTF-8
-byte among them: a format fault in row 2 is raised before a bad byte in row 5.
+A file is never held whole: ``_data_lines`` reads it in blocks of whole lines
+of at least 16 KiB, each cut after a line feed, decodes and splits one block at
+a time, and yields each block's data rows as one list. A dense-csv file is
+parsed row by row: one ``np.fromiter`` call reads a row's values through Python
+``float`` into a row buffer that doubles when full and is cut to the row count
+at the end, so the load holds at most about twice the matrix; only a row that
+fails to parse or holds a non-finite value has its tokens walked to name the
+column. A sparse-pairs file is parsed one read block at a time (a few thousand
+tokens), as a whole file's token strings take several times the memory of the
+matrix they fill; each block's numbers go through ``float`` (``int`` for
+indices) in one ``np.fromiter`` call, and indices (1-based, none twice in a
+row) and finiteness are checked once for the whole file. When a block or that
+check fails, or a bad byte is met, a checker reads the file again from its
+first row and returns the ``DatasetFormatError`` naming the first bad row and
+pair. Both formats report faults in file order, a bad UTF-8 byte among them: a
+format fault in row 2 is raised before a bad byte in row 5.
 
 A fitted ``Preprocessor`` goes to and from JSON through its ``JSON`` record,
 in the one codec (``_codec``).
@@ -125,23 +126,16 @@ def subset(dataset: Dataset, indices) -> Dataset:
 # Loading
 # ---------------------------------------------------------------------------
 
-_READ_BYTES = 1 << 16  # bytes ``_data_lines`` reads at once
-
-
-def _blocks(file):
-    """The bytes of a binary ``file`` in blocks of about _READ_BYTES, each but the last cut
-    after its last b"\\n" (a line longer than a read joins the reads it spans)."""
-    rest = []
-    while data := file.read(_READ_BYTES):
-        if cut := data.rfind(b"\n") + 1:
-            yield b"".join(rest + [data[:cut]])
-            rest = []
-        rest.append(data[cut:])
-    yield b"".join(rest)
+# bytes ``_data_lines`` reads at once; they bound the token strings a sparse-pairs
+# parse holds: about 3,000 in a block of 0/1 bag-of-words pairs. Its file buffer holds
+# four reads, as ``readlines`` takes a line longer than the buffer in many small copies.
+_READ_BYTES = 1 << 14
 
 
 def _data_lines(path: Path):
-    """Yield (row number, stripped text) of each data line of a UTF-8 file, read in blocks.
+    """Yield the data lines of a UTF-8 file as one non-empty list of (row number, stripped
+    text) per read block: ``readlines`` returns whole lines, each cut after its b"\\n",
+    until they hold _READ_BYTES bytes or the file ends.
 
     Rows are numbered as ``str.splitlines`` numbers the whole text, and blank and ``#``
     lines are skipped. No multibyte character holds the byte b"\\n" and no ``\\r\\n`` pair
@@ -149,16 +143,18 @@ def _data_lines(path: Path):
     text. A bad byte raises the error naming its row once every row before it is yielded.
     """
     row = 0
-    with open(path, "rb") as file:
-        for block in _blocks(file):
+    with open(path, "rb", buffering=4 * _READ_BYTES) as file:
+        while block := b"".join(file.readlines(_READ_BYTES)):
             try:
                 lines, bad = block.decode("utf-8").splitlines(), None
             except UnicodeDecodeError as exc:
                 # a character put in place of the bad byte lands on the row splitlines() gives it
                 lines, bad = (block[:exc.start].decode("utf-8") + "x").splitlines()[:-1], exc.reason
-            for row, line in enumerate(lines, start=row + 1):
-                if (line := line.strip()) and not line.startswith("#"):
-                    yield row, line
+            rows = [(i, text) for i, line in enumerate(lines, start=row + 1)
+                    if (text := line.strip()) and not text.startswith("#")]
+            row += len(lines)
+            if rows:
+                yield rows
             if bad:
                 raise DatasetFormatError(f"row {row + 1}: not valid UTF-8 ({bad})")
 
@@ -210,7 +206,7 @@ def _sparse_pairs_fault(path: Path) -> DatasetFormatError:
     allocated; the error names the first pair holding the largest index.
     """
     d, at, n = 0, None, 0
-    for n, (lineno, line) in enumerate(_data_lines(path), start=1):
+    for n, (lineno, line) in enumerate(chain.from_iterable(_data_lines(path)), start=1):
         fields = line.split()
         if ":" in fields[0]:
             return DatasetFormatError(f"row {lineno}: missing label before 'idx:val' pairs")
@@ -237,31 +233,13 @@ def _sparse_pairs_fault(path: Path) -> DatasetFormatError:
                               f"{n} x {d} matrix does not fit in memory")
 
 
-# Tokens a sparse-pairs block holds at once: the peak of a load is the feature
-# matrix, its (row, index, value) triples and one block's token strings.
-_BLOCK_TOKENS = 1 << 12
-
-
-def _token_blocks(lines):
-    """The split fields of consecutive (row number, line) pairs, in blocks that each end
-    at the first row to bring their token count to _BLOCK_TOKENS."""
-    block, count = [], 0
-    for _, line in lines:
-        block.append(line.split())
-        count += len(block[-1])
-        if count >= _BLOCK_TOKENS:
-            yield block
-            block, count = [], 0
-    if block:
-        yield block
-
-
-def _sparse_pairs_blocks(lines, path: Path):
-    """Features and label tokens of sparse-pairs (row number, line) pairs, parsed in token
-    blocks; any fault has the file at ``path`` walked again to name the first bad row."""
+def _sparse_pairs_blocks(blocks, path: Path):
+    """Features and label tokens of sparse-pairs blocks of (row number, line) pairs, each
+    parsed whole; any fault has the file at ``path`` walked again to name the first bad row."""
     rows, idx, vals, tokens = [], [], [], []
     try:
-        for fields in _token_blocks(lines):
+        for block in blocks:
+            fields = [line.split() for _, line in block]
             labels = [f.pop(0) for f in fields]
             pairs = list(chain.from_iterable(fields))
             # a block of labels alone has no parts ("".split(":") would give one)
@@ -298,13 +276,13 @@ def load_dataset(path, fmt: str) -> Dataset:
     """Load a UTF-8 feature file; labels are remapped to dense ids in first-appearance order."""
     as_choice(fmt, "fmt", FORMATS)
     path = Path(path)
-    with closing(_data_lines(path)) as lines:
-        first = next(lines, None)
+    with closing(_data_lines(path)) as blocks:
+        first = next(blocks, None)
         if first is None:
             raise DatasetFormatError(f"{path}: file contains no data rows")
-        rows = chain([first], lines)
-        features, tokens = (_dense_csv_rows(rows) if fmt == DENSE_CSV else
-                            _sparse_pairs_blocks(rows, path))
+        blocks = chain([first], blocks)
+        features, tokens = (_dense_csv_rows(chain.from_iterable(blocks)) if fmt == DENSE_CSV
+                            else _sparse_pairs_blocks(blocks, path))
 
     names = tuple(dict.fromkeys(tokens))
     id_of = {name: i for i, name in enumerate(names)}

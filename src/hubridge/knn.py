@@ -19,9 +19,10 @@ computed in full precision. Per chunk of queries it
    [b_p | ||b_p||^2 | 1], a = s (x - mu) and b_p = s (z_p - mu) centered on
    mu, the labeled mean (rounded to integers for integer points, below),
    where expansion cancels least (the point side built once per model).
-   A chunk holds as many queries as keep its block within 2^20 cells
-   (``_arrays.query_chunks``; one query where a row alone is wider), so a
-   block takes at most 4 MiB whatever the batch size.
+   A chunk holds as many queries as keep 2^20 cells of its widest row,
+   max(n, d + 2) for n labeled points (``_arrays.query_chunks``; one query
+   where a row alone is wider), so its float32 block takes at most 4 MiB
+   and its float64 x - mu at most 8 MiB whatever the batch size.
    The scale s = 2^-e is 1 while the first labeled point's
    centered norm, or else their largest centered coordinate, is at least
    2^-32 and the largest centered squared norm at most 2^64, as on ordinary
@@ -229,7 +230,7 @@ def neighbor_index_matrix(model: KnnModel, queries) -> np.ndarray:
         raise ValueError(f"queries have dimension {q.shape[1]}, model expects {model.d}")
     q = model.dissimilarity.map_query(q)
     out = np.empty((q.shape[0], model.k), dtype=np.int64)
-    for lo, hi in query_chunks(q.shape[0], model.n):
+    for lo, hi in query_chunks(q.shape[0], max(model.n, model.d + 2)):
         out[lo:hi] = _nearest(model, q[lo:hi])
     return out
 
@@ -250,7 +251,7 @@ def nearest_others(model: KnnModel) -> np.ndarray:
         if not 2 * float(np.ldexp(p_max, 2 * e)) < _F64_SAFE:
             raise ValueError("squared distances overflow float64: the rows lie too far apart")
     out = np.empty((n, k), dtype=np.int64)
-    for lo, hi in query_chunks(n, n):
+    for lo, hi in query_chunks(n, max(n, d + 2)):
         query = side[:, lo:hi].T * -2.0
         query[:, d], query[:, d + 1] = 1.0, sq[lo:hi]
         approx = query @ side

@@ -375,6 +375,29 @@ class TestErrors:
         assert exc.value.code == 2
         assert "argument --train-fraction: must be in (0, 1), got " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["centrality", "--d", ""], "--d"), (["centrality", "--s", ","], "--s"),
+        (["centrality", "--gamma", ""], "--gamma"), (["cv", "--k-grid", ""], "--k-grid"),
+        (["cv", "--lambda-grid", ","], "--lambda-grid"),
+    ], ids=["centrality-d", "centrality-s", "centrality-gamma", "cv-k-grid", "cv-lambda-grid"])
+    def test_empty_list_named(self, monkeypatch, capsys, argv, flag):
+        # centrality crashed with an IndexError traceback in _csv, and cv exited 1 with
+        # "k_grid must be non-empty", which named no flag
+        import hubridge.cli
+
+        def refuse(*args):
+            raise AssertionError(f"work began before {flag} was checked")
+
+        for name in ("load_dataset", "simulate_delta"):
+            monkeypatch.setattr(hubridge.cli, name, refuse)
+        dataset = [] if argv[0] == "centrality" else [
+            "--dataset", str(bundled_dataset_path("iris"))]
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], *dataset, *argv[1:]])
+        assert exc.value.code == 2
+        assert (f"argument {flag}: must be a non-empty comma list, got '{argv[2]}'"
+                in capsys.readouterr().err)
+
     def test_nan_lambda_grid_checked_before_loading(self, monkeypatch, capsys):
         import hubridge.cli
 

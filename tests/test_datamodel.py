@@ -2,6 +2,7 @@ import json
 import re
 import tracemalloc
 from contextlib import contextmanager, nullcontext
+from itertools import chain
 from unittest import mock
 
 import numpy as np
@@ -28,7 +29,7 @@ def per_row_parse():
     """Make load_dataset parse with the per-row reference parsers in place of its own."""
     with mock.patch.object(datamodel, "_dense_csv_rows", parse_dense_csv), \
             mock.patch.object(datamodel, "_sparse_pairs_blocks",
-                              lambda lines, path: parse_sparse_pairs(lines)):
+                              lambda blocks, path: parse_sparse_pairs(chain.from_iterable(blocks))):
         yield
 
 
@@ -196,24 +197,26 @@ class TestBlockParse:
     @settings(max_examples=300, deadline=None)
     @given(st.one_of(dense_csv_texts().map(lambda t: (t, "dense-csv")),
                      sparse_pairs_texts().map(lambda t: (t, "sparse-pairs"))),
-           st.integers(1, 8))
-    @example(("a 4 1:2:3\n", "sparse-pairs"), 8)  # pairs whose ':' count only in total
+           # a read of 1 byte takes one row per block, one of 2^14 the whole file
+           st.one_of(st.integers(1, 64), st.just(1 << 14)))
+    @example(("a 4 1:2:3\n", "sparse-pairs"), 1 << 14)  # pairs whose ':' count only in total
     @example(("1,a\n2,b\n", "dense-csv"), 1)
     @example(("a 1:1\nb 2:1\n", "sparse-pairs"), 1)
     @example(("a +1:1_000 1:1_000\n1:2\n", "sparse-pairs"), 1)  # a fault in an earlier block
     @example(("a\nb 1:1\n", "sparse-pairs"), 1)  # a block of labels alone
-    @example(("a\nb\n", "sparse-pairs"), 8)  # no block holds a pair
-    @example((f"a {2 ** 62}:1\nb 0:1\n", "sparse-pairs"), 8)  # a bad row outranks a too-large index
+    @example(("a\nb\n", "sparse-pairs"), 1 << 14)  # no block holds a pair
+    # a bad row outranks a too-large index
+    @example((f"a {2 ** 62}:1\nb 0:1\n", "sparse-pairs"), 1 << 14)
     @example((f"a {10 ** 20}:1\nb 1:1 1:2\n", "sparse-pairs"), 1)
     # dense-csv names the first bad row, then the first bad column in it
-    @example(("nan,a\nx,b\n", "dense-csv"), 8)  # a non-finite row before an unparsable one
-    @example(("nan,1,a\n2,b\n", "dense-csv"), 8)  # before a short row
-    @example(("nan,a\n1,\n", "dense-csv"), 8)  # before an empty label
-    @example(("1,inf,x,a\n", "dense-csv"), 8)  # a non-finite column before an unparsable one
-    def test_agrees_with_per_row_parser(self, tmp_path_factory, file, block_tokens):
+    @example(("nan,a\nx,b\n", "dense-csv"), 1 << 14)  # a non-finite row before an unparsable one
+    @example(("nan,1,a\n2,b\n", "dense-csv"), 1 << 14)  # before a short row
+    @example(("nan,a\n1,\n", "dense-csv"), 1 << 14)  # before an empty label
+    @example(("1,inf,x,a\n", "dense-csv"), 1 << 14)  # a non-finite column before an unparsable one
+    def test_agrees_with_per_row_parser(self, tmp_path_factory, file, read_bytes):
         text, fmt = file
         path = write(tmp_path_factory.getbasetemp(), text, "agree.txt")
-        with mock.patch.object(datamodel, "_BLOCK_TOKENS", block_tokens):
+        with mock.patch.object(datamodel, "_READ_BYTES", read_bytes):
             fast = load_outcome(path, fmt)
         with per_row_parse():
             slow = load_outcome(path, fmt)
@@ -291,11 +294,14 @@ def whole_text_lines(data: bytes):
 
 
 def streamed_lines(path, read_bytes: int):
-    """What ``_data_lines`` yields, reading ``read_bytes`` at a time, and its error or None."""
+    """The rows ``_data_lines`` yields, reading ``read_bytes`` at a time, and its error or
+    None; every block it yields must hold a row."""
     got = []
     with mock.patch.object(datamodel, "_READ_BYTES", read_bytes):
         try:
-            got.extend(datamodel._data_lines(path))
+            for block in datamodel._data_lines(path):
+                assert block
+                got.extend(block)
         except DatasetFormatError as exc:
             return got, str(exc)
     return got, None
@@ -374,6 +380,22 @@ class TestBoundedMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * features.nbytes + (1 << 20)
+
+    def test_sparse_load_peak_within_matrix_triples_and_blocks(self, tmp_path, rng):
+        # the (row, index, value) triples are held at most twice (the blocks' arrays and
+        # their concatenation), or once beside a sort key and its sorted copy: 64 bytes a
+        # pair; the token strings of this whole 0.5 MB file would take about 18 MB more
+        n, per = 2000, 50
+        rows = [" ".join([f"c{i % 5}"] + [f"{j + 1}:1" for j in np.sort(
+                    rng.choice(100, per, replace=False))]) for i in range(n)]
+        path = write(tmp_path, "\n".join(rows) + "\n", "bag.txt")
+        tracemalloc.start()
+        try:
+            features = load_dataset(path, "sparse-pairs").features
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= features.nbytes + 64 * n * per + (1 << 20)
 
     def test_dense_buffer_cut_to_the_rows(self, tmp_path, rng):
         path = tmp_path / "rows.csv"

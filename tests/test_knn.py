@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -11,7 +12,8 @@ from hubridge import knn
 from hubridge._arrays import sq_dist_operand, sq_norms
 from hubridge.datamodel import dataset_from_arrays
 from hubridge.knn import (Dissimilarity, KnnModel, build_knn_model, classify_batch, evaluate,
-                          knn_from_transform, majority_vote, neighbor_index_matrix)
+                          knn_from_transform, majority_vote, nearest_others,
+                          neighbor_index_matrix)
 from hubridge.targets import select_targets
 from hubridge.transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_PAPER,
                                 TransformModel)
@@ -31,6 +33,37 @@ def transformed_query(w):
 
 def both_sides(w):
     return Dissimilarity(w, w)
+
+
+def traced_peak(call, *args) -> int:
+    """The tracemalloc peak, in bytes, of ``call(*args)`` above what was allocated before."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestChunkMemory:
+    """A chunk holds at most _CHUNK_CELLS cells of its widest row, max(n, d + 2), so rows
+    wider than the point count are taken a few at a time, not the whole batch at once."""
+
+    def test_wide_lookup_peak_within_three_chunks(self, rng):
+        # one float64 x - mu chunk of 8 MiB and its float32 copies; a chunk sized by the
+        # 20 points alone took all 1,000 rows (a 38 MiB batch) and peaked at 76 MiB
+        model = build_knn_model(rng.normal(size=(20, 5000)), np.arange(20) % 2, 3,
+                                Dissimilarity.euclidean())
+        queries = rng.normal(size=(1000, 5000))
+        assert traced_peak(neighbor_index_matrix, model, queries) <= (
+            3 * 8 * hubridge._arrays._CHUNK_CELLS)
+
+    def test_wide_self_join_peak_within_two_chunks(self, rng):
+        # a 4 MiB float32 query side and its distance block; sized by the point count, one
+        # chunk took all 1,000 rows and peaked at 24 MiB
+        model = build_knn_model(rng.normal(size=(1000, 5000)), np.arange(1000) % 2, 3,
+                                Dissimilarity.euclidean())
+        assert traced_peak(nearest_others, model) <= 2 * 8 * hubridge._arrays._CHUNK_CELLS
 
 
 class TestNeighbors:

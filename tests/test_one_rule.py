@@ -10,7 +10,8 @@ assumed, a str entry, an int past float64's range, an empty grid), so:
   over no sequence by hand to check it.
 
 The loaders read a file in sized blocks, never whole: ``datamodel`` calls no
-``read_bytes`` or ``read_text`` and no ``.read()`` without a size.
+``read_bytes`` or ``read_text`` and no ``.read()``, ``.readline()`` or ``.readlines()``
+without a size, and reads its blocks with a sized ``.readlines()``.
 """
 
 import ast
@@ -97,7 +98,8 @@ def test_loaders_read_no_file_whole():
     hits = sorted(_uses(tree, "read_bytes") | _uses(tree, "read_text"))
     sized = {id(n.func) for n in ast.walk(tree) if isinstance(n, ast.Call) and n.args}
     hits += sorted(n.lineno for n in ast.walk(tree) if isinstance(n, ast.Attribute)
-                   and n.attr == "read" and id(n) not in sized)
+                   and n.attr in ("read", "readline", "readlines") and id(n) not in sized)
     assert hits == []
     # the blocks are read with a size
-    assert any(isinstance(n, ast.Attribute) and n.attr == "read" for n in ast.walk(tree))
+    assert sized & {id(n) for n in ast.walk(tree)
+                    if isinstance(n, ast.Attribute) and n.attr == "readlines"}
