@@ -8,9 +8,12 @@ X X^T: one eigendecomposition per fold serves both over the whole lambda
 grid. The fold's Euclidean k-NN model of its fit rows is built once too:
 it serves Euclidean and move-query at every lambda, since move-query's W
 maps the queries alone. Euclidean has no lambda, so it searches k at
-lambda 0.0 alone. A lambda at which G + lambda I is numerically singular
-raises ``SingularSystemError``. Each method's outcome, result or error, is
-the one a pass serving it alone gives.
+lambda 0.0 alone. A fold scores its lambdas one at a time and drops each
+before the next W is formed, so it holds one d x d map and one mapped side
+(move-labeled's model or move-query's queries) at a time, whatever the
+grid's length. A lambda at which G + lambda I is numerically singular
+raises ``SingularSystemError`` before any W exists. Each method's outcome,
+result or error, is the one a pass serving it alone gives.
 
 Each fold refits centering, target selection and the transform on its fold
 fit rows only, which undoes any centering before the search up to rounding:
@@ -62,9 +65,10 @@ class CvConfig:
     solver: str = SOLVER_PAPER
 
     def __post_init__(self):  # the grids are stored as tuples: an ndarray has no truth value
-        object.__setattr__(self, "lambda_grid",
-                           as_tuple(self.lambda_grid, "lambda_grid", as_real, NON_NEGATIVE))
-        object.__setattr__(self, "k_grid", as_tuple(self.k_grid, "k_grid", as_count, 1))
+        object.__setattr__(self, "lambda_grid", as_tuple(
+            self.lambda_grid, "lambda_grid", as_real, NON_NEGATIVE, unique="lambda"))
+        object.__setattr__(self, "k_grid", as_tuple(self.k_grid, "k_grid", as_count, 1,
+                                                    unique="k"))
         as_count(self.n_folds, "n_folds", 2)
         as_count(self.k_targets, "k_targets", 1)
         as_count(self.seed, "seed", 0)
@@ -153,21 +157,25 @@ def _score_fold(config: CvConfig, method: str, system, plain, x_fit, y_fit, x_va
     labeled side is unmapped: Euclidean's, and move-query's at each lambda,
     whose W maps the queries alone (as ``Dissimilarity(query_map=W).map_query``
     does). Move-labeled maps the labeled points: one model per lambda.
+
+    ``score`` frees a lambda's W, model or mapped queries and lookup when it
+    returns, before ``map`` takes the next W from the lazy path.
     """
     ridge = None if method == EUCLIDEAN_METHOD else system()
     max_k = max(config.k_grid)
     if max_k > y_fit.size:
         raise ValueError(f"k={max_k} exceeds the fold training size {y_fit.size}")
     path = [None] if ridge is None else ridge.path(config.lambda_grid, method, config.solver)
-    rows = []
-    for tm in path:
+
+    def score(tm) -> list[float]:
         if method == MOVE_LABELED:
             km, queries = knn_from_transform(tm, x_fit, y_fit, max_k), x_val
         else:
             km, queries = plain(), (x_val if tm is None else x_val @ tm.w.T)
         nbr = y_fit[neighbor_index_matrix(km, queries)]  # one lookup serves every k
-        rows.append([evaluate(nbr[:, :k], y_val) for k in config.k_grid])
-    return np.array(rows)
+        return [evaluate(nbr[:, :k], y_val) for k in config.k_grid]
+
+    return np.array(list(map(score, path)))
 
 
 def _cv_result(lambda_grid, k_grid, acc: np.ndarray, folds) -> CvResult:
@@ -202,8 +210,8 @@ def grid_search(dataset: Dataset, train_indices, config: CvConfig, methods) -> C
         x_val = dataset.features[val_idx]
         y_val = dataset.labels[val_idx]
         mu = x_fit.mean(axis=0)
-        x_fit = x_fit - mu
-        x_val = x_val - mu
+        x_fit -= mu  # both are fresh copies: centered in place
+        x_val -= mu
 
         # built on first use and shared; a build error is raised anew to each caller
         plain = functools.cache(functools.partial(knn_from_transform, None, x_fit, y_fit,

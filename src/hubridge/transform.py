@@ -44,6 +44,7 @@ the one codec (``_codec``).
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,13 +169,19 @@ class RidgeSystem:
         self.jt = self.j.T.tocsr()  # canonical: each row's owners ascend
         self._factors = {}  # Gram weights (None: all 1) -> (ascending eigenvalues, V)
 
-    def path(self, lambdas, direction: str, solver: str = SOLVER_PAPER) -> list[TransformModel]:
+    def path(self, lambdas, direction: str, solver: str = SOLVER_PAPER
+             ) -> Iterator[TransformModel]:
         """W (X diag(c) X^T + lam I) = X M X^T for each lam of a grid; M is J (J^T for move-query).
 
         c is None for the paper solver, else M's column sums (target
         multiplicities). W for each lambda is bit-identical to a
         single-lambda fit. move-query always uses its exact minimizer,
         whichever of ``SOLVERS`` is named.
+
+        The checks, the factorization, the singularity test of every lambda
+        and B V run at the call, so a singular lambda raises before any W
+        exists. The iterator then forms each W as it is taken: it holds V
+        and B V, and a caller that drops each W before the next holds one.
         """
         as_choice(direction, "direction", DIRECTIONS)
         as_choice(solver, "solver", SOLVERS)
@@ -188,9 +195,7 @@ class RidgeSystem:
         if key not in self._factors:
             self._factors[key] = np.linalg.eigh(_gram(rows, c))
         evals, v = self._factors[key]
-        bv = _rhs(rows, m, mt) @ v
         tol = v.shape[0] * np.finfo(v.dtype).eps
-        out = []
         for lam in lambdas:
             low, high = evals[0] + lam, evals[-1] + lam
             if low <= tol * high:
@@ -199,8 +204,13 @@ class RidgeSystem:
                     f"Gram matrix plus lambda*I is numerically singular at lambda={lam!r}: "
                     f"(min eigenvalue + lambda) / (max eigenvalue + lambda) = {ratio:.3g} "
                     f"<= d*eps = {tol:.3g}; use a larger lambda")
-            out.append(TransformModel((bv / (evals + lam)) @ v.T, direction, lam, solver))
-        return out
+        bv = _rhs(rows, m, mt) @ v
+
+        def maps():
+            for lam in lambdas:
+                yield TransformModel((bv / (evals + lam)) @ v.T, direction, lam, solver)
+
+        return maps()
 
 
 def fit_move_labeled(x, j, lam: float, solver: str = SOLVER_PAPER) -> TransformModel:
@@ -214,12 +224,12 @@ def fit_move_labeled(x, j, lam: float, solver: str = SOLVER_PAPER) -> TransformM
     solver : ``paper`` for the plain-Gram closed form, ``exact`` for the
         target-multiplicity-weighted true minimizer.
     """
-    return RidgeSystem(x, j).path((lam,), MOVE_LABELED, solver)[0]
+    return next(RidgeSystem(x, j).path((lam,), MOVE_LABELED, solver))
 
 
 def fit_move_query(x, j, lam: float) -> TransformModel:
     """Fit W for the move-query dissimilarity ||W query - labeled|| (exact minimizer)."""
-    return RidgeSystem(x, j).path((lam,), MOVE_QUERY)[0]
+    return next(RidgeSystem(x, j).path((lam,), MOVE_QUERY))
 
 
 def solver_disagreement(x, j, model: TransformModel) -> float:

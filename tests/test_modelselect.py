@@ -11,7 +11,7 @@ from hubridge.modelselect import (METHODS, CvConfig, CvResult, FoldError, grid_s
 from hubridge.targets import TargetSelectionError, select_targets
 from hubridge.transform import fit_move_query
 
-from _helpers import gaussian_mixture
+from _helpers import gaussian_mixture, traced_peak
 
 
 class TestMakeFolds:
@@ -172,6 +172,15 @@ class TestGridSearch:
         with pytest.raises(ValueError, match="non-empty"):
             CvConfig(lambda_grid=(), k_grid=(1,), n_folds=2, seed=0)
 
+    @pytest.mark.parametrize("grids, message", [
+        (((0.1, 1.0, 0.1), (1,)), r"^lambda_grid\[2\] = 0\.1 repeats an earlier lambda$"),
+        (((0.1,), (1, 3, 3)), r"^k_grid\[2\] = 3 repeats an earlier k$"),
+    ], ids=["lambda", "k"])
+    def test_repeated_grid_value_rejected(self, grids, message):
+        # each repeat was scored again and written as one more identical table row
+        with pytest.raises(ValueError, match=message):
+            CvConfig(*grids, n_folds=2, seed=0)
+
     @pytest.mark.parametrize("lam", [-1.0, np.nan])
     def test_negative_lambda_rejected(self, lam):
         # NaN used to pass, and every fit at it failed on a non-finite W
@@ -228,6 +237,22 @@ def library_table(ds, cfg: CvConfig, folds, lambdas) -> list[tuple]:
                 acc[li, ki, f] = np.mean(pred == ds.labels[val])
     return [(0.0 if lam is None else lam, k, acc[li, ki].mean(), acc[li, ki].std(ddof=1))
             for li, lam in enumerate(lambdas) for ki, k in enumerate(cfg.k_grid)]
+
+
+class TestPathMemory:
+    """A fold holds one d x d map and one mapped labeled side at a time, whatever the
+    grid's length."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_twelve_lambdas_peak_below_eight_maps(self, method):
+        # fewer objects than dimensions, so a d x d map outweighs the data; holding
+        # the whole path of 12 W peaked at 15.6 d^2 float64 (9.7 at 6 lambdas)
+        n, d = 240, 400
+        x, y = gaussian_mixture(n, d, 3, sep=0.5, seed=3)
+        ds = dataset_from_arrays(x, y)
+        cfg = CvConfig(tuple(np.logspace(-2, 3, 12)), (1, 3, 5), 2, 0)
+        peak = traced_peak(lambda: grid_search(ds, np.arange(n), cfg, [method]).result(0))
+        assert peak < 8 * d * d * 8
 
 
 class TestSharedPass:

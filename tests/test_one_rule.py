@@ -86,7 +86,7 @@ def test_checkers_loop_over_no_sequence():
     for module, cls, name in CHECKERS:
         fn = _function(module, cls, name)
         loops = [n for n in ast.walk(fn) if isinstance(n, LOOPS)]
-        if name == "path":  # its one loop solves at each lambda, after as_tuple checked them
+        if name == "path":  # its loops test and solve at each lambda, after as_tuple checked them
             loops = [n for n in loops if not isinstance(n, ast.For)] + [
                 n for n in ast.walk(fn) if isinstance(n, ast.Name) and n.id == "enumerate"]
         hits += [f"{module}.{cls or ''}.{name}:{n.lineno}" for n in loops]

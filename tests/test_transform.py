@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,7 +17,7 @@ from hubridge.transform import (SOLVER_EXACT, SOLVER_PAPER, MOVE_LABELED,
                                 fit_move_query, solver_disagreement)
 
 from _helpers import (gd_minimize, pairs_from_indicator, regression_objective,
-                      transform_points)
+                      traced_peak, transform_points)
 from test_acceptance import random_ridge_problem
 
 
@@ -332,10 +331,10 @@ class TestRidgePath:
         for _ in range(10):
             x, j = random_problem(rng, d=int(rng.integers(2, 9)), n=60,
                                   k_targets=int(rng.integers(1, 4)))
-            path = RidgeSystem(x, j).path(grid, direction, solver)
+            path = list(RidgeSystem(x, j).path(grid, direction, solver))  # read once
             assert [tm.lam for tm in path] == list(grid)
             for tm in path:
-                single = RidgeSystem(x, j).path((tm.lam,), direction, solver)[0]
+                single, = RidgeSystem(x, j).path((tm.lam,), direction, solver)
                 assert (tm.direction, tm.solver) == (single.direction, single.solver)
                 assert np.array_equal(tm.w, single.w)
 
@@ -346,7 +345,7 @@ class TestRidgePath:
         for _ in range(5):
             x, j = INDICATORS[kind](rng)
             for tm in RidgeSystem(x, j).path(grid, direction, solver):
-                single = RidgeSystem(x, j).path((tm.lam,), direction, solver)[0]
+                single, = RidgeSystem(x, j).path((tm.lam,), direction, solver)
                 assert np.array_equal(tm.w, single.w)
 
     @pytest.mark.parametrize("direction, solver", CASES)
@@ -442,8 +441,8 @@ class TestTouchedObjects:
         x, j = stored_zeros_problem(rng)
         assert j.nnz == 2 * j.count_nonzero()
         _, hub = hub_problem(rng)
-        assert np.array_equal(RidgeSystem(x, j).path((0.1,), direction, solver)[0].w,
-                              RidgeSystem(x, hub).path((0.1,), direction, solver)[0].w)
+        assert np.array_equal(next(RidgeSystem(x, j).path((0.1,), direction, solver)).w,
+                              next(RidgeSystem(x, hub).path((0.1,), direction, solver)).w)
 
     @pytest.mark.parametrize("kind, targets, owners", [
         ("hub", 3, None), ("fan", None, 3), ("permutation", None, None)])
@@ -474,12 +473,7 @@ class TestRowLayout:
         rows = rng.normal(size=(n, d))
         j = sp.csr_matrix((np.ones(n), (np.arange(n), rng.integers(0, n, size=n))),
                           shape=(n, n))
-        tracemalloc.start()
-        try:
-            RidgeSystem(rows.T, j).path((0.1,), direction, solver)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: next(RidgeSystem(rows.T, j).path((0.1,), direction, solver)))
         # J X^T is one n x d block; a copy of X would be a second
         assert peak < 2 * n * d * 8
 
@@ -491,12 +485,7 @@ class TestRowLayout:
         pool = rng.choice(n, n // 10, replace=False)
         j = sp.csr_matrix((np.ones(n), (np.arange(n), pool[rng.integers(0, n // 10, size=n)])),
                           shape=(n, n))
-        tracemalloc.start()
-        try:
-            RidgeSystem(rows.T, j).path((0.1,), direction, solver)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: next(RidgeSystem(rows.T, j).path((0.1,), direction, solver)))
         assert peak < 0.75 * n * d * 8
 
 
