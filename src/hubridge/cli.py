@@ -16,6 +16,7 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -25,12 +26,13 @@ import numpy as np
 
 from . import experiment
 from ._arrays import FRACTION, NON_NEGATIVE
-from .datamodel import FORMATS, Preprocessor, load_dataset, split as make_split
+from .datamodel import FORMATS, Preprocessor, load_dataset, split as make_split, subset
 from .experiment import (ExperimentConfig, ModelArtifact, fit_timed, preprocess,
-                         run_experiment, split_neighbors, training_record)
+                         run_experiment, training_record)
 from .hubness import nk_counts, skewness
 from .knn import classify_batch, knn_from_transform
-from .modelselect import METHODS, CvConfig, CvResult, check_methods, grid_search
+from .modelselect import (EUCLIDEAN_METHOD, METHODS, CvConfig, CvResult, check_methods,
+                          fold_neighbors, grid_search)
 from .theory import CentralityExperiment, simulate_delta
 from .transform import MOVE_LABELED, MOVE_QUERY, SOLVER_PAPER, SOLVERS, solver_disagreement
 
@@ -231,10 +233,14 @@ def _cmd_hubness(args) -> int:
                          f"got {args.k}")
     pre = preprocess(ds, sp.train_indices, center=args.center,
                      zscore=args.zscore, pca_dim=args.pca_dim)
+    train, queries = subset(pre, sp.train_indices), pre.features[sp.test_indices]
+    plain = functools.partial(knn_from_transform, None, train.features, train.labels, args.k)
     rows = []
     for method in methods:
-        counts = nk_counts(split_neighbors(pre, sp, method, args.lam, args.k_targets,
-                                           args.solver, args.k)[0], sp.train_indices.size)
+        tm = (None if method == EUCLIDEAN_METHOD
+              else fit_timed(train, method, args.lam, args.k_targets, args.solver)[0])
+        counts = nk_counts(fold_neighbors(tm, plain, train.features, train.labels, queries,
+                                          args.k), train.n)
         rows.append({"method": method, "k": args.k, "skewness": skewness(counts),
                      "max_count": int(counts.max()), "mean_count": float(counts.mean())})
     _emit(_csv(rows), args.out)

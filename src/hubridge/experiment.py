@@ -4,9 +4,9 @@ One run covers several random splits. Per split and method it reports test
 accuracy, the skewness of the k-occurrence distribution at ``hubness_k``
 (test rows as queries; the field keeps the name ``n10_skewness`` of the
 default k = 10), the chosen hyperparameters, and the training wall-clock time.
-The timed region is target selection plus the closed-form solve only;
-loading, preprocessing and cross-validation are excluded so the number
-reflects the solver, not the protocol around it.
+A split's final rows are looked up as one more fold (``modelselect.fold_neighbors``).
+The timed region is target selection plus the closed-form solve only; loading,
+preprocessing and cross-validation are excluded, so it reflects the solver.
 
 Configs, reports and model files go to and from JSON through their classes'
 ``JSON`` records, in the one codec (``_codec``).
@@ -35,9 +35,9 @@ from ._codec import BOOL, INT, NUMBER, STR, Parser, Record, list_of, nullable
 from .datamodel import (FORMATS, Dataset, Preprocessor, Split, load_dataset,
                         split as make_split, subset)
 from .hubness import DEFAULT_HUBNESS_K, nk_counts, skewness
-from .knn import evaluate, knn_from_transform, neighbor_index_matrix
+from .knn import evaluate, knn_from_transform
 from .modelselect import (EUCLIDEAN_METHOD, METHODS, CvConfig, CvResult, check_methods,
-                          grid_search)
+                          fold_neighbors, grid_search)
 from .targets import select_targets
 from .transform import (DIRECTIONS, MOVE_LABELED, SOLVER_PAPER, TransformModel,
                         fit_move_labeled, fit_move_query, solver_disagreement)
@@ -226,19 +226,6 @@ def fit_timed(train_ds: Dataset, method: str, lam: float, k_targets: int,
     return tm, jj, time.perf_counter() - t0
 
 
-def split_neighbors(pre: Dataset, sp: Split, method: str, lam: float, k_targets: int,
-                    solver: str, k: int):
-    """(idx, transform, J, training seconds, training Dataset) of ``method`` fitted
-    on ``sp``'s training rows (Euclidean fits nothing: None, None, 0.0). idx holds
-    the test rows' k nearest training rows, sorted by (dissimilarity, index), so
-    each prefix of its columns is exactly the smaller-k neighbor matrix."""
-    train = subset(pre, sp.train_indices)
-    tm, jj, seconds = ((None, None, 0.0) if method == EUCLIDEAN_METHOD
-                       else fit_timed(train, method, lam, k_targets, solver))
-    km = knn_from_transform(tm, train.features, train.labels, k)
-    return neighbor_index_matrix(km, pre.features[sp.test_indices]), tm, jj, seconds, train
-
-
 def training_record(dataset: Dataset) -> dict:
     """n, d_in and the sha256 of a loaded training set's features and labels."""
     digest = hashlib.sha256(np.ascontiguousarray(dataset.features, "<f8").tobytes())
@@ -304,10 +291,12 @@ class ModelArtifact:
 
 def _run_method(pre: Dataset, sp: Split, method: str, cv: CvResult,
                 config: ExperimentConfig) -> MethodSplitResult:
-    # one lookup serves both scores
-    idx, tm, jj, training_seconds, train = split_neighbors(
-        pre, sp, method, cv.best_lambda, config.k_targets, config.solver,
-        max(cv.best_k, config.hubness_k))
+    train = subset(pre, sp.train_indices)
+    tm, jj, training_seconds = ((None, None, 0.0) if method == EUCLIDEAN_METHOD else fit_timed(
+        train, method, cv.best_lambda, config.k_targets, config.solver))
+    k = max(cv.best_k, config.hubness_k)  # one lookup serves both scores
+    idx = fold_neighbors(tm, lambda: knn_from_transform(None, train.features, train.labels, k),
+                         train.features, train.labels, pre.features[sp.test_indices], k)
     accuracy = evaluate(train.labels[idx[:, :cv.best_k]], pre.labels[sp.test_indices])
     counts = nk_counts(idx[:, :config.hubness_k], train.n)
     gap = solver_disagreement(train.features.T, jj, tm) if method == MOVE_LABELED else None
@@ -345,6 +334,7 @@ def run_experiment(config: ExperimentConfig,
     try:
         for seed in config.seeds:
             sp = make_split(dataset, config.train_fraction, seed)
+            as_count(config.hubness_k, "hubness_k", 1, sp.train_indices.size)
             pre = preprocess(dataset, sp.train_indices, center=config.center,
                              zscore=config.zscore, pca_dim=config.pca_dim)
             plan = CvConfig(config.lambda_grid, config.k_grid, config.cv_folds, sp.seed,

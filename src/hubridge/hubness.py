@@ -8,7 +8,7 @@ the skewness of that count distribution, computed with population
     skew = [ sum_i (counts[i] - mean)^3 / n ] / variance^(3/2)
 
 ``nk_counts`` is the one N_k routine: the protocol and ``hubridge hubness``
-pass it the neighbour matrix of ``experiment.split_neighbors``, whose entries
+pass it the neighbour matrix of ``modelselect.fold_neighbors``, whose entries
 ``_arrays.as_ids`` checks. ``skewness`` takes its counts through
 ``_arrays.as_reals``, which rejects a non-finite one.
 """

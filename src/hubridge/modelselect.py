@@ -5,9 +5,9 @@ fold centering and the target indicator J are made once, and a fold's
 ``RidgeSystem`` factors each distinct Gram matrix once. With one target per
 object every row of J sums to 1, so move-query's Gram is the paper solver's
 X X^T: one eigendecomposition per fold serves both over the whole lambda
-grid. The fold's Euclidean k-NN model of its fit rows is built once too:
-it serves Euclidean and move-query at every lambda, since move-query's W
-maps the queries alone. Euclidean has no lambda, so it searches k at
+grid. The fold's Euclidean k-NN model of its fit rows is built once too, for
+``fold_neighbors``, the one lookup of CV, a split's final rows and ``hubridge
+hubness`` (one more fold). Euclidean has no lambda, so it searches k at
 lambda 0.0 alone. A fold scores its lambdas one at a time and drops each
 before the next W is formed, so it holds one d x d map and one mapped side
 (move-labeled's model or move-query's queries) at a time, whatever the
@@ -148,18 +148,25 @@ class CvPass:
         return outcome
 
 
+def fold_neighbors(tm, plain, x_fit, y_fit, queries, k: int) -> np.ndarray:
+    """(n_queries, k) nearest ``x_fit`` rows of ``queries`` under ``tm`` (None: Euclidean),
+    each row sorted as ``neighbor_index_matrix`` sorts it, so j columns are the j-NN matrix.
+
+    ``plain()``, the Euclidean ``KnnModel`` of ``x_fit`` at ``k``, serves Euclidean and
+    move-query, whose W maps the queries alone (as ``Dissimilarity(query_map=W)`` does), so
+    one model serves a fold's lambda grid. Move-labeled maps the labeled points: one per W."""
+    if tm is not None and tm.direction == MOVE_LABELED:
+        return neighbor_index_matrix(knn_from_transform(tm, x_fit, y_fit, k), queries)
+    return neighbor_index_matrix(plain(), queries if tm is None else queries @ tm.w.T)
+
+
 def _score_fold(config: CvConfig, method: str, system, plain, x_fit, y_fit, x_val,
                 y_val) -> np.ndarray:
     """(lambda, k) validation accuracy of one method on one fold; Euclidean gives one row.
 
-    ``system()`` and ``plain()`` return the fold's ``RidgeSystem`` and its
-    Euclidean ``KnnModel`` of ``x_fit``. The latter serves every lookup whose
-    labeled side is unmapped: Euclidean's, and move-query's at each lambda,
-    whose W maps the queries alone (as ``Dissimilarity(query_map=W).map_query``
-    does). Move-labeled maps the labeled points: one model per lambda.
-
-    ``score`` frees a lambda's W, model or mapped queries and lookup when it
-    returns, before ``map`` takes the next W from the lazy path.
+    ``system()`` and ``plain()`` return the fold's ``RidgeSystem`` and Euclidean ``KnnModel``
+    of ``x_fit``. One lookup at the largest k serves every k of a lambda. ``score`` frees a
+    lambda's W, model or mapped queries and lookup before ``map`` takes the next W.
     """
     ridge = None if method == EUCLIDEAN_METHOD else system()
     max_k = max(config.k_grid)
@@ -168,11 +175,7 @@ def _score_fold(config: CvConfig, method: str, system, plain, x_fit, y_fit, x_va
     path = [None] if ridge is None else ridge.path(config.lambda_grid, method, config.solver)
 
     def score(tm) -> list[float]:
-        if method == MOVE_LABELED:
-            km, queries = knn_from_transform(tm, x_fit, y_fit, max_k), x_val
-        else:
-            km, queries = plain(), (x_val if tm is None else x_val @ tm.w.T)
-        nbr = y_fit[neighbor_index_matrix(km, queries)]  # one lookup serves every k
+        nbr = y_fit[fold_neighbors(tm, plain, x_fit, y_fit, x_val, max_k)]
         return [evaluate(nbr[:, :k], y_val) for k in config.k_grid]
 
     return np.array(list(map(score, path)))

@@ -5,8 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hubridge.experiment
+import hubridge.modelselect
 from hubridge import knn
-from hubridge.datamodel import Preprocessor, column_mean_sd, dataset_from_arrays, split
+from hubridge.datamodel import (Preprocessor, bundled_dataset_path, column_mean_sd,
+                                dataset_from_arrays, split)
 from hubridge.experiment import (ExperimentConfig, ExperimentReport, MethodSplitResult,
                                  ModelArtifact, TIMING_FIELDS, fit_timed, preprocess,
                                  run_experiment, training_record)
@@ -331,12 +334,10 @@ class TestRunExperiment:
         # methods, plus one per fitted method and split for the final fit;
         # with one target per object, paper move-labeled and move-query read
         # one eigendecomposition per fold
-        import hubridge.experiment
-        import hubridge.modelselect
-
-        calls = {"select": 0, "eigh": 0, "cv_eigh": 0}
+        calls = {"select": 0, "eigh": 0, "cv_eigh": 0, "lookup": 0, "cv_lookup": 0}
         select, eigh = hubridge.modelselect.select_targets, np.linalg.eigh
         grid_search = hubridge.experiment.grid_search
+        lookup = hubridge.modelselect.fold_neighbors
 
         def counting_select(*args):
             calls["select"] += 1
@@ -346,23 +347,44 @@ class TestRunExperiment:
             calls["eigh"] += 1
             return eigh(*args)
 
+        def counting_lookup(*args):
+            calls["lookup"] += 1
+            return lookup(*args)
+
         def counting_search(*args):
-            before = calls["eigh"]
+            before = calls["eigh"], calls["lookup"]
             out = grid_search(*args)
-            calls["cv_eigh"] += calls["eigh"] - before
+            calls["cv_eigh"] += calls["eigh"] - before[0]
+            calls["cv_lookup"] += calls["lookup"] - before[1]
             return out
 
         for module in (hubridge.modelselect, hubridge.experiment):
             monkeypatch.setattr(module, "select_targets", counting_select)
+            monkeypatch.setattr(module, "fold_neighbors", counting_lookup)
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(hubridge.experiment, "grid_search", counting_search)
-        splits, folds, fitted = 2, 3, 2
+        splits, folds, fitted, lambdas = 2, 3, 2, 3
         rep = run_experiment(small_config(mixture_csv, cv_folds=folds))
         assert len(rep.rows) == 3 * splits
         assert calls["select"] == folds * splits + fitted * splits
         assert calls["cv_eigh"] == folds * splits
         # the final fits, plus one for move-labeled's solver gap
         assert calls["eigh"] - calls["cv_eigh"] == fitted * splits + splits
+        # every lookup takes the one path: Euclidean's one per fold, each fitted
+        # method's one per fold and lambda, then each method's final rows
+        assert calls["cv_lookup"] == folds * splits * (1 + fitted * lambdas)
+        assert calls["lookup"] - calls["cv_lookup"] == 3 * splits
+
+    def test_hubness_k_above_training_rows_named_before_cv(self, monkeypatch):
+        # it used to fail after the split's whole CV, naming k
+        def refuse(*args, **kwargs):
+            raise AssertionError("grid search ran before hubness_k was checked")
+
+        monkeypatch.setattr(hubridge.experiment, "grid_search", refuse)
+        cfg = ExperimentConfig(dataset_path=str(bundled_dataset_path("iris")), n_splits=1,
+                               seeds=(1,), hubness_k=200)
+        with pytest.raises(ValueError, match=r"^hubness_k must be in \[1, 105\], got 200$"):
+            run_experiment(cfg)
 
     def test_failure_carries_context(self, tmp_path):
         # a class with 2 members lands a singleton in some CV fold

@@ -6,10 +6,10 @@ import pytest
 from hubridge import modelselect
 from hubridge.datamodel import dataset_from_arrays
 from hubridge.knn import knn_from_transform, majority_vote, neighbor_index_matrix
-from hubridge.modelselect import (METHODS, CvConfig, CvResult, FoldError, grid_search,
-                                  make_folds)
+from hubridge.modelselect import (METHODS, CvConfig, CvResult, FoldError, fold_neighbors,
+                                  grid_search, make_folds)
 from hubridge.targets import TargetSelectionError, select_targets
-from hubridge.transform import fit_move_query
+from hubridge.transform import TransformModel, fit_move_labeled, fit_move_query
 
 from _helpers import gaussian_mixture, traced_peak
 
@@ -237,6 +237,39 @@ def library_table(ds, cfg: CvConfig, folds, lambdas) -> list[tuple]:
                 acc[li, ki, f] = np.mean(pred == ds.labels[val])
     return [(0.0 if lam is None else lam, k, acc[li, ki].mean(), acc[li, ki].std(ddof=1))
             for li, lam in enumerate(lambdas) for ki, k in enumerate(cfg.k_grid)]
+
+
+class TestFoldNeighbors:
+    """The one lookup of CV folds, a split's final rows and ``hubridge hubness``."""
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_equals_the_methods_own_model(self, method):
+        # the same neighbours a KnnModel built through knn_from_transform for
+        # this W gives (move-query: Dissimilarity(query_map=W)); move-labeled
+        # builds its own model and never asks for the Euclidean one
+        x, y = gaussian_mixture(80, 5, 3, sep=0.8, seed=7)
+        x_fit, y_fit, queries = x[:60], y[:60], x[60:]
+        j = select_targets(dataset_from_arrays(x_fit, y_fit), np.arange(60), 1)
+        tm = {"euclidean": None, "move-labeled": fit_move_labeled(x_fit.T, j, 0.1),
+              "move-query": fit_move_query(x_fit.T, j, 0.1)}[method]
+
+        def plain():
+            assert method != "move-labeled", "move-labeled looked up on the Euclidean model"
+            return knn_from_transform(None, x_fit, y_fit, 4)
+
+        np.testing.assert_array_equal(
+            fold_neighbors(tm, plain, x_fit, y_fit, queries, 4),
+            neighbor_index_matrix(knn_from_transform(tm, x_fit, y_fit, 4), queries))
+
+    def test_query_map_overflow_named_at_the_mapped_entry(self):
+        # W maps the queries before the lookup, so an entry past float64's
+        # range is named where it lands
+        x, y = gaussian_mixture(12, 3, 3, sep=2.0, seed=0)
+        tm = TransformModel(1e308 * np.eye(3), "move-query", 0.1, "paper")
+        queries = np.array([[0.0, 0.5, 1.0], [1.5, 0.0, 0.0], [0.0, -2.0, 0.0]])
+        with np.errstate(over="ignore"), pytest.raises(
+                ValueError, match=r"^queries contains non-finite values: queries\[2, 1\] = -inf$"):
+            fold_neighbors(tm, lambda: knn_from_transform(None, x, y, 2), x, y, queries, 2)
 
 
 class TestPathMemory:

@@ -12,6 +12,10 @@ assumed, a str entry, an int past float64's range, an empty grid), so:
 The loaders read a file in sized blocks, never whole: ``datamodel`` calls no
 ``read_bytes`` or ``read_text`` and no ``.read()``, ``.readline()`` or ``.readlines()``
 without a size, and reads its blocks with a sized ``.readlines()``.
+
+A k-NN lookup has one path per job: ``knn.classify_batch`` serves ``predict`` and
+``modelselect.fold_neighbors`` every other lookup (CV folds, a split's final rows,
+``hubridge hubness``), so no other function calls ``neighbor_index_matrix``.
 """
 
 import ast
@@ -45,6 +49,13 @@ def _function(module: str, cls: str | None, name: str) -> ast.FunctionDef:
     if cls is not None:
         scope = next(n for n in scope.body if isinstance(n, ast.ClassDef) and n.name == cls)
     return next(n for n in scope.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
+def _callers(name: str) -> list[str]:
+    """``module.name`` of each top-level function or class whose code calls ``name``."""
+    return sorted(f"{p.stem}.{getattr(top, 'name', '<module>')}" for p in SOURCES
+                  for top in ast.parse(p.read_text(), str(p)).body
+                  if any(isinstance(n, ast.Call) and _uses(n.func, name) for n in ast.walk(top)))
 
 
 def test_sources_found():
@@ -103,3 +114,8 @@ def test_loaders_read_no_file_whole():
     # the blocks are read with a size
     assert sized & {id(n) for n in ast.walk(tree)
                     if isinstance(n, ast.Attribute) and n.attr == "readlines"}
+
+
+def test_one_lookup_path():
+    assert _callers("neighbor_index_matrix") == ["knn.classify_batch",
+                                                 "modelselect.fold_neighbors"]
